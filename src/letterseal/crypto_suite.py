@@ -4,8 +4,16 @@ All operations are pure functions of their inputs. The only stateful object
 is :class:`SeededRng`, an injectable deterministic byte source that logs its
 draws so a test harness can replay and reveal randomness. An optional
 counting scope (:func:`count_ops`) tallies DH-class, KDF-class and AEAD
-operations for the benchmark instrumentation; a DH-class operation is any
-X25519 scalar multiplication, key generation included.
+operations for the benchmark instrumentation; a DH-class operation is one
+key generation or one exchange, however many scalar multiplications it
+takes.
+
+X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
+such a scalar or the OpenSSL key object built from it
+(:func:`dh_private_key`, or the third value of :func:`dh_keygen_with_key`).
+Building the object costs a scalar multiplication of its own, so a caller
+that exchanges with one secret more than once holds the object; nothing in
+this module caches one.
 """
 
 from __future__ import annotations
@@ -180,25 +188,43 @@ def clamp_scalar(raw: bytes) -> GroupScalar:
     return GroupScalar(bytes(b))
 
 
-def dh_keygen(rng: SeededRng) -> tuple[GroupScalar, GroupElement]:
-    """Fresh X25519 key pair from the injected randomness source."""
+def dh_private_key(secret: GroupScalar) -> X25519PrivateKey:
+    """OpenSSL key object for a scalar. Building it derives the public key,
+    one scalar multiplication; callers that exchange with the same secret
+    more than once build it once and pass it to :func:`dh`."""
+    return X25519PrivateKey.from_private_bytes(secret)
+
+
+def dh_keygen_with_key(
+        rng: SeededRng) -> tuple[GroupScalar, GroupElement, X25519PrivateKey]:
+    """:func:`dh_keygen` plus the key object it built for the public key."""
     _bump("dh")
     scalar = clamp_scalar(rng.token(32))
-    pub = X25519PrivateKey.from_private_bytes(scalar).public_key()
-    return scalar, GroupElement(pub.public_bytes_raw())
+    key = dh_private_key(scalar)
+    return scalar, GroupElement(key.public_key().public_bytes_raw()), key
+
+
+def dh_keygen(rng: SeededRng) -> tuple[GroupScalar, GroupElement]:
+    """Fresh X25519 key pair from the injected randomness source."""
+    scalar, pub, _ = dh_keygen_with_key(rng)
+    return scalar, pub
 
 
 def dh_to_public(secret: GroupScalar) -> GroupElement:
-    pub = X25519PrivateKey.from_private_bytes(secret).public_key()
-    return GroupElement(pub.public_bytes_raw())
+    return GroupElement(dh_private_key(secret).public_key().public_bytes_raw())
 
 
-def dh(secret: GroupScalar, peer: GroupElement) -> SharedSecret:
-    """X25519 exchange; rejects the all-zero output of low-order points."""
+def dh(secret: GroupScalar | X25519PrivateKey,
+       peer: GroupElement) -> SharedSecret:
+    """X25519 exchange; rejects the all-zero output of low-order points.
+
+    ``secret`` is a scalar or the key object built from one; a scalar is
+    turned into its key object first."""
     _bump("dh")
     try:
-        shared = X25519PrivateKey.from_private_bytes(secret).exchange(
-            X25519PublicKey.from_public_bytes(peer))
+        if isinstance(secret, bytes):
+            secret = dh_private_key(secret)
+        shared = secret.exchange(X25519PublicKey.from_public_bytes(peer))
     except ValueError as exc:
         raise DhError(str(exc)) from exc
     if shared == b"\x00" * 32:

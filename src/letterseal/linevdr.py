@@ -9,6 +9,17 @@ the reply chain (fresh ephemeral, i_s = i_r + 1) right after the first
 successful decrypt of that epoch. Decryption is transactional: state
 mutates only after the AEAD tag verifies, so forged envelopes cannot
 desynchronize a session or poison the skipped-key cache.
+
+Ephemeral key object. Besides the scalar ``self_eph_secret``, the state
+holds ``self_eph_key``, the OpenSSL key object built from it, so the next
+epoch turn exchanges without deriving the public key again. The state owns
+it, and it is set wherever the ephemeral is generated: in vdr_init_sender
+and in the reply set-up of vdr_decrypt. The turn that replaces the scalar
+replaces the object with it; a failed decrypt leaves both in place. It is a
+cache of ``self_eph_secret`` and nothing more: snapshots never carry it, so
+vdr_import_state returns it as None and the first turn after an import
+builds the object from the scalar bytes. Long-term scalars get no held
+object: a session exchanges with them only during set-up.
 """
 
 from __future__ import annotations
@@ -55,6 +66,9 @@ class RatchetState:
     consumed: set[tuple[int, int]] = field(default_factory=set)
     # transient notification hook for harnesses; never serialized
     observer: object | None = None
+    # key object of self_eph_secret (module docstring); never serialized
+    self_eph_key: cs.X25519PrivateKey | None = field(
+        default=None, repr=False, compare=False)
 
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
@@ -78,14 +92,15 @@ def vdr_init_sender(self_ltk: cs.GroupScalar, peer_ltk_pub: cs.GroupElement,
                     rng: cs.SeededRng, kid_self: int, kid_peer: int) -> RatchetState:
     """Initiator setup: root and first sending chain from
     KDF(dh(ephemeral, peer) || dh(static, peer))."""
-    eph_secret, eph_pub = cs.dh_keygen(rng)
-    ikm = cs.dh(eph_secret, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
+    eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
+    ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
     rk, ck_send = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
         role=ROLE_INITIATOR, rk=rk, ck_send=ck_send,
         self_ltk=self_ltk, peer_ltk_pub=peer_ltk_pub,
         kid_self=kid_self, kid_peer=kid_peer,
         self_eph_secret=eph_secret, self_eph_pub=eph_pub,
+        self_eph_key=eph_key,
     )
 
 
@@ -100,14 +115,15 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar,
     if env.i_index != 0:
         raise StaleEpoch(
             f"lazy receiver init needs an epoch-0 envelope, got epoch {env.i_index}")
-    ikm = cs.dh(self_ltk, cs.GroupElement(env.eph_pub)) + \
-        cs.dh(self_ltk, peer_ltk_pub)
+    peer_eph = cs.GroupElement(env.eph_pub)
+    ltk_key = cs.dh_private_key(self_ltk)
+    ikm = cs.dh(ltk_key, peer_eph) + cs.dh(ltk_key, peer_ltk_pub)
     rk, ck_recv = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
         role=ROLE_RESPONDER, rk=rk, ck_recv=ck_recv,
         self_ltk=self_ltk, peer_ltk_pub=peer_ltk_pub,
         kid_self=kid_self, kid_peer=kid_peer,
-        peer_eph_pub=cs.GroupElement(env.eph_pub),
+        peer_eph_pub=peer_eph,
         i_s=1,  # reply epoch; chain material arrives with the first decrypt
     )
 
@@ -142,7 +158,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         raise ReplayRejected(f"message key for {stage} already consumed")
 
     use_cached = stage in st.skipped
-    ratcheted = False
+    peer_eph = None  # set when this envelope turns the epoch
     skipped_add: dict[tuple[int, int], cs.SymmetricKey] = {}
 
     if use_cached:
@@ -153,10 +169,12 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         if env.i_index > st.i_r:
             if st.self_eph_secret is None:
                 raise StaleEpoch("no local ephemeral to ratchet against")
-            shared = cs.dh(st.self_eph_secret, cs.GroupElement(env.eph_pub))
+            peer_eph = cs.GroupElement(env.eph_pub)
+            own = st.self_eph_key
+            shared = cs.dh(st.self_eph_secret if own is None else own,
+                           peer_eph)
             rk_new, ck_new = cs.kdf_root(shared, st.rk)
             i_r_new, j_r_new = env.i_index, 0
-            ratcheted = True
         elif env.i_index == st.i_r and st.ck_recv is not None:
             rk_new, ck_new = st.rk, st.ck_recv
             i_r_new, j_r_new = st.i_r, st.j_r
@@ -192,13 +210,14 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         st.skipped.update(skipped_add)
         while len(st.skipped) > MAX_SKIP:
             del st.skipped[next(iter(st.skipped))]
-        if ratcheted:
-            st.peer_eph_pub = cs.GroupElement(env.eph_pub)
-        if ratcheted or st.ck_send is None:
-            eph_secret, eph_pub = cs.dh_keygen(rng)
-            st.rk, st.ck_send = cs.kdf_root(
-                cs.dh(eph_secret, cs.GroupElement(env.eph_pub)), st.rk)
+        if peer_eph is not None:
+            st.peer_eph_pub = peer_eph
+        if peer_eph is not None or st.ck_send is None:
+            eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
+            shared = cs.dh(eph_key, peer_eph or cs.GroupElement(env.eph_pub))
+            st.rk, st.ck_send = cs.kdf_root(shared, st.rk)
             st.self_eph_secret, st.self_eph_pub = eph_secret, eph_pub
+            st.self_eph_key = eph_key
             st.i_s, st.j_s = st.i_r + 1, 0
     _notify_message_key(st, stage, mk, "recv")
     return plaintext

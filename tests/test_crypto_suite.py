@@ -1,5 +1,7 @@
 import hashlib
 import hmac as hmaclib
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,18 @@ from letterseal.errors import AuthFailure, DhError, PaddingError
 
 KEY = cs.SymmetricKey(bytes(range(32)))
 NONCE = cs.AeadNonce(bytes(12))
+
+
+def _load_reference():
+    # plain-Python primitives sharing no code with the package
+    path = Path(__file__).resolve().parents[1] / "tools" / "reference_kat.py"
+    spec = importlib.util.spec_from_file_location("reference_kat", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _load_reference()
 
 
 # -- fixed-size byte types ---------------------------------------------------
@@ -101,6 +115,20 @@ def test_dh_to_public_matches_keygen():
     assert cs.dh_to_public(a_sk) == a_pk
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_dh_agrees_with_independent_x25519(seed):
+    rng = cs.SeededRng(1000 + seed)
+    a_sk, a_pk = cs.dh_keygen(rng)
+    b_sk, b_pk, b_key = cs.dh_keygen_with_key(rng)
+    assert b_key.private_bytes_raw() == b_sk
+    assert REF.x25519_public(a_sk) == a_pk
+    assert REF.x25519_public(b_sk) == b_pk
+    expected = REF.x25519(b_sk, a_pk)
+    assert cs.dh(b_sk, a_pk) == expected
+    assert cs.dh(b_key, a_pk) == expected
+    assert cs.dh(a_sk, b_pk) == expected
+
+
 def test_clamp_scalar_bits():
     raw = bytes([0xFF] * 32)
     clamped = cs.clamp_scalar(raw)
@@ -113,6 +141,8 @@ def test_dh_rejects_low_order_result():
     a_sk, _ = cs.dh_keygen(cs.SeededRng(13))
     with pytest.raises(DhError):
         cs.dh(a_sk, cs.GroupElement(bytes(32)))
+    with pytest.raises(DhError):
+        cs.dh(cs.dh_private_key(a_sk), cs.GroupElement(bytes(32)))
 
 
 # -- derivations --------------------------------------------------------------
@@ -226,6 +256,19 @@ def test_count_ops_counts_each_kind():
         cs.kdf_chain(cs.SymmetricKey(bytes(32)))
         cs.aead_seal(KEY, NONCE, b"m", b"")
     assert (counts.dh, counts.kdf, counts.aead) == (1, 3, 1)
+
+
+def test_key_object_counts_like_its_scalar():
+    rng = cs.SeededRng(23)
+    with cs.count_ops() as counts:
+        a_sk, _, a_key = cs.dh_keygen_with_key(rng)
+    assert counts.dh == 1
+    _, b_pk = cs.dh_keygen(rng)
+    with cs.count_ops() as counts:
+        key = cs.dh_private_key(a_sk)  # building the object is no dh op
+        cs.dh(key, b_pk)
+        cs.dh(a_key, b_pk)
+    assert counts.dh == 2
 
 
 def test_count_ops_nested_scopes():

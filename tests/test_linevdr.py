@@ -6,6 +6,7 @@ import helpers
 from letterseal import crypto_suite as cs
 from letterseal.errors import (
     AuthFailure,
+    DhError,
     NotInitialized,
     ParseError,
     ReplayRejected,
@@ -230,3 +231,98 @@ def test_ad_binds_ratchet_header():
         with pytest.raises(AuthFailure):
             vdr_decrypt(stb, dataclasses.replace(env, **change), b_rng)
     assert vdr_decrypt(stb, env, b_rng) == b"header bound"
+
+
+# -- held ephemeral key object --------------------------------------------------
+
+def _key_matches_secret(st):
+    key = st.self_eph_key
+    return key is None or key.private_bytes_raw() == st.self_eph_secret
+
+
+@pytest.mark.parametrize("tamper,error", [
+    (lambda env: dataclasses.replace(
+        env, ciphertext=bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]),
+     AuthFailure),
+    (lambda env: dataclasses.replace(env, eph_pub=bytes(32)), DhError),
+])
+def test_failed_turn_decrypt_leaves_state_untouched(tamper, error):
+    # the ratchet DH runs before the tag check, on the held key object
+    sta, stb, a_rng, b_rng = fresh_conversation(318)
+    turn = vdr_encrypt(stb, 0, b"turns the epoch", b_rng)
+    assert turn.i_index > sta.i_r
+    key = sta.self_eph_key
+    assert key is not None
+    before = vdr_export_state(sta)
+    with pytest.raises(error):
+        vdr_decrypt(sta, tamper(turn), a_rng)
+    assert vdr_export_state(sta) == before
+    assert sta.self_eph_key is key
+    assert vdr_decrypt(sta, turn, a_rng) == b"turns the epoch"
+    assert sta.self_eph_key is not key
+    assert _key_matches_secret(sta)
+
+
+def _turn_counts(receiver, env, rng):
+    with cs.count_ops() as counts:
+        vdr_decrypt(receiver, env, rng)
+    return counts.dh
+
+
+def test_held_key_tracks_secret_across_export_import():
+    live = list(fresh_conversation(319))      # never exported
+    twin = list(fresh_conversation(319))      # exported and imported midway
+    worlds = (live, twin)
+    for world in worlds:
+        assert all(_key_matches_secret(st) for st in world[:2])
+    for turn in range(8):
+        if turn == 4:
+            for k in (0, 1):
+                twin[k] = vdr_import_state(vdr_export_state(twin[k]))
+                assert twin[k].self_eph_key is None
+        s, r = (1, 0) if turn % 2 == 0 else (0, 1)
+        text = b"turn %d" % turn
+        for world in worlds:
+            env = vdr_encrypt(world[s], 0, text, world[2 + s])
+            assert all(_key_matches_secret(st) for st in world[:2])
+            assert env.i_index > world[r].i_r
+            assert _turn_counts(world[r], env, world[2 + r]) == 3
+            assert world[r].self_eph_key is not None
+            assert all(_key_matches_secret(st) for st in world[:2])
+        for k in (0, 1):
+            assert vdr_export_state(twin[k]) == vdr_export_state(live[k])
+    for st in live[:2]:
+        assert "self_eph_key" not in repr(st)
+        assert repr(st.self_eph_key) not in repr(st)
+        assert vdr_export_state(st) == vdr_export_state(
+            dataclasses.replace(st, self_eph_key=None))
+
+
+def test_ratchet_steps_build_each_key_object_once(monkeypatch):
+    built = []
+    real = cs.dh_private_key
+
+    def counting(secret):
+        built.append(bytes(secret))
+        return real(secret)
+
+    monkeypatch.setattr(cs, "dh_private_key", counting)
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(320)
+    assert len(built) == 4  # two long-term keygens, ephemeral, static
+    opener = vdr_encrypt(sta, 0, b"hello", a_rng)
+    built.clear()
+    stb = helpers.vdr_receiver(mats, opener)
+    assert built == [bytes(stb.self_ltk)]
+    built.clear()
+    assert vdr_decrypt(stb, opener, b_rng) == b"hello"
+    assert built == [bytes(stb.self_eph_secret)]  # the reply keygen only
+    reply = vdr_encrypt(stb, 0, b"reply", b_rng)
+    built.clear()
+    assert vdr_decrypt(sta, reply, a_rng) == b"reply"
+    assert built == [bytes(sta.self_eph_secret)]  # turn reuses the held key
+    clone = vdr_import_state(vdr_export_state(stb))
+    env = vdr_encrypt(sta, 0, b"after import", a_rng)
+    old_secret = bytes(clone.self_eph_secret)
+    built.clear()
+    assert vdr_decrypt(clone, env, b_rng) == b"after import"
+    assert built == [old_secret, bytes(clone.self_eph_secret)]
