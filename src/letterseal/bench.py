@@ -8,6 +8,11 @@ Five scenarios cover the cost structure of the two AEAD-era protocols:
   vdr-asym   one epoch turn on a live pair (new-epoch message + reply setup)
   vdr-sym    one same-epoch message on a live chain
 
+One driver runs every scenario on a pair of endpoints (endpoint.py); a
+table gives each scenario its protocol, whether one warmed pair serves
+every step or each step starts a new pair, and whether the sender
+alternates. The timed phases hold one seal and one open, nothing else.
+
 Counts come from the counting context around the actual protocol calls,
 never from arithmetic on timings. The headline count column is the full
 enc+dec flow except for vdr-init, where it characterizes the opener's path
@@ -25,13 +30,7 @@ import time
 from dataclasses import dataclass
 
 from . import crypto_suite as cs
-from .linev2 import v2_decrypt, v2_encrypt, v2_establish
-from .linevdr import (
-    vdr_decrypt,
-    vdr_encrypt,
-    vdr_init_sender,
-    vdr_lazy_init_receiver,
-)
+from .endpoint import endpoint_pair
 
 MIN_ITERATIONS = 100
 DEFAULT_PAYLOAD = 64
@@ -72,164 +71,58 @@ class OpCostRow:
 
 
 # ---------------------------------------------------------------------------
-# Scenario drivers: each step() yields enc/dec/check callables so the same
+# Scenario driver: each step() yields enc/dec/check callables so the same
 # code path serves both the timer and the op counter.
 # ---------------------------------------------------------------------------
 
-class _V2First:
-    def __init__(self, seed: int, payload_len: int):
-        self.rng = cs.SeededRng(seed).fork(b"bench-v2-first")
-        self.ska, self.pka = cs.dh_keygen(self.rng)  # registration, untimed
-        self.skb, self.pkb = cs.dh_keygen(self.rng)
-        self.payload = b"\xa5" * payload_len
-
-    def step(self):
-        box = {}
-
-        ska, pka, skb, pkb = self.ska, self.pka, self.skb, self.pkb
-        payload, rng = self.payload, self.rng
-
-        def enc():
-            sa = v2_establish(ska, pkb, kid_self=1, kid_peer=2,
-                              sid="alice", rid="bob")
-            box["env"] = v2_encrypt(sa, 0, payload, rng)
-
-        def dec():
-            sb = v2_establish(skb, pka, kid_self=2, kid_peer=1,
-                              sid="bob", rid="alice")
-            box["pt"] = v2_decrypt(sb, box["env"])
-
-        def check():
-            assert box["pt"] == payload
-
-        return enc, dec, check
-
-
-class _V2Ith:
-    def __init__(self, seed: int, payload_len: int):
-        self.rng = cs.SeededRng(seed).fork(b"bench-v2-ith")
-        ska, pka = cs.dh_keygen(self.rng)
-        skb, pkb = cs.dh_keygen(self.rng)
-        self.sa = v2_establish(ska, pkb, kid_self=1, kid_peer=2,
-                               sid="alice", rid="bob")
-        self.sb = v2_establish(skb, pka, kid_self=2, kid_peer=1,
-                               sid="bob", rid="alice")
-        self.payload = b"\xa5" * payload_len
-
-    def step(self):
-        sa, sb, payload, rng = self.sa, self.sb, self.payload, self.rng
-        box = {}
-
-        def enc():
-            box["env"] = v2_encrypt(sa, 0, payload, rng)
-
-        def dec():
-            box["pt"] = v2_decrypt(sb, box["env"])
-
-        def check():
-            assert box["pt"] == payload
-
-        return enc, dec, check
-
-
-class _VdrInit:
-    def __init__(self, seed: int, payload_len: int):
-        self.rng = cs.SeededRng(seed).fork(b"bench-vdr-init")
-        self.ska, self.pka = cs.dh_keygen(self.rng)
-        self.skb, self.pkb = cs.dh_keygen(self.rng)
-        self.payload = b"\xa5" * payload_len
-
-    def step(self):
-        box = {}
-
-        ska, pka, skb, pkb = self.ska, self.pka, self.skb, self.pkb
-        payload, rng = self.payload, self.rng
-
-        def enc():
-            st = vdr_init_sender(ska, pkb, rng, kid_self=1, kid_peer=2)
-            box["env"] = vdr_encrypt(st, 0, payload, rng)
-
-        def dec():
-            st = vdr_lazy_init_receiver(skb, pka, box["env"],
-                                        kid_self=2, kid_peer=1)
-            box["pt"] = vdr_decrypt(st, box["env"], rng)
-
-        def check():
-            assert box["pt"] == payload
-
-        return enc, dec, check
-
-
-class _VdrAsym:
-    """Alternating epoch turns on one long-lived pair: every timed message
-    opens a new epoch, so the receiver ratchets and sets up its reply."""
-
-    def __init__(self, seed: int, payload_len: int):
-        self.rng = cs.SeededRng(seed).fork(b"bench-vdr-asym")
-        ska, pka = cs.dh_keygen(self.rng)
-        skb, pkb = cs.dh_keygen(self.rng)
-        self.a = vdr_init_sender(ska, pkb, self.rng, kid_self=1, kid_peer=2)
-        opening = vdr_encrypt(self.a, 0, b"warm", self.rng)
-        self.b = vdr_lazy_init_receiver(skb, pka, opening,
-                                        kid_self=2, kid_peer=1)
-        vdr_decrypt(self.b, opening, self.rng)
-        self.turn = self.b  # holds a fresh epoch chain after that decrypt
-        self.payload = b"\xa5" * payload_len
-
-    def step(self):
-        sender = self.turn
-        receiver = self.a if sender is self.b else self.b
-        self.turn = receiver
-        payload, rng = self.payload, self.rng
-        box = {}
-
-        def enc():
-            box["env"] = vdr_encrypt(sender, 0, payload, rng)
-
-        def dec():
-            box["pt"] = vdr_decrypt(receiver, box["env"], rng)
-
-        def check():
-            assert box["pt"] == payload
-
-        return enc, dec, check
-
-
-class _VdrSym:
-    def __init__(self, seed: int, payload_len: int):
-        self.rng = cs.SeededRng(seed).fork(b"bench-vdr-sym")
-        ska, pka = cs.dh_keygen(self.rng)
-        skb, pkb = cs.dh_keygen(self.rng)
-        self.a = vdr_init_sender(ska, pkb, self.rng, kid_self=1, kid_peer=2)
-        opening = vdr_encrypt(self.a, 0, b"warm", self.rng)
-        self.b = vdr_lazy_init_receiver(skb, pka, opening,
-                                        kid_self=2, kid_peer=1)
-        vdr_decrypt(self.b, opening, self.rng)
-        self.payload = b"\xa5" * payload_len
-
-    def step(self):
-        a, b, payload, rng = self.a, self.b, self.payload, self.rng
-        box = {}
-
-        def enc():
-            box["env"] = vdr_encrypt(a, 0, payload, rng)
-
-        def dec():
-            box["pt"] = vdr_decrypt(b, box["env"], rng)
-
-        def check():
-            assert box["pt"] == payload
-
-        return enc, dec, check
-
-
-_DRIVERS = {
-    "v2-first": _V2First,
-    "v2-ith": _V2Ith,
-    "vdr-init": _VdrInit,
-    "vdr-asym": _VdrAsym,
-    "vdr-sym": _VdrSym,
+# scenario -> (protocol, one warmed pair for every step, senders alternate).
+# Without a warmed pair every step builds a new one, untimed; endpoints set
+# up on first use, so that pair's set-up lands inside the timed seal and
+# open. The warm-up is one a.seal/b.open; an alternating pair then starts
+# with b sending, so every timed message opens a new epoch.
+_SHAPES = {
+    "v2-first": ("v2", False, False),
+    "v2-ith": ("v2", True, False),
+    "vdr-init": ("vdr", False, False),
+    "vdr-asym": ("vdr", True, True),
+    "vdr-sym": ("vdr", True, False),
 }
+
+
+class _Driver:
+    def __init__(self, scenario: str, seed: int, payload_len: int):
+        self.protocol, warmed, self.alternate = _SHAPES[scenario]
+        self.rng = cs.SeededRng(seed).fork(b"bench-" + scenario.encode())
+        # registration, untimed
+        self.keys = (cs.dh_keygen(self.rng), cs.dh_keygen(self.rng))
+        self.payload = b"\xa5" * payload_len
+        self.pair = None
+        if warmed:
+            a, b = self._new_pair()
+            b.open(a.seal(b"warm"))
+            self.pair = (b, a) if self.alternate else (a, b)
+
+    def _new_pair(self):
+        return endpoint_pair(self.protocol, *self.keys, self.rng, self.rng,
+                             kids=(1, 2), names=("alice", "bob"))
+
+    def step(self):
+        sender, receiver = self.pair or self._new_pair()
+        if self.alternate:
+            self.pair = (receiver, sender)
+        payload = self.payload
+        box = {}
+
+        def enc():
+            box["env"] = sender.seal(payload)
+
+        def dec():
+            box["pt"] = receiver.open(box["env"])
+
+        def check():
+            assert box["pt"] == payload
+
+        return enc, dec, check
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +133,7 @@ def scenario_op_counts(scenario: str, seed: int = 0,
                        payload_len: int = DEFAULT_PAYLOAD
                        ) -> tuple[cs.OpCounts, cs.OpCounts]:
     """One instrumented iteration; returns (enc phase, dec phase) counts."""
-    driver = _DRIVERS[scenario](seed, payload_len)
+    driver = _Driver(scenario, seed, payload_len)
     enc, dec, check = driver.step()
     with cs.count_ops() as enc_counts:
         enc()
@@ -275,7 +168,7 @@ def run_scenario(scenario: str, iterations: int = MIN_ITERATIONS,
                  seed: int = 0, payload_len: int = DEFAULT_PAYLOAD) -> BenchRow:
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"iterations must be >= {MIN_ITERATIONS}")
-    driver = _DRIVERS[scenario](seed, payload_len)
+    driver = _Driver(scenario, seed, payload_len)
     batch = _BATCH.get(scenario, 1)
     samples = -(-iterations // batch)
     # enough untimed batches to settle interpreter caches before sampling

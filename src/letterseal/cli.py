@@ -19,20 +19,11 @@ import sys
 from . import crypto_suite as cs
 from .bench import MIN_ITERATIONS, PINNED_COUNTS, format_report, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
+from .endpoint import endpoint_pair
 from .errors import LettersealError, ParseError
 from .kat import check_file, format_vectors, canonical_vectors
-from .linev1 import v1_decrypt, v1_encrypt, v1_establish
-from .linev2 import v2_decrypt, v2_encrypt, v2_establish
-from .linevdr import (
-    vdr_decrypt,
-    vdr_encrypt,
-    vdr_init_sender,
-    vdr_lazy_init_receiver,
-)
 from .mske import EXPECTED, attack_names, run_attack
 from .wire import (
-    EnvelopeV2,
-    EnvelopeVDR,
     PacketMeta,
     classify_packet,
     decode_envelope,
@@ -93,64 +84,31 @@ def cmd_demo(protocol: str, messages: int, seed: int, fmt: str) -> int:
         _emit({"type": "register", "kid": kid, "owner": owner}, fmt,
               f"registered {owner} under kid {kid}")
 
-    if protocol in ("v1", "v2"):
-        establish = v1_establish if protocol == "v1" else v2_establish
-        sa = establish(ska, directory.lookup(kid_b), kid_self=kid_a,
-                       kid_peer=kid_b, sid="alice", rid="bob")
-        sb = establish(skb, directory.lookup(kid_a), kid_self=kid_b,
-                       kid_peer=kid_a, sid="bob", rid="alice")
-        for k in range(messages):
-            pt = f"hello {k:02d}".encode()
-            if protocol == "v1":
-                env = v1_encrypt(sa, 0, pt, alice_rng)
-            else:
-                env = v2_encrypt(sa, 0, pt, alice_rng)
-            wire_bytes = relay.relay(encode_envelope(env))[0]
-            received = decode_envelope(wire_bytes)
-            got = (v1_decrypt(sb, received) if protocol == "v1"
-                   else v2_decrypt(sb, received))
-            ok = got == pt
-            stage = received.counter if isinstance(received, EnvelopeV2) else k
-            label = "ctr" if protocol == "v2" else "msg"
-            _emit({"type": "message", "ordinal": k, "sender": "alice",
-                   "stage": stage, "size": len(wire_bytes),
-                   "roundtrip": "ok" if ok else "FAIL"}, fmt,
-                  f"alice -> bob  {label}={stage}  "
-                  f"{len(wire_bytes)} wire bytes  "
-                  f"roundtrip {'ok' if ok else 'FAIL'}")
-            if not ok:
-                return 1
-        return 0
-
-    # vdr: alternate sender every two messages, one epoch per turn
-    alice = vdr_init_sender(ska, directory.lookup(kid_b), alice_rng,
-                            kid_self=kid_a, kid_peer=kid_b)
-    bob = None
+    alice, bob = endpoint_pair(
+        protocol, (ska, directory.lookup(kid_a)),
+        (skb, directory.lookup(kid_b)), alice_rng, bob_rng,
+        kids=(kid_a, kid_b), names=("alice", "bob"))
     for k in range(messages):
-        sender_is_alice = (k // 2) % 2 == 0
-        if sender_is_alice:
-            env = vdr_encrypt(alice, 0, f"hello {k:02d}".encode(), alice_rng)
-        else:
-            env = vdr_encrypt(bob, 0, f"hello {k:02d}".encode(), bob_rng)
-        wire_bytes = relay.relay(encode_envelope(env))[0]
+        alice_sends = protocol != "vdr" or (k // 2) % 2 == 0
+        sender, receiver = (alice, bob) if alice_sends else (bob, alice)
+        pt = f"hello {k:02d}".encode()
+        wire_bytes = relay.relay(encode_envelope(sender.seal(pt)))[0]
         received = decode_envelope(wire_bytes)
-        assert isinstance(received, EnvelopeVDR)
-        if sender_is_alice and bob is None:
-            bob = vdr_lazy_init_receiver(skb, directory.lookup(kid_a),
-                                         received, kid_self=kid_b,
-                                         kid_peer=kid_a)
-        receiver, receiver_rng = ((bob, bob_rng) if sender_is_alice
-                                  else (alice, alice_rng))
-        got = vdr_decrypt(receiver, received, receiver_rng)
-        ok = got == f"hello {k:02d}".encode()
-        sender = "alice" if sender_is_alice else "bob"
-        target = "bob" if sender_is_alice else "alice"
-        _emit({"type": "message", "ordinal": k, "sender": sender,
-               "stage": [received.i_index, received.j_index],
-               "size": len(wire_bytes),
+        ok = receiver.open(received) == pt
+        if protocol == "vdr":
+            stage = [received.i_index, received.j_index]
+            where = f"epoch={received.i_index} j={received.j_index}"
+        elif protocol == "v2":
+            stage = received.counter
+            where = f"ctr={stage}"
+        else:
+            stage = k
+            where = f"msg={stage}"
+        _emit({"type": "message", "ordinal": k, "sender": sender.name,
+               "stage": stage, "size": len(wire_bytes),
                "roundtrip": "ok" if ok else "FAIL"}, fmt,
-              f"{sender} -> {target}  epoch={received.i_index} "
-              f"j={received.j_index}  {len(wire_bytes)} wire bytes  "
+              f"{sender.name} -> {receiver.name}  {where}  "
+              f"{len(wire_bytes)} wire bytes  "
               f"roundtrip {'ok' if ok else 'FAIL'}")
         if not ok:
             return 1

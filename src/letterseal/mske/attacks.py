@@ -63,6 +63,26 @@ def _adv_rng(seed: int, label: bytes) -> cs.SeededRng:
     return cs.SeededRng(seed).fork(b"adversary-" + label)
 
 
+def _open_pair(g: Game) -> None:
+    """Activate session 1 of A as initiator and of B as responder."""
+    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
+    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+
+
+def _flights(g: Game, plan: list[tuple[int, bytes]], log: dict) -> dict:
+    """Drive sender->peer flights per plan [(sender, plaintext)], delivering
+    each envelope immediately. Records stage -> (sender, env bytes, pt) in
+    log and returns it."""
+    for sender, pt in plan:
+        receiver = B if sender == A else A
+        raw = g.oracle_send(sender, 1, ("encrypt", 0, pt))
+        stage = max(s for s, st in g.sessions[(sender, 1)].status.items()
+                    if st == ACCEPT)
+        g.oracle_send(receiver, 1, raw)
+        log[stage] = (sender, raw, pt)
+    return log
+
+
 def open_v2_envelope(k_e: cs.SymmetricKey, env: EnvelopeV2) -> bytes:
     """Offline AEAD open of a recorded envelope under a derived key."""
     nonce = cs.AeadNonce(env.nonce_material + b"\x00" * 4)
@@ -225,8 +245,7 @@ def attack_kci_v2(seed: int) -> AttackReport:
     """Reveal the victim's long-term secret, then impersonate the peer to
     the victim and distinguish the forged stage's key with certainty."""
     g = Game(PROTO_V2, 2, seed)
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+    _open_pair(g)
     env1 = g.oracle_send(A, 1, ("encrypt", 0, b"hello from the real sender"))
     g.oracle_send(B, 1, env1)
 
@@ -274,8 +293,7 @@ def attack_replay_v2(seed: int) -> AttackReport:
     A cross-stage key reveal then wins the distinguishing game on a trace
     the freshness predicate still calls fresh (replays are admissible)."""
     g = Game(PROTO_V2, 2, seed)
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+    _open_pair(g)
     pt = b"pay invoice 7031 now"
     env = g.oracle_send(A, 1, ("encrypt", 0, pt))
     g.oracle_send(B, 1, env)
@@ -309,8 +327,7 @@ def attack_fs_v2(seed: int) -> AttackReport:
     """Record fifty ciphertexts, then reveal the receiver's state once.
     The pre-master secret inside decrypts every recorded message."""
     g = Game(PROTO_V2, 2, seed)
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+    _open_pair(g)
     total = 50
     sent = {}
     for n in range(total):
@@ -357,28 +374,11 @@ def attack_fs_v2(seed: int) -> AttackReport:
 # Ratchet protocol attacks
 # ---------------------------------------------------------------------------
 
-def _vdr_conversation(g: Game, plan: list[tuple[int, bytes]]) -> dict:
-    """Drive sender->peer flights per plan [(sender, plaintext)], delivering
-    each envelope immediately. Returns stage -> (sender, env bytes, pt)."""
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
-    log = {}
-    for sender, pt in plan:
-        receiver = B if sender == A else A
-        raw = g.oracle_send(sender, 1, ("encrypt", 0, pt))
-        stage = max(s for s, st in g.sessions[(sender, 1)].status.items()
-                    if st == ACCEPT)
-        g.oracle_send(receiver, 1, raw)
-        log[stage] = (sender, raw, pt)
-    return log
-
-
 def attack_replay_vdr(seed: int) -> AttackReport:
     """Duplicate deliveries bounce off the consumed-stage set, both
     immediately and after the conversation has moved on."""
     g = Game(PROTO_VDR, 2, seed)
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+    _open_pair(g)
     pt = b"first flight"
     env00 = g.oracle_send(A, 1, ("encrypt", 0, pt))
     g.oracle_send(B, 1, env00)
@@ -409,11 +409,12 @@ def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
     The closure reaches every epoch-0 key (the initial derivation leans on
     that secret) but nothing at epoch 1 or later."""
     g = Game(PROTO_VDR, 2, seed)
-    log = _vdr_conversation(g, [
+    _open_pair(g)
+    log = _flights(g, [
         (A, b"m 0,0"), (A, b"m 0,1"),
         (B, b"r 1,0"),
         (A, b"m 2,0"),
-    ])
+    ], {})
     g.oracle_rev_ltk(B)
 
     envs = [decode_envelope(raw) for _, raw, _ in log.values()]
@@ -455,11 +456,12 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     Consumed indices are refused and the chains have moved past; the
     snapshots also no longer contain any spent message key."""
     g = Game(PROTO_VDR, 2, seed)
-    log = _vdr_conversation(g, [
+    _open_pair(g)
+    log = _flights(g, [
         (A, b"m 0,0"), (A, b"m 0,1"), (A, b"m 0,2"),
         (B, b"r 1,0"), (B, b"r 1,1"),
         (A, b"m 2,0"),
-    ])
+    ], {})
     snap_b = g.oracle_rev_state(B, 1, (2, 0))  # after consuming all of A's sends
     snap_a = g.oracle_rev_state(A, 1, (2, 0))  # after consuming all of B's sends
 
@@ -504,27 +506,17 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
     stored rk and ephemeral carry that far) and heals at x+2, where a
     post-compromise ephemeral enters the root."""
     g = Game(PROTO_VDR, 2, seed)
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
-    log = {}
-
-    def flight(sender: int, pt: bytes):
-        receiver = B if sender == A else A
-        raw = g.oracle_send(sender, 1, ("encrypt", 0, pt))
-        stage = max(s for s, st in g.sessions[(sender, 1)].status.items()
-                    if st == ACCEPT)
-        g.oracle_send(receiver, 1, raw)
-        log[stage] = (sender, raw, pt)
-
-    flight(A, b"m 0,0")
-    flight(A, b"m 0,1")
+    _open_pair(g)
+    log = _flights(g, [(A, b"m 0,0"), (A, b"m 0,1")], {})
     snap = g.oracle_rev_state(B, 1, (0, 1))  # compromise: B's send epoch is 1
-    flight(A, b"m 0,2")   # epoch-0 remainder
-    flight(B, b"r 1,0")   # epoch-x remainder
-    flight(B, b"r 1,1")
-    flight(A, b"m 2,0")   # x+1: still falls
-    flight(B, b"r 3,0")   # x+2: heals
-    flight(A, b"m 4,0")
+    _flights(g, [
+        (A, b"m 0,2"),   # epoch-0 remainder
+        (B, b"r 1,0"),   # epoch-x remainder
+        (B, b"r 1,1"),
+        (A, b"m 2,0"),   # x+1: still falls
+        (B, b"r 3,0"),   # x+2: heals
+        (A, b"m 4,0"),
+    ], log)
 
     envs = [decode_envelope(raw) for _, raw, _ in log.values()]
     closure = KeyClosure(g.parties[A][1], g.parties[B][1], envs)

@@ -9,7 +9,7 @@ can pin each clause on its own.
 
 from __future__ import annotations
 
-from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER
+from ..linevdr import ROLE_INITIATOR
 from .game import ACCEPT, Game, SessionRecord
 
 

@@ -8,14 +8,10 @@ regenerated casually, since every byte of it is asserted against.
 from pathlib import Path
 
 from letterseal import crypto_suite as cs
-from letterseal.linev1 import v1_establish, v1_encrypt
-from letterseal.linev2 import v2_establish, v2_encrypt
-from letterseal.linevdr import (
-    vdr_decrypt,
-    vdr_encrypt,
-    vdr_init_sender,
-    vdr_lazy_init_receiver,
-)
+from letterseal.endpoint import endpoint_pair
+from letterseal.linev1 import v1_establish
+from letterseal.linev2 import v2_establish
+from letterseal.linevdr import vdr_init_sender, vdr_lazy_init_receiver
 from letterseal.wire import encode_envelope
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -72,35 +68,29 @@ def golden_payload(name: str) -> bytes:
     return f"golden {family} message {index}".encode()
 
 
+# per protocol: (name, ctype, sender) flights, each delivered at once; the
+# ratchet block walks epochs 0..2 so both ratchet directions are pinned
+GOLDEN_SCRIPTS = {
+    "v1": [("v1-0", 0, "a"), ("v1-1", 1, "a"), ("v1-2", 2, "a")],
+    "v2": [("v2-0", 0, "a"), ("v2-1", 1, "a"), ("v2-2", 2, "a")],
+    "vdr": [("vdr-0-0", 0, "a"), ("vdr-0-1", 1, "a"),
+            ("vdr-1-0", 0, "b"), ("vdr-1-1", 1, "b"),
+            ("vdr-2-0", 0, "a")],
+}
+
+
 def golden_envelope_lines() -> list[str]:
-    """Eleven seeded envelopes spanning all three families; the ratchet
-    block walks epochs 0..2 so both ratchet directions are pinned."""
-    sa1, _, a1_rng, _ = v1_pair(GOLDEN_SEED)
+    """Eleven seeded envelopes spanning all three families."""
     lines = []
-    for k in range(3):
-        env = v1_encrypt(sa1, k, golden_payload(f"v1-{k}"), a1_rng)
-        lines.append(f"v1-{k} {encode_envelope(env).hex()}")
-
-    sa2, _, a2_rng, _ = v2_pair(GOLDEN_SEED)
-    for k in range(3):
-        env = v2_encrypt(sa2, k, golden_payload(f"v2-{k}"), a2_rng)
-        lines.append(f"v2-{k} {encode_envelope(env).hex()}")
-
-    sta, mats, a_rng, b_rng = vdr_pair(GOLDEN_SEED)
-    e00 = vdr_encrypt(sta, 0, golden_payload("vdr-0-0"), a_rng)
-    e01 = vdr_encrypt(sta, 1, golden_payload("vdr-0-1"), a_rng)
-    stb = vdr_receiver(mats, e00)
-    vdr_decrypt(stb, e00, b_rng)
-    vdr_decrypt(stb, e01, b_rng)
-    e10 = vdr_encrypt(stb, 0, golden_payload("vdr-1-0"), b_rng)
-    e11 = vdr_encrypt(stb, 1, golden_payload("vdr-1-1"), b_rng)
-    vdr_decrypt(sta, e10, a_rng)
-    vdr_decrypt(sta, e11, a_rng)
-    e20 = vdr_encrypt(sta, 0, golden_payload("vdr-2-0"), a_rng)
-    vdr_decrypt(stb, e20, b_rng)
-    for name, env in (("vdr-0-0", e00), ("vdr-0-1", e01), ("vdr-1-0", e10),
-                      ("vdr-1-1", e11), ("vdr-2-0", e20)):
-        lines.append(f"{name} {encode_envelope(env).hex()}")
+    for protocol, script in GOLDEN_SCRIPTS.items():
+        a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = keypairs(GOLDEN_SEED)
+        a, b = endpoint_pair(protocol, (a_sk, a_pk), (b_sk, b_pk), a_rng,
+                             b_rng, kids=(11, 12), names=("alice", "bob"))
+        for name, ctype, sender in script:
+            src, dst = (a, b) if sender == "a" else (b, a)
+            env = src.seal(golden_payload(name), ctype)
+            dst.open(env)  # not in an assert: -O builds the file too
+            lines.append(f"{name} {encode_envelope(env).hex()}")
     return lines
 
 

@@ -3,7 +3,6 @@ computable-key closure they share."""
 
 import pytest
 
-import letterseal.crypto_suite as cs
 from letterseal.errors import UnknownAttack
 from letterseal.linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_import_state
 from letterseal.mske import (

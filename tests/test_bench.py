@@ -6,10 +6,12 @@ the count table exactly and keep timing assertions to safe orderings.
 
 import pytest
 
+from letterseal import crypto_suite as cs
 from letterseal.bench import (
     MIN_ITERATIONS,
     PINNED_COUNTS,
     SCENARIOS,
+    _Driver,
     _trimmed_mean,
     format_report,
     headline_counts,
@@ -30,6 +32,30 @@ def test_headline_counts_match_pinned(scenario):
 def test_headline_counts_stable_across_seeds(scenario):
     for seed in (1, 7, 42):
         assert headline_counts(scenario, seed) == PINNED_COUNTS[scenario]
+
+
+# enc+dec DH/KDF/AEAD of every step, the vdr-init receiver's set-up included
+STEP_TOTALS = {
+    "v2-first": (2, 2, 2),
+    "v2-ith": (0, 2, 2),
+    "vdr-init": (7, 5, 2),
+    "vdr-asym": (3, 4, 2),
+    "vdr-sym": (0, 2, 2),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_consecutive_steps_count_alike(scenario):
+    """A pair that stops alternating, loses its warm-up, or is reused where
+    each step needs a new one shows up from the second step on."""
+    driver = _Driver(scenario, seed=5, payload_len=64)
+    for _ in range(3):
+        enc, dec, check = driver.step()
+        with cs.count_ops() as counts:
+            enc()
+            dec()
+        check()
+        assert (counts.dh, counts.kdf, counts.aead) == STEP_TOTALS[scenario]
 
 
 def test_phase_counts_v2():

@@ -1,0 +1,81 @@
+"""Two-party endpoints: lazy set-up per protocol, the ratchet responder's
+transactional first open, and per-party randomness."""
+
+import dataclasses
+
+import pytest
+
+import helpers
+from letterseal.endpoint import Endpoint, endpoint_pair
+from letterseal.errors import AuthFailure, NotInitialized
+
+PROTOCOLS = ("v1", "v2", "vdr")
+
+
+def pair(protocol, seed):
+    a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(seed)
+    return endpoint_pair(protocol, (a_sk, a_pk), (b_sk, b_pk), a_rng, b_rng,
+                         kids=(11, 12), names=("alice", "bob"))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_round_trips_both_directions(protocol):
+    a, b = pair(protocol, 401)
+    epochs = []
+    # a -> b, b -> a twice over: on the ratchet each reply opens an epoch
+    for turn in range(4):
+        src, dst = (a, b) if turn % 2 == 0 else (b, a)
+        for k in range(2):
+            m = f"{src.name} turn {turn} msg {k}".encode()
+            env = src.seal(m, ctype=k)
+            assert env.ctype == k
+            assert dst.open(env) == m
+            epochs.append(getattr(env, "i_index", None))
+    if protocol == "vdr":
+        assert epochs == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def test_each_party_draws_only_from_its_own_rng():
+    a, b = pair("vdr", 402)
+    for turn in range(4):
+        src, dst = (a, b) if turn % 2 == 0 else (b, a)
+        before = len(dst.rng.log)
+        env = src.seal(b"x")
+        assert len(dst.rng.log) == before  # sealing leaves the peer's rng
+        before = len(src.rng.log)
+        dst.open(env)
+        assert len(src.rng.log) == before  # and so does opening
+
+
+def test_ratchet_responder_keeps_no_state_after_a_forged_opener():
+    a, b = pair("vdr", 403)
+    opener = a.seal(b"opener")
+    ct = bytes([opener.ciphertext[0] ^ 1]) + opener.ciphertext[1:]
+    with pytest.raises(AuthFailure):
+        b.open(dataclasses.replace(opener, ciphertext=ct))
+    assert b.session is None
+    assert b.open(opener) == b"opener"
+    assert b.session is not None
+    assert a.open(b.seal(b"reply")) == b"reply"
+
+
+def test_ratchet_sides_refuse_to_start_out_of_turn():
+    a, b = pair("vdr", 404)
+    twin, _ = pair("vdr", 404)
+    with pytest.raises(NotInitialized):
+        b.seal(b"responder first")
+    with pytest.raises(NotInitialized):
+        a.open(twin.seal(b"an initiator's opener"))
+    assert a.session is None and b.session is None
+
+
+def test_static_protocols_start_from_either_side():
+    for protocol in ("v1", "v2"):
+        a, b = pair(protocol, 405)
+        assert a.open(b.seal(b"responder first")) == b"responder first"
+
+
+def test_unknown_protocol_rejected():
+    a_sk, a_pk, _, b_pk, a_rng, _ = helpers.keypairs(406)
+    with pytest.raises(ValueError, match="v3"):
+        Endpoint("v3", a_sk, b_pk, a_rng, 1, 2, "alice", "bob", True)

@@ -21,8 +21,6 @@ from letterseal.linevdr import (
     vdr_encrypt,
     vdr_export_state,
     vdr_import_state,
-    vdr_init_sender,
-    vdr_lazy_init_receiver,
 )
 
 
