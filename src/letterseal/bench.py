@@ -20,6 +20,10 @@ enc+dec flow except for vdr-init, where it characterizes the opener's path
 always reported. Phase averages are ten-percent trimmed means over warm
 runs only and exclude envelope byte serialization, which is not a
 cryptographic cost.
+
+A state-size row gives the ratchet's snapshot bytes (vdr_export_state) at
+fixed message counts, so state growth per message shows as a number: the
+two same-epoch points are equal while the state stays bounded.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 from . import crypto_suite as cs
 from .endpoint import endpoint_pair
+from .linevdr import vdr_export_state
 
 MIN_ITERATIONS = 100
 DEFAULT_PAYLOAD = 64
@@ -51,6 +56,15 @@ PINNED_COUNTS = {
     "vdr-asym": {"DH": 3, "KDF": 4, "AEAD": 2},
     "vdr-sym": {"DH": 0, "KDF": 2, "AEAD": 2},
 }
+
+
+# state-size points: (label, messages sent, senders alternate). With
+# alternating senders every message after the first turns an epoch.
+STATE_POINTS = (
+    ("1k same-epoch", 1000, False),
+    ("10k same-epoch", 10000, False),
+    ("100 epoch turns", 101, True),
+)
 
 
 @dataclass
@@ -238,6 +252,25 @@ def primitive_costs(iterations: int = 2000, seed: int = 0) -> dict[str, float]:
     }
 
 
+def state_sizes(seed: int = 0) -> dict[str, int]:
+    """Snapshot bytes of the party that received last, at each of
+    STATE_POINTS, on a new ratchet pair per point."""
+    rng = cs.SeededRng(seed).fork(b"bench-state")
+    keys = (cs.dh_keygen(rng), cs.dh_keygen(rng))
+    payload = b"\xa5" * DEFAULT_PAYLOAD
+    sizes = {}
+    for label, messages, alternate in STATE_POINTS:
+        sender, receiver = endpoint_pair("vdr", *keys, rng, rng, kids=(1, 2),
+                                         names=("alice", "bob"))
+        for k in range(messages):
+            if alternate and k:
+                sender, receiver = receiver, sender
+            if receiver.open(sender.seal(payload)) != payload:
+                raise RuntimeError(f"state-size point {label}: bad round trip")
+        sizes[label] = len(vdr_export_state(receiver.session))
+    return sizes
+
+
 def op_cost_rows(scenario: str, units: dict[str, float],
                  seed: int = 0) -> list[OpCostRow]:
     counts = headline_counts(scenario, seed)
@@ -255,7 +288,8 @@ def run_bench(iterations: int = MIN_ITERATIONS, seed: int = 0,
     rows = [run_scenario(s, iterations, seed, payload_len) for s in SCENARIOS]
     units = primitive_costs(seed=seed)
     op_costs = {s: op_cost_rows(s, units, seed) for s in SCENARIOS}
-    return {"rows": rows, "op_costs": op_costs, "units": units}
+    return {"rows": rows, "op_costs": op_costs, "units": units,
+            "state_bytes": state_sizes(seed)}
 
 
 def format_report(report: dict) -> str:
@@ -273,4 +307,8 @@ def format_report(report: dict) -> str:
                 flag = f"  (expected {pinned})"
             out.append(f"{scenario:<12s} {row.op:<5s} {row.count_per_message:>4d} "
                        f"{row.unit_cost:>13.3f}{flag}")
+    out.append("")
+    out.append("vdr state          snapshot_bytes")
+    for label, size in report["state_bytes"].items():
+        out.append(f"{label:<16s}{size:>17d}")
     return "\n".join(out) + "\n"

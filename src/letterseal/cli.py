@@ -179,6 +179,9 @@ def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
                     "unit_cost_us": round(r.unit_cost, 3),
                     "pinned": PINNED_COUNTS[scenario][r.op],
                 }), sort_keys=True))
+        for point, size in report["state_bytes"].items():
+            print(json.dumps({"type": "state_size", "point": point,
+                              "snapshot_bytes": size}, sort_keys=True))
     else:
         print(format_report(report))
     return 0

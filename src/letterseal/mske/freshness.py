@@ -2,15 +2,25 @@
 
 Every function here is pure: it reads recorded flags and transcripts and
 returns a verdict, with no side effects on the game. The salted-hash
-predicate is a flat conjunction; the ratchet family is recursive over the
-stage lattice, with each sub-predicate separately callable so truth tables
-can pin each clause on its own.
+predicate is a flat conjunction; the ratchet family is defined recursively
+over the stage lattice, with each sub-predicate separately callable so
+truth tables can pin each clause on its own. The chain and epoch
+recursions are evaluated as loops, and one evaluation compares the tested
+session's transcript with each other session once, so a predicate costs
+time linear in the conversation and no stack depth.
 """
 
 from __future__ import annotations
 
 from ..linevdr import ROLE_INITIATOR
 from .game import ACCEPT, Game, SessionRecord
+
+
+def _first_mismatch(a: SessionRecord, b: SessionRecord):
+    """The earliest stage of a's transcript that b does not hold
+    identically, or None if there is none."""
+    bad = [t for t, msg in a.transcript.items() if b.transcript.get(t) != msg]
+    return min(bad) if bad else None
 
 
 def match_sessions(a: SessionRecord, b: SessionRecord, s) -> bool:
@@ -20,15 +30,23 @@ def match_sessions(a: SessionRecord, b: SessionRecord, s) -> bool:
     its peer; the peer that sent the dropped message does not match back."""
     if a.role == b.role:
         return False
-    for t, msg in a.transcript.items():
-        if t <= s and b.transcript.get(t) != msg:
-            return False
-    return True
+    end = _first_mismatch(a, b)
+    return end is None or s < end
+
+
+def _partners(game: Game, rec: SessionRecord) -> list:
+    """(session, first mismatch) for every session of the opposite role:
+    it matches rec at exactly the stages below its first mismatch."""
+    return [(r, _first_mismatch(rec, r)) for r in game.sessions.values()
+            if r is not rec and r.role != rec.role]
+
+
+def _matching(partners: list, s) -> list[SessionRecord]:
+    return [r for r, end in partners if end is None or s < end]
 
 
 def matching_sessions(game: Game, rec: SessionRecord, s) -> list[SessionRecord]:
-    return [r for r in game.sessions.values()
-            if r is not rec and match_sessions(rec, r, s)]
+    return _matching(_partners(game, rec), s)
 
 
 # ---------------------------------------------------------------------------
@@ -91,45 +109,63 @@ def fresh_initial(game: Game, u: int, i: int) -> bool:
     return fresh_ll(game, u, i) or fresh_el(game, u, i)
 
 
+def _state_clean(rec: SessionRecord, partners: list, s) -> bool:
+    return not rec.rev_state.get(s) and not any(
+        r.rev_state.get(s) for r in _matching(partners, s))
+
+
 def fresh_st(game: Game, u: int, i: int, s) -> bool:
     rec = game.sessions[(u, i)]
-    if rec.rev_state.get(s):
+    return _state_clean(rec, _partners(game, rec), s)
+
+
+def _ephemerals_clean(rec: SessionRecord, partners: list, x: int) -> bool:
+    b = 1 if ((rec.role == ROLE_INITIATOR) ^ (x % 2 == 0)) else 0
+    if rec.rev_rand.get((x - b, 0)):
         return False
-    return all(not r.rev_state.get(s)
-               for r in matching_sessions(game, rec, s))
+    other = (x - (1 - b), 0)
+    return not any(r.rev_rand.get(other)
+                   for r in _matching(partners, (x, 0)))
 
 
 def fresh_ee(game: Game, u: int, i: int, s) -> bool:
     """Neither epoch ephemeral revealed. The selector picks which of the
     two adjacent epochs is 'ours': b = (role == initiator) xor (x even);
     we check our rand at [x-b, 0] and the partner's at [x-(1-b), 0]."""
-    x = s[0]
     rec = game.sessions[(u, i)]
-    b = 1 if ((rec.role == ROLE_INITIATOR) ^ (x % 2 == 0)) else 0
-    if rec.rev_rand.get((x - b, 0)):
-        return False
-    other = (x - (1 - b), 0)
-    return all(not r.rev_rand.get(other)
-               for r in matching_sessions(game, rec, (x, 0)))
+    return _ephemerals_clean(rec, _partners(game, rec), s[0])
+
+
+def _asym_from(game: Game, rec: SessionRecord, partners: list, x: int) -> bool:
+    # fresh_asym(x) = ee(x) or (st(x-1, 0) and (fresh_asym(x-1) if x > 1
+    # else fresh_initial)), unrolled down the epochs
+    while not _ephemerals_clean(rec, partners, x):
+        if not _state_clean(rec, partners, (x - 1, 0)):
+            return False
+        if x <= 1:
+            return fresh_initial(game, rec.owner, rec.index)
+        x -= 1
+    return True
 
 
 def fresh_asym(game: Game, u: int, i: int, s) -> bool:
     """Fresh ephemerals this epoch, or a clean prior stage chained down to
     a fresh base."""
-    x = s[0]
-    if fresh_ee(game, u, i, (x, 0)):
-        return True
-    prior = (fresh_asym(game, u, i, (x - 1, 0)) if x > 1
-             else fresh_initial(game, u, i))
-    return fresh_st(game, u, i, (x - 1, 0)) and prior
+    rec = game.sessions[(u, i)]
+    return _asym_from(game, rec, _partners(game, rec), s[0])
 
 
 def fresh_sym(game: Game, u: int, i: int, s) -> bool:
+    """Every earlier stage of the chain clean (fresh_sym(x, y) =
+    st(x, y-1) and fresh_sym(x, y-1)), down to a fresh epoch start."""
     x, y = s
-    if y == 0:
-        return fresh_asym(game, u, i, s) if x >= 1 else fresh_initial(game, u, i)
-    return (fresh_st(game, u, i, (x, y - 1))
-            and fresh_sym(game, u, i, (x, y - 1)))
+    rec = game.sessions[(u, i)]
+    partners = _partners(game, rec)
+    if not all(_state_clean(rec, partners, (x, k)) for k in range(y)):
+        return False
+    if x >= 1:
+        return _asym_from(game, rec, partners, x)
+    return fresh_initial(game, u, i)
 
 
 def fresh_vdr(game: Game, tested: tuple) -> bool:

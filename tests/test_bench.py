@@ -11,6 +11,7 @@ from letterseal.bench import (
     MIN_ITERATIONS,
     PINNED_COUNTS,
     SCENARIOS,
+    STATE_POINTS,
     _Driver,
     _trimmed_mean,
     format_report,
@@ -20,6 +21,7 @@ from letterseal.bench import (
     run_bench,
     run_scenario,
     scenario_op_counts,
+    state_sizes,
 )
 
 
@@ -104,7 +106,7 @@ def test_run_scenario_row_shape():
 
 def test_run_bench_report_structure():
     report = run_bench(iterations=100)
-    assert set(report) == {"rows", "op_costs", "units"}
+    assert set(report) == {"rows", "op_costs", "units", "state_bytes"}
     assert [r.scenario for r in report["rows"]] == list(SCENARIOS)
     assert set(report["op_costs"]) == set(SCENARIOS)
     for rows in report["op_costs"].values():
@@ -122,6 +124,15 @@ def test_run_bench_report_structure():
     assert text.splitlines()[0].startswith("scenario")
     report["op_costs"]["v2-ith"][0].count_per_message = 9
     assert "(expected 0)" in format_report(report)
+    assert "10k same-epoch" in text
+
+
+def test_state_size_row_is_flat_within_an_epoch():
+    sizes = state_sizes(seed=2)
+    assert list(sizes) == [label for label, _, _ in STATE_POINTS]
+    assert sizes["1k same-epoch"] == sizes["10k same-epoch"]
+    # the last receiver finished 50 receive epochs, one chain end each
+    assert sizes["100 epoch turns"] - sizes["1k same-epoch"] == 8 * 50
 
 
 def test_op_cost_rows_pick_protocol_kdf_unit():

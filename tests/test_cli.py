@@ -142,6 +142,10 @@ def test_bench_json_lines(capsys):
     costs = [r for r in records if r["type"] == "op_cost"]
     assert len(rows) == 5 and len(costs) == 15
     assert all(r["count_per_message"] == r["pinned"] for r in costs)
+    sizes = {r["point"]: r["snapshot_bytes"]
+             for r in records if r["type"] == "state_size"}
+    assert len(sizes) == 3
+    assert sizes["1k same-epoch"] == sizes["10k same-epoch"]
 
 
 def test_bench_iteration_floor(capsys):

@@ -324,3 +324,87 @@ def test_ratchet_steps_build_each_key_object_once(monkeypatch):
     built.clear()
     assert vdr_decrypt(clone, env, b_rng) == b"after import"
     assert built == [old_secret, bytes(clone.self_eph_secret)]
+
+
+# -- bounded state --------------------------------------------------------------
+
+def _same_epoch_snapshot_len(messages):
+    sta, stb, a_rng, b_rng = fresh_conversation(321)
+    for _ in range(messages - 1):
+        assert vdr_decrypt(stb, vdr_encrypt(sta, 0, b"m", a_rng), b_rng) == b"m"
+    assert (stb.i_r, stb.j_r) == (0, messages)
+    return len(vdr_export_state(stb))
+
+
+def test_snapshot_size_does_not_grow_within_an_epoch():
+    assert _same_epoch_snapshot_len(20_000) == _same_epoch_snapshot_len(1_000)
+
+
+def test_snapshot_grows_at_most_8_bytes_per_finished_receive_epoch():
+    sta, stb, a_rng, b_rng = fresh_conversation(322)
+    parties = [(sta, a_rng), (stb, b_rng)]
+    sizes = base = None
+    for turn in range(60):
+        # b sends first: after two turns both parties hold every chain
+        (s, s_rng), (r, r_rng) = parties[(turn + 1) % 2], parties[turn % 2]
+        for _ in range(1 + turn % 4):
+            env = vdr_encrypt(s, 0, b"turn %d" % turn, s_rng)
+            assert vdr_decrypt(r, env, r_rng) == b"turn %d" % turn
+        now = [(len(vdr_export_state(st)), len(st.chain_ends))
+               for st, _ in parties]
+        if turn == 1:
+            base = now
+        elif turn > 1:
+            for (size, ends), (last, last_ends), (size0, ends0) in zip(
+                    now, sizes, base):
+                assert size - last == 8 * (ends - last_ends)
+                assert size - size0 <= 8 * (ends - ends0)
+        sizes = now
+    assert min(ends for _, ends in sizes) >= 29
+
+
+def _failed_decrypts():
+    """label -> (receiver, rng, envelope, error), on a state whose replay
+    record holds chain ends and evicted stages."""
+    sta, stb, a_rng, b_rng = fresh_conversation(323)
+    envs = [vdr_encrypt(sta, 0, b"j=%d" % j, a_rng)
+            for j in range(1, MAX_SKIP + 5)]
+    vdr_decrypt(stb, envs[MAX_SKIP], b_rng)
+    vdr_decrypt(stb, envs[MAX_SKIP + 2], b_rng)       # evicts (0,1)
+    vdr_decrypt(stb, envs[1], b_rng)                  # from the cache
+    vdr_decrypt(sta, vdr_encrypt(stb, 0, b"turn", b_rng), a_rng)
+    turn = vdr_encrypt(sta, 0, b"next epoch", a_rng)
+    assert vdr_decrypt(stb, turn, b_rng) == b"next epoch"
+    assert stb.evicted and stb.chain_ends and stb.skipped
+    later = vdr_encrypt(sta, 0, b"later", a_rng)
+    bad_tag = dataclasses.replace(
+        later, ciphertext=bytes([later.ciphertext[0] ^ 1]) + later.ciphertext[1:])
+    low_order = dataclasses.replace(
+        vdr_encrypt(stb, 0, b"turn", b_rng), eph_pub=bytes(32))
+    return {
+        "bad tag": (stb, b_rng, bad_tag, AuthFailure),
+        "low-order eph_pub": (sta, a_rng, low_order, DhError),
+        "replay": (stb, b_rng, turn, ReplayRejected),
+        "replay of a cached stage": (stb, b_rng, envs[1], ReplayRejected),
+        "stale evicted": (stb, b_rng, envs[0], StaleEpoch),
+        "stale abandoned": (stb, b_rng, envs[MAX_SKIP + 3], StaleEpoch),
+    }
+
+
+@pytest.mark.parametrize("label", [
+    "bad tag", "low-order eph_pub", "replay", "replay of a cached stage",
+    "stale evicted", "stale abandoned"])
+def test_failed_decrypt_leaves_snapshot_identical(label):
+    st, rng, env, error = _failed_decrypts()[label]
+    before = vdr_export_state(st)
+    with pytest.raises(error):
+        vdr_decrypt(st, env, rng)
+    assert vdr_export_state(st) == before
+
+
+def test_import_rejects_previous_snapshot_format():
+    sta, stb, _, _ = fresh_conversation(324)
+    snap = vdr_export_state(stb)
+    assert snap[:4] == b"VDR2"
+    with pytest.raises(ParseError):
+        vdr_import_state(b"VDR1" + snap[4:])
