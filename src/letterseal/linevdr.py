@@ -55,6 +55,7 @@ ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
 _SNAPSHOT_MAGIC = b"VDR2"
+_SNAPSHOT_FLAGS = 0x1F  # one bit per optional field, see vdr_export_state
 
 
 @dataclass
@@ -170,6 +171,14 @@ def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
     return env
 
 
+def vdr_open(mk: cs.SymmetricKey, env: EnvelopeVDR) -> bytes:
+    """AEAD open of one envelope under its message key; no state involved."""
+    nonce = cs.AeadNonce(env.nonce_material + b"\x00" * 4)
+    ad = build_ad_vdr(env.kid_sender, env.kid_receiver, env.vers, env.ctype,
+                      env.eph_pub, env.j_index)
+    return cs.aead_open(mk, nonce, env.ciphertext, ad)
+
+
 def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
                 rng: cs.SeededRng) -> bytes:
     """Catch-up decryption with replay defense; see module docstring for the
@@ -217,11 +226,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         mk, ck_new = cs.kdf_chain(ck_new)
         j_r_new += 1
 
-    nonce = cs.AeadNonce(env.nonce_material + b"\x00" * 4)
-    ad = build_ad_vdr(env.kid_sender, env.kid_receiver, env.vers, env.ctype,
-                      env.eph_pub, env.j_index)
-    # raises AuthFailure with all state untouched
-    plaintext = cs.aead_open(mk, nonce, env.ciphertext, ad)
+    plaintext = vdr_open(mk, env)  # AuthFailure leaves all state untouched
 
     if use_cached:
         del st.skipped[stage]
@@ -300,8 +305,13 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     r = _Reader(snapshot)
     if r.take(4, "snapshot magic") != _SNAPSHOT_MAGIC:
         raise ParseError("not a ratchet snapshot (bad magic)")
-    role = ROLE_INITIATOR if r.u8("role") == 0 else ROLE_RESPONDER
+    role_byte = r.u8("role")
+    if role_byte > 1:
+        raise ParseError(f"snapshot role byte {role_byte} is neither 0 nor 1")
+    role = ROLE_INITIATOR if role_byte == 0 else ROLE_RESPONDER
     flags = r.u8("flags")
+    if flags & ~_SNAPSHOT_FLAGS:
+        raise ParseError(f"snapshot flags 0x{flags:02x} set an unknown bit")
     rk = cs.SymmetricKey(r.take(32, "rk"))
 
     def opt(bit: int, name: str, ctor):
@@ -321,7 +331,10 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     peer_ltk_pub = cs.GroupElement(r.take(32, "peer_ltk_pub"))
     kid_self, kid_peer = struct.unpack(">II", r.take(8, "kids"))
     skipped: dict[tuple[int, int], cs.SymmetricKey] = {}
-    for _ in range(r.u16("skipped count")):
+    n_skipped = r.u16("skipped count")
+    if n_skipped > MAX_SKIP:
+        raise ParseError(f"{n_skipped} skipped keys exceed MAX_SKIP={MAX_SKIP}")
+    for _ in range(n_skipped):
         i, j = struct.unpack(">II", r.take(8, "skipped index"))
         skipped[(i, j)] = cs.SymmetricKey(r.take(32, "skipped key"))
 

@@ -22,13 +22,19 @@ from dataclasses import dataclass, field
 
 from .. import crypto_suite as cs
 from ..errors import LettersealError, UnknownAttack
-from ..linev2 import build_ad_v2, v2_build_nonce, v2_derive_key
+from ..linev2 import (
+    SessionV2,
+    build_ad_v2,
+    v2_build_nonce,
+    v2_decrypt,
+    v2_derive_key,
+)
 from ..linevdr import (
     ROLE_INITIATOR,
     ROLE_RESPONDER,
-    build_ad_vdr,
     vdr_decrypt,
     vdr_import_state,
+    vdr_open,
 )
 from ..wire import EnvelopeV2, EnvelopeVDR, decode_envelope, encode_envelope
 from .freshness import fresh_v2, fresh_vdr
@@ -81,21 +87,6 @@ def _flights(g: Game, plan: list[tuple[int, bytes]], log: dict) -> dict:
         g.oracle_send(receiver, 1, raw)
         log[stage] = (sender, raw, pt)
     return log
-
-
-def open_v2_envelope(k_e: cs.SymmetricKey, env: EnvelopeV2) -> bytes:
-    """Offline AEAD open of a recorded envelope under a derived key."""
-    nonce = cs.AeadNonce(env.nonce_material + b"\x00" * 4)
-    ad = build_ad_v2(env.rid, env.sid, env.kid_sender, env.kid_receiver,
-                     env.vers, env.ctype)
-    return cs.aead_open(k_e, nonce, env.ciphertext, ad)
-
-
-def open_vdr_envelope(mk: bytes, env: EnvelopeVDR) -> bytes:
-    nonce = cs.AeadNonce(env.nonce_material + b"\x00" * 4)
-    ad = build_ad_vdr(env.kid_sender, env.kid_receiver, env.vers, env.ctype,
-                      env.eph_pub, env.j_index)
-    return cs.aead_open(cs.SymmetricKey(mk), nonce, env.ciphertext, ad)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +330,15 @@ def attack_fs_v2(seed: int) -> AttackReport:
     rec = g.sessions[(B, 1)]
     snap = g.oracle_rev_state(B, 1, total)
     pms = v2_snapshot_pms(snap)
+    # the receiver's session rebuilt from the leak and the public kids
+    stolen = SessionV2(pms=pms, kid_self=g.kids[B], kid_peer=g.kids[A],
+                       sid=f"party-{B}", rid=f"party-{A}")
 
     opened = 0
     for s in range(1, total + 1):
         env = decode_envelope(rec.transcript[s])
         try:
-            pt = open_v2_envelope(v2_derive_key(pms, env.salt), env)
+            pt = v2_decrypt(stolen, env)
         except LettersealError:
             continue
         if pt == sent[s]:
@@ -430,9 +424,10 @@ def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
     post_true_keys_leaked = any(
         closure.holds_value(g.sessions[(log[s][0], 1)].key[s])
         for s in [(1, 0), (2, 0)])
-    env00 = decode_envelope(log[(0, 0)][1])
-    epoch0_opens = (closure.message_key((0, 0)) is not None
-                    and open_vdr_envelope(closure.message_key((0, 0)), env00)
+    mk00 = closure.message_key((0, 0))
+    epoch0_opens = (mk00 is not None
+                    and vdr_open(cs.SymmetricKey(mk00),
+                                 decode_envelope(log[(0, 0)][1]))
                     == log[(0, 0)][2])
 
     succeeded = bool(post_stages) or post_true_keys_leaked
@@ -532,7 +527,7 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
         mk = closure.message_key(stage)
         ok = mk is not None and mk == true_key(stage)
         if ok:
-            ok = (open_vdr_envelope(mk, decode_envelope(log[stage][1]))
+            ok = (vdr_open(cs.SymmetricKey(mk), decode_envelope(log[stage][1]))
                   == log[stage][2])
         fallen[stage] = ok
     healed = {}

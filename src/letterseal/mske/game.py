@@ -6,6 +6,14 @@ Test) and wins by guessing the challenge bit. Freshness predicates are
 evaluated post hoc over the recorded flags, never enforced inline, so a
 script may deliberately violate them and the report says so afterwards.
 
+Sessions. Each session is an Endpoint, the same party object the demo,
+the bench and the golden fixtures use, so the game sets up, seals and opens
+exactly as they do: a ratchet initiator draws its epoch-0 ephemeral at its
+first send, not at activation, and a ratchet responder sets up from the
+first envelope it opens. What the game adds per protocol is one row of
+_PROTOCOLS: the envelope family it opens, the stage of an envelope, the
+stage key and the state snapshot.
+
 Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
 is unidirectional (the initiator's stages are its sends, the responder's
@@ -23,25 +31,19 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .. import crypto_suite as cs
 from ..directory_server import KeyDirectory
+from ..endpoint import Endpoint
 from ..errors import (
     LettersealError,
     ParseError,
     StageNotAccepted,
     StageUnknown,
 )
-from ..linev2 import SessionV2, v2_derive_key, v2_encrypt, v2_decrypt, v2_establish
-from ..linevdr import (
-    ROLE_INITIATOR,
-    ROLE_RESPONDER,
-    RatchetState,
-    vdr_decrypt,
-    vdr_encrypt,
-    vdr_init_sender,
-    vdr_lazy_init_receiver,
-)
+from ..linev2 import SessionV2, v2_derive_key
+from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_export_state
 from ..wire import EnvelopeV2, EnvelopeVDR, decode_envelope, encode_envelope
 
 PROTO_V2 = "v2"
@@ -53,17 +55,12 @@ REJECT = "reject"
 
 
 class _KeyObserver:
-    """Collects (stage, message key, direction) events from ratchet ops."""
+    """Keeps the message key of the ratchet's latest encrypt or decrypt."""
 
-    def __init__(self):
-        self.events: list[tuple[tuple[int, int], bytes, str]] = []
+    mk = None
 
     def on_message_key(self, stage, mk, direction):
-        self.events.append((stage, bytes(mk), direction))
-
-    def drain(self):
-        out, self.events = self.events, []
-        return out
+        self.mk = mk
 
 
 @dataclass
@@ -72,24 +69,57 @@ class SessionRecord:
     index: int
     role: str
     pid: int
-    peerpk: cs.GroupElement
-    protocol: str
+    ep: Endpoint
     status: dict = field(default_factory=dict)       # stage -> ACCEPT|REJECT
     key: dict = field(default_factory=dict)          # stage -> SymmetricKey
     rand_log: dict = field(default_factory=dict)     # stage -> bytes drawn
     state_snap: dict = field(default_factory=dict)   # stage -> snapshot bytes
     transcript: dict = field(default_factory=dict)   # stage -> envelope bytes
     plaintexts: dict = field(default_factory=dict)   # stage -> decrypted bytes
+    reject_reason: dict = field(default_factory=dict)  # stage -> why REJECT
     rev_sesskey: dict = field(default_factory=dict)  # stage -> bool
     rev_rand: dict = field(default_factory=dict)
     rev_state: dict = field(default_factory=dict)
     replay_events: list = field(default_factory=list)
-    v2: SessionV2 | None = None
-    vdr: RatchetState | None = None
-    observer: _KeyObserver = field(default_factory=_KeyObserver)
 
     def next_stage_v2(self) -> int:
         return len(self.status) + 1
+
+
+def _v2_snapshot(sess: SessionV2) -> bytes:
+    """Everything the party stores: the pre-master secret and the counter."""
+    return bytes(sess.pms) + struct.pack(">I", sess.ctr)
+
+
+def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
+    return cs.SharedSecret(snapshot[:32])
+
+
+def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
+    if isinstance(env, EnvelopeVDR):
+        return (env.i_index, env.j_index)
+    return (0xFFFFFFFF, len(rec.replay_events))  # no ratchet header to read
+
+
+class _Protocol(NamedTuple):
+    envelope: type                      # the envelope family a session opens
+    stage: Callable                     # (record, envelope or None) -> stage
+    key: Callable                       # (record, envelope) -> stage key
+    snapshot: Callable                  # session state -> RevState bytes
+
+
+_PROTOCOLS = {
+    PROTO_V2: _Protocol(
+        EnvelopeV2,
+        lambda rec, env: rec.next_stage_v2(),
+        lambda rec, env: v2_derive_key(rec.ep.session.pms, env.salt),
+        _v2_snapshot),
+    PROTO_VDR: _Protocol(
+        EnvelopeVDR,
+        _vdr_stage,
+        lambda rec, env: cs.SymmetricKey(rec.ep.observer.mk),
+        vdr_export_state),
+}
 
 
 class QueryTrace:
@@ -120,9 +150,10 @@ class Game:
     """One seeded experiment instance; single-threaded by contract."""
 
     def __init__(self, protocol: str, n_parties: int = 2, seed: int = 0):
-        if protocol not in (PROTO_V2, PROTO_VDR):
+        if protocol not in _PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
         self.protocol = protocol
+        self._proto = _PROTOCOLS[protocol]
         self.n_parties = n_parties
         root = cs.SeededRng(seed)
         proto_rng = root.fork(b"protocol")
@@ -171,130 +202,64 @@ class Game:
         raise ValueError(f"unrecognized Send payload: {type(m).__name__}")
 
     def _activate(self, u: int, i: int, pid: int, role: str) -> None:
-        peerpk = self.directory.lookup(self.kids[pid])
-        sk_u, _ = self.parties[u]
-        rec = SessionRecord(owner=u, index=i, role=role, pid=pid,
-                            peerpk=peerpk, protocol=self.protocol)
-        if self.protocol == PROTO_V2:
-            rec.v2 = v2_establish(sk_u, peerpk,
-                                  kid_self=self.kids[u], kid_peer=self.kids[pid],
-                                  sid=f"party-{u}", rid=f"party-{pid}")
-        elif role == ROLE_INITIATOR:
-            rng = self.party_rng[u]
-            mark = rng.mark()
-            rec.vdr = vdr_init_sender(sk_u, peerpk, rng,
-                                      kid_self=self.kids[u], kid_peer=self.kids[pid])
-            rec.vdr.observer = rec.observer
-            rec.rand_log[(0, 0)] = rng.draws_since(mark)  # epoch-0 ephemeral
-        # a ratchet responder stays stateless until its first delivery
-        self.sessions[(u, i)] = rec
+        ep = Endpoint(self.protocol, self.parties[u][0],
+                      self.directory.lookup(self.kids[pid]), self.party_rng[u],
+                      self.kids[u], self.kids[pid], f"party-{u}", f"party-{pid}",
+                      initiator=role == ROLE_INITIATOR, observer=_KeyObserver())
+        self.sessions[(u, i)] = SessionRecord(owner=u, index=i, role=role,
+                                              pid=pid, ep=ep)
 
     def _send_encrypt(self, rec: SessionRecord, ctype: int, pt: bytes) -> bytes:
         rng = self.party_rng[rec.owner]
         mark = rng.mark()
-        if rec.protocol == PROTO_V2:
-            env = v2_encrypt(rec.v2, ctype, pt, rng)
-            stage = rec.next_stage_v2()
-            rec.status[stage] = ACCEPT
-            rec.key[stage] = v2_derive_key(rec.v2.pms, env.salt)
-            rec.rand_log[stage] = rng.draws_since(mark)
-            raw = encode_envelope(env)
-            rec.transcript[stage] = raw
-            rec.state_snap[stage] = _v2_snapshot(rec.v2)
-            return raw
-        env = vdr_encrypt(rec.vdr, ctype, pt, rng)
+        env = rec.ep.seal(pt, ctype)
         raw = encode_envelope(env)
-        for stage, mk, _direction in rec.observer.drain():
-            rec.status[stage] = ACCEPT
-            rec.key[stage] = cs.SymmetricKey(mk)
-            rec.transcript[stage] = raw
-            rec.rand_log[stage] = rec.rand_log.get(stage, b"") + rng.draws_since(mark)
-            rec.state_snap[stage] = _vdr_snapshot(rec.vdr)
+        stage = self._proto.stage(rec, env)
+        # a ratchet reply stage already holds the ephemeral its open drew
+        rec.rand_log[stage] = rec.rand_log.get(stage, b"") + rng.draws_since(mark)
+        self._accept(rec, stage, env, raw)
         return raw
 
     def _send_deliver(self, rec: SessionRecord, raw: bytes):
         try:
             env = decode_envelope(raw)
         except ParseError as exc:
-            stage = self._reject_stage(rec, raw)
-            self._mark_reject(rec, stage, raw, f"parse: {exc}")
-            return stage, "reject"
-        if rec.protocol == PROTO_V2:
-            return self._deliver_v2(rec, env, raw)
-        return self._deliver_vdr(rec, env, raw)
-
-    def _reject_stage(self, rec: SessionRecord, raw: bytes):
-        if rec.protocol == PROTO_V2:
-            return rec.next_stage_v2()
-        try:
-            env = decode_envelope(raw)
-            return (env.i_index, env.j_index)
-        except (ParseError, AttributeError):
-            return (0xFFFFFFFF, len(rec.replay_events))
-
-    def _mark_reject(self, rec, stage, raw, reason: str) -> None:
-        if stage in rec.status:
-            rec.replay_events.append((stage, reason))
-            return
-        rec.status[stage] = REJECT
-        rec.transcript[stage] = raw
-
-    def _deliver_v2(self, rec: SessionRecord, env, raw: bytes):
-        stage = rec.next_stage_v2()
-        if not isinstance(env, EnvelopeV2):
-            self._mark_reject(rec, stage, raw, "wrong envelope family")
-            return stage, "reject"
-        try:
-            pt = v2_decrypt(rec.v2, env)
-        except LettersealError as exc:
-            self._mark_reject(rec, stage, raw, type(exc).__name__)
-            return stage, "reject"
-        rec.status[stage] = ACCEPT
-        rec.key[stage] = v2_derive_key(rec.v2.pms, env.salt)
-        rec.transcript[stage] = raw
-        rec.plaintexts[stage] = pt
-        rec.state_snap[stage] = _v2_snapshot(rec.v2)
-        return stage, "accept"
-
-    def _deliver_vdr(self, rec: SessionRecord, env, raw: bytes):
-        if not isinstance(env, EnvelopeVDR):
-            stage = (0xFFFFFFFF, len(rec.replay_events))
-            self._mark_reject(rec, stage, raw, "wrong envelope family")
-            return stage, "reject"
-        stage = (env.i_index, env.j_index)
+            return self._reject(rec, self._proto.stage(rec, None), raw,
+                                f"parse: {exc}")
+        stage = self._proto.stage(rec, env)
+        # checked first: v2_decrypt given a ratchet envelope raises AttributeError
+        if not isinstance(env, self._proto.envelope):
+            return self._reject(rec, stage, raw, "wrong envelope family")
         rng = self.party_rng[rec.owner]
-        sk_u, _ = self.parties[rec.owner]
         mark = rng.mark()
-        fresh_state = None
         try:
-            if rec.vdr is None:
-                if rec.role != ROLE_RESPONDER:
-                    raise StageUnknown("initiator session has no receive chain yet")
-                fresh_state = vdr_lazy_init_receiver(
-                    sk_u, rec.peerpk, env,
-                    kid_self=self.kids[rec.owner], kid_peer=self.kids[rec.pid])
-                fresh_state.observer = rec.observer
-                pt = vdr_decrypt(fresh_state, env, rng)
-            else:
-                pt = vdr_decrypt(rec.vdr, env, rng)
+            pt = rec.ep.open(env)
         except LettersealError as exc:
-            rec.observer.drain()
-            self._mark_reject(rec, stage, raw, type(exc).__name__)
-            return stage, "reject"
-        if fresh_state is not None:
-            rec.vdr = fresh_state
-        for ev_stage, mk, _direction in rec.observer.drain():
-            rec.status[ev_stage] = ACCEPT
-            rec.key[ev_stage] = cs.SymmetricKey(mk)
-            rec.transcript[ev_stage] = raw
-            rec.plaintexts[ev_stage] = pt
-            rec.state_snap[ev_stage] = _vdr_snapshot(rec.vdr)
-        # a decrypt that opened a new epoch sampled the reply ephemeral
+            return self._reject(rec, stage, raw, type(exc).__name__)
+        self._accept(rec, stage, env, raw)
+        rec.plaintexts[stage] = pt
+        # only a ratchet open that starts a reply epoch draws: its ephemeral
         draws = rng.draws_since(mark)
         if draws:
-            eph_stage = (rec.vdr.i_s, 0)
+            eph_stage = (rec.ep.session.i_s, 0)
             rec.rand_log[eph_stage] = draws + rec.rand_log.get(eph_stage, b"")
-        return stage, "accept"
+        return stage, ACCEPT
+
+    def _accept(self, rec: SessionRecord, stage, env, raw: bytes) -> None:
+        rec.status[stage] = ACCEPT
+        rec.key[stage] = self._proto.key(rec, env)
+        rec.transcript[stage] = raw
+        rec.state_snap[stage] = self._proto.snapshot(rec.ep.session)
+
+    @staticmethod
+    def _reject(rec: SessionRecord, stage, raw: bytes, reason: str):
+        if stage in rec.status:
+            rec.replay_events.append((stage, reason))
+        else:
+            rec.status[stage] = REJECT
+            rec.transcript[stage] = raw
+            rec.reject_reason[stage] = reason
+        return stage, REJECT
 
     # -- Reveal oracles -----------------------------------------------------
 
@@ -353,18 +318,3 @@ class Game:
         k = k0 if self.b == 0 else k1
         self.trace.add("Test", f"u={u} i={i} s={_fmt_stage(s)}", f"key#{_digest(k)}")
         return k
-
-
-def _v2_snapshot(sess: SessionV2) -> bytes:
-    """Everything the party stores: the pre-master secret and the counter."""
-    return bytes(sess.pms) + struct.pack(">I", sess.ctr)
-
-
-def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
-    return cs.SharedSecret(snapshot[:32])
-
-
-def _vdr_snapshot(st: RatchetState) -> bytes:
-    from ..linevdr import vdr_export_state
-
-    return vdr_export_state(st)

@@ -79,3 +79,24 @@ def test_unknown_protocol_rejected():
     a_sk, a_pk, _, b_pk, a_rng, _ = helpers.keypairs(406)
     with pytest.raises(ValueError, match="v3"):
         Endpoint("v3", a_sk, b_pk, a_rng, 1, 2, "alice", "bob", True)
+
+
+class _Keys:
+    def __init__(self):
+        self.seen = []
+
+    def on_message_key(self, stage, mk, direction):
+        self.seen.append((stage, direction))
+
+
+def test_observer_reaches_both_ratchet_states_and_only_when_given():
+    a, b = pair("vdr", 404)
+    b.open(a.seal(b"opener"))
+    assert a.session.observer is None and b.session.observer is None
+
+    a, b = pair("vdr", 404)
+    a.observer, b.observer = _Keys(), _Keys()
+    b.open(a.seal(b"opener"))
+    a.open(b.seal(b"reply"))
+    assert a.observer.seen == [((0, 0), "send"), ((1, 0), "recv")]
+    assert b.observer.seen == [((0, 0), "recv"), ((1, 0), "send")]

@@ -1,8 +1,13 @@
-"""Every import in the package and the test suite is used.
+"""Every import in the package, the tools and the test suite is used, and
+sessions are set up on one path.
 
 A stdlib stand-in for a linter's unused-import rule. Package __init__
 modules are skipped, since their imports are the public re-exports, and
 so are __future__ imports.
+
+The protocol set-up functions are used only by the protocol modules and
+by Endpoint, so every caller in the package (the game, the bench, the demo)
+sets sessions up through Endpoint and that path cannot quietly fork again.
 """
 
 import ast
@@ -11,10 +16,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "letterseal").rglob("*.py"))
 FILES = sorted(
-    p for p in [*(ROOT / "src" / "letterseal").rglob("*.py"),
+    p for p in [*PACKAGE, *(ROOT / "tools").rglob("*.py"),
                 *(ROOT / "tests").rglob("*.py")]
     if p.name != "__init__.py")
+SETUP = {"v1_establish", "v2_establish", "vdr_init_sender",
+         "vdr_lazy_init_receiver"}
+SETUP_USERS = sorted(
+    p for p in PACKAGE
+    if not (p.name.startswith("linev") or p.name == "endpoint.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +55,27 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def setup_uses(source: str) -> list[str]:
+    """Each use of a set-up function by name, as a call or as a value."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in SETUP:
+            found.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_setup_detector_sees_calls_and_values():
+    source = ("from .linev2 import v2_establish\n"
+              "st = v2_establish(a, b)\n"
+              "table = {'vdr': linevdr.vdr_init_sender}\n")
+    assert setup_uses(source) == ["2: v2_establish", "3: vdr_init_sender"]
+
+
+@pytest.mark.parametrize("path", SETUP_USERS,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_sessions_are_set_up_only_by_protocols_and_endpoint(path):
+    assert setup_uses(path.read_text()) == []

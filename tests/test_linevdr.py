@@ -408,3 +408,33 @@ def test_import_rejects_previous_snapshot_format():
     assert snap[:4] == b"VDR2"
     with pytest.raises(ParseError):
         vdr_import_state(b"VDR1" + snap[4:])
+
+
+def _with_skipped(st, n):
+    """A copy of st holding n made-up skipped keys."""
+    return dataclasses.replace(st, skipped={
+        (0, j): cs.SymmetricKey(bytes([j % 256]) * 32) for j in range(n)})
+
+
+def _malformed_snapshots():
+    _, stb, _, _ = fresh_conversation(325)
+    snap = vdr_export_state(stb)
+    return {
+        "role byte 7": snap[:4] + b"\x07" + snap[5:],
+        "unknown flag 0x80": snap[:5] + bytes([snap[5] | 0x80]) + snap[6:],
+        "skipped count over MAX_SKIP":
+            vdr_export_state(_with_skipped(stb, MAX_SKIP + 1)),
+    }
+
+
+@pytest.mark.parametrize("label", [
+    "role byte 7", "unknown flag 0x80", "skipped count over MAX_SKIP"])
+def test_import_rejects_malformed_snapshot(label):
+    with pytest.raises(ParseError):
+        vdr_import_state(_malformed_snapshots()[label])
+
+
+def test_import_accepts_a_full_skip_cache():
+    _, stb, _, _ = fresh_conversation(326)
+    snap = vdr_export_state(_with_skipped(stb, MAX_SKIP))
+    assert vdr_export_state(vdr_import_state(snap)) == snap

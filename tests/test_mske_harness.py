@@ -9,7 +9,7 @@ with mirrored rng forks.
 import pytest
 
 import letterseal.crypto_suite as cs
-from letterseal.errors import StageNotAccepted, StageUnknown
+from letterseal.errors import NotInitialized, StageNotAccepted, StageUnknown
 from letterseal.linev2 import v2_encrypt, v2_establish
 from letterseal.linevdr import (
     ROLE_INITIATOR,
@@ -18,7 +18,7 @@ from letterseal.linevdr import (
     vdr_init_sender,
 )
 from letterseal.mske import ACCEPT, REJECT, Game, v2_snapshot_pms
-from letterseal.wire import encode_envelope
+from letterseal.wire import decode_envelope, encode_envelope
 
 import truth_tables
 
@@ -132,7 +132,7 @@ def test_rev_ltk_returns_long_term_secret():
 def test_v2_state_snapshot_carries_pms():
     g, _, _ = v2_game()
     rec = g.sessions[(1, 1)]
-    assert v2_snapshot_pms(rec.state_snap[1]) == rec.v2.pms
+    assert v2_snapshot_pms(rec.state_snap[1]) == rec.ep.session.pms
 
 
 def test_test_oracle_real_key_when_b_zero():
@@ -205,11 +205,54 @@ def test_vdr_lazy_responder_init_paths():
     g.oracle_send(2, 3, (1, ROLE_RESPONDER))
     g.oracle_send(2, 3, reply)
     assert g.sessions[(2, 3)].status[(1, 0)] == REJECT
-    # an initiator session with no receive chain refuses deliveries too
+    # an initiator session that has not sent yet has no chain to open with
     g.oracle_send(1, 2, (2, ROLE_INITIATOR))
-    g.sessions[(1, 2)].vdr = None  # simulate pre-chain delivery
     g.oracle_send(1, 2, reply)
     assert g.sessions[(1, 2)].status[(1, 0)] == REJECT
+    assert g.sessions[(1, 2)].reject_reason[(1, 0)] == "NotInitialized"
+
+
+def test_vdr_initiator_draws_its_ephemeral_at_first_send():
+    g = Game("vdr", seed=9)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    with pytest.raises(StageUnknown):
+        g.oracle_rev_rand(1, 1, (0, 0))
+    env = decode_envelope(g.oracle_send(1, 1, ("encrypt", 0, b"payload")))
+    # the keygen draw of the epoch-0 ephemeral, then the nonce draw
+    rand = g.oracle_rev_rand(1, 1, (0, 0))
+    assert len(rand) == 36
+    assert cs.dh_to_public(cs.clamp_scalar(rand[:32])) == env.eph_pub
+    assert rand[32:] == env.nonce_material[4:]
+
+
+def test_vdr_responder_cannot_send_before_its_first_open():
+    g = Game("vdr")
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    with pytest.raises(NotInitialized):
+        g.oracle_send(2, 1, ("encrypt", 0, b"too early"))
+    assert g.sessions[(2, 1)].status == {}
+
+
+def test_vdr_two_sessions_per_party_agree_with_their_peers():
+    g = Game("vdr", seed=3)
+    pairs = [((1, 1), (2, 1)), ((1, 2), (2, 2))]
+    for (u, i), (v, k) in pairs:
+        g.oracle_send(u, i, (v, ROLE_INITIATOR))
+        g.oracle_send(v, k, (u, ROLE_RESPONDER))
+    # each party's two sessions take turns drawing from its one rng
+    for sender_side in (0, 1, 0):
+        for pair in pairs:
+            (u, i), (v, k) = pair[sender_side], pair[1 - sender_side]
+            for n in range(2):
+                raw = g.oracle_send(u, i, ("encrypt", 0, b"msg %d" % n))
+                g.oracle_send(v, k, raw)
+    for a, b in pairs:
+        ra, rb = g.sessions[a], g.sessions[b]
+        assert set(ra.status) == set(rb.status) == {
+            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)}
+        assert set(ra.status.values()) == set(rb.status.values()) == {ACCEPT}
+        assert ra.key == rb.key
+    assert g.sessions[(1, 1)].key[(0, 0)] != g.sessions[(1, 2)].key[(0, 0)]
 
 
 def test_query_trace_records_oracles():
