@@ -22,8 +22,9 @@ runs only and exclude envelope byte serialization, which is not a
 cryptographic cost.
 
 A state-size row gives the ratchet's snapshot bytes (vdr_export_state) at
-fixed message counts, so state growth per message shows as a number: the
-two same-epoch points are equal while the state stays bounded.
+fixed message counts, so state growth shows as a number: all three points
+are equal while the state keeps no record of the messages or epochs it
+received.
 """
 
 from __future__ import annotations

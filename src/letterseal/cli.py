@@ -21,7 +21,7 @@ from .bench import MIN_ITERATIONS, PINNED_COUNTS, format_report, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
 from .endpoint import endpoint_pair
 from .errors import LettersealError, ParseError
-from .kat import check_file, format_vectors, canonical_vectors
+from .kat import check_file, write_vectors
 from .mske import EXPECTED, attack_names, run_attack
 from .wire import (
     PacketMeta,
@@ -193,12 +193,9 @@ def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
 
 def cmd_vectors(out: str | None, check: str | None, fmt: str) -> int:
     if out is not None:
-        vectors = canonical_vectors()
-        with open(out, "w") as fh:
-            fh.write(format_vectors(vectors))
-        _emit({"type": "vectors_written", "path": out,
-               "count": len(vectors)}, fmt,
-              f"wrote {len(vectors)} vectors to {out}")
+        count = write_vectors(out)
+        _emit({"type": "vectors_written", "path": out, "count": count}, fmt,
+              f"wrote {count} vectors to {out}")
         return 0
     results = check_file(check)
     bad = 0

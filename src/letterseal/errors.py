@@ -34,7 +34,7 @@ class NotInitialized(LettersealError):
 
 
 class ReplayRejected(LettersealError):
-    """Message key for this (epoch, index) was already consumed."""
+    """No key left in the live receive chain: consumed or evicted."""
 
 
 class SkipLimit(LettersealError):

@@ -51,14 +51,15 @@ def v1_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
                      kid_self=kid_self, kid_peer=kid_peer, sid=sid, rid=rid)
 
 
-def v1_encrypt(s: SessionV1, ctype: int, m: bytes, rng: cs.SeededRng,
-               vers: int = VERS_V1) -> EnvelopeV1:
+def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
+               rng: cs.SeededRng) -> EnvelopeV1:
     salt = rng.token(8)
     k_e, iv = v1_derive(s.pms, salt)
     ciphertext = cs.cbc_encrypt(k_e, iv, m)
     tag = v1_mac(k_e, ciphertext)
-    return EnvelopeV1(vers=vers, ctype=ctype, salt=salt, ciphertext=ciphertext,
-                      tag=tag, kid_sender=s.kid_self, kid_receiver=s.kid_peer)
+    return EnvelopeV1(vers=VERS_V1, ctype=ctype, salt=salt,
+                      ciphertext=ciphertext, tag=tag,
+                      kid_sender=s.kid_self, kid_receiver=s.kid_peer)
 
 
 def v1_decrypt(s: SessionV1, e: EnvelopeV1) -> bytes:

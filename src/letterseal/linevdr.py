@@ -10,17 +10,16 @@ successful decrypt of that epoch. Decryption is transactional: state
 mutates only after the AEAD tag verifies, so forged envelopes cannot
 desynchronize a session or poison the skipped-key cache.
 
-Replay defense. A stage (i, j) has been consumed exactly when it lies
-behind its chain and no key for it is left: j is below the chain position
-(j_r for the live epoch i_r, the recorded chain end for an earlier one),
-and the stage is neither in the skipped-key cache nor among the stages
-evicted from it. Such a stage raises ReplayRejected. An evicted stage, or
-an old-epoch stage at or past its chain end (abandoned when the next epoch
-took over, since the header carries no previous-chain length), raises
-StaleEpoch as any other unreachable stage does. So the state keeps no
-record per message received: besides the cache it holds one chain end per
-finished receive epoch and the set of evicted stages, which grows only
-when more than MAX_SKIP keys wait at once.
+Replay defense. A stage opens only from the skipped-key cache or by
+moving the live receive chain forward, and both delete the key they use,
+so no stage opens twice. A stage of the live epoch i_r that lies behind
+j_r with no cached key left (opened, or evicted by the MAX_SKIP bound)
+raises ReplayRejected. Every other stage with no derivable key raises
+StaleEpoch, an uncached stage of an earlier epoch included, opened or
+not: the header carries no previous-chain length, so an earlier chain
+cannot tell a stage it opened from one it abandoned. The state keeps no
+record of what it received; besides the chain positions it holds the
+cache alone, so its size is bounded by MAX_SKIP.
 
 Ephemeral key object. Besides the scalar ``self_eph_secret``, the state
 holds ``self_eph_key``, the OpenSSL key object built from it, so the next
@@ -54,7 +53,7 @@ MAX_SKIP = 256
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
-_SNAPSHOT_MAGIC = b"VDR2"
+_SNAPSHOT_MAGIC = b"VDR3"
 _SNAPSHOT_FLAGS = 0x1F  # one bit per optional field, see vdr_export_state
 
 
@@ -76,10 +75,6 @@ class RatchetState:
     self_eph_pub: cs.GroupElement | None = None
     peer_eph_pub: cs.GroupElement | None = None
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
-    # finished receive epoch -> its j_r when the next epoch took over
-    chain_ends: dict[int, int] = field(default_factory=dict)
-    # stages dropped from `skipped` by the MAX_SKIP bound, never opened
-    evicted: set[tuple[int, int]] = field(default_factory=set)
     # transient notification hook for harnesses; never serialized
     observer: object | None = None
     # key object of self_eph_secret (module docstring); never serialized
@@ -102,13 +97,6 @@ def _notify_message_key(st: RatchetState, stage: tuple[int, int],
                         mk: cs.SymmetricKey, direction: str) -> None:
     if st.observer is not None:
         st.observer.on_message_key(stage, mk, direction)
-
-
-def _consumed(st: RatchetState, stage: tuple[int, int]) -> bool:
-    """True iff an earlier decrypt opened ``stage`` (module docstring)."""
-    i, j = stage
-    end = st.j_r if i == st.i_r else st.chain_ends.get(i, 0)
-    return j < end and stage not in st.skipped and stage not in st.evicted
 
 
 def vdr_init_sender(self_ltk: cs.GroupScalar, peer_ltk_pub: cs.GroupElement,
@@ -185,9 +173,6 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     step order. rng feeds the reply-chain ephemeral generated after the
     first successful decrypt of a new epoch."""
     stage = (env.i_index, env.j_index)
-    if _consumed(st, stage):
-        raise ReplayRejected(f"message key for {stage} already consumed")
-
     use_cached = stage in st.skipped
     peer_eph = None  # set when this envelope turns the epoch
     skipped_add: dict[tuple[int, int], cs.SymmetricKey] = {}
@@ -210,8 +195,8 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
             rk_new, ck_new = st.rk, st.ck_recv
             i_r_new, j_r_new = st.i_r, st.j_r
             if env.j_index < j_r_new:
-                raise StaleEpoch(
-                    f"index {stage} behind receive chain, no cached key")
+                raise ReplayRejected(
+                    f"no key left for {stage} in the live receive chain")
         else:
             raise StaleEpoch(
                 f"epoch {env.i_index} has no live chain (current {st.i_r}), "
@@ -231,15 +216,11 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     if use_cached:
         del st.skipped[stage]
     else:
-        if peer_eph is not None and st.ck_recv is not None:
-            st.chain_ends[st.i_r] = st.j_r
         st.rk, st.ck_recv = rk_new, ck_new
         st.i_r, st.j_r = i_r_new, j_r_new
         st.skipped.update(skipped_add)
         while len(st.skipped) > MAX_SKIP:
-            oldest = next(iter(st.skipped))
-            del st.skipped[oldest]
-            st.evicted.add(oldest)
+            del st.skipped[next(iter(st.skipped))]
         if peer_eph is not None:
             st.peer_eph_pub = peer_eph
         if peer_eph is not None or st.ck_send is None:
@@ -268,10 +249,10 @@ def _opt(flag_bit: int, value: bytes | None, flags: int,
 def vdr_export_state(st: RatchetState) -> bytes:
     """Complete, lossless snapshot. Holds everything the party holds,
     long-term secret included; consumed message keys are simply not here
-    because the state never retains them. The replay record is the chain
-    ends and evicted stages (module docstring), so within an epoch the
-    size depends on the skipped-key cache alone, never on the number of
-    messages received."""
+    because the state never retains them. There is no replay record (module
+    docstring), so the size depends on the skipped-key cache alone: 288
+    bytes with every optional field set, plus 40 per cached key, at most
+    MAX_SKIP of them."""
     opt_parts: list[bytes] = []
     flags = 0
     flags = _opt(0x01, st.ck_send, flags, opt_parts)
@@ -292,10 +273,6 @@ def vdr_export_state(st: RatchetState) -> bytes:
     ]
     for (i, j), key in st.skipped.items():
         parts.append(struct.pack(">II", i, j) + key)
-    for record in (st.chain_ends.items(), st.evicted):
-        pairs = sorted(record)
-        parts.append(struct.pack(">I", len(pairs)))
-        parts.extend(struct.pack(">II", a, b) for a, b in pairs)
     return b"".join(parts)
 
 
@@ -317,10 +294,6 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     def opt(bit: int, name: str, ctor):
         return ctor(r.take(32, name)) if flags & bit else None
 
-    def pairs(name: str) -> list[tuple[int, int]]:
-        return [struct.unpack(">II", r.take(8, name))
-                for _ in range(r.u32(name + " count"))]
-
     ck_send = opt(0x01, "ck_send", cs.SymmetricKey)
     ck_recv = opt(0x02, "ck_recv", cs.SymmetricKey)
     self_eph_secret = opt(0x04, "self_eph_secret", cs.GroupScalar)
@@ -337,9 +310,6 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     for _ in range(n_skipped):
         i, j = struct.unpack(">II", r.take(8, "skipped index"))
         skipped[(i, j)] = cs.SymmetricKey(r.take(32, "skipped key"))
-
-    chain_ends = dict(pairs("chain end"))
-    evicted = set(pairs("evicted stage"))
     r.expect_end("snapshot")
     return RatchetState(
         role=role, rk=rk, ck_send=ck_send, ck_recv=ck_recv,
@@ -347,5 +317,5 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
         self_eph_secret=self_eph_secret, self_eph_pub=self_eph_pub,
         peer_eph_pub=peer_eph_pub, self_ltk=self_ltk,
         peer_ltk_pub=peer_ltk_pub, kid_self=kid_self, kid_peer=kid_peer,
-        skipped=skipped, chain_ends=chain_ends, evicted=evicted,
+        skipped=skipped,
     )

@@ -371,7 +371,7 @@ def attack_fs_v2(seed: int) -> AttackReport:
 def attack_replay_vdr(seed: int) -> AttackReport:
     """Duplicate deliveries are refused as already consumed, both
     immediately and after the conversation has moved on: the stage sits
-    behind the receive chain and no cached key is left for it."""
+    behind the live receive chain and no cached key is left for it."""
     g = Game(PROTO_VDR, 2, seed)
     _open_pair(g)
     pt = b"first flight"

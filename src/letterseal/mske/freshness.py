@@ -178,11 +178,3 @@ def fresh_vdr(game: Game, tested: tuple) -> bool:
     if y == 0:
         return fresh_asym(game, u, i, s)
     return fresh_sym(game, u, i, s)
-
-
-def fresh_for(game: Game, tested: tuple) -> bool:
-    """Dispatch on the game's protocol."""
-    from .game import PROTO_V2
-
-    return fresh_v2(game, tested) if game.protocol == PROTO_V2 \
-        else fresh_vdr(game, tested)

@@ -49,7 +49,6 @@ from ..wire import EnvelopeV2, EnvelopeVDR, decode_envelope, encode_envelope
 PROTO_V2 = "v2"
 PROTO_VDR = "vdr"
 
-ACTIVE = "active"
 ACCEPT = "accept"
 REJECT = "reject"
 
@@ -98,7 +97,8 @@ def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
 def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
     if isinstance(env, EnvelopeVDR):
         return (env.i_index, env.j_index)
-    return (0xFFFFFFFF, len(rec.replay_events))  # no ratchet header to read
+    no_header = 0xFFFFFFFF  # one stage per headerless envelope, in order
+    return (no_header, sum(s[0] == no_header for s in rec.status))
 
 
 class _Protocol(NamedTuple):

@@ -1,9 +1,14 @@
-"""Every import in the package, the tools and the test suite is used, and
-sessions are set up on one path.
+"""Every import in the package, the tools and the test suite is used,
+every public export is used, and sessions are set up on one path.
 
 A stdlib stand-in for a linter's unused-import rule. Package __init__
 modules are skipped, since their imports are the public re-exports, and
 so are __future__ imports.
+
+A name in the public __all__ lists must be read, as a name, an attribute
+or an import, somewhere in the package, the tests, the tools or the
+benchmark other than those lists, so an export nothing calls is removed
+rather than kept for no caller.
 
 The protocol set-up functions are used only by the protocol modules and
 by Endpoint, so every caller in the package (the game, the bench, the demo)
@@ -11,6 +16,7 @@ sets sessions up through Endpoint and that path cannot quietly fork again.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -21,6 +27,12 @@ FILES = sorted(
     p for p in [*PACKAGE, *(ROOT / "tools").rglob("*.py"),
                 *(ROOT / "tests").rglob("*.py")]
     if p.name != "__init__.py")
+EXPORTERS = ("letterseal", "letterseal.mske")
+EXPORT_LISTS = {ROOT / "src" / Path(*m.split(".")) / "__init__.py"
+                for m in EXPORTERS}
+READERS = sorted(
+    p for d in ("src", "tests", "tools", "perfbench")
+    for p in (ROOT / d).rglob("*.py") if p not in EXPORT_LISTS)
 SETUP = {"v1_establish", "v2_establish", "vdr_init_sender",
          "vdr_lazy_init_receiver"}
 SETUP_USERS = sorted(
@@ -55,6 +67,40 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def read_names(source: str) -> set[str]:
+    """Names the source reads or imports; a definition is not a read."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+    return found
+
+
+def test_read_detector_skips_definitions():
+    source = ("import a.b\n"
+              "from c import d\n"
+              "X = 1\n"
+              "def f(): return g.h\n"
+              "k.m = X\n")
+    assert read_names(source) == {"a", "b", "c", "d", "g", "h", "k", "X"}
+
+
+@pytest.mark.parametrize("module", EXPORTERS)
+def test_every_export_is_read_somewhere(module):
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    exports = importlib.import_module(module).__all__
+    assert sorted(set(exports) - read) == []
 
 
 def setup_uses(source: str) -> list[str]:

@@ -117,7 +117,7 @@ def test_evicted_skip_key_leaves_stage_unreachable():
     assert len(stb.skipped) == MAX_SKIP
     assert (0, 1) not in stb.skipped
     assert (0, MAX_SKIP + 2) in stb.skipped
-    with pytest.raises(StaleEpoch):
+    with pytest.raises(ReplayRejected):
         vdr_decrypt(stb, envs[0], b_rng)
     assert vdr_decrypt(stb, envs[1], b_rng) == b"j=2"
 
@@ -340,32 +340,44 @@ def test_snapshot_size_does_not_grow_within_an_epoch():
     assert _same_epoch_snapshot_len(20_000) == _same_epoch_snapshot_len(1_000)
 
 
-def test_snapshot_grows_at_most_8_bytes_per_finished_receive_epoch():
+def test_snapshot_size_does_not_grow_with_epoch_turns():
     sta, stb, a_rng, b_rng = fresh_conversation(322)
     parties = [(sta, a_rng), (stb, b_rng)]
-    sizes = base = None
+    base = None
     for turn in range(60):
         # b sends first: after two turns both parties hold every chain
         (s, s_rng), (r, r_rng) = parties[(turn + 1) % 2], parties[turn % 2]
         for _ in range(1 + turn % 4):
             env = vdr_encrypt(s, 0, b"turn %d" % turn, s_rng)
             assert vdr_decrypt(r, env, r_rng) == b"turn %d" % turn
-        now = [(len(vdr_export_state(st)), len(st.chain_ends))
-               for st, _ in parties]
+        assert not r.skipped
+        sizes = [len(vdr_export_state(st)) for st, _ in parties]
         if turn == 1:
-            base = now
+            base = sizes
         elif turn > 1:
-            for (size, ends), (last, last_ends), (size0, ends0) in zip(
-                    now, sizes, base):
-                assert size - last == 8 * (ends - last_ends)
-                assert size - size0 <= 8 * (ends - ends0)
-        sizes = now
-    assert min(ends for _, ends in sizes) >= 29
+            assert sizes == base, turn
+    assert sorted(st.i_r for st, _ in parties) == [59, 60]
+
+
+def test_snapshot_with_a_full_cache_has_the_closed_form_size():
+    # magic, role and flags, rk and five optional chain and ephemeral
+    # fields, four indices, two long-term keys, two kids, cache count, then
+    # per cached key its (i, j) and the key itself
+    full = 4 + 2 + 6 * 32 + 16 + 2 * 32 + 8 + 2 + MAX_SKIP * (8 + 32)
+    sta, stb, a_rng, b_rng = fresh_conversation(327)
+    # a reply first, so the jump that fills the cache also turns the epoch
+    vdr_decrypt(sta, vdr_encrypt(stb, 0, b"reply", b_rng), a_rng)
+    for jump in (MAX_SKIP, 5, MAX_SKIP):    # fill, then evict twice
+        for _ in range(jump):
+            vdr_encrypt(sta, 0, b"skipped", a_rng)
+        assert vdr_decrypt(stb, vdr_encrypt(sta, 0, b"j", a_rng), b_rng) == b"j"
+        assert len(stb.skipped) == MAX_SKIP
+        assert len(vdr_export_state(stb)) == full
 
 
 def _failed_decrypts():
-    """label -> (receiver, rng, envelope, error), on a state whose replay
-    record holds chain ends and evicted stages."""
+    """label -> (receiver, rng, envelope, error), on a state that evicted
+    a cached key and has turned its receive epoch since."""
     sta, stb, a_rng, b_rng = fresh_conversation(323)
     envs = [vdr_encrypt(sta, 0, b"j=%d" % j, a_rng)
             for j in range(1, MAX_SKIP + 5)]
@@ -375,7 +387,7 @@ def _failed_decrypts():
     vdr_decrypt(sta, vdr_encrypt(stb, 0, b"turn", b_rng), a_rng)
     turn = vdr_encrypt(sta, 0, b"next epoch", a_rng)
     assert vdr_decrypt(stb, turn, b_rng) == b"next epoch"
-    assert stb.evicted and stb.chain_ends and stb.skipped
+    assert stb.skipped and (stb.i_r, stb.j_r) == (2, 1)
     later = vdr_encrypt(sta, 0, b"later", a_rng)
     bad_tag = dataclasses.replace(
         later, ciphertext=bytes([later.ciphertext[0] ^ 1]) + later.ciphertext[1:])
@@ -385,7 +397,7 @@ def _failed_decrypts():
         "bad tag": (stb, b_rng, bad_tag, AuthFailure),
         "low-order eph_pub": (sta, a_rng, low_order, DhError),
         "replay": (stb, b_rng, turn, ReplayRejected),
-        "replay of a cached stage": (stb, b_rng, envs[1], ReplayRejected),
+        "replay of a cached stage": (stb, b_rng, envs[1], StaleEpoch),
         "stale evicted": (stb, b_rng, envs[0], StaleEpoch),
         "stale abandoned": (stb, b_rng, envs[MAX_SKIP + 3], StaleEpoch),
     }
@@ -405,9 +417,10 @@ def test_failed_decrypt_leaves_snapshot_identical(label):
 def test_import_rejects_previous_snapshot_format():
     sta, stb, _, _ = fresh_conversation(324)
     snap = vdr_export_state(stb)
-    assert snap[:4] == b"VDR2"
-    with pytest.raises(ParseError):
-        vdr_import_state(b"VDR1" + snap[4:])
+    assert snap[:4] == b"VDR3"
+    for magic in (b"VDR1", b"VDR2"):
+        with pytest.raises(ParseError):
+            vdr_import_state(magic + snap[4:])
 
 
 def _with_skipped(st, n):

@@ -189,6 +189,18 @@ def test_vdr_duplicate_delivery_logged_as_replay_event():
     assert p2.replay_events == [((0, 0), "ReplayRejected")]
 
 
+def test_vdr_headerless_deliveries_get_one_stage_each():
+    g, _, _ = vdr_game()
+    for _ in range(3):
+        g.oracle_send(2, 1, b"\x99junk")
+    p2 = g.sessions[(2, 1)]
+    junk = [(0xFFFFFFFF, n) for n in range(3)]
+    assert [s for s in p2.status if s[0] == 0xFFFFFFFF] == junk
+    assert all(p2.status[s] == REJECT for s in junk)
+    assert all(p2.transcript[s] == b"\x99junk" for s in junk)
+    assert p2.replay_events == []
+
+
 def test_vdr_lazy_responder_init_paths():
     g = Game("vdr")
     g.oracle_send(1, 1, (2, ROLE_INITIATOR))

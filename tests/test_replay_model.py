@@ -2,25 +2,24 @@
 
 The reference model is the set-based rule: every stage that has ever
 opened goes into a set, and a stage found in that set is refused before
-anything else is looked at. The ratchet itself decides the same question
-from its chain positions, the skipped-key cache, the chain end of each
-finished receive epoch and the stages evicted from the cache. Both are
-driven through the same seeded schedules (late, repeated and forged
-deliveries, reordering across epoch turns, gaps that overflow the cache,
-and snapshot export/import) and must agree on every delivery: the same
-plaintext or the same error class.
+anything else is looked at, with ReplayRejected in the receiver's live
+epoch and StaleEpoch in an earlier one. The ratchet itself keeps no such
+set: it refuses what its live receive chain and skipped-key cache can no
+longer open. Both are driven through the same seeded schedules (late,
+repeated and forged deliveries, reordering across epoch turns, gaps that
+overflow the cache, and snapshot export/import) and must agree on every
+delivery: the same plaintext or the same error class. No stage may open
+twice.
 """
 
 import dataclasses
 import random
 from collections import Counter
-from unittest import mock
 
 import pytest
 
 import helpers
-from letterseal import linevdr
-from letterseal.errors import LettersealError, ReplayRejected
+from letterseal.errors import LettersealError, ReplayRejected, StaleEpoch
 from letterseal.linevdr import (
     MAX_SKIP,
     vdr_decrypt,
@@ -31,8 +30,8 @@ from letterseal.linevdr import (
 
 
 class SetModel:
-    """One party under the set rule: a ratchet state of its own, decrypted
-    with the chain-position check switched off, plus the consumed set."""
+    """One party under the set rule: the consumed set, in front of a
+    ratchet state of its own that only sees stages not in the set."""
 
     def __init__(self, st, rng):
         self.st, self.rng, self.consumed = st, rng, set()
@@ -40,9 +39,9 @@ class SetModel:
     def decrypt(self, env):
         stage = (env.i_index, env.j_index)
         if stage in self.consumed:
-            raise ReplayRejected(f"message key for {stage} already consumed")
-        with mock.patch.object(linevdr, "_consumed", lambda st, stage: False):
-            pt = vdr_decrypt(self.st, env, self.rng)
+            error = ReplayRejected if env.i_index == self.st.i_r else StaleEpoch
+            raise error(f"message key for {stage} already consumed")
+        pt = vdr_decrypt(self.st, env, self.rng)
         self.consumed.add(stage)
         return pt
 
@@ -63,9 +62,9 @@ def _outcome(fn):
         return type(exc).__name__, None
 
 
-def _category(st, env):
+def _category(st, env, evicted):
     stage = (env.i_index, env.j_index)
-    if stage in st.evicted:
+    if stage in evicted:
         return "evicted"
     if stage in st.skipped:
         return "cached"
@@ -76,12 +75,14 @@ def _category(st, env):
 
 def run_schedule(seed, actions):
     """Drive the ratchet and the set model through one seeded schedule;
-    returns a Counter of (category, outcome) over every delivery."""
+    returns a Counter of (category, outcome) over every delivery, plus
+    ("repeat", outcome) for each delivery of a stage that already opened."""
     rnd = random.Random(seed)
     real = _world(seed)
     model = [SetModel(st, rng) for st, rng in _world(seed)]
     outbox = ([], [])
     cursor = [0, 0]
+    evicted = (set(), set())    # stages the MAX_SKIP bound dropped, per party
     tally = Counter()
     for _ in range(actions):
         p = rnd.randrange(2)
@@ -109,12 +110,18 @@ def run_schedule(seed, actions):
                 ct = bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]
                 env, text = dataclasses.replace(env, ciphertext=ct), None
             r = 1 - p
-            category = _category(real[r][0], env)
+            stage = (env.i_index, env.j_index)
+            category = _category(real[r][0], env, evicted[r])
+            repeat = stage in model[r].consumed
+            cached = set(real[r][0].skipped)
             got = _outcome(lambda: vdr_decrypt(real[r][0], env, real[r][1]))
             want = _outcome(lambda: model[r].decrypt(env))
-            assert got == want, (seed, category, env.i_index, env.j_index)
-            assert got[0] != "ok" or got[1] == text
+            assert got == want, (seed, category, stage)
+            assert got[0] != "ok" or (got[1] == text and not repeat)
+            evicted[r].update(cached - set(real[r][0].skipped) - {stage})
             tally[category, got[0]] += 1
+            if repeat:
+                tally["repeat", got[0]] += 1
             assert vdr_export_state(real[r][0]) == vdr_export_state(model[r].st)
         else:
             real[p][0] = vdr_import_state(vdr_export_state(real[p][0]))
@@ -131,12 +138,14 @@ def test_ratchet_agrees_with_set_model(seed):
 
 
 def test_schedules_reach_every_outcome_class():
-    """The seeds above cover each way a stage can be refused or opened."""
+    """The seeds above cover each way a stage can be refused or opened,
+    and a repeated stage is refused in its own epoch and in a later one."""
     total = Counter()
     for seed in SEEDS[:6]:
         total += run_schedule(seed, actions=300)
     for key in [("live", "ok"), ("new epoch", "ok"), ("cached", "ok"),
-                ("live", "ReplayRejected"), ("old epoch", "ReplayRejected"),
-                ("old epoch", "StaleEpoch"), ("evicted", "StaleEpoch"),
-                ("live", "SkipLimit"), ("live", "AuthFailure")]:
+                ("live", "ReplayRejected"), ("old epoch", "StaleEpoch"),
+                ("evicted", "ReplayRejected"), ("evicted", "StaleEpoch"),
+                ("live", "SkipLimit"), ("live", "AuthFailure"),
+                ("repeat", "ReplayRejected"), ("repeat", "StaleEpoch")]:
         assert total[key] > 0, (key, total)
