@@ -14,6 +14,12 @@ such a scalar or the OpenSSL key object built from it
 Building the object costs a scalar multiplication of its own, so a caller
 that exchanges with one secret more than once holds the object; nothing in
 this module caches one.
+
+Every HMAC is the one-shot ``hmac.digest(key, msg, "sha256")``, which
+builds no HMAC object. :func:`cbc_encrypt`, :func:`cbc_decrypt` and
+:func:`ecb_encrypt_block` are single-call forms for the known-answer
+vectors; v1 sealing drives one AES key object per message itself (see
+:mod:`letterseal.linev1`).
 """
 
 from __future__ import annotations
@@ -257,17 +263,17 @@ def kdf_root(ikm: bytes, salt: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     if not ikm:
         raise ValueError("kdf_root requires non-empty input key material")
     _bump("kdf")
-    prk = _hmac.new(salt if salt else ZERO_SALT, ikm, hashlib.sha256).digest()
-    t1 = _hmac.new(prk, ROOT_KDF_INFO + b"\x01", hashlib.sha256).digest()
-    t2 = _hmac.new(prk, t1 + ROOT_KDF_INFO + b"\x02", hashlib.sha256).digest()
+    prk = _hmac.digest(salt if salt else ZERO_SALT, ikm, "sha256")
+    t1 = _hmac.digest(prk, ROOT_KDF_INFO + b"\x01", "sha256")
+    t2 = _hmac.digest(prk, t1 + ROOT_KDF_INFO + b"\x02", "sha256")
     return SymmetricKey(t1), SymmetricKey(t2)
 
 
 def kdf_chain(ck: SymmetricKey) -> tuple[SymmetricKey, SymmetricKey]:
     """One symmetric ratchet step -> (message key, next chain key)."""
     _bump("kdf")
-    mk = _hmac.new(ck, b"\x01", hashlib.sha256).digest()
-    next_ck = _hmac.new(ck, b"\x02", hashlib.sha256).digest()
+    mk = _hmac.digest(ck, b"\x01", "sha256")
+    next_ck = _hmac.digest(ck, b"\x02", "sha256")
     return SymmetricKey(mk), SymmetricKey(next_ck)
 
 

@@ -3,15 +3,27 @@
 Kept as a faithful baseline, weaknesses included: the MAC covers the
 ciphertext only (no key ids, version or content type are bound), there is
 no replay defense, and one static DH secret drives every message.
+
+The tag is ``AES_k(fold(SHA-256(C)))`` under the same key ``k`` that
+encrypts, where ``fold`` XORs the two digest halves into one block. Each
+message therefore builds one AES key object and drives both layers from
+it. Sealing runs the tag block through the CBC context that produced
+``C``: CBC XORs each input with the previous ciphertext block, so feeding
+``fold(...) XOR last block of C`` yields exactly the ECB encryption of the
+folded digest. Opening computes the tag with an ECB context and checks it
+before a CBC context decrypts anything.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from hmac import compare_digest
 
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
 from . import crypto_suite as cs
-from .errors import MacFailure
+from .errors import MacFailure, PaddingError
 from .wire import VERS_V1, EnvelopeV1
 
 
@@ -26,22 +38,19 @@ class SessionV1:
     rid: str = ""
 
 
-def _xor16(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _fold(digest: bytes) -> int:
+    """XOR of a 32-byte digest's halves, as a 128-bit big-endian integer."""
+    return (int.from_bytes(digest[:16], "big")
+            ^ int.from_bytes(digest[16:], "big"))
 
 
 def v1_derive(pms: cs.SharedSecret, salt: bytes) -> tuple[cs.SymmetricKey, bytes]:
     """Per-message key and IV. IV folds the 32-byte digest into one block."""
     if len(salt) != 8:
         raise ValueError(f"v1 salt must be 8 bytes, got {len(salt)}")
-    k_e = cs.digest_kdf(pms, salt, b"Key")
-    iv_full = cs.digest_kdf(pms, salt, b"IV")
-    return cs.SymmetricKey(k_e), _xor16(iv_full[:16], iv_full[16:])
-
-
-def v1_mac(k_e: cs.SymmetricKey, ciphertext: bytes) -> bytes:
-    h = cs.hash(ciphertext)
-    return cs.ecb_encrypt_block(k_e, _xor16(h[:16], h[16:]))
+    k_e = cs._digest_kdf_raw(pms, salt, b"Key")
+    iv = _fold(cs._digest_kdf_raw(pms, salt, b"IV")).to_bytes(16, "big")
+    return cs.SymmetricKey(k_e), iv
 
 
 def v1_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
@@ -55,16 +64,31 @@ def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
                rng: cs.SeededRng) -> EnvelopeV1:
     salt = rng.token(8)
     k_e, iv = v1_derive(s.pms, salt)
-    ciphertext = cs.cbc_encrypt(k_e, iv, m)
-    tag = v1_mac(k_e, ciphertext)
+    pad = 16 - len(m) % 16
+    cbc = Cipher(algorithms.AES(k_e), modes.CBC(iv)).encryptor()
+    ciphertext = cbc.update(m + bytes((pad,)) * pad)
+    # one more CBC block, chained on C's last block, is the ECB tag
+    h = _fold(hashlib.sha256(ciphertext).digest())
+    last = int.from_bytes(ciphertext[-16:], "big")
+    tag = cbc.update((h ^ last).to_bytes(16, "big"))
     return EnvelopeV1(vers=VERS_V1, ctype=ctype, salt=salt,
                       ciphertext=ciphertext, tag=tag,
                       kid_sender=s.kid_self, kid_receiver=s.kid_peer)
 
 
 def v1_decrypt(s: SessionV1, e: EnvelopeV1) -> bytes:
-    """MAC is checked before any decryption work; order matters here."""
+    """The tag is checked before any decryption work; order matters here."""
     k_e, iv = v1_derive(s.pms, e.salt)
-    if not compare_digest(v1_mac(k_e, e.ciphertext), e.tag):
+    ct = e.ciphertext
+    aes = algorithms.AES(k_e)
+    h = _fold(hashlib.sha256(ct).digest()).to_bytes(16, "big")
+    mac = Cipher(aes, modes.ECB()).encryptor().update(h)
+    if not compare_digest(mac, e.tag):
         raise MacFailure("v1 tag mismatch")
-    return cs.cbc_decrypt(k_e, iv, e.ciphertext)
+    if not ct or len(ct) % 16:
+        raise PaddingError("CBC ciphertext must be a positive block multiple")
+    data = Cipher(aes, modes.CBC(iv)).decryptor().update(ct)
+    pad = data[-1]
+    if not 1 <= pad <= 16 or data[-pad:] != bytes((pad,)) * pad:
+        raise PaddingError("malformed PKCS#7 padding")
+    return data[:-pad]

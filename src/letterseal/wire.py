@@ -152,125 +152,134 @@ def _check_u32(value: int, name: str) -> None:
 # Envelope codec
 # ---------------------------------------------------------------------------
 
+class _Run:
+    """A run of fixed-width fields, read or written with one precompiled
+    struct. A buffer too short for the run is reported by the field it cuts.
+    """
+
+    def __init__(self, *fields: tuple[str, str]):
+        self.struct = struct.Struct(">" + "".join(code for _, code in fields))
+        self.size = self.struct.size
+        self.pack = self.struct.pack
+        self.fields = tuple((name, struct.calcsize(">" + code))
+                            for name, code in fields)
+
+    def read(self, data: bytes, pos: int) -> tuple:
+        try:
+            return self.struct.unpack_from(data, pos)
+        except struct.error:
+            raise _cut(data, pos, self.fields) from None
+
+
+def _cut(data: bytes, pos: int, fields) -> ParseError:
+    """The error for a buffer that ends inside ``fields``, read from pos."""
+    for name, n in fields:
+        if pos + n > len(data):
+            break
+        pos += n
+    return ParseError(f"truncated while reading {name}: "
+                      f"need {n} bytes at offset {pos}, have {len(data) - pos}")
+
+
+def _take(data: bytes, pos: int, n: int, fieldname: str) -> bytes:
+    chunk = data[pos:pos + n]
+    if len(chunk) != n:
+        raise _cut(data, pos, ((fieldname, n),))
+    return chunk
+
+
+def _utf8(raw: bytes, fieldname: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{fieldname} is not valid UTF-8") from exc
+
+
+# each family's layout, split at its variable-length fields
+_V1_HEAD = _Run(("vers", "B"), ("ctype", "B"), ("salt", "8s"),
+                ("kid_sender", "I"), ("kid_receiver", "I"),
+                ("ciphertext length", "I"))
+_V2_HEAD = _Run(("vers", "B"), ("ctype", "B"), ("salt", "16s"),
+                ("sid length", "H"))
+_V2_RID = _Run(("rid length", "H"))
+_V2_TAIL = _Run(("kid_sender", "I"), ("kid_receiver", "I"),
+                ("nonce_material", "8s"), ("ciphertext length", "I"))
+_VDR_HEAD = _Run(("vers", "B"), ("ctype", "B"), ("kid_sender", "I"),
+                 ("kid_receiver", "I"), ("eph_pub", "32s"), ("j_index", "I"),
+                 ("nonce_material", "8s"), ("ciphertext length", "I"))
+
+
 def encode_envelope(env: Envelope) -> bytes:
     if isinstance(env, EnvelopeV1):
-        return b"".join([
-            struct.pack(">BB", env.vers, env.ctype),
-            env.salt,
-            struct.pack(">II", env.kid_sender, env.kid_receiver),
-            struct.pack(">I", len(env.ciphertext)),
-            env.ciphertext,
-            env.tag,
-        ])
+        return b"".join((
+            _V1_HEAD.pack(env.vers, env.ctype, env.salt, env.kid_sender,
+                          env.kid_receiver, len(env.ciphertext)),
+            env.ciphertext, env.tag))
     if isinstance(env, EnvelopeV2):
         sid = env.sid.encode()
         rid = env.rid.encode()
-        return b"".join([
-            struct.pack(">BB", env.vers, env.ctype),
-            env.salt,
-            struct.pack(">H", len(sid)), sid,
-            struct.pack(">H", len(rid)), rid,
-            struct.pack(">II", env.kid_sender, env.kid_receiver),
-            env.nonce_material,
-            struct.pack(">I", len(env.ciphertext)),
-            env.ciphertext,
-        ])
+        return b"".join((
+            _V2_HEAD.pack(env.vers, env.ctype, env.salt, len(sid)), sid,
+            _V2_RID.pack(len(rid)), rid,
+            _V2_TAIL.pack(env.kid_sender, env.kid_receiver,
+                          env.nonce_material, len(env.ciphertext)),
+            env.ciphertext))
     if isinstance(env, EnvelopeVDR):
-        return b"".join([
-            struct.pack(">BB", env.vers, env.ctype),
-            struct.pack(">II", env.kid_sender, env.kid_receiver),
-            env.eph_pub,
-            struct.pack(">I", env.j_index),
-            env.nonce_material,
-            struct.pack(">I", len(env.ciphertext)),
-            env.ciphertext,
-        ])
+        return b"".join((
+            _VDR_HEAD.pack(env.vers, env.ctype, env.kid_sender,
+                           env.kid_receiver, env.eph_pub, env.j_index,
+                           env.nonce_material, len(env.ciphertext)),
+            env.ciphertext))
     raise TypeError(f"not an envelope: {type(env).__name__}")
 
 
-class _Reader:
-    """Cursor over a byte buffer; every failure names the field being read."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, fieldname: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ParseError(
-                f"truncated while reading {fieldname}: "
-                f"need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, fieldname: str) -> int:
-        return self.take(1, fieldname)[0]
-
-    def u16(self, fieldname: str) -> int:
-        return struct.unpack(">H", self.take(2, fieldname))[0]
-
-    def u32(self, fieldname: str) -> int:
-        return struct.unpack(">I", self.take(4, fieldname))[0]
-
-    def lp16(self, fieldname: str) -> bytes:
-        return self.take(self.u16(fieldname + " length"), fieldname)
-
-    def lp32(self, fieldname: str) -> bytes:
-        return self.take(self.u32(fieldname + " length"), fieldname)
-
-    def utf8(self, raw: bytes, fieldname: str) -> str:
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{fieldname} is not valid UTF-8") from exc
-
-    def expect_end(self, what: str) -> None:
-        if self.pos != len(self.data):
-            raise ParseError(
-                f"{len(self.data) - self.pos} trailing bytes after {what}")
-
-
 def decode_envelope(data: bytes) -> Envelope:
-    r = _Reader(data)
-    vers = r.u8("vers")
+    if not data:
+        raise _cut(data, 0, (("vers", 1),))
+    vers = data[0]
     try:
         if vers == VERS_V1:
+            _, ctype, salt, kid_sender, kid_receiver, n = _V1_HEAD.read(data, 0)
+            pos = _V1_HEAD.size + n
             env = EnvelopeV1(
-                ctype=r.u8("ctype"),
-                salt=r.take(8, "salt"),
-                kid_sender=r.u32("kid_sender"),
-                kid_receiver=r.u32("kid_receiver"),
-                ciphertext=r.lp32("ciphertext"),
-                tag=r.take(16, "tag"),
-            )
+                ctype=ctype, salt=salt, kid_sender=kid_sender,
+                kid_receiver=kid_receiver,
+                ciphertext=_take(data, _V1_HEAD.size, n, "ciphertext"),
+                tag=_take(data, pos, 16, "tag"))
+            pos += 16
         elif vers == VERS_V2:
-            ctype = r.u8("ctype")
-            salt = r.take(16, "salt")
-            sid = r.utf8(r.lp16("sid"), "sid")
-            rid = r.utf8(r.lp16("rid"), "rid")
+            _, ctype, salt, n = _V2_HEAD.read(data, 0)
+            pos = _V2_HEAD.size
+            sid = _utf8(_take(data, pos, n, "sid"), "sid")
+            pos += n
+            (n,) = _V2_RID.read(data, pos)
+            pos += _V2_RID.size
+            rid = _utf8(_take(data, pos, n, "rid"), "rid")
+            pos += n
+            kid_sender, kid_receiver, nonce, n = _V2_TAIL.read(data, pos)
+            pos += _V2_TAIL.size
             env = EnvelopeV2(
                 ctype=ctype, salt=salt, sid=sid, rid=rid,
-                kid_sender=r.u32("kid_sender"),
-                kid_receiver=r.u32("kid_receiver"),
-                nonce_material=r.take(8, "nonce_material"),
-                ciphertext=r.lp32("ciphertext"),
-            )
+                kid_sender=kid_sender, kid_receiver=kid_receiver,
+                nonce_material=nonce,
+                ciphertext=_take(data, pos, n, "ciphertext"))
+            pos += n
         elif vers == VERS_VDR:
+            (_, ctype, kid_sender, kid_receiver, eph_pub, j_index, nonce,
+             n) = _VDR_HEAD.read(data, 0)
+            pos = _VDR_HEAD.size
             env = EnvelopeVDR(
-                ctype=r.u8("ctype"),
-                kid_sender=r.u32("kid_sender"),
-                kid_receiver=r.u32("kid_receiver"),
-                eph_pub=r.take(32, "eph_pub"),
-                j_index=r.u32("j_index"),
-                nonce_material=r.take(8, "nonce_material"),
-                ciphertext=r.lp32("ciphertext"),
-            )
+                ctype=ctype, kid_sender=kid_sender, kid_receiver=kid_receiver,
+                eph_pub=eph_pub, j_index=j_index, nonce_material=nonce,
+                ciphertext=_take(data, pos, n, "ciphertext"))
+            pos += n
         else:
             raise ParseError(f"unknown version byte {vers}")
     except ValueError as exc:
         raise ParseError(f"invariant violated while decoding: {exc}") from exc
-    r.expect_end(f"envelope v{vers}")
+    if pos != len(data):
+        raise ParseError(
+            f"{len(data) - pos} trailing bytes after envelope v{vers}")
     return env
 
 
@@ -337,6 +346,41 @@ _HEADER_FIELDS = ("from_", "to", "to_type", "id", "created_time",
                   "e2ee_version", "seq", "session_id")
 
 
+class _Reader:
+    """Cursor over a byte buffer; every failure names the field being read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int, fieldname: str) -> bytes:
+        if self.pos + n > len(self.data):
+            raise _cut(self.data, self.pos, ((fieldname, n),))
+        chunk = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u8(self, fieldname: str) -> int:
+        return self.take(1, fieldname)[0]
+
+    def u16(self, fieldname: str) -> int:
+        return struct.unpack(">H", self.take(2, fieldname))[0]
+
+    def u32(self, fieldname: str) -> int:
+        return struct.unpack(">I", self.take(4, fieldname))[0]
+
+    def lp16(self, fieldname: str) -> bytes:
+        return self.take(self.u16(fieldname + " length"), fieldname)
+
+    def lp32(self, fieldname: str) -> bytes:
+        return self.take(self.u32(fieldname + " length"), fieldname)
+
+    def expect_end(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise ParseError(
+                f"{len(self.data) - self.pos} trailing bytes after {what}")
+
+
 def _pack_header(p: Packet) -> bytes:
     vals = [getattr(p, f) for f in _HEADER_FIELDS]
     vals[6] = 1 if vals[6] else 0  # has_content as u8
@@ -386,10 +430,10 @@ def decode_packet(data: bytes) -> Packet:
         header = _unpack_header(r)
         p = BotPacket(
             bot_tag2=r.lp16("bot_tag2"),
-            bot_origin=r.utf8(r.lp16("bot_origin"), "bot_origin"),
+            bot_origin=_utf8(r.lp16("bot_origin"), "bot_origin"),
             bot_check=bool(r.u8("bot_check")),
-            bot_track=r.utf8(r.lp16("bot_track"), "bot_track"),
-            text=r.utf8(r.lp32("text"), "text"),
+            bot_track=_utf8(r.lp16("bot_track"), "bot_track"),
+            text=_utf8(r.lp32("text"), "text"),
             **header,
         )
         r.expect_end("bot packet")

@@ -5,6 +5,7 @@ file under data/ was produced by write_golden_file() and must never be
 regenerated casually, since every byte of it is asserted against.
 """
 
+import importlib.util
 from pathlib import Path
 
 from letterseal import crypto_suite as cs
@@ -20,6 +21,16 @@ KAT_FILE = DATA_DIR / "kat_vectors.txt"
 PACKET_FILE = DATA_DIR / "packet_fixtures.txt"
 
 GOLDEN_SEED = 20260815
+
+
+def load_reference():
+    """tools/reference_kat.py: plain-Python primitives and v1 envelopes
+    sharing no code with the package."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "reference_kat.py"
+    spec = importlib.util.spec_from_file_location("reference_kat", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def keypairs(seed: int):

@@ -1,0 +1,70 @@
+"""Every committed BENCH_*.json keeps the shape tools/bench_record.py writes.
+
+A BENCH file holds measurements from one machine, readable only as
+ratios, so this checks keys, units, metric names against BENCHMARK.json
+and the file's own arithmetic, and asserts no timing.
+"""
+
+import json
+import re
+import statistics
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
+END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+UNITS = {m["name"]: m["unit"]
+         for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_a_bench_file_is_committed():
+    assert FILES
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_bench_file_schema(path):
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"schema", "parent", "workloads"}
+    assert doc["schema"] == 1
+    assert re.fullmatch("[0-9a-f]{40}", doc["parent"])
+    assert doc["workloads"] and set(doc["workloads"]) <= WORKLOADS
+    for name, w in doc["workloads"].items():
+        assert set(w) == {"command", "seconds", "fingerprint", "runs",
+                          "medians"}
+        command = BENCHMARK["command"]
+        assert w["command"][:len(command)] == command
+        assert w["command"][len(command):len(command) + 2] == [
+            "--workload", name]
+        assert w["fingerprint"]["workload"] == name
+        runs = w["runs"]
+        assert runs
+        assert len({r["seed"] for r in runs}) == len(runs)
+        # the side that runs first alternates from pair to pair
+        assert [r["first"] for r in runs] == [
+            ("parent", "change")[i % 2] for i in range(len(runs))]
+        for run in runs:
+            assert set(run) == {"seed", "first", "parent", "change"}
+            for side in ("parent", "change"):
+                line = run[side]
+                assert set(line) == {"correct", "attempted", "failed",
+                                     "metrics"}
+                assert line["correct"] is True and line["failed"] == 0
+                assert set(END_TO_END) <= set(line["metrics"])
+                for metric, m in line["metrics"].items():
+                    assert m["unit"] == UNITS[metric], metric
+        assert set(w["medians"]) == set(END_TO_END)
+        for metric, row in w["medians"].items():
+            spec = END_TO_END[metric]
+            assert (row["unit"], row["better"]) == (spec["unit"],
+                                                    spec["better"])
+            assert row["pairs"] == len(runs)
+            assert 0 <= row["change_wins"] <= len(runs)
+            for side in ("parent", "change"):
+                values = [r[side]["metrics"][metric]["value"] for r in runs]
+                assert row[f"{side}_median"] == statistics.median(values)
+                q1, q3 = row[f"{side}_quartiles"]
+                assert min(values) <= q1 <= q3 <= max(values)

@@ -1,29 +1,17 @@
 import hashlib
 import hmac as hmaclib
-import importlib.util
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from letterseal import crypto_suite as cs
 from letterseal.errors import AuthFailure, DhError, PaddingError
 
 KEY = cs.SymmetricKey(bytes(range(32)))
 NONCE = cs.AeadNonce(bytes(12))
-
-
-def _load_reference():
-    # plain-Python primitives sharing no code with the package
-    path = Path(__file__).resolve().parents[1] / "tools" / "reference_kat.py"
-    spec = importlib.util.spec_from_file_location("reference_kat", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-REF = _load_reference()
+REF = helpers.load_reference()
 
 
 # -- fixed-size byte types ---------------------------------------------------

@@ -143,23 +143,56 @@ def test_envelope_vdr_validation(kwargs, msg):
         EnvelopeVDR(**base)
 
 
-def test_decode_envelope_rejects_malformed():
-    raw = helpers.parse_golden_file()["v2-0"]
+# per family: a fixed field and a cut inside it
+FAMILY_SAMPLES = {"v1-0": ("salt", 5), "v2-0": ("salt", 5),
+                  "vdr-0-0": ("eph_pub", 20)}
+
+
+def _ciphertext_length_offset(raw: bytes) -> int:
+    env = decode_envelope(raw)
+    after = len(env.ciphertext) + (16 if isinstance(env, EnvelopeV1) else 0)
+    return len(raw) - after - 4
+
+
+@pytest.mark.parametrize("name", FAMILY_SAMPLES)
+def test_decode_envelope_rejects_malformed(name):
+    raw = helpers.parse_golden_file()[name]
     with pytest.raises(ParseError):
         decode_envelope(raw[:-1])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="trailing"):
         decode_envelope(raw + b"\x00")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="vers"):
         decode_envelope(b"")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unknown version"):
         decode_envelope(b"\x09" + raw[1:])
+    off = _ciphertext_length_offset(raw)
+    for length in (len(raw) - off - 4 + 1, 0xFFFFFFFF):
+        bad = raw[:off] + length.to_bytes(4, "big") + raw[off + 4:]
+        with pytest.raises(ParseError, match="reading ciphertext:"):
+            decode_envelope(bad)
 
 
-def test_decode_envelope_truncation_at_every_point():
+@pytest.mark.parametrize("name", FAMILY_SAMPLES)
+def test_decode_envelope_names_the_truncated_field(name):
+    raw = helpers.parse_golden_file()[name]
+    field, cut = FAMILY_SAMPLES[name]
+    with pytest.raises(ParseError, match=f"reading {field}:"):
+        decode_envelope(raw[:cut])
+    off = _ciphertext_length_offset(raw)
+    for cut in (off, off + 2):
+        with pytest.raises(ParseError, match="reading ciphertext length:"):
+            decode_envelope(raw[:cut])
+    for cut in (off + 4, off + 4 + 5):
+        with pytest.raises(ParseError, match="reading ciphertext:"):
+            decode_envelope(raw[:cut])
+
+
+@pytest.mark.parametrize("name", FAMILY_SAMPLES)
+def test_decode_envelope_truncation_at_every_point(name):
     # any strict prefix must fail loudly, never return a partial envelope
-    raw = helpers.parse_golden_file()["vdr-0-0"]
+    raw = helpers.parse_golden_file()[name]
     for cut in range(len(raw)):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="truncated while reading"):
             decode_envelope(raw[:cut])
 
 

@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Record parent-versus-change benchmark pairs into a BENCH_<n>.json file.
+
+    python tools/bench_record.py --parent ../parent --change . \\
+        --workload stream --seeds 201-210 --seconds 30 --out BENCH_8.json
+
+For each seed, runs the command BENCHMARK.json declares once in each
+checkout (trace off), alternating which side goes first, and keeps the
+JSON result line each run prints. Per end-to-end metric it then writes
+both sides' medians and quartiles, change/parent as a ratio of medians,
+and how many pairs the change won. A workload recorded again replaces
+its old entry; the others stay, so a file is filled one workload at a
+time. Numbers from one machine are only comparable as ratios, so each
+workload also keeps the environment fingerprint of its first run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = 1
+
+
+def seed_range(text: str) -> list[int]:
+    """'201-205' -> [201, ..., 205]."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> tuple[dict, dict]:
+    """The result line of one untraced run, and its fingerprint."""
+    args = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(args)} exited "
+                           f"{proc.returncode}\n{proc.stderr[-2000:]}")
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    full = checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
+    fingerprint = json.loads(full.read_text())["fingerprint"]
+    fingerprint.pop("seed", None)
+    return line, fingerprint
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric: medians, quartiles, ratio and wins over the pairs."""
+    out = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        old = [r["parent"]["metrics"][name]["value"] for r in runs]
+        new = [r["change"]["metrics"][name]["value"] for r in runs]
+        higher = spec["better"] == "higher"
+        wins = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
+        med_old, med_new = statistics.median(old), statistics.median(new)
+        out[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "parent_median": med_old,
+            "change_median": med_new,
+            "parent_quartiles": _quartiles(old),
+            "change_quartiles": _quartiles(new),
+            "ratio": med_new / med_old if med_old else None,
+            "change_wins": wins,
+            "pairs": len(runs),
+        }
+    return out
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=seed_range, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent_id = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=args.parent, capture_output=True,
+        text=True, check=True).stdout.strip()
+    runs, fingerprint = [], None
+    for i, seed in enumerate(args.seeds):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": sides[0]}
+        for side in sides:
+            checkout = args.parent if side == "parent" else args.change
+            pair[side], fp = run_once(checkout, bench["command"],
+                                      args.workload, seed, args.seconds)
+            fingerprint = fingerprint or fp
+        runs.append(pair)
+        m = bench["end_to_end"][0]["name"]
+        print(f"{args.workload} seed {seed}: {m} "
+              f"{pair['parent']['metrics'][m]['value']:.1f} -> "
+              f"{pair['change']['metrics'][m]['value']:.1f}", flush=True)
+
+    doc = (json.loads(args.out.read_text()) if args.out.exists()
+           else {"schema": SCHEMA, "parent": parent_id, "workloads": {}})
+    if doc["parent"] != parent_id:
+        raise SystemExit(f"{args.out} was recorded against {doc['parent']}")
+    doc["workloads"][args.workload] = {
+        "command": [*bench["command"], "--workload", args.workload,
+                    "--seed", "<seed>", "--seconds", str(args.seconds),
+                    "--trace", "0"],
+        "seconds": args.seconds,
+        "fingerprint": fingerprint,
+        "runs": runs,
+        "medians": summarize(runs, bench["end_to_end"]),
+    }
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

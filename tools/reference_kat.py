@@ -5,9 +5,12 @@ Every primitive here is implemented from the standard documents in plain
 Python (SHA-256 per FIPS 180-4, HMAC per RFC 2104, HKDF per RFC 5869,
 AES-256 per FIPS-197, GCM per SP 800-38D, CBC per SP 800-38A, X25519 per
 RFC 7748), deliberately sharing no code with the package, which uses an
-OpenSSL-backed library. The script first proves these implementations
-against published standard vectors, then derives the protocol vectors and
-writes them to tests/data/kat_vectors.txt in the line format
+OpenSSL-backed library. On top of them sit whole v1 envelopes (v1_seal)
+and the package's seeded byte source (SeededStream), so the tests can
+rebuild the v1 golden envelopes byte for byte. The script first proves
+the primitives against published standard vectors, then derives the
+protocol vectors and writes them to tests/data/kat_vectors.txt in the
+line format
 
     name hex(input) [hex(input) ...] hex(output)
 
@@ -205,7 +208,12 @@ def pkcs7_pad(data: bytes) -> bytes:
 
 
 def aes256_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    data = pkcs7_pad(plaintext)
+    return aes256_cbc_encrypt_blocks(key, iv, pkcs7_pad(plaintext))
+
+
+def aes256_cbc_encrypt_blocks(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """CBC over block-aligned data, no padding added."""
+    assert len(data) % 16 == 0
     out = b""
     prev = iv
     for off in range(0, len(data), 16):
@@ -444,11 +452,60 @@ def kdf_chain(ck: bytes):
     return hmac_sha256(ck, b"\x01"), hmac_sha256(ck, b"\x02")
 
 
+def fold(digest: bytes) -> bytes:
+    """The two 16-byte halves of a digest, XORed into one block."""
+    return bytes(a ^ b for a, b in zip(digest[:16], digest[16:]))
+
+
 def v1_derive(pms: bytes, salt: bytes):
     k_e = sha256(pms + salt + b"Key")
-    iv_full = sha256(pms + salt + b"IV")
-    iv = bytes(a ^ b for a, b in zip(iv_full[:16], iv_full[16:]))
-    return k_e, iv
+    return k_e, fold(sha256(pms + salt + b"IV"))
+
+
+def v1_tag(k_e: bytes, ciphertext: bytes) -> bytes:
+    """AES-256 of the folded SHA-256 digest of the ciphertext."""
+    return aes256_encrypt_block(k_e, fold(sha256(ciphertext)))
+
+
+def v1_seal_blocks(pms: bytes, salt: bytes, ctype: int, data: bytes,
+                   kid_s: int, kid_r: int) -> bytes:
+    """Encoded v1 envelope whose CBC input is ``data`` exactly, padding
+    included; a test can so seal a malformed padding under a valid tag.
+
+    Layout: vers, ctype, salt, kid_s, kid_r, u32 length, C, tag."""
+    k_e, iv = v1_derive(pms, salt)
+    ct = aes256_cbc_encrypt_blocks(k_e, iv, data)
+    return (bytes([1, ctype]) + salt + struct.pack(">III", kid_s, kid_r, len(ct))
+            + ct + v1_tag(k_e, ct))
+
+
+def v1_seal(pms: bytes, salt: bytes, ctype: int, m: bytes,
+            kid_s: int, kid_r: int) -> bytes:
+    """Encoded v1 envelope of plaintext ``m``, PKCS#7-padded."""
+    return v1_seal_blocks(pms, salt, ctype, pkcs7_pad(m), kid_s, kid_r)
+
+
+class SeededStream:
+    """The package's seeded byte source, rebuilt from its definition:
+    SHA-256 in counter mode over SHA-256("letterseal-rng" || seed). A draw
+    takes whole 32-byte blocks, at least one, and keeps the first n bytes.
+    """
+
+    def __init__(self, seed):
+        if isinstance(seed, int):
+            seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
+        self.state = sha256(b"letterseal-rng" + seed)
+        self.counter = 0
+
+    def token(self, n: int) -> bytes:
+        out = b""
+        while not out or len(out) < n:
+            out += sha256(self.state + struct.pack(">Q", self.counter))
+            self.counter += 1
+        return out[:n]
+
+    def fork(self, label: bytes) -> "SeededStream":
+        return SeededStream(sha256(self.state + b"fork" + label))
 
 
 def v2_derive(pms: bytes, salt: bytes):
