@@ -124,6 +124,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
     expected = EXPECTED[name]
     got = (report.succeeded, report.violated_freshness)
     as_expected = got == expected
+    queries = len(report.trace.splitlines())  # one trace line per query
 
     def yn(flag: bool) -> str:
         return "yes" if flag else "no"
@@ -137,7 +138,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
         "expected_succeeded": expected[0],
         "expected_violated": expected[1],
         "as_expected": as_expected,
-        "queries": len(report.trace),
+        "queries": queries,
         "details": report.details,
     }
     if fmt == "json-lines":
@@ -148,7 +149,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
               f"  (expected {yn(expected[0])})")
         print(f"  freshness violated: {yn(report.violated_freshness)}"
               f"  (expected {yn(expected[1])})")
-        print(f"  oracle queries:     {len(report.trace)}")
+        print(f"  oracle queries:     {queries}")
         for key in sorted(report.details):
             print(f"  {key}: {_jsonable(report.details[key])}")
         print(f"  verdict: {'as expected' if as_expected else 'UNEXPECTED'}")

@@ -16,9 +16,8 @@ that exchanges with one secret more than once holds the object; nothing in
 this module caches one.
 
 Every HMAC is the one-shot ``hmac.digest(key, msg, "sha256")``, which
-builds no HMAC object. :func:`cbc_encrypt`, :func:`cbc_decrypt` and
-:func:`ecb_encrypt_block` are single-call forms for the known-answer
-vectors; v1 sealing drives one AES key object per message itself (see
+builds no HMAC object. :func:`cbc_encrypt` and :func:`ecb_encrypt_block`
+are single-call forms for the known-answer vectors; v1 sealing drives one AES key object per message itself (see
 :mod:`letterseal.linev1`).
 """
 
@@ -39,7 +38,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import AuthFailure, DhError, PaddingError
+from .errors import AuthFailure, DhError
 
 ROOT_KDF_INFO = b"LINEvDR-root"
 ZERO_SALT = b"\x00" * 32
@@ -149,12 +148,6 @@ class SeededRng:
         self._state = hashlib.sha256(b"letterseal-rng" + seed).digest()
         self._counter = 0
         self.log: list[bytes] = []
-
-    @classmethod
-    def from_entropy(cls) -> "SeededRng":
-        import secrets
-
-        return cls(secrets.token_bytes(32))
 
     def token(self, n: int) -> bytes:
         if n <= 32:
@@ -306,20 +299,6 @@ def cbc_encrypt(key: SymmetricKey, iv16: bytes, plaintext: bytes) -> bytes:
     data = padder.update(plaintext) + padder.finalize()
     enc = Cipher(algorithms.AES(key), modes.CBC(iv16)).encryptor()
     return enc.update(data) + enc.finalize()
-
-
-def cbc_decrypt(key: SymmetricKey, iv16: bytes, ciphertext: bytes) -> bytes:
-    if len(iv16) != 16:
-        raise ValueError("CBC IV must be 16 bytes")
-    if not ciphertext or len(ciphertext) % 16:
-        raise PaddingError("CBC ciphertext must be a positive block multiple")
-    dec = Cipher(algorithms.AES(key), modes.CBC(iv16)).decryptor()
-    data = dec.update(ciphertext) + dec.finalize()
-    unpadder = _padding.PKCS7(128).unpadder()
-    try:
-        return unpadder.update(data) + unpadder.finalize()
-    except ValueError as exc:
-        raise PaddingError("malformed PKCS#7 padding") from exc
 
 
 def ecb_encrypt_block(key: SymmetricKey, block16: bytes) -> bytes:

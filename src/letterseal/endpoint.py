@@ -3,7 +3,8 @@
 An Endpoint hides which set-up call each protocol needs and when. v1 and
 v2 establish on first use, as does the ratchet initiator. The ratchet
 responder sets up from the first envelope it opens, and keeps that state
-only once vdr_decrypt accepts the envelope; until then it cannot send.
+only once vdr_decrypt accepts the envelope; until then it cannot send. An
+envelope of another protocol's family raises ParseError before any set-up.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
@@ -16,7 +17,7 @@ stage keys; conversations that must never expose keys leave it None.
 from __future__ import annotations
 
 from . import crypto_suite as cs
-from .errors import NotInitialized
+from .errors import NotInitialized, ParseError
 from .linev1 import v1_decrypt, v1_encrypt, v1_establish
 from .linev2 import v2_decrypt, v2_encrypt, v2_establish
 from .linevdr import (
@@ -25,12 +26,13 @@ from .linevdr import (
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
+from .wire import EnvelopeV1, EnvelopeV2, EnvelopeVDR
 
-# protocol -> (static establish, encrypt, decrypt)
+# protocol -> (envelope family, static establish, encrypt, decrypt)
 _PROTOCOLS = {
-    "v1": (v1_establish, v1_encrypt, v1_decrypt),
-    "v2": (v2_establish, v2_encrypt, v2_decrypt),
-    "vdr": (None, vdr_encrypt, vdr_decrypt),
+    "v1": (EnvelopeV1, v1_establish, v1_encrypt, v1_decrypt),
+    "v2": (EnvelopeV2, v2_establish, v2_encrypt, v2_decrypt),
+    "vdr": (EnvelopeVDR, None, vdr_encrypt, vdr_decrypt),
 }
 
 
@@ -43,7 +45,8 @@ class Endpoint:
                  initiator: bool, observer=None):
         if protocol not in _PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
-        self._establish, self._encrypt, self._decrypt = _PROTOCOLS[protocol]
+        (self._envelope, self._establish, self._encrypt,
+         self._decrypt) = _PROTOCOLS[protocol]
         self.secret, self.peer_pub, self.rng = secret, peer_pub, rng
         self.kid, self.peer_kid = kid, peer_kid
         self.name, self.peer_name = name, peer_name
@@ -72,6 +75,9 @@ class Endpoint:
         return self._encrypt(st, ctype, m, self.rng)
 
     def open(self, env) -> bytes:
+        if not isinstance(env, self._envelope):
+            raise ParseError(f"expected {self._envelope.__name__}, "
+                             f"got {type(env).__name__}")
         st = self.session
         if st is None:
             if self._establish is not None:

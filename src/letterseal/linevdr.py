@@ -46,15 +46,12 @@ from .errors import (
     SkipLimit,
     StaleEpoch,
 )
-from .wire import VERS_VDR, EnvelopeVDR
+from .wire import VERS_VDR, EnvelopeVDR, _Reader, _Run
 
 MAX_SKIP = 256
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
-
-_SNAPSHOT_MAGIC = b"VDR3"
-_SNAPSHOT_FLAGS = 0x1F  # one bit per optional field, see vdr_export_state
 
 
 @dataclass
@@ -236,14 +233,32 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 
 # ---------------------------------------------------------------------------
 # Snapshot codec (the RevState compromise surface)
+#
+# A snapshot is the head run, then each optional field its flag bit marks,
+# then the tail run and one skipped run per cached key. Export and import
+# both follow these declarations, so they cannot disagree on the order;
+# tests/data/golden_snapshots.txt pins the bytes themselves.
 # ---------------------------------------------------------------------------
 
-def _opt(flag_bit: int, value: bytes | None, flags: int,
-         parts: list[bytes]) -> int:
-    if value is not None:
-        flags |= flag_bit
-        parts.append(bytes(value))
-    return flags
+_SNAPSHOT_MAGIC = b"VDR3"
+_ROLES = (ROLE_INITIATOR, ROLE_RESPONDER)  # the role byte indexes this
+_SNAPSHOT_HEAD = _Run(("magic", "4s"), ("role", "B"), ("flags", "B"),
+                      ("rk", "32s"))
+# flag bit k marks _SNAPSHOT_OPTIONAL[k]; each field is 32 bytes when set
+_SNAPSHOT_OPTIONAL = (
+    ("ck_send", cs.SymmetricKey),
+    ("ck_recv", cs.SymmetricKey),
+    ("self_eph_secret", cs.GroupScalar),
+    ("self_eph_pub", cs.GroupElement),
+    ("peer_eph_pub", cs.GroupElement),
+)
+_SNAPSHOT_FLAGS = (1 << len(_SNAPSHOT_OPTIONAL)) - 1
+_SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
+                      ("self_ltk", "32s"), ("peer_ltk_pub", "32s"),
+                      ("kid_self", "I"), ("kid_peer", "I"),
+                      ("skipped count", "H"))
+_SNAPSHOT_SKIPPED = _Run(("skipped i", "I"), ("skipped j", "I"),
+                         ("skipped key", "32s"))
 
 
 def vdr_export_state(st: RatchetState) -> bytes:
@@ -253,69 +268,47 @@ def vdr_export_state(st: RatchetState) -> bytes:
     docstring), so the size depends on the skipped-key cache alone: 288
     bytes with every optional field set, plus 40 per cached key, at most
     MAX_SKIP of them."""
-    opt_parts: list[bytes] = []
-    flags = 0
-    flags = _opt(0x01, st.ck_send, flags, opt_parts)
-    flags = _opt(0x02, st.ck_recv, flags, opt_parts)
-    flags = _opt(0x04, st.self_eph_secret, flags, opt_parts)
-    flags = _opt(0x08, st.self_eph_pub, flags, opt_parts)
-    flags = _opt(0x10, st.peer_eph_pub, flags, opt_parts)
-    parts = [
-        _SNAPSHOT_MAGIC,
-        bytes([0 if st.role == ROLE_INITIATOR else 1, flags]),
-        st.rk,
-        *opt_parts,
-        struct.pack(">IIII", st.i_s, st.j_s, st.i_r, st.j_r),
-        st.self_ltk,
-        st.peer_ltk_pub,
-        struct.pack(">II", st.kid_self, st.kid_peer),
-        struct.pack(">H", len(st.skipped)),
-    ]
-    for (i, j), key in st.skipped.items():
-        parts.append(struct.pack(">II", i, j) + key)
-    return b"".join(parts)
+    flags, optional = 0, []
+    for k, (name, _) in enumerate(_SNAPSHOT_OPTIONAL):
+        value = getattr(st, name)
+        if value is not None:
+            flags |= 1 << k
+            optional.append(value)
+    return b"".join((
+        _SNAPSHOT_HEAD.pack(_SNAPSHOT_MAGIC, _ROLES.index(st.role), flags,
+                            st.rk),
+        *optional,
+        _SNAPSHOT_TAIL.pack(st.i_s, st.j_s, st.i_r, st.j_r, st.self_ltk,
+                            st.peer_ltk_pub, st.kid_self, st.kid_peer,
+                            len(st.skipped)),
+        *[_SNAPSHOT_SKIPPED.pack(i, j, key)
+          for (i, j), key in st.skipped.items()]))
 
 
 def vdr_import_state(snapshot: bytes) -> RatchetState:
-    from .wire import _Reader
-
     r = _Reader(snapshot)
-    if r.take(4, "snapshot magic") != _SNAPSHOT_MAGIC:
+    magic, role, flags, rk = r.run(_SNAPSHOT_HEAD)
+    if magic != _SNAPSHOT_MAGIC:
         raise ParseError("not a ratchet snapshot (bad magic)")
-    role_byte = r.u8("role")
-    if role_byte > 1:
-        raise ParseError(f"snapshot role byte {role_byte} is neither 0 nor 1")
-    role = ROLE_INITIATOR if role_byte == 0 else ROLE_RESPONDER
-    flags = r.u8("flags")
+    if role > 1:
+        raise ParseError(f"snapshot role byte {role} is neither 0 nor 1")
     if flags & ~_SNAPSHOT_FLAGS:
         raise ParseError(f"snapshot flags 0x{flags:02x} set an unknown bit")
-    rk = cs.SymmetricKey(r.take(32, "rk"))
-
-    def opt(bit: int, name: str, ctor):
-        return ctor(r.take(32, name)) if flags & bit else None
-
-    ck_send = opt(0x01, "ck_send", cs.SymmetricKey)
-    ck_recv = opt(0x02, "ck_recv", cs.SymmetricKey)
-    self_eph_secret = opt(0x04, "self_eph_secret", cs.GroupScalar)
-    self_eph_pub = opt(0x08, "self_eph_pub", cs.GroupElement)
-    peer_eph_pub = opt(0x10, "peer_eph_pub", cs.GroupElement)
-    i_s, j_s, i_r, j_r = struct.unpack(">IIII", r.take(16, "indices"))
-    self_ltk = cs.GroupScalar(r.take(32, "self_ltk"))
-    peer_ltk_pub = cs.GroupElement(r.take(32, "peer_ltk_pub"))
-    kid_self, kid_peer = struct.unpack(">II", r.take(8, "kids"))
-    skipped: dict[tuple[int, int], cs.SymmetricKey] = {}
-    n_skipped = r.u16("skipped count")
+    optional = {name: ctor(r.take(32, name)) if flags >> k & 1 else None
+                for k, (name, ctor) in enumerate(_SNAPSHOT_OPTIONAL)}
+    (i_s, j_s, i_r, j_r, self_ltk, peer_ltk_pub, kid_self, kid_peer,
+     n_skipped) = r.run(_SNAPSHOT_TAIL)
     if n_skipped > MAX_SKIP:
         raise ParseError(f"{n_skipped} skipped keys exceed MAX_SKIP={MAX_SKIP}")
+    skipped: dict[tuple[int, int], cs.SymmetricKey] = {}
     for _ in range(n_skipped):
-        i, j = struct.unpack(">II", r.take(8, "skipped index"))
-        skipped[(i, j)] = cs.SymmetricKey(r.take(32, "skipped key"))
+        i, j, key = r.run(_SNAPSHOT_SKIPPED)
+        skipped[(i, j)] = cs.SymmetricKey(key)
     r.expect_end("snapshot")
     return RatchetState(
-        role=role, rk=rk, ck_send=ck_send, ck_recv=ck_recv,
+        role=_ROLES[role], rk=cs.SymmetricKey(rk),
         i_s=i_s, j_s=j_s, i_r=i_r, j_r=j_r,
-        self_eph_secret=self_eph_secret, self_eph_pub=self_eph_pub,
-        peer_eph_pub=peer_eph_pub, self_ltk=self_ltk,
-        peer_ltk_pub=peer_ltk_pub, kid_self=kid_self, kid_peer=kid_peer,
-        skipped=skipped,
+        self_ltk=cs.GroupScalar(self_ltk),
+        peer_ltk_pub=cs.GroupElement(peer_ltk_pub),
+        kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **optional,
     )

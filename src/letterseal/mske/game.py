@@ -10,9 +10,10 @@ Sessions. Each session is an Endpoint, the same party object the demo,
 the bench and the golden fixtures use, so the game sets up, seals and opens
 exactly as they do: a ratchet initiator draws its epoch-0 ephemeral at its
 first send, not at activation, and a ratchet responder sets up from the
-first envelope it opens. What the game adds per protocol is one row of
-_PROTOCOLS: the envelope family it opens, the stage of an envelope, the
-stage key and the state snapshot.
+first envelope it opens, and an envelope of another protocol's family is
+refused with ParseError like any malformed delivery. What the game adds per
+protocol is one row of _PROTOCOLS: the stage of an envelope, the stage key
+and the state snapshot.
 
 Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
@@ -44,7 +45,7 @@ from ..errors import (
 )
 from ..linev2 import SessionV2, v2_derive_key
 from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_export_state
-from ..wire import EnvelopeV2, EnvelopeVDR, decode_envelope, encode_envelope
+from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 
 PROTO_V2 = "v2"
 PROTO_VDR = "vdr"
@@ -102,7 +103,6 @@ def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
 
 
 class _Protocol(NamedTuple):
-    envelope: type                      # the envelope family a session opens
     stage: Callable                     # (record, envelope or None) -> stage
     key: Callable                       # (record, envelope) -> stage key
     snapshot: Callable                  # session state -> RevState bytes
@@ -110,12 +110,10 @@ class _Protocol(NamedTuple):
 
 _PROTOCOLS = {
     PROTO_V2: _Protocol(
-        EnvelopeV2,
         lambda rec, env: rec.next_stage_v2(),
         lambda rec, env: v2_derive_key(rec.ep.session.pms, env.salt),
         _v2_snapshot),
     PROTO_VDR: _Protocol(
-        EnvelopeVDR,
         _vdr_stage,
         lambda rec, env: cs.SymmetricKey(rec.ep.observer.mk),
         vdr_export_state),
@@ -227,9 +225,6 @@ class Game:
             return self._reject(rec, self._proto.stage(rec, None), raw,
                                 f"parse: {exc}")
         stage = self._proto.stage(rec, env)
-        # checked first: v2_decrypt given a ratchet envelope raises AttributeError
-        if not isinstance(env, self._proto.envelope):
-            return self._reject(rec, stage, raw, "wrong envelope family")
         rng = self.party_rng[rec.owner]
         mark = rng.mark()
         try:

@@ -6,13 +6,27 @@ variable fields length-prefixed (u16 for short identity strings, u32 for
 ciphertexts), fixed fields raw. Envelope version bytes are 1, 2 and 3;
 packets start with a distinct magic byte (0xA0 user, 0xA1 bot) so the two
 families cannot be confused.
+
+Each layout is declared once. A ``_Run`` names a run of fixed-width fields
+and packs or reads it with one precompiled struct; a format is its runs,
+split at its variable-length fields, and its encoder and decoder use the
+same runs. That holds for all three byte formats: envelopes, packets and
+the ratchet snapshot (``linevdr``). ``_Run.read`` is the only place that
+unpacks bytes, and ``_take`` the only place that slices a variable field,
+so every truncation is reported the same way, by the field it cuts.
+
+Packets and snapshots read through ``_Reader``, a cursor over those two.
+``decode_envelope`` does not: it runs once per message, so it keeps
+explicit positions and calls ``_Run.read`` and ``_take`` directly. A cursor
+object there measured about 20% slower per ratchet envelope decode (2.75
+against 3.29 us median, interleaved micro-timing on 2 shared vCPUs).
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import Ambiguous, ChunkCountError, ParseError
 
@@ -22,10 +36,6 @@ VERS_VDR = 3
 
 MAGIC_USER_PACKET = 0xA0
 MAGIC_BOT_PACKET = 0xA1
-
-# from, to, to_type, id, created_time, delivered_time, has_content,
-# content_type, e2ee_version, seq, session_id
-_PACKET_HEADER = struct.Struct(">qqBqqqBBBqq")
 
 
 class PacketClass(enum.Enum):
@@ -149,7 +159,7 @@ def _check_u32(value: int, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Envelope codec
+# Layouts: fixed-width runs and the checked slice for variable fields
 # ---------------------------------------------------------------------------
 
 class _Run:
@@ -161,6 +171,7 @@ class _Run:
         self.struct = struct.Struct(">" + "".join(code for _, code in fields))
         self.size = self.struct.size
         self.pack = self.struct.pack
+        self.names = tuple(name for name, _ in fields)
         self.fields = tuple((name, struct.calcsize(">" + code))
                             for name, code in fields)
 
@@ -194,6 +205,39 @@ def _utf8(raw: bytes, fieldname: str) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{fieldname} is not valid UTF-8") from exc
 
+
+class _Reader:
+    """Cursor over a byte buffer for the formats with variable-length
+    fields; every failure names the field being read."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int, fieldname: str) -> bytes:
+        chunk = _take(self.data, self.pos, n, fieldname)
+        self.pos += n
+        return chunk
+
+    def run(self, layout: _Run) -> tuple:
+        values = layout.read(self.data, self.pos)
+        self.pos += layout.size
+        return values
+
+    def prefixed(self, length: _Run, fieldname: str) -> bytes:
+        """A variable field behind its one-field length run."""
+        (n,) = self.run(length)
+        return self.take(n, fieldname)
+
+    def expect_end(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise ParseError(
+                f"{len(self.data) - self.pos} trailing bytes after {what}")
+
+
+# ---------------------------------------------------------------------------
+# Envelope codec
+# ---------------------------------------------------------------------------
 
 # each family's layout, split at its variable-length fields
 _V1_HEAD = _Run(("vers", "B"), ("ctype", "B"), ("salt", "8s"),
@@ -284,12 +328,12 @@ def decode_envelope(data: bytes) -> Envelope:
 
 
 # ---------------------------------------------------------------------------
-# Packet types (observed transport shapes)
+# Packet types (observed transport shapes) and codec
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
-class PacketMeta:
-    """User-conversation packet: metadata header plus opaque chunk list."""
+class _PacketHeader:
+    """The metadata header every packet carries, fields in wire order."""
 
     from_: int
     to: int
@@ -302,143 +346,96 @@ class PacketMeta:
     e2ee_version: int
     seq: int
     session_id: int
-    chunks: tuple[bytes, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if len(self.chunks) > 0xFF:
-            raise ValueError("chunk count exceeds u8")
         _check_u8(self.to_type, "to_type")
         _check_u8(self.content_type, "content_type")
         _check_u8(self.e2ee_version, "e2ee_version")
 
 
 @dataclass(slots=True)
-class BotPacket:
+class PacketMeta(_PacketHeader):
+    """User-conversation packet: metadata header plus opaque chunk list."""
+
+    chunks: tuple[bytes, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if len(self.chunks) > 0xFF:
+            raise ValueError("chunk count exceeds u8")
+        _PacketHeader.__post_init__(self)
+
+
+@dataclass(slots=True)
+class BotPacket(_PacketHeader):
     """Bot-conversation packet: same header, plaintext body, no chunks."""
 
-    from_: int
-    to: int
-    to_type: int
-    id: int
-    created_time: int
-    delivered_time: int
-    has_content: bool
-    content_type: int
-    e2ee_version: int
-    seq: int
-    session_id: int
     bot_tag2: bytes = b""
     bot_origin: str = ""
     bot_check: bool = False
     bot_track: str = ""
     text: str = ""
 
-    def __post_init__(self):
-        _check_u8(self.to_type, "to_type")
-        _check_u8(self.content_type, "content_type")
-        _check_u8(self.e2ee_version, "e2ee_version")
-
 
 Packet = PacketMeta | BotPacket
 
-_HEADER_FIELDS = ("from_", "to", "to_type", "id", "created_time",
-                  "delivered_time", "has_content", "content_type",
-                  "e2ee_version", "seq", "session_id")
 
-
-class _Reader:
-    """Cursor over a byte buffer; every failure names the field being read."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, fieldname: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise _cut(self.data, self.pos, ((fieldname, n),))
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, fieldname: str) -> int:
-        return self.take(1, fieldname)[0]
-
-    def u16(self, fieldname: str) -> int:
-        return struct.unpack(">H", self.take(2, fieldname))[0]
-
-    def u32(self, fieldname: str) -> int:
-        return struct.unpack(">I", self.take(4, fieldname))[0]
-
-    def lp16(self, fieldname: str) -> bytes:
-        return self.take(self.u16(fieldname + " length"), fieldname)
-
-    def lp32(self, fieldname: str) -> bytes:
-        return self.take(self.u32(fieldname + " length"), fieldname)
-
-    def expect_end(self, what: str) -> None:
-        if self.pos != len(self.data):
-            raise ParseError(
-                f"{len(self.data) - self.pos} trailing bytes after {what}")
-
-
-def _pack_header(p: Packet) -> bytes:
-    vals = [getattr(p, f) for f in _HEADER_FIELDS]
-    vals[6] = 1 if vals[6] else 0  # has_content as u8
-    return _PACKET_HEADER.pack(*vals)
-
-
-def _unpack_header(r: _Reader) -> dict:
-    raw = r.take(_PACKET_HEADER.size, "packet header")
-    vals = list(_PACKET_HEADER.unpack(raw))
-    vals[6] = bool(vals[6])
-    return dict(zip(_HEADER_FIELDS, vals))
+# each packet's layout, split at its variable-length fields; the header
+# run is named by the _PacketHeader fields, in order
+_MAGIC = _Run(("packet magic", "B"))
+_HEADER = _Run(*zip((f.name for f in fields(_PacketHeader)), "qqBqqq?BBqq"))
+_CHUNK_COUNT = _Run(("chunk count", "B"))
+_CHUNK = _Run(("chunk length", "I"))
+_BOT_TAG2 = _Run(("bot_tag2 length", "H"))
+_BOT_ORIGIN = _Run(("bot_origin length", "H"))
+_BOT_CHECK = _Run(("bot_check", "?"))
+_BOT_TRACK = _Run(("bot_track length", "H"))
+_BOT_TEXT = _Run(("text length", "I"))
 
 
 def encode_packet(p: Packet) -> bytes:
     if isinstance(p, PacketMeta):
-        parts = [bytes([MAGIC_USER_PACKET]), _pack_header(p),
-                 bytes([len(p.chunks)])]
+        magic = MAGIC_USER_PACKET
+        body = [_CHUNK_COUNT.pack(len(p.chunks))]
         for chunk in p.chunks:
-            parts.append(struct.pack(">I", len(chunk)))
-            parts.append(chunk)
-        return b"".join(parts)
-    if isinstance(p, BotPacket):
+            body += (_CHUNK.pack(len(chunk)), chunk)
+    elif isinstance(p, BotPacket):
+        magic = MAGIC_BOT_PACKET
         origin = p.bot_origin.encode()
         track = p.bot_track.encode()
         text = p.text.encode()
-        return b"".join([
-            bytes([MAGIC_BOT_PACKET]), _pack_header(p),
-            struct.pack(">H", len(p.bot_tag2)), p.bot_tag2,
-            struct.pack(">H", len(origin)), origin,
-            bytes([1 if p.bot_check else 0]),
-            struct.pack(">H", len(track)), track,
-            struct.pack(">I", len(text)), text,
-        ])
-    raise TypeError(f"not a packet: {type(p).__name__}")
+        body = [_BOT_TAG2.pack(len(p.bot_tag2)), p.bot_tag2,
+                _BOT_ORIGIN.pack(len(origin)), origin,
+                _BOT_CHECK.pack(p.bot_check),
+                _BOT_TRACK.pack(len(track)), track,
+                _BOT_TEXT.pack(len(text)), text]
+    else:
+        raise TypeError(f"not a packet: {type(p).__name__}")
+    header = _HEADER.pack(*[getattr(p, name) for name in _HEADER.names])
+    return b"".join((_MAGIC.pack(magic), header, *body))
 
 
 def decode_packet(data: bytes) -> Packet:
     r = _Reader(data)
-    magic = r.u8("packet magic")
+    (magic,) = r.run(_MAGIC)
+    if magic not in (MAGIC_USER_PACKET, MAGIC_BOT_PACKET):
+        raise ParseError(f"unknown packet magic byte 0x{magic:02X}")
+    header = dict(zip(_HEADER.names, r.run(_HEADER)))
     if magic == MAGIC_USER_PACKET:
-        header = _unpack_header(r)
-        count = r.u8("chunk count")
-        chunks = tuple(r.lp32(f"chunk[{i}]") for i in range(count))
+        (count,) = r.run(_CHUNK_COUNT)
+        p = PacketMeta(chunks=tuple(r.prefixed(_CHUNK, f"chunk[{i}]")
+                                    for i in range(count)), **header)
         r.expect_end("user packet")
-        return PacketMeta(chunks=chunks, **header)
-    if magic == MAGIC_BOT_PACKET:
-        header = _unpack_header(r)
-        p = BotPacket(
-            bot_tag2=r.lp16("bot_tag2"),
-            bot_origin=_utf8(r.lp16("bot_origin"), "bot_origin"),
-            bot_check=bool(r.u8("bot_check")),
-            bot_track=_utf8(r.lp16("bot_track"), "bot_track"),
-            text=_utf8(r.lp32("text"), "text"),
-            **header,
-        )
-        r.expect_end("bot packet")
         return p
-    raise ParseError(f"unknown packet magic byte 0x{magic:02X}")
+    p = BotPacket(
+        bot_tag2=r.prefixed(_BOT_TAG2, "bot_tag2"),
+        bot_origin=_utf8(r.prefixed(_BOT_ORIGIN, "bot_origin"), "bot_origin"),
+        bot_check=r.run(_BOT_CHECK)[0],
+        bot_track=_utf8(r.prefixed(_BOT_TRACK, "bot_track"), "bot_track"),
+        text=_utf8(r.prefixed(_BOT_TEXT, "text"), "text"),
+        **header,
+    )
+    r.expect_end("bot packet")
+    return p
 
 
 def parse_chunks(chunks) -> tuple[bytes, bytes, bytes, int, int]:
@@ -461,12 +458,8 @@ def parse_chunks(chunks) -> tuple[bytes, bytes, bytes, int, int]:
 
 def classify_packet(p: Packet) -> PacketClass:
     """Partition a decoded packet by content: chunked vs plaintext bot body."""
-    has_chunks = bool(getattr(p, "chunks", ()))
-    has_bot_text = hasattr(p, "bot_check") and bool(getattr(p, "text", ""))
-    if has_chunks and has_bot_text:
-        raise Ambiguous("packet carries both chunks and a bot text body")
-    if has_chunks:
+    if isinstance(p, PacketMeta) and p.chunks:
         return PacketClass.UserE2EE
-    if has_bot_text:
+    if isinstance(p, BotPacket) and p.text:
         return PacketClass.BotPlaintext
     raise Ambiguous("packet carries neither chunks nor a bot text body")

@@ -12,13 +12,18 @@ from letterseal import crypto_suite as cs
 from letterseal.endpoint import endpoint_pair
 from letterseal.linev1 import v1_establish
 from letterseal.linev2 import v2_establish
-from letterseal.linevdr import vdr_init_sender, vdr_lazy_init_receiver
+from letterseal.linevdr import (
+    vdr_export_state,
+    vdr_init_sender,
+    vdr_lazy_init_receiver,
+)
 from letterseal.wire import encode_envelope
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_FILE = DATA_DIR / "golden_envelopes.txt"
 KAT_FILE = DATA_DIR / "kat_vectors.txt"
 PACKET_FILE = DATA_DIR / "packet_fixtures.txt"
+SNAPSHOT_FILE = DATA_DIR / "golden_snapshots.txt"
 
 GOLDEN_SEED = 20260815
 
@@ -110,9 +115,34 @@ def golden_text() -> str:
     return header + "\n".join(golden_envelope_lines()) + "\n"
 
 
-def parse_golden_file() -> dict[str, bytes]:
+def golden_snapshot_lines() -> list[str]:
+    """Three seeded ratchet snapshots: an initiator before its first
+    receive (ck_recv and peer_eph_pub unset), a responder holding two
+    cached skipped keys, and the initiator after two receive epoch turns."""
+    a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = keypairs(GOLDEN_SEED)
+    a, b = endpoint_pair("vdr", (a_sk, a_pk), (b_sk, b_pk), a_rng, b_rng,
+                         kids=(11, 12), names=("alice", "bob"))
+    envs = [a.seal(b"golden snapshot %d" % j) for j in range(3)]
+    lines = [f"initiator-unanswered {vdr_export_state(a.session).hex()}"]
+    b.open(envs[2])  # caches the keys of stages (0,0) and (0,1)
+    lines.append(f"responder-skipped {vdr_export_state(b.session).hex()}")
+    a.open(b.seal(b"epoch 1"))
+    b.open(a.seal(b"epoch 2"))
+    a.open(b.seal(b"epoch 3"))
+    lines.append(f"initiator-two-turns {vdr_export_state(a.session).hex()}")
+    return lines
+
+
+def golden_snapshot_text() -> str:
+    header = ("# seeded ratchet snapshot bytes; regenerate only on a "
+              "snapshot format change\n")
+    return header + "\n".join(golden_snapshot_lines()) + "\n"
+
+
+def parse_golden_file(path: Path = GOLDEN_FILE) -> dict[str, bytes]:
+    """name -> bytes for a golden file of ``name hex`` lines."""
     out = {}
-    for line in GOLDEN_FILE.read_text().splitlines():
+    for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -123,3 +153,7 @@ def parse_golden_file() -> dict[str, bytes]:
 
 def write_golden_file() -> None:
     GOLDEN_FILE.write_text(golden_text())
+
+
+def write_snapshot_file() -> None:
+    SNAPSHOT_FILE.write_text(golden_snapshot_text())

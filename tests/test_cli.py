@@ -18,6 +18,7 @@ import pytest
 
 import letterseal
 from letterseal.cli import main
+from letterseal.mske import run_attack
 
 from helpers import KAT_FILE, PACKET_FILE
 
@@ -117,6 +118,16 @@ def test_attack_json_record(capsys):
     rec = json.loads(out)
     assert rec["as_expected"] is True
     assert rec["details"]["duplicate_rejections"] == 2
+
+
+def test_attack_counts_oracle_queries_as_trace_lines(capsys):
+    lines = len(run_attack("replay_vdr", seed=0).trace.splitlines())
+    assert lines == 8
+    _, out, _ = run_cli(capsys, "attack", "replay_vdr", "--seed", "0",
+                        "--format", "json-lines")
+    assert json.loads(out)["queries"] == lines
+    _, out, _ = run_cli(capsys, "attack", "replay_vdr", "--seed", "0")
+    assert f"oracle queries:     {lines}\n" in out
 
 
 def test_attack_output_is_seed_stable(capsys):

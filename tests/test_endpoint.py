@@ -6,8 +6,9 @@ import dataclasses
 import pytest
 
 import helpers
+from letterseal import crypto_suite as cs
 from letterseal.endpoint import Endpoint, endpoint_pair
-from letterseal.errors import AuthFailure, NotInitialized
+from letterseal.errors import AuthFailure, NotInitialized, ParseError
 
 PROTOCOLS = ("v1", "v2", "vdr")
 
@@ -67,6 +68,22 @@ def test_ratchet_sides_refuse_to_start_out_of_turn():
     with pytest.raises(NotInitialized):
         a.open(twin.seal(b"an initiator's opener"))
     assert a.session is None and b.session is None
+
+
+@pytest.mark.parametrize("sender,receiver", [
+    (s, r) for s in PROTOCOLS for r in PROTOCOLS if s != r])
+def test_open_refuses_another_protocols_envelope(sender, receiver):
+    src, _ = pair(sender, 407)
+    _, dst = pair(receiver, 407)
+    env = src.seal(b"foreign family")
+    drawn = len(dst.rng.log)
+    with cs.count_ops() as counts, pytest.raises(
+            ParseError, match=type(env).__name__):
+        dst.open(env)
+    # refused before set-up: no session, no exchange, no draw
+    assert dst.session is None
+    assert counts.dh == 0
+    assert len(dst.rng.log) == drawn
 
 
 def test_static_protocols_start_from_either_side():

@@ -125,3 +125,81 @@ def test_setup_detector_sees_calls_and_values():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_sessions_are_set_up_only_by_protocols_and_endpoint(path):
     assert setup_uses(path.read_text()) == []
+
+
+UNPACK = {"unpack", "unpack_from", "iter_unpack"}
+UNPACK_HOME = (ROOT / "src" / "letterseal" / "wire.py", "_Run.read")
+
+
+def scoped_nodes(source: str):
+    """(dotted path of the enclosing classes and functions, node) pairs."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            found.append((scope, child))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def unpack_uses(source: str) -> list[str]:
+    """Each read of a struct unpack function, as a name or an attribute."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in UNPACK and not isinstance(node.ctx, ast.Store):
+            found.append(f"{node.lineno}: {scope or '<module>'} {name}")
+    return found
+
+
+def test_unpack_detector_sees_calls_aliases_and_scopes():
+    source = ("import struct\n"
+              "from struct import unpack\n"
+              "class R:\n"
+              "    def read(self, b):\n"
+              "        return self.s.unpack_from(b, 0)\n"
+              "f = struct.iter_unpack\n"
+              "def g(b): return unpack('>I', b)\n")
+    assert unpack_uses(source) == ["5: R.read unpack_from",
+                                   "6: <module> iter_unpack",
+                                   "7: g unpack"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_bytes_are_unpacked_only_by_wire_run_read(path):
+    uses = unpack_uses(path.read_text())
+    if path == UNPACK_HOME[0]:
+        uses = [u for u in uses if u.split()[1] != UNPACK_HOME[1]]
+    assert uses == []
+
+
+def function_level_imports(source: str) -> list[str]:
+    """Each import statement inside a function body, nested ones included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{inner.lineno}: {node.name}"
+                      for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+def test_function_import_detector_skips_module_imports():
+    source = ("import os\n"
+              "def f():\n"
+              "    import secrets\n"
+              "    if os:\n"
+              "        from .wire import _Reader\n")
+    assert function_level_imports(source) == ["3: f", "5: f"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_imports_inside_functions(path):
+    assert function_level_imports(path.read_text()) == []

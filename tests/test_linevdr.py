@@ -193,6 +193,35 @@ def test_export_import_roundtrip_continues_identically():
     assert vdr_decrypt(sta, reply, a_rng) == b"from the clone"
 
 
+def test_golden_snapshots_frozen():
+    assert helpers.golden_snapshot_text() == helpers.SNAPSHOT_FILE.read_text()
+
+
+def test_golden_snapshots_cover_optional_fields_cache_and_turns():
+    snaps = {name: vdr_import_state(raw) for name, raw
+             in helpers.parse_golden_file(helpers.SNAPSHOT_FILE).items()}
+    fresh = snaps["initiator-unanswered"]
+    assert fresh.ck_recv is None and fresh.peer_eph_pub is None
+    assert fresh.ck_send is not None and fresh.self_eph_pub is not None
+    assert sorted(snaps["responder-skipped"].skipped) == [(0, 0), (0, 1)]
+    assert (snaps["initiator-two-turns"].i_r,
+            snaps["initiator-two-turns"].i_s) == (3, 4)
+
+
+@pytest.mark.parametrize("name", sorted(
+    helpers.parse_golden_file(helpers.SNAPSHOT_FILE)))
+def test_golden_snapshot_import_export_round_trips(name):
+    raw = helpers.parse_golden_file(helpers.SNAPSHOT_FILE)[name]
+    assert vdr_export_state(vdr_import_state(raw)) == raw
+
+
+def test_snapshot_truncation_at_every_prefix():
+    raw = helpers.parse_golden_file(helpers.SNAPSHOT_FILE)["responder-skipped"]
+    for n in range(len(raw)):
+        with pytest.raises(ParseError, match="^truncated while reading"):
+            vdr_import_state(raw[:n])
+
+
 def test_import_rejects_garbage():
     with pytest.raises(ParseError):
         vdr_import_state(b"not a snapshot")

@@ -224,6 +224,20 @@ def test_vdr_lazy_responder_init_paths():
     assert g.sessions[(1, 2)].reject_reason[(1, 0)] == "NotInitialized"
 
 
+def test_envelope_of_another_family_is_rejected_as_a_parse_error():
+    v2 = Game("v2")
+    v2.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    v2_env = v2.oracle_send(1, 1, ("encrypt", 0, b"v2 payload"))
+    g = Game("vdr")
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    g.oracle_send(2, 1, v2_env)
+    rec = g.sessions[(2, 1)]
+    assert rec.status == {(0xFFFFFFFF, 0): REJECT}
+    assert rec.reject_reason[(0xFFFFFFFF, 0)] == "ParseError"
+    assert rec.ep.session is None
+    assert "stage=4294967295,0 reject" in g.trace
+
+
 def test_vdr_initiator_draws_its_ephemeral_at_first_send():
     g = Game("vdr", seed=9)
     g.oracle_send(1, 1, (2, ROLE_INITIATOR))

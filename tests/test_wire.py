@@ -227,12 +227,16 @@ def test_packet_codec_is_inverse(p):
     assert decode_packet(encode_packet(p)) == p
 
 
+def packet_fixtures() -> list[bytes]:
+    return [bytes.fromhex(ln)
+            for ln in helpers.PACKET_FILE.read_text().splitlines()
+            if ln.strip() and not ln.startswith("#")]
+
+
 def test_packet_fixture_file_decodes():
-    lines = [ln for ln in helpers.PACKET_FILE.read_text().splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    assert len(lines) == 2
-    user = decode_packet(bytes.fromhex(lines[0]))
-    bot = decode_packet(bytes.fromhex(lines[1]))
+    raws = packet_fixtures()
+    assert len(raws) == 2
+    user, bot = map(decode_packet, raws)
     assert classify_packet(user) is PacketClass.UserE2EE
     assert classify_packet(bot) is PacketClass.BotPlaintext
     salt, ct, nonce, kid_a, kid_b = parse_chunks(user.chunks)
@@ -241,6 +245,19 @@ def test_packet_fixture_file_decodes():
     assert (kid_a, kid_b) == (11, 12)
     assert bot.text == "plaintext bot reply"
     assert bot.bot_origin == "assistant"
+
+
+def test_packet_fixtures_reencode_byte_for_byte():
+    for raw in packet_fixtures():
+        assert encode_packet(decode_packet(raw)) == raw
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["user", "bot"])
+def test_decode_packet_truncation_at_every_prefix(index):
+    raw = packet_fixtures()[index]
+    for n in range(len(raw)):
+        with pytest.raises(ParseError, match="^truncated while reading"):
+            decode_packet(raw[:n])
 
 
 def test_decode_packet_rejects_malformed():
