@@ -15,16 +15,19 @@ Building the object costs a scalar multiplication of its own, so a caller
 that exchanges with one secret more than once holds the object; nothing in
 this module caches one.
 
-Every HMAC is the one-shot ``hmac.digest(key, msg, "sha256")``, which
-builds no HMAC object. :func:`cbc_encrypt` and :func:`ecb_encrypt_block`
-are single-call forms for the known-answer vectors; v1 sealing drives one AES key object per message itself (see
-:mod:`letterseal.linev1`).
+Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
+absorbs a key's inner and outer pads into two SHA-256 states once, and
+:func:`_hmac` copies both for each message. A chain step keys once for its
+two messages and the root derivation once per HKDF stage. OpenSSL 3.0's
+one-shot HMAC looks the algorithm up again on every call, which cost about
+a third of a chain step. :func:`cbc_encrypt` and :func:`ecb_encrypt_block`
+are single-call forms for the known-answer vectors; v1 sealing drives one
+cipher context per message itself (see :mod:`letterseal.linev1`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -251,23 +254,53 @@ def digest_kdf(secret: bytes, salt: bytes, label: bytes) -> Digest:
     return Digest(_digest_kdf_raw(secret, salt, label))
 
 
+# HMAC-SHA256 per RFC 2104 over SHA-256's 64-byte block; translate()
+# XORs every key byte with the inner (0x36) or outer (0x5C) pad byte
+_HMAC_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def _hmac_key(key: bytes) -> tuple:
+    """A key's inner and outer pads absorbed into two SHA-256 states.
+
+    The key is hashed first if longer than a block and zero-padded to one.
+    The pair is keyed once; :func:`_hmac` copies it per message."""
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\x00")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
+
+
+def _hmac(keyed: tuple, msg: bytes) -> bytes:
+    """HMAC-SHA256 of msg under a pair from :func:`_hmac_key`."""
+    inner, outer = keyed
+    inner = inner.copy()
+    inner.update(msg)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 def kdf_root(ikm: bytes, salt: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     """HKDF-SHA256 (extract with salt, expand 64 bytes) -> (root, chain)."""
     if not ikm:
         raise ValueError("kdf_root requires non-empty input key material")
     _bump("kdf")
-    prk = _hmac.digest(salt if salt else ZERO_SALT, ikm, "sha256")
-    t1 = _hmac.digest(prk, ROOT_KDF_INFO + b"\x01", "sha256")
-    t2 = _hmac.digest(prk, t1 + ROOT_KDF_INFO + b"\x02", "sha256")
+    prk = _hmac(_hmac_key(salt if salt else ZERO_SALT), ikm)
+    keyed = _hmac_key(prk)
+    t1 = _hmac(keyed, ROOT_KDF_INFO + b"\x01")
+    t2 = _hmac(keyed, t1 + ROOT_KDF_INFO + b"\x02")
     return SymmetricKey(t1), SymmetricKey(t2)
 
 
 def kdf_chain(ck: SymmetricKey) -> tuple[SymmetricKey, SymmetricKey]:
     """One symmetric ratchet step -> (message key, next chain key)."""
     _bump("kdf")
-    mk = _hmac.digest(ck, b"\x01", "sha256")
-    next_ck = _hmac.digest(ck, b"\x02", "sha256")
-    return SymmetricKey(mk), SymmetricKey(next_ck)
+    keyed = _hmac_key(ck)
+    return (SymmetricKey(_hmac(keyed, b"\x01")),
+            SymmetricKey(_hmac(keyed, b"\x02")))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ Kept as a faithful baseline, weaknesses included: the MAC covers the
 ciphertext only (no key ids, version or content type are bound), there is
 no replay defense, and one static DH secret drives every message.
 
-The tag is ``AES_k(fold(SHA-256(C)))`` under the same key ``k`` that
-encrypts, where ``fold`` XORs the two digest halves into one block. Each
-message therefore builds one AES key object and drives both layers from
-it. Sealing runs the tag block through the CBC context that produced
-``C``: CBC XORs each input with the previous ciphertext block, so feeding
-``fold(...) XOR last block of C`` yields exactly the ECB encryption of the
-folded digest. Opening computes the tag with an ECB context and checks it
-before a CBC context decrypts anything.
+The tag is ``AES_k(h)`` with ``h = fold(SHA-256(C))``, under the same key
+``k`` that encrypts, where ``fold`` XORs the two digest halves into one
+block. Each message therefore builds one cipher context and drives both
+layers from it. Sealing runs the tag block through the CBC context that
+produced ``C``: CBC XORs each input with the previous ciphertext block, so
+feeding ``h XOR last block of C`` yields exactly ``AES_k(h)``. Opening
+builds one CBC decryptor with IV ``h`` and feeds it the tag first. Its
+output, ``AES_k^-1(tag) XOR h``, is the zero block exactly when the tag is
+``AES_k(h)``, so the tag is checked before any ciphertext block goes in.
+``C`` follows; its first plaintext block came out chained on the tag in
+place of the real IV, so it is XORed with ``tag XOR IV``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from . import crypto_suite as cs
 from .errors import MacFailure, PaddingError
 from .wire import VERS_V1, EnvelopeV1
+
+_ZERO_BLOCK = bytes(16)
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,21 @@ def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
 
 
 def v1_decrypt(s: SessionV1, e: EnvelopeV1) -> bytes:
-    """The tag is checked before any decryption work; order matters here."""
+    """The tag is checked before any ciphertext block is decrypted; order
+    matters here."""
     k_e, iv = v1_derive(s.pms, e.salt)
     ct = e.ciphertext
-    aes = algorithms.AES(k_e)
     h = _fold(hashlib.sha256(ct).digest()).to_bytes(16, "big")
-    mac = Cipher(aes, modes.ECB()).encryptor().update(h)
-    if not compare_digest(mac, e.tag):
+    cbc = Cipher(algorithms.AES(k_e), modes.CBC(h)).decryptor()
+    if not compare_digest(cbc.update(e.tag), _ZERO_BLOCK):
         raise MacFailure("v1 tag mismatch")
     if not ct or len(ct) % 16:
         raise PaddingError("CBC ciphertext must be a positive block multiple")
-    data = Cipher(aes, modes.CBC(iv)).decryptor().update(ct)
+    data = cbc.update(ct)
+    # the first block was chained on the tag, not on the IV
+    first = (int.from_bytes(data[:16], "big") ^ int.from_bytes(e.tag, "big")
+             ^ int.from_bytes(iv, "big"))
+    data = first.to_bytes(16, "big") + data[16:]
     pad = data[-1]
     if not 1 <= pad <= 16 or data[-pad:] != bytes((pad,)) * pad:
         raise PaddingError("malformed PKCS#7 padding")

@@ -158,6 +158,17 @@ def _check_u32(value: int, name: str) -> None:
         raise ValueError(f"{name} out of u32 range: {value}")
 
 
+def _check_length(value: bytes | str, limit: int, name: str) -> None:
+    """A variable field fits its length prefix. A string counts its UTF-8
+    bytes, at most 4 per character, so only a long one is encoded."""
+    n = len(value)
+    if n > limit // 4 and isinstance(value, str):
+        n = len(value.encode())
+    if n > limit:
+        raise ValueError(f"{name} is {n} bytes, over its length prefix "
+                         f"limit of {limit}")
+
+
 # ---------------------------------------------------------------------------
 # Layouts: fixed-width runs and the checked slice for variable fields
 # ---------------------------------------------------------------------------
@@ -348,9 +359,10 @@ class _PacketHeader:
     session_id: int
 
     def __post_init__(self):
-        _check_u8(self.to_type, "to_type")
-        _check_u8(self.content_type, "content_type")
-        _check_u8(self.e2ee_version, "e2ee_version")
+        for name, kind, lo, hi in _HEADER_INTS:
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} out of {kind} range: {value}")
 
 
 @dataclass(slots=True)
@@ -362,6 +374,8 @@ class PacketMeta(_PacketHeader):
     def __post_init__(self):
         if len(self.chunks) > 0xFF:
             raise ValueError("chunk count exceeds u8")
+        for i, chunk in enumerate(self.chunks):
+            _check_length(chunk, 0xFFFFFFFF, f"chunk[{i}]")
         _PacketHeader.__post_init__(self)
 
 
@@ -375,6 +389,13 @@ class BotPacket(_PacketHeader):
     bot_track: str = ""
     text: str = ""
 
+    def __post_init__(self):
+        _check_length(self.bot_tag2, 0xFFFF, "bot_tag2")
+        _check_length(self.bot_origin, 0xFFFF, "bot_origin")
+        _check_length(self.bot_track, 0xFFFF, "bot_track")
+        _check_length(self.text, 0xFFFFFFFF, "text")
+        _PacketHeader.__post_init__(self)
+
 
 Packet = PacketMeta | BotPacket
 
@@ -382,7 +403,14 @@ Packet = PacketMeta | BotPacket
 # each packet's layout, split at its variable-length fields; the header
 # run is named by the _PacketHeader fields, in order
 _MAGIC = _Run(("packet magic", "B"))
-_HEADER = _Run(*zip((f.name for f in fields(_PacketHeader)), "qqBqqq?BBqq"))
+_HEADER_FIELDS = tuple(zip((f.name for f in fields(_PacketHeader)),
+                           "qqBqqq?BBqq"))
+_HEADER = _Run(*_HEADER_FIELDS)
+# each integer header field with the range its code packs, checked when a
+# packet is built
+_INT_RANGES = {"B": ("u8", 0, 0xFF), "q": ("i64", -(1 << 63), (1 << 63) - 1)}
+_HEADER_INTS = tuple((name, *_INT_RANGES[code])
+                     for name, code in _HEADER_FIELDS if code in _INT_RANGES)
 _CHUNK_COUNT = _Run(("chunk count", "B"))
 _CHUNK = _Run(("chunk length", "I"))
 _BOT_TAG2 = _Run(("bot_tag2 length", "H"))

@@ -159,6 +159,26 @@ def test_kdf_chain_matches_hmac_and_advances():
     assert mk != ck_next != ck
 
 
+# the pads are keyed once and copied per message, so a message must not
+# see the one before it; lengths around the 64-byte block are drawn often
+@settings(max_examples=200)
+@given(key=st.one_of(st.binary(max_size=200),
+                     st.sampled_from([0, 1, 32, 63, 64, 65, 128, 200])
+                     .flatmap(lambda n: st.binary(min_size=n, max_size=n))),
+       msgs=st.lists(st.binary(max_size=300), min_size=1, max_size=3))
+def test_keyed_hmac_matches_stdlib(key, msgs):
+    keyed = cs._hmac_key(key)
+    for msg in msgs:
+        assert cs._hmac(keyed, msg) == hmaclib.digest(key, msg, "sha256")
+
+
+@pytest.mark.parametrize("n", [0, 1, 32, 64, 65, 100])
+def test_kdf_root_matches_reference_for_salt_lengths(n):
+    ikm = bytes(range(7, 39))
+    salt = bytes((5 * i + n) % 256 for i in range(n))
+    assert cs.kdf_root(ikm, salt) == REF.kdf_root(ikm, salt)
+
+
 # -- aead and block modes ------------------------------------------------------
 
 @settings(max_examples=40)

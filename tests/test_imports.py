@@ -13,6 +13,9 @@ rather than kept for no caller.
 The protocol set-up functions are used only by the protocol modules and
 by Endpoint, so every caller in the package (the game, the bench, the demo)
 sets sessions up through Endpoint and that path cannot quietly fork again.
+
+Every HMAC in the package goes through crypto_suite's keyed pads, so no
+module calls the stdlib's hmac.digest or hmac.new; compare_digest is fine.
 """
 
 import ast
@@ -178,6 +181,48 @@ def test_bytes_are_unpacked_only_by_wire_run_read(path):
     if path == UNPACK_HOME[0]:
         uses = [u for u in uses if u.split()[1] != UNPACK_HOME[1]]
     assert uses == []
+
+
+HMAC_CALLS = {"digest", "new"}
+
+
+def hmac_uses(source: str) -> list[str]:
+    """Each import or read of hmac.digest or hmac.new, through any alias;
+    hmac.compare_digest is not one."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "hmac")
+        elif isinstance(node, ast.ImportFrom) and node.module == "hmac":
+            found += [(node.lineno, f"from hmac import {alias.name}")
+                      for alias in node.names if alias.name in HMAC_CALLS]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in HMAC_CALLS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"{line}: {use}" for line, use in sorted(found)]
+
+
+def test_hmac_detector_sees_aliases_and_allows_compare_digest():
+    # the first four lines are the parent crypto_suite's HMAC code
+    source = ("import hmac as _hmac\n"
+              "def kdf_chain(ck):\n"
+              "    mk = _hmac.digest(ck, b'\\x01', 'sha256')\n"
+              "    return mk, _hmac.digest(ck, b'\\x02', 'sha256')\n"
+              "from hmac import compare_digest, new as make\n"
+              "import hashlib, hmac\n"
+              "h = hashlib.new('sha256')\n"
+              "ok = hmac.compare_digest(a, b) and hmac.new(k)\n")
+    assert hmac_uses(source) == ["3: _hmac.digest", "4: _hmac.digest",
+                                 "5: from hmac import new", "8: hmac.new"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_computes_no_hmac_through_the_stdlib(path):
+    assert hmac_uses(path.read_text()) == []
 
 
 def function_level_imports(source: str) -> list[str]:

@@ -314,6 +314,89 @@ def test_chunk_count_capped():
         PacketMeta(chunks=(b"",) * 256, **meta)
 
 
+PACKET_META = dict(from_=1, to=2, to_type=0, id=3, created_time=4,
+                   delivered_time=5, has_content=True, content_type=0,
+                   e2ee_version=2, seq=6, session_id=7)
+I64_FIELDS = ("from_", "to", "id", "created_time", "delivered_time", "seq",
+              "session_id")
+U8_FIELDS = ("to_type", "content_type", "e2ee_version")
+U32 = 0xFFFFFFFF
+
+
+def _both_packets(**kwargs):
+    meta = {**PACKET_META, **kwargs}
+    return PacketMeta(chunks=(b"x",), **meta), BotPacket(text="x", **meta)
+
+
+@pytest.mark.parametrize("name,lo,hi", [
+    *((name, -(1 << 63), (1 << 63) - 1) for name in I64_FIELDS),
+    *((name, 0, 0xFF) for name in U8_FIELDS),
+])
+def test_packet_header_fields_checked_at_their_limits(name, lo, hi):
+    for value in (lo, hi):
+        for p in _both_packets(**{name: value}):
+            assert decode_packet(encode_packet(p)) == p
+    for value in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=f"^{name} out of"):
+            PacketMeta(chunks=(), **{**PACKET_META, name: value})
+        with pytest.raises(ValueError, match=f"^{name} out of"):
+            BotPacket(**{**PACKET_META, name: value})
+
+
+# a string fits by its UTF-8 size: 0x8000 two-byte characters are one past
+STR_FITS = ("a" * 0xFFFF, "\u00e9" * 0x7FFF + "a")
+STR_OVER = ("a" * 0x10000, "\u00e9" * 0x8000)
+
+
+@pytest.mark.parametrize("name,fits,over", [
+    ("bot_tag2", (b"\xff" * 0xFFFF,), (b"\xff" * 0x10000,)),
+    ("bot_origin", STR_FITS, STR_OVER),
+    ("bot_track", STR_FITS, STR_OVER),
+], ids=["bot_tag2", "bot_origin", "bot_track"])
+def test_bot_u16_fields_checked_at_their_limits(name, fits, over):
+    for value in fits:
+        p = BotPacket(**{name: value}, **PACKET_META)
+        assert decode_packet(encode_packet(p)) == p
+    for value in over:
+        with pytest.raises(ValueError, match=f"^{name} is 65536 bytes"):
+            BotPacket(**{name: value}, **PACKET_META)
+
+
+class _Sized:
+    """Claims a length without holding the bytes, for the u32 limits."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+class _LongText(str):
+    """A str claiming a character count and a UTF-8 size."""
+
+    def __new__(cls, chars, utf8):
+        self = super().__new__(cls, "")
+        self.chars, self.utf8 = chars, utf8
+        return self
+
+    def __len__(self):
+        return self.chars
+
+    def encode(self, *args):
+        return _Sized(self.utf8)
+
+
+def test_u32_packet_fields_checked_at_their_limits():
+    PacketMeta(chunks=(b"", _Sized(U32)), **PACKET_META)
+    with pytest.raises(ValueError, match=r"^chunk\[1\] is 4294967296 bytes"):
+        PacketMeta(chunks=(b"", _Sized(U32 + 1)), **PACKET_META)
+    BotPacket(text=_LongText(U32, U32), **PACKET_META)
+    for chars in (U32 + 1, U32 // 4 + 1):
+        with pytest.raises(ValueError, match="^text is 4294967296 bytes"):
+            BotPacket(text=_LongText(chars, U32 + 1), **PACKET_META)
+
+
 def test_mutated_envelope_reencodes_differently():
     raw = helpers.parse_golden_file()["v2-0"]
     env = decode_envelope(raw)
