@@ -2,11 +2,15 @@
 
 All operations are pure functions of their inputs. The only stateful object
 is :class:`SeededRng`, an injectable deterministic byte source that logs its
-draws so a test harness can replay and reveal randomness. An optional
-counting scope (:func:`count_ops`) tallies DH-class, KDF-class and AEAD
-operations for the benchmark instrumentation; a DH-class operation is one
-key generation or one exchange, however many scalar multiplications it
-takes.
+draws so a test harness can replay and reveal randomness.
+
+Instrumentation has one path, a process-wide list of open scopes (the
+package starts no thread; the game and the benchmark are single-threaded).
+A :func:`count_ops` scope tallies DH-class, KDF-class and AEAD operations;
+a DH-class operation is one key generation or one exchange, however many
+scalar multiplications it takes. A :class:`KeyRecorder` scope collects the
+message key of each successful v2 or ratchet encrypt and decrypt, which
+only the key-indistinguishability game opens; counts never see a key.
 
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
@@ -28,7 +32,6 @@ cipher context per message itself (see :mod:`letterseal.linev1`).
 from __future__ import annotations
 
 import hashlib
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -89,7 +92,7 @@ class AeadNonce(_FixedBytes):
 
 
 # ---------------------------------------------------------------------------
-# Operation counting for benchmark instrumentation
+# Instrumentation scopes: operation counts and message keys
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -99,39 +102,43 @@ class OpCounts:
     aead: int = 0
 
 
-_counter_scopes = threading.local()
-# scopes open across all threads; lets _bump skip the thread-local lookup
-# on the hot path when nobody is counting
-_scope_gate = 0
-_gate_lock = threading.Lock()
+class KeyRecorder(list):
+    """Scope that collects every message key emitted while it is open."""
+
+
+# open scopes, innermost last; emitters return at once while it is empty.
+# A caller pairs open_scope with close_scope in a finally clause.
+_scopes: list = []
+open_scope = _scopes.append
+close_scope = _scopes.pop
 
 
 @contextmanager
 def count_ops():
     """Collect DH/KDF/AEAD operation counts for the enclosed calls."""
-    global _scope_gate
     counts = OpCounts()
-    stack = getattr(_counter_scopes, "stack", None)
-    if stack is None:
-        stack = _counter_scopes.stack = []
-    stack.append(counts)
-    with _gate_lock:
-        _scope_gate += 1
+    open_scope(counts)
     try:
         yield counts
     finally:
-        stack.pop()
-        with _gate_lock:
-            _scope_gate -= 1
+        close_scope()
 
 
 def _bump(field: str) -> None:
-    if not _scope_gate:
+    if not _scopes:
         return
-    stack = getattr(_counter_scopes, "stack", None)
-    if stack:
-        for counts in stack:
-            setattr(counts, field, getattr(counts, field) + 1)
+    for scope in _scopes:
+        if isinstance(scope, OpCounts):
+            setattr(scope, field, getattr(scope, field) + 1)
+
+
+def emit_message_key(mk: SymmetricKey) -> None:
+    """Hand the key of a successful encrypt or decrypt to open recorders."""
+    if not _scopes:
+        return
+    for scope in _scopes:
+        if isinstance(scope, KeyRecorder):
+            scope.append(mk)
 
 
 # ---------------------------------------------------------------------------

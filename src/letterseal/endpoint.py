@@ -8,10 +8,9 @@ envelope of another protocol's family raises ParseError before any set-up.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
-An optional observer is set as ``RatchetState.observer`` on each ratchet
-state the Endpoint creates, so it sees every message key that state
-derives. Only the key-indistinguishability game passes one, to record
-stage keys; conversations that must never expose keys leave it None.
+An Endpoint holds no instrumentation: a caller that needs message keys,
+the key-indistinguishability game only, opens a crypto_suite KeyRecorder
+around seal or open.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class Endpoint:
     def __init__(self, protocol: str, secret: cs.GroupScalar,
                  peer_pub: cs.GroupElement, rng: cs.SeededRng,
                  kid: int, peer_kid: int, name: str, peer_name: str,
-                 initiator: bool, observer=None):
+                 initiator: bool):
         if protocol not in _PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
         (self._envelope, self._establish, self._encrypt,
@@ -51,7 +50,6 @@ class Endpoint:
         self.kid, self.peer_kid = kid, peer_kid
         self.name, self.peer_name = name, peer_name
         self.initiator = initiator
-        self.observer = observer
         self.session = None
 
     def _static_session(self):
@@ -67,7 +65,6 @@ class Endpoint:
             elif self.initiator:
                 st = vdr_init_sender(self.secret, self.peer_pub, self.rng,
                                      kid_self=self.kid, kid_peer=self.peer_kid)
-                st.observer = self.observer
             else:
                 raise NotInitialized(
                     "ratchet responder sends only after its first open")
@@ -86,7 +83,6 @@ class Endpoint:
                 st = vdr_lazy_init_receiver(self.secret, self.peer_pub, env,
                                             kid_self=self.kid,
                                             kid_peer=self.peer_kid)
-                st.observer = self.observer
             else:
                 raise NotInitialized("ratchet initiator has not sent yet")
         if self._establish is None:

@@ -80,6 +80,7 @@ def v2_encrypt(s: SessionV2, ctype: int, m: bytes, rng: cs.SeededRng) -> Envelop
         s.ad_cache[ctype] = ad
     ciphertext = cs.aead_seal(k_e, nonce, m, ad)
     s.ctr += 1
+    cs.emit_message_key(k_e)
     return EnvelopeV2(ctype=ctype, salt=salt, ciphertext=ciphertext,
                       nonce_material=material, kid_sender=s.kid_self,
                       kid_receiver=s.kid_peer, sid=s.sid, rid=s.rid)
@@ -102,4 +103,6 @@ def v2_decrypt(s: SessionV2, e: EnvelopeV2) -> bytes:
             s.ad_cache.clear()
         ad = build_ad_v2(e.rid, e.sid, e.kid_sender, e.kid_receiver, e.vers, e.ctype)
         s.ad_cache[memo] = ad
-    return cs.aead_open(k_e, nonce, e.ciphertext, ad)
+    pt = cs.aead_open(k_e, nonce, e.ciphertext, ad)
+    cs.emit_message_key(k_e)
+    return pt

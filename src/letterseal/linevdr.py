@@ -54,7 +54,7 @@ ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
 
-@dataclass
+@dataclass(slots=True)
 class RatchetState:
     role: str
     rk: cs.SymmetricKey
@@ -72,8 +72,6 @@ class RatchetState:
     self_eph_pub: cs.GroupElement | None = None
     peer_eph_pub: cs.GroupElement | None = None
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
-    # transient notification hook for harnesses; never serialized
-    observer: object | None = None
     # key object of self_eph_secret (module docstring); never serialized
     self_eph_key: cs.X25519PrivateKey | None = field(
         default=None, repr=False, compare=False)
@@ -88,12 +86,6 @@ def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
     """
     return struct.pack(">IIBB", kid_sender, kid_receiver, vers, ctype) + \
         bytes(eph_pub) + struct.pack(">I", j_index)
-
-
-def _notify_message_key(st: RatchetState, stage: tuple[int, int],
-                        mk: cs.SymmetricKey, direction: str) -> None:
-    if st.observer is not None:
-        st.observer.on_message_key(stage, mk, direction)
 
 
 def vdr_init_sender(self_ltk: cs.GroupScalar, peer_ltk_pub: cs.GroupElement,
@@ -140,7 +132,6 @@ def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
                 rng: cs.SeededRng) -> EnvelopeVDR:
     if st.ck_send is None:
         raise NotInitialized("no sending chain; decrypt the peer's flight first")
-    stage = (st.i_s, st.j_s)
     mk, st.ck_send = cs.kdf_chain(st.ck_send)
     nonce_material = struct.pack(">I", st.i_s) + rng.token(4)
     nonce = cs.AeadNonce(nonce_material + b"\x00" * 4)
@@ -152,7 +143,7 @@ def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
                       kid_sender=st.kid_self, kid_receiver=st.kid_peer,
                       eph_pub=st.self_eph_pub, j_index=st.j_s)
     st.j_s += 1
-    _notify_message_key(st, stage, mk, "send")
+    cs.emit_message_key(mk)
     return env
 
 
@@ -227,7 +218,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
             st.self_eph_secret, st.self_eph_pub = eph_secret, eph_pub
             st.self_eph_key = eph_key
             st.i_s, st.j_s = st.i_r + 1, 0
-    _notify_message_key(st, stage, mk, "recv")
+    cs.emit_message_key(mk)
     return plaintext
 
 

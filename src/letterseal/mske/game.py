@@ -12,8 +12,9 @@ exactly as they do: a ratchet initiator draws its epoch-0 ephemeral at its
 first send, not at activation, and a ratchet responder sets up from the
 first envelope it opens, and an envelope of another protocol's family is
 refused with ParseError like any malformed delivery. What the game adds per
-protocol is one row of _PROTOCOLS: the stage of an envelope, the stage key
-and the state snapshot.
+protocol is one row of _PROTOCOLS: the stage of an envelope and the state
+snapshot. The game derives no stage key: each seal and open runs under a
+crypto_suite KeyRecorder, which receives the key the protocol used.
 
 Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
@@ -43,7 +44,7 @@ from ..errors import (
     StageNotAccepted,
     StageUnknown,
 )
-from ..linev2 import SessionV2, v2_derive_key
+from ..linev2 import SessionV2
 from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_export_state
 from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 
@@ -52,15 +53,6 @@ PROTO_VDR = "vdr"
 
 ACCEPT = "accept"
 REJECT = "reject"
-
-
-class _KeyObserver:
-    """Keeps the message key of the ratchet's latest encrypt or decrypt."""
-
-    mk = None
-
-    def on_message_key(self, stage, mk, direction):
-        self.mk = mk
 
 
 @dataclass
@@ -104,19 +96,12 @@ def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
 
 class _Protocol(NamedTuple):
     stage: Callable                     # (record, envelope or None) -> stage
-    key: Callable                       # (record, envelope) -> stage key
     snapshot: Callable                  # session state -> RevState bytes
 
 
 _PROTOCOLS = {
-    PROTO_V2: _Protocol(
-        lambda rec, env: rec.next_stage_v2(),
-        lambda rec, env: v2_derive_key(rec.ep.session.pms, env.salt),
-        _v2_snapshot),
-    PROTO_VDR: _Protocol(
-        _vdr_stage,
-        lambda rec, env: cs.SymmetricKey(rec.ep.observer.mk),
-        vdr_export_state),
+    PROTO_V2: _Protocol(lambda rec, env: rec.next_stage_v2(), _v2_snapshot),
+    PROTO_VDR: _Protocol(_vdr_stage, vdr_export_state),
 }
 
 
@@ -138,6 +123,16 @@ class QueryTrace:
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _keyed(call, *args):
+    """(call's result, the message keys it used), under a KeyRecorder."""
+    keys = cs.KeyRecorder()
+    cs.open_scope(keys)
+    try:
+        return call(*args), keys
+    finally:
+        cs.close_scope()
 
 
 def _fmt_stage(s) -> str:
@@ -203,19 +198,19 @@ class Game:
         ep = Endpoint(self.protocol, self.parties[u][0],
                       self.directory.lookup(self.kids[pid]), self.party_rng[u],
                       self.kids[u], self.kids[pid], f"party-{u}", f"party-{pid}",
-                      initiator=role == ROLE_INITIATOR, observer=_KeyObserver())
+                      initiator=role == ROLE_INITIATOR)
         self.sessions[(u, i)] = SessionRecord(owner=u, index=i, role=role,
                                               pid=pid, ep=ep)
 
     def _send_encrypt(self, rec: SessionRecord, ctype: int, pt: bytes) -> bytes:
         rng = self.party_rng[rec.owner]
         mark = rng.mark()
-        env = rec.ep.seal(pt, ctype)
+        env, keys = _keyed(rec.ep.seal, pt, ctype)
         raw = encode_envelope(env)
         stage = self._proto.stage(rec, env)
         # a ratchet reply stage already holds the ephemeral its open drew
         rec.rand_log[stage] = rec.rand_log.get(stage, b"") + rng.draws_since(mark)
-        self._accept(rec, stage, env, raw)
+        self._accept(rec, stage, keys, raw)
         return raw
 
     def _send_deliver(self, rec: SessionRecord, raw: bytes):
@@ -228,10 +223,10 @@ class Game:
         rng = self.party_rng[rec.owner]
         mark = rng.mark()
         try:
-            pt = rec.ep.open(env)
+            pt, keys = _keyed(rec.ep.open, env)
         except LettersealError as exc:
             return self._reject(rec, stage, raw, type(exc).__name__)
-        self._accept(rec, stage, env, raw)
+        self._accept(rec, stage, keys, raw)
         rec.plaintexts[stage] = pt
         # only a ratchet open that starts a reply epoch draws: its ephemeral
         draws = rng.draws_since(mark)
@@ -240,9 +235,10 @@ class Game:
             rec.rand_log[eph_stage] = draws + rec.rand_log.get(eph_stage, b"")
         return stage, ACCEPT
 
-    def _accept(self, rec: SessionRecord, stage, env, raw: bytes) -> None:
+    def _accept(self, rec: SessionRecord, stage, keys: cs.KeyRecorder,
+                raw: bytes) -> None:
         rec.status[stage] = ACCEPT
-        rec.key[stage] = self._proto.key(rec, env)
+        (rec.key[stage],) = keys  # one message key per seal or open
         rec.transcript[stage] = raw
         rec.state_snap[stage] = self._proto.snapshot(rec.ep.session)
 

@@ -99,10 +99,8 @@ class EnvelopeV2:
         _check_u8(self.ctype, "ctype")
         _check_u32(self.kid_sender, "kid_sender")
         _check_u32(self.kid_receiver, "kid_receiver")
-        # utf-8 expands at most 4x, so short strings need no encode pass
-        if ((len(self.sid) > 0x3FFF and len(self.sid.encode()) > 0xFFFF)
-                or (len(self.rid) > 0x3FFF and len(self.rid.encode()) > 0xFFFF)):
-            raise ValueError("identity strings exceed u16 length prefix")
+        _check_length(self.sid, 0xFFFF, "identity string sid")
+        _check_length(self.rid, 0xFFFF, "identity string rid")
 
     @property
     def counter(self) -> int:
@@ -159,11 +157,16 @@ def _check_u32(value: int, name: str) -> None:
 
 
 def _check_length(value: bytes | str, limit: int, name: str) -> None:
-    """A variable field fits its length prefix. A string counts its UTF-8
-    bytes, at most 4 per character, so only a long one is encoded."""
+    """A variable field fits its length prefix. A string must encode, and
+    counts its UTF-8 bytes: at most 4 per character, and one for ASCII, so
+    a short ASCII string, the common case, is never encoded."""
     n = len(value)
-    if n > limit // 4 and isinstance(value, str):
-        n = len(value.encode())
+    if isinstance(value, str) and (n > limit // 4 or not value.isascii()):
+        try:
+            n = len(value.encode())
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{name} does not encode as UTF-8: {exc.reason} "
+                             f"at index {exc.start}") from None
     if n > limit:
         raise ValueError(f"{name} is {n} bytes, over its length prefix "
                          f"limit of {limit}")

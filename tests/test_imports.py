@@ -16,6 +16,10 @@ sets sessions up through Endpoint and that path cannot quietly fork again.
 
 Every HMAC in the package goes through crypto_suite's keyed pads, so no
 module calls the stdlib's hmac.digest or hmac.new; compare_digest is fine.
+
+Instrumentation has one path, crypto_suite's process-wide scope list: no
+module in the package imports threading, and no module but crypto_suite
+names the list, so a per-object or per-thread hook cannot come back.
 """
 
 import ast
@@ -248,3 +252,54 @@ def test_function_import_detector_skips_module_imports():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_imports_inside_functions(path):
     assert function_level_imports(path.read_text()) == []
+
+
+SCOPE_LIST = "_scopes"
+SCOPE_HOME = ROOT / "src" / "letterseal" / "crypto_suite.py"
+
+
+def scope_hooks(source: str, home: bool = False) -> list[str]:
+    """Each import of threading, and, outside the list's home module, each
+    use of the scope list as a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "threading"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "threading":
+                found.append((node.lineno, "from threading import"))
+            elif not home:
+                found += [(node.lineno, f"import {alias.name}")
+                          for alias in node.names
+                          if alias.name == SCOPE_LIST]
+        elif not home:
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name == SCOPE_LIST:
+                found.append((node.lineno, name))
+    return [f"{line}: {use}" for line, use in sorted(found)]
+
+
+def test_scope_detector_flags_threads_and_foreign_scope_lists():
+    # the first four lines are the thread-local scopes of an earlier
+    # crypto_suite, flagged even in the list's home module
+    source = ("import threading\n"
+              "_counter_scopes = threading.local()\n"
+              "_gate_lock = threading.Lock()\n"
+              "from threading import local\n"
+              "from .crypto_suite import _scopes as s\n"
+              "cs._scopes.append(recorder)\n"
+              "_scopes = []\n")
+    assert scope_hooks(source, home=True) == [
+        "1: import threading", "4: from threading import"]
+    assert scope_hooks(source) == [
+        "1: import threading", "4: from threading import",
+        "5: import _scopes", "6: _scopes", "7: _scopes"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_instrumentation_has_one_unthreaded_scope_list(path):
+    assert scope_hooks(path.read_text(), home=path == SCOPE_HOME) == []

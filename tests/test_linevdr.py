@@ -232,23 +232,11 @@ def test_import_rejects_garbage():
     assert vdr_import_state(snap).role == ROLE_INITIATOR
 
 
-def test_message_key_differs_from_chain_key():
-    events = []
-
-    class Obs:
-        def on_message_key(self, stage, mk, direction):
-            events.append((stage, bytes(mk), direction))
-
-    sta, mats, a_rng, b_rng = helpers.vdr_pair(316)
-    sta.observer = Obs()
-    env = vdr_encrypt(sta, 0, b"observed", a_rng)
-    (stage, mk, direction), = events
-    assert stage == (0, 0) and direction == "send"
-    assert mk != bytes(sta.ck_send)
-    stb = helpers.vdr_receiver(mats, env)
-    stb.observer = Obs()
-    assert vdr_decrypt(stb, env, b_rng) == b"observed"
-    assert events[-1] == ((0, 0), mk, "recv")
+def test_ratchet_state_has_no_room_for_a_hook():
+    # slotted: a stray attribute is refused, not silently kept
+    sta, _, _, _ = helpers.vdr_pair(316)
+    with pytest.raises(AttributeError):
+        sta.observer = object()
 
 
 def test_ad_binds_ratchet_header():

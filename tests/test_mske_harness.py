@@ -15,6 +15,8 @@ from letterseal.linevdr import (
     ROLE_INITIATOR,
     ROLE_RESPONDER,
     vdr_encrypt,
+    vdr_export_state,
+    vdr_import_state,
     vdr_init_sender,
 )
 from letterseal.mske import ACCEPT, REJECT, Game, v2_snapshot_pms
@@ -86,6 +88,55 @@ def test_vdr_stage_bookkeeping():
     assert (1, 0) in p2.rand_log
     assert p2.plaintexts[(0, 0)] == b"m0"
     assert p1.plaintexts[(1, 0)] == b"r0"
+
+
+def test_game_held_ratchet_state_equals_its_snapshot_round_trip():
+    g, _, _ = vdr_game()
+    for rec in g.sessions.values():
+        st = rec.ep.session
+        clone = vdr_import_state(vdr_export_state(st))
+        assert clone == st and repr(clone) == repr(st)
+
+
+def _recorded(call, *args):
+    """(call's result, the message keys it reported) under a KeyRecorder."""
+    keys = cs.KeyRecorder()
+    cs.open_scope(keys)
+    try:
+        return call(*args), keys
+    finally:
+        cs.close_scope()
+
+
+@pytest.mark.parametrize("protocol", ["v2", "vdr"])
+def test_message_keys_reach_only_a_key_recorder(protocol):
+    g = Game(protocol, seed=4)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    ends = {1: g.sessions[(1, 1)], 2: g.sessions[(2, 1)]}
+    for u, v in ((1, 2), (1, 2), (2, 1), (1, 2)):
+        raw, sealed = _recorded(g.oracle_send, u, 1, ("encrypt", 0, b"m"))
+        _, opened = _recorded(g.oracle_send, v, 1, raw)
+        # one key per seal and per open, the same at both ends and the
+        # key the game holds for that stage on each side
+        assert len(sealed) == 1 and opened == sealed
+        stage = list(ends[u].key)[-1]
+        assert ends[u].key[stage] == ends[v].key[stage] == sealed[0]
+        if protocol == "vdr":
+            assert sealed[0] != ends[u].ep.session.ck_send
+    # a fresh envelope with a flipped tag bit fails on the tag alone
+    raw = g.oracle_send(u, 1, ("encrypt", 0, b"forged"))
+    forged = raw[:-1] + bytes([raw[-1] ^ 1])
+    _, keys = _recorded(g.oracle_send, v, 1, forged)
+    assert keys == []
+    assert list(ends[v].reject_reason.values()) == ["AuthFailure"]
+    # a counting scope alone: three counts, and no key anywhere in it
+    a, b = ends[1].ep, ends[2].ep
+    with cs.count_ops() as counts:
+        assert b.open(a.seal(b"counted")) == b"counted"
+    assert {name: type(value) for name, value in vars(counts).items()} == {
+        "dh": int, "kdf": int, "aead": int}
+    assert counts.aead == 2
 
 
 def test_first_send_must_activate():

@@ -118,6 +118,9 @@ def test_envelope_v1_validation(kwargs, msg):
     (dict(ciphertext=b"\x00" * 15), "ciphertext"),
     (dict(vers=1), "vers"),
     (dict(sid="x" * 0x10000), "identity"),
+    # a lone surrogate is a str with no UTF-8 form
+    (dict(sid="\ud800"), "^identity string sid does not encode"),
+    (dict(rid="ok \u00e9 \udfff"), "^identity string rid does not encode"),
 ])
 def test_envelope_v2_validation(kwargs, msg):
     base = dict(ctype=0, salt=b"\x00" * 16, ciphertext=b"\x00" * 16,
@@ -359,6 +362,13 @@ def test_bot_u16_fields_checked_at_their_limits(name, fits, over):
         assert decode_packet(encode_packet(p)) == p
     for value in over:
         with pytest.raises(ValueError, match=f"^{name} is 65536 bytes"):
+            BotPacket(**{name: value}, **PACKET_META)
+
+
+@pytest.mark.parametrize("name", ["bot_origin", "bot_track", "text"])
+def test_bot_string_that_cannot_encode_is_refused(name):
+    for value in ("\ud800", "ok \u00e9 \udfff"):
+        with pytest.raises(ValueError, match=f"^{name} does not encode"):
             BotPacket(**{name: value}, **PACKET_META)
 
 
