@@ -97,3 +97,29 @@ def test_unknown_protocol_rejected():
     with pytest.raises(ValueError, match="v3"):
         Endpoint("v3", a_sk, b_pk, a_rng, 1, 2, "alice", "bob", True)
 
+
+def _recorded(call, *args):
+    """(call's result, the message keys it reported) under a KeyRecorder."""
+    keys = cs.KeyRecorder()
+    cs.open_scope(keys)
+    try:
+        return call(*args), keys
+    finally:
+        cs.close_scope()
+
+
+def test_observer_reaches_both_ratchet_states_and_only_when_given():
+    # no recorder open: the keys go nowhere and no scope is left behind
+    a, b = pair("vdr", 404)
+    b.open(a.seal(b"opener"))
+    assert cs._scopes == []
+
+    # a recorder around each call sees the one key of that seal or open,
+    # on either ratchet state and in both directions
+    a, b = pair("vdr", 404)
+    env, sent = _recorded(a.seal, b"opener")
+    assert _recorded(b.open, env) == (b"opener", sent) and len(sent) == 1
+    env, replied = _recorded(b.seal, b"reply")
+    assert _recorded(a.open, env) == (b"reply", replied)
+    assert len(replied) == 1 and replied != sent
+

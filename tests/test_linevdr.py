@@ -239,6 +239,25 @@ def test_ratchet_state_has_no_room_for_a_hook():
         sta.observer = object()
 
 
+def test_message_key_differs_from_chain_key():
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(316)
+    sent, received = cs.KeyRecorder(), cs.KeyRecorder()
+    cs.open_scope(sent)
+    try:
+        env = vdr_encrypt(sta, 0, b"observed", a_rng)
+    finally:
+        cs.close_scope()
+    mk, = sent
+    assert bytes(mk) != bytes(sta.ck_send)
+    stb = helpers.vdr_receiver(mats, env)
+    cs.open_scope(received)
+    try:
+        assert vdr_decrypt(stb, env, b_rng) == b"observed"
+    finally:
+        cs.close_scope()
+    assert received == [mk]
+
+
 def test_ad_binds_ratchet_header():
     sta, stb, a_rng, b_rng = fresh_conversation(317)
     env = vdr_encrypt(sta, 5, b"header bound", a_rng)
