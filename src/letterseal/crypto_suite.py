@@ -1,16 +1,19 @@
 """Primitive layer: X25519, SHA-256, HKDF/HMAC-SHA256, AES-256 GCM/CBC/ECB.
 
 All operations are pure functions of their inputs. The only stateful object
-is :class:`SeededRng`, an injectable deterministic byte source that logs its
-draws so a test harness can replay and reveal randomness.
+is :class:`SeededRng`, an injectable deterministic byte source. It keeps no
+history of its draws: a harness that reveals randomness collects the draws
+it needs through a scope, so a long-lived rng stays a fixed size.
 
 Instrumentation has one path, a process-wide list of open scopes (the
 package starts no thread; the game and the benchmark are single-threaded).
 A :func:`count_ops` scope tallies DH-class, KDF-class and AEAD operations;
 a DH-class operation is one key generation or one exchange, however many
 scalar multiplications it takes. A :class:`KeyRecorder` scope collects the
-message key of each successful v2 or ratchet encrypt and decrypt, which
-only the key-indistinguishability game opens; counts never see a key.
+message key of each successful v2 or ratchet encrypt and decrypt, and a
+:class:`DrawRecorder` scope every rng draw; only the
+key-indistinguishability game opens either, around each seal and open.
+Counts never see a key or a draw.
 
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
@@ -106,6 +109,10 @@ class KeyRecorder(list):
     """Scope that collects every message key emitted while it is open."""
 
 
+class DrawRecorder(list):
+    """Scope that collects every rng draw made while it is open, in order."""
+
+
 # open scopes, innermost last; emitters return at once while it is empty.
 # A caller pairs open_scope with close_scope in a finally clause.
 _scopes: list = []
@@ -148,8 +155,9 @@ def emit_message_key(mk: SymmetricKey) -> None:
 class SeededRng:
     """Deterministic byte source: SHA-256 in counter mode over a seed.
 
-    Every draw is appended to ``log`` so a harness can attribute and reveal
-    per-stage randomness after the fact.
+    The rng keeps no draws, only how many it made (:meth:`mark`). Each draw
+    goes to the open :class:`DrawRecorder` scopes, so a harness attributes
+    and reveals per-stage randomness by recording around the calls.
     """
 
     def __init__(self, seed: int | bytes):
@@ -157,7 +165,7 @@ class SeededRng:
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
         self._state = hashlib.sha256(b"letterseal-rng" + seed).digest()
         self._counter = 0
-        self.log: list[bytes] = []
+        self._draws = 0
 
     def token(self, n: int) -> bytes:
         if n <= 32:
@@ -171,7 +179,11 @@ class SeededRng:
                     self._state + self._counter.to_bytes(8, "big")).digest()
                 self._counter += 1
             out = out[:n]
-        self.log.append(out)
+        self._draws += 1
+        if _scopes:
+            for scope in _scopes:
+                if isinstance(scope, DrawRecorder):
+                    scope.append(out)
         return out
 
     def fork(self, label: bytes) -> "SeededRng":
@@ -179,10 +191,8 @@ class SeededRng:
         return SeededRng(hashlib.sha256(self._state + b"fork" + label).digest())
 
     def mark(self) -> int:
-        return len(self.log)
-
-    def draws_since(self, mark: int) -> bytes:
-        return b"".join(self.log[mark:])
+        """How many draws this rng has made."""
+        return self._draws
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ envelope of another protocol's family raises ParseError before any set-up.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
-An Endpoint holds no instrumentation: a caller that needs message keys,
-the key-indistinguishability game only, opens a crypto_suite KeyRecorder
-around seal or open.
+An Endpoint holds no instrumentation: a caller that needs message keys or
+rng draws, the key-indistinguishability game only, opens a crypto_suite
+KeyRecorder or DrawRecorder around seal or open. A ctype outside u8 is
+refused before set-up, and the protocols' encrypt refuses it before any
+draw or state change, so a refused seal leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .linevdr import (
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
-from .wire import EnvelopeV1, EnvelopeV2, EnvelopeVDR
+from .wire import EnvelopeV1, EnvelopeV2, EnvelopeVDR, _check_u8
 
 # protocol -> (envelope family, static establish, encrypt, decrypt)
 _PROTOCOLS = {
@@ -60,6 +62,7 @@ class Endpoint:
     def seal(self, m: bytes, ctype: int = 0):
         st = self.session
         if st is None:
+            _check_u8(ctype, "ctype")  # before a ratchet set-up draws
             if self._establish is not None:
                 st = self._static_session()
             elif self.initiator:

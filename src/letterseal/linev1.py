@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import crypto_suite as cs
 from .errors import MacFailure, PaddingError
-from .wire import VERS_V1, EnvelopeV1
+from .wire import VERS_V1, EnvelopeV1, _check_u8
 
 _ZERO_BLOCK = bytes(16)
 
@@ -67,6 +67,7 @@ def v1_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
 
 def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
                rng: cs.SeededRng) -> EnvelopeV1:
+    _check_u8(ctype, "ctype")  # before the salt draw
     salt = rng.token(8)
     k_e, iv = v1_derive(s.pms, salt)
     pad = 16 - len(m) % 16

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import crypto_suite as cs
 from .errors import CounterExhausted, KidMismatch
-from .wire import VERS_V2, EnvelopeV2
+from .wire import VERS_V2, EnvelopeV2, _check_u8
 
 _CTR_MAX = 2**32 - 1
 
@@ -68,6 +68,7 @@ def build_ad_v2(rid: str, sid: str, kid_sender: int, kid_receiver: int,
 
 
 def v2_encrypt(s: SessionV2, ctype: int, m: bytes, rng: cs.SeededRng) -> EnvelopeV2:
+    _check_u8(ctype, "ctype")  # before the draw and the AD cache
     if s.ctr >= _CTR_MAX:
         raise CounterExhausted(f"send counter at {s.ctr}")
     draw = rng.token(20)  # 16-byte salt and the 32-bit nonce half, one draw

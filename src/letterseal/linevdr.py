@@ -46,7 +46,7 @@ from .errors import (
     SkipLimit,
     StaleEpoch,
 )
-from .wire import VERS_VDR, EnvelopeVDR, _Reader, _Run
+from .wire import VERS_VDR, EnvelopeVDR, _check_u8, _Reader, _Run
 
 MAX_SKIP = 256
 
@@ -130,6 +130,7 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar,
 
 def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
                 rng: cs.SeededRng) -> EnvelopeVDR:
+    _check_u8(ctype, "ctype")  # before the chain step and the nonce draw
     if st.ck_send is None:
         raise NotInitialized("no sending chain; decrypt the peer's flight first")
     mk, st.ck_send = cs.kdf_chain(st.ck_send)

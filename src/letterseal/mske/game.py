@@ -13,8 +13,9 @@ first send, not at activation, and a ratchet responder sets up from the
 first envelope it opens, and an envelope of another protocol's family is
 refused with ParseError like any malformed delivery. What the game adds per
 protocol is one row of _PROTOCOLS: the stage of an envelope and the state
-snapshot. The game derives no stage key: each seal and open runs under a
-crypto_suite KeyRecorder, which receives the key the protocol used.
+snapshot. The game derives no stage key and reads no rng history: each seal
+and open runs under a crypto_suite KeyRecorder and DrawRecorder, which
+receive the key the protocol used and the bytes the party's rng drew.
 
 Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
@@ -26,6 +27,11 @@ Determinism. A game seeded with s derives one stream per party
 (fork b"party-<u>" of fork b"protocol") plus a challenger stream
 (fork b"game") for the bit b and the b=1 random key, so every oracle
 response is a pure function of (seed, query sequence).
+
+Trace. Every oracle call appends one entry to the game's QueryTrace: a line
+template and the values it names, bytes included. Lines and their digests
+are rendered only when the trace is read, since a long game is seldom read
+and an attack reads its trace once, at the end.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class SessionRecord:
     rev_rand: dict = field(default_factory=dict)
     rev_state: dict = field(default_factory=dict)
     replay_events: list = field(default_factory=list)
+    headerless: int = 0  # stages at epoch _NO_HEADER in status; see _vdr_stage
 
     def next_stage_v2(self) -> int:
         return len(self.status) + 1
@@ -87,11 +94,20 @@ def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
     return cs.SharedSecret(snapshot[:32])
 
 
+_NO_HEADER = 0xFFFFFFFF  # the epoch of a ratchet stage with no header
+
+
 def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
+    """An envelope's stage; a headerless one is numbered by the stages
+    at epoch _NO_HEADER so far, a forged header's included. Every stage
+    asked for here enters rec.status next, so a new one is counted now."""
     if isinstance(env, EnvelopeVDR):
-        return (env.i_index, env.j_index)
-    no_header = 0xFFFFFFFF  # one stage per headerless envelope, in order
-    return (no_header, sum(s[0] == no_header for s in rec.status))
+        stage = (env.i_index, env.j_index)
+    else:
+        stage = (_NO_HEADER, rec.headerless)
+    if stage[0] == _NO_HEADER and stage not in rec.status:
+        rec.headerless += 1
+    return stage
 
 
 class _Protocol(NamedTuple):
@@ -105,38 +121,82 @@ _PROTOCOLS = {
 }
 
 
-class QueryTrace:
-    """Replayable line log of every oracle invocation and its response."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def add(self, oracle: str, detail: str, response: str) -> None:
-        self.lines.append(f"{oracle} {detail} -> {response}")
-
-    def export(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-    def __contains__(self, needle: str) -> bool:
-        return any(needle in line for line in self.lines)
+# line templates of the trace, one per oracle outcome
+_ACTIVATE = "Send u={} i={} activate pid={} role={} -> ok"
+_ENCRYPT = "Send u={} i={} encrypt ctype={} pt#{} -> env#{}"
+_DELIVER = "Send u={} i={} deliver env#{} -> stage={} {}"
+_REV_SESSKEY = "RevSessKey u={} i={} s={} -> key#{}"
+_REV_LTK = "RevLongTermKey u={} -> sk#{}"
+_REV_RAND = "RevRand u={} i={} s={} -> rand#{}"
+_REV_STATE = "RevState u={} i={} s={} -> snap#{}"
+_TEST = "Test u={} i={} s={} -> key#{}"
+_TEST_REFUSED = "Test u={} i={} s={} -> refused"
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _keyed(call, *args):
-    """(call's result, the message keys it used), under a KeyRecorder."""
-    keys = cs.KeyRecorder()
-    cs.open_scope(keys)
-    try:
-        return call(*args), keys
-    finally:
-        cs.close_scope()
-
-
 def _fmt_stage(s) -> str:
     return f"{s[0]},{s[1]}" if isinstance(s, tuple) else str(s)
+
+
+def _show(value) -> str:
+    """A recorded value as its line shows it: bytes by digest, a stage
+    pair as "epoch,index", anything else by str()."""
+    return _digest(value) if isinstance(value, bytes) else _fmt_stage(value)
+
+
+def _render(entry: tuple) -> str:
+    template, *values = entry
+    return template.format(*map(_show, values))
+
+
+class QueryTrace:
+    """Replayable line log of every oracle invocation and its response.
+
+    An entry is a tuple: a line template and the values it names, as
+    recorded (ints, stages, strings and immutable bytes; never a reference
+    into a session record, which may change later). Entries become lines,
+    digests included, on the first read (``lines``, ``export()``, ``in``),
+    which replaces them in place, so a second read renders nothing.
+    """
+
+    def __init__(self):
+        self._log: list = []  # rendered lines, then entries not yet read
+        self._rendered = 0
+
+    def add(self, *entry) -> None:
+        """Record (template, *values); bytes values must not change later."""
+        self._log.append(entry)
+
+    @property
+    def lines(self) -> list[str]:
+        log = self._log
+        for n in range(self._rendered, len(log)):
+            log[n] = _render(log[n])
+        self._rendered = len(log)
+        return log
+
+    def export(self) -> str:
+        lines = self.lines
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    def __contains__(self, needle: str) -> bool:
+        return any(needle in line for line in self.lines)
+
+
+def _keyed(call, *args):
+    """(call's result, the message keys it used, the rng draws it made),
+    under a KeyRecorder and a DrawRecorder."""
+    keys, draws = cs.KeyRecorder(), cs.DrawRecorder()
+    cs.open_scope(keys)
+    cs.open_scope(draws)
+    try:
+        return call(*args), keys, draws
+    finally:
+        cs.close_scope()
+        cs.close_scope()
 
 
 class Game:
@@ -176,21 +236,19 @@ class Game:
             if (isinstance(m, tuple) and len(m) == 2
                     and m[1] in (ROLE_INITIATOR, ROLE_RESPONDER)):
                 self._activate(u, i, pid=m[0], role=m[1])
-                self.trace.add("Send", f"u={u} i={i} activate pid={m[0]} role={m[1]}", "ok")
+                self.trace.add(_ACTIVATE, u, i, m[0], m[1])
                 return None
             raise StageUnknown(f"no session ({u},{i}); first Send must activate")
         rec = self.sessions[key]
         if isinstance(m, tuple) and m and m[0] == "encrypt":
             _, ctype, pt = m
             out = self._send_encrypt(rec, ctype, pt)
-            self.trace.add("Send", f"u={u} i={i} encrypt ctype={ctype} pt#{_digest(pt)}",
-                           f"env#{_digest(out)}")
+            self.trace.add(_ENCRYPT, u, i, ctype, bytes(pt), out)
             return out
         if isinstance(m, (bytes, bytearray)):
             raw = bytes(m)
             stage, verdict = self._send_deliver(rec, raw)
-            self.trace.add("Send", f"u={u} i={i} deliver env#{_digest(raw)}",
-                           f"stage={_fmt_stage(stage)} {verdict}")
+            self.trace.add(_DELIVER, u, i, raw, stage, verdict)
             return None
         raise ValueError(f"unrecognized Send payload: {type(m).__name__}")
 
@@ -203,13 +261,11 @@ class Game:
                                               pid=pid, ep=ep)
 
     def _send_encrypt(self, rec: SessionRecord, ctype: int, pt: bytes) -> bytes:
-        rng = self.party_rng[rec.owner]
-        mark = rng.mark()
-        env, keys = _keyed(rec.ep.seal, pt, ctype)
+        env, keys, draws = _keyed(rec.ep.seal, pt, ctype)
         raw = encode_envelope(env)
         stage = self._proto.stage(rec, env)
         # a ratchet reply stage already holds the ephemeral its open drew
-        rec.rand_log[stage] = rec.rand_log.get(stage, b"") + rng.draws_since(mark)
+        rec.rand_log[stage] = rec.rand_log.get(stage, b"") + b"".join(draws)
         self._accept(rec, stage, keys, raw)
         return raw
 
@@ -220,19 +276,16 @@ class Game:
             return self._reject(rec, self._proto.stage(rec, None), raw,
                                 f"parse: {exc}")
         stage = self._proto.stage(rec, env)
-        rng = self.party_rng[rec.owner]
-        mark = rng.mark()
         try:
-            pt, keys = _keyed(rec.ep.open, env)
+            pt, keys, draws = _keyed(rec.ep.open, env)
         except LettersealError as exc:
             return self._reject(rec, stage, raw, type(exc).__name__)
         self._accept(rec, stage, keys, raw)
         rec.plaintexts[stage] = pt
         # only a ratchet open that starts a reply epoch draws: its ephemeral
-        draws = rng.draws_since(mark)
         if draws:
             eph_stage = (rec.ep.session.i_s, 0)
-            rec.rand_log[eph_stage] = draws + rec.rand_log.get(eph_stage, b"")
+            rec.rand_log[eph_stage] = b"".join(draws) + rec.rand_log.get(eph_stage, b"")
         return stage, ACCEPT
 
     def _accept(self, rec: SessionRecord, stage, keys: cs.KeyRecorder,
@@ -265,14 +318,13 @@ class Game:
         if rec.status.get(s) != ACCEPT:
             raise StageNotAccepted(f"stage {_fmt_stage(s)} of ({u},{i}) not accepted")
         rec.rev_sesskey[s] = True
-        self.trace.add("RevSessKey", f"u={u} i={i} s={_fmt_stage(s)}",
-                       f"key#{_digest(rec.key[s])}")
+        self.trace.add(_REV_SESSKEY, u, i, s, rec.key[s])
         return rec.key[s]
 
     def oracle_rev_ltk(self, u: int) -> cs.GroupScalar:
         self.rev_ltk[u] = True
         sk, _ = self.parties[u]
-        self.trace.add("RevLongTermKey", f"u={u}", f"sk#{_digest(sk)}")
+        self.trace.add(_REV_LTK, u, sk)
         return sk
 
     def oracle_rev_rand(self, u: int, i: int, s) -> bytes:
@@ -280,8 +332,7 @@ class Game:
         if s not in rec.rand_log:
             raise StageUnknown(f"no randomness at stage {_fmt_stage(s)} of ({u},{i})")
         rec.rev_rand[s] = True
-        self.trace.add("RevRand", f"u={u} i={i} s={_fmt_stage(s)}",
-                       f"rand#{_digest(rec.rand_log[s])}")
+        self.trace.add(_REV_RAND, u, i, s, rec.rand_log[s])
         return rec.rand_log[s]
 
     def oracle_rev_state(self, u: int, i: int, s) -> bytes:
@@ -289,23 +340,22 @@ class Game:
         if s not in rec.state_snap:
             raise StageUnknown(f"no snapshot at stage {_fmt_stage(s)} of ({u},{i})")
         rec.rev_state[s] = True
-        self.trace.add("RevState", f"u={u} i={i} s={_fmt_stage(s)}",
-                       f"snap#{_digest(rec.state_snap[s])}")
+        self.trace.add(_REV_STATE, u, i, s, rec.state_snap[s])
         return rec.state_snap[s]
 
     # -- Test ---------------------------------------------------------------
 
     def oracle_test(self, u: int, i: int, s) -> cs.SymmetricKey | None:
         if self.tested is not None:
-            self.trace.add("Test", f"u={u} i={i} s={_fmt_stage(s)}", "refused")
+            self.trace.add(_TEST_REFUSED, u, i, s)
             return None
         rec = self._session(u, i)
         if rec.status.get(s) != ACCEPT:
-            self.trace.add("Test", f"u={u} i={i} s={_fmt_stage(s)}", "refused")
+            self.trace.add(_TEST_REFUSED, u, i, s)
             return None
         self.tested = (u, i, s)
         k0 = rec.key[s]
         k1 = cs.SymmetricKey(self.game_rng.token(32))
         k = k0 if self.b == 0 else k1
-        self.trace.add("Test", f"u={u} i={i} s={_fmt_stage(s)}", f"key#{_digest(k)}")
+        self.trace.add(_TEST, u, i, s, k)
         return k

@@ -1,10 +1,11 @@
 """Shared builders for the test suite: keypairs, sessions, golden fixtures.
 
-The golden builder is deliberately deterministic end to end; the frozen
-file under data/ was produced by write_golden_file() and must never be
+The golden builders are deliberately deterministic end to end; each frozen
+file under data/ was produced by its write_* function and must never be
 regenerated casually, since every byte of it is asserted against.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -13,10 +14,13 @@ from letterseal.endpoint import endpoint_pair
 from letterseal.linev1 import v1_establish
 from letterseal.linev2 import v2_establish
 from letterseal.linevdr import (
+    ROLE_INITIATOR,
+    ROLE_RESPONDER,
     vdr_export_state,
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
+from letterseal.mske import PROTO_VDR, Game, attack_names, run_attack
 from letterseal.wire import encode_envelope
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -24,8 +28,10 @@ GOLDEN_FILE = DATA_DIR / "golden_envelopes.txt"
 KAT_FILE = DATA_DIR / "kat_vectors.txt"
 PACKET_FILE = DATA_DIR / "packet_fixtures.txt"
 SNAPSHOT_FILE = DATA_DIR / "golden_snapshots.txt"
+ATTACK_TRACE_FILE = DATA_DIR / "golden_attack_traces.txt"
 
 GOLDEN_SEED = 20260815
+ATTACK_TRACE_SEEDS = (0, 1, 7)
 
 
 def load_reference():
@@ -157,3 +163,60 @@ def write_golden_file() -> None:
 
 def write_snapshot_file() -> None:
     SNAPSHOT_FILE.write_text(golden_snapshot_text())
+
+
+def scripted_game() -> Game:
+    """A seeded ratchet game that calls every oracle. RevRand reads the
+    responder's reply stage (1,0) twice: once when only the open that drew
+    its ephemeral has run, and again after the reply's seal added the
+    nonce draw. The bytearray plaintext is changed after its Send."""
+    g = Game(PROTO_VDR, seed=11)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    first = g.oracle_send(1, 1, ("encrypt", 0, b"opener"))
+    buf = bytearray(b"second")
+    second = g.oracle_send(1, 1, ("encrypt", 1, buf))
+    buf[:] = b"changed"
+    g.oracle_send(2, 1, second)  # caches the key of (0,0)
+    g.oracle_rev_rand(2, 1, (1, 0))
+    g.oracle_send(2, 1, first)
+    reply = g.oracle_send(2, 1, ("encrypt", 2, b"reply"))
+    g.oracle_rev_rand(2, 1, (1, 0))
+    g.oracle_send(1, 1, reply)
+    g.oracle_send(1, 1, reply)  # a replay event
+    g.oracle_send(1, 1, b"\x99junk")
+    g.oracle_rev_sesskey(1, 1, (0, 0))
+    g.oracle_rev_state(2, 1, (1, 0))
+    g.oracle_rev_ltk(2)
+    g.oracle_test(1, 1, (9, 9))  # refused: never accepted
+    g.oracle_test(2, 1, (0, 1))
+    g.oracle_test(1, 1, (1, 0))  # refused: a Test was already asked
+    return g
+
+
+def _trace_line(label: str, verdicts: str, trace: str) -> str:
+    digest = hashlib.sha256(trace.encode()).hexdigest()
+    return f"{label} {verdicts} {len(trace.splitlines())} {digest}"
+
+
+def attack_trace_lines() -> list[str]:
+    """Per attack and seed: verdict pair (succeeded, violated freshness),
+    trace line count and SHA-256 of the trace; then the scripted game."""
+    lines = []
+    for name in attack_names():
+        for seed in ATTACK_TRACE_SEEDS:
+            rep = run_attack(name, seed)
+            verdicts = f"{rep.succeeded:d},{rep.violated_freshness:d}"
+            lines.append(_trace_line(f"{name}@{seed}", verdicts, rep.trace))
+    lines.append(_trace_line("scripted_game", "-", scripted_game().trace.export()))
+    return lines
+
+
+def attack_trace_text() -> str:
+    header = ("# oracle traces of the scripted attacks and one scripted game; "
+              "regenerate only on a trace format change\n")
+    return header + "\n".join(attack_trace_lines()) + "\n"
+
+
+def write_attack_trace_file() -> None:
+    ATTACK_TRACE_FILE.write_text(attack_trace_text())

@@ -76,11 +76,34 @@ def test_rng_fork_is_independent():
 def test_rng_log_and_marks():
     rng = cs.SeededRng(5)
     m = rng.mark()
-    first = rng.token(4)
-    second = rng.token(8)
-    assert rng.draws_since(m) == first + second
-    assert rng.log[-2:] == [first, second]
-    assert rng.draws_since(rng.mark()) == b""
+    draws = cs.DrawRecorder()
+    cs.open_scope(draws)
+    try:
+        first = rng.token(4)
+        second = rng.token(40)  # two hash blocks, one draw
+    finally:
+        cs.close_scope()
+    assert draws == [first, second]
+    assert rng.mark() == m + 2
+    rng.token(1)  # no recorder open: counted, kept nowhere
+    assert draws == [first, second] and rng.mark() == m + 3
+    assert not hasattr(rng, "log") and not hasattr(rng, "draws_since")
+
+
+def test_nested_draw_recorders_both_see_each_draw():
+    rng = cs.SeededRng(6)
+    outer, inner = cs.DrawRecorder(), cs.DrawRecorder()
+    cs.open_scope(outer)
+    try:
+        a = rng.token(8)
+        cs.open_scope(inner)
+        try:
+            b = rng.token(8)
+        finally:
+            cs.close_scope()
+    finally:
+        cs.close_scope()
+    assert outer == [a, b] and inner == [b]
 
 
 # -- diffie-hellman -----------------------------------------------------------
@@ -266,6 +289,21 @@ def test_count_ops_nested_scopes():
             cs.digest_kdf(b"s", b"t", b"u")
     assert (outer.dh, outer.kdf) == (1, 1)
     assert (inner.dh, inner.kdf) == (0, 1)
+
+
+def test_count_ops_scope_never_receives_draws():
+    rng = cs.SeededRng(24)
+    draws = cs.DrawRecorder()
+    with cs.count_ops() as counts:
+        cs.open_scope(draws)
+        try:
+            cs.dh_keygen(rng)
+            rng.token(16)
+        finally:
+            cs.close_scope()
+        rng.token(4)  # with the counting scope alone
+    assert len(draws) == 2
+    assert vars(counts) == {"dh": 1, "kdf": 0, "aead": 0}
 
 
 def test_ops_outside_scope_not_counted():

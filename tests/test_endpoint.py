@@ -9,6 +9,7 @@ import helpers
 from letterseal import crypto_suite as cs
 from letterseal.endpoint import Endpoint, endpoint_pair
 from letterseal.errors import AuthFailure, NotInitialized, ParseError
+from letterseal.linevdr import vdr_export_state
 
 PROTOCOLS = ("v1", "v2", "vdr")
 
@@ -40,12 +41,12 @@ def test_each_party_draws_only_from_its_own_rng():
     a, b = pair("vdr", 402)
     for turn in range(4):
         src, dst = (a, b) if turn % 2 == 0 else (b, a)
-        before = len(dst.rng.log)
+        before = dst.rng.mark()
         env = src.seal(b"x")
-        assert len(dst.rng.log) == before  # sealing leaves the peer's rng
-        before = len(src.rng.log)
+        assert dst.rng.mark() == before  # sealing leaves the peer's rng
+        before = src.rng.mark()
         dst.open(env)
-        assert len(src.rng.log) == before  # and so does opening
+        assert src.rng.mark() == before  # and so does opening
 
 
 def test_ratchet_responder_keeps_no_state_after_a_forged_opener():
@@ -76,20 +77,48 @@ def test_open_refuses_another_protocols_envelope(sender, receiver):
     src, _ = pair(sender, 407)
     _, dst = pair(receiver, 407)
     env = src.seal(b"foreign family")
-    drawn = len(dst.rng.log)
+    drawn = dst.rng.mark()
     with cs.count_ops() as counts, pytest.raises(
             ParseError, match=type(env).__name__):
         dst.open(env)
     # refused before set-up: no session, no exchange, no draw
     assert dst.session is None
     assert counts.dh == 0
-    assert len(dst.rng.log) == drawn
+    assert dst.rng.mark() == drawn
 
 
 def test_static_protocols_start_from_either_side():
     for protocol in ("v1", "v2"):
         a, b = pair(protocol, 405)
         assert a.open(b.seal(b"responder first")) == b"responder first"
+
+
+def _state(ep):
+    """What a seal may change: the ratchet snapshot, or the static
+    session's fields with v2's AD cache."""
+    st = ep.session
+    if st is None:
+        return None
+    if hasattr(st, "ck_send"):
+        return vdr_export_state(st)
+    return repr(st), dict(getattr(st, "ad_cache", {}))
+
+
+@pytest.mark.parametrize("ctype", [256, -1])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_out_of_range_ctype_is_refused_before_anything_moves(protocol, ctype):
+    a, b = pair(protocol, 408)
+    for first_seal in (True, False):
+        drawn, state = a.rng.mark(), _state(a)
+        with pytest.raises(ValueError, match="ctype"):
+            a.seal(b"bad", ctype=ctype)
+        # no draw, no chain step, no set-up, no AD cached
+        assert a.rng.mark() == drawn
+        assert _state(a) == state
+        if first_seal:
+            assert a.session is None
+        # the next valid seal still opens at the peer
+        assert b.open(a.seal(b"next", ctype=255)) == b"next"
 
 
 def test_unknown_protocol_rejected():

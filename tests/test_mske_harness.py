@@ -6,9 +6,13 @@ game must be byte-identical to driving the protocol libraries directly
 with mirrored rng forks.
 """
 
+import dataclasses
+
 import pytest
 
+import helpers
 import letterseal.crypto_suite as cs
+import letterseal.mske.game as game_module
 from letterseal.errors import NotInitialized, StageNotAccepted, StageUnknown
 from letterseal.linev2 import v2_encrypt, v2_establish
 from letterseal.linevdr import (
@@ -252,6 +256,38 @@ def test_vdr_headerless_deliveries_get_one_stage_each():
     assert p2.replay_events == []
 
 
+def test_vdr_headerless_stages_interleave_with_real_stages():
+    g = Game("vdr", seed=2)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    v2 = Game("v2")
+    v2.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    foreign = v2.oracle_send(1, 1, ("encrypt", 0, b"v2 payload"))
+    e00 = g.oracle_send(1, 1, ("encrypt", 0, b"m0"))
+    e01 = g.oracle_send(1, 1, ("encrypt", 0, b"m1"))
+    for m in (b"\x99junk", e00, b"", e00, foreign, e01, b"\x99junk"):
+        g.oracle_send(2, 1, m)
+    p2 = g.sessions[(2, 1)]
+    no_header = 0xFFFFFFFF
+    assert list(p2.status) == [(no_header, 0), (0, 0), (no_header, 1),
+                               (no_header, 2), (0, 1), (no_header, 3)]
+    assert [p2.status[s] for s in p2.status] == [
+        REJECT, ACCEPT, REJECT, REJECT, ACCEPT, REJECT]
+    assert p2.reject_reason[(no_header, 2)] == "ParseError"
+    assert p2.transcript[(no_header, 3)] == b"\x99junk"
+    # the duplicate is a replay of (0,0), not a headerless stage
+    assert p2.replay_events == [((0, 0), "ReplayRejected")]
+    # a forged header at that epoch takes a stage number too
+    env = decode_envelope(e01)
+    forged = dataclasses.replace(
+        env, j_index=9, nonce_material=b"\xff" * 4 + env.nonce_material[4:])
+    g.oracle_send(2, 1, encode_envelope(forged))
+    g.oracle_send(2, 1, b"\x99junk")
+    assert list(p2.status)[-2:] == [(no_header, 9), (no_header, 5)]
+    assert p2.reject_reason[(no_header, 9)] == "AuthFailure"
+    assert len(p2.replay_events) == 1
+
+
 def test_vdr_lazy_responder_init_paths():
     g = Game("vdr")
     g.oracle_send(1, 1, (2, ROLE_INITIATOR))
@@ -341,6 +377,52 @@ def test_query_trace_records_oracles():
     assert "Send u=1 i=1 activate" in g.trace
     text = g.trace.export()
     assert text.endswith("\n") and len(text.splitlines()) == len(g.trace.lines)
+
+
+def test_attack_and_scripted_game_traces_match_the_frozen_file():
+    assert helpers.attack_trace_text() == helpers.ATTACK_TRACE_FILE.read_text()
+
+
+def test_trace_keeps_what_rev_rand_returned_before_the_stage_grew():
+    g = helpers.scripted_game()
+    rand = [line for line in g.trace.lines
+            if line.startswith("RevRand u=2 i=1 s=1,0 ")]
+    full = g.sessions[(2, 1)].rand_log[(1, 0)]
+    assert len(full) == 36  # the reply ephemeral, then the nonce draw
+    assert rand == [f"RevRand u=2 i=1 s=1,0 -> rand#{game_module._digest(r)}"
+                    for r in (full[:32], full)]
+    # the bytearray plaintext was changed after its Send
+    assert f"pt#{game_module._digest(b'second')} " in g.trace
+
+
+def test_trace_digests_nothing_until_read(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return digest(data)
+
+    digest = game_module._digest
+    monkeypatch.setattr(game_module, "_digest", counted)
+    g = Game("vdr", seed=6)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    for n in range(200):
+        sender = 1 if n // 4 % 2 == 0 else 2  # bursts of 4: epochs turn
+        raw = g.oracle_send(sender, 1, ("encrypt", 0, b"m%d" % n))
+        g.oracle_send(3 - sender, 1, raw)
+    assert calls == []
+    text = g.trace.export()
+    # pt and env per encrypt, env per deliver
+    assert len(calls) == 3 * 200
+    assert len(text.splitlines()) == 2 + 2 * 200
+    assert g.trace.export() == text and "deliver" in g.trace
+    assert len(g.trace.lines) == 402 and len(calls) == 600
+    # an entry added after a read renders on the next read, alone
+    g.oracle_rev_state(2, 1, (0, 0))
+    assert len(calls) == 600
+    assert g.trace.lines[-1].startswith("RevState u=2 i=1 s=0,0 -> snap#")
+    assert len(calls) == 601
 
 
 def test_v2_envelopes_match_direct_library_use():
