@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import crypto_suite as cs
 from .errors import MacFailure, PaddingError
-from .wire import VERS_V1, EnvelopeV1, _check_u8
+from .wire import EnvelopeV1, _check_u8
 
 _ZERO_BLOCK = bytes(16)
 
@@ -77,7 +77,7 @@ def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
     h = _fold(hashlib.sha256(ciphertext).digest())
     last = int.from_bytes(ciphertext[-16:], "big")
     tag = cbc.update((h ^ last).to_bytes(16, "big"))
-    return EnvelopeV1(vers=VERS_V1, ctype=ctype, salt=salt,
+    return EnvelopeV1(ctype=ctype, salt=salt,
                       ciphertext=ciphertext, tag=tag,
                       kid_sender=s.kid_self, kid_receiver=s.kid_peer)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from . import crypto_suite as cs
 from .errors import CounterExhausted, KidMismatch
@@ -30,7 +31,7 @@ class SessionV2:
     sid: str
     rid: str
     ctr: int = 0
-    vers: int = VERS_V2
+    vers: ClassVar[int] = VERS_V2
     # associated data is constant per (session, ctype); built once
     ad_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -95,7 +96,7 @@ def v2_decrypt(s: SessionV2, e: EnvelopeV2) -> bytes:
             f"envelope for kid {e.kid_receiver}, this session holds {s.kid_self}")
     k_e = v2_derive_key(s.pms, e.salt)
     nonce = cs.AeadNonce(e.nonce_material + b"\x00" * 4)
-    # memo over every AD input (vers is pinned to 2 by the envelope ctor);
+    # memo over every AD input (vers is the envelope class constant 2);
     # exact for forged headers too, since the key covers all fields
     memo = (e.rid, e.sid, e.kid_sender, e.kid_receiver, e.ctype)
     ad = s.ad_cache.get(memo)

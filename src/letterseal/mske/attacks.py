@@ -5,7 +5,9 @@ computation, reported as an AttackReport. succeeded says whether the win
 condition held; violated_freshness says whether the trace tripped the
 protocol's freshness predicate at the stage the attack went after. The two
 axes are independent on purpose: a win on a fresh trace is a model-admitted
-break, a win on a violated trace is merely excluded bookkeeping.
+break, a win on a violated trace is merely excluded bookkeeping. _report
+builds every report and picks the predicate from the game's protocol;
+_ATTACKS lists each script with the verdict pair it is expected to give.
 
 The ratchet attacks share a KeyClosure: everything a passive adversary can
 compute from leaked values plus the public transcript, closed under the
@@ -52,27 +54,18 @@ class AttackReport:
     details: dict = field(default_factory=dict)
 
 
-# what each scripted attack is expected to report: (succeeded, violated)
-EXPECTED: dict[str, tuple[bool, bool]] = {
-    "kci_v2": (True, True),
-    "replay_v2": (True, False),
-    "replay_vdr": (False, False),
-    "kci_vdr_postratchet": (False, False),
-    "fs_v2": (True, True),
-    "fs_vdr": (False, False),
-    "pcs_vdr": (False, False),
-}
-
-
 def _adv_rng(seed: int, label: bytes) -> cs.SeededRng:
     # sibling fork of the game's b"protocol"/b"game" streams
     return cs.SeededRng(seed).fork(b"adversary-" + label)
 
 
-def _open_pair(g: Game) -> None:
-    """Activate session 1 of A as initiator and of B as responder."""
+def _game(protocol: str, seed: int) -> Game:
+    """A two-party game with session 1 of A activated as initiator and
+    session 1 of B as responder."""
+    g = Game(protocol, 2, seed)
     g.oracle_send(A, 1, (B, ROLE_INITIATOR))
     g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+    return g
 
 
 def _flights(g: Game, plan: list[tuple[int, bytes]], log: dict) -> dict:
@@ -89,14 +82,31 @@ def _flights(g: Game, plan: list[tuple[int, bytes]], log: dict) -> dict:
     return log
 
 
+def _test(g: Game, u: int, s, k_adv: bytes) -> dict:
+    """Ask Test at stage s of (u, 1) and guess real iff it returns k_adv."""
+    k_t = g.oracle_test(u, 1, s)
+    guess = 0 if (k_t is not None and bytes(k_t) == bytes(k_adv)) else 1
+    return {"challenge_bit": g.b, "guess": guess}
+
+
+def _report(name: str, g: Game, succeeded: bool, tested: tuple,
+            details: dict) -> AttackReport:
+    """The report of one attack; tested = (party, stage) is the stage the
+    attack went after, judged by its protocol's freshness predicate."""
+    fresh = fresh_v2 if g.protocol == PROTO_V2 else fresh_vdr
+    u, s = tested
+    return AttackReport(name, succeeded, not fresh(g, (u, 1, s)),
+                        g.trace.export(), details)
+
+
 # ---------------------------------------------------------------------------
 # Computable-key closure for the ratchet
 # ---------------------------------------------------------------------------
 
 class KeyClosure:
-    """Fixpoint of key material derivable from leaks plus public transcript.
+    """Key material derivable from leaks plus the public transcript.
 
-    Rules, applied until nothing new appears:
+    Rules:
       initial     rk_0, ck_0 from dh(y, g^a0) || dh(y, g^x) given the
                   responder secret y, or dh(a0, g^y) || dh(x, g^y) given
                   both initiator secrets a0 and x
@@ -104,6 +114,14 @@ class KeyClosure:
                   given rk_e and either adjacent ephemeral secret
       extension   walk a known chain key forward, one message key per
                   index, bounded by the highest index observed on the wire
+
+    run() applies them in one ordered pass, which reaches their fixpoint.
+    Roots only move forward: the initial rule gives epoch 0 and a
+    transition gives epoch e+1 from epoch e, so one walk up the epochs on
+    the wire meets every root after the root it needs. Chain keys feed no
+    root, so one extension pass after the walk gives every message key.
+    run() may be called again after more leaks; it resumes from what it
+    holds.
     """
 
     def __init__(self, initiator_pub: bytes, responder_pub: bytes,
@@ -145,75 +163,53 @@ class KeyClosure:
         for stage, mk in st.skipped.items():
             self.mk[stage] = bytes(mk)
 
-    # -- fixpoint ---------------------------------------------------------
+    # -- closure ----------------------------------------------------------
 
-    def _secret_for(self, pub: bytes) -> cs.GroupScalar | None:
-        return self.scalars.get(bytes(pub))
+    def _shared(self, epoch: int) -> bytes | None:
+        """The DH input of epoch's root step, if the known secrets give it."""
+        pub = self.epoch_eph_pub[epoch]
+        if epoch == 0:
+            y = self.scalars.get(self.responder_pub)
+            a0 = self.scalars.get(pub)
+            x = self.scalars.get(self.initiator_pub)
+            if y is not None:
+                return (cs.dh(y, cs.GroupElement(pub))
+                        + cs.dh(y, cs.GroupElement(self.initiator_pub)))
+            if a0 is not None and x is not None:
+                resp_pub = cs.GroupElement(self.responder_pub)
+                return cs.dh(a0, resp_pub) + cs.dh(x, resp_pub)
+            return None
+        prev = self.epoch_eph_pub.get(epoch - 1)
+        if prev is None or epoch - 1 not in self.root:
+            return None
+        sec_next = self.scalars.get(pub)
+        sec_prev = self.scalars.get(prev)
+        if sec_next is not None:
+            return cs.dh(sec_next, cs.GroupElement(prev))
+        if sec_prev is not None:
+            return cs.dh(sec_prev, cs.GroupElement(pub))
+        return None
 
-    def _try_initial(self) -> bool:
-        if 0 in self.root or 0 not in self.epoch_eph_pub:
-            return False
-        eph0 = cs.GroupElement(self.epoch_eph_pub[0])
-        init_pub = cs.GroupElement(self.initiator_pub)
-        resp_pub = cs.GroupElement(self.responder_pub)
-        y = self._secret_for(self.responder_pub)
-        a0 = self._secret_for(bytes(eph0))
-        x = self._secret_for(self.initiator_pub)
-        if y is not None:
-            ikm = cs.dh(y, eph0) + cs.dh(y, init_pub)
-        elif a0 is not None and x is not None:
-            ikm = cs.dh(a0, resp_pub) + cs.dh(x, resp_pub)
-        else:
-            return False
-        rk, ck = cs.kdf_root(ikm, cs.ZERO_SALT)
-        self.root[0] = bytes(rk)
-        self.learn_chain(0, 0, ck)
-        return True
-
-    def _try_transitions(self) -> bool:
-        changed = False
-        for epoch, rk in list(self.root.items()):
-            nxt = epoch + 1
-            if nxt in self.root or nxt not in self.epoch_eph_pub:
+    def run(self) -> "KeyClosure":
+        for epoch in sorted(self.epoch_eph_pub):
+            if epoch in self.root:
                 continue
-            if epoch not in self.epoch_eph_pub:
+            shared = self._shared(epoch)
+            if shared is None:
                 continue
-            pub_prev = self.epoch_eph_pub[epoch]
-            pub_next = self.epoch_eph_pub[nxt]
-            sec_next = self._secret_for(pub_next)
-            sec_prev = self._secret_for(pub_prev)
-            if sec_next is not None:
-                shared = cs.dh(sec_next, cs.GroupElement(pub_prev))
-            elif sec_prev is not None:
-                shared = cs.dh(sec_prev, cs.GroupElement(pub_next))
-            else:
-                continue
-            rk_next, ck = cs.kdf_root(shared, cs.SymmetricKey(rk))
-            self.root[nxt] = bytes(rk_next)
-            self.learn_chain(nxt, 0, ck)
-            changed = True
-        return changed
-
-    def _extend_chains(self) -> bool:
-        changed = False
-        for epoch, (j, ck) in list(self.chain.items()):
+            salt = (cs.ZERO_SALT if epoch == 0
+                    else cs.SymmetricKey(self.root[epoch - 1]))
+            rk, ck = cs.kdf_root(shared, salt)
+            self.root[epoch] = bytes(rk)
+            self.learn_chain(epoch, 0, ck)
+        for epoch, (j, ck) in self.chain.items():
             limit = self.max_j.get(epoch, -1)
             cur = cs.SymmetricKey(ck)
             while j <= limit:
                 mk, cur = cs.kdf_chain(cur)
-                if (epoch, j) not in self.mk:
-                    self.mk[(epoch, j)] = bytes(mk)
-                    changed = True
+                self.mk.setdefault((epoch, j), bytes(mk))
                 j += 1
             self.chain[epoch] = (j, bytes(cur))
-        return changed
-
-    def run(self) -> "KeyClosure":
-        changed = True
-        while changed:
-            changed = self._try_initial()
-            changed |= self._try_transitions()
-            changed |= self._extend_chains()
         return self
 
     # -- queries ----------------------------------------------------------
@@ -235,8 +231,7 @@ class KeyClosure:
 def attack_kci_v2(seed: int) -> AttackReport:
     """Reveal the victim's long-term secret, then impersonate the peer to
     the victim and distinguish the forged stage's key with certainty."""
-    g = Game(PROTO_V2, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_V2, seed)
     env1 = g.oracle_send(A, 1, ("encrypt", 0, b"hello from the real sender"))
     g.oracle_send(B, 1, env1)
 
@@ -262,29 +257,20 @@ def attack_kci_v2(seed: int) -> AttackReport:
     stage = 2
     accepted = rec.status.get(stage) == ACCEPT
     impersonated = rec.plaintexts.get(stage) == forged_pt
-    k_t = g.oracle_test(B, 1, stage)
-    guess = 0 if (k_t is not None and bytes(k_t) == bytes(k_e)) else 1
-    succeeded = accepted and impersonated and guess == g.b
-    return AttackReport(
-        name="kci_v2",
-        succeeded=succeeded,
-        violated_freshness=not fresh_v2(g, (B, 1, stage)),
-        trace=g.trace.export(),
-        details={
-            "forged_stage_accepted": accepted,
-            "forged_plaintext_decrypted": impersonated,
-            "challenge_bit": g.b,
-            "guess": guess,
-        },
-    )
+    test = _test(g, B, stage, k_e)
+    succeeded = accepted and impersonated and test["guess"] == g.b
+    return _report("kci_v2", g, succeeded, (B, stage), {
+        "forged_stage_accepted": accepted,
+        "forged_plaintext_decrypted": impersonated,
+        **test,
+    })
 
 
 def attack_replay_v2(seed: int) -> AttackReport:
     """Deliver the same envelope twice; the stateless receiver accepts both.
     A cross-stage key reveal then wins the distinguishing game on a trace
     the freshness predicate still calls fresh (replays are admissible)."""
-    g = Game(PROTO_V2, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_V2, seed)
     pt = b"pay invoice 7031 now"
     env = g.oracle_send(A, 1, ("encrypt", 0, pt))
     g.oracle_send(B, 1, env)
@@ -296,29 +282,19 @@ def attack_replay_v2(seed: int) -> AttackReport:
                     and rec.plaintexts.get(2) == pt)
 
     # same salt, same pms: stage 1's key IS stage 2's key
-    k1 = g.oracle_rev_sesskey(B, 1, 1)
-    k_t = g.oracle_test(B, 1, 2)
-    guess = 0 if (k_t is not None and bytes(k_t) == bytes(k1)) else 1
-    succeeded = dup_accepted and guess == g.b
-    return AttackReport(
-        name="replay_v2",
-        succeeded=succeeded,
-        violated_freshness=not fresh_v2(g, (B, 1, 2)),
-        trace=g.trace.export(),
-        details={
-            "duplicate_accepted": dup_accepted,
-            "challenge_bit": g.b,
-            "guess": guess,
-            "replay_events": len(rec.replay_events),
-        },
-    )
+    test = _test(g, B, 2, g.oracle_rev_sesskey(B, 1, 1))
+    succeeded = dup_accepted and test["guess"] == g.b
+    return _report("replay_v2", g, succeeded, (B, 2), {
+        "duplicate_accepted": dup_accepted,
+        **test,
+        "replay_events": len(rec.replay_events),
+    })
 
 
 def attack_fs_v2(seed: int) -> AttackReport:
     """Record fifty ciphertexts, then reveal the receiver's state once.
     The pre-master secret inside decrypts every recorded message."""
-    g = Game(PROTO_V2, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_V2, seed)
     total = 50
     sent = {}
     for n in range(total):
@@ -345,35 +321,31 @@ def attack_fs_v2(seed: int) -> AttackReport:
             opened += 1
 
     tested = total // 2
-    k_t = g.oracle_test(B, 1, tested)
     env_t = decode_envelope(rec.transcript[tested])
-    k_adv = v2_derive_key(pms, env_t.salt)
-    guess = 0 if (k_t is not None and bytes(k_t) == bytes(k_adv)) else 1
-    succeeded = opened == total and guess == g.b
-    return AttackReport(
-        name="fs_v2",
-        succeeded=succeeded,
-        violated_freshness=not fresh_v2(g, (B, 1, tested)),
-        trace=g.trace.export(),
-        details={
-            "recorded": total,
-            "decrypted_post_hoc": opened,
-            "challenge_bit": g.b,
-            "guess": guess,
-        },
-    )
+    test = _test(g, B, tested, v2_derive_key(pms, env_t.salt))
+    succeeded = opened == total and test["guess"] == g.b
+    return _report("fs_v2", g, succeeded, (B, tested), {
+        "recorded": total,
+        "decrypted_post_hoc": opened,
+        **test,
+    })
 
 
 # ---------------------------------------------------------------------------
 # Ratchet protocol attacks
 # ---------------------------------------------------------------------------
 
+def _closure(g: Game, log: dict) -> KeyClosure:
+    """A closure over the envelopes of a _flights log, with no leak yet."""
+    envs = [decode_envelope(raw) for _, raw, _ in log.values()]
+    return KeyClosure(g.parties[A][1], g.parties[B][1], envs)
+
+
 def attack_replay_vdr(seed: int) -> AttackReport:
     """Duplicate deliveries are refused as already consumed, both
     immediately and after the conversation has moved on: the stage sits
     behind the live receive chain and no cached key is left for it."""
-    g = Game(PROTO_VDR, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_VDR, seed)
     pt = b"first flight"
     env00 = g.oracle_send(A, 1, ("encrypt", 0, pt))
     g.oracle_send(B, 1, env00)
@@ -386,25 +358,17 @@ def attack_replay_vdr(seed: int) -> AttackReport:
     rejections = [r for r in rec.replay_events if r[1] == "ReplayRejected"]
     accepted_once = (rec.status.get((0, 0)) == ACCEPT
                      and rec.plaintexts.get((0, 0)) == pt)
-    dup_accepted = len(rejections) != 2
-    return AttackReport(
-        name="replay_vdr",
-        succeeded=dup_accepted,
-        violated_freshness=not fresh_vdr(g, (B, 1, (0, 0))),
-        trace=g.trace.export(),
-        details={
-            "duplicate_rejections": len(rejections),
-            "first_delivery_accepted": bool(accepted_once),
-        },
-    )
+    return _report("replay_vdr", g, len(rejections) != 2, (B, (0, 0)), {
+        "duplicate_rejections": len(rejections),
+        "first_delivery_accepted": bool(accepted_once),
+    })
 
 
 def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
     """Reveal the responder's long-term secret after the ratchet has turned.
     The closure reaches every epoch-0 key (the initial derivation leans on
     that secret) but nothing at epoch 1 or later."""
-    g = Game(PROTO_VDR, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_VDR, seed)
     log = _flights(g, [
         (A, b"m 0,0"), (A, b"m 0,1"),
         (B, b"r 1,0"),
@@ -412,8 +376,7 @@ def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
     ], {})
     g.oracle_rev_ltk(B)
 
-    envs = [decode_envelope(raw) for _, raw, _ in log.values()]
-    closure = KeyClosure(g.parties[A][1], g.parties[B][1], envs)
+    closure = _closure(g, log)
     closure.learn_scalar(g.parties[B][0])  # the revealed ltk, nothing else
     closure.run()
 
@@ -431,19 +394,13 @@ def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
                     == log[(0, 0)][2])
 
     succeeded = bool(post_stages) or post_true_keys_leaked
-    return AttackReport(
-        name="kci_vdr_postratchet",
-        succeeded=succeeded,
-        violated_freshness=not fresh_vdr(g, (B, 1, (2, 0))),
-        trace=g.trace.export(),
-        details={
-            "closure_stages": [list(s) for s in closure.stages()],
-            "epoch0_keys_match_truth": epoch0_true,
-            "epoch0_ciphertext_opens": epoch0_opens,
-            "post_ratchet_stage_reached": bool(post_stages),
-            "post_ratchet_true_key_leaked": post_true_keys_leaked,
-        },
-    )
+    return _report("kci_vdr_postratchet", g, succeeded, (B, (2, 0)), {
+        "closure_stages": [list(s) for s in closure.stages()],
+        "epoch0_keys_match_truth": epoch0_true,
+        "epoch0_ciphertext_opens": epoch0_opens,
+        "post_ratchet_stage_reached": bool(post_stages),
+        "post_ratchet_true_key_leaked": post_true_keys_leaked,
+    })
 
 
 def attack_fs_vdr(seed: int) -> AttackReport:
@@ -451,8 +408,7 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     decrypt the recorded traffic by driving imported copies of the states.
     Consumed indices are refused and the chains have moved past; the
     snapshots also no longer contain any spent message key."""
-    g = Game(PROTO_VDR, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_VDR, seed)
     log = _flights(g, [
         (A, b"m 0,0"), (A, b"m 0,1"), (A, b"m 0,2"),
         (B, b"r 1,0"), (B, b"r 1,1"),
@@ -483,17 +439,11 @@ def attack_fs_vdr(seed: int) -> AttackReport:
         bytes(g.sessions[(A, 1)].key[s]) not in snap_a
         for s in [(1, 0), (1, 1)]
     )
-    return AttackReport(
-        name="fs_vdr",
-        succeeded=opened > 0,
-        violated_freshness=not fresh_vdr(g, (B, 1, (0, 1))),
-        trace=g.trace.export(),
-        details={
-            "decrypt_attempts": attempts,
-            "decrypted": opened,
-            "consumed_keys_absent_from_snapshots": erased,
-        },
-    )
+    return _report("fs_vdr", g, opened > 0, (B, (0, 1)), {
+        "decrypt_attempts": attempts,
+        "decrypted": opened,
+        "consumed_keys_absent_from_snapshots": erased,
+    })
 
 
 def attack_pcs_vdr(seed: int) -> AttackReport:
@@ -501,8 +451,7 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
     passive observation. The closure falls through epoch x+1 (the victim's
     stored rk and ephemeral carry that far) and heals at x+2, where a
     post-compromise ephemeral enters the root."""
-    g = Game(PROTO_VDR, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_VDR, seed)
     log = _flights(g, [(A, b"m 0,0"), (A, b"m 0,1")], {})
     snap = g.oracle_rev_state(B, 1, (0, 1))  # compromise: B's send epoch is 1
     _flights(g, [
@@ -514,8 +463,7 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
         (A, b"m 4,0"),
     ], log)
 
-    envs = [decode_envelope(raw) for _, raw, _ in log.values()]
-    closure = KeyClosure(g.parties[A][1], g.parties[B][1], envs)
+    closure = _closure(g, log)
     closure.learn_snapshot(snap)
     closure.run()
 
@@ -535,34 +483,32 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
         healed[stage] = (closure.message_key(stage) is None
                          and not closure.holds_value(true_key(stage)))
 
-    succeeded = not all(healed.values())  # a win would be reaching x+2
-    return AttackReport(
-        name="pcs_vdr",
-        succeeded=succeeded,
-        violated_freshness=not fresh_vdr(g, (A, 1, (3, 0))),
-        trace=g.trace.export(),
-        details={
-            "compromise_epoch": 1,
-            "fallen_stages_decrypted": {f"{s[0]},{s[1]}": v
-                                        for s, v in fallen.items()},
-            "healed_stages_excluded": {f"{s[0]},{s[1]}": v
-                                       for s, v in healed.items()},
-            "closure_stages": [list(s) for s in closure.stages()],
-        },
-    )
+    # a win would be reaching x+2
+    return _report("pcs_vdr", g, not all(healed.values()), (A, (3, 0)), {
+        "compromise_epoch": 1,
+        "fallen_stages_decrypted": {f"{s[0]},{s[1]}": v
+                                    for s, v in fallen.items()},
+        "healed_stages_excluded": {f"{s[0]},{s[1]}": v
+                                   for s, v in healed.items()},
+        "closure_stages": [list(s) for s in closure.stages()],
+    })
 
 
 # ---------------------------------------------------------------------------
 
+# name -> (script, the (succeeded, violated) it is expected to report)
 _ATTACKS = {
-    "kci_v2": attack_kci_v2,
-    "replay_v2": attack_replay_v2,
-    "replay_vdr": attack_replay_vdr,
-    "kci_vdr_postratchet": attack_kci_vdr_postratchet,
-    "fs_v2": attack_fs_v2,
-    "fs_vdr": attack_fs_vdr,
-    "pcs_vdr": attack_pcs_vdr,
+    "kci_v2": (attack_kci_v2, (True, True)),
+    "replay_v2": (attack_replay_v2, (True, False)),
+    "replay_vdr": (attack_replay_vdr, (False, False)),
+    "kci_vdr_postratchet": (attack_kci_vdr_postratchet, (False, False)),
+    "fs_v2": (attack_fs_v2, (True, True)),
+    "fs_vdr": (attack_fs_vdr, (False, False)),
+    "pcs_vdr": (attack_pcs_vdr, (False, False)),
 }
+
+EXPECTED: dict[str, tuple[bool, bool]] = {
+    name: expected for name, (_, expected) in _ATTACKS.items()}
 
 
 def attack_names() -> list[str]:
@@ -571,7 +517,7 @@ def attack_names() -> list[str]:
 
 def run_attack(name: str, seed: int = 0) -> AttackReport:
     try:
-        fn = _ATTACKS[name]
+        fn, _ = _ATTACKS[name]
     except KeyError:
         raise UnknownAttack(
             f"unknown attack {name!r}; known: {', '.join(sorted(_ATTACKS))}"

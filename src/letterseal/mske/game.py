@@ -21,7 +21,10 @@ Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
 is unidirectional (the initiator's stages are its sends, the responder's
 its receives). The ratchet protocol uses (epoch, index) pairs, ordered
-lexicographically, and one session covers both directions.
+lexicographically, and one session covers both directions. A ratchet
+delivery with no header (junk, or another family's envelope) takes stage
+(2**32, n), n counting such deliveries: no u32 header carries that epoch,
+so a forged header never lands on a junk delivery's stage.
 
 Determinism. A game seeded with s derives one stream per party
 (fork b"party-<u>" of fork b"protocol") plus a challenger stream
@@ -79,7 +82,7 @@ class SessionRecord:
     rev_rand: dict = field(default_factory=dict)
     rev_state: dict = field(default_factory=dict)
     replay_events: list = field(default_factory=list)
-    headerless: int = 0  # stages at epoch _NO_HEADER in status; see _vdr_stage
+    headerless: int = 0  # headerless deliveries so far; see _vdr_stage
 
     def next_stage_v2(self) -> int:
         return len(self.status) + 1
@@ -94,20 +97,16 @@ def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
     return cs.SharedSecret(snapshot[:32])
 
 
-_NO_HEADER = 0xFFFFFFFF  # the epoch of a ratchet stage with no header
+_NO_HEADER = 1 << 32  # the epoch of a headerless stage: no u32 header has it
 
 
 def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
-    """An envelope's stage; a headerless one is numbered by the stages
-    at epoch _NO_HEADER so far, a forged header's included. Every stage
-    asked for here enters rec.status next, so a new one is counted now."""
+    """An envelope's stage; a headerless one is numbered by the headerless
+    deliveries so far. Every stage asked for here enters rec.status next."""
     if isinstance(env, EnvelopeVDR):
-        stage = (env.i_index, env.j_index)
-    else:
-        stage = (_NO_HEADER, rec.headerless)
-    if stage[0] == _NO_HEADER and stage not in rec.status:
-        rec.headerless += 1
-    return stage
+        return (env.i_index, env.j_index)
+    rec.headerless += 1
+    return (_NO_HEADER, rec.headerless - 1)
 
 
 class _Protocol(NamedTuple):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .errors import Ambiguous, ChunkCountError, ParseError
 
@@ -57,11 +58,9 @@ class EnvelopeV1:
     tag: bytes
     kid_sender: int
     kid_receiver: int
-    vers: int = VERS_V1
+    vers: ClassVar[int] = VERS_V1
 
     def __post_init__(self):
-        if self.vers != VERS_V1:
-            raise ValueError(f"EnvelopeV1 vers must be 1, got {self.vers}")
         if len(self.salt) != 8:
             raise ValueError("EnvelopeV1 salt must be 8 bytes")
         if len(self.tag) != 16:
@@ -85,11 +84,9 @@ class EnvelopeV2:
     kid_receiver: int
     sid: str
     rid: str
-    vers: int = VERS_V2
+    vers: ClassVar[int] = VERS_V2
 
     def __post_init__(self):
-        if self.vers != VERS_V2:
-            raise ValueError(f"EnvelopeV2 vers must be 2, got {self.vers}")
         if len(self.salt) != 16:
             raise ValueError("EnvelopeV2 salt must be 16 bytes")
         if len(self.nonce_material) != 8:
@@ -122,11 +119,9 @@ class EnvelopeVDR:
     kid_receiver: int
     eph_pub: bytes
     j_index: int
-    vers: int = VERS_VDR
+    vers: ClassVar[int] = VERS_VDR
 
     def __post_init__(self):
-        if self.vers != VERS_VDR:
-            raise ValueError(f"EnvelopeVDR vers must be 3, got {self.vers}")
         if len(self.eph_pub) != 32:
             raise ValueError("EnvelopeVDR eph_pub must be 32 bytes")
         if len(self.nonce_material) != 8:

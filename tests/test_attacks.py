@@ -186,6 +186,38 @@ def test_closure_snapshot_transitions_skip_spent_chain():
         assert c.message_key(s) == bytes(truth[s])
 
 
+def test_closure_snapshot_hands_over_skipped_keys():
+    g = Game("vdr", seed=5)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    raws = [g.oracle_send(1, 1, ("encrypt", 0, b"m%d" % j)) for j in range(3)]
+    g.oracle_send(2, 1, raws[2])  # (0,2) first: (0,0) and (0,1) are cached
+    c = _closure_for(g)
+    c.learn_snapshot(g.oracle_rev_state(2, 1, (0, 2)))
+    truth = g.sessions[(1, 1)].key
+    # the cached keys are held before any rule runs
+    assert c.stages() == [(0, 0), (0, 1)]
+    for s in c.stages():
+        assert c.message_key(s) == bytes(truth[s])
+    c.run()
+    assert c.stages() == [(0, 0), (0, 1), (0, 2)]
+    for s in c.stages():
+        assert c.message_key(s) == bytes(truth[s])
+
+
+def test_closure_transition_through_the_next_epochs_secret():
+    g = _drive(6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")])
+    c = _closure_for(g)
+    c.learn_scalar(g.oracle_rev_ltk(2))
+    # the responder's epoch-1 ephemeral, drawn when it opened (0,0)
+    c.learn_scalar(g.oracle_rev_rand(2, 1, (1, 0))[:32])
+    c.run()
+    truth = g.sessions[(2, 1)].key
+    assert c.stages() == [(0, 0), (0, 1), (1, 0)]
+    for s in c.stages():
+        assert c.message_key(s) == bytes(truth[s])
+
+
 def test_closure_learn_chain_keeps_earliest_position():
     c = KeyClosure(bytes(32), bytes(32), [])
     c.learn_chain(0, 5, b"\x11" * 32)

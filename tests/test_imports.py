@@ -20,6 +20,9 @@ module calls the stdlib's hmac.digest or hmac.new; compare_digest is fine.
 Instrumentation has one path, crypto_suite's process-wide scope list: no
 module in the package imports threading, and no module but crypto_suite
 names the list, so a per-object or per-thread hook cannot come back.
+
+Every attack report is built by attacks._report, the one place that picks
+the freshness predicate, so no script can judge its stage by another.
 """
 
 import ast
@@ -303,3 +306,46 @@ def test_scope_detector_flags_threads_and_foreign_scope_lists():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_instrumentation_has_one_unthreaded_scope_list(path):
     assert scope_hooks(path.read_text(), home=path == SCOPE_HOME) == []
+
+
+REPORT_HOME = (ROOT / "src" / "letterseal" / "mske" / "attacks.py", "_report")
+
+
+def report_builds(source: str) -> list[str]:
+    """Each call that constructs an AttackReport, by name or attribute."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name == "AttackReport":
+                found.append(f"{node.lineno}: {scope or '<module>'}")
+    return found
+
+
+def test_report_detector_flags_every_construction():
+    # the first eight lines are from an earlier attacks.py, where each
+    # script built its own report and picked its own predicate
+    source = ("def attack_replay_vdr(seed: int) -> AttackReport:\n"
+              "    return AttackReport(\n"
+              "        name='replay_vdr',\n"
+              "        succeeded=dup_accepted,\n"
+              "        violated_freshness=not fresh_vdr(g, (B, 1, (0, 0))),\n"
+              "        trace=g.trace.export())\n"
+              "def attack_fs_v2(seed):\n"
+              "    return AttackReport(name='fs_v2', succeeded=True)\n"
+              "def _report(name, g, succeeded, tested, details):\n"
+              "    return AttackReport(name, succeeded, False, '', details)\n"
+              "rep = mske.AttackReport('x', True, False, '')\n")
+    assert report_builds(source) == ["2: attack_replay_vdr", "8: attack_fs_v2",
+                                     "10: _report", "11: <module>"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_attack_reports_are_built_only_by_report(path):
+    builds = report_builds(path.read_text())
+    if path == REPORT_HOME[0]:
+        builds = [b for b in builds if b.split()[1] != REPORT_HOME[1]]
+    assert builds == []

@@ -249,8 +249,8 @@ def test_vdr_headerless_deliveries_get_one_stage_each():
     for _ in range(3):
         g.oracle_send(2, 1, b"\x99junk")
     p2 = g.sessions[(2, 1)]
-    junk = [(0xFFFFFFFF, n) for n in range(3)]
-    assert [s for s in p2.status if s[0] == 0xFFFFFFFF] == junk
+    junk = [(1 << 32, n) for n in range(3)]
+    assert [s for s in p2.status if s[0] == 1 << 32] == junk
     assert all(p2.status[s] == REJECT for s in junk)
     assert all(p2.transcript[s] == b"\x99junk" for s in junk)
     assert p2.replay_events == []
@@ -268,7 +268,7 @@ def test_vdr_headerless_stages_interleave_with_real_stages():
     for m in (b"\x99junk", e00, b"", e00, foreign, e01, b"\x99junk"):
         g.oracle_send(2, 1, m)
     p2 = g.sessions[(2, 1)]
-    no_header = 0xFFFFFFFF
+    no_header = 1 << 32
     assert list(p2.status) == [(no_header, 0), (0, 0), (no_header, 1),
                                (no_header, 2), (0, 1), (no_header, 3)]
     assert [p2.status[s] for s in p2.status] == [
@@ -277,15 +277,30 @@ def test_vdr_headerless_stages_interleave_with_real_stages():
     assert p2.transcript[(no_header, 3)] == b"\x99junk"
     # the duplicate is a replay of (0,0), not a headerless stage
     assert p2.replay_events == [((0, 0), "ReplayRejected")]
-    # a forged header at that epoch takes a stage number too
+    # a forged header at the top u32 epoch keeps its own stage and takes
+    # no headerless number
     env = decode_envelope(e01)
     forged = dataclasses.replace(
         env, j_index=9, nonce_material=b"\xff" * 4 + env.nonce_material[4:])
     g.oracle_send(2, 1, encode_envelope(forged))
     g.oracle_send(2, 1, b"\x99junk")
-    assert list(p2.status)[-2:] == [(no_header, 9), (no_header, 5)]
-    assert p2.reject_reason[(no_header, 9)] == "AuthFailure"
+    assert list(p2.status)[-2:] == [(0xFFFFFFFF, 9), (no_header, 4)]
+    assert p2.reject_reason[(0xFFFFFFFF, 9)] == "AuthFailure"
     assert len(p2.replay_events) == 1
+
+
+def test_vdr_forged_header_at_the_top_epoch_is_not_a_replay_of_junk():
+    g, e00, _ = vdr_game()
+    g.oracle_send(2, 1, b"\x99junk")
+    env = decode_envelope(e00)
+    forged = dataclasses.replace(
+        env, j_index=0, nonce_material=b"\xff" * 4 + env.nonce_material[4:])
+    g.oracle_send(2, 1, encode_envelope(forged))
+    p2 = g.sessions[(2, 1)]
+    assert list(p2.status)[-2:] == [(1 << 32, 0), (0xFFFFFFFF, 0)]
+    assert p2.status[(0xFFFFFFFF, 0)] == REJECT
+    assert p2.reject_reason[(0xFFFFFFFF, 0)] == "AuthFailure"
+    assert p2.replay_events == []
 
 
 def test_vdr_lazy_responder_init_paths():
@@ -319,10 +334,10 @@ def test_envelope_of_another_family_is_rejected_as_a_parse_error():
     g.oracle_send(2, 1, (1, ROLE_RESPONDER))
     g.oracle_send(2, 1, v2_env)
     rec = g.sessions[(2, 1)]
-    assert rec.status == {(0xFFFFFFFF, 0): REJECT}
-    assert rec.reject_reason[(0xFFFFFFFF, 0)] == "ParseError"
+    assert rec.status == {(1 << 32, 0): REJECT}
+    assert rec.reject_reason[(1 << 32, 0)] == "ParseError"
     assert rec.ep.session is None
-    assert "stage=4294967295,0 reject" in g.trace
+    assert "stage=4294967296,0 reject" in g.trace
 
 
 def test_vdr_initiator_draws_its_ephemeral_at_first_send():

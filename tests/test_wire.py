@@ -94,6 +94,11 @@ def test_golden_envelopes_decode_to_expected_families():
         assert encode_envelope(env) == raw
 
 
+def _refusal(kwargs):
+    # vers is a class constant, not a field: passing it is a call error
+    return TypeError if "vers" in kwargs else ValueError
+
+
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(salt=b"\x00" * 7), "salt"),
     (dict(tag=b"\x00" * 15), "tag"),
@@ -108,7 +113,7 @@ def test_envelope_v1_validation(kwargs, msg):
     base = dict(ctype=0, salt=b"\x00" * 8, ciphertext=b"\x00" * 16,
                 tag=b"\x00" * 16, kid_sender=1, kid_receiver=2)
     base.update(kwargs)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(_refusal(kwargs), match=msg):
         EnvelopeV1(**base)
 
 
@@ -127,7 +132,7 @@ def test_envelope_v2_validation(kwargs, msg):
                 nonce_material=b"\x00" * 8, kid_sender=1, kid_receiver=2,
                 sid="a", rid="b")
     base.update(kwargs)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(_refusal(kwargs), match=msg):
         EnvelopeV2(**base)
 
 
@@ -142,7 +147,7 @@ def test_envelope_vdr_validation(kwargs, msg):
     base = dict(ctype=0, ciphertext=b"\x00" * 16, nonce_material=b"\x00" * 8,
                 kid_sender=1, kid_receiver=2, eph_pub=b"\x00" * 32, j_index=0)
     base.update(kwargs)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(_refusal(kwargs), match=msg):
         EnvelopeVDR(**base)
 
 
@@ -173,6 +178,39 @@ def test_decode_envelope_rejects_malformed(name):
         bad = raw[:off] + length.to_bytes(4, "big") + raw[off + 4:]
         with pytest.raises(ParseError, match="reading ciphertext:"):
             decode_envelope(bad)
+
+
+@pytest.mark.parametrize("name,length", [
+    ("v1-0", 17), ("v2-0", 15), ("vdr-0-0", 15)])
+def test_decode_envelope_reports_a_constructor_refusal_as_a_parse_error(
+        name, length):
+    # a well-framed ciphertext the envelope class refuses: not a multiple
+    # of the block for v1, shorter than the tag for v2 and vdr
+    raw = helpers.parse_golden_file()[name]
+    off = _ciphertext_length_offset(raw)
+    tail = raw[-16:] if name.startswith("v1") else b""
+    bad = raw[:off] + length.to_bytes(4, "big") + bytes(length) + tail
+    with pytest.raises(ParseError, match="^invariant violated while decoding: "
+                                         ".*ciphertext") as info:
+        decode_envelope(bad)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def _spoil(raw: bytes, text: str) -> bytes:
+    """raw with the UTF-8 bytes of text, found once, overwritten by 0xFF."""
+    needle = text.encode()
+    assert raw.count(needle) == 1
+    return raw.replace(needle, b"\xff" * len(needle))
+
+
+@pytest.mark.parametrize("fieldname", ["sid", "rid"])
+def test_decode_envelope_rejects_invalid_utf8_identity(fieldname):
+    env = EnvelopeV2(ctype=0, salt=bytes(16), ciphertext=bytes(16),
+                     nonce_material=bytes(8), kid_sender=1, kid_receiver=2,
+                     sid="sender-id", rid="receiver-id")
+    raw = _spoil(encode_envelope(env), getattr(env, fieldname))
+    with pytest.raises(ParseError, match=f"^{fieldname} is not valid UTF-8"):
+        decode_envelope(raw)
 
 
 @pytest.mark.parametrize("name", FAMILY_SAMPLES)
@@ -276,6 +314,18 @@ def test_decode_packet_rejects_malformed():
         decode_packet(b"\x77" + good[1:])
     with pytest.raises(ParseError):
         decode_packet(b"")
+
+
+@pytest.mark.parametrize("fieldname", ["bot_origin", "bot_track", "text"])
+def test_decode_packet_rejects_invalid_utf8_string(fieldname):
+    p = BotPacket(from_=1, to=2, to_type=0, id=3, created_time=4,
+                  delivered_time=5, has_content=True, content_type=0,
+                  e2ee_version=0, seq=6, session_id=7, bot_tag2=b"tag",
+                  bot_origin="origin-name", bot_track="track-name",
+                  text="reply text")
+    raw = _spoil(encode_packet(p), getattr(p, fieldname))
+    with pytest.raises(ParseError, match=f"^{fieldname} is not valid UTF-8"):
+        decode_packet(raw)
 
 
 def test_parse_chunks_validation():
