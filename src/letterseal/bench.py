@@ -11,7 +11,10 @@ Five scenarios cover the cost structure of the two AEAD-era protocols:
 One driver runs every scenario on a pair of endpoints (endpoint.py); a
 table gives each scenario its protocol, whether one warmed pair serves
 every step or each step starts a new pair, and whether the sender
-alternates. The timed phases hold one seal and one open, nothing else.
+alternates. Each step hands out the (sender, receiver) of the next
+message, and every row, timed, counted or state-size, calls seal and open
+on that pair itself. The timed phases hold seals only and opens only;
+the round trip is checked after both.
 
 Counts come from the counting context around the actual protocol calls,
 never from arithmetic on timings. The headline count column is the full
@@ -21,10 +24,10 @@ always reported. Phase averages are ten-percent trimmed means over warm
 runs only and exclude envelope byte serialization, which is not a
 cryptographic cost.
 
-A state-size row gives the ratchet's snapshot bytes (vdr_export_state) at
-fixed message counts, so state growth shows as a number: all three points
-are equal while the state keeps no record of the messages or epochs it
-received.
+A state-size row gives the ratchet's snapshot bytes (vdr_export_state)
+after a fixed number of vdr-sym or vdr-asym steps, so state growth shows
+as a number: all three points are equal while the state keeps no record
+of the messages or epochs it received.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ PINNED_COUNTS = {
 }
 
 
-# state-size points: (label, messages sent, senders alternate). With
-# alternating senders every message after the first turns an epoch.
+# state-size points: (label, scenario, messages after the warm-up). Every
+# vdr-asym step turns an epoch, so its 100 steps follow one warm-up
+# message with 100 turns.
 STATE_POINTS = (
-    ("1k same-epoch", 1000, False),
-    ("10k same-epoch", 10000, False),
-    ("100 epoch turns", 101, True),
+    ("1k same-epoch", "vdr-sym", 1000),
+    ("10k same-epoch", "vdr-sym", 10000),
+    ("100 epoch turns", "vdr-asym", 100),
 )
 
 
@@ -86,8 +90,8 @@ class OpCostRow:
 
 
 # ---------------------------------------------------------------------------
-# Scenario driver: each step() yields enc/dec/check callables so the same
-# code path serves both the timer and the op counter.
+# Scenario driver: each step() yields the (sender, receiver) of the next
+# message, so the timer, the op counter and the state-size rows share it.
 # ---------------------------------------------------------------------------
 
 # scenario -> (protocol, one warmed pair for every step, senders alternate).
@@ -125,19 +129,7 @@ class _Driver:
         sender, receiver = self.pair or self._new_pair()
         if self.alternate:
             self.pair = (receiver, sender)
-        payload = self.payload
-        box = {}
-
-        def enc():
-            box["env"] = sender.seal(payload)
-
-        def dec():
-            box["pt"] = receiver.open(box["env"])
-
-        def check():
-            assert box["pt"] == payload
-
-        return enc, dec, check
+        return sender, receiver
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +141,13 @@ def scenario_op_counts(scenario: str, seed: int = 0,
                        ) -> tuple[cs.OpCounts, cs.OpCounts]:
     """One instrumented iteration; returns (enc phase, dec phase) counts."""
     driver = _Driver(scenario, seed, payload_len)
-    enc, dec, check = driver.step()
+    sender, receiver = driver.step()
     with cs.count_ops() as enc_counts:
-        enc()
+        env = sender.seal(driver.payload)
     with cs.count_ops() as dec_counts:
-        dec()
-    check()
+        pt = receiver.open(env)
+    if pt != driver.payload:
+        raise RuntimeError(f"{scenario}: bad round trip")
     return enc_counts, dec_counts
 
 
@@ -184,6 +177,7 @@ def run_scenario(scenario: str, iterations: int = MIN_ITERATIONS,
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"iterations must be >= {MIN_ITERATIONS}")
     driver = _Driver(scenario, seed, payload_len)
+    payload = driver.payload
     batch = _BATCH.get(scenario, 1)
     samples = -(-iterations // batch)
     # enough untimed batches to settle interpreter caches before sampling
@@ -196,19 +190,15 @@ def run_scenario(scenario: str, iterations: int = MIN_ITERATIONS,
     gc.disable()  # collector pauses would swamp the single-digit-us rows
     try:
         for k in range(warm + samples):
-            steps = [driver.step() for _ in range(batch)]
-            encs = [s[0] for s in steps]
-            decs = [s[1] for s in steps]
-            checks = [s[2] for s in steps]
+            pairs = [driver.step() for _ in range(batch)]
             t0 = clock()
-            for f in encs:
-                f()
+            envs = [sender.seal(payload) for sender, _ in pairs]
             t1 = clock()
-            for f in decs:
-                f()
+            pts = [receiver.open(env) for (_, receiver), env
+                   in zip(pairs, envs)]
             t2 = clock()
-            for f in checks:
-                f()
+            if pts != [payload] * batch:
+                raise RuntimeError(f"{scenario}: bad round trip")
             if k >= warm:
                 enc_ns.append((t1 - t0) / batch)
                 dec_ns.append((t2 - t1) / batch)
@@ -254,19 +244,14 @@ def primitive_costs(iterations: int = 2000, seed: int = 0) -> dict[str, float]:
 
 
 def state_sizes(seed: int = 0) -> dict[str, int]:
-    """Snapshot bytes of the party that received last, at each of
-    STATE_POINTS, on a new ratchet pair per point."""
-    rng = cs.SeededRng(seed).fork(b"bench-state")
-    keys = (cs.dh_keygen(rng), cs.dh_keygen(rng))
-    payload = b"\xa5" * DEFAULT_PAYLOAD
+    """Snapshot bytes of the last receiver at each of STATE_POINTS, on a
+    new driver per point."""
     sizes = {}
-    for label, messages, alternate in STATE_POINTS:
-        sender, receiver = endpoint_pair("vdr", *keys, rng, rng, kids=(1, 2),
-                                         names=("alice", "bob"))
-        for k in range(messages):
-            if alternate and k:
-                sender, receiver = receiver, sender
-            if receiver.open(sender.seal(payload)) != payload:
+    for label, scenario, messages in STATE_POINTS:
+        driver = _Driver(scenario, seed, DEFAULT_PAYLOAD)
+        for _ in range(messages):
+            sender, receiver = driver.step()
+            if receiver.open(sender.seal(driver.payload)) != driver.payload:
                 raise RuntimeError(f"state-size point {label}: bad round trip")
         sizes[label] = len(vdr_export_state(receiver.session))
     return sizes

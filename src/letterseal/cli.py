@@ -336,10 +336,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_vectors(args.out, args.check, args.format)
         if args.command == "parse":
             return cmd_parse(args.path, args.format)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except (FileNotFoundError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

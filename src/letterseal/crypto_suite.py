@@ -200,6 +200,9 @@ class SeededRng:
 # ---------------------------------------------------------------------------
 
 def clamp_scalar(raw: bytes) -> GroupScalar:
+    if len(raw) != GroupScalar.SIZE:
+        raise ValueError(
+            f"clamp_scalar needs {GroupScalar.SIZE} bytes, got {len(raw)}")
     b = bytearray(raw)
     b[0] &= 248
     b[31] &= 127

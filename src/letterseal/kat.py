@@ -31,10 +31,6 @@ class KatVector:
     output: bytes
 
 
-def _sha256(data: bytes) -> bytes:
-    return cs.hash(data)
-
-
 def _x25519(scalar: bytes, u: bytes) -> bytes:
     return cs.dh(cs.GroupScalar(scalar), cs.GroupElement(u))
 
@@ -84,8 +80,8 @@ def _vdr_rk0(a_scalar: bytes, x_scalar: bytes, y_scalar: bytes) -> bytes:
 
 
 COMPUTERS = {
-    "sha256_empty": _sha256,
-    "sha256_abc": _sha256,
+    "sha256_empty": cs.hash,
+    "sha256_abc": cs.hash,
     "x25519_rfc7748": _x25519,
     "x25519_base_point": _x25519_public,
     "hkdf_root_label": _kdf_root,

@@ -169,12 +169,7 @@ def fresh_sym(game: Game, u: int, i: int, s) -> bool:
 
 
 def fresh_vdr(game: Game, tested: tuple) -> bool:
+    """Valid, and fresh_sym: at an epoch start its state loop is empty,
+    so it is fresh_asym there, and fresh_initial at (0, 0)."""
     u, i, s = tested
-    if not valid_vdr(game, u, i, s):
-        return False
-    x, y = s
-    if (x, y) == (0, 0):
-        return fresh_initial(game, u, i)
-    if y == 0:
-        return fresh_asym(game, u, i, s)
-    return fresh_sym(game, u, i, s)
+    return valid_vdr(game, u, i, s) and fresh_sym(game, u, i, s)

@@ -218,6 +218,16 @@ def test_closure_transition_through_the_next_epochs_secret():
         assert c.message_key(s) == bytes(truth[s])
 
 
+def test_closure_refuses_a_nonce_only_draw_as_a_scalar():
+    g = _drive(7, [(1, b"m 0,0"), (1, b"m 0,1")])
+    draw = g.oracle_rev_rand(1, 1, (0, 1))  # no epoch turn: the nonce only
+    assert len(draw) == 4
+    c = _closure_for(g)
+    with pytest.raises(ValueError, match="got 4"):
+        c.learn_scalar(draw[:32])
+    assert c.scalars == {}
+
+
 def test_closure_learn_chain_keeps_earliest_position():
     c = KeyClosure(bytes(32), bytes(32), [])
     c.learn_chain(0, 5, b"\x11" * 32)

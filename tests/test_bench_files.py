@@ -2,9 +2,11 @@
 
 A BENCH file holds measurements from one machine, readable only as
 ratios, so this checks keys, units, metric names against BENCHMARK.json
-and the file's own arithmetic, and asserts no timing.
+and the file's own arithmetic, and asserts no timing. The recorder itself
+is checked to refuse a parent it cannot name a commit for.
 """
 
+import importlib.util
 import json
 import re
 import statistics
@@ -68,3 +70,18 @@ def test_bench_file_schema(path):
                 assert row[f"{side}_median"] == statistics.median(values)
                 q1, q3 = row[f"{side}_quartiles"]
                 assert min(values) <= q1 <= q3 <= max(values)
+
+
+def test_recorder_refuses_a_parent_that_is_no_checkout(tmp_path, monkeypatch):
+    path = ROOT / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = []
+    monkeypatch.setattr(tool, "run_once", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit, match=re.escape(str(tmp_path))):
+        tool.main(["--parent", str(tmp_path), "--change", str(ROOT),
+                   "--workload", "stream", "--seeds", "1-2",
+                   "--seconds", "1", "--out", str(tmp_path / "BENCH.json")])
+    assert runs == []
+    assert not (tmp_path / "BENCH.json").exists()

@@ -143,6 +143,12 @@ def test_clamp_scalar_bits():
     assert clamped[31] & 0x40 == 0x40
 
 
+@pytest.mark.parametrize("n", [0, 4, 31, 33])
+def test_clamp_scalar_refuses_other_lengths(n):
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        cs.clamp_scalar(bytes(n))
+
+
 def test_dh_rejects_low_order_result():
     a_sk, _ = cs.dh_keygen(cs.SeededRng(13))
     with pytest.raises(DhError):
@@ -172,6 +178,8 @@ def test_kdf_root_splits_and_varies():
     rk2, ck2 = cs.kdf_root(ikm, bytes([1]) * 32)
     assert (rk2, ck2) != (rk, ck)
     assert cs.kdf_root(ikm, cs.ZERO_SALT) == (rk, ck)
+    with pytest.raises(ValueError, match="non-empty"):
+        cs.kdf_root(b"", cs.ZERO_SALT)
 
 
 def test_kdf_chain_matches_hmac_and_advances():

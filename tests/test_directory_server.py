@@ -122,6 +122,11 @@ def test_reorder_window_must_be_positive():
         Reorder(window=0)
 
 
+def test_unknown_relay_behavior_is_refused():
+    with pytest.raises(TypeError, match="unknown relay behavior: object"):
+        Relay(behavior=object()).relay(b"m0")
+
+
 def test_reordered_v2_traffic_still_decrypts():
     # stateless decrypt tolerates any delivery order
     sa, sb, a_rng, _ = helpers.v2_pair(41)

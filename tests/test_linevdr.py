@@ -429,6 +429,16 @@ def _failed_decrypts():
         later, ciphertext=bytes([later.ciphertext[0] ^ 1]) + later.ciphertext[1:])
     low_order = dataclasses.replace(
         vdr_encrypt(stb, 0, b"turn", b_rng), eph_pub=bytes(32))
+    # a responder set up from the opener that has not decrypted it yet
+    # holds no ephemeral, so it cannot turn to epoch 2
+    stc, mats, c_rng, d_rng = helpers.vdr_pair(3)
+    opener = vdr_encrypt(stc, 0, b"opening flight", c_rng)
+    lazy = helpers.vdr_receiver(mats, opener)
+    live = helpers.vdr_receiver(mats, opener)
+    vdr_decrypt(live, opener, d_rng)
+    vdr_decrypt(stc, vdr_encrypt(live, 0, b"turn", d_rng), c_rng)
+    epoch_2 = vdr_encrypt(stc, 0, b"epoch 2", c_rng)
+    assert epoch_2.i_index == 2
     return {
         "bad tag": (stb, b_rng, bad_tag, AuthFailure),
         "low-order eph_pub": (sta, a_rng, low_order, DhError),
@@ -436,12 +446,13 @@ def _failed_decrypts():
         "replay of a cached stage": (stb, b_rng, envs[1], StaleEpoch),
         "stale evicted": (stb, b_rng, envs[0], StaleEpoch),
         "stale abandoned": (stb, b_rng, envs[MAX_SKIP + 3], StaleEpoch),
+        "no local ephemeral": (lazy, d_rng, epoch_2, StaleEpoch),
     }
 
 
 @pytest.mark.parametrize("label", [
     "bad tag", "low-order eph_pub", "replay", "replay of a cached stage",
-    "stale evicted", "stale abandoned"])
+    "stale evicted", "stale abandoned", "no local ephemeral"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
     before = vdr_export_state(st)

@@ -358,6 +358,15 @@ def test_classify_requires_exactly_one_body():
         BotPacket(text="hi", **meta)) is PacketClass.BotPlaintext
 
 
+@pytest.mark.parametrize("encode,message", [
+    (encode_envelope, "not an envelope: bytes"),
+    (encode_packet, "not a packet: bytes"),
+])
+def test_encoding_a_foreign_object_is_refused(encode, message):
+    with pytest.raises(TypeError, match=message):
+        encode(b"raw bytes")
+
+
 def test_chunk_count_capped():
     meta = dict(from_=1, to=2, to_type=0, id=3, created_time=4,
                 delivered_time=5, has_content=True, content_type=0,

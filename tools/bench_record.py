@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Record parent-versus-change benchmark pairs into a BENCH_<n>.json file.
 
+    git worktree add ../parent <parent commit>
     python tools/bench_record.py --parent ../parent --change . \\
         --workload stream --seeds 201-210 --seconds 30 --out BENCH_8.json
+
+The parent must be the top of its own git checkout, as a worktree is:
+its HEAD is the commit the file records, so a copy without .git, or one
+inside another checkout, is refused before any run.
 
 For each seed, runs the command BENCHMARK.json declares once in each
 checkout (trace off), alternating which side goes first, and keeps the
@@ -90,6 +95,13 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
+    top = subprocess.run(
+        ["git", "-C", str(args.parent), "rev-parse", "--show-toplevel"],
+        capture_output=True, text=True)
+    if (top.returncode
+            or Path(top.stdout.strip()).resolve() != args.parent.resolve()):
+        raise SystemExit(f"--parent {args.parent} is not the top of a git "
+                         "checkout; make it with git worktree add")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_id = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=args.parent, capture_output=True,
