@@ -87,8 +87,8 @@ class Relay:
     """
 
     behavior: RelayBehavior = field(default_factory=Honest)
-    _ordinal: int = 0
-    _window_buf: list[bytes] = field(default_factory=list)
+    _ordinal: int = field(default=0, init=False)
+    _window_buf: list[bytes] = field(default_factory=list, init=False)
 
     def relay(self, env_bytes: bytes) -> list[bytes]:
         env_bytes = bytes(env_bytes)

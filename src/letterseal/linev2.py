@@ -10,15 +10,18 @@ collisions are possible.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 from . import crypto_suite as cs
 from .errors import CounterExhausted, KidMismatch
-from .wire import VERS_V2, EnvelopeV2, _check_u8
+from .wire import _NONCE_MATERIAL, VERS_V2, EnvelopeV2, _check_u8, _Run
 
 _CTR_MAX = 2**32 - 1
+# the associated data: rid and sid, each behind its length, then the rest
+_AD_LENGTH = _Run(("length", "H"))
+_AD_TAIL = _Run(("kid_sender", "I"), ("kid_receiver", "I"), ("vers", "B"),
+                ("ctype", "B"))
 
 
 @dataclass
@@ -52,7 +55,7 @@ def v2_build_nonce(ctr: int, rand32: bytes) -> tuple[cs.AeadNonce, bytes]:
     """8 bytes of material (counter ++ random), zero-padded to 96 bits."""
     if len(rand32) != 4:
         raise ValueError("rand32 must be 4 bytes (32 bits)")
-    material = struct.pack(">I", ctr) + rand32
+    material = _NONCE_MATERIAL.pack(ctr, rand32)
     return cs.AeadNonce(material + b"\x00" * 4), material
 
 
@@ -61,11 +64,11 @@ def build_ad_v2(rid: str, sid: str, kid_sender: int, kid_receiver: int,
     """Associated data: rid, sid, both kids, vers, ctype, pinned layout."""
     rid_b = rid.encode()
     sid_b = sid.encode()
-    return b"".join([
-        struct.pack(">H", len(rid_b)), rid_b,
-        struct.pack(">H", len(sid_b)), sid_b,
-        struct.pack(">IIBB", kid_sender, kid_receiver, vers, ctype),
-    ])
+    return b"".join((
+        _AD_LENGTH.pack(len(rid_b)), rid_b,
+        _AD_LENGTH.pack(len(sid_b)), sid_b,
+        _AD_TAIL.pack(kid_sender, kid_receiver, vers, ctype),
+    ))
 
 
 def v2_encrypt(s: SessionV2, ctype: int, m: bytes, rng: cs.SeededRng) -> EnvelopeV2:
@@ -96,15 +99,17 @@ def v2_decrypt(s: SessionV2, e: EnvelopeV2) -> bytes:
             f"envelope for kid {e.kid_receiver}, this session holds {s.kid_self}")
     k_e = v2_derive_key(s.pms, e.salt)
     nonce = cs.AeadNonce(e.nonce_material + b"\x00" * 4)
-    # memo over every AD input (vers is the envelope class constant 2);
-    # exact for forged headers too, since the key covers all fields
+    # memo over every AD input (vers is the envelope class constant 2),
+    # stored only once the tag verifies, so a forged header leaves the
+    # cache as it was; the bound holds against a peer that varies sid
     memo = (e.rid, e.sid, e.kid_sender, e.kid_receiver, e.ctype)
-    ad = s.ad_cache.get(memo)
-    if ad is None:
+    cached = s.ad_cache.get(memo)
+    ad = cached or build_ad_v2(e.rid, e.sid, e.kid_sender, e.kid_receiver,
+                               e.vers, e.ctype)
+    pt = cs.aead_open(k_e, nonce, e.ciphertext, ad)
+    if cached is None:
         if len(s.ad_cache) > 64:
             s.ad_cache.clear()
-        ad = build_ad_v2(e.rid, e.sid, e.kid_sender, e.kid_receiver, e.vers, e.ctype)
         s.ad_cache[memo] = ad
-    pt = cs.aead_open(k_e, nonce, e.ciphertext, ad)
     cs.emit_message_key(k_e)
     return pt

@@ -8,7 +8,8 @@ ratchets its receiving chain when an envelope opens a new epoch, and builds
 the reply chain (fresh ephemeral, i_s = i_r + 1) right after the first
 successful decrypt of that epoch. Decryption is transactional: state
 mutates only after the AEAD tag verifies, so forged envelopes cannot
-desynchronize a session or poison the skipped-key cache.
+desynchronize a session or poison the skipped-key cache. So is encryption:
+a refused seal neither steps the chain nor draws a nonce.
 
 Replay defense. A stage opens only from the skipped-key cache or by
 moving the live receive chain forward, and both delete the key they use,
@@ -35,20 +36,30 @@ object: a session exchanges with them only during set-up.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from . import crypto_suite as cs
 from .errors import (
+    CounterExhausted,
     NotInitialized,
     ParseError,
     ReplayRejected,
     SkipLimit,
     StaleEpoch,
 )
-from .wire import VERS_VDR, EnvelopeVDR, _check_u8, _Reader, _Run
+from .wire import (
+    _NONCE_MATERIAL,
+    VERS_VDR,
+    EnvelopeVDR,
+    _check_u8,
+    _Reader,
+    _Run,
+)
 
 MAX_SKIP = 256
+_J_MAX = 2**32 - 1  # sending stops here, as v2's counter does at _CTR_MAX
+_AD = _Run(("kid_sender", "I"), ("kid_receiver", "I"), ("vers", "B"),
+           ("ctype", "B"), ("eph_pub", "32s"), ("j_index", "I"))
 
 ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
@@ -84,8 +95,7 @@ def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
     No sender/receiver identity strings here; the ephemeral takes over the
     binding role they played in the salted-hash design.
     """
-    return struct.pack(">IIBB", kid_sender, kid_receiver, vers, ctype) + \
-        bytes(eph_pub) + struct.pack(">I", j_index)
+    return _AD.pack(kid_sender, kid_receiver, vers, ctype, eph_pub, j_index)
 
 
 def vdr_init_sender(self_ltk: cs.GroupScalar, peer_ltk_pub: cs.GroupElement,
@@ -133,17 +143,18 @@ def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
     _check_u8(ctype, "ctype")  # before the chain step and the nonce draw
     if st.ck_send is None:
         raise NotInitialized("no sending chain; decrypt the peer's flight first")
-    mk, st.ck_send = cs.kdf_chain(st.ck_send)
-    nonce_material = struct.pack(">I", st.i_s) + rng.token(4)
+    if st.j_s >= _J_MAX:
+        raise CounterExhausted(f"send index at {st.j_s}")
+    mk, ck_send = cs.kdf_chain(st.ck_send)
+    nonce_material = _NONCE_MATERIAL.pack(st.i_s, rng.token(4))
     nonce = cs.AeadNonce(nonce_material + b"\x00" * 4)
     ad = build_ad_vdr(st.kid_self, st.kid_peer, VERS_VDR, ctype,
                       st.self_eph_pub, st.j_s)
-    ciphertext = cs.aead_seal(mk, nonce, m, ad)
-    env = EnvelopeVDR(ctype=ctype, ciphertext=ciphertext,
+    env = EnvelopeVDR(ctype=ctype, ciphertext=cs.aead_seal(mk, nonce, m, ad),
                       nonce_material=nonce_material,
                       kid_sender=st.kid_self, kid_receiver=st.kid_peer,
                       eph_pub=st.self_eph_pub, j_index=st.j_s)
-    st.j_s += 1
+    st.ck_send, st.j_s = ck_send, st.j_s + 1
     cs.emit_message_key(mk)
     return env
 
@@ -162,63 +173,49 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     step order. rng feeds the reply-chain ephemeral generated after the
     first successful decrypt of a new epoch."""
     stage = (env.i_index, env.j_index)
-    use_cached = stage in st.skipped
-    peer_eph = None  # set when this envelope turns the epoch
-    skipped_add: dict[tuple[int, int], cs.SymmetricKey] = {}
+    mk = st.skipped.get(stage)
+    if mk is not None:  # opens under its cached key, and nothing else moves
+        plaintext = vdr_open(mk, env)  # AuthFailure keeps the key cached
+        del st.skipped[stage]
+        cs.emit_message_key(mk)
+        return plaintext
 
-    if use_cached:
-        mk = st.skipped[stage]
-        rk_new, ck_new = st.rk, st.ck_recv
-        i_r_new, j_r_new = st.i_r, st.j_r
+    if env.i_index > st.i_r:
+        if st.self_eph_secret is None:
+            raise StaleEpoch("no local ephemeral to ratchet against")
+        peer_eph = cs.GroupElement(env.eph_pub)
+        shared = cs.dh(st.self_eph_key or st.self_eph_secret, peer_eph)
+        rk, ck = cs.kdf_root(shared, st.rk)
+        i_r, j = env.i_index, 0
+    elif env.i_index == st.i_r and st.ck_recv is not None:
+        if env.j_index < st.j_r:
+            raise ReplayRejected(
+                f"no key left for {stage} in the live receive chain")
+        peer_eph, rk, ck = st.peer_eph_pub, st.rk, st.ck_recv
+        i_r, j = st.i_r, st.j_r
     else:
-        if env.i_index > st.i_r:
-            if st.self_eph_secret is None:
-                raise StaleEpoch("no local ephemeral to ratchet against")
-            peer_eph = cs.GroupElement(env.eph_pub)
-            own = st.self_eph_key
-            shared = cs.dh(st.self_eph_secret if own is None else own,
-                           peer_eph)
-            rk_new, ck_new = cs.kdf_root(shared, st.rk)
-            i_r_new, j_r_new = env.i_index, 0
-        elif env.i_index == st.i_r and st.ck_recv is not None:
-            rk_new, ck_new = st.rk, st.ck_recv
-            i_r_new, j_r_new = st.i_r, st.j_r
-            if env.j_index < j_r_new:
-                raise ReplayRejected(
-                    f"no key left for {stage} in the live receive chain")
-        else:
-            raise StaleEpoch(
-                f"epoch {env.i_index} has no live chain (current {st.i_r}), "
-                "no cached key")
-        if env.j_index - j_r_new > MAX_SKIP:
-            raise SkipLimit(
-                f"gap {env.j_index - j_r_new} exceeds MAX_SKIP={MAX_SKIP}")
-        while j_r_new < env.j_index:
-            mk_skip, ck_new = cs.kdf_chain(ck_new)
-            skipped_add[(i_r_new, j_r_new)] = mk_skip
-            j_r_new += 1
-        mk, ck_new = cs.kdf_chain(ck_new)
-        j_r_new += 1
+        raise StaleEpoch(
+            f"epoch {env.i_index} has no live chain (current {st.i_r}), "
+            "no cached key")
+    if env.j_index - j > MAX_SKIP:
+        raise SkipLimit(f"gap {env.j_index - j} exceeds MAX_SKIP={MAX_SKIP}")
+    skipped = {}
+    for k in range(j, env.j_index):
+        skipped[(i_r, k)], ck = cs.kdf_chain(ck)
+    mk, ck = cs.kdf_chain(ck)
 
     plaintext = vdr_open(mk, env)  # AuthFailure leaves all state untouched
 
-    if use_cached:
-        del st.skipped[stage]
-    else:
-        st.rk, st.ck_recv = rk_new, ck_new
-        st.i_r, st.j_r = i_r_new, j_r_new
-        st.skipped.update(skipped_add)
-        while len(st.skipped) > MAX_SKIP:
-            del st.skipped[next(iter(st.skipped))]
-        if peer_eph is not None:
-            st.peer_eph_pub = peer_eph
-        if peer_eph is not None or st.ck_send is None:
-            eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
-            shared = cs.dh(eph_key, peer_eph or cs.GroupElement(env.eph_pub))
-            st.rk, st.ck_send = cs.kdf_root(shared, st.rk)
-            st.self_eph_secret, st.self_eph_pub = eph_secret, eph_pub
-            st.self_eph_key = eph_key
-            st.i_s, st.j_s = st.i_r + 1, 0
+    if i_r != st.i_r or st.ck_send is None:  # a turn, or the first open
+        st.self_eph_secret, st.self_eph_pub, st.self_eph_key = \
+            cs.dh_keygen_with_key(rng)
+        rk, ck_send = cs.kdf_root(cs.dh(st.self_eph_key, peer_eph), rk)
+        st.ck_send, st.i_s, st.j_s = ck_send, i_r + 1, 0
+    st.rk, st.ck_recv, st.i_r, st.j_r = rk, ck, i_r, env.j_index + 1
+    st.peer_eph_pub = peer_eph
+    st.skipped.update(skipped)
+    while len(st.skipped) > MAX_SKIP:
+        del st.skipped[next(iter(st.skipped))]
     cs.emit_message_key(mk)
     return plaintext
 

@@ -40,7 +40,6 @@ and an attack reads its trace once, at the end.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -55,7 +54,7 @@ from ..errors import (
 )
 from ..linev2 import SessionV2
 from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_export_state
-from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
+from ..wire import EnvelopeVDR, _Run, decode_envelope, encode_envelope
 
 PROTO_V2 = "v2"
 PROTO_VDR = "vdr"
@@ -88,13 +87,16 @@ class SessionRecord:
         return len(self.status) + 1
 
 
+_V2_STATE = _Run(("pms", "32s"), ("ctr", "I"))
+
+
 def _v2_snapshot(sess: SessionV2) -> bytes:
     """Everything the party stores: the pre-master secret and the counter."""
-    return bytes(sess.pms) + struct.pack(">I", sess.ctr)
+    return _V2_STATE.pack(sess.pms, sess.ctr)
 
 
 def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
-    return cs.SharedSecret(snapshot[:32])
+    return cs.SharedSecret(_V2_STATE.read(snapshot, 0)[0])
 
 
 _NO_HEADER = 1 << 32  # the epoch of a headerless stage: no u32 header has it
@@ -252,6 +254,8 @@ class Game:
         raise ValueError(f"unrecognized Send payload: {type(m).__name__}")
 
     def _activate(self, u: int, i: int, pid: int, role: str) -> None:
+        self._party(u)
+        self._party(pid)
         ep = Endpoint(self.protocol, self.parties[u][0],
                       self.directory.lookup(self.kids[pid]), self.party_rng[u],
                       self.kids[u], self.kids[pid], f"party-{u}", f"party-{pid}",
@@ -306,6 +310,11 @@ class Game:
 
     # -- Reveal oracles -----------------------------------------------------
 
+    def _party(self, u: int) -> None:
+        if u not in self.parties:
+            raise StageUnknown(f"no party {u}; the parties are "
+                               f"1..{self.n_parties}")
+
     def _session(self, u: int, i: int) -> SessionRecord:
         try:
             return self.sessions[(u, i)]
@@ -321,6 +330,7 @@ class Game:
         return rec.key[s]
 
     def oracle_rev_ltk(self, u: int) -> cs.GroupScalar:
+        self._party(u)
         self.rev_ltk[u] = True
         sk, _ = self.parties[u]
         self.trace.add(_REV_LTK, u, sk)

@@ -11,7 +11,9 @@ Each layout is declared once. A ``_Run`` names a run of fixed-width fields
 and packs or reads it with one precompiled struct; a format is its runs,
 split at its variable-length fields, and its encoder and decoder use the
 same runs. That holds for all three byte formats: envelopes, packets and
-the ratchet snapshot (``linevdr``). ``_Run.read`` is the only place that
+the ratchet snapshot (``linevdr``), and for the bytes the protocols and the
+game pack besides them: associated data, nonce material and v2's RevState.
+Only this module imports ``struct``. ``_Run.read`` is the only place that
 unpacks bytes, and ``_take`` the only place that slices a variable field,
 so every truncation is reported the same way, by the field it cuts.
 
@@ -260,6 +262,9 @@ _V2_TAIL = _Run(("kid_sender", "I"), ("kid_receiver", "I"),
 _VDR_HEAD = _Run(("vers", "B"), ("ctype", "B"), ("kid_sender", "I"),
                  ("kid_receiver", "I"), ("eph_pub", "32s"), ("j_index", "I"),
                  ("nonce_material", "8s"), ("ciphertext length", "I"))
+# the 8-byte nonce_material of v2 and ratchet envelopes: a u32 (v2's send
+# counter, the ratchet's epoch i) and four random bytes
+_NONCE_MATERIAL = _Run(("counter", "I"), ("random", "4s"))
 
 
 def encode_envelope(env: Envelope) -> bytes:

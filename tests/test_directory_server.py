@@ -117,6 +117,14 @@ def test_reorder_flush_drains_partial_window():
     assert r.flush() == []
 
 
+def test_relay_counters_are_not_constructor_parameters():
+    assert Relay(Reorder(2)).relay(b"m0") == []
+    with pytest.raises(TypeError):
+        Relay(Reorder(2), 5, [b"planted"])
+    with pytest.raises(TypeError):
+        Relay(Reorder(2), _window_buf=[b"planted"])
+
+
 def test_reorder_window_must_be_positive():
     with pytest.raises(ValueError):
         Reorder(window=0)

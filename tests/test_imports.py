@@ -14,6 +14,9 @@ The protocol set-up functions are used only by the protocol modules and
 by Endpoint, so every caller in the package (the game, the bench, the demo)
 sets sessions up through Endpoint and that path cannot quietly fork again.
 
+Every byte layout in the package is a wire._Run, so no module but wire
+imports struct; within wire, only _Run.read unpacks.
+
 Every HMAC in the package goes through crypto_suite's keyed pads, so no
 module calls the stdlib's hmac.digest or hmac.new; compare_digest is fine.
 
@@ -188,6 +191,39 @@ def test_bytes_are_unpacked_only_by_wire_run_read(path):
     if path == UNPACK_HOME[0]:
         uses = [u for u in uses if u.split()[1] != UNPACK_HOME[1]]
     assert uses == []
+
+
+STRUCT_HOME = ROOT / "src" / "letterseal" / "wire.py"
+
+
+def struct_imports(source: str) -> list[str]:
+    """Each import of the struct module or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {alias.name}"
+                      for alias in node.names if alias.name == "struct"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            found.append(f"{node.lineno}: from struct import")
+    return found
+
+
+def test_struct_detector_sees_every_import_form():
+    # the first two lines are the parent linevdr's AD and nonce packing
+    source = ("import struct\n"
+              "ad = struct.pack('>IIBB', 1, 2, 3, 4)\n"
+              "import os, struct as s\n"
+              "from struct import pack, Struct\n"
+              "from .wire import _Run\n"
+              "import structlog\n")
+    assert struct_imports(source) == ["1: import struct", "3: import struct",
+                                      "4: from struct import"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p != STRUCT_HOME],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_wire_imports_struct(path):
+    assert struct_imports(path.read_text()) == []
 
 
 HMAC_CALLS = {"digest", "new"}

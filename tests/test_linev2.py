@@ -116,14 +116,25 @@ def test_decrypt_memo_stays_exact_for_forged_headers():
     assert v2_decrypt(sb, env2) == b"second"
 
 
+def test_refused_open_leaves_the_memo_as_it_was():
+    sa, sb, a_rng, _ = helpers.v2_pair(1)
+    honest = v2_encrypt(sa, 0, b"honest", a_rng)
+    assert v2_decrypt(sb, honest) == b"honest"
+    before = dict(sb.ad_cache)
+    for k in range(70):
+        with pytest.raises(AuthFailure):
+            v2_decrypt(sb, dataclasses.replace(honest, sid=f"forged-{k}"))
+    assert dict(sb.ad_cache) == before
+
+
 def test_decrypt_memo_bounded():
+    # a peer holding the key can vary sid; the memo clears past 64 entries
     sa, sb, a_rng, _ = helpers.v2_pair(208)
     envs = [v2_encrypt(sa, 0, b"fill %d" % k, a_rng) for k in range(3)]
     for k in range(200):
-        bad = dataclasses.replace(envs[0], sid=f"spray-{k}")
-        with pytest.raises(AuthFailure):
-            v2_decrypt(sb, bad)
-    assert len(sb.ad_cache) <= 66  # clears once past the bound
+        sprayer = dataclasses.replace(sa, sid=f"spray-{k}", ad_cache={})
+        assert v2_decrypt(sb, v2_encrypt(sprayer, 0, b"s", a_rng)) == b"s"
+        assert len(sb.ad_cache) <= 65
     for k, env in enumerate(envs):
         assert v2_decrypt(sb, env) == b"fill %d" % k
 

@@ -6,6 +6,7 @@ import helpers
 from letterseal import crypto_suite as cs
 from letterseal.errors import (
     AuthFailure,
+    CounterExhausted,
     DhError,
     NotInitialized,
     ParseError,
@@ -156,6 +157,17 @@ def test_responder_cannot_send_before_first_decrypt():
     stb = helpers.vdr_receiver(mats, opener)
     with pytest.raises(NotInitialized):
         vdr_encrypt(stb, 0, b"too soon", b_rng)
+
+
+def test_send_index_stops_before_the_u32_limit():
+    sta, stb, a_rng, b_rng = fresh_conversation(327)
+    sta.j_s = 0xFFFFFFFE  # the last index that can be sent
+    last = vdr_encrypt(sta, 0, b"last", a_rng)
+    assert last.j_index == 0xFFFFFFFE and sta.j_s == 0xFFFFFFFF
+    drawn, before = a_rng.mark(), vdr_export_state(sta)
+    with pytest.raises(CounterExhausted):
+        vdr_encrypt(sta, 0, b"one too many", a_rng)
+    assert (a_rng.mark(), vdr_export_state(sta)) == (drawn, before)
 
 
 def test_lazy_receiver_requires_epoch_zero():
@@ -425,8 +437,12 @@ def _failed_decrypts():
     assert vdr_decrypt(stb, turn, b_rng) == b"next epoch"
     assert stb.skipped and (stb.i_r, stb.j_r) == (2, 1)
     later = vdr_encrypt(sta, 0, b"later", a_rng)
-    bad_tag = dataclasses.replace(
-        later, ciphertext=bytes([later.ciphertext[0] ^ 1]) + later.ciphertext[1:])
+    bad_tag, cached_bad_tag = (
+        dataclasses.replace(
+            env, ciphertext=bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:])
+        for env in (later, envs[2]))
+    assert (0, envs[2].j_index) in stb.skipped
+    over_gap = dataclasses.replace(later, j_index=stb.j_r + MAX_SKIP + 1)
     low_order = dataclasses.replace(
         vdr_encrypt(stb, 0, b"turn", b_rng), eph_pub=bytes(32))
     # a responder set up from the opener that has not decrypted it yet
@@ -441,6 +457,8 @@ def _failed_decrypts():
     assert epoch_2.i_index == 2
     return {
         "bad tag": (stb, b_rng, bad_tag, AuthFailure),
+        "bad tag at a cached stage": (stb, b_rng, cached_bad_tag, AuthFailure),
+        "gap over MAX_SKIP": (stb, b_rng, over_gap, SkipLimit),
         "low-order eph_pub": (sta, a_rng, low_order, DhError),
         "replay": (stb, b_rng, turn, ReplayRejected),
         "replay of a cached stage": (stb, b_rng, envs[1], StaleEpoch),
@@ -452,7 +470,8 @@ def _failed_decrypts():
 
 @pytest.mark.parametrize("label", [
     "bad tag", "low-order eph_pub", "replay", "replay of a cached stage",
-    "stale evicted", "stale abandoned", "no local ephemeral"])
+    "stale evicted", "stale abandoned", "no local ephemeral",
+    "bad tag at a cached stage", "gap over MAX_SKIP"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
     before = vdr_export_state(st)

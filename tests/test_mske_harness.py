@@ -184,6 +184,20 @@ def test_rev_ltk_returns_long_term_secret():
     assert g.rev_ltk == {1: False, 2: True}
 
 
+@pytest.mark.parametrize("query", [
+    lambda g: g.oracle_rev_ltk(3),
+    lambda g: g.oracle_send(1, 2, (7, ROLE_INITIATOR)),
+    lambda g: g.oracle_send(3, 1, (1, ROLE_RESPONDER)),
+], ids=["rev_ltk", "activate with an unknown peer",
+        "activate for an unknown owner"])
+def test_unknown_party_is_refused_before_anything_changes(query):
+    g, _, _ = v2_game()
+    before = (dict(g.rev_ltk), dict(g.sessions), g.trace.export())
+    with pytest.raises(StageUnknown, match=r"no party [37]"):
+        query(g)
+    assert (dict(g.rev_ltk), dict(g.sessions), g.trace.export()) == before
+
+
 def test_v2_state_snapshot_carries_pms():
     g, _, _ = v2_game()
     rec = g.sessions[(1, 1)]
