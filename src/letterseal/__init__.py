@@ -37,8 +37,6 @@ from .directory_server import (
 )
 from .errors import (
     AuthFailure,
-    Ambiguous,
-    ChunkCountError,
     CounterExhausted,
     DhError,
     KeyNotFound,
@@ -77,39 +75,29 @@ from .linevdr import (
     vdr_lazy_init_receiver,
 )
 from .wire import (
-    BotPacket,
     EnvelopeV1,
     EnvelopeV2,
     EnvelopeVDR,
-    PacketClass,
-    PacketMeta,
-    classify_packet,
     decode_envelope,
-    decode_packet,
     encode_envelope,
-    encode_packet,
-    parse_chunks,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AeadNonce", "Ambiguous", "AuthFailure", "BotPacket", "ChunkCountError",
-    "CounterExhausted", "DhError", "Digest", "Drop", "EnvelopeV1",
-    "EnvelopeV2", "EnvelopeVDR", "GroupElement", "GroupScalar", "Honest",
-    "KeyDirectory", "KeyNotFound", "KidMismatch", "LettersealError",
-    "MAX_SKIP", "MacFailure", "NotInitialized", "OpCounts", "PacketClass",
-    "PacketMeta", "PaddingError", "ParseError", "RatchetState", "Relay",
-    "Reorder", "Replay", "ReplayRejected", "SeededRng", "SessionV1",
-    "SessionV2", "SharedSecret", "SkipLimit", "StageNotAccepted",
-    "StageUnknown", "StaleEpoch", "SymmetricKey", "UnknownAttack",
-    "ZERO_SALT", "aead_open", "aead_seal", "bench", "build_ad_v2",
-    "build_ad_vdr", "classify_packet", "count_ops", "decode_envelope",
-    "decode_packet", "dh", "dh_keygen", "dh_to_public", "digest_kdf",
-    "encode_envelope", "encode_packet", "kat", "kdf_chain", "kdf_root",
-    "mske", "parse_chunks", "v1_decrypt", "v1_derive", "v1_encrypt",
-    "v1_establish", "v2_build_nonce", "v2_decrypt", "v2_derive_key",
-    "v2_encrypt", "v2_establish", "vdr_decrypt", "vdr_encrypt",
-    "vdr_export_state", "vdr_import_state", "vdr_init_sender",
+    "AeadNonce", "AuthFailure", "CounterExhausted", "DhError", "Digest",
+    "Drop", "EnvelopeV1", "EnvelopeV2", "EnvelopeVDR", "GroupElement",
+    "GroupScalar", "Honest", "KeyDirectory", "KeyNotFound", "KidMismatch",
+    "LettersealError", "MAX_SKIP", "MacFailure", "NotInitialized", "OpCounts",
+    "PaddingError", "ParseError", "RatchetState", "Relay", "Reorder",
+    "Replay", "ReplayRejected", "SeededRng", "SessionV1", "SessionV2",
+    "SharedSecret", "SkipLimit", "StageNotAccepted", "StageUnknown",
+    "StaleEpoch", "SymmetricKey", "UnknownAttack", "ZERO_SALT", "aead_open",
+    "aead_seal", "bench", "build_ad_v2", "build_ad_vdr", "count_ops",
+    "decode_envelope", "dh", "dh_keygen", "dh_to_public", "digest_kdf",
+    "encode_envelope", "kat", "kdf_chain", "kdf_root", "mske", "v1_decrypt",
+    "v1_derive", "v1_encrypt", "v1_establish", "v2_build_nonce", "v2_decrypt",
+    "v2_derive_key", "v2_encrypt", "v2_establish", "vdr_decrypt",
+    "vdr_encrypt", "vdr_export_state", "vdr_import_state", "vdr_init_sender",
     "vdr_lazy_init_receiver", "wire",
 ]

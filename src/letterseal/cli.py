@@ -1,10 +1,10 @@
 """Command line front end: demos, attack scenarios, benchmarks, vectors.
 
-Five subcommands: `demo` runs a seeded two-party conversation through the
+Four subcommands: `demo` runs a seeded two-party conversation through the
 in-process directory and relay, `attack` executes one scripted adversary
 and exits zero only when the outcome matches the pinned expectation,
-`bench` prints the timing and operation-count report, `vectors` emits or
-checks the known-answer file, and `parse` decodes hex packet fixtures.
+`bench` prints the timing and operation-count report, and `vectors` emits
+or checks the known-answer file.
 
 All output under a fixed seed is byte-stable except bench timing numbers.
 """
@@ -20,17 +20,10 @@ from . import crypto_suite as cs
 from .bench import MIN_ITERATIONS, PINNED_COUNTS, format_report, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
 from .endpoint import endpoint_pair
-from .errors import LettersealError, ParseError
+from .errors import ParseError
 from .kat import check_file, write_vectors
 from .mske import EXPECTED, attack_names, run_attack
-from .wire import (
-    PacketMeta,
-    classify_packet,
-    decode_envelope,
-    decode_packet,
-    encode_envelope,
-    parse_chunks,
-)
+from .wire import decode_envelope, encode_envelope
 
 _SEED_ENV = "LETTERSEAL_SEED"
 
@@ -189,7 +182,7 @@ def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectors / parse
+# vectors
 # ---------------------------------------------------------------------------
 
 def cmd_vectors(out: str | None, check: str | None, fmt: str) -> int:
@@ -208,61 +201,6 @@ def cmd_vectors(out: str | None, check: str | None, fmt: str) -> int:
            "mismatches": bad}, fmt,
           f"{len(results)} vectors, {bad} mismatches")
     return 0 if bad == 0 else 1
-
-
-def cmd_parse(path: str, fmt: str) -> int:
-    failures = 0
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    ordinal = 0
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        ordinal += 1
-        try:
-            packet = decode_packet(bytes.fromhex(line))
-            cls = classify_packet(packet)
-        except (LettersealError, ValueError) as exc:
-            failures += 1
-            _emit({"type": "parse_error", "ordinal": ordinal,
-                   "error": str(exc)}, fmt,
-                  f"packet {ordinal}: PARSE ERROR: {exc}")
-            continue
-        record = {"type": "packet", "ordinal": ordinal,
-                  "class": cls.name,
-                  "from": packet.from_, "to": packet.to,
-                  "id": packet.id, "seq": packet.seq,
-                  "e2ee_version": packet.e2ee_version,
-                  "content_type": packet.content_type}
-        lines_out = [f"packet {ordinal}: {cls.name}",
-                     f"  from={packet.from_} to={packet.to} id={packet.id} "
-                     f"seq={packet.seq} e2ee_version={packet.e2ee_version} "
-                     f"content_type={packet.content_type}"]
-        if isinstance(packet, PacketMeta):
-            record["chunks"] = [len(c) for c in packet.chunks]
-            lines_out.append(
-                "  chunks: " + ", ".join(str(len(c)) for c in packet.chunks))
-            if len(packet.chunks) == 5:
-                salt, ct, nonce_seed, kid_a, kid_b = parse_chunks(packet.chunks)
-                record["chunk_fields"] = {
-                    "salt": salt, "ciphertext_len": len(ct),
-                    "nonce_material": nonce_seed,
-                    "kid_a": kid_a, "kid_b": kid_b}
-                lines_out.append(
-                    f"  salt={salt.hex()} ciphertext={len(ct)}B "
-                    f"nonce_material={nonce_seed.hex()} "
-                    f"kid_a={kid_a} kid_b={kid_b}")
-        else:
-            record["text"] = packet.text
-            record["bot_origin"] = packet.bot_origin
-            lines_out.append(f"  origin={packet.bot_origin!r} "
-                             f"text={packet.text!r}")
-        _emit(record, fmt, "\n".join(lines_out))
-    if ordinal == 0:
-        print(f"no packets found in {path}", file=sys.stderr)
-        return 1
-    return 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check", help="verify a vector file bit for bit")
     common(p_vec)
 
-    p_parse = sub.add_parser("parse", help="decode hex packet fixtures")
-    p_parse.add_argument("path")
-    common(p_parse)
-
     return parser
 
 
@@ -334,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_bench(args.iterations, seed, args.format)
         if args.command == "vectors":
             return cmd_vectors(args.out, args.check, args.format)
-        if args.command == "parse":
-            return cmd_parse(args.path, args.format)
     except (FileNotFoundError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,6 +56,12 @@ class Replay:
     ordinal: int        # 0-based index of the message to duplicate
     copies: int = 1
 
+    def __post_init__(self):
+        if self.ordinal < 0:
+            raise ValueError("replay ordinal must be >= 0")
+        if self.copies < 1:
+            raise ValueError("replay copies must be >= 1")
+
 
 @dataclass(frozen=True)
 class Drop:

@@ -49,10 +49,6 @@ class ParseError(LettersealError):
     """Wire decoding failed; the message names the offending field."""
 
 
-class ChunkCountError(ParseError):
-    """Packet chunk list does not have exactly five entries."""
-
-
 class KeyNotFound(LettersealError):
     """Directory lookup for an unknown key id."""
 
@@ -67,7 +63,3 @@ class StageUnknown(LettersealError):
 
 class UnknownAttack(LettersealError):
     """Attack name is not in the scripted scenario table."""
-
-
-class Ambiguous(LettersealError):
-    """Packet carries both (or neither) of the chunk and bot-text signals."""

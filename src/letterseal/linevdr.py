@@ -6,10 +6,12 @@ Index conventions. i counts asymmetric epochs, j messages within a chain.
 The initiator owns even epochs, the responder odd ones. The receiver
 ratchets its receiving chain when an envelope opens a new epoch, and builds
 the reply chain (fresh ephemeral, i_s = i_r + 1) right after the first
-successful decrypt of that epoch. Decryption is transactional: state
-mutates only after the AEAD tag verifies, so forged envelopes cannot
-desynchronize a session or poison the skipped-key cache. So is encryption:
-a refused seal neither steps the chain nor draws a nonce.
+successful decrypt of that epoch. A turn to epoch 0xFFFFFFFF is refused
+there with StaleEpoch, before the ephemeral is drawn: its reply epoch
+would not fit a u32. Decryption is transactional: state mutates only
+after the AEAD tag verifies, so forged envelopes cannot desynchronize a
+session or poison the skipped-key cache. So is encryption: a refused seal
+neither steps the chain nor draws a nonce.
 
 Replay defense. A stage opens only from the skipped-key cache or by
 moving the live receive chain forward, and both delete the key they use,
@@ -207,6 +209,8 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     plaintext = vdr_open(mk, env)  # AuthFailure leaves all state untouched
 
     if i_r != st.i_r or st.ck_send is None:  # a turn, or the first open
+        if i_r == 0xFFFFFFFF:
+            raise StaleEpoch(f"epoch {i_r} leaves no u32 reply epoch")
         st.self_eph_secret, st.self_eph_pub, st.self_eph_key = \
             cs.dh_keygen_with_key(rng)
         rk, ck_send = cs.kdf_root(cs.dh(st.self_eph_key, peer_eph), rk)

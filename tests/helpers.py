@@ -26,7 +26,6 @@ from letterseal.wire import encode_envelope
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_FILE = DATA_DIR / "golden_envelopes.txt"
 KAT_FILE = DATA_DIR / "kat_vectors.txt"
-PACKET_FILE = DATA_DIR / "packet_fixtures.txt"
 SNAPSHOT_FILE = DATA_DIR / "golden_snapshots.txt"
 ATTACK_TRACE_FILE = DATA_DIR / "golden_attack_traces.txt"
 

@@ -6,6 +6,7 @@ The entry-point tests at the end run in a child interpreter instead: the
 wherever one is on PATH.
 """
 
+import argparse
 import importlib
 import json
 import os
@@ -17,10 +18,12 @@ from pathlib import Path
 import pytest
 
 import letterseal
-from letterseal.cli import main
+from letterseal.cli import _build_parser, main
 from letterseal.mske import run_attack
 
-from helpers import KAT_FILE, PACKET_FILE
+from helpers import KAT_FILE
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +147,16 @@ def test_unknown_attack_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_readme_lists_every_subcommand():
+    (sub,) = [action for action in _build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    listed = {line.split()[1] for line in block.splitlines()
+              if line.startswith("letterseal ")}
+    assert listed == set(sub.choices)
+
+
 def test_bench_json_lines(capsys):
     code, out, _ = run_cli(capsys, "bench", "--iterations", "100",
                            "--format", "json-lines")
@@ -173,6 +186,9 @@ def test_vectors_out_and_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "vectors", "--check", str(path))
     assert code == 0
     assert "12 vectors, 0 mismatches" in out
+    code, _, err = run_cli(capsys, "vectors", "--check",
+                           str(tmp_path / "missing.txt"))
+    assert code == 1 and err.startswith("error: ")
 
 
 def test_vectors_check_flags_corruption(capsys, tmp_path):
@@ -187,26 +203,6 @@ def test_vectors_check_flags_corruption(capsys, tmp_path):
     assert code == 1
     assert "MISMATCH" in out
     assert "1 mismatches" in out
-
-
-def test_parse_fixture_file(capsys):
-    code, out, _ = run_cli(capsys, "parse", str(PACKET_FILE))
-    assert code == 0
-    assert "UserE2EE" in out and "BotPlaintext" in out
-    assert "kid_a=11 kid_b=12" in out
-
-
-def test_parse_garbage_and_empty(capsys, tmp_path):
-    garbage = tmp_path / "g.txt"
-    garbage.write_text("zz\n")
-    code, out, _ = run_cli(capsys, "parse", str(garbage))
-    assert code == 1 and "PARSE ERROR" in out
-    empty = tmp_path / "e.txt"
-    empty.write_text("# nothing here\n\n")
-    code, _, err = run_cli(capsys, "parse", str(empty))
-    assert code == 1 and "no packets found" in err
-    code, _, err = run_cli(capsys, "parse", str(tmp_path / "missing.txt"))
-    assert code == 1
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -86,6 +86,16 @@ def test_replay_copies_count():
     assert r.relay(b"m0") == [b"m0"] * 4
 
 
+@pytest.mark.parametrize("kwargs,msg", [
+    (dict(ordinal=-1), "ordinal"),
+    (dict(ordinal=0, copies=0), "copies"),
+    (dict(ordinal=0, copies=-2), "copies"),
+])
+def test_replay_refuses_a_negative_ordinal_or_no_copies(kwargs, msg):
+    with pytest.raises(ValueError, match=f"^replay {msg} must be"):
+        Replay(**kwargs)
+
+
 def test_drop_swallows_listed_ordinals():
     r = Relay(behavior=Drop([0, 2]))
     assert r.relay(b"m0") == []

@@ -455,6 +455,14 @@ def _failed_decrypts():
     vdr_decrypt(stc, vdr_encrypt(live, 0, b"turn", d_rng), c_rng)
     epoch_2 = vdr_encrypt(stc, 0, b"epoch 2", c_rng)
     assert epoch_2.i_index == 2
+    # an authentic turn to the top u32 epoch, whose reply epoch cannot fit
+    ste, mats, e_rng, f_rng = helpers.vdr_pair(5)
+    opener = vdr_encrypt(ste, 0, b"opening flight", e_rng)
+    stf = helpers.vdr_receiver(mats, opener)
+    vdr_decrypt(stf, opener, f_rng)
+    vdr_decrypt(ste, vdr_encrypt(stf, 0, b"turn", f_rng), e_rng)
+    ste.i_s = 0xFFFFFFFF
+    top_epoch = vdr_encrypt(ste, 0, b"top epoch", e_rng)
     return {
         "bad tag": (stb, b_rng, bad_tag, AuthFailure),
         "bad tag at a cached stage": (stb, b_rng, cached_bad_tag, AuthFailure),
@@ -465,19 +473,22 @@ def _failed_decrypts():
         "stale evicted": (stb, b_rng, envs[0], StaleEpoch),
         "stale abandoned": (stb, b_rng, envs[MAX_SKIP + 3], StaleEpoch),
         "no local ephemeral": (lazy, d_rng, epoch_2, StaleEpoch),
+        "turn to the top epoch": (stf, f_rng, top_epoch, StaleEpoch),
     }
 
 
 @pytest.mark.parametrize("label", [
     "bad tag", "low-order eph_pub", "replay", "replay of a cached stage",
     "stale evicted", "stale abandoned", "no local ephemeral",
-    "bad tag at a cached stage", "gap over MAX_SKIP"])
+    "bad tag at a cached stage", "gap over MAX_SKIP",
+    "turn to the top epoch"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
-    before = vdr_export_state(st)
+    before, draws = vdr_export_state(st), rng.mark()
     with pytest.raises(error):
         vdr_decrypt(st, env, rng)
     assert vdr_export_state(st) == before
+    assert rng.mark() == draws
 
 
 def test_import_rejects_previous_snapshot_format():

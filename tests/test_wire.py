@@ -5,25 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from letterseal.errors import Ambiguous, ChunkCountError, ParseError
+from letterseal.errors import ParseError
 from letterseal.wire import (
-    BotPacket,
     EnvelopeV1,
     EnvelopeV2,
     EnvelopeVDR,
-    PacketClass,
-    PacketMeta,
-    classify_packet,
     decode_envelope,
-    decode_packet,
     encode_envelope,
-    encode_packet,
-    parse_chunks,
 )
 
 u8 = st.integers(0, 0xFF)
 u32 = st.integers(0, 0xFFFFFFFF)
-i64 = st.integers(-(2**63), 2**63 - 1)
 ident = st.text(max_size=24)
 
 v1_envelopes = st.builds(
@@ -117,6 +109,15 @@ def test_envelope_v1_validation(kwargs, msg):
         EnvelopeV1(**base)
 
 
+# an identity string fits by its UTF-8 size: 0x8000 two-byte characters
+# are one byte over the u16 prefix
+STR_FITS = ("a" * 0xFFFF, "\u00e9" * 0x7FFF + "a")
+STR_OVER = ("a" * 0x10000, "\u00e9" * 0x8000)
+V2_FIELDS = dict(ctype=0, salt=b"\x00" * 16, ciphertext=b"\x00" * 16,
+                 nonce_material=b"\x00" * 8, kid_sender=1, kid_receiver=2,
+                 sid="a", rid="b")
+
+
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(salt=b"\x00" * 8), "salt"),
     (dict(nonce_material=b"\x00" * 12), "nonce_material"),
@@ -126,14 +127,19 @@ def test_envelope_v1_validation(kwargs, msg):
     # a lone surrogate is a str with no UTF-8 form
     (dict(sid="\ud800"), "^identity string sid does not encode"),
     (dict(rid="ok \u00e9 \udfff"), "^identity string rid does not encode"),
+    *((dict(**{name: value}), f"^identity string {name} is 65536 bytes")
+      for name in ("sid", "rid") for value in STR_OVER),
 ])
 def test_envelope_v2_validation(kwargs, msg):
-    base = dict(ctype=0, salt=b"\x00" * 16, ciphertext=b"\x00" * 16,
-                nonce_material=b"\x00" * 8, kid_sender=1, kid_receiver=2,
-                sid="a", rid="b")
-    base.update(kwargs)
     with pytest.raises(_refusal(kwargs), match=msg):
-        EnvelopeV2(**base)
+        EnvelopeV2(**{**V2_FIELDS, **kwargs})
+
+
+@pytest.mark.parametrize("name", ["sid", "rid"])
+def test_identity_string_that_fits_round_trips(name):
+    for value in STR_FITS:
+        env = EnvelopeV2(**{**V2_FIELDS, name: value})
+        assert decode_envelope(encode_envelope(env)) == env
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -237,233 +243,12 @@ def test_decode_envelope_truncation_at_every_point(name):
             decode_envelope(raw[:cut])
 
 
-# -- packets -------------------------------------------------------------------
-
-header_kwargs = dict(
-    from_=i64, to=i64, to_type=u8, id=i64, created_time=i64,
-    delivered_time=i64, has_content=st.booleans(), content_type=u8,
-    e2ee_version=u8, seq=i64, session_id=i64,
-)
-
-user_packets = st.builds(
-    PacketMeta,
-    chunks=st.lists(st.binary(max_size=40), max_size=6).map(tuple),
-    **header_kwargs,
-)
-
-bot_packets = st.builds(
-    BotPacket,
-    bot_tag2=st.binary(max_size=8),
-    bot_origin=st.text(max_size=16),
-    bot_check=st.booleans(),
-    bot_track=st.text(max_size=16),
-    text=st.text(max_size=64),
-    **header_kwargs,
-)
-
-
-@settings(max_examples=100)
-@given(p=st.one_of(user_packets, bot_packets))
-def test_packet_codec_is_inverse(p):
-    assert decode_packet(encode_packet(p)) == p
-
-
-def packet_fixtures() -> list[bytes]:
-    return [bytes.fromhex(ln)
-            for ln in helpers.PACKET_FILE.read_text().splitlines()
-            if ln.strip() and not ln.startswith("#")]
-
-
-def test_packet_fixture_file_decodes():
-    raws = packet_fixtures()
-    assert len(raws) == 2
-    user, bot = map(decode_packet, raws)
-    assert classify_packet(user) is PacketClass.UserE2EE
-    assert classify_packet(bot) is PacketClass.BotPlaintext
-    salt, ct, nonce, kid_a, kid_b = parse_chunks(user.chunks)
-    assert (len(salt), len(nonce)) == (16, 8)
-    assert len(ct) >= 16
-    assert (kid_a, kid_b) == (11, 12)
-    assert bot.text == "plaintext bot reply"
-    assert bot.bot_origin == "assistant"
-
-
-def test_packet_fixtures_reencode_byte_for_byte():
-    for raw in packet_fixtures():
-        assert encode_packet(decode_packet(raw)) == raw
-
-
-@pytest.mark.parametrize("index", [0, 1], ids=["user", "bot"])
-def test_decode_packet_truncation_at_every_prefix(index):
-    raw = packet_fixtures()[index]
-    for n in range(len(raw)):
-        with pytest.raises(ParseError, match="^truncated while reading"):
-            decode_packet(raw[:n])
-
-
-def test_decode_packet_rejects_malformed():
-    good = encode_packet(PacketMeta(
-        from_=1, to=2, to_type=0, id=3, created_time=4, delivered_time=5,
-        has_content=True, content_type=0, e2ee_version=2, seq=6,
-        session_id=7, chunks=(b"abc",)))
-    with pytest.raises(ParseError):
-        decode_packet(good[:-1])
-    with pytest.raises(ParseError):
-        decode_packet(good + b"\x00")
-    with pytest.raises(ParseError):
-        decode_packet(b"\x77" + good[1:])
-    with pytest.raises(ParseError):
-        decode_packet(b"")
-
-
-@pytest.mark.parametrize("fieldname", ["bot_origin", "bot_track", "text"])
-def test_decode_packet_rejects_invalid_utf8_string(fieldname):
-    p = BotPacket(from_=1, to=2, to_type=0, id=3, created_time=4,
-                  delivered_time=5, has_content=True, content_type=0,
-                  e2ee_version=0, seq=6, session_id=7, bot_tag2=b"tag",
-                  bot_origin="origin-name", bot_track="track-name",
-                  text="reply text")
-    raw = _spoil(encode_packet(p), getattr(p, fieldname))
-    with pytest.raises(ParseError, match=f"^{fieldname} is not valid UTF-8"):
-        decode_packet(raw)
-
-
-def test_parse_chunks_validation():
-    ok = (b"s" * 16, b"c" * 16, b"n" * 8, b"\x00\x00\x00\x0b",
-          b"\x00\x00\x00\x0c")
-    assert parse_chunks(ok)[3:] == (11, 12)
-    with pytest.raises(ChunkCountError):
-        parse_chunks(ok[:4])
-    with pytest.raises(ChunkCountError):
-        parse_chunks(ok + (b"extra",))
-    for idx, bad in [(0, b"s" * 15), (1, b"c" * 15), (2, b"n" * 7),
-                     (3, b"\x00" * 3), (4, b"\x00" * 5)]:
-        mutated = list(ok)
-        mutated[idx] = bad
-        with pytest.raises(ParseError):
-            parse_chunks(tuple(mutated))
-
-
-def test_classify_requires_exactly_one_body():
-    meta = dict(from_=1, to=2, to_type=0, id=3, created_time=4,
-                delivered_time=5, has_content=False, content_type=0,
-                e2ee_version=0, seq=6, session_id=7)
-    with pytest.raises(Ambiguous):
-        classify_packet(PacketMeta(chunks=(), **meta))
-    with pytest.raises(Ambiguous):
-        classify_packet(BotPacket(text="", **meta))
-    assert classify_packet(
-        PacketMeta(chunks=(b"x",), **meta)) is PacketClass.UserE2EE
-    assert classify_packet(
-        BotPacket(text="hi", **meta)) is PacketClass.BotPlaintext
-
-
 @pytest.mark.parametrize("encode,message", [
     (encode_envelope, "not an envelope: bytes"),
-    (encode_packet, "not a packet: bytes"),
 ])
 def test_encoding_a_foreign_object_is_refused(encode, message):
     with pytest.raises(TypeError, match=message):
         encode(b"raw bytes")
-
-
-def test_chunk_count_capped():
-    meta = dict(from_=1, to=2, to_type=0, id=3, created_time=4,
-                delivered_time=5, has_content=True, content_type=0,
-                e2ee_version=2, seq=6, session_id=7)
-    PacketMeta(chunks=(b"",) * 255, **meta)
-    with pytest.raises(ValueError, match="chunk count"):
-        PacketMeta(chunks=(b"",) * 256, **meta)
-
-
-PACKET_META = dict(from_=1, to=2, to_type=0, id=3, created_time=4,
-                   delivered_time=5, has_content=True, content_type=0,
-                   e2ee_version=2, seq=6, session_id=7)
-I64_FIELDS = ("from_", "to", "id", "created_time", "delivered_time", "seq",
-              "session_id")
-U8_FIELDS = ("to_type", "content_type", "e2ee_version")
-U32 = 0xFFFFFFFF
-
-
-def _both_packets(**kwargs):
-    meta = {**PACKET_META, **kwargs}
-    return PacketMeta(chunks=(b"x",), **meta), BotPacket(text="x", **meta)
-
-
-@pytest.mark.parametrize("name,lo,hi", [
-    *((name, -(1 << 63), (1 << 63) - 1) for name in I64_FIELDS),
-    *((name, 0, 0xFF) for name in U8_FIELDS),
-])
-def test_packet_header_fields_checked_at_their_limits(name, lo, hi):
-    for value in (lo, hi):
-        for p in _both_packets(**{name: value}):
-            assert decode_packet(encode_packet(p)) == p
-    for value in (lo - 1, hi + 1):
-        with pytest.raises(ValueError, match=f"^{name} out of"):
-            PacketMeta(chunks=(), **{**PACKET_META, name: value})
-        with pytest.raises(ValueError, match=f"^{name} out of"):
-            BotPacket(**{**PACKET_META, name: value})
-
-
-# a string fits by its UTF-8 size: 0x8000 two-byte characters are one past
-STR_FITS = ("a" * 0xFFFF, "\u00e9" * 0x7FFF + "a")
-STR_OVER = ("a" * 0x10000, "\u00e9" * 0x8000)
-
-
-@pytest.mark.parametrize("name,fits,over", [
-    ("bot_tag2", (b"\xff" * 0xFFFF,), (b"\xff" * 0x10000,)),
-    ("bot_origin", STR_FITS, STR_OVER),
-    ("bot_track", STR_FITS, STR_OVER),
-], ids=["bot_tag2", "bot_origin", "bot_track"])
-def test_bot_u16_fields_checked_at_their_limits(name, fits, over):
-    for value in fits:
-        p = BotPacket(**{name: value}, **PACKET_META)
-        assert decode_packet(encode_packet(p)) == p
-    for value in over:
-        with pytest.raises(ValueError, match=f"^{name} is 65536 bytes"):
-            BotPacket(**{name: value}, **PACKET_META)
-
-
-@pytest.mark.parametrize("name", ["bot_origin", "bot_track", "text"])
-def test_bot_string_that_cannot_encode_is_refused(name):
-    for value in ("\ud800", "ok \u00e9 \udfff"):
-        with pytest.raises(ValueError, match=f"^{name} does not encode"):
-            BotPacket(**{name: value}, **PACKET_META)
-
-
-class _Sized:
-    """Claims a length without holding the bytes, for the u32 limits."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-
-class _LongText(str):
-    """A str claiming a character count and a UTF-8 size."""
-
-    def __new__(cls, chars, utf8):
-        self = super().__new__(cls, "")
-        self.chars, self.utf8 = chars, utf8
-        return self
-
-    def __len__(self):
-        return self.chars
-
-    def encode(self, *args):
-        return _Sized(self.utf8)
-
-
-def test_u32_packet_fields_checked_at_their_limits():
-    PacketMeta(chunks=(b"", _Sized(U32)), **PACKET_META)
-    with pytest.raises(ValueError, match=r"^chunk\[1\] is 4294967296 bytes"):
-        PacketMeta(chunks=(b"", _Sized(U32 + 1)), **PACKET_META)
-    BotPacket(text=_LongText(U32, U32), **PACKET_META)
-    for chars in (U32 + 1, U32 // 4 + 1):
-        with pytest.raises(ValueError, match="^text is 4294967296 bytes"):
-            BotPacket(text=_LongText(chars, U32 + 1), **PACKET_META)
 
 
 def test_mutated_envelope_reencodes_differently():
