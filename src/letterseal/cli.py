@@ -3,8 +3,8 @@
 Four subcommands: `demo` runs a seeded two-party conversation through the
 in-process directory and relay, `attack` executes one scripted adversary
 and exits zero only when the outcome matches the pinned expectation,
-`bench` prints the timing and operation-count report, and `vectors` emits
-or checks the known-answer file.
+`bench` prints the timing and operation-count report, and `vectors` checks
+a known-answer file against the package's primitives.
 
 All output under a fixed seed is byte-stable except bench timing numbers.
 """
@@ -20,8 +20,8 @@ from . import crypto_suite as cs
 from .bench import MIN_ITERATIONS, PINNED_COUNTS, format_report, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
 from .endpoint import endpoint_pair
-from .errors import ParseError
-from .kat import check_file, write_vectors
+from .errors import LettersealError
+from .kat import check_file
 from .mske import EXPECTED, attack_names, run_attack
 from .wire import decode_envelope, encode_envelope
 
@@ -36,21 +36,9 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _jsonable(value):
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
 def _emit(record: dict, fmt: str, text: str) -> None:
     if fmt == "json-lines":
-        print(json.dumps(_jsonable(record), sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     else:
         print(text)
 
@@ -135,7 +123,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
         "details": report.details,
     }
     if fmt == "json-lines":
-        print(json.dumps(_jsonable(record), sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     else:
         print(f"attack {report.name} (seed {seed})")
         print(f"  succeeded:          {yn(report.succeeded)}"
@@ -144,7 +132,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
               f"  (expected {yn(expected[1])})")
         print(f"  oracle queries:     {queries}")
         for key in sorted(report.details):
-            print(f"  {key}: {_jsonable(report.details[key])}")
+            print(f"  {key}: {report.details[key]}")
         print(f"  verdict: {'as expected' if as_expected else 'UNEXPECTED'}")
     return 0 if as_expected else 1
 
@@ -157,22 +145,22 @@ def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
     report = run_bench(iterations=iterations, seed=seed)
     if fmt == "json-lines":
         for row in report["rows"]:
-            print(json.dumps(_jsonable({
+            print(json.dumps({
                 "type": "bench_row", "scenario": row.scenario,
                 "e2e_avg_us": round(row.e2e_avg, 3),
                 "enc_avg_us": round(row.enc_avg, 3),
                 "dec_avg_us": round(row.dec_avg, 3),
                 "stddev_us": round(row.stddev, 3),
                 "iterations": row.iterations,
-            }), sort_keys=True))
+            }, sort_keys=True))
         for scenario, rows in report["op_costs"].items():
             for r in rows:
-                print(json.dumps(_jsonable({
+                print(json.dumps({
                     "type": "op_cost", "scenario": scenario, "op": r.op,
                     "count_per_message": r.count_per_message,
                     "unit_cost_us": round(r.unit_cost, 3),
                     "pinned": PINNED_COUNTS[scenario][r.op],
-                }), sort_keys=True))
+                }, sort_keys=True))
         for point, size in report["state_bytes"].items():
             print(json.dumps({"type": "state_size", "point": point,
                               "snapshot_bytes": size}, sort_keys=True))
@@ -185,13 +173,14 @@ def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
 # vectors
 # ---------------------------------------------------------------------------
 
-def cmd_vectors(out: str | None, check: str | None, fmt: str) -> int:
-    if out is not None:
-        count = write_vectors(out)
-        _emit({"type": "vectors_written", "path": out, "count": count}, fmt,
-              f"wrote {count} vectors to {out}")
-        return 0
-    results = check_file(check)
+def cmd_vectors(path: str, fmt: str) -> int:
+    """The file is outside input: one that cannot be read, parsed or
+    computed (a wrong input count is a TypeError) is an error line."""
+    try:
+        results = check_file(path)
+    except (OSError, ValueError, TypeError, LettersealError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     bad = 0
     for name, ok in results:
         bad += 0 if ok else 1
@@ -214,11 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, iterations_default=None):
+    def seeded(p, iterations_default=None):
         p.add_argument("--seed", type=lambda v: int(v, 0), default=None,
                        help=f"u64 seed (default: ${_SEED_ENV} or 0)")
-        p.add_argument("--format", choices=("text", "json-lines"),
-                       default="text")
         if iterations_default is not None:
             p.add_argument("--iterations", type=int,
                            default=iterations_default)
@@ -226,51 +213,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="seeded two-party conversation")
     p_demo.add_argument("--protocol", choices=("v1", "v2", "vdr"),
                         default="vdr")
-    common(p_demo, iterations_default=6)
+    seeded(p_demo, iterations_default=6)
 
     p_attack = sub.add_parser("attack", help="run one scripted adversary")
     p_attack.add_argument("name", choices=attack_names())
-    common(p_attack)
+    seeded(p_attack)
 
     p_bench = sub.add_parser("bench", help="timing and op-count report")
-    common(p_bench, iterations_default=MIN_ITERATIONS)
+    seeded(p_bench, iterations_default=MIN_ITERATIONS)
 
-    p_vec = sub.add_parser("vectors", help="emit or check KAT vectors")
-    group = p_vec.add_mutually_exclusive_group(required=True)
-    group.add_argument("--out", help="write canonical vectors to this path")
-    group.add_argument("--check", help="verify a vector file bit for bit")
-    common(p_vec)
+    p_vec = sub.add_parser("vectors", help="check KAT vectors")
+    p_vec.add_argument("--check", required=True, metavar="PATH",
+                       help="verify a vector file bit for bit")
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json-lines"),
+                       default="text")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "vectors":
+        return cmd_vectors(args.check, args.format)
     try:
-        seed = _resolve_seed(getattr(args, "seed", None))
+        seed = _resolve_seed(args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "demo":
-            if args.iterations < 1:
-                print("error: demo needs at least one message",
-                      file=sys.stderr)
-                return 2
-            return cmd_demo(args.protocol, args.iterations, seed, args.format)
-        if args.command == "attack":
-            return cmd_attack(args.name, seed, args.format)
-        if args.command == "bench":
-            if args.iterations < MIN_ITERATIONS:
-                print(f"error: bench needs --iterations >= {MIN_ITERATIONS}",
-                      file=sys.stderr)
-                return 2
-            return cmd_bench(args.iterations, seed, args.format)
-        if args.command == "vectors":
-            return cmd_vectors(args.out, args.check, args.format)
-    except (FileNotFoundError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.command == "demo":
+        if args.iterations < 1:
+            print("error: demo needs at least one message", file=sys.stderr)
+            return 2
+        return cmd_demo(args.protocol, args.iterations, seed, args.format)
+    if args.command == "attack":
+        return cmd_attack(args.name, seed, args.format)
+    if args.command == "bench":
+        if args.iterations < MIN_ITERATIONS:
+            print(f"error: bench needs --iterations >= {MIN_ITERATIONS}",
+                  file=sys.stderr)
+            return 2
+        return cmd_bench(args.iterations, seed, args.format)
     raise AssertionError(f"unhandled command {args.command}")
 
 

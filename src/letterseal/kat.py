@@ -1,10 +1,12 @@
-"""Known-answer vector recomputation and file plumbing.
+"""Known-answer vectors: the shipped file and its recomputation.
 
-The frozen vector file under tests/data pins primitive and derivation
-outputs to values produced by a standalone reference implementation built
-straight from the standards documents, sharing no code with this package.
-Recomputing every vector through the package's own (OpenSSL-backed)
-primitives and comparing bit for bit proves the two stacks agree.
+kat_vectors.txt, shipped beside this module, pins primitive and
+derivation outputs to values written by tools/reference_kat.py, a
+standalone reference implementation built straight from the standards
+documents and sharing no code with this package. That script is the
+file's only writer; this module only reads it. Recomputing every vector
+through the package's own (OpenSSL-backed) primitives and comparing bit
+for bit proves the two stacks agree.
 
 File format is line oriented, one vector per line:
 
@@ -22,6 +24,8 @@ from pathlib import Path
 from . import crypto_suite as cs
 from .linev1 import v1_derive
 from .linev2 import v2_derive_key
+
+_VECTOR_FILE = Path(__file__).with_name("kat_vectors.txt")
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,6 @@ def compute_output(name: str, inputs: tuple[bytes, ...]) -> bytes:
     return bytes(fn(*inputs))
 
 
-def _hex(data: bytes) -> str:
-    return data.hex() if data else "-"
-
-
 def _unhex(field: str) -> bytes:
     return b"" if field == "-" else bytes.fromhex(field)
 
@@ -130,14 +130,6 @@ def parse_vectors(text: str) -> list[KatVector]:
     return vectors
 
 
-def format_vectors(vectors: list[KatVector]) -> str:
-    lines = []
-    for v in vectors:
-        lines.append(" ".join([v.name, *(_hex(i) for i in v.inputs),
-                               _hex(v.output)]))
-    return "\n".join(lines) + "\n"
-
-
 def check_vectors(vectors: list[KatVector]) -> list[tuple[str, bool]]:
     """Recompute each vector through the package; True means bit-exact."""
     results = []
@@ -152,52 +144,5 @@ def check_file(path: str | Path) -> list[tuple[str, bool]]:
 
 
 def canonical_vectors() -> list[KatVector]:
-    """The shipped vector set: standard-document inputs, package outputs."""
-    rfc_scalar = bytes.fromhex(
-        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")
-    rfc_u = bytes.fromhex(
-        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c")
-    gcm_key = bytes.fromhex(
-        "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308")
-    gcm_iv = bytes.fromhex("cafebabefacedbaddecaf888")
-    gcm_pt = bytes.fromhex(
-        "d9313225f88406e5a55909c5aff5269a"
-        "86a7a9531534f7da2e4c303d8a318a72"
-        "1c3c0c95956809532fcf0e2449a6b525"
-        "b16aedf5aa0de657ba637b39")
-    gcm_aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
-    cbc_key = bytes.fromhex(
-        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
-    cbc_iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    cbc_pt = bytes.fromhex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51"
-        "30c81c46a35ce411e5fbc1191a0a52ef"
-        "f69f2445df4f9b17ad2b417be66c3710")
-    pms = bytes(range(32))
-
-    entries: list[tuple[str, tuple[bytes, ...]]] = [
-        ("sha256_empty", (b"",)),
-        ("sha256_abc", (b"abc",)),
-        ("x25519_rfc7748", (rfc_scalar, rfc_u)),
-        ("x25519_base_point", (bytes(range(32)),)),
-        ("hkdf_root_label", (b"\x0b" * 22,
-                             bytes.fromhex("000102030405060708090a0b0c"))),
-        ("hmac_chain_zero", (b"\x00" * 32,)),
-        ("aes_gcm_nist", (gcm_key, gcm_iv, gcm_pt, gcm_aad)),
-        ("aes_ecb_fips197", (bytes(range(32)),
-                             bytes.fromhex("00112233445566778899aabbccddeeff"))),
-        ("aes_cbc_pkcs7", (cbc_key, cbc_iv, cbc_pt)),
-        ("v1_derive", (pms, bytes.fromhex("0001020304050607"))),
-        ("v2_derive", (pms, bytes.fromhex("000102030405060708090a0b0c0d0e0f"))),
-        ("vdr_rk0", (b"\x01" * 32, b"\x02" * 32, b"\x03" * 32)),
-    ]
-    return [KatVector(name, inputs, compute_output(name, inputs))
-            for name, inputs in entries]
-
-
-def write_vectors(path: str | Path) -> int:
-    """Emit the canonical vectors; returns the number written."""
-    vectors = canonical_vectors()
-    Path(path).write_text(format_vectors(vectors))
-    return len(vectors)
+    """The shipped vector set: standard-document inputs, reference outputs."""
+    return parse_vectors(_VECTOR_FILE.read_text())

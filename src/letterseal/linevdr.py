@@ -54,8 +54,8 @@ from .wire import (
     VERS_VDR,
     EnvelopeVDR,
     _check_u8,
-    _Reader,
     _Run,
+    _take,
 )
 
 MAX_SKIP = 256
@@ -279,25 +279,31 @@ def vdr_export_state(st: RatchetState) -> bytes:
 
 
 def vdr_import_state(snapshot: bytes) -> RatchetState:
-    r = _Reader(snapshot)
-    magic, role, flags, rk = r.run(_SNAPSHOT_HEAD)
+    magic, role, flags, rk = _SNAPSHOT_HEAD.read(snapshot, 0)
+    pos = _SNAPSHOT_HEAD.size
     if magic != _SNAPSHOT_MAGIC:
         raise ParseError("not a ratchet snapshot (bad magic)")
     if role > 1:
         raise ParseError(f"snapshot role byte {role} is neither 0 nor 1")
     if flags & ~_SNAPSHOT_FLAGS:
         raise ParseError(f"snapshot flags 0x{flags:02x} set an unknown bit")
-    optional = {name: ctor(r.take(32, name)) if flags >> k & 1 else None
-                for k, (name, ctor) in enumerate(_SNAPSHOT_OPTIONAL)}
+    optional = {}  # an unset field keeps its None default
+    for k, (name, ctor) in enumerate(_SNAPSHOT_OPTIONAL):
+        if flags >> k & 1:
+            optional[name] = ctor(_take(snapshot, pos, 32, name))
+            pos += 32
     (i_s, j_s, i_r, j_r, self_ltk, peer_ltk_pub, kid_self, kid_peer,
-     n_skipped) = r.run(_SNAPSHOT_TAIL)
+     n_skipped) = _SNAPSHOT_TAIL.read(snapshot, pos)
+    pos += _SNAPSHOT_TAIL.size
     if n_skipped > MAX_SKIP:
         raise ParseError(f"{n_skipped} skipped keys exceed MAX_SKIP={MAX_SKIP}")
     skipped: dict[tuple[int, int], cs.SymmetricKey] = {}
     for _ in range(n_skipped):
-        i, j, key = r.run(_SNAPSHOT_SKIPPED)
+        i, j, key = _SNAPSHOT_SKIPPED.read(snapshot, pos)
+        pos += _SNAPSHOT_SKIPPED.size
         skipped[(i, j)] = cs.SymmetricKey(key)
-    r.expect_end("snapshot")
+    if pos != len(snapshot):
+        raise ParseError(f"{len(snapshot) - pos} trailing bytes after snapshot")
     return RatchetState(
         role=_ROLES[role], rk=cs.SymmetricKey(rk),
         i_s=i_s, j_s=j_s, i_r=i_r, j_r=j_r,

@@ -13,13 +13,9 @@ snapshot (``linevdr``), and for the bytes the protocols and the game pack
 besides them: associated data, nonce material and v2's RevState. Only this
 module imports ``struct``. ``_Run.read`` is the only place that unpacks
 bytes, and ``_take`` the only place that slices a variable field, so every
-truncation is reported the same way, by the field it cuts.
-
-Snapshots read through ``_Reader``, a cursor over a buffer.
-``decode_envelope`` does not: it runs once per message, so it keeps
-explicit positions and calls ``_Run.read`` and ``_take`` directly. A cursor
-object there measured about 20% slower per ratchet envelope decode (2.75
-against 3.29 us median, interleaved micro-timing on 2 shared vCPUs).
+truncation is reported the same way, by the field it cuts. Both decoders,
+``decode_envelope`` and the snapshot's ``vdr_import_state``, keep explicit
+positions and call the two directly.
 """
 
 from __future__ import annotations
@@ -203,30 +199,6 @@ def _utf8(raw: bytes, fieldname: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{fieldname} is not valid UTF-8") from exc
-
-
-class _Reader:
-    """Cursor over a byte buffer, for the ratchet snapshot; every failure
-    names the field being read."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, fieldname: str) -> bytes:
-        chunk = _take(self.data, self.pos, n, fieldname)
-        self.pos += n
-        return chunk
-
-    def run(self, layout: _Run) -> tuple:
-        values = layout.read(self.data, self.pos)
-        self.pos += layout.size
-        return values
-
-    def expect_end(self, what: str) -> None:
-        if self.pos != len(self.data):
-            raise ParseError(
-                f"{len(self.data) - self.pos} trailing bytes after {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from letterseal.wire import encode_envelope
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_FILE = DATA_DIR / "golden_envelopes.txt"
-KAT_FILE = DATA_DIR / "kat_vectors.txt"
+# written by tools/reference_kat.py, shipped as package data
+KAT_FILE = (Path(__file__).resolve().parents[1]
+            / "src" / "letterseal" / "kat_vectors.txt")
 SNAPSHOT_FILE = DATA_DIR / "golden_snapshots.txt"
 ATTACK_TRACE_FILE = DATA_DIR / "golden_attack_traces.txt"
 

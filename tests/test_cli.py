@@ -178,17 +178,55 @@ def test_bench_iteration_floor(capsys):
     assert ">= 100" in err
 
 
-def test_vectors_out_and_check(capsys, tmp_path):
-    path = tmp_path / "v.txt"
-    code, out, _ = run_cli(capsys, "vectors", "--out", str(path))
-    assert code == 0 and "wrote 12 vectors" in out
-    assert path.read_text() == KAT_FILE.read_text()
-    code, out, _ = run_cli(capsys, "vectors", "--check", str(path))
+def test_vectors_check_passes_the_shipped_file(capsys):
+    code, out, _ = run_cli(capsys, "vectors", "--check", str(KAT_FILE))
     assert code == 0
-    assert "12 vectors, 0 mismatches" in out
-    code, _, err = run_cli(capsys, "vectors", "--check",
-                           str(tmp_path / "missing.txt"))
-    assert code == 1 and err.startswith("error: ")
+    assert out.count(" OK\n") == 12
+    assert out.endswith("12 vectors, 0 mismatches\n")
+    code, out, _ = run_cli(capsys, "vectors", "--check", str(KAT_FILE),
+                           "--format", "json-lines")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {
+        "type": "vectors_checked", "total": 12, "mismatches": 0}
+
+
+# label: (file content, or None for no file and "" for a directory; error)
+BAD_VECTOR_FILES = {
+    "missing": (None, "No such file"),
+    "directory": ("", "Is a directory"),
+    "malformed": ("bogus\n", "line 1: need name, inputs and output"),
+    "unknown name": ("md5_legacy 616263 00\n", "no computer registered"),
+    "short scalar": ("x25519_base_point 0102 00\n", "32 bytes"),
+    "extra input": ("sha256_abc 61 62 00\n", "positional argument"),
+    "low-order point": (f"x25519_rfc7748 {'09' * 32} {'00' * 32} 00\n",
+                        "shared key"),
+}
+
+
+@pytest.mark.parametrize("label", BAD_VECTOR_FILES)
+def test_vectors_bad_file_is_an_error_line(capsys, tmp_path, label):
+    content, message = BAD_VECTOR_FILES[label]
+    path = tmp_path / "vectors.txt"
+    if content == "":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "vectors", "--check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_vectors_takes_no_seed(capsys, monkeypatch):
+    monkeypatch.setenv("LETTERSEAL_SEED", "bogus")
+    code, out, _ = run_cli(capsys, "vectors", "--check", str(KAT_FILE))
+    assert code == 0 and "0 mismatches" in out
+    for argv in (["--check", str(KAT_FILE), "--seed", "1"],
+                 ["--out", "v.txt"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["vectors", *argv])
+        assert exc.value.code == 2
 
 
 def test_vectors_check_flags_corruption(capsys, tmp_path):

@@ -1,31 +1,40 @@
-"""Known-answer vector file: parsing, recomputation, and the frozen set."""
+"""Known-answer vector file: parsing, recomputation, and the shipped set."""
 
 import pytest
 
+from letterseal import crypto_suite as cs
 from letterseal.kat import (
     KatVector,
     canonical_vectors,
     check_file,
     check_vectors,
     compute_output,
-    format_vectors,
     parse_vectors,
-    write_vectors,
 )
 
-from helpers import KAT_FILE
+from helpers import KAT_FILE, load_reference
+
+REF = load_reference()
+
+
+def _reference_text(vectors):
+    return REF.format_vectors([(v.name, v.inputs, v.output) for v in vectors])
+
+
+def test_shipped_file_is_what_the_reference_writes():
+    assert KAT_FILE.read_text() == REF.format_vectors(REF.build_vectors())
 
 
 def test_parse_format_roundtrip_on_frozen_file():
     text = KAT_FILE.read_text()
-    assert format_vectors(parse_vectors(text)) == text
+    assert _reference_text(parse_vectors(text)) == text
 
 
 def test_dash_means_empty_input():
     vecs = parse_vectors("sha256_empty - e3b0c442\n")
     assert vecs[0].inputs == (b"",)
     assert vecs[0].output == bytes.fromhex("e3b0c442")
-    assert format_vectors(vecs).split()[1] == "-"
+    assert _reference_text(vecs).split()[1] == "-"
 
 
 def test_comments_and_blank_lines_skipped():
@@ -48,13 +57,25 @@ def test_unknown_vector_name_rejected():
 
 
 def test_canonical_vectors_match_frozen_file():
-    assert format_vectors(canonical_vectors()) == KAT_FILE.read_text()
+    assert canonical_vectors() == parse_vectors(KAT_FILE.read_text())
+    assert [(v.name, v.inputs, v.output) for v in canonical_vectors()] == [
+        (name, tuple(inputs), output)
+        for name, inputs, output in REF.build_vectors()]
 
 
 def test_check_file_all_green():
     results = check_file(KAT_FILE)
     assert len(results) == 12
     assert all(ok for _name, ok in results)
+
+
+def test_canonical_check_catches_a_broken_primitive(monkeypatch):
+    assert all(ok for _name, ok in check_vectors(canonical_vectors()))
+    monkeypatch.setattr(cs, "kdf_chain",
+                        lambda ck: (cs.SymmetricKey(bytes(32)), ck))
+    results = dict(check_vectors(canonical_vectors()))
+    assert results["hmac_chain_zero"] is False
+    assert sum(not ok for ok in results.values()) == 1
 
 
 def test_corrupted_output_detected():
@@ -65,11 +86,3 @@ def test_corrupted_output_detected():
     results = dict(check_vectors(vecs))
     assert results[vecs[0].name] is False
     assert sum(not ok for ok in results.values()) == 1
-
-
-def test_write_vectors_roundtrip(tmp_path):
-    out = tmp_path / "vectors.txt"
-    n = write_vectors(out)
-    assert n == 12
-    assert out.read_text() == KAT_FILE.read_text()
-    assert all(ok for _n, ok in check_file(out))

@@ -9,8 +9,8 @@ OpenSSL-backed library. On top of them sit whole v1 envelopes (v1_seal)
 and the package's seeded byte source (SeededStream), so the tests can
 rebuild the v1 golden envelopes byte for byte. The script first proves
 the primitives against published standard vectors, then derives the
-protocol vectors and writes them to tests/data/kat_vectors.txt in the
-line format
+protocol vectors and writes them to src/letterseal/kat_vectors.txt, the
+file the package ships and checks itself against, in the line format
 
     name hex(input) [hex(input) ...] hex(output)
 
@@ -600,9 +600,8 @@ def main():
     _self_check()
     out_path = os.path.join(
         os.path.dirname(os.path.abspath(__file__)),
-        "..", "tests", "data", "kat_vectors.txt")
+        "..", "src", "letterseal", "kat_vectors.txt")
     out_path = os.path.normpath(out_path)
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
     text = format_vectors(build_vectors())
     with open(out_path, "w") as fh:
         fh.write(text)
