@@ -5,7 +5,7 @@ out by key id, and ferries opaque envelope bytes. Configurable misbehavior
 (replay, drop, reorder) never alters bytes; the interesting attacks need
 nothing stronger than scheduling control.
 
-Key ids are assigned sequentially for test determinism.
+Key ids are assigned sequentially from 1, for test determinism.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .errors import KeyNotFound
 class KeyDirectory:
     """Append-only kid -> (public element, owner) registry."""
 
-    def __init__(self, first_kid: int = 1):
+    def __init__(self):
         self._entries: dict[int, tuple[GroupElement, str]] = {}
-        self._next_kid = first_kid
+        self._next_kid = 1
 
     def register(self, pub: GroupElement, owner: str) -> int:
         # accepts any 32-byte element; no proof of possession, like the original

@@ -18,6 +18,7 @@ File format is line oriented, one vector per line:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,11 +132,23 @@ def parse_vectors(text: str) -> list[KatVector]:
 
 
 def check_vectors(vectors: list[KatVector]) -> list[tuple[str, bool]]:
-    """Recompute each vector through the package; True means bit-exact."""
+    """Recompute each vector through the package; True means bit-exact.
+
+    A set that does not hold every vector of COMPUTERS exactly once is a
+    ValueError naming the missing and the repeated ones; it is raised after
+    the recomputation, so a line that cannot be computed reports first."""
     results = []
     for v in vectors:
         got = compute_output(v.name, v.inputs)
         results.append((v.name, got == v.output))
+    counts = Counter(v.name for v in vectors)
+    missing = [name for name in COMPUTERS if counts[name] == 0]
+    repeated = [name for name in COMPUTERS if counts[name] > 1]
+    if missing or repeated:
+        raise ValueError("; ".join(
+            f"{label} vectors: {', '.join(names)}"
+            for label, names in (("missing", missing), ("repeated", repeated))
+            if names))
     return results
 
 

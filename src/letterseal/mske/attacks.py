@@ -232,8 +232,7 @@ def attack_kci_v2(seed: int) -> AttackReport:
     """Reveal the victim's long-term secret, then impersonate the peer to
     the victim and distinguish the forged stage's key with certainty."""
     g = _game(PROTO_V2, seed)
-    env1 = g.oracle_send(A, 1, ("encrypt", 0, b"hello from the real sender"))
-    g.oracle_send(B, 1, env1)
+    _flights(g, [(A, b"hello from the real sender")], {})
 
     sk_b = g.oracle_rev_ltk(B)
     pk_a = g.parties[A][1]
@@ -296,14 +295,8 @@ def attack_fs_v2(seed: int) -> AttackReport:
     The pre-master secret inside decrypts every recorded message."""
     g = _game(PROTO_V2, seed)
     total = 50
-    sent = {}
-    for n in range(total):
-        pt = b"minute %03d of the meeting" % n
-        sent[n + 1] = pt
-        env = g.oracle_send(A, 1, ("encrypt", 0, pt))
-        g.oracle_send(B, 1, env)
-
-    rec = g.sessions[(B, 1)]
+    log = _flights(g, [(A, b"minute %03d of the meeting" % n)
+                       for n in range(total)], {})
     snap = g.oracle_rev_state(B, 1, total)
     pms = v2_snapshot_pms(snap)
     # the receiver's session rebuilt from the leak and the public kids
@@ -311,17 +304,16 @@ def attack_fs_v2(seed: int) -> AttackReport:
                        sid=f"party-{B}", rid=f"party-{A}")
 
     opened = 0
-    for s in range(1, total + 1):
-        env = decode_envelope(rec.transcript[s])
+    for _sender, raw, pt in log.values():
         try:
-            pt = v2_decrypt(stolen, env)
+            out = v2_decrypt(stolen, decode_envelope(raw))
         except LettersealError:
             continue
-        if pt == sent[s]:
+        if out == pt:
             opened += 1
 
     tested = total // 2
-    env_t = decode_envelope(rec.transcript[tested])
+    env_t = decode_envelope(log[tested][1])
     test = _test(g, B, tested, v2_derive_key(pms, env_t.salt))
     succeeded = opened == total and test["guess"] == g.b
     return _report("fs_v2", g, succeeded, (B, tested), {

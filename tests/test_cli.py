@@ -190,10 +190,15 @@ def test_vectors_check_passes_the_shipped_file(capsys):
         "type": "vectors_checked", "total": 12, "mismatches": 0}
 
 
-# label: (file content, or None for no file and "" for a directory; error)
+KAT_LINES = KAT_FILE.read_text().splitlines(keepends=True)
+# label: (file content, or None for no file and "/" for a directory; error)
 BAD_VECTOR_FILES = {
     "missing": (None, "No such file"),
-    "directory": ("", "Is a directory"),
+    "directory": ("/", "Is a directory"),
+    "empty": ("", "missing vectors: sha256_empty, sha256_abc, "),
+    "subset": ("".join(KAT_LINES[:3]), "missing vectors: x25519_base_point"),
+    "duplicate": ("".join([*KAT_LINES, KAT_LINES[0]]),
+                  "repeated vectors: sha256_empty"),
     "malformed": ("bogus\n", "line 1: need name, inputs and output"),
     "unknown name": ("md5_legacy 616263 00\n", "no computer registered"),
     "short scalar": ("x25519_base_point 0102 00\n", "32 bytes"),
@@ -207,7 +212,7 @@ BAD_VECTOR_FILES = {
 def test_vectors_bad_file_is_an_error_line(capsys, tmp_path, label):
     content, message = BAD_VECTOR_FILES[label]
     path = tmp_path / "vectors.txt"
-    if content == "":
+    if content == "/":
         path.mkdir()
     elif content is not None:
         path.write_text(content)

@@ -30,12 +30,6 @@ def test_register_assigns_sequential_kids():
     assert len(d) == 5
 
 
-def test_register_respects_first_kid():
-    d = KeyDirectory(first_kid=11)
-    assert d.register(_pub(0), "a") == 11
-    assert d.register(_pub(1), "b") == 12
-
-
 def test_lookup_and_owner_roundtrip():
     d = KeyDirectory()
     pub = _pub(7)

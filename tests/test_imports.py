@@ -1,387 +1,230 @@
-"""Every import in the package, the tools and the test suite is used,
-every public export is used, and sessions are set up on one path.
+"""The package's design rules, each checked on one walk of each source.
 
-A stdlib stand-in for a linter's unused-import rule. Package __init__
-modules are skipped, since their imports are the public re-exports, and
-so are __future__ imports.
-
-A name in the public __all__ lists must be read, as a name, an attribute
-or an import, somewhere in the package, the tests, the tools or the
-benchmark other than those lists, so an export nothing calls is removed
-rather than kept for no caller.
-
-The protocol set-up functions are used only by the protocol modules and
-by Endpoint, so every caller in the package (the game, the bench, the demo)
-sets sessions up through Endpoint and that path cannot quietly fork again.
-
-Every byte layout in the package is a wire._Run, so no module but wire
-imports struct; within wire, only _Run.read unpacks.
-
-Every HMAC in the package goes through crypto_suite's keyed pads, so no
-module calls the stdlib's hmac.digest or hmac.new; compare_digest is fine.
-
-Instrumentation has one path, crypto_suite's process-wide scope list: no
-module in the package imports threading, and no module but crypto_suite
-names the list, so a per-object or per-thread hook cannot come back.
-
-Every attack report is built by attacks._report, the one place that picks
-the freshness predicate, so no script can judge its stage by another.
-"""
+Imports are used (bar the re-exports in package __init__ modules), public
+exports are read, and the package imports only at module level and takes
+only compare_digest from hmac. Every other rule is a row of RULES; README's
+"Design rules" says what each protects. SAMPLES holds code to judge."""
 
 import ast
 import importlib
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted((ROOT / "src" / "letterseal").rglob("*.py"))
-FILES = sorted(
-    p for p in [*PACKAGE, *(ROOT / "tools").rglob("*.py"),
-                *(ROOT / "tests").rglob("*.py")]
-    if p.name != "__init__.py")
+SRC = ROOT / "src" / "letterseal"
+# paths from the root, as the test ids show them
+PACKAGE = sorted(p.relative_to(ROOT) for p in SRC.rglob("*.py"))
+FILES = sorted(p.relative_to(ROOT) for d in ("src", "tools", "tests")
+               for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 EXPORTERS = ("letterseal", "letterseal.mske")
-EXPORT_LISTS = {ROOT / "src" / Path(*m.split(".")) / "__init__.py"
-                for m in EXPORTERS}
-READERS = sorted(
-    p for d in ("src", "tests", "tools", "perfbench")
-    for p in (ROOT / d).rglob("*.py") if p not in EXPORT_LISTS)
-SETUP = {"v1_establish", "v2_establish", "vdr_init_sender",
-         "vdr_lazy_init_receiver"}
-SETUP_USERS = sorted(
-    p for p in PACKAGE
-    if not (p.name.startswith("linev") or p.name == "endpoint.py"))
+EXPORT_LISTS = {SRC / "__init__.py", SRC / "mske" / "__init__.py"}
+READERS = sorted(p for d in ("src", "tests", "tools", "perfbench")
+                 for p in (ROOT / d).rglob("*.py") if p not in EXPORT_LISTS)
+
+ANY = {"import", "load", "store"}
+# rule: (names, kinds of mention that count, homes); a home is a file
+# under src/letterseal and its enclosing scope, "" for the whole file
+RULES = {
+    "setup": ({"v1_establish", "v2_establish", "vdr_init_sender",
+               "vdr_lazy_init_receiver"}, {"load", "store"},
+              [(f, "") for f in ("linev1.py", "linev2.py", "linevdr.py",
+                                 "endpoint.py")]),
+    "unpack": ({"unpack", "unpack_from", "iter_unpack"}, {"import", "load"},
+               [("wire.py", "_Run.read")]),
+    "struct": ({"struct"}, {"module", "from"}, [("wire.py", "")]),
+    "threading": ({"threading"}, {"module", "from"}, []),
+    "scope_list": ({"_scopes"}, ANY, [("crypto_suite.py", "")]),
+    "scope_calls": ({"open_scope", "close_scope"}, ANY,
+                    [("crypto_suite.py", ""), ("mske/game.py", "")]),
+    "recorders": ({"KeyRecorder", "DrawRecorder"}, {"call", "import"},
+                  [("mske/game.py", "")]),
+    "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
+}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    imported: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"{line}: {name}" for name, line
-            in sorted(imported.items(), key=lambda item: (item[1], item[0]))
-            if name not in used]
+def named(node):
+    """(kind, name) for each name one node mentions; see mentions()."""
+    if isinstance(node, ast.Name | ast.Attribute):
+        kind = "store" if isinstance(node.ctx, ast.Store) else "load"
+        yield kind, node.id if isinstance(node, ast.Name) else "." + node.attr
+    elif isinstance(node, ast.Call):
+        yield from (("call", name) for _, name in named(node.func))
+    elif isinstance(node, DEFS):
+        yield "store", node.name
+    elif isinstance(node, ast.Import):
+        for alias in node.names:
+            yield from (("module", part) for part in alias.name.split("."))
+            yield "bind", alias.asname or alias.name.split(".")[0]
+    elif isinstance(node, ast.ImportFrom):
+        yield from (("from", part) for part in (node.module or "").split("."))
+        for alias in node.names:
+            yield "import", f"{node.module or ''}.{alias.name}"
+            if node.module != "__future__":  # a directive, not a binding
+                yield "bind", alias.asname or alias.name
 
 
-def test_detector_flags_only_unused_names():
-    source = ("from __future__ import annotations\n"
-              "import os, os.path as osp\n"
-              "from a.b import c, d as e\n"
-              "print(os, e)\n")
-    assert unused_imports(source) == ["2: osp", "3: c"]
-
-
-@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
-def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
-
-
-def read_names(source: str) -> set[str]:
-    """Names the source reads or imports; a definition is not a read."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute) \
-                and not isinstance(node.ctx, ast.Store):
-            found.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            found.update((node.module or "").split("."))
-            found.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                found.update(alias.name.split("."))
-    return found
-
-
-def test_read_detector_skips_definitions():
-    source = ("import a.b\n"
-              "from c import d\n"
-              "X = 1\n"
-              "def f(): return g.h\n"
-              "k.m = X\n")
-    assert read_names(source) == {"a", "b", "c", "d", "g", "h", "k", "X"}
-
-
-@pytest.mark.parametrize("module", EXPORTERS)
-def test_every_export_is_read_somewhere(module):
-    read = set().union(*(read_names(p.read_text()) for p in READERS))
-    exports = importlib.import_module(module).__all__
-    assert sorted(set(exports) - read) == []
-
-
-def setup_uses(source: str) -> list[str]:
-    """Each use of a set-up function by name, as a call or as a value."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in SETUP:
-            found.append((node.lineno, name))
-    return [f"{line}: {name}" for line, name in sorted(found)]
-
-
-def test_setup_detector_sees_calls_and_values():
-    source = ("from .linev2 import v2_establish\n"
-              "st = v2_establish(a, b)\n"
-              "table = {'vdr': linevdr.vdr_init_sender}\n")
-    assert setup_uses(source) == ["2: v2_establish", "3: vdr_init_sender"]
-
-
-@pytest.mark.parametrize("path", SETUP_USERS,
-                         ids=lambda p: str(p.relative_to(ROOT)))
-def test_sessions_are_set_up_only_by_protocols_and_endpoint(path):
-    assert setup_uses(path.read_text()) == []
-
-
-UNPACK = {"unpack", "unpack_from", "iter_unpack"}
-UNPACK_HOME = (ROOT / "src" / "letterseal" / "wire.py", "_Run.read")
-
-
-def scoped_nodes(source: str):
-    """(dotted path of the enclosing classes and functions, node) pairs."""
+@cache
+def mentions(source: str) -> tuple[tuple[int, str, str, str], ...]:
+    """(line, scope, kind, name) for each name a source mentions, parsed once
+    per source. scope is the dotted path of the enclosing classes and
+    functions ("" at module level). kind is "module" or "from" for each part
+    of an imported module's path, "import" for a name a from-import takes
+    (as "module.name"), "bind" for the name an import binds, "call" for a
+    callee, and "load" or "store" for a name, an attribute (".attr") or a
+    definition."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            found.append((scope, child))
-            visit(child, inner)
+            found.extend((child.lineno, scope, *pair) for pair in named(child))
+            visit(child, f"{scope}.{child.name}".lstrip(".")
+                  if isinstance(child, DEFS) else scope)
 
     visit(ast.parse(source), "")
-    return found
+    return tuple(sorted(found))
 
 
-def unpack_uses(source: str) -> list[str]:
-    """Each read of a struct unpack function, as a name or an attribute."""
-    found = []
-    for scope, node in scoped_nodes(source):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in UNPACK and not isinstance(node.ctx, ast.Store):
-            found.append(f"{node.lineno}: {scope or '<module>'} {name}")
-    return found
+def breaks(path: Path, found) -> list[str]:
+    """'line: rule' for each mention a package file may not make."""
+    where = (ROOT / path).relative_to(SRC).as_posix()
+    out = []
+    for line, scope, kind, name in found:
+        out += [f"{line}: {rule}"
+                for rule, (names, kinds, homes) in RULES.items()
+                if kind in kinds and name.rsplit(".", 1)[-1] in names
+                and not any(where == f and s in ("", scope) for f, s in homes)]
+        if kind == "bind" and scope:
+            out.append(f"{line}: nested_import")
+        if (kind, name) == ("module", "hmac") or kind == "import" and (
+                name.startswith("hmac.") and name != "hmac.compare_digest"):
+            out.append(f"{line}: hmac")
+    return list(dict.fromkeys(out))
 
 
-def test_unpack_detector_sees_calls_aliases_and_scopes():
-    source = ("import struct\n"
-              "from struct import unpack\n"
-              "class R:\n"
-              "    def read(self, b):\n"
-              "        return self.s.unpack_from(b, 0)\n"
-              "f = struct.iter_unpack\n"
-              "def g(b): return unpack('>I', b)\n")
-    assert unpack_uses(source) == ["5: R.read unpack_from",
-                                   "6: <module> iter_unpack",
-                                   "7: g unpack"]
+def unused_imports(path: Path, found) -> list[str]:
+    used = {name for _, _, kind, name in found if kind == "load"}
+    return [f"{line}: {name}" for line, _, kind, name in found
+            if kind == "bind" and name not in used]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_bytes_are_unpacked_only_by_wire_run_read(path):
-    uses = unpack_uses(path.read_text())
-    if path == UNPACK_HOME[0]:
-        uses = [u for u in uses if u.split()[1] != UNPACK_HOME[1]]
-    assert uses == []
+def reads(path: Path, found) -> list[str]:
+    """Names the source reads or imports; a definition is not a read."""
+    return sorted({name.rsplit(".", 1)[-1] for _, _, kind, name in found
+                   if kind in ("module", "from", "import", "load")})
 
 
-STRUCT_HOME = ROOT / "src" / "letterseal" / "wire.py"
+@pytest.mark.parametrize("path", FILES, ids=str)
+def test_no_unused_imports(path):
+    assert unused_imports(path, mentions((ROOT / path).read_text())) == []
 
 
-def struct_imports(source: str) -> list[str]:
-    """Each import of the struct module or of a name from it."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [f"{node.lineno}: import {alias.name}"
-                      for alias in node.names if alias.name == "struct"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
-            found.append(f"{node.lineno}: from struct import")
-    return found
+@pytest.mark.parametrize("module", EXPORTERS)
+def test_every_export_is_read_somewhere(module):
+    read = set().union(*(reads(p, mentions(p.read_text())) for p in READERS))
+    assert sorted(set(importlib.import_module(module).__all__) - read) == []
 
 
-def test_struct_detector_sees_every_import_form():
-    # the first two lines are the parent linevdr's AD and nonce packing
-    source = ("import struct\n"
-              "ad = struct.pack('>IIBB', 1, 2, 3, 4)\n"
-              "import os, struct as s\n"
-              "from struct import pack, Struct\n"
-              "from .wire import _Run\n"
-              "import structlog\n")
-    assert struct_imports(source) == ["1: import struct", "3: import struct",
-                                      "4: from struct import"]
+def rule_test(*rules):
+    @pytest.mark.parametrize("path", PACKAGE, ids=str)
+    def test(path):
+        assert [b for b in breaks(path, mentions((ROOT / path).read_text()))
+                if b.split(": ", 1)[1] in rules] == []
+    return test
 
 
-@pytest.mark.parametrize("path", [p for p in PACKAGE if p != STRUCT_HOME],
-                         ids=lambda p: str(p.relative_to(ROOT)))
-def test_only_wire_imports_struct(path):
-    assert struct_imports(path.read_text()) == []
+# one test name per group of rules, so a failure names what it breaks
+test_sessions_are_set_up_only_by_protocols_and_endpoint = rule_test("setup")
+test_bytes_are_unpacked_only_by_wire_run_read = rule_test("unpack")
+test_only_wire_imports_struct = rule_test("struct")
+test_instrumentation_has_one_unthreaded_scope_list = rule_test(
+    "threading", "scope_list")
+test_attack_reports_are_built_only_by_report = rule_test("report")
+test_key_bytes_reach_only_the_game = rule_test("recorders", "scope_calls")
+test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
+test_no_imports_inside_functions = rule_test("nested_import")
 
 
-HMAC_CALLS = {"digest", "new"}
+@pytest.mark.parametrize("rule", [r for r in RULES if RULES[r][2]])
+def test_every_home_still_mentions_its_rule(rule):
+    """A renamed name or home would leave its rule guarding nothing."""
+    names, _, homes = RULES[rule]
+    for file, scope in homes:
+        found = mentions((SRC / file).read_text())
+        assert any(name.rsplit(".", 1)[-1] in names and scope in ("", s)
+                   for _, s, _, name in found), (file, scope)
 
 
-def hmac_uses(source: str) -> list[str]:
-    """Each import or read of hmac.digest or hmac.new, through any alias;
-    hmac.compare_digest is not one."""
-    tree = ast.parse(source)
-    modules, found = set(), []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.asname or alias.name
-                           for alias in node.names if alias.name == "hmac")
-        elif isinstance(node, ast.ImportFrom) and node.module == "hmac":
-            found += [(node.lineno, f"from hmac import {alias.name}")
-                      for alias in node.names if alias.name in HMAC_CALLS]
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in HMAC_CALLS
-                and isinstance(node.value, ast.Name)
-                and node.value.id in modules):
-            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
-    return [f"{line}: {use}" for line, use in sorted(found)]
+# name: (check, source, {file it stands in: what the check returns}); most
+# sources are code from earlier trees of this package
+SAMPLES = {
+    "unused_imports": (unused_imports, (
+        "from __future__ import annotations\nimport os, os.path as osp\n"
+        "from a.b import c, d as e\nprint(os, e)\n"),
+        {"kat.py": ["2: osp", "3: c"]}),
+    "reads": (reads, (
+        "import a.b\nfrom c import d\nX = 1\ndef f(): return g.h\n"
+        "k.m = X\n"), {"kat.py": ["X", "a", "b", "c", "d", "g", "h", "k"]}),
+    "setup": (breaks, (
+        "from .linev2 import v2_establish\nst = v2_establish(a, b)\n"
+        "table = {'vdr': linevdr.vdr_init_sender}\n"),
+        {"bench.py": ["2: setup", "3: setup"]}),
+    "unpack": (breaks, (
+        "import struct\nfrom struct import unpack\nclass R:\n"
+        "    def read(self, b):\n        return self.s.unpack_from(b, 0)\n"
+        "f = struct.iter_unpack\ndef g(b): return unpack('>I', b)\n"),
+        {"wire.py": ["2: unpack", "5: unpack", "6: unpack", "7: unpack"]}),
+    "struct": (breaks, (
+        "import struct\nad = struct.pack('>IIBB', 1, 2, 3, 4)\n"
+        "import os, struct as s\nfrom struct import pack, Struct\n"
+        "from .wire import _Run\nimport structlog\n"),
+        {"linevdr.py": ["1: struct", "3: struct", "4: struct"]}),
+    "hmac": (breaks, (
+        "import hmac as _hmac\ndef kdf_chain(ck):\n"
+        "    mk = _hmac.digest(ck, b'\\x01', 'sha256')\n"
+        "    return mk, _hmac.digest(ck, b'\\x02', 'sha256')\n"
+        "from hmac import compare_digest, new as make\n"
+        "import hashlib, hmac\nh = hashlib.new('sha256')\n"
+        "ok = hmac.compare_digest(a, b) and hmac.new(k)\n"),
+        {"crypto_suite.py": ["1: hmac", "5: hmac", "6: hmac"]}),
+    "nested_import": (breaks, (
+        "import os\ndef f():\n    import secrets\n    if os:\n"
+        "        from .wire import _Reader\n"),
+        {"kat.py": ["3: nested_import", "5: nested_import"]}),
+    "scope_list": (breaks, (
+        "import threading\n_counter_scopes = threading.local()\n"
+        "_gate_lock = threading.Lock()\nfrom threading import local\n"
+        "from .crypto_suite import _scopes as s\n"
+        "cs._scopes.append(recorder)\n_scopes = []\n"),
+        {"crypto_suite.py": ["1: threading", "4: threading"],
+         "mske/game.py": ["1: threading", "4: threading", "5: scope_list",
+                          "6: scope_list", "7: scope_list"]}),
+    "report": (breaks, (
+        "def attack_replay_vdr(seed: int) -> AttackReport:\n"
+        "    return AttackReport(\n        name='replay_vdr',\n"
+        "        succeeded=dup_accepted,\n"
+        "        violated_freshness=not fresh_vdr(g, (B, 1, (0, 0))),\n"
+        "        trace=g.trace.export())\ndef attack_fs_v2(seed):\n"
+        "    return AttackReport(name='fs_v2', succeeded=True)\n"
+        "def _report(name, g, succeeded, tested, details):\n"
+        "    return AttackReport(name, succeeded, False, '', details)\n"
+        "rep = mske.AttackReport('x', True, False, '')\n"),
+        {"mske/attacks.py": ["2: report", "8: report", "11: report"],
+         "mske/game.py": ["2: report", "8: report", "10: report",
+                          "11: report"]}),
+    "key_sinks": (breaks, (
+        "keys = cs.KeyRecorder()\ncs.open_scope(keys)\n"
+        "draws = cs.DrawRecorder()\nopener = cs.open_scope\n"
+        "from .crypto_suite import DrawRecorder, close_scope\n"),
+        {"mske/game.py": [], "mske/attacks.py": [
+            "1: recorders", "2: scope_calls", "3: recorders", "4: scope_calls",
+            "5: recorders", "5: scope_calls"]}),
+}
 
 
-def test_hmac_detector_sees_aliases_and_allows_compare_digest():
-    # the first four lines are the parent crypto_suite's HMAC code
-    source = ("import hmac as _hmac\n"
-              "def kdf_chain(ck):\n"
-              "    mk = _hmac.digest(ck, b'\\x01', 'sha256')\n"
-              "    return mk, _hmac.digest(ck, b'\\x02', 'sha256')\n"
-              "from hmac import compare_digest, new as make\n"
-              "import hashlib, hmac\n"
-              "h = hashlib.new('sha256')\n"
-              "ok = hmac.compare_digest(a, b) and hmac.new(k)\n")
-    assert hmac_uses(source) == ["3: _hmac.digest", "4: _hmac.digest",
-                                 "5: from hmac import new", "8: hmac.new"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_package_computes_no_hmac_through_the_stdlib(path):
-    assert hmac_uses(path.read_text()) == []
-
-
-def function_level_imports(source: str) -> list[str]:
-    """Each import statement inside a function body, nested ones included."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += [f"{inner.lineno}: {node.name}"
-                      for inner in ast.walk(node)
-                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
-    return found
-
-
-def test_function_import_detector_skips_module_imports():
-    source = ("import os\n"
-              "def f():\n"
-              "    import secrets\n"
-              "    if os:\n"
-              "        from .wire import _Reader\n")
-    assert function_level_imports(source) == ["3: f", "5: f"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_no_imports_inside_functions(path):
-    assert function_level_imports(path.read_text()) == []
-
-
-SCOPE_LIST = "_scopes"
-SCOPE_HOME = ROOT / "src" / "letterseal" / "crypto_suite.py"
-
-
-def scope_hooks(source: str, home: bool = False) -> list[str]:
-    """Each import of threading, and, outside the list's home module, each
-    use of the scope list as a name, an attribute or an import."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, f"import {alias.name}")
-                      for alias in node.names
-                      if alias.name.split(".")[0] == "threading"]
-        elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[0] == "threading":
-                found.append((node.lineno, "from threading import"))
-            elif not home:
-                found += [(node.lineno, f"import {alias.name}")
-                          for alias in node.names
-                          if alias.name == SCOPE_LIST]
-        elif not home:
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else None)
-            if name == SCOPE_LIST:
-                found.append((node.lineno, name))
-    return [f"{line}: {use}" for line, use in sorted(found)]
-
-
-def test_scope_detector_flags_threads_and_foreign_scope_lists():
-    # the first four lines are the thread-local scopes of an earlier
-    # crypto_suite, flagged even in the list's home module
-    source = ("import threading\n"
-              "_counter_scopes = threading.local()\n"
-              "_gate_lock = threading.Lock()\n"
-              "from threading import local\n"
-              "from .crypto_suite import _scopes as s\n"
-              "cs._scopes.append(recorder)\n"
-              "_scopes = []\n")
-    assert scope_hooks(source, home=True) == [
-        "1: import threading", "4: from threading import"]
-    assert scope_hooks(source) == [
-        "1: import threading", "4: from threading import",
-        "5: import _scopes", "6: _scopes", "7: _scopes"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_instrumentation_has_one_unthreaded_scope_list(path):
-    assert scope_hooks(path.read_text(), home=path == SCOPE_HOME) == []
-
-
-REPORT_HOME = (ROOT / "src" / "letterseal" / "mske" / "attacks.py", "_report")
-
-
-def report_builds(source: str) -> list[str]:
-    """Each call that constructs an AttackReport, by name or attribute."""
-    found = []
-    for scope, node in scoped_nodes(source):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            if name == "AttackReport":
-                found.append(f"{node.lineno}: {scope or '<module>'}")
-    return found
-
-
-def test_report_detector_flags_every_construction():
-    # the first eight lines are from an earlier attacks.py, where each
-    # script built its own report and picked its own predicate
-    source = ("def attack_replay_vdr(seed: int) -> AttackReport:\n"
-              "    return AttackReport(\n"
-              "        name='replay_vdr',\n"
-              "        succeeded=dup_accepted,\n"
-              "        violated_freshness=not fresh_vdr(g, (B, 1, (0, 0))),\n"
-              "        trace=g.trace.export())\n"
-              "def attack_fs_v2(seed):\n"
-              "    return AttackReport(name='fs_v2', succeeded=True)\n"
-              "def _report(name, g, succeeded, tested, details):\n"
-              "    return AttackReport(name, succeeded, False, '', details)\n"
-              "rep = mske.AttackReport('x', True, False, '')\n")
-    assert report_builds(source) == ["2: attack_replay_vdr", "8: attack_fs_v2",
-                                     "10: _report", "11: <module>"]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_attack_reports_are_built_only_by_report(path):
-    builds = report_builds(path.read_text())
-    if path == REPORT_HOME[0]:
-        builds = [b for b in builds if b.split()[1] != REPORT_HOME[1]]
-    assert builds == []
+@pytest.mark.parametrize("sample", SAMPLES)
+def test_sample(sample):
+    check, source, verdicts = SAMPLES[sample]
+    assert {f: check(SRC / f, mentions(source)) for f in verdicts} == verdicts

@@ -78,6 +78,11 @@ def test_canonical_check_catches_a_broken_primitive(monkeypatch):
     assert sum(not ok for ok in results.values()) == 1
 
 
+def test_check_refuses_a_subset_of_the_vectors():
+    with pytest.raises(ValueError, match="missing vectors: x25519_base_point"):
+        check_vectors(canonical_vectors()[:3])
+
+
 def test_corrupted_output_detected():
     vecs = parse_vectors(KAT_FILE.read_text())
     bad = bytearray(vecs[0].output)
