@@ -7,13 +7,13 @@ it needs through a scope, so a long-lived rng stays a fixed size.
 
 Instrumentation has one path, a process-wide list of open scopes (the
 package starts no thread; the game and the benchmark are single-threaded).
-A :func:`count_ops` scope tallies DH-class, KDF-class and AEAD operations;
-a DH-class operation is one key generation or one exchange, however many
-scalar multiplications it takes. A :class:`KeyRecorder` scope collects the
-message key of each successful v2 or ratchet encrypt and decrypt, and a
-:class:`DrawRecorder` scope every rng draw; only the
-key-indistinguishability game opens either, around each seal and open.
-Counts never see a key or a draw.
+Every scope is a ``with`` block: it pushes itself on entry and pops itself
+on exit. A :func:`count_ops` scope tallies DH-class, KDF-class and AEAD
+operations; a DH-class operation is one key generation or one exchange,
+however many scalar multiplications it takes. A :class:`Recorder` scope
+collects the message key of each successful v2 or ratchet encrypt and
+decrypt, and every rng draw; only the key-indistinguishability game opens
+one, around each seal and open. Counts never see a key or a draw.
 
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
@@ -35,7 +35,6 @@ cipher context per message itself (see :mod:`letterseal.linev1`).
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -95,40 +94,42 @@ class AeadNonce(_FixedBytes):
 
 
 # ---------------------------------------------------------------------------
-# Instrumentation scopes: operation counts and message keys
+# Instrumentation scopes: operation counts, message keys and draws
 # ---------------------------------------------------------------------------
 
+# open scopes, innermost last; emitters return at once while it is empty
+_scopes: list = []
+
+
+class _Scope:
+    """A ``with`` block that keeps this scope open for the enclosed calls."""
+
+    def __enter__(self):
+        _scopes.append(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        _scopes.pop()
+
+
 @dataclass
-class OpCounts:
+class OpCounts(_Scope):
     dh: int = 0
     kdf: int = 0
     aead: int = 0
 
 
-class KeyRecorder(list):
-    """Scope that collects every message key emitted while it is open."""
+class Recorder(_Scope):
+    """Scope that collects each message key and rng draw, in order."""
+
+    def __init__(self):
+        self.keys: list[SymmetricKey] = []
+        self.draws: list[bytes] = []
 
 
-class DrawRecorder(list):
-    """Scope that collects every rng draw made while it is open, in order."""
-
-
-# open scopes, innermost last; emitters return at once while it is empty.
-# A caller pairs open_scope with close_scope in a finally clause.
-_scopes: list = []
-open_scope = _scopes.append
-close_scope = _scopes.pop
-
-
-@contextmanager
-def count_ops():
+def count_ops() -> OpCounts:
     """Collect DH/KDF/AEAD operation counts for the enclosed calls."""
-    counts = OpCounts()
-    open_scope(counts)
-    try:
-        yield counts
-    finally:
-        close_scope()
+    return OpCounts()
 
 
 def _bump(field: str) -> None:
@@ -144,8 +145,8 @@ def emit_message_key(mk: SymmetricKey) -> None:
     if not _scopes:
         return
     for scope in _scopes:
-        if isinstance(scope, KeyRecorder):
-            scope.append(mk)
+        if isinstance(scope, Recorder):
+            scope.keys.append(mk)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ class SeededRng:
     """Deterministic byte source: SHA-256 in counter mode over a seed.
 
     The rng keeps no draws, only how many it made (:meth:`mark`). Each draw
-    goes to the open :class:`DrawRecorder` scopes, so a harness attributes
+    goes to the open :class:`Recorder` scopes, so a harness attributes
     and reveals per-stage randomness by recording around the calls.
     """
 
@@ -182,8 +183,8 @@ class SeededRng:
         self._draws += 1
         if _scopes:
             for scope in _scopes:
-                if isinstance(scope, DrawRecorder):
-                    scope.append(out)
+                if isinstance(scope, Recorder):
+                    scope.draws.append(out)
         return out
 
     def fork(self, label: bytes) -> "SeededRng":

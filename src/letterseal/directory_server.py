@@ -68,7 +68,10 @@ class Drop:
     ordinals: frozenset[int]
 
     def __init__(self, ordinals):
-        object.__setattr__(self, "ordinals", frozenset(ordinals))
+        ordinals = frozenset(ordinals)
+        if any(o < 0 for o in ordinals):
+            raise ValueError("drop ordinals must be >= 0")
+        object.__setattr__(self, "ordinals", ordinals)
 
 
 @dataclass(frozen=True)

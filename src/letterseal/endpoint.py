@@ -9,8 +9,8 @@ Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
 An Endpoint holds no instrumentation: a caller that needs message keys or
-rng draws, the key-indistinguishability game only, opens a crypto_suite
-KeyRecorder or DrawRecorder around seal or open. A ctype outside u8 is
+rng draws, the key-indistinguishability game only, wraps seal or open in a
+``with crypto_suite.Recorder()`` block. A ctype outside u8 is
 refused before set-up, and the protocols' encrypt refuses it before any
 draw or state change, so a refused seal leaves nothing behind.
 """

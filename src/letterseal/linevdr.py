@@ -246,6 +246,9 @@ _SNAPSHOT_OPTIONAL = (
     ("peer_eph_pub", cs.GroupElement),
 )
 _SNAPSHOT_FLAGS = (1 << len(_SNAPSHOT_OPTIONAL)) - 1
+# each chain's fields are set together or not at all
+_SNAPSHOT_PAIRED = (("ck_send", "self_eph_secret", "self_eph_pub"),
+                    ("ck_recv", "peer_eph_pub"))
 _SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
                       ("self_ltk", "32s"), ("peer_ltk_pub", "32s"),
                       ("kid_self", "I"), ("kid_peer", "I"),
@@ -292,6 +295,9 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
         if flags >> k & 1:
             optional[name] = ctor(_take(snapshot, pos, 32, name))
             pos += 32
+    for group in _SNAPSHOT_PAIRED:
+        if len({name in optional for name in group}) > 1:
+            raise ParseError(f"snapshot sets only part of {', '.join(group)}")
     (i_s, j_s, i_r, j_r, self_ltk, peer_ltk_pub, kid_self, kid_peer,
      n_skipped) = _SNAPSHOT_TAIL.read(snapshot, pos)
     pos += _SNAPSHOT_TAIL.size

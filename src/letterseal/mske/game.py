@@ -14,8 +14,8 @@ first envelope it opens, and an envelope of another protocol's family is
 refused with ParseError like any malformed delivery. What the game adds per
 protocol is one row of _PROTOCOLS: the stage of an envelope and the state
 snapshot. The game derives no stage key and reads no rng history: each seal
-and open runs under a crypto_suite KeyRecorder and DrawRecorder, which
-receive the key the protocol used and the bytes the party's rng drew.
+and open runs in a ``with crypto_suite.Recorder()`` block, which receives
+the key the protocol used and the bytes the party's rng drew.
 
 Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
@@ -187,19 +187,6 @@ class QueryTrace:
         return any(needle in line for line in self.lines)
 
 
-def _keyed(call, *args):
-    """(call's result, the message keys it used, the rng draws it made),
-    under a KeyRecorder and a DrawRecorder."""
-    keys, draws = cs.KeyRecorder(), cs.DrawRecorder()
-    cs.open_scope(keys)
-    cs.open_scope(draws)
-    try:
-        return call(*args), keys, draws
-    finally:
-        cs.close_scope()
-        cs.close_scope()
-
-
 class Game:
     """One seeded experiment instance; single-threaded by contract."""
 
@@ -264,12 +251,13 @@ class Game:
                                               pid=pid, ep=ep)
 
     def _send_encrypt(self, rec: SessionRecord, ctype: int, pt: bytes) -> bytes:
-        env, keys, draws = _keyed(rec.ep.seal, pt, ctype)
+        with cs.Recorder() as seen:
+            env = rec.ep.seal(pt, ctype)
         raw = encode_envelope(env)
         stage = self._proto.stage(rec, env)
         # a ratchet reply stage already holds the ephemeral its open drew
-        rec.rand_log[stage] = rec.rand_log.get(stage, b"") + b"".join(draws)
-        self._accept(rec, stage, keys, raw)
+        rec.rand_log[stage] = rec.rand_log.get(stage, b"") + b"".join(seen.draws)
+        self._accept(rec, stage, seen.keys, raw)
         return raw
 
     def _send_deliver(self, rec: SessionRecord, raw: bytes):
@@ -280,18 +268,19 @@ class Game:
                                 f"parse: {exc}")
         stage = self._proto.stage(rec, env)
         try:
-            pt, keys, draws = _keyed(rec.ep.open, env)
+            with cs.Recorder() as seen:
+                pt = rec.ep.open(env)
         except LettersealError as exc:
             return self._reject(rec, stage, raw, type(exc).__name__)
-        self._accept(rec, stage, keys, raw)
+        self._accept(rec, stage, seen.keys, raw)
         rec.plaintexts[stage] = pt
         # only a ratchet open that starts a reply epoch draws: its ephemeral
-        if draws:
+        if seen.draws:
             eph_stage = (rec.ep.session.i_s, 0)
-            rec.rand_log[eph_stage] = b"".join(draws) + rec.rand_log.get(eph_stage, b"")
+            rec.rand_log[eph_stage] = b"".join(seen.draws) + rec.rand_log.get(eph_stage, b"")
         return stage, ACCEPT
 
-    def _accept(self, rec: SessionRecord, stage, keys: cs.KeyRecorder,
+    def _accept(self, rec: SessionRecord, stage, keys: list,
                 raw: bytes) -> None:
         rec.status[stage] = ACCEPT
         (rec.key[stage],) = keys  # one message key per seal or open

@@ -4,16 +4,15 @@ computable-key closure they share."""
 import pytest
 
 from letterseal.errors import UnknownAttack
-from letterseal.linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_import_state
+from letterseal.linevdr import vdr_import_state
 from letterseal.mske import (
     EXPECTED,
     AttackReport,
-    Game,
     KeyClosure,
     attack_names,
     run_attack,
 )
-from letterseal.wire import decode_envelope
+from letterseal.mske.attacks import _closure, _flights, _game
 
 SEEDS = (0, 1, 7, 13, 42)
 
@@ -106,35 +105,23 @@ def test_pcs_vdr_details():
 
 # -- KeyClosure -------------------------------------------------------------
 
-def _drive(seed, plan):
-    """Run a delivered-in-order ratchet conversation inside a game."""
-    g = Game("vdr", seed=seed)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    for sender, pt in plan:
-        receiver = 2 if sender == 1 else 1
-        raw = g.oracle_send(sender, 1, ("encrypt", 0, pt))
-        g.oracle_send(receiver, 1, raw)
-    return g
-
-
-def _closure_for(g):
-    envs = [decode_envelope(raw)
-            for raw in g.sessions[(2, 1)].transcript.values()]
-    return KeyClosure(g.parties[1][1], g.parties[2][1], envs)
+def _closure_over(seed, plan):
+    """A ratchet game driven through plan by attacks._flights, and the
+    closure over its envelopes, with no leak yet."""
+    g = _game("vdr", seed)
+    return g, _closure(g, _flights(g, plan, {}))
 
 
 def test_closure_empty_without_leaks():
-    g = _drive(0, [(1, b"m0"), (1, b"m1")])
-    c = _closure_for(g).run()
+    g, c = _closure_over(0, [(1, b"m0"), (1, b"m1")])
+    c.run()
     assert c.stages() == []
     assert c.message_key((0, 0)) is None
     assert not c.holds_value(g.sessions[(2, 1)].key[(0, 0)])
 
 
 def test_closure_initial_from_responder_secret():
-    g = _drive(1, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
-    c = _closure_for(g)
+    g, c = _closure_over(1, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
     c.learn_scalar(g.oracle_rev_ltk(2))
     c.run()
     truth = g.sessions[(2, 1)].key
@@ -144,8 +131,7 @@ def test_closure_initial_from_responder_secret():
 
 
 def test_closure_initial_from_initiator_pair():
-    g = _drive(2, [(1, b"m0"), (1, b"m1")])
-    c = _closure_for(g)
+    g, c = _closure_over(2, [(1, b"m0"), (1, b"m1")])
     c.learn_scalar(g.oracle_rev_ltk(1))
     c.run()
     assert c.stages() == []  # long-term key alone is not enough
@@ -158,10 +144,9 @@ def test_closure_initial_from_initiator_pair():
 
 
 def test_closure_chain_extension_is_forward_only():
-    g = _drive(3, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
+    g, c = _closure_over(3, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
     # receiver chain position right after consuming (0,0)
     st = vdr_import_state(g.sessions[(2, 1)].state_snap[(0, 0)])
-    c = _closure_for(g)
     c.learn_chain(st.i_r, st.j_r, st.ck_recv)
     c.run()
     truth = g.sessions[(2, 1)].key
@@ -172,9 +157,9 @@ def test_closure_chain_extension_is_forward_only():
 
 
 def test_closure_snapshot_transitions_skip_spent_chain():
-    g = _drive(4, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"), (1, b"m 2,0")])
+    g, c = _closure_over(
+        4, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"), (1, b"m 2,0")])
     snap = g.oracle_rev_state(2, 1, (1, 0))  # taken right after B's send
-    c = _closure_for(g)
     c.learn_snapshot(snap)
     c.run()
     truth = g.sessions[(2, 1)].key
@@ -187,12 +172,11 @@ def test_closure_snapshot_transitions_skip_spent_chain():
 
 
 def test_closure_snapshot_hands_over_skipped_keys():
-    g = Game("vdr", seed=5)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    g = _game("vdr", 5)
     raws = [g.oracle_send(1, 1, ("encrypt", 0, b"m%d" % j)) for j in range(3)]
     g.oracle_send(2, 1, raws[2])  # (0,2) first: (0,0) and (0,1) are cached
-    c = _closure_for(g)
+    # a _flights log of the three envelopes, all of which the wire carried
+    c = _closure(g, {(0, j): (1, raw, None) for j, raw in enumerate(raws)})
     c.learn_snapshot(g.oracle_rev_state(2, 1, (0, 2)))
     truth = g.sessions[(1, 1)].key
     # the cached keys are held before any rule runs
@@ -206,8 +190,7 @@ def test_closure_snapshot_hands_over_skipped_keys():
 
 
 def test_closure_transition_through_the_next_epochs_secret():
-    g = _drive(6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")])
-    c = _closure_for(g)
+    g, c = _closure_over(6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")])
     c.learn_scalar(g.oracle_rev_ltk(2))
     # the responder's epoch-1 ephemeral, drawn when it opened (0,0)
     c.learn_scalar(g.oracle_rev_rand(2, 1, (1, 0))[:32])
@@ -219,10 +202,9 @@ def test_closure_transition_through_the_next_epochs_secret():
 
 
 def test_closure_refuses_a_nonce_only_draw_as_a_scalar():
-    g = _drive(7, [(1, b"m 0,0"), (1, b"m 0,1")])
+    g, c = _closure_over(7, [(1, b"m 0,0"), (1, b"m 0,1")])
     draw = g.oracle_rev_rand(1, 1, (0, 1))  # no epoch turn: the nonce only
     assert len(draw) == 4
-    c = _closure_for(g)
     with pytest.raises(ValueError, match="got 4"):
         c.learn_scalar(draw[:32])
     assert c.scalars == {}

@@ -172,6 +172,20 @@ def test_bench_json_lines(capsys):
     assert sizes["1k same-epoch"] == sizes["10k same-epoch"]
 
 
+def test_bench_text_report(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--iterations", "100",
+                           "--format", "text")
+    assert code == 0
+    timings, costs, sizes = out.rstrip("\n").split("\n\n")
+    assert timings.startswith("scenario     e2e_avg_us")
+    assert len(timings.splitlines()) == 1 + 5
+    assert costs.startswith("scenario     op    count")
+    assert len(costs.splitlines()) == 1 + 15
+    assert sizes.startswith("vdr state")
+    assert len(sizes.splitlines()) == 1 + 3
+    assert "(expected" not in out
+
+
 def test_bench_iteration_floor(capsys):
     code, _, err = run_cli(capsys, "bench", "--iterations", "50")
     assert code == 2

@@ -76,34 +76,23 @@ def test_rng_fork_is_independent():
 def test_rng_log_and_marks():
     rng = cs.SeededRng(5)
     m = rng.mark()
-    draws = cs.DrawRecorder()
-    cs.open_scope(draws)
-    try:
+    with cs.Recorder() as seen:
         first = rng.token(4)
         second = rng.token(40)  # two hash blocks, one draw
-    finally:
-        cs.close_scope()
-    assert draws == [first, second]
+    assert seen.draws == [first, second] and seen.keys == []
     assert rng.mark() == m + 2
     rng.token(1)  # no recorder open: counted, kept nowhere
-    assert draws == [first, second] and rng.mark() == m + 3
+    assert seen.draws == [first, second] and rng.mark() == m + 3
     assert not hasattr(rng, "log") and not hasattr(rng, "draws_since")
 
 
 def test_nested_draw_recorders_both_see_each_draw():
     rng = cs.SeededRng(6)
-    outer, inner = cs.DrawRecorder(), cs.DrawRecorder()
-    cs.open_scope(outer)
-    try:
+    with cs.Recorder() as outer:
         a = rng.token(8)
-        cs.open_scope(inner)
-        try:
+        with cs.Recorder() as inner:
             b = rng.token(8)
-        finally:
-            cs.close_scope()
-    finally:
-        cs.close_scope()
-    assert outer == [a, b] and inner == [b]
+    assert outer.draws == [a, b] and inner.draws == [b]
 
 
 # -- diffie-hellman -----------------------------------------------------------
@@ -301,16 +290,12 @@ def test_count_ops_nested_scopes():
 
 def test_count_ops_scope_never_receives_draws():
     rng = cs.SeededRng(24)
-    draws = cs.DrawRecorder()
     with cs.count_ops() as counts:
-        cs.open_scope(draws)
-        try:
+        with cs.Recorder() as seen:
             cs.dh_keygen(rng)
             rng.token(16)
-        finally:
-            cs.close_scope()
         rng.token(4)  # with the counting scope alone
-    assert len(draws) == 2
+    assert len(seen.draws) == 2
     assert vars(counts) == {"dh": 1, "kdf": 0, "aead": 0}
 
 

@@ -102,6 +102,11 @@ def test_drop_accepts_any_iterable():
     assert Drop(range(3)).ordinals == frozenset({0, 1, 2})
 
 
+def test_drop_refuses_a_negative_ordinal():
+    with pytest.raises(ValueError, match="^drop ordinals must be >= 0"):
+        Drop([2, -1])
+
+
 def test_reorder_emits_full_windows_reversed():
     r = Relay(behavior=Reorder(window=3))
     assert r.relay(b"a") == []

@@ -36,10 +36,8 @@ RULES = {
     "struct": ({"struct"}, {"module", "from"}, [("wire.py", "")]),
     "threading": ({"threading"}, {"module", "from"}, []),
     "scope_list": ({"_scopes"}, ANY, [("crypto_suite.py", "")]),
-    "scope_calls": ({"open_scope", "close_scope"}, ANY,
-                    [("crypto_suite.py", ""), ("mske/game.py", "")]),
-    "recorders": ({"KeyRecorder", "DrawRecorder"}, {"call", "import"},
-                  [("mske/game.py", "")]),
+    "recorders": ({"Recorder"}, ANY,
+                  [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -142,7 +140,7 @@ test_only_wire_imports_struct = rule_test("struct")
 test_instrumentation_has_one_unthreaded_scope_list = rule_test(
     "threading", "scope_list")
 test_attack_reports_are_built_only_by_report = rule_test("report")
-test_key_bytes_reach_only_the_game = rule_test("recorders", "scope_calls")
+test_key_bytes_reach_only_the_game = rule_test("recorders")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
 
@@ -215,12 +213,12 @@ SAMPLES = {
          "mske/game.py": ["2: report", "8: report", "10: report",
                           "11: report"]}),
     "key_sinks": (breaks, (
-        "keys = cs.KeyRecorder()\ncs.open_scope(keys)\n"
-        "draws = cs.DrawRecorder()\nopener = cs.open_scope\n"
-        "from .crypto_suite import DrawRecorder, close_scope\n"),
+        "seen = cs.Recorder()\nwith cs.Recorder() as seen:\n"
+        "    pt = ep.open(env)\nopener = cs.Recorder\n"
+        "from .crypto_suite import Recorder, count_ops\n"
+        "with count_ops() as counts:\n    ep.seal(pt)\n"),
         {"mske/game.py": [], "mske/attacks.py": [
-            "1: recorders", "2: scope_calls", "3: recorders", "4: scope_calls",
-            "5: recorders", "5: scope_calls"]}),
+            "1: recorders", "2: recorders", "4: recorders", "5: recorders"]}),
 }
 
 

@@ -253,21 +253,14 @@ def test_ratchet_state_has_no_room_for_a_hook():
 
 def test_message_key_differs_from_chain_key():
     sta, mats, a_rng, b_rng = helpers.vdr_pair(316)
-    sent, received = cs.KeyRecorder(), cs.KeyRecorder()
-    cs.open_scope(sent)
-    try:
+    with cs.Recorder() as sent:
         env = vdr_encrypt(sta, 0, b"observed", a_rng)
-    finally:
-        cs.close_scope()
-    mk, = sent
+    mk, = sent.keys
     assert bytes(mk) != bytes(sta.ck_send)
     stb = helpers.vdr_receiver(mats, env)
-    cs.open_scope(received)
-    try:
+    with cs.Recorder() as received:
         assert vdr_decrypt(stb, env, b_rng) == b"observed"
-    finally:
-        cs.close_scope()
-    assert received == [mk]
+    assert received.keys == [mk]
 
 
 def test_ad_binds_ratchet_header():
@@ -507,21 +500,38 @@ def _with_skipped(st, n):
 
 
 def _malformed_snapshots():
-    _, stb, _, _ = fresh_conversation(325)
+    """label: (snapshot, what its ParseError says)"""
+    sta, stb, _, _ = fresh_conversation(325)
     snap = vdr_export_state(stb)
     return {
-        "role byte 7": snap[:4] + b"\x07" + snap[5:],
-        "unknown flag 0x80": snap[:5] + bytes([snap[5] | 0x80]) + snap[6:],
-        "skipped count over MAX_SKIP":
-            vdr_export_state(_with_skipped(stb, MAX_SKIP + 1)),
+        "role byte 7": (snap[:4] + b"\x07" + snap[5:], "role byte 7"),
+        "unknown flag 0x80": (
+            snap[:5] + bytes([snap[5] | 0x80]) + snap[6:], "unknown bit"),
+        "skipped count over MAX_SKIP": (
+            vdr_export_state(_with_skipped(stb, MAX_SKIP + 1)), "MAX_SKIP"),
+        # an unanswered initiator's flags 0b01101 cut to 0b00101
+        "send chain without its public ephemeral": (
+            vdr_export_state(dataclasses.replace(sta, self_eph_pub=None)),
+            "part of ck_send"),
+        "receive chain without the peer's ephemeral": (
+            vdr_export_state(dataclasses.replace(stb, peer_eph_pub=None)),
+            "part of ck_recv"),
+        "peer's ephemeral without a receive chain": (
+            vdr_export_state(dataclasses.replace(stb, ck_recv=None)),
+            "part of ck_recv"),
+        "trailing byte": (snap + b"\x00", "1 trailing bytes"),
     }
 
 
 @pytest.mark.parametrize("label", [
-    "role byte 7", "unknown flag 0x80", "skipped count over MAX_SKIP"])
+    "role byte 7", "unknown flag 0x80", "skipped count over MAX_SKIP",
+    "send chain without its public ephemeral",
+    "receive chain without the peer's ephemeral",
+    "peer's ephemeral without a receive chain", "trailing byte"])
 def test_import_rejects_malformed_snapshot(label):
-    with pytest.raises(ParseError):
-        vdr_import_state(_malformed_snapshots()[label])
+    snapshot, reason = _malformed_snapshots()[label]
+    with pytest.raises(ParseError, match=reason):
+        vdr_import_state(snapshot)
 
 
 def test_import_accepts_a_full_skip_cache():

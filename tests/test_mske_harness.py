@@ -102,16 +102,6 @@ def test_game_held_ratchet_state_equals_its_snapshot_round_trip():
         assert clone == st and repr(clone) == repr(st)
 
 
-def _recorded(call, *args):
-    """(call's result, the message keys it reported) under a KeyRecorder."""
-    keys = cs.KeyRecorder()
-    cs.open_scope(keys)
-    try:
-        return call(*args), keys
-    finally:
-        cs.close_scope()
-
-
 @pytest.mark.parametrize("protocol", ["v2", "vdr"])
 def test_message_keys_reach_only_a_key_recorder(protocol):
     g = Game(protocol, seed=4)
@@ -119,20 +109,24 @@ def test_message_keys_reach_only_a_key_recorder(protocol):
     g.oracle_send(2, 1, (1, ROLE_RESPONDER))
     ends = {1: g.sessions[(1, 1)], 2: g.sessions[(2, 1)]}
     for u, v in ((1, 2), (1, 2), (2, 1), (1, 2)):
-        raw, sealed = _recorded(g.oracle_send, u, 1, ("encrypt", 0, b"m"))
-        _, opened = _recorded(g.oracle_send, v, 1, raw)
+        with cs.Recorder() as sealed:
+            raw = g.oracle_send(u, 1, ("encrypt", 0, b"m"))
+        with cs.Recorder() as opened:
+            g.oracle_send(v, 1, raw)
         # one key per seal and per open, the same at both ends and the
         # key the game holds for that stage on each side
-        assert len(sealed) == 1 and opened == sealed
+        (key,) = sealed.keys
+        assert opened.keys == [key]
         stage = list(ends[u].key)[-1]
-        assert ends[u].key[stage] == ends[v].key[stage] == sealed[0]
+        assert ends[u].key[stage] == ends[v].key[stage] == key
         if protocol == "vdr":
-            assert sealed[0] != ends[u].ep.session.ck_send
+            assert key != ends[u].ep.session.ck_send
     # a fresh envelope with a flipped tag bit fails on the tag alone
     raw = g.oracle_send(u, 1, ("encrypt", 0, b"forged"))
     forged = raw[:-1] + bytes([raw[-1] ^ 1])
-    _, keys = _recorded(g.oracle_send, v, 1, forged)
-    assert keys == []
+    with cs.Recorder() as seen:
+        g.oracle_send(v, 1, forged)
+    assert seen.keys == []
     assert list(ends[v].reject_reason.values()) == ["AuthFailure"]
     # a counting scope alone: three counts, and no key anywhere in it
     a, b = ends[1].ep, ends[2].ep
