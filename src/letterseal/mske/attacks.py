@@ -9,6 +9,10 @@ break, a win on a violated trace is merely excluded bookkeeping. _report
 builds every report and picks the predicate from the game's protocol;
 _ATTACKS lists each script with the verdict pair it is expected to give.
 
+A script keeps no record of its own: it reads envelope bytes, plaintexts
+and true keys from the game's records, learns secrets only from oracle
+answers, and takes public keys from the game's key directory.
+
 The ratchet attacks share a KeyClosure: everything a passive adversary can
 compute from leaked values plus the public transcript, closed under the
 suite's operations (chain extension, root transitions when an adjacent
@@ -20,7 +24,7 @@ key is absent, not merely that our search gave up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import crypto_suite as cs
 from ..errors import LettersealError, UnknownAttack
@@ -38,7 +42,7 @@ from ..linevdr import (
     vdr_import_state,
     vdr_open,
 )
-from ..wire import EnvelopeV2, EnvelopeVDR, decode_envelope, encode_envelope
+from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 from .freshness import fresh_v2, fresh_vdr
 from .game import ACCEPT, Game, PROTO_V2, PROTO_VDR, v2_snapshot_pms
 
@@ -68,18 +72,12 @@ def _game(protocol: str, seed: int) -> Game:
     return g
 
 
-def _flights(g: Game, plan: list[tuple[int, bytes]], log: dict) -> dict:
+def _flights(g: Game, plan: list[tuple[int, bytes]]) -> None:
     """Drive sender->peer flights per plan [(sender, plaintext)], delivering
-    each envelope immediately. Records stage -> (sender, env bytes, pt) in
-    log and returns it."""
+    each envelope immediately."""
     for sender, pt in plan:
-        receiver = B if sender == A else A
         raw = g.oracle_send(sender, 1, ("encrypt", 0, pt))
-        stage = max(s for s, st in g.sessions[(sender, 1)].status.items()
-                    if st == ACCEPT)
-        g.oracle_send(receiver, 1, raw)
-        log[stage] = (sender, raw, pt)
-    return log
+        g.oracle_send(B if sender == A else A, 1, raw)
 
 
 def _test(g: Game, u: int, s, k_adv: bytes) -> dict:
@@ -232,10 +230,11 @@ def attack_kci_v2(seed: int) -> AttackReport:
     """Reveal the victim's long-term secret, then impersonate the peer to
     the victim and distinguish the forged stage's key with certainty."""
     g = _game(PROTO_V2, seed)
-    _flights(g, [(A, b"hello from the real sender")], {})
+    _flights(g, [(A, b"hello from the real sender")])
+    honest = decode_envelope(g.sessions[(B, 1)].transcript[1])
 
     sk_b = g.oracle_rev_ltk(B)
-    pk_a = g.parties[A][1]
+    pk_a = g.directory.lookup(honest.kid_sender)
     pms = cs.dh(sk_b, pk_a)  # the victim's own secret recreates the pair pms
 
     adv = _adv_rng(seed, b"kci")
@@ -243,13 +242,10 @@ def attack_kci_v2(seed: int) -> AttackReport:
     forged_pt = b"wire the funds to account 42"
     k_e = v2_derive_key(pms, salt)
     nonce, material = v2_build_nonce(0, adv.token(4))
-    sid, rid = f"party-{A}", f"party-{B}"
-    ad = build_ad_v2(rid, sid, g.kids[A], g.kids[B], 2, 0)
-    forged = EnvelopeV2(ctype=0, salt=salt,
-                        ciphertext=cs.aead_seal(k_e, nonce, forged_pt, ad),
-                        nonce_material=material,
-                        kid_sender=g.kids[A], kid_receiver=g.kids[B],
-                        sid=sid, rid=rid)
+    ad = build_ad_v2(honest.rid, honest.sid, honest.kid_sender,
+                     honest.kid_receiver, honest.vers, honest.ctype)
+    forged = replace(honest, salt=salt, nonce_material=material,
+                     ciphertext=cs.aead_seal(k_e, nonce, forged_pt, ad))
     g.oracle_send(B, 1, encode_envelope(forged))
 
     rec = g.sessions[(B, 1)]
@@ -271,11 +267,10 @@ def attack_replay_v2(seed: int) -> AttackReport:
     the freshness predicate still calls fresh (replays are admissible)."""
     g = _game(PROTO_V2, seed)
     pt = b"pay invoice 7031 now"
-    env = g.oracle_send(A, 1, ("encrypt", 0, pt))
-    g.oracle_send(B, 1, env)
-    g.oracle_send(B, 1, env)  # byte-identical duplicate
-
+    _flights(g, [(A, pt)])
     rec = g.sessions[(B, 1)]
+    g.oracle_send(B, 1, rec.transcript[1])  # byte-identical duplicate
+
     dup_accepted = (rec.status.get(1) == ACCEPT and rec.status.get(2) == ACCEPT
                     and rec.plaintexts.get(1) == pt
                     and rec.plaintexts.get(2) == pt)
@@ -295,25 +290,27 @@ def attack_fs_v2(seed: int) -> AttackReport:
     The pre-master secret inside decrypts every recorded message."""
     g = _game(PROTO_V2, seed)
     total = 50
-    log = _flights(g, [(A, b"minute %03d of the meeting" % n)
-                       for n in range(total)], {})
+    _flights(g, [(A, b"minute %03d of the meeting" % n) for n in range(total)])
+    rec = g.sessions[(B, 1)]
     snap = g.oracle_rev_state(B, 1, total)
     pms = v2_snapshot_pms(snap)
-    # the receiver's session rebuilt from the leak and the public kids
-    stolen = SessionV2(pms=pms, kid_self=g.kids[B], kid_peer=g.kids[A],
-                       sid=f"party-{B}", rid=f"party-{A}")
+    # the receiver's session rebuilt from the leak and a recorded header
+    honest = decode_envelope(rec.transcript[1])
+    stolen = SessionV2(pms=pms, kid_self=honest.kid_receiver,
+                       kid_peer=honest.kid_sender, sid=honest.rid,
+                       rid=honest.sid)
 
     opened = 0
-    for _sender, raw, pt in log.values():
+    for stage, raw in rec.transcript.items():
         try:
             out = v2_decrypt(stolen, decode_envelope(raw))
         except LettersealError:
             continue
-        if out == pt:
+        if out == rec.plaintexts[stage]:
             opened += 1
 
     tested = total // 2
-    env_t = decode_envelope(log[tested][1])
+    env_t = decode_envelope(rec.transcript[tested])
     test = _test(g, B, tested, v2_derive_key(pms, env_t.salt))
     succeeded = opened == total and test["guess"] == g.b
     return _report("fs_v2", g, succeeded, (B, tested), {
@@ -327,10 +324,14 @@ def attack_fs_v2(seed: int) -> AttackReport:
 # Ratchet protocol attacks
 # ---------------------------------------------------------------------------
 
-def _closure(g: Game, log: dict) -> KeyClosure:
-    """A closure over the envelopes of a _flights log, with no leak yet."""
-    envs = [decode_envelope(raw) for _, raw, _ in log.values()]
-    return KeyClosure(g.parties[A][1], g.parties[B][1], envs)
+def _closure(g: Game) -> KeyClosure:
+    """A closure over the wire (every envelope any session sent or
+    received, once each), with no leak yet."""
+    wire = {raw: None for rec in g.sessions.values()
+            for raw in rec.transcript.values()}
+    return KeyClosure(g.directory.lookup(g.kids[A]),
+                      g.directory.lookup(g.kids[B]),
+                      [decode_envelope(raw) for raw in wire])
 
 
 def attack_replay_vdr(seed: int) -> AttackReport:
@@ -339,14 +340,12 @@ def attack_replay_vdr(seed: int) -> AttackReport:
     behind the live receive chain and no cached key is left for it."""
     g = _game(PROTO_VDR, seed)
     pt = b"first flight"
-    env00 = g.oracle_send(A, 1, ("encrypt", 0, pt))
-    g.oracle_send(B, 1, env00)
-    g.oracle_send(B, 1, env00)  # immediate duplicate
-    env01 = g.oracle_send(A, 1, ("encrypt", 0, b"second flight"))
-    g.oracle_send(B, 1, env01)
-    g.oracle_send(B, 1, env00)  # late duplicate
-
     rec = g.sessions[(B, 1)]
+    _flights(g, [(A, pt)])
+    g.oracle_send(B, 1, rec.transcript[(0, 0)])  # immediate duplicate
+    _flights(g, [(A, b"second flight")])
+    g.oracle_send(B, 1, rec.transcript[(0, 0)])  # late duplicate
+
     rejections = [r for r in rec.replay_events if r[1] == "ReplayRejected"]
     accepted_once = (rec.status.get((0, 0)) == ACCEPT
                      and rec.plaintexts.get((0, 0)) == pt)
@@ -361,29 +360,27 @@ def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
     The closure reaches every epoch-0 key (the initial derivation leans on
     that secret) but nothing at epoch 1 or later."""
     g = _game(PROTO_VDR, seed)
-    log = _flights(g, [
+    _flights(g, [
         (A, b"m 0,0"), (A, b"m 0,1"),
         (B, b"r 1,0"),
         (A, b"m 2,0"),
-    ], {})
-    g.oracle_rev_ltk(B)
-
-    closure = _closure(g, log)
-    closure.learn_scalar(g.parties[B][0])  # the revealed ltk, nothing else
+    ])
+    closure = _closure(g)
+    closure.learn_scalar(g.oracle_rev_ltk(B))  # the revealed ltk, nothing else
     closure.run()
 
-    epoch0_true = all(
-        closure.message_key(s) == bytes(g.sessions[(A, 1)].key[s])
-        for s in [(0, 0), (0, 1)])
+    truth = g.sessions[(A, 1)].key  # one session records both directions
+    epoch0_true = all(closure.message_key(s) == bytes(truth[s])
+                      for s in [(0, 0), (0, 1)])
     post_stages = [s for s in closure.stages() if s[0] >= 1]
-    post_true_keys_leaked = any(
-        closure.holds_value(g.sessions[(log[s][0], 1)].key[s])
-        for s in [(1, 0), (2, 0)])
+    post_true_keys_leaked = any(closure.holds_value(truth[s])
+                                for s in [(1, 0), (2, 0)])
+    rec_b = g.sessions[(B, 1)]
     mk00 = closure.message_key((0, 0))
     epoch0_opens = (mk00 is not None
                     and vdr_open(cs.SymmetricKey(mk00),
-                                 decode_envelope(log[(0, 0)][1]))
-                    == log[(0, 0)][2])
+                                 decode_envelope(rec_b.transcript[(0, 0)]))
+                    == rec_b.plaintexts[(0, 0)])
 
     succeeded = bool(post_stages) or post_true_keys_leaked
     return _report("kci_vdr_postratchet", g, succeeded, (B, (2, 0)), {
@@ -401,11 +398,13 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     Consumed indices are refused and the chains have moved past; the
     snapshots also no longer contain any spent message key."""
     g = _game(PROTO_VDR, seed)
-    log = _flights(g, [
+    _flights(g, [
         (A, b"m 0,0"), (A, b"m 0,1"), (A, b"m 0,2"),
         (B, b"r 1,0"), (B, b"r 1,1"),
         (A, b"m 2,0"),
-    ], {})
+    ])
+    rec_a, rec_b = g.sessions[(A, 1)], g.sessions[(B, 1)]
+    opened_by = {**rec_a.plaintexts, **rec_b.plaintexts}  # stage -> plaintext
     snap_b = g.oracle_rev_state(B, 1, (2, 0))  # after consuming all of A's sends
     snap_a = g.oracle_rev_state(A, 1, (2, 0))  # after consuming all of B's sends
 
@@ -413,7 +412,7 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     attempts = 0
     opened = 0
     for snap in (snap_b, snap_a):
-        for stage, (_sender, raw, pt) in log.items():
+        for stage, raw in rec_a.transcript.items():
             env = decode_envelope(raw)
             st = vdr_import_state(snap)  # fresh copy per attempt
             attempts += 1
@@ -421,14 +420,14 @@ def attack_fs_vdr(seed: int) -> AttackReport:
                 out = vdr_decrypt(st, env, adv.fork(b"%d-%d" % stage))
             except LettersealError:
                 continue
-            if out == pt:
+            if out == opened_by[stage]:
                 opened += 1
 
     erased = all(
-        bytes(g.sessions[(B, 1)].key[s]) not in snap_b
+        bytes(rec_b.key[s]) not in snap_b
         for s in [(0, 0), (0, 1), (0, 2), (2, 0)]
     ) and all(
-        bytes(g.sessions[(A, 1)].key[s]) not in snap_a
+        bytes(rec_a.key[s]) not in snap_a
         for s in [(1, 0), (1, 1)]
     )
     return _report("fs_vdr", g, opened > 0, (B, (0, 1)), {
@@ -444,7 +443,7 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
     stored rk and ephemeral carry that far) and heals at x+2, where a
     post-compromise ephemeral enters the root."""
     g = _game(PROTO_VDR, seed)
-    log = _flights(g, [(A, b"m 0,0"), (A, b"m 0,1")], {})
+    _flights(g, [(A, b"m 0,0"), (A, b"m 0,1")])
     snap = g.oracle_rev_state(B, 1, (0, 1))  # compromise: B's send epoch is 1
     _flights(g, [
         (A, b"m 0,2"),   # epoch-0 remainder
@@ -453,27 +452,27 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
         (A, b"m 2,0"),   # x+1: still falls
         (B, b"r 3,0"),   # x+2: heals
         (A, b"m 4,0"),
-    ], log)
+    ])
 
-    closure = _closure(g, log)
+    closure = _closure(g)
     closure.learn_snapshot(snap)
     closure.run()
 
-    def true_key(stage):
-        return bytes(g.sessions[(log[stage][0], 1)].key[stage])
-
+    rec_a, rec_b = g.sessions[(A, 1)], g.sessions[(B, 1)]
+    opened_by = {**rec_a.plaintexts, **rec_b.plaintexts}  # stage -> plaintext
     fallen = {}
     for stage in [(0, 2), (1, 0), (1, 1), (2, 0)]:
         mk = closure.message_key(stage)
-        ok = mk is not None and mk == true_key(stage)
+        ok = mk is not None and mk == bytes(rec_a.key[stage])
         if ok:
-            ok = (vdr_open(cs.SymmetricKey(mk), decode_envelope(log[stage][1]))
-                  == log[stage][2])
+            ok = (vdr_open(cs.SymmetricKey(mk),
+                           decode_envelope(rec_a.transcript[stage]))
+                  == opened_by[stage])
         fallen[stage] = ok
     healed = {}
     for stage in [(3, 0), (4, 0)]:
         healed[stage] = (closure.message_key(stage) is None
-                         and not closure.holds_value(true_key(stage)))
+                         and not closure.holds_value(rec_a.key[stage]))
 
     # a win would be reaching x+2
     return _report("pcs_vdr", g, not all(healed.values()), (A, (3, 0)), {

@@ -159,13 +159,11 @@ class QueryTrace:
     An entry is a tuple: a line template and the values it names, as
     recorded (ints, stages, strings and immutable bytes; never a reference
     into a session record, which may change later). Entries become lines,
-    digests included, on the first read (``lines``, ``export()``, ``in``),
-    which replaces them in place, so a second read renders nothing.
+    digests included, on each read (``lines``, ``export()``, ``in``).
     """
 
     def __init__(self):
-        self._log: list = []  # rendered lines, then entries not yet read
-        self._rendered = 0
+        self._log: list = []
 
     def add(self, *entry) -> None:
         """Record (template, *values); bytes values must not change later."""
@@ -173,11 +171,7 @@ class QueryTrace:
 
     @property
     def lines(self) -> list[str]:
-        log = self._log
-        for n in range(self._rendered, len(log)):
-            log[n] = _render(log[n])
-        self._rendered = len(log)
-        return log
+        return [_render(entry) for entry in self._log]
 
     def export(self) -> str:
         lines = self.lines
@@ -274,10 +268,10 @@ class Game:
             return self._reject(rec, stage, raw, type(exc).__name__)
         self._accept(rec, stage, seen.keys, raw)
         rec.plaintexts[stage] = pt
-        # only a ratchet open that starts a reply epoch draws: its ephemeral
+        # only a ratchet open that starts a reply epoch draws: its
+        # ephemeral, the first draw of that new send stage
         if seen.draws:
-            eph_stage = (rec.ep.session.i_s, 0)
-            rec.rand_log[eph_stage] = b"".join(seen.draws) + rec.rand_log.get(eph_stage, b"")
+            rec.rand_log[(rec.ep.session.i_s, 0)] = b"".join(seen.draws)
         return stage, ACCEPT
 
     def _accept(self, rec: SessionRecord, stage, keys: list,

@@ -107,9 +107,10 @@ def test_pcs_vdr_details():
 
 def _closure_over(seed, plan):
     """A ratchet game driven through plan by attacks._flights, and the
-    closure over its envelopes, with no leak yet."""
+    closure over its wire, with no leak yet."""
     g = _game("vdr", seed)
-    return g, _closure(g, _flights(g, plan, {}))
+    _flights(g, plan)
+    return g, _closure(g)
 
 
 def test_closure_empty_without_leaks():
@@ -175,8 +176,7 @@ def test_closure_snapshot_hands_over_skipped_keys():
     g = _game("vdr", 5)
     raws = [g.oracle_send(1, 1, ("encrypt", 0, b"m%d" % j)) for j in range(3)]
     g.oracle_send(2, 1, raws[2])  # (0,2) first: (0,0) and (0,1) are cached
-    # a _flights log of the three envelopes, all of which the wire carried
-    c = _closure(g, {(0, j): (1, raw, None) for j, raw in enumerate(raws)})
+    c = _closure(g)  # the wire carried all three
     c.learn_snapshot(g.oracle_rev_state(2, 1, (0, 2)))
     truth = g.sessions[(1, 1)].key
     # the cached keys are held before any rule runs
@@ -187,6 +187,17 @@ def test_closure_snapshot_hands_over_skipped_keys():
     assert c.stages() == [(0, 0), (0, 1), (0, 2)]
     for s in c.stages():
         assert c.message_key(s) == bytes(truth[s])
+
+
+def test_closure_spans_the_wire_not_only_what_receivers_hold():
+    g = _game("vdr", 8)
+    _flights(g, [(1, b"m 0,0")])
+    g.oracle_send(1, 1, ("encrypt", 0, b"m 0,1"))  # never delivered
+    c = _closure(g)
+    c.learn_scalar(g.oracle_rev_ltk(2))
+    c.run()
+    assert (0, 1) not in g.sessions[(2, 1)].transcript
+    assert c.message_key((0, 1)) == bytes(g.sessions[(1, 1)].key[(0, 1)])
 
 
 def test_closure_transition_through_the_next_epochs_secret():

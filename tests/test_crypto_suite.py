@@ -73,7 +73,7 @@ def test_rng_fork_is_independent():
     assert late.fork(b"a").token(16) == cs.SeededRng(1).fork(b"a").token(16)
 
 
-def test_rng_log_and_marks():
+def test_rng_counts_draws_and_only_a_recorder_keeps_them():
     rng = cs.SeededRng(5)
     m = rng.mark()
     with cs.Recorder() as seen:

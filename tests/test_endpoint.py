@@ -127,7 +127,7 @@ def test_unknown_protocol_rejected():
         Endpoint("v3", a_sk, b_pk, a_rng, 1, 2, "alice", "bob", True)
 
 
-def test_observer_reaches_both_ratchet_states_and_only_when_given():
+def test_recorder_sees_each_ratchet_key_only_inside_its_scope():
     # no recorder open: the keys go nowhere and no scope is left behind
     a, b = pair("vdr", 404)
     b.open(a.seal(b"opener"))

@@ -16,11 +16,9 @@ import pytest
 import truth_tables
 from freshness_recursive import RecursiveFreshness
 from freshness_recursive import match_sessions as recursive_match
-from letterseal.linevdr import ROLE_INITIATOR, ROLE_RESPONDER
 from letterseal.mske import (
     ACCEPT,
     PROTO_VDR,
-    Game,
     fresh_asym,
     fresh_ee,
     fresh_initial,
@@ -31,6 +29,7 @@ from letterseal.mske import (
     matching_sessions,
     valid_vdr,
 )
+from letterseal.mske.attacks import _game
 from letterseal.wire import decode_envelope, encode_envelope
 
 A, B = 1, 2
@@ -83,11 +82,6 @@ def test_vdr_truth_table_traces_agree(row):
     assert _disagreements(g, stages) == []
 
 
-def _open_pair(g):
-    g.oracle_send(A, 1, (B, ROLE_INITIATOR))
-    g.oracle_send(B, 1, (A, ROLE_RESPONDER))
-
-
 def _forged(raw):
     env = decode_envelope(raw)
     ct = bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]
@@ -98,8 +92,7 @@ def build_lossy_game(seed=0):
     """Epochs 0..4 where (0,1) and (3,0) are dropped and only a forged
     copy of (1,1) arrives, so the two transcripts part ways at several
     stages."""
-    g = Game(PROTO_VDR, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_VDR, seed)
     plan = [(A, [True, False, True]), (B, [True, "forged", True]),
             (A, [True]), (B, [False, True]), (A, [True, True])]
     for sender, deliveries in plan:
@@ -158,8 +151,7 @@ def long_game(seed, stages):
     """Alternating bursts (one of them a few hundred messages long), with
     dropped and forged deliveries and seeded reveals of every kind."""
     rnd = random.Random(seed)
-    g = Game(PROTO_VDR, 2, seed)
-    _open_pair(g)
+    g = _game(PROTO_VDR, seed)
     sender, sent, long_burst = A, 0, True
     while sent < stages:
         n = rnd.randrange(300, 400) if long_burst else rnd.randrange(1, 16)
@@ -203,8 +195,7 @@ def test_long_game_agrees_with_recursive_form():
 
 
 def test_long_chain_stays_off_the_stack():
-    g = Game(PROTO_VDR, 2, 5)
-    _open_pair(g)
+    g = _game(PROTO_VDR, 5)
     for k in range(3001):
         g.oracle_send(B, 1, g.oracle_send(A, 1, ("encrypt", 0, b"%d" % k)))
     for stage in [(0, 1499), (0, 3000)]:

@@ -39,6 +39,7 @@ RULES = {
     "recorders": ({"Recorder"}, ANY,
                   [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
+    "parties": ({"parties"}, ANY, [("mske/game.py", "")]),
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -141,6 +142,7 @@ test_instrumentation_has_one_unthreaded_scope_list = rule_test(
     "threading", "scope_list")
 test_attack_reports_are_built_only_by_report = rule_test("report")
 test_key_bytes_reach_only_the_game = rule_test("recorders")
+test_attacks_get_secrets_only_from_oracles = rule_test("parties")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
 
@@ -219,6 +221,13 @@ SAMPLES = {
         "with count_ops() as counts:\n    ep.seal(pt)\n"),
         {"mske/game.py": [], "mske/attacks.py": [
             "1: recorders", "2: recorders", "4: recorders", "5: recorders"]}),
+    "parties": (breaks, (
+        "pk_a = g.parties[A][1]\nsid, rid = f'party-{A}', f'party-{B}'\n"
+        "return KeyClosure(g.parties[A][1], g.parties[B][1], envs)\n"
+        "closure.learn_scalar(g.parties[B][0])\n"
+        "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"),
+        {"mske/game.py": [], "mske/attacks.py": [
+            "1: parties", "3: parties", "4: parties", "6: parties"]}),
 }
 
 
