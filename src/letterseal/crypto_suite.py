@@ -29,13 +29,24 @@ two messages and the root derivation once per HKDF stage. OpenSSL 3.0's
 one-shot HMAC looks the algorithm up again on every call, which cost about
 a third of a chain step. :func:`cbc_encrypt` and :func:`ecb_encrypt_block`
 are single-call forms for the known-answer vectors; v1 sealing drives one
-cipher context per message itself (see :mod:`letterseal.linev1`).
+cipher context per message itself (see :mod:`letterseal.linev1`), and
+both import the cipher classes by name, so ``cryptography``'s
+deprecated-name hook runs once, at import.
+
+Derived values are built unchecked; outside values go through the checked
+constructor. Each typed-bytes class checks its length when called, and
+its ``unchecked`` constructor builds the same type without the check. Only
+the protocol layer and this module call ``unchecked``, and only on a value
+whose length holds by construction: a SHA-256 or HMAC output, or a nonce of
+8 packed bytes and 4 zeros. Bytes from an envelope, a snapshot, the
+directory, a known-answer file or a caller take the checked constructor.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import padding as _padding
@@ -43,8 +54,10 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import CBC, ECB
 
 from .errors import AuthFailure, DhError
 
@@ -54,6 +67,11 @@ ZERO_SALT = b"\x00" * 32
 
 class _FixedBytes(bytes):
     SIZE = 0
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the same type without the length check (module docstring)
+        cls.unchecked = partial(bytes.__new__, cls)
 
     def __new__(cls, data):
         self = super().__new__(cls, data)
@@ -313,15 +331,15 @@ def kdf_root(ikm: bytes, salt: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     keyed = _hmac_key(prk)
     t1 = _hmac(keyed, ROOT_KDF_INFO + b"\x01")
     t2 = _hmac(keyed, t1 + ROOT_KDF_INFO + b"\x02")
-    return SymmetricKey(t1), SymmetricKey(t2)
+    return SymmetricKey.unchecked(t1), SymmetricKey.unchecked(t2)
 
 
 def kdf_chain(ck: SymmetricKey) -> tuple[SymmetricKey, SymmetricKey]:
     """One symmetric ratchet step -> (message key, next chain key)."""
     _bump("kdf")
     keyed = _hmac_key(ck)
-    return (SymmetricKey(_hmac(keyed, b"\x01")),
-            SymmetricKey(_hmac(keyed, b"\x02")))
+    return (SymmetricKey.unchecked(_hmac(keyed, b"\x01")),
+            SymmetricKey.unchecked(_hmac(keyed, b"\x02")))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +369,12 @@ def cbc_encrypt(key: SymmetricKey, iv16: bytes, plaintext: bytes) -> bytes:
         raise ValueError("CBC IV must be 16 bytes")
     padder = _padding.PKCS7(128).padder()
     data = padder.update(plaintext) + padder.finalize()
-    enc = Cipher(algorithms.AES(key), modes.CBC(iv16)).encryptor()
+    enc = Cipher(AES(key), CBC(iv16)).encryptor()
     return enc.update(data) + enc.finalize()
 
 
 def ecb_encrypt_block(key: SymmetricKey, block16: bytes) -> bytes:
     if len(block16) != 16:
         raise ValueError("ECB block must be exactly 16 bytes")
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    enc = Cipher(AES(key), ECB()).encryptor()
     return enc.update(block16) + enc.finalize()

@@ -23,7 +23,9 @@ import hashlib
 from dataclasses import dataclass
 from hmac import compare_digest
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import CBC
 
 from . import crypto_suite as cs
 from .errors import MacFailure, PaddingError
@@ -55,7 +57,7 @@ def v1_derive(pms: cs.SharedSecret, salt: bytes) -> tuple[cs.SymmetricKey, bytes
         raise ValueError(f"v1 salt must be 8 bytes, got {len(salt)}")
     k_e = cs._digest_kdf_raw(pms, salt, b"Key")
     iv = _fold(cs._digest_kdf_raw(pms, salt, b"IV")).to_bytes(16, "big")
-    return cs.SymmetricKey(k_e), iv
+    return cs.SymmetricKey.unchecked(k_e), iv
 
 
 def v1_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
@@ -71,7 +73,7 @@ def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
     salt = rng.token(8)
     k_e, iv = v1_derive(s.pms, salt)
     pad = 16 - len(m) % 16
-    cbc = Cipher(algorithms.AES(k_e), modes.CBC(iv)).encryptor()
+    cbc = Cipher(AES(k_e), CBC(iv)).encryptor()
     ciphertext = cbc.update(m + bytes((pad,)) * pad)
     # one more CBC block, chained on C's last block, is the ECB tag
     h = _fold(hashlib.sha256(ciphertext).digest())
@@ -88,7 +90,7 @@ def v1_decrypt(s: SessionV1, e: EnvelopeV1) -> bytes:
     k_e, iv = v1_derive(s.pms, e.salt)
     ct = e.ciphertext
     h = _fold(hashlib.sha256(ct).digest()).to_bytes(16, "big")
-    cbc = Cipher(algorithms.AES(k_e), modes.CBC(h)).decryptor()
+    cbc = Cipher(AES(k_e), CBC(h)).decryptor()
     if not compare_digest(cbc.update(e.tag), _ZERO_BLOCK):
         raise MacFailure("v1 tag mismatch")
     if not ct or len(ct) % 16:

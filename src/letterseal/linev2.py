@@ -48,7 +48,7 @@ def v2_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
 def v2_derive_key(pms: cs.SharedSecret, salt: bytes) -> cs.SymmetricKey:
     if len(salt) != 16:
         raise ValueError(f"v2 salt must be 16 bytes, got {len(salt)}")
-    return cs.SymmetricKey(cs._digest_kdf_raw(pms, salt, b"Key"))
+    return cs.SymmetricKey.unchecked(cs._digest_kdf_raw(pms, salt, b"Key"))
 
 
 def v2_build_nonce(ctr: int, rand32: bytes) -> tuple[cs.AeadNonce, bytes]:
@@ -56,7 +56,7 @@ def v2_build_nonce(ctr: int, rand32: bytes) -> tuple[cs.AeadNonce, bytes]:
     if len(rand32) != 4:
         raise ValueError("rand32 must be 4 bytes (32 bits)")
     material = _NONCE_MATERIAL.pack(ctr, rand32)
-    return cs.AeadNonce(material + b"\x00" * 4), material
+    return cs.AeadNonce.unchecked(material + b"\x00" * 4), material
 
 
 def build_ad_v2(rid: str, sid: str, kid_sender: int, kid_receiver: int,

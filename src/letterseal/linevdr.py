@@ -149,7 +149,7 @@ def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
         raise CounterExhausted(f"send index at {st.j_s}")
     mk, ck_send = cs.kdf_chain(st.ck_send)
     nonce_material = _NONCE_MATERIAL.pack(st.i_s, rng.token(4))
-    nonce = cs.AeadNonce(nonce_material + b"\x00" * 4)
+    nonce = cs.AeadNonce.unchecked(nonce_material + b"\x00" * 4)
     ad = build_ad_vdr(st.kid_self, st.kid_peer, VERS_VDR, ctype,
                       st.self_eph_pub, st.j_s)
     env = EnvelopeVDR(ctype=ctype, ciphertext=cs.aead_seal(mk, nonce, m, ad),
@@ -174,7 +174,8 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     """Catch-up decryption with replay defense; see module docstring for the
     step order. rng feeds the reply-chain ephemeral generated after the
     first successful decrypt of a new epoch."""
-    stage = (env.i_index, env.j_index)
+    i_index = env.i_index  # a property that decodes nonce_material
+    stage = (i_index, env.j_index)
     mk = st.skipped.get(stage)
     if mk is not None:  # opens under its cached key, and nothing else moves
         plaintext = vdr_open(mk, env)  # AuthFailure keeps the key cached
@@ -182,14 +183,14 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         cs.emit_message_key(mk)
         return plaintext
 
-    if env.i_index > st.i_r:
+    if i_index > st.i_r:
         if st.self_eph_secret is None:
             raise StaleEpoch("no local ephemeral to ratchet against")
         peer_eph = cs.GroupElement(env.eph_pub)
         shared = cs.dh(st.self_eph_key or st.self_eph_secret, peer_eph)
         rk, ck = cs.kdf_root(shared, st.rk)
-        i_r, j = env.i_index, 0
-    elif env.i_index == st.i_r and st.ck_recv is not None:
+        i_r, j = i_index, 0
+    elif i_index == st.i_r and st.ck_recv is not None:
         if env.j_index < st.j_r:
             raise ReplayRejected(
                 f"no key left for {stage} in the live receive chain")
@@ -197,7 +198,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         i_r, j = st.i_r, st.j_r
     else:
         raise StaleEpoch(
-            f"epoch {env.i_index} has no live chain (current {st.i_r}), "
+            f"epoch {i_index} has no live chain (current {st.i_r}), "
             "no cached key")
     if env.j_index - j > MAX_SKIP:
         raise SkipLimit(f"gap {env.j_index - j} exceeds MAX_SKIP={MAX_SKIP}")

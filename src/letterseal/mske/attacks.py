@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .. import crypto_suite as cs
-from ..errors import LettersealError, UnknownAttack
+from ..errors import LettersealError, ParseError, UnknownAttack
 from ..linev2 import (
     SessionV2,
     build_ad_v2,
@@ -325,13 +325,20 @@ def attack_fs_v2(seed: int) -> AttackReport:
 # ---------------------------------------------------------------------------
 
 def _closure(g: Game) -> KeyClosure:
-    """A closure over the wire (every envelope any session sent or
-    received, once each), with no leak yet."""
-    wire = {raw: None for rec in g.sessions.values()
-            for raw in rec.transcript.values()}
+    """A closure over the ratchet envelopes on the wire (every one any
+    session sent or received, once each), with no leak yet. Junk and
+    other families are not added."""
+    envelopes = []
+    for raw in dict.fromkeys(raw for rec in g.sessions.values()
+                             for raw in rec.transcript.values()):
+        try:
+            env = decode_envelope(raw)
+        except ParseError:
+            continue
+        if isinstance(env, EnvelopeVDR):
+            envelopes.append(env)
     return KeyClosure(g.directory.lookup(g.kids[A]),
-                      g.directory.lookup(g.kids[B]),
-                      [decode_envelope(raw) for raw in wire])
+                      g.directory.lookup(g.kids[B]), envelopes)
 
 
 def attack_replay_vdr(seed: int) -> AttackReport:

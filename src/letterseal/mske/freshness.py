@@ -76,16 +76,19 @@ def fresh_v2(game: Game, tested: tuple) -> bool:
 # Ratchet protocol predicate family
 # ---------------------------------------------------------------------------
 
+# Each public predicate finds the tested session's partners itself; the
+# private forms take that list, so fresh_vdr builds it once for all of them.
+
+def _valid(rec: SessionRecord, partners: list, s) -> bool:
+    return (rec.status.get(s) == ACCEPT and not rec.rev_sesskey.get(s)
+            and not any(r.rev_sesskey.get(s) for r in _matching(partners, s)))
+
+
 def valid_vdr(game: Game, u: int, i: int, s) -> bool:
     """Tested stage accepted, its key unrevealed here and at every
     matching session."""
     rec = game.sessions[(u, i)]
-    if rec.status.get(s) != ACCEPT:
-        return False
-    if rec.rev_sesskey.get(s):
-        return False
-    return all(not r.rev_sesskey.get(s)
-               for r in matching_sessions(game, rec, s))
+    return _valid(rec, _partners(game, rec), s)
 
 
 def fresh_ll(game: Game, u: int, i: int) -> bool:
@@ -93,20 +96,30 @@ def fresh_ll(game: Game, u: int, i: int) -> bool:
     return not game.rev_ltk.get(u) and not game.rev_ltk.get(rec.pid)
 
 
-def fresh_el(game: Game, u: int, i: int) -> bool:
-    """Initiator ephemeral and responder long-term key both unrevealed,
-    viewed from whichever side is being tested."""
-    rec = game.sessions[(u, i)]
+def _el(game: Game, rec: SessionRecord, partners: list) -> bool:
     if rec.role == ROLE_INITIATOR:
         return (not rec.rev_rand.get((0, 0))
                 and not game.rev_ltk.get(rec.pid))
     return (all(not r.rev_rand.get((0, 0))
-                for r in matching_sessions(game, rec, (0, 0)))
-            and not game.rev_ltk.get(u))
+                for r in _matching(partners, (0, 0)))
+            and not game.rev_ltk.get(rec.owner))
+
+
+def fresh_el(game: Game, u: int, i: int) -> bool:
+    """Initiator ephemeral and responder long-term key both unrevealed,
+    viewed from whichever side is being tested."""
+    rec = game.sessions[(u, i)]
+    return _el(game, rec, _partners(game, rec))
+
+
+def _initial(game: Game, rec: SessionRecord, partners: list) -> bool:
+    return (fresh_ll(game, rec.owner, rec.index)
+            or _el(game, rec, partners))
 
 
 def fresh_initial(game: Game, u: int, i: int) -> bool:
-    return fresh_ll(game, u, i) or fresh_el(game, u, i)
+    rec = game.sessions[(u, i)]
+    return _initial(game, rec, _partners(game, rec))
 
 
 def _state_clean(rec: SessionRecord, partners: list, s) -> bool:
@@ -143,7 +156,7 @@ def _asym_from(game: Game, rec: SessionRecord, partners: list, x: int) -> bool:
         if not _state_clean(rec, partners, (x - 1, 0)):
             return False
         if x <= 1:
-            return fresh_initial(game, rec.owner, rec.index)
+            return _initial(game, rec, partners)
         x -= 1
     return True
 
@@ -155,21 +168,26 @@ def fresh_asym(game: Game, u: int, i: int, s) -> bool:
     return _asym_from(game, rec, _partners(game, rec), s[0])
 
 
-def fresh_sym(game: Game, u: int, i: int, s) -> bool:
-    """Every earlier stage of the chain clean (fresh_sym(x, y) =
-    st(x, y-1) and fresh_sym(x, y-1)), down to a fresh epoch start."""
+def _sym(game: Game, rec: SessionRecord, partners: list, s) -> bool:
     x, y = s
-    rec = game.sessions[(u, i)]
-    partners = _partners(game, rec)
     if not all(_state_clean(rec, partners, (x, k)) for k in range(y)):
         return False
     if x >= 1:
         return _asym_from(game, rec, partners, x)
-    return fresh_initial(game, u, i)
+    return _initial(game, rec, partners)
+
+
+def fresh_sym(game: Game, u: int, i: int, s) -> bool:
+    """Every earlier stage of the chain clean (fresh_sym(x, y) =
+    st(x, y-1) and fresh_sym(x, y-1)), down to a fresh epoch start."""
+    rec = game.sessions[(u, i)]
+    return _sym(game, rec, _partners(game, rec), s)
 
 
 def fresh_vdr(game: Game, tested: tuple) -> bool:
     """Valid, and fresh_sym: at an epoch start its state loop is empty,
     so it is fresh_asym there, and fresh_initial at (0, 0)."""
     u, i, s = tested
-    return valid_vdr(game, u, i, s) and fresh_sym(game, u, i, s)
+    rec = game.sessions[(u, i)]
+    partners = _partners(game, rec)
+    return _valid(rec, partners, s) and _sym(game, rec, partners, s)

@@ -228,3 +228,23 @@ def test_closure_learn_chain_keeps_earliest_position():
     assert c.chain[0] == (2, b"\x22" * 32)
     c.learn_chain(0, 9, b"\x33" * 32)
     assert c.chain[0] == (2, b"\x22" * 32)
+
+
+def test_closure_adds_only_ratchet_envelopes():
+    """Junk and a v2 envelope on the wire leave the closure as it was."""
+    plan = [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")]
+    clean, c_clean = _closure_over(9, plan)
+    g = _game("vdr", 9)
+    _flights(g, plan)
+    g.oracle_send(2, 1, b"\x99junk")
+    v2 = _game("v2", 9)
+    g.oracle_send(2, 1, v2.oracle_send(1, 1, ("encrypt", 0, b"v2")))
+    raws = set(g.sessions[(2, 1)].transcript.values())
+    assert b"\x99junk" in raws and len(raws) == len(plan) + 2
+    c = _closure(g)
+    for game, closure in ((clean, c_clean), (g, c)):
+        closure.learn_scalar(game.oracle_rev_ltk(2))
+        closure.learn_scalar(game.oracle_rev_rand(2, 1, (1, 0))[:32])
+        closure.run()
+    assert c.stages() == c_clean.stages() == [(0, 0), (0, 1), (1, 0)]
+    assert c.mk == c_clean.mk

@@ -29,6 +29,9 @@ def test_fixed_bytes_sizes(cls, size):
         cls(bytes(size - 1))
     with pytest.raises(ValueError):
         cls(bytes(size + 1))
+    # derived values skip the check, and keep the type
+    assert type(cls.unchecked(bytes(size))) is cls
+    assert cls.unchecked(bytes(size)) == value
 
 
 def test_fixed_bytes_accepts_bytearray():
@@ -162,7 +165,8 @@ def test_hash_matches_hashlib():
 def test_kdf_root_splits_and_varies():
     ikm = bytes(range(32))
     rk, ck = cs.kdf_root(ikm, cs.ZERO_SALT)
-    assert isinstance(rk, cs.SymmetricKey) and isinstance(ck, cs.SymmetricKey)
+    assert type(rk) is type(ck) is cs.SymmetricKey
+    assert len(rk) == len(ck) == 32
     assert rk != ck
     rk2, ck2 = cs.kdf_root(ikm, bytes([1]) * 32)
     assert (rk2, ck2) != (rk, ck)
@@ -174,6 +178,8 @@ def test_kdf_root_splits_and_varies():
 def test_kdf_chain_matches_hmac_and_advances():
     ck = cs.SymmetricKey(b"\x07" * 32)
     mk, ck_next = cs.kdf_chain(ck)
+    assert type(mk) is type(ck_next) is cs.SymmetricKey
+    assert len(mk) == len(ck_next) == 32
     assert mk == hmaclib.new(ck, b"\x01", hashlib.sha256).digest()
     assert ck_next == hmaclib.new(ck, b"\x02", hashlib.sha256).digest()
     assert mk != ck_next != ck

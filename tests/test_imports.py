@@ -40,6 +40,9 @@ RULES = {
                   [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
     "parties": ({"parties"}, ANY, [("mske/game.py", "")]),
+    "unchecked": ({"unchecked"}, ANY,
+                  [(f, "") for f in ("crypto_suite.py", "linev1.py",
+                                     "linev2.py", "linevdr.py")]),
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -143,6 +146,7 @@ test_instrumentation_has_one_unthreaded_scope_list = rule_test(
 test_attack_reports_are_built_only_by_report = rule_test("report")
 test_key_bytes_reach_only_the_game = rule_test("recorders")
 test_attacks_get_secrets_only_from_oracles = rule_test("parties")
+test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
 
@@ -228,6 +232,12 @@ SAMPLES = {
         "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"),
         {"mske/game.py": [], "mske/attacks.py": [
             "1: parties", "3: parties", "4: parties", "6: parties"]}),
+    "unchecked": (breaks, (
+        "key = cs.SymmetricKey.unchecked(raw)\n"
+        "rk = cs.SymmetricKey(rk)\nmake = AeadNonce.unchecked\n"
+        "from .crypto_suite import unchecked\n"),
+        {"linev2.py": [], "kat.py": ["1: unchecked", "3: unchecked",
+                                     "4: unchecked"]}),
 }
 
 

@@ -33,6 +33,7 @@ def test_derive_shapes_and_composition():
     salt = b"\x01" * 8
     k_e, iv = v1_derive(pms, salt)
     assert len(k_e) == 32 and len(iv) == 16
+    assert type(k_e) is cs.SymmetricKey and type(iv) is bytes
     assert k_e == cs.digest_kdf(pms, salt, b"Key")
     full = cs.digest_kdf(pms, salt, b"IV")
     assert iv == bytes(x ^ y for x, y in zip(full[:16], full[16:]))

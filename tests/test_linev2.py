@@ -41,6 +41,7 @@ def test_build_nonce_zero_pads_to_96_bits():
     nonce, material = v2_build_nonce(7, b"\xde\xad\xbe\xef")
     assert material == b"\x00\x00\x00\x07\xde\xad\xbe\xef"
     assert bytes(nonce) == material + b"\x00" * 4
+    assert type(nonce) is cs.AeadNonce and len(nonce) == 12
     with pytest.raises(ValueError):
         v2_build_nonce(7, b"\x00" * 3)
 
@@ -48,7 +49,9 @@ def test_build_nonce_zero_pads_to_96_bits():
 def test_derive_key_matches_digest_kdf():
     pms = cs.SharedSecret(bytes(range(32)))
     salt = b"\x5a" * 16
-    assert v2_derive_key(pms, salt) == cs.digest_kdf(pms, salt, b"Key")
+    k_e = v2_derive_key(pms, salt)
+    assert k_e == cs.digest_kdf(pms, salt, b"Key")
+    assert type(k_e) is cs.SymmetricKey and len(k_e) == 32
     with pytest.raises(ValueError):
         v2_derive_key(pms, b"\x5a" * 8)
 

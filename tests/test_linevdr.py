@@ -263,6 +263,18 @@ def test_message_key_differs_from_chain_key():
     assert received.keys == [mk]
 
 
+def test_seal_builds_a_12_byte_nonce_from_the_header(monkeypatch):
+    sta, _, a_rng, _ = helpers.vdr_pair(317)
+    seen = []
+    seal = cs.aead_seal
+    monkeypatch.setattr(cs, "aead_seal",
+                        lambda k, n, m, ad: seen.append(n) or seal(k, n, m, ad))
+    env = vdr_encrypt(sta, 0, b"nonce", a_rng)
+    nonce, = seen
+    assert type(nonce) is cs.AeadNonce and len(nonce) == 12
+    assert nonce == env.nonce_material + bytes(4)
+
+
 def test_ad_binds_ratchet_header():
     sta, stb, a_rng, b_rng = fresh_conversation(317)
     env = vdr_encrypt(sta, 5, b"header bound", a_rng)

@@ -91,6 +91,20 @@ def _refusal(kwargs):
     return TypeError if "vers" in kwargs else ValueError
 
 
+def _range_rows(*names):
+    """Each integer field at -1 and one past its maximum, with the exact
+    text of its refusal, and one row with two bad fields: the first named
+    is the one reported."""
+    widths = {"ctype": ("u8", 0xFF)}
+    rows = []
+    for name in names:
+        width, top = widths.get(name, ("u32", 0xFFFFFFFF))
+        rows += [({name: value}, f"^{name} out of {width} range: {value}$")
+                 for value in (-1, top + 1)]
+    rows.append(({"ctype": -1, names[-1]: -1}, "^ctype out of u8 range"))
+    return rows
+
+
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(salt=b"\x00" * 7), "salt"),
     (dict(tag=b"\x00" * 15), "tag"),
@@ -129,6 +143,7 @@ V2_FIELDS = dict(ctype=0, salt=b"\x00" * 16, ciphertext=b"\x00" * 16,
     (dict(rid="ok \u00e9 \udfff"), "^identity string rid does not encode"),
     *((dict(**{name: value}), f"^identity string {name} is 65536 bytes")
       for name in ("sid", "rid") for value in STR_OVER),
+    *_range_rows("ctype", "kid_sender", "kid_receiver"),
 ])
 def test_envelope_v2_validation(kwargs, msg):
     with pytest.raises(_refusal(kwargs), match=msg):
@@ -148,6 +163,7 @@ def test_identity_string_that_fits_round_trips(name):
     (dict(ciphertext=b"\x00" * 15), "ciphertext"),
     (dict(j_index=-1), "j_index"),
     (dict(vers=2), "vers"),
+    *_range_rows("ctype", "kid_sender", "kid_receiver", "j_index"),
 ])
 def test_envelope_vdr_validation(kwargs, msg):
     base = dict(ctype=0, ciphertext=b"\x00" * 16, nonce_material=b"\x00" * 8,
