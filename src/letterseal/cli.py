@@ -105,7 +105,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
     expected = EXPECTED[name]
     got = (report.succeeded, report.violated_freshness)
     as_expected = got == expected
-    queries = len(report.trace.splitlines())  # one trace line per query
+    queries = len(report.queries)  # one trace entry per oracle call
 
     def yn(flag: bool) -> str:
         return "yes" if flag else "no"

@@ -66,6 +66,10 @@ ZERO_SALT = b"\x00" * 32
 
 
 class _FixedBytes(bytes):
+    """Bytes of one fixed length. ``__slots__`` is empty here and in every
+    subclass, so a value carries no instance ``__dict__``."""
+
+    __slots__ = ()
     SIZE = 0
 
     def __init_subclass__(cls):
@@ -83,31 +87,37 @@ class _FixedBytes(bytes):
 
 class GroupScalar(_FixedBytes):
     """32-byte X25519 secret scalar, stored in clamped form by dh_keygen."""
+    __slots__ = ()
     SIZE = 32
 
 
 class GroupElement(_FixedBytes):
     """32-byte X25519 public group element."""
+    __slots__ = ()
     SIZE = 32
 
 
 class SharedSecret(_FixedBytes):
     """32-byte Diffie-Hellman output."""
+    __slots__ = ()
     SIZE = 32
 
 
 class SymmetricKey(_FixedBytes):
     """32-byte symmetric key (root, chain, message, or session key)."""
+    __slots__ = ()
     SIZE = 32
 
 
 class Digest(_FixedBytes):
     """32-byte SHA-256 output."""
+    __slots__ = ()
     SIZE = 32
 
 
 class AeadNonce(_FixedBytes):
     """12-byte AES-GCM nonce; built only by the protocol nonce builders."""
+    __slots__ = ()
     SIZE = 12
 
 

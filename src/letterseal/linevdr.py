@@ -39,6 +39,7 @@ object: a session exchanges with them only during set-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import crypto_suite as cs
 from .errors import (
@@ -231,7 +232,10 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # A snapshot is the head run, then each optional field its flag bit marks,
 # then the tail run and one skipped run per cached key. Export and import
 # both follow these declarations, so they cannot disagree on the order;
-# tests/data/golden_snapshots.txt pins the bytes themselves.
+# tests/data/golden_snapshots.txt pins the bytes themselves. Export packs
+# the head, the set optional fields and the tail with one run per flag
+# value, built here from the three declarations; import reads them apart,
+# at explicit positions, so it can check the flags before the fields.
 # ---------------------------------------------------------------------------
 
 _SNAPSHOT_MAGIC = b"VDR3"
@@ -256,6 +260,14 @@ _SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
                       ("skipped count", "H"))
 _SNAPSHOT_SKIPPED = _Run(("skipped i", "I"), ("skipped j", "I"),
                          ("skipped key", "32s"))
+_SNAPSHOT_VALUES = attrgetter(*[name for name, _ in _SNAPSHOT_OPTIONAL])
+# flags -> one run of the head, the optional fields they mark and the tail
+_SNAPSHOT_LAYOUTS = tuple(
+    _SNAPSHOT_HEAD
+    + _Run(*[(name, "32s") for k, (name, _) in enumerate(_SNAPSHOT_OPTIONAL)
+             if flags >> k & 1])
+    + _SNAPSHOT_TAIL
+    for flags in range(_SNAPSHOT_FLAGS + 1))
 
 
 def vdr_export_state(st: RatchetState) -> bytes:
@@ -266,20 +278,18 @@ def vdr_export_state(st: RatchetState) -> bytes:
     bytes with every optional field set, plus 40 per cached key, at most
     MAX_SKIP of them."""
     flags, optional = 0, []
-    for k, (name, _) in enumerate(_SNAPSHOT_OPTIONAL):
-        value = getattr(st, name)
+    for k, value in enumerate(_SNAPSHOT_VALUES(st)):
         if value is not None:
             flags |= 1 << k
             optional.append(value)
-    return b"".join((
-        _SNAPSHOT_HEAD.pack(_SNAPSHOT_MAGIC, _ROLES.index(st.role), flags,
-                            st.rk),
-        *optional,
-        _SNAPSHOT_TAIL.pack(st.i_s, st.j_s, st.i_r, st.j_r, st.self_ltk,
-                            st.peer_ltk_pub, st.kid_self, st.kid_peer,
-                            len(st.skipped)),
-        *[_SNAPSHOT_SKIPPED.pack(i, j, key)
-          for (i, j), key in st.skipped.items()]))
+    snapshot = _SNAPSHOT_LAYOUTS[flags].pack(
+        _SNAPSHOT_MAGIC, _ROLES.index(st.role), flags, st.rk, *optional,
+        st.i_s, st.j_s, st.i_r, st.j_r, st.self_ltk, st.peer_ltk_pub,
+        st.kid_self, st.kid_peer, len(st.skipped))
+    if not st.skipped:
+        return snapshot
+    return b"".join((snapshot, *[_SNAPSHOT_SKIPPED.pack(i, j, key)
+                                 for (i, j), key in st.skipped.items()]))
 
 
 def vdr_import_state(snapshot: bytes) -> RatchetState:

@@ -8,6 +8,9 @@ axes are independent on purpose: a win on a fresh trace is a model-admitted
 break, a win on a violated trace is merely excluded bookkeeping. _report
 builds every report and picks the predicate from the game's protocol;
 _ATTACKS lists each script with the verdict pair it is expected to give.
+A report holds the game's QueryTrace, not its text: the lines and their
+digests are rendered when report.trace is read, so a reader of the
+verdicts alone, such as the benchmark, never renders them.
 
 A script keeps no record of its own: it reads envelope bytes, plaintexts
 and true keys from the game's records, learns secrets only from oracle
@@ -19,7 +22,9 @@ suite's operations (chain extension, root transitions when an adjacent
 ephemeral secret is known, initial derivation from the responder long-term
 key or the initiator pair). Closure output is checked byte-for-byte against
 the keys the honest parties actually recorded, so "excluded" means the true
-key is absent, not merely that our search gave up.
+key is absent, not merely that our search gave up. The closure builds one
+key object per learned scalar, when it derives the public key, and
+exchanges with that object.
 """
 
 from __future__ import annotations
@@ -44,18 +49,37 @@ from ..linevdr import (
 )
 from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 from .freshness import fresh_v2, fresh_vdr
-from .game import ACCEPT, Game, PROTO_V2, PROTO_VDR, v2_snapshot_pms
+from .game import (
+    ACCEPT,
+    PROTO_V2,
+    PROTO_VDR,
+    Game,
+    QueryTrace,
+    v2_snapshot_pms,
+)
 
 A, B = 1, 2
 
 
 @dataclass
 class AttackReport:
+    """One attack's verdicts and details, and the game's oracle log.
+
+    ``queries`` is the game's QueryTrace, one entry per oracle call; it is
+    neither shown nor compared. ``trace`` renders it as text, digests
+    included, on every read and keeps no copy: a caller that reads only
+    the verdicts pays nothing for it.
+    """
+
     name: str
     succeeded: bool
     violated_freshness: bool
-    trace: str
+    queries: QueryTrace = field(repr=False, compare=False)
     details: dict = field(default_factory=dict)
+
+    @property
+    def trace(self) -> str:
+        return self.queries.export()
 
 
 def _adv_rng(seed: int, label: bytes) -> cs.SeededRng:
@@ -93,8 +117,8 @@ def _report(name: str, g: Game, succeeded: bool, tested: tuple,
     attack went after, judged by its protocol's freshness predicate."""
     fresh = fresh_v2 if g.protocol == PROTO_V2 else fresh_vdr
     u, s = tested
-    return AttackReport(name, succeeded, not fresh(g, (u, 1, s)),
-                        g.trace.export(), details)
+    return AttackReport(name, succeeded, not fresh(g, (u, 1, s)), g.trace,
+                        details)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +156,8 @@ class KeyClosure:
             self.epoch_eph_pub.setdefault(env.i_index, bytes(env.eph_pub))
             self.max_j[env.i_index] = max(self.max_j.get(env.i_index, -1),
                                           env.j_index)
-        self.scalars: dict[bytes, cs.GroupScalar] = {}  # public -> secret
+        # public -> the key object of its secret, built once per scalar
+        self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
         self.root: dict[int, bytes] = {}                # epoch -> rk
         self.chain: dict[int, tuple[int, bytes]] = {}   # epoch -> (j, ck)
         self.mk: dict[tuple[int, int], bytes] = {}
@@ -140,8 +165,8 @@ class KeyClosure:
     # -- leak intake ------------------------------------------------------
 
     def learn_scalar(self, raw: bytes) -> None:
-        secret = cs.clamp_scalar(bytes(raw))
-        self.scalars[bytes(cs.dh_to_public(secret))] = secret
+        key = cs.dh_private_key(cs.clamp_scalar(bytes(raw)))
+        self.scalars[key.public_key().public_bytes_raw()] = key
 
     def learn_chain(self, epoch: int, j: int, ck: bytes) -> None:
         have = self.chain.get(epoch)

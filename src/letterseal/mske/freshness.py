@@ -19,6 +19,8 @@ from .game import ACCEPT, Game, SessionRecord
 def _first_mismatch(a: SessionRecord, b: SessionRecord):
     """The earliest stage of a's transcript that b does not hold
     identically, or None if there is none."""
+    if a.transcript == b.transcript:
+        return None
     bad = [t for t, msg in a.transcript.items() if b.transcript.get(t) != msg]
     return min(bad) if bad else None
 

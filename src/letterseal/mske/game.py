@@ -33,8 +33,9 @@ response is a pure function of (seed, query sequence).
 
 Trace. Every oracle call appends one entry to the game's QueryTrace: a line
 template and the values it names, bytes included. Lines and their digests
-are rendered only when the trace is read, since a long game is seldom read
-and an attack reads its trace once, at the end.
+are rendered only when the trace is read, since a long game is seldom read,
+and an attack's report holds the trace and renders it only when its text
+is read. Counting the calls renders nothing.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ class QueryTrace:
     An entry is a tuple: a line template and the values it names, as
     recorded (ints, stages, strings and immutable bytes; never a reference
     into a session record, which may change later). Entries become lines,
-    digests included, on each read (``lines``, ``export()``, ``in``).
+    digests included, on each read (``lines``, ``export()``, ``in``);
+    ``len()`` counts the entries without rendering them.
     """
 
     def __init__(self):
@@ -176,6 +178,10 @@ class QueryTrace:
     def export(self) -> str:
         lines = self.lines
         return "\n".join(lines) + ("\n" if lines else "")
+
+    def __len__(self) -> int:
+        """The number of entries, one per oracle call; renders nothing."""
+        return len(self._log)
 
     def __contains__(self, needle: str) -> bool:
         return any(needle in line for line in self.lines)

@@ -10,12 +10,15 @@ and packs or reads it with one precompiled struct; a format is its runs,
 split at its variable-length fields, and its encoder and decoder use the
 same runs. That holds for both byte formats: envelopes and the ratchet
 snapshot (``linevdr``), and for the bytes the protocols and the game pack
-besides them: associated data, nonce material and v2's RevState. Only this
-module imports ``struct``. ``_Run.read`` is the only place that unpacks
-bytes, and ``_take`` the only place that slices a variable field, so every
-truncation is reported the same way, by the field it cuts. Both decoders,
-``decode_envelope`` and the snapshot's ``vdr_import_state``, keep explicit
-positions and call the two directly.
+besides them: associated data, nonce material and v2's RevState. Runs
+added with ``+`` make one run of their fields in order; the snapshot's
+exporter packs its head, set optional fields and tail with one such run
+per flag value. Only this module imports ``struct``. ``_Run.read`` is
+the only place that unpacks bytes, and ``_take`` the only place that
+slices a variable field, so every truncation is reported the same way,
+by the field it cuts. Both decoders, ``decode_envelope`` and the
+snapshot's ``vdr_import_state``, keep explicit positions and call the two
+directly.
 """
 
 from __future__ import annotations
@@ -164,11 +167,16 @@ class _Run:
     """
 
     def __init__(self, *fields: tuple[str, str]):
+        self.declared = fields
         self.struct = struct.Struct(">" + "".join(code for _, code in fields))
         self.size = self.struct.size
         self.pack = self.struct.pack
         self.fields = tuple((name, struct.calcsize(">" + code))
                             for name, code in fields)
+
+    def __add__(self, other: _Run) -> _Run:
+        """One run of this run's fields followed by other's."""
+        return _Run(*self.declared, *other.declared)
 
     def read(self, data: bytes, pos: int) -> tuple:
         try:

@@ -3,6 +3,8 @@ computable-key closure they share."""
 
 import pytest
 
+import letterseal.crypto_suite as cs
+import letterseal.mske.game as game_module
 from letterseal.errors import UnknownAttack
 from letterseal.linevdr import vdr_import_state
 from letterseal.mske import (
@@ -42,6 +44,25 @@ def test_reports_are_seed_deterministic():
     a = run_attack("kci_v2", 3)
     b = run_attack("kci_v2", 3)
     assert (a.trace, a.details, a.succeeded) == (b.trace, b.details, b.succeeded)
+
+
+def test_reports_render_their_trace_only_when_read(monkeypatch):
+    """Building a report digests nothing; the first read of its trace
+    renders every entry, digests included."""
+    real = game_module._digest
+    digested = []
+    monkeypatch.setattr(game_module, "_digest",
+                        lambda data: digested.append(data) or real(data))
+    reports = [run_attack(name, seed)
+               for name in attack_names() for seed in (0, 1, 2)]
+    assert len(reports) == 21 and digested == []
+    rep = reports[0]
+    assert "queries" not in repr(rep)
+    text = rep.trace
+    assert len(text.splitlines()) == len(rep.queries) > 0
+    assert digested and all(f"#{real(d)}" in text for d in digested)
+    monkeypatch.undo()
+    assert rep.trace == text
 
 
 def test_kci_v2_details():
@@ -219,6 +240,24 @@ def test_closure_refuses_a_nonce_only_draw_as_a_scalar():
     with pytest.raises(ValueError, match="got 4"):
         c.learn_scalar(draw[:32])
     assert c.scalars == {}
+
+
+def test_closure_builds_one_key_object_per_learned_scalar(monkeypatch):
+    g, c = _closure_over(6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"),
+                             (1, b"m 2,0")])
+    learned = [g.oracle_rev_ltk(2), g.oracle_rev_rand(2, 1, (1, 0))[:32]]
+    real = cs.dh_private_key
+    built = []
+    monkeypatch.setattr(cs, "dh_private_key",
+                        lambda secret: built.append(secret) or real(secret))
+    for raw in learned:
+        c.learn_scalar(raw)
+    c.run()  # four exchanges: two for epoch 0, one per turn
+    assert built == [cs.clamp_scalar(raw) for raw in learned]
+    truth = g.sessions[(2, 1)].key
+    assert c.stages() == [(0, 0), (0, 1), (1, 0), (2, 0)]
+    for s in c.stages():
+        assert c.message_key(s) == bytes(truth[s])
 
 
 def test_closure_learn_chain_keeps_earliest_position():

@@ -34,6 +34,16 @@ def test_fixed_bytes_sizes(cls, size):
     assert cls.unchecked(bytes(size)) == value
 
 
+def test_typed_bytes_carry_no_instance_dict():
+    classes = cs._FixedBytes.__subclasses__()
+    assert len(classes) == 6
+    for cls in classes:
+        for value in (cls(bytes(cls.SIZE)), cls.unchecked(bytes(cls.SIZE))):
+            assert not hasattr(value, "__dict__"), cls.__name__
+            with pytest.raises(AttributeError):
+                value.note = 1
+
+
 def test_fixed_bytes_accepts_bytearray():
     assert cs.SymmetricKey(bytearray(32)) == bytes(32)
 

@@ -546,6 +546,49 @@ def test_import_rejects_malformed_snapshot(label):
         vdr_import_state(snapshot)
 
 
+_OPTIONAL = ("ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
+             "peer_eph_pub")  # flag bit k marks _OPTIONAL[k]
+
+
+def _concatenated(st):
+    """A snapshot written out field by field, in the codec's order."""
+    def u32(n):
+        return n.to_bytes(4, "big")
+    values = [getattr(st, name) for name in _OPTIONAL]
+    flags = sum(1 << k for k, v in enumerate(values) if v is not None)
+    return b"".join([
+        b"VDR3", bytes([(ROLE_INITIATOR, ROLE_RESPONDER).index(st.role),
+                        flags]), st.rk,
+        *[v for v in values if v is not None],
+        u32(st.i_s), u32(st.j_s), u32(st.i_r), u32(st.j_r),
+        st.self_ltk, st.peer_ltk_pub, u32(st.kid_self), u32(st.kid_peer),
+        len(st.skipped).to_bytes(2, "big"),
+        *[u32(i) + u32(j) + key for (i, j), key in st.skipped.items()]])
+
+
+@pytest.mark.parametrize("cached", [0, 3])
+def test_export_of_every_flag_value_is_the_field_concatenation(cached):
+    _, stb, _, _ = fresh_conversation(327)
+    full = _with_skipped(stb, cached)
+    assert all(getattr(full, name) is not None for name in _OPTIONAL)
+    accepted = []
+    for flags in range(1 << len(_OPTIONAL)):
+        st = dataclasses.replace(full, **{
+            name: None for k, name in enumerate(_OPTIONAL)
+            if not flags >> k & 1})
+        snap = vdr_export_state(st)
+        assert snap == _concatenated(st)
+        assert snap[5] == flags
+        try:
+            clone = vdr_import_state(snap)
+        except ParseError:  # a chain set without all of its fields
+            continue
+        accepted.append(flags)
+        assert vdr_export_state(clone) == snap
+        assert clone == st
+    assert accepted == [0b00000, 0b01101, 0b10010, 0b11111]
+
+
 def test_import_accepts_a_full_skip_cache():
     _, stb, _, _ = fresh_conversation(326)
     snap = vdr_export_state(_with_skipped(stb, MAX_SKIP))
