@@ -17,10 +17,13 @@ one, around each seal and open. Counts never see a key or a draw.
 
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
-(:func:`dh_private_key`, or the third value of :func:`dh_keygen_with_key`).
-Building the object costs a scalar multiplication of its own, so a caller
-that exchanges with one secret more than once holds the object; nothing in
-this module caches one.
+(:func:`dh_private_key`, or the third value of :func:`dh_keygen_with_key`),
+and :func:`dh_secret` turns either form into both. Building the object
+costs a scalar multiplication of its own, so a caller that exchanges with
+one secret more than once holds the object. The owner of a secret holds
+its object: a ratchet state its ephemeral, a game party its long-term
+key, the game's key closure each scalar it learns. Nothing caches an
+object by value, in this module or elsewhere.
 
 Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
 absorbs a key's inner and outer pads into two SHA-256 states once, and
@@ -244,6 +247,16 @@ def dh_private_key(secret: GroupScalar) -> X25519PrivateKey:
     one scalar multiplication; callers that exchange with the same secret
     more than once build it once and pass it to :func:`dh`."""
     return X25519PrivateKey.from_private_bytes(secret)
+
+
+def dh_secret(secret: GroupScalar | X25519PrivateKey
+              ) -> tuple[GroupScalar, X25519PrivateKey]:
+    """(scalar, key object) from either form of a secret, as :func:`dh`
+    takes it. The object is built only from a scalar; an object's scalar is
+    read back through the checked constructor."""
+    if isinstance(secret, bytes):
+        return secret, dh_private_key(secret)
+    return GroupScalar(secret.private_bytes_raw()), secret
 
 
 def dh_keygen_with_key(

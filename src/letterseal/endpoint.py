@@ -8,6 +8,13 @@ envelope of another protocol's family raises ParseError before any set-up.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
+An Endpoint's ``secret`` is its party's long-term scalar or the key object
+built from it; every protocol's set-up takes either. A party that opens
+many sessions, as a game party does, holds its object and hands that to
+each Endpoint, so no set-up builds it again. The Endpoint keeps no other
+key object: its ratchet state holds its own ephemeral's, and nothing
+caches an object by value.
+
 An Endpoint holds no instrumentation: a caller that needs message keys or
 rng draws, the key-indistinguishability game only, wraps seal or open in a
 ``with crypto_suite.Recorder()`` block. A ctype outside u8 is
@@ -40,7 +47,8 @@ _PROTOCOLS = {
 class Endpoint:
     """One party; ``session`` is None until its first successful use."""
 
-    def __init__(self, protocol: str, secret: cs.GroupScalar,
+    def __init__(self, protocol: str,
+                 secret: cs.GroupScalar | cs.X25519PrivateKey,
                  peer_pub: cs.GroupElement, rng: cs.SeededRng,
                  kid: int, peer_kid: int, name: str, peer_name: str,
                  initiator: bool):

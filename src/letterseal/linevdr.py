@@ -9,9 +9,10 @@ the reply chain (fresh ephemeral, i_s = i_r + 1) right after the first
 successful decrypt of that epoch. A turn to epoch 0xFFFFFFFF is refused
 there with StaleEpoch, before the ephemeral is drawn: its reply epoch
 would not fit a u32. Decryption is transactional: state mutates only
-after the AEAD tag verifies, so forged envelopes cannot desynchronize a
-session or poison the skipped-key cache. So is encryption: a refused seal
-neither steps the chain nor draws a nonce.
+after the AEAD tag verifies and the reply chain is built, in one commit,
+so forged envelopes cannot desynchronize a session or poison the
+skipped-key cache. So is encryption: a refused seal neither steps the
+chain nor draws a nonce.
 
 Replay defense. A stage opens only from the skipped-key cache or by
 moving the live receive chain forward, and both delete the key they use,
@@ -32,8 +33,17 @@ and in the reply set-up of vdr_decrypt. The turn that replaces the scalar
 replaces the object with it; a failed decrypt leaves both in place. It is a
 cache of ``self_eph_secret`` and nothing more: snapshots never carry it, so
 vdr_import_state returns it as None and the first turn after an import
-builds the object from the scalar bytes. Long-term scalars get no held
-object: a session exchanges with them only during set-up.
+builds the object from the scalar bytes.
+
+Long-term key object. A session exchanges with its long-term secret only
+during set-up, so the state keeps the scalar ``self_ltk`` and no object.
+vdr_init_sender and vdr_lazy_init_receiver take the secret as a scalar or
+as the key object built from it; a party that opens many sessions (the
+game's) holds its object and passes that, so set-up builds none.
+
+Every 32-byte field that is set, and every cached key, is checked for
+length once, when the state is built (``__post_init__``, which
+``dataclasses.replace`` runs too), so a snapshot never pads or cuts one.
 """
 
 from __future__ import annotations
@@ -68,6 +78,11 @@ ROLE_INITIATOR = "initiator"
 ROLE_RESPONDER = "responder"
 
 
+# the 32-byte fields, checked once when a state is built
+_KEY_FIELDS = ("rk", "self_ltk", "peer_ltk_pub", "ck_send", "ck_recv",
+               "self_eph_secret", "self_eph_pub", "peer_eph_pub")
+
+
 @dataclass(slots=True)
 class RatchetState:
     role: str
@@ -90,6 +105,17 @@ class RatchetState:
     self_eph_key: cs.X25519PrivateKey | None = field(
         default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        for name in _KEY_FIELDS:
+            value = getattr(self, name)
+            if value is not None and len(value) != 32:
+                raise ValueError(
+                    f"RatchetState.{name} must be 32 bytes, got {len(value)}")
+        for stage, key in self.skipped.items():
+            if len(key) != 32:
+                raise ValueError(f"skipped key {stage} must be 32 bytes, "
+                                 f"got {len(key)}")
+
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
                  eph_pub: bytes, j_index: int) -> bytes:
@@ -101,12 +127,15 @@ def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
     return _AD.pack(kid_sender, kid_receiver, vers, ctype, eph_pub, j_index)
 
 
-def vdr_init_sender(self_ltk: cs.GroupScalar, peer_ltk_pub: cs.GroupElement,
+def vdr_init_sender(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
+                    peer_ltk_pub: cs.GroupElement,
                     rng: cs.SeededRng, kid_self: int, kid_peer: int) -> RatchetState:
     """Initiator setup: root and first sending chain from
-    KDF(dh(ephemeral, peer) || dh(static, peer))."""
+    KDF(dh(ephemeral, peer) || dh(static, peer)). self_ltk is a scalar or
+    its key object; the state keeps the scalar."""
+    self_ltk, ltk_key = cs.dh_secret(self_ltk)
     eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
-    ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
+    ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(ltk_key, peer_ltk_pub)
     rk, ck_send = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
         role=ROLE_INITIATOR, rk=rk, ck_send=ck_send,
@@ -117,19 +146,20 @@ def vdr_init_sender(self_ltk: cs.GroupScalar, peer_ltk_pub: cs.GroupElement,
     )
 
 
-def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar,
+def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
                            peer_ltk_pub: cs.GroupElement,
                            env: EnvelopeVDR,
                            kid_self: int, kid_peer: int) -> RatchetState:
     """Responder setup from the first incoming envelope; mirrors the
     initiator derivation through DH symmetry. Does not decrypt: call
     vdr_decrypt next and discard this state if that fails, since a tampered
-    ephemeral yields garbage keys that only the AEAD tag can expose."""
+    ephemeral yields garbage keys that only the AEAD tag can expose.
+    self_ltk is a scalar or its key object; the state keeps the scalar."""
     if env.i_index != 0:
         raise StaleEpoch(
             f"lazy receiver init needs an epoch-0 envelope, got epoch {env.i_index}")
     peer_eph = cs.GroupElement(env.eph_pub)
-    ltk_key = cs.dh_private_key(self_ltk)
+    self_ltk, ltk_key = cs.dh_secret(self_ltk)
     ikm = cs.dh(ltk_key, peer_eph) + cs.dh(ltk_key, peer_ltk_pub)
     rk, ck_recv = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
@@ -174,7 +204,10 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
                 rng: cs.SeededRng) -> bytes:
     """Catch-up decryption with replay defense; see module docstring for the
     step order. rng feeds the reply-chain ephemeral generated after the
-    first successful decrypt of a new epoch."""
+    first successful decrypt of a new epoch. Every failure leaves the state
+    as it was. Only a DhError in the reply exchange (a low-order peer
+    ephemeral) comes after the rng draw, since that exchange needs the
+    drawn ephemeral; that failure alone spends a draw."""
     i_index = env.i_index  # a property that decodes nonce_material
     stage = (i_index, env.j_index)
     mk = st.skipped.get(stage)
@@ -213,9 +246,11 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     if i_r != st.i_r or st.ck_send is None:  # a turn, or the first open
         if i_r == 0xFFFFFFFF:
             raise StaleEpoch(f"epoch {i_r} leaves no u32 reply epoch")
+        eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
+        rk, ck_send = cs.kdf_root(cs.dh(eph_key, peer_eph), rk)
+        # the one commit: nothing above changed the state
         st.self_eph_secret, st.self_eph_pub, st.self_eph_key = \
-            cs.dh_keygen_with_key(rng)
-        rk, ck_send = cs.kdf_root(cs.dh(st.self_eph_key, peer_eph), rk)
+            eph_secret, eph_pub, eph_key
         st.ck_send, st.i_s, st.j_s = ck_send, i_r + 1, 0
     st.rk, st.ck_recv, st.i_r, st.j_r = rk, ck, i_r, env.j_index + 1
     st.peer_eph_pub = peer_eph

@@ -17,6 +17,13 @@ snapshot. The game derives no stage key and reads no rng history: each seal
 and open runs in a ``with crypto_suite.Recorder()`` block, which receives
 the key the protocol used and the bytes the party's rng drew.
 
+Key objects. A party keeps the key object its keygen built for its
+long-term scalar, and every session it opens sets up from that object, so
+no session builds it again; ``parties`` still names the (scalar, public)
+pair, and RevLongTermKey reveals the scalar. A session's ratchet state
+holds its own ephemeral's object, and the key closure each scalar it
+learns. Nothing caches an object by value.
+
 Stage mapping. The salted-hash protocol treats every encrypted message as
 one stage with session key k_e; stages are 1-indexed integers and a session
 is unidirectional (the initiator's stages are its sends, the responder's
@@ -205,14 +212,17 @@ class Game:
         self.directory = KeyDirectory()
         self.party_rng: dict[int, cs.SeededRng] = {}
         self.parties: dict[int, tuple[cs.GroupScalar, cs.GroupElement]] = {}
+        # each party's long-term key object, handed to its Endpoints
+        self._party_keys: dict[int, cs.X25519PrivateKey] = {}
         self.kids: dict[int, int] = {}
         self.rev_ltk: dict[int, bool] = {}
         self.sessions: dict[tuple[int, int], SessionRecord] = {}
         for u in range(1, n_parties + 1):
             rng_u = proto_rng.fork(b"party-%d" % u)
-            sk, pk = cs.dh_keygen(rng_u)
+            sk, pk, key = cs.dh_keygen_with_key(rng_u)
             self.party_rng[u] = rng_u
             self.parties[u] = (sk, pk)
+            self._party_keys[u] = key
             self.kids[u] = self.directory.register(pk, f"party-{u}")
             self.rev_ltk[u] = False
 
@@ -243,7 +253,7 @@ class Game:
     def _activate(self, u: int, i: int, pid: int, role: str) -> None:
         self._party(u)
         self._party(pid)
-        ep = Endpoint(self.protocol, self.parties[u][0],
+        ep = Endpoint(self.protocol, self._party_keys[u],
                       self.directory.lookup(self.kids[pid]), self.party_rng[u],
                       self.kids[u], self.kids[pid], f"party-{u}", f"party-{pid}",
                       initiator=role == ROLE_INITIATOR)

@@ -295,6 +295,17 @@ def test_key_object_counts_like_its_scalar():
     assert counts.dh == 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_dh_secret_gives_one_pair_for_a_scalar_and_its_object(seed):
+    sk, _ = cs.dh_keygen(cs.SeededRng(seed))
+    key = cs.dh_private_key(sk)
+    pairs = [cs.dh_secret(sk), cs.dh_secret(key)]
+    assert pairs[0][0] is sk and pairs[1][1] is key
+    for scalar, obj in pairs:
+        assert type(scalar) is cs.GroupScalar and scalar == sk
+        assert obj.private_bytes_raw() == sk
+
+
 def test_count_ops_nested_scopes():
     with cs.count_ops() as outer:
         cs.dh_keygen(cs.SeededRng(22))  # keygen is one dh op

@@ -9,7 +9,10 @@ import helpers
 from letterseal import crypto_suite as cs
 from letterseal.endpoint import Endpoint, endpoint_pair
 from letterseal.errors import AuthFailure, NotInitialized, ParseError
+from letterseal.linev1 import v1_establish
+from letterseal.linev2 import v2_establish
 from letterseal.linevdr import vdr_export_state
+from letterseal.wire import encode_envelope
 
 PROTOCOLS = ("v1", "v2", "vdr")
 
@@ -35,6 +38,35 @@ def test_round_trips_both_directions(protocol):
             epochs.append(getattr(env, "i_index", None))
     if protocol == "vdr":
         assert epochs == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_static_establish_from_the_key_object_equals_from_the_scalar(seed):
+    a_sk, _, _, b_pk, _, _ = helpers.keypairs(seed)
+    for establish in (v1_establish, v2_establish):
+        scalar, obj = (establish(secret, b_pk, kid_self=11, kid_peer=12,
+                                 sid="alice", rid="bob")
+                       for secret in (a_sk, cs.dh_private_key(a_sk)))
+        assert scalar.pms == obj.pms
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_endpoints_holding_key_objects_seal_the_same_bytes(protocol):
+    sent = []
+    for as_object in (False, True):
+        a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(402)
+        if as_object:
+            a_sk, b_sk = cs.dh_private_key(a_sk), cs.dh_private_key(b_sk)
+        a, b = endpoint_pair(protocol, (a_sk, a_pk), (b_sk, b_pk), a_rng,
+                             b_rng, kids=(11, 12), names=("alice", "bob"))
+        envs = []
+        for turn in range(4):
+            src, dst = (a, b) if turn % 2 == 0 else (b, a)
+            env = src.seal(b"turn %d" % turn)
+            assert dst.open(env) == b"turn %d" % turn
+            envs.append(encode_envelope(env))
+        sent.append(envs)
+    assert sent[0] == sent[1]
 
 
 def test_each_party_draws_only_from_its_own_rng():

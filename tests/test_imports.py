@@ -39,7 +39,7 @@ RULES = {
     "recorders": ({"Recorder"}, ANY,
                   [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
-    "parties": ({"parties"}, ANY, [("mske/game.py", "")]),
+    "parties": ({"parties", "_party_keys"}, ANY, [("mske/game.py", "")]),
     "unchecked": ({"unchecked"}, ANY,
                   [(f, "") for f in ("crypto_suite.py", "linev1.py",
                                      "linev2.py", "linevdr.py")]),
@@ -229,9 +229,11 @@ SAMPLES = {
         "pk_a = g.parties[A][1]\nsid, rid = f'party-{A}', f'party-{B}'\n"
         "return KeyClosure(g.parties[A][1], g.parties[B][1], envs)\n"
         "closure.learn_scalar(g.parties[B][0])\n"
-        "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"),
+        "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"
+        "ss = cs.dh(g._party_keys[A], pk)\n"),
         {"mske/game.py": [], "mske/attacks.py": [
-            "1: parties", "3: parties", "4: parties", "6: parties"]}),
+            "1: parties", "3: parties", "4: parties", "6: parties",
+            "7: parties"]}),
     "unchecked": (breaks, (
         "key = cs.SymmetricKey.unchecked(raw)\n"
         "rk = cs.SymmetricKey(rk)\nmake = AeadNonce.unchecked\n"

@@ -18,11 +18,15 @@ from letterseal.linevdr import (
     MAX_SKIP,
     ROLE_INITIATOR,
     ROLE_RESPONDER,
+    RatchetState,
     vdr_decrypt,
     vdr_encrypt,
     vdr_export_state,
     vdr_import_state,
+    vdr_init_sender,
+    vdr_lazy_init_receiver,
 )
+from letterseal.wire import encode_envelope
 
 
 def fresh_conversation(seed):
@@ -379,6 +383,28 @@ def test_ratchet_steps_build_each_key_object_once(monkeypatch):
     assert built == [old_secret, bytes(clone.self_eph_secret)]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_set_up_from_the_key_object_equals_set_up_from_the_scalar(seed):
+    worlds = []
+    for as_object in (False, True):
+        a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(seed)
+        if as_object:
+            a_sk, b_sk = cs.dh_private_key(a_sk), cs.dh_private_key(b_sk)
+        sta = vdr_init_sender(a_sk, b_pk, a_rng, kid_self=11, kid_peer=12)
+        opener = vdr_encrypt(sta, 0, b"opening flight", a_rng)
+        stb = vdr_lazy_init_receiver(b_sk, a_pk, opener, kid_self=12,
+                                     kid_peer=11)
+        assert type(sta.self_ltk) is cs.GroupScalar
+        assert type(stb.self_ltk) is cs.GroupScalar
+        world = [vdr_export_state(sta), encode_envelope(opener),
+                 vdr_export_state(stb)]
+        assert vdr_decrypt(stb, opener, b_rng) == b"opening flight"
+        world += [vdr_export_state(stb),
+                  encode_envelope(vdr_encrypt(stb, 0, b"reply", b_rng))]
+        worlds.append(world)
+    assert worlds[0] == worlds[1]
+
+
 # -- bounded state --------------------------------------------------------------
 
 def _same_epoch_snapshot_len(messages):
@@ -494,6 +520,48 @@ def test_failed_decrypt_leaves_snapshot_identical(label):
         vdr_decrypt(st, env, rng)
     assert vdr_export_state(st) == before
     assert rng.mark() == draws
+
+
+def test_failed_reply_exchange_leaves_snapshot_identical():
+    # a responder snapshot with a receive chain, no send chain and an
+    # all-zero peer ephemeral: the first open's reply exchange fails
+    _, stb, _, _ = fresh_conversation(328)
+    ck = cs.SymmetricKey(bytes(range(32)))
+    st = vdr_import_state(vdr_export_state(dataclasses.replace(
+        stb, ck_send=None, self_eph_secret=None, self_eph_pub=None,
+        self_eph_key=None, ck_recv=ck, peer_eph_pub=bytes(32),
+        i_s=1, j_s=0, i_r=0, j_r=0, skipped={})))
+    sender = RatchetState(
+        role=ROLE_INITIATOR, rk=st.rk, self_ltk=st.self_ltk,
+        peer_ltk_pub=st.peer_ltk_pub, kid_self=st.kid_peer,
+        kid_peer=st.kid_self, ck_send=ck, self_eph_pub=bytes(32))
+    rng = cs.SeededRng(328)
+    env = vdr_encrypt(sender, 0, b"tag verifies", rng)
+    before, draws = vdr_export_state(st), rng.mark()
+    with pytest.raises(DhError):
+        vdr_decrypt(st, env, rng)
+    assert vdr_export_state(st) == before
+    assert (st.self_eph_secret, st.self_eph_key) == (None, None)
+    assert rng.mark() == draws + 1  # the exchange needs the drawn ephemeral
+
+
+_KEY_FIELDS = ("rk", "self_ltk", "peer_ltk_pub", "ck_send", "ck_recv",
+               "self_eph_secret", "self_eph_pub", "peer_eph_pub")
+
+
+@pytest.mark.parametrize("name", _KEY_FIELDS)
+def test_state_refuses_a_wrong_length_key(name):
+    _, stb, _, _ = fresh_conversation(329)
+    assert getattr(stb, name) is not None
+    for value in (b"short", bytes(33)):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(stb, **{name: value})
+
+
+def test_state_refuses_a_wrong_length_cached_key():
+    _, stb, _, _ = fresh_conversation(329)
+    with pytest.raises(ValueError, match="skipped key"):
+        dataclasses.replace(stb, skipped={(0, 5): b"short"})
 
 
 def test_import_rejects_previous_snapshot_format():

@@ -132,6 +132,28 @@ def test_message_keys_reach_only_a_recorder(protocol):
     assert counts.aead == 2
 
 
+@pytest.mark.parametrize("protocol", ["v2", "vdr"])
+def test_game_builds_each_long_term_key_object_once(monkeypatch, protocol):
+    real = cs.dh_private_key
+    built = []
+    monkeypatch.setattr(cs, "dh_private_key",
+                        lambda secret: built.append(bytes(secret)) or real(secret))
+    g = _game(protocol, 3)
+    long_term = {bytes(sk) for sk, _ in g.parties.values()}
+    assert sorted(built) == sorted(long_term)  # the two keygens
+    built.clear()
+    _flights(g, [(1, b"m0")])
+    if protocol == "vdr":  # the two ephemerals, each built once
+        assert built == [bytes(g.sessions[(u, 1)].ep.session.self_eph_secret)
+                         for u in (1, 2)]
+    else:
+        assert built == []
+    _flights(g, [(2, b"r0"), (1, b"m1"), (2, b"r1")])
+    assert long_term.isdisjoint(built)
+    assert [bytes(g.oracle_rev_ltk(u)) for u in (1, 2)] == [
+        bytes(sk) for sk, _ in g.parties.values()]
+
+
 def test_first_send_must_activate():
     g = Game("v2")
     with pytest.raises(StageUnknown, match="activate"):
