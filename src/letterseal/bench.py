@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 
 from . import crypto_suite as cs
-from .endpoint import endpoint_pair
+from .endpoint import design, endpoint_pair
 from .linevdr import vdr_export_state
 
 MIN_ITERATIONS = 100
@@ -264,11 +264,10 @@ def state_sizes(seed: int = 0) -> dict[str, int]:
 def op_cost_rows(scenario: str, units: dict[str, float],
                  seed: int = 0) -> list[OpCostRow]:
     counts = headline_counts(scenario, seed)
-    kdf_unit = units["KDF-digest"] if scenario.startswith("v2") \
-        else units["KDF-chain"]
     return [
         OpCostRow("DH", counts["DH"], units["DH"]),
-        OpCostRow("KDF", counts["KDF"], kdf_unit),
+        OpCostRow("KDF", counts["KDF"],
+                  units[design(_SHAPES[scenario][0]).kdf]),
         OpCostRow("AEAD", counts["AEAD"], units["AEAD"]),
     ]
 

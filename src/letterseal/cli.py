@@ -19,7 +19,7 @@ import sys
 from . import crypto_suite as cs
 from .bench import MIN_ITERATIONS, PINNED_COUNTS, format_report, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
-from .endpoint import endpoint_pair
+from .endpoint import DESIGNS, design, endpoint_pair
 from .errors import LettersealError
 from .kat import check_file
 from .mske import EXPECTED, attack_names, run_attack
@@ -48,9 +48,10 @@ def _emit(record: dict, fmt: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_demo(protocol: str, messages: int, seed: int, fmt: str) -> int:
-    """Two parties, one relay. v1/v2 stream one direction so the counter
-    progression is visible; vdr alternates sender every two messages so
-    each turn opens a fresh epoch."""
+    """Two parties, one relay. A one-way design (v1, v2) streams one
+    direction so the counter progression is visible; a duplex one (vdr)
+    alternates sender every two messages so each turn opens a fresh epoch.
+    The design's row labels each message."""
     rng = cs.SeededRng(seed)
     alice_rng = rng.fork(b"demo-alice")
     bob_rng = rng.fork(b"demo-bob")
@@ -69,22 +70,15 @@ def cmd_demo(protocol: str, messages: int, seed: int, fmt: str) -> int:
         protocol, (ska, directory.lookup(kid_a)),
         (skb, directory.lookup(kid_b)), alice_rng, bob_rng,
         kids=(kid_a, kid_b), names=("alice", "bob"))
+    row = design(protocol)
     for k in range(messages):
-        alice_sends = protocol != "vdr" or (k // 2) % 2 == 0
+        alice_sends = not row.duplex or (k // 2) % 2 == 0
         sender, receiver = (alice, bob) if alice_sends else (bob, alice)
         pt = f"hello {k:02d}".encode()
         wire_bytes = relay.relay(encode_envelope(sender.seal(pt)))[0]
         received = decode_envelope(wire_bytes)
         ok = receiver.open(received) == pt
-        if protocol == "vdr":
-            stage = [received.i_index, received.j_index]
-            where = f"epoch={received.i_index} j={received.j_index}"
-        elif protocol == "v2":
-            stage = received.counter
-            where = f"ctr={stage}"
-        else:
-            stage = k
-            where = f"msg={stage}"
+        stage, where = row.label(received, k)
         _emit({"type": "message", "ordinal": k, "sender": sender.name,
                "stage": stage, "size": len(wire_bytes),
                "roundtrip": "ok" if ok else "FAIL"}, fmt,
@@ -211,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=iterations_default)
 
     p_demo = sub.add_parser("demo", help="seeded two-party conversation")
-    p_demo.add_argument("--protocol", choices=("v1", "v2", "vdr"),
+    p_demo.add_argument("--protocol", choices=tuple(DESIGNS),
                         default="vdr")
     seeded(p_demo, iterations_default=6)
 

@@ -1,6 +1,10 @@
-"""One party of a two-party conversation, for any of the three protocols.
+"""The three designs, one row each, and one party of a conversation.
 
-An Endpoint hides which set-up call each protocol needs and when. v1 and
+A row of DESIGNS holds every fact that sets one protocol apart. The
+Endpoint, the game, the attack report, the demo and the bench read it, so
+no other module compares a protocol name; design() is the one lookup.
+
+An Endpoint runs its row's set-up when it first needs a session. v1 and
 v2 establish on first use, as does the ratchet initiator. The ratchet
 responder sets up from the first envelope it opens, and keeps that state
 only once vdr_decrypt accepts the envelope; until then it cannot send. An
@@ -24,24 +28,80 @@ draw or state change, so a refused seal leaves nothing behind.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from . import crypto_suite as cs
 from .errors import NotInitialized, ParseError
 from .linev1 import v1_decrypt, v1_encrypt, v1_establish
-from .linev2 import v2_decrypt, v2_encrypt, v2_establish
+from .linev2 import v2_decrypt, v2_encrypt, v2_establish, v2_export_state
 from .linevdr import (
     vdr_decrypt,
     vdr_encrypt,
+    vdr_export_state,
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
 from .wire import EnvelopeV1, EnvelopeV2, EnvelopeVDR, _check_u8
 
-# protocol -> (envelope family, static establish, encrypt, decrypt)
-_PROTOCOLS = {
-    "v1": (EnvelopeV1, v1_establish, v1_encrypt, v1_decrypt),
-    "v2": (EnvelopeV2, v2_establish, v2_encrypt, v2_decrypt),
-    "vdr": (EnvelopeVDR, None, vdr_encrypt, vdr_decrypt),
+PROTO_V1 = "v1"
+PROTO_V2 = "v2"
+PROTO_VDR = "vdr"
+
+
+class Design(NamedTuple):
+    envelope: type       # the envelope family its sessions open
+    setup: Callable      # (endpoint, envelope or None) -> session
+    seal: Callable       # (session, ctype, m, rng) -> envelope
+    open: Callable       # (session, envelope, rng) -> plaintext
+    snapshot: Callable   # session -> the bytes RevState reveals
+    duplex: bool         # one session carries both directions
+    label: Callable      # (envelope, ordinal) -> the demo's (stage, text)
+    kdf: str             # the primitive_costs key its stage keys use
+
+
+def _static(establish):
+    """The set-up of a static protocol: the same session at either call."""
+    return lambda ep, env: establish(ep.secret, ep.peer_pub, ep.kid,
+                                     ep.peer_kid, ep.name, ep.peer_name)
+
+
+def _vdr_setup(ep: Endpoint, env):
+    """Initiator at its first seal, responder at its first open."""
+    if env is None:
+        if not ep.initiator:
+            raise NotInitialized(
+                "ratchet responder sends only after its first open")
+        return vdr_init_sender(ep.secret, ep.peer_pub, ep.rng,
+                               kid_self=ep.kid, kid_peer=ep.peer_kid)
+    if ep.initiator:
+        raise NotInitialized("ratchet initiator has not sent yet")
+    return vdr_lazy_init_receiver(ep.secret, ep.peer_pub, env,
+                                  kid_self=ep.kid, kid_peer=ep.peer_kid)
+
+
+DESIGNS = {
+    PROTO_V1: Design(EnvelopeV1, _static(v1_establish), v1_encrypt,
+                     lambda st, env, rng: v1_decrypt(st, env),
+                     lambda st: bytes(st.pms), False,
+                     lambda env, k: (k, f"msg={k}"), "KDF-digest"),
+    PROTO_V2: Design(EnvelopeV2, _static(v2_establish), v2_encrypt,
+                     lambda st, env, rng: v2_decrypt(st, env),
+                     v2_export_state, False,
+                     lambda env, k: (env.counter, f"ctr={env.counter}"),
+                     "KDF-digest"),
+    PROTO_VDR: Design(EnvelopeVDR, _vdr_setup, vdr_encrypt, vdr_decrypt,
+                      vdr_export_state, True,
+                      lambda env, k: ((env.i_index, env.j_index),
+                                      f"epoch={env.i_index} j={env.j_index}"),
+                      "KDF-chain"),
 }
+
+
+def design(name: str) -> Design:
+    try:
+        return DESIGNS[name]
+    except KeyError:
+        raise ValueError(f"unknown protocol {name!r}") from None
 
 
 class Endpoint:
@@ -52,54 +112,28 @@ class Endpoint:
                  peer_pub: cs.GroupElement, rng: cs.SeededRng,
                  kid: int, peer_kid: int, name: str, peer_name: str,
                  initiator: bool):
-        if protocol not in _PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        (self._envelope, self._establish, self._encrypt,
-         self._decrypt) = _PROTOCOLS[protocol]
+        row = design(protocol)
+        self._envelope, self._setup = row.envelope, row.setup
+        self._seal, self._open = row.seal, row.open
         self.secret, self.peer_pub, self.rng = secret, peer_pub, rng
         self.kid, self.peer_kid = kid, peer_kid
         self.name, self.peer_name = name, peer_name
         self.initiator = initiator
         self.session = None
 
-    def _static_session(self):
-        return self._establish(self.secret, self.peer_pub, kid_self=self.kid,
-                               kid_peer=self.peer_kid, sid=self.name,
-                               rid=self.peer_name)
-
     def seal(self, m: bytes, ctype: int = 0):
         st = self.session
         if st is None:
             _check_u8(ctype, "ctype")  # before a ratchet set-up draws
-            if self._establish is not None:
-                st = self._static_session()
-            elif self.initiator:
-                st = vdr_init_sender(self.secret, self.peer_pub, self.rng,
-                                     kid_self=self.kid, kid_peer=self.peer_kid)
-            else:
-                raise NotInitialized(
-                    "ratchet responder sends only after its first open")
-            self.session = st
-        return self._encrypt(st, ctype, m, self.rng)
+            st = self.session = self._setup(self, None)
+        return self._seal(st, ctype, m, self.rng)
 
     def open(self, env) -> bytes:
         if not isinstance(env, self._envelope):
             raise ParseError(f"expected {self._envelope.__name__}, "
                              f"got {type(env).__name__}")
-        st = self.session
-        if st is None:
-            if self._establish is not None:
-                st = self._static_session()
-            elif not self.initiator:
-                st = vdr_lazy_init_receiver(self.secret, self.peer_pub, env,
-                                            kid_self=self.kid,
-                                            kid_peer=self.peer_kid)
-            else:
-                raise NotInitialized("ratchet initiator has not sent yet")
-        if self._establish is None:
-            pt = self._decrypt(st, env, self.rng)
-        else:
-            pt = self._decrypt(st, env)
+        st = self.session or self._setup(self, env)
+        pt = self._open(st, env, self.rng)
         self.session = st  # kept only once the first open succeeds
         return pt
 

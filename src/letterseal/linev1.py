@@ -79,6 +79,7 @@ def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
     h = _fold(hashlib.sha256(ciphertext).digest())
     last = int.from_bytes(ciphertext[-16:], "big")
     tag = cbc.update((h ^ last).to_bytes(16, "big"))
+    cs.emit_message_key(k_e)
     return EnvelopeV1(ctype=ctype, salt=salt,
                       ciphertext=ciphertext, tag=tag,
                       kid_sender=s.kid_self, kid_receiver=s.kid_peer)
@@ -103,4 +104,5 @@ def v1_decrypt(s: SessionV1, e: EnvelopeV1) -> bytes:
     pad = data[-1]
     if not 1 <= pad <= 16 or data[-pad:] != bytes((pad,)) * pad:
         raise PaddingError("malformed PKCS#7 padding")
+    cs.emit_message_key(k_e)
     return data[:-pad]

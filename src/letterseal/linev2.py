@@ -22,6 +22,7 @@ _CTR_MAX = 2**32 - 1
 _AD_LENGTH = _Run(("length", "H"))
 _AD_TAIL = _Run(("kid_sender", "I"), ("kid_receiver", "I"), ("vers", "B"),
                 ("ctype", "B"))
+_STATE = _Run(("pms", "32s"), ("ctr", "I"))
 
 
 @dataclass
@@ -43,6 +44,15 @@ def v2_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
                  kid_self: int, kid_peer: int, sid: str, rid: str) -> SessionV2:
     return SessionV2(pms=cs.dh(self_secret, peer_public),
                      kid_self=kid_self, kid_peer=kid_peer, sid=sid, rid=rid)
+
+
+def v2_export_state(s: SessionV2) -> bytes:
+    """Everything the party stores: the pre-master secret and the counter."""
+    return _STATE.pack(s.pms, s.ctr)
+
+
+def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
+    return cs.SharedSecret(_STATE.read(snapshot, 0)[0])
 
 
 def v2_derive_key(pms: cs.SharedSecret, salt: bytes) -> cs.SymmetricKey:

@@ -206,8 +206,8 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     step order. rng feeds the reply-chain ephemeral generated after the
     first successful decrypt of a new epoch. Every failure leaves the state
     as it was. Only a DhError in the reply exchange (a low-order peer
-    ephemeral) comes after the rng draw, since that exchange needs the
-    drawn ephemeral; that failure alone spends a draw."""
+    ephemeral, held only by a state built directly) follows the rng draw,
+    as that exchange needs the drawn ephemeral; it alone spends a draw."""
     i_index = env.i_index  # a property that decodes nonce_material
     stage = (i_index, env.j_index)
     mk = st.skipped.get(stage)
@@ -295,6 +295,12 @@ _SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
                       ("skipped count", "H"))
 _SNAPSHOT_SKIPPED = _Run(("skipped i", "I"), ("skipped j", "I"),
                          ("skipped key", "32s"))
+# libsodium's small-order X25519 encodings, little-endian, bit 255 dropped
+# as X25519 drops it: 0, 1, two of order 8, and p - 1, p, p + 1
+_LOW_ORDER = frozenset((
+    0, 1, 2**255 - 20, 2**255 - 19, 2**255 - 18,
+    0xb8495f16056286fdb1329ceb8d09da6ac49ff1fae35616aeb8413b7c7aebe0,
+    0x57119fd0dd4e22d8868e1c58c45c44045bef839c55b1d0b1248c50a3bc959c5f))
 _SNAPSHOT_VALUES = attrgetter(*[name for name, _ in _SNAPSHOT_OPTIONAL])
 # flags -> one run of the head, the optional fields they mark and the tail
 _SNAPSHOT_LAYOUTS = tuple(
@@ -344,6 +350,9 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     for group in _SNAPSHOT_PAIRED:
         if len({name in optional for name in group}) > 1:
             raise ParseError(f"snapshot sets only part of {', '.join(group)}")
+    peer_eph = optional.get("peer_eph_pub")
+    if peer_eph and int.from_bytes(peer_eph, "little") % 2**255 in _LOW_ORDER:
+        raise ParseError("snapshot peer_eph_pub is a low-order point")
     (i_s, j_s, i_r, j_r, self_ltk, peer_ltk_pub, kid_self, kid_peer,
      n_skipped) = _SNAPSHOT_TAIL.read(snapshot, pos)
     pos += _SNAPSHOT_TAIL.size

@@ -1,5 +1,7 @@
 """Adversarial key-exchange harness: game, predicates, scripted attacks."""
 
+from ..endpoint import PROTO_V2, PROTO_VDR
+from ..linev2 import v2_snapshot_pms
 from .attacks import (
     EXPECTED,
     AttackReport,
@@ -21,16 +23,7 @@ from .freshness import (
     matching_sessions,
     valid_vdr,
 )
-from .game import (
-    ACCEPT,
-    PROTO_V2,
-    PROTO_VDR,
-    REJECT,
-    Game,
-    QueryTrace,
-    SessionRecord,
-    v2_snapshot_pms,
-)
+from .game import ACCEPT, REJECT, Game, QueryTrace, SessionRecord
 
 __all__ = [
     "ACCEPT",

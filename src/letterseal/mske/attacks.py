@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .. import crypto_suite as cs
+from ..endpoint import PROTO_V2, PROTO_VDR
 from ..errors import LettersealError, ParseError, UnknownAttack
 from ..linev2 import (
     SessionV2,
@@ -39,6 +40,7 @@ from ..linev2 import (
     v2_build_nonce,
     v2_decrypt,
     v2_derive_key,
+    v2_snapshot_pms,
 )
 from ..linevdr import (
     ROLE_INITIATOR,
@@ -49,14 +51,7 @@ from ..linevdr import (
 )
 from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 from .freshness import fresh_v2, fresh_vdr
-from .game import (
-    ACCEPT,
-    PROTO_V2,
-    PROTO_VDR,
-    Game,
-    QueryTrace,
-    v2_snapshot_pms,
-)
+from .game import ACCEPT, Game, QueryTrace
 
 A, B = 1, 2
 
@@ -115,7 +110,7 @@ def _report(name: str, g: Game, succeeded: bool, tested: tuple,
             details: dict) -> AttackReport:
     """The report of one attack; tested = (party, stage) is the stage the
     attack went after, judged by its protocol's freshness predicate."""
-    fresh = fresh_v2 if g.protocol == PROTO_V2 else fresh_vdr
+    fresh = fresh_vdr if g.design.duplex else fresh_v2
     u, s = tested
     return AttackReport(name, succeeded, not fresh(g, (u, 1, s)), g.trace,
                         details)

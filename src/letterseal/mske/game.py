@@ -11,11 +11,11 @@ the bench and the golden fixtures use, so the game sets up, seals and opens
 exactly as they do: a ratchet initiator draws its epoch-0 ephemeral at its
 first send, not at activation, and a ratchet responder sets up from the
 first envelope it opens, and an envelope of another protocol's family is
-refused with ParseError like any malformed delivery. What the game adds per
-protocol is one row of _PROTOCOLS: the stage of an envelope and the state
-snapshot. The game derives no stage key and reads no rng history: each seal
-and open runs in a ``with crypto_suite.Recorder()`` block, which receives
-the key the protocol used and the bytes the party's rng drew.
+refused with ParseError like any malformed delivery. The game reads its
+design's row: ``snapshot`` for RevState, ``duplex`` for the stage mapping.
+The game derives no stage key and reads no rng history: each seal and open
+runs in a ``with crypto_suite.Recorder()`` block, which receives the key
+the protocol used and the bytes the party's rng drew.
 
 Key objects. A party keeps the key object its keygen built for its
 long-term scalar, and every session it opens sets up from that object, so
@@ -24,11 +24,11 @@ pair, and RevLongTermKey reveals the scalar. A session's ratchet state
 holds its own ephemeral's object, and the key closure each scalar it
 learns. Nothing caches an object by value.
 
-Stage mapping. The salted-hash protocol treats every encrypted message as
-one stage with session key k_e; stages are 1-indexed integers and a session
-is unidirectional (the initiator's stages are its sends, the responder's
-its receives). The ratchet protocol uses (epoch, index) pairs, ordered
-lexicographically, and one session covers both directions. A ratchet
+Stage mapping. A one-way design (v1, v2) treats every encrypted message
+as one stage with session key k_e; stages are 1-indexed integers (the
+initiator's stages are its sends, the responder's its receives). A duplex
+design (the ratchet) takes the header's (epoch, index), ordered
+lexicographically, and one session covers both directions. A duplex
 delivery with no header (junk, or another family's envelope) takes stage
 (2**32, n), n counting such deliveries: no u32 header carries that epoch,
 so a forged header never lands on a junk delivery's stage.
@@ -49,23 +49,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 from .. import crypto_suite as cs
 from ..directory_server import KeyDirectory
-from ..endpoint import Endpoint
+from ..endpoint import Endpoint, design
 from ..errors import (
     LettersealError,
     ParseError,
     StageNotAccepted,
     StageUnknown,
 )
-from ..linev2 import SessionV2
-from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_export_state
-from ..wire import EnvelopeVDR, _Run, decode_envelope, encode_envelope
-
-PROTO_V2 = "v2"
-PROTO_VDR = "vdr"
+from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER
+from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -89,45 +84,24 @@ class SessionRecord:
     rev_rand: dict = field(default_factory=dict)
     rev_state: dict = field(default_factory=dict)
     replay_events: list = field(default_factory=list)
-    headerless: int = 0  # headerless deliveries so far; see _vdr_stage
-
-    def next_stage_v2(self) -> int:
-        return len(self.status) + 1
+    headerless: int = 0  # headerless deliveries so far; see _header_stage
 
 
-_V2_STATE = _Run(("pms", "32s"), ("ctr", "I"))
-
-
-def _v2_snapshot(sess: SessionV2) -> bytes:
-    """Everything the party stores: the pre-master secret and the counter."""
-    return _V2_STATE.pack(sess.pms, sess.ctr)
-
-
-def v2_snapshot_pms(snapshot: bytes) -> cs.SharedSecret:
-    return cs.SharedSecret(_V2_STATE.read(snapshot, 0)[0])
+def _count_stage(rec: SessionRecord, env) -> int:
+    """A one-way session's next stage: one past the stages it holds."""
+    return len(rec.status) + 1
 
 
 _NO_HEADER = 1 << 32  # the epoch of a headerless stage: no u32 header has it
 
 
-def _vdr_stage(rec: SessionRecord, env) -> tuple[int, int]:
-    """An envelope's stage; a headerless one is numbered by the headerless
+def _header_stage(rec: SessionRecord, env) -> tuple[int, int]:
+    """A duplex stage; a headerless one is numbered by the headerless
     deliveries so far. Every stage asked for here enters rec.status next."""
     if isinstance(env, EnvelopeVDR):
         return (env.i_index, env.j_index)
     rec.headerless += 1
     return (_NO_HEADER, rec.headerless - 1)
-
-
-class _Protocol(NamedTuple):
-    stage: Callable                     # (record, envelope or None) -> stage
-    snapshot: Callable                  # session state -> RevState bytes
-
-
-_PROTOCOLS = {
-    PROTO_V2: _Protocol(lambda rec, env: rec.next_stage_v2(), _v2_snapshot),
-    PROTO_VDR: _Protocol(_vdr_stage, vdr_export_state),
-}
 
 
 # line templates of the trace, one per oracle outcome
@@ -198,10 +172,8 @@ class Game:
     """One seeded experiment instance; single-threaded by contract."""
 
     def __init__(self, protocol: str, n_parties: int = 2, seed: int = 0):
-        if protocol not in _PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        self.protocol = protocol
-        self._proto = _PROTOCOLS[protocol]
+        self.protocol, self.design = protocol, design(protocol)
+        self._stage = _header_stage if self.design.duplex else _count_stage
         self.n_parties = n_parties
         root = cs.SeededRng(seed)
         proto_rng = root.fork(b"protocol")
@@ -264,7 +236,7 @@ class Game:
         with cs.Recorder() as seen:
             env = rec.ep.seal(pt, ctype)
         raw = encode_envelope(env)
-        stage = self._proto.stage(rec, env)
+        stage = self._stage(rec, env)
         # a ratchet reply stage already holds the ephemeral its open drew
         rec.rand_log[stage] = rec.rand_log.get(stage, b"") + b"".join(seen.draws)
         self._accept(rec, stage, seen.keys, raw)
@@ -274,9 +246,9 @@ class Game:
         try:
             env = decode_envelope(raw)
         except ParseError as exc:
-            return self._reject(rec, self._proto.stage(rec, None), raw,
+            return self._reject(rec, self._stage(rec, None), raw,
                                 f"parse: {exc}")
-        stage = self._proto.stage(rec, env)
+        stage = self._stage(rec, env)
         try:
             with cs.Recorder() as seen:
                 pt = rec.ep.open(env)
@@ -295,7 +267,7 @@ class Game:
         rec.status[stage] = ACCEPT
         (rec.key[stage],) = keys  # one message key per seal or open
         rec.transcript[stage] = raw
-        rec.state_snap[stage] = self._proto.snapshot(rec.ep.session)
+        rec.state_snap[stage] = self.design.snapshot(rec.ep.session)
 
     @staticmethod
     def _reject(rec: SessionRecord, stage, raw: bytes, reason: str):

@@ -2,19 +2,22 @@
 transactional first open, and per-party randomness."""
 
 import dataclasses
+import json
 
 import pytest
 
 import helpers
+from letterseal import cli
 from letterseal import crypto_suite as cs
-from letterseal.endpoint import Endpoint, endpoint_pair
+from letterseal.endpoint import DESIGNS, Endpoint, endpoint_pair
 from letterseal.errors import AuthFailure, NotInitialized, ParseError
 from letterseal.linev1 import v1_establish
 from letterseal.linev2 import v2_establish
 from letterseal.linevdr import vdr_export_state
+from letterseal.mske import Game
 from letterseal.wire import encode_envelope
 
-PROTOCOLS = ("v1", "v2", "vdr")
+PROTOCOLS = tuple(DESIGNS)
 
 
 def pair(protocol, seed):
@@ -154,9 +157,38 @@ def test_out_of_range_ctype_is_refused_before_anything_moves(protocol, ctype):
 
 
 def test_unknown_protocol_rejected():
-    a_sk, a_pk, _, b_pk, a_rng, _ = helpers.keypairs(406)
-    with pytest.raises(ValueError, match="v3"):
-        Endpoint("v3", a_sk, b_pk, a_rng, 1, 2, "alice", "bob", True)
+    a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(406)
+    for make in (
+            lambda: Endpoint("v3", a_sk, b_pk, a_rng, 1, 2, "alice", "bob",
+                             True),
+            lambda: endpoint_pair("v3", (a_sk, a_pk), (b_sk, b_pk), a_rng,
+                                  b_rng, kids=(1, 2), names=("alice", "bob")),
+            lambda: Game("v3")):
+        with pytest.raises(ValueError, match="^unknown protocol 'v3'$"):
+            make()
+
+
+# what the demo prints of each design's first message
+_FIRST_LABEL = {"v1": (0, "msg=0"), "v2": (0, "ctr=0"),
+                "vdr": ((0, 0), "epoch=0 j=0")}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_each_row_names_its_envelope_and_labels_what_the_demo_prints(
+        protocol, capsys):
+    row = DESIGNS[protocol]
+    a, b = pair(protocol, 409)
+    env = a.seal(b"first")
+    assert type(env) is row.envelope
+    assert b.open(env) == b"first"
+    stage, text = row.label(env, 0)
+    assert (stage, text) == _FIRST_LABEL[protocol]
+    for fmt in ("text", "json-lines"):
+        assert cli.main(["demo", "--protocol", protocol, "--iterations", "1",
+                         "--format", fmt]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert text in last if fmt == "text" else (
+            f'"stage": {json.dumps(stage)}' in last)
 
 
 def test_recorder_sees_each_ratchet_key_only_inside_its_scope():

@@ -43,8 +43,24 @@ RULES = {
     "unchecked": ({"unchecked"}, ANY,
                   [(f, "") for f in ("crypto_suite.py", "linev1.py",
                                      "linev2.py", "linevdr.py")]),
+    # a protocol name or table as a comparison operand; a string constant
+    # is named by its repr
+    "dispatch": ({"'v1'", "'v2'", "'vdr'", "PROTO_V1", "PROTO_V2",
+                  "PROTO_VDR", "DESIGNS", "_PROTOCOLS"}, {"compare"},
+                 [("endpoint.py", "")]),
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def operands(node):
+    """The names and string constants (by repr) of a comparison operand."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield repr(node.value)
+    elif isinstance(node, ast.Tuple | ast.List | ast.Set):
+        for element in node.elts:
+            yield from operands(element)
+    elif isinstance(node, ast.Name | ast.Attribute):
+        yield from (name for _, name in named(node))
 
 
 def named(node):
@@ -52,8 +68,15 @@ def named(node):
     if isinstance(node, ast.Name | ast.Attribute):
         kind = "store" if isinstance(node.ctx, ast.Store) else "load"
         yield kind, node.id if isinstance(node, ast.Name) else "." + node.attr
+    elif isinstance(node, ast.Compare):
+        for operand in (node.left, *node.comparators):
+            yield from (("compare", name) for name in operands(operand))
     elif isinstance(node, ast.Call):
         yield from (("call", name) for _, name in named(node.func))
+        if isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "startswith"):
+            yield from (("compare", name) for arg in node.args
+                        for name in operands(arg))
     elif isinstance(node, DEFS):
         yield "store", node.name
     elif isinstance(node, ast.Import):
@@ -75,8 +98,9 @@ def mentions(source: str) -> tuple[tuple[int, str, str, str], ...]:
     functions ("" at module level). kind is "module" or "from" for each part
     of an imported module's path, "import" for a name a from-import takes
     (as "module.name"), "bind" for the name an import binds, "call" for a
-    callee, and "load" or "store" for a name, an attribute (".attr") or a
-    definition."""
+    callee, "compare" for an operand of a comparison or a startswith
+    argument (see operands()), and "load" or "store" for a name, an
+    attribute (".attr") or a definition."""
     found = []
 
     def visit(node, scope):
@@ -149,6 +173,7 @@ test_attacks_get_secrets_only_from_oracles = rule_test("parties")
 test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
+test_only_endpoint_tells_protocols_apart = rule_test("dispatch")
 
 
 @pytest.mark.parametrize("rule", [r for r in RULES if RULES[r][2]])
@@ -240,6 +265,18 @@ SAMPLES = {
         "from .crypto_suite import unchecked\n"),
         {"linev2.py": [], "kat.py": ["1: unchecked", "3: unchecked",
                                      "4: unchecked"]}),
+    "dispatch": (breaks, (
+        "alice_sends = protocol != 'vdr' or (k // 2) % 2 == 0\n"
+        "if protocol == 'vdr':\n    pass\nelif protocol == 'v2':\n    pass\n"
+        "kdf_unit = units['KDF-digest'] if scenario.startswith('v2') \\\n"
+        "    else units['KDF-chain']\n"
+        "fresh = fresh_v2 if g.protocol == PROTO_V2 else fresh_vdr\n"
+        "if protocol not in _PROTOCOLS:\n    raise ValueError(protocol)\n"
+        "static = protocol in ('v1', 'v2')\nrow = DESIGNS[protocol]\n"
+        "first = scenario == 'vdr-init'\nx = mske.PROTO_VDR\n"),
+        {"endpoint.py": [], "cli.py": [
+            "1: dispatch", "2: dispatch", "4: dispatch", "6: dispatch",
+            "8: dispatch", "9: dispatch", "11: dispatch"]}),
 }
 
 

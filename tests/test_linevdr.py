@@ -523,14 +523,15 @@ def test_failed_decrypt_leaves_snapshot_identical(label):
 
 
 def test_failed_reply_exchange_leaves_snapshot_identical():
-    # a responder snapshot with a receive chain, no send chain and an
-    # all-zero peer ephemeral: the first open's reply exchange fails
+    # a responder state with a receive chain, no send chain and an
+    # all-zero peer ephemeral: the first open's reply exchange fails. Only
+    # a directly built state holds one; import refuses it (below)
     _, stb, _, _ = fresh_conversation(328)
     ck = cs.SymmetricKey(bytes(range(32)))
-    st = vdr_import_state(vdr_export_state(dataclasses.replace(
+    st = dataclasses.replace(
         stb, ck_send=None, self_eph_secret=None, self_eph_pub=None,
-        self_eph_key=None, ck_recv=ck, peer_eph_pub=bytes(32),
-        i_s=1, j_s=0, i_r=0, j_r=0, skipped={})))
+        self_eph_key=None, ck_recv=ck, peer_eph_pub=cs.GroupElement(bytes(32)),
+        i_s=1, j_s=0, i_r=0, j_r=0, skipped={})
     sender = RatchetState(
         role=ROLE_INITIATOR, rk=st.rk, self_ltk=st.self_ltk,
         peer_ltk_pub=st.peer_ltk_pub, kid_self=st.kid_peer,
@@ -612,6 +613,26 @@ def test_import_rejects_malformed_snapshot(label):
     snapshot, reason = _malformed_snapshots()[label]
     with pytest.raises(ParseError, match=reason):
         vdr_import_state(snapshot)
+
+
+# libsodium's blocklist of small-order X25519 encodings, bit 255 clear
+_LOW_ORDER = [bytes.fromhex(h) for h in (
+    "00" * 32, "01" + "00" * 31,
+    "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+    "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+    "ec" + "ff" * 30 + "7f", "ed" + "ff" * 30 + "7f", "ee" + "ff" * 30 + "7f")]
+
+
+@pytest.mark.parametrize("bit_255", [0, 1])
+@pytest.mark.parametrize("point", range(len(_LOW_ORDER)))
+def test_import_refuses_a_low_order_peer_ephemeral(point, bit_255):
+    _, stb, _, _ = fresh_conversation(330)
+    u = _LOW_ORDER[point][:31] + bytes([_LOW_ORDER[point][31] | bit_255 << 7])
+    st = dataclasses.replace(stb, peer_eph_pub=cs.GroupElement(u))
+    with pytest.raises(DhError):  # no exchange with it succeeds
+        cs.dh(stb.self_ltk, st.peer_eph_pub)
+    with pytest.raises(ParseError, match="peer_eph_pub"):
+        vdr_import_state(vdr_export_state(st))
 
 
 _OPTIONAL = ("ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",

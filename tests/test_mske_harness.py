@@ -13,7 +13,9 @@ import pytest
 import helpers
 import letterseal.crypto_suite as cs
 import letterseal.mske.game as game_module
+from letterseal.endpoint import PROTO_V1
 from letterseal.errors import NotInitialized, StageNotAccepted, StageUnknown
+from letterseal.linev1 import v1_derive
 from letterseal.linev2 import v2_encrypt, v2_establish
 from letterseal.linevdr import (
     ROLE_INITIATOR,
@@ -23,7 +25,7 @@ from letterseal.linevdr import (
     vdr_import_state,
     vdr_init_sender,
 )
-from letterseal.mske import ACCEPT, REJECT, Game, v2_snapshot_pms
+from letterseal.mske import ACCEPT, REJECT, Game, fresh_v2, v2_snapshot_pms
 from letterseal.mske.attacks import _flights, _game
 from letterseal.wire import decode_envelope, encode_envelope
 
@@ -132,7 +134,7 @@ def test_message_keys_reach_only_a_recorder(protocol):
     assert counts.aead == 2
 
 
-@pytest.mark.parametrize("protocol", ["v2", "vdr"])
+@pytest.mark.parametrize("protocol", ["v1", "v2", "vdr"])
 def test_game_builds_each_long_term_key_object_once(monkeypatch, protocol):
     real = cs.dh_private_key
     built = []
@@ -207,6 +209,37 @@ def test_unknown_party_is_refused_before_anything_changes(query):
     with pytest.raises(StageUnknown, match=r"no party [37]"):
         query(g)
     assert (dict(g.rev_ltk), dict(g.sessions), g.trace.export()) == before
+
+
+_ONE_WAY = [(1, b"m0"), (1, b"m1"), (1, b"m2")]
+# the same reveals on a v1 and a v2 game; fresh_v2 judges both alike
+_REVEALS = (lambda g: None, lambda g: g.oracle_rev_sesskey(2, 1, 2),
+            lambda g: g.oracle_rev_state(1, 1, 1),
+            lambda g: g.oracle_rev_ltk(2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_v1_game_records_its_keys_and_pms_and_judges_as_v2(seed):
+    g, *_ = _played(PROTO_V1, seed, _ONE_WAY)
+    pms = g.sessions[(1, 1)].ep.session.pms
+    assert g.sessions[(2, 1)].ep.session.pms == pms
+    for u in (1, 2):
+        rec = g.sessions[(u, 1)]
+        assert rec.status == {1: ACCEPT, 2: ACCEPT, 3: ACCEPT}
+        assert rec.key == {s: v1_derive(pms, decode_envelope(raw).salt)[0]
+                           for s, raw in rec.transcript.items()}
+        assert [g.oracle_rev_state(u, 1, s) for s in rec.status] == [pms] * 3
+    verdicts = {}
+    for protocol in (PROTO_V1, "v2"):
+        verdicts[protocol] = []
+        for reveal in _REVEALS:
+            g, *_ = _played(protocol, seed, _ONE_WAY)
+            reveal(g)
+            verdicts[protocol].append([fresh_v2(g, (u, 1, s))
+                                       for u in (1, 2) for s in (1, 2, 3)])
+    assert verdicts[PROTO_V1] == verdicts["v2"]
+    assert verdicts["v2"][:3] == [[True] * 6, [True] * 4 + [False, True],
+                                  [False] * 6]
 
 
 def test_v2_state_snapshot_carries_pms():
