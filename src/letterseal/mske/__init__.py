@@ -2,13 +2,7 @@
 
 from ..endpoint import PROTO_V2, PROTO_VDR
 from ..linev2 import v2_snapshot_pms
-from .attacks import (
-    EXPECTED,
-    AttackReport,
-    KeyClosure,
-    attack_names,
-    run_attack,
-)
+from .attacks import EXPECTED, AttackReport, attack_names, run_attack
 from .freshness import (
     fresh_asym,
     fresh_ee,
@@ -23,7 +17,7 @@ from .freshness import (
     matching_sessions,
     valid_vdr,
 )
-from .game import ACCEPT, REJECT, Game, QueryTrace, SessionRecord
+from .game import ACCEPT, REJECT, Game, KeyClosure, QueryTrace, SessionRecord
 
 __all__ = [
     "ACCEPT",

@@ -16,15 +16,12 @@ A script keeps no record of its own: it reads envelope bytes, plaintexts
 and true keys from the game's records, learns secrets only from oracle
 answers, and takes public keys from the game's key directory.
 
-The ratchet attacks share a KeyClosure: everything a passive adversary can
-compute from leaked values plus the public transcript, closed under the
-suite's operations (chain extension, root transitions when an adjacent
-ephemeral secret is known, initial derivation from the responder long-term
-key or the initiator pair). Closure output is checked byte-for-byte against
-the keys the honest parties actually recorded, so "excluded" means the true
-key is absent, not merely that our search gave up. The closure builds one
-key object per learned scalar, when it derives the public key, and
-exchanges with that object.
+The ratchet attacks make their reveals through the oracles and then read
+g.closure(), the game's KeyClosure: every key the reveals so far expose,
+closed over the ratchet envelopes on the wire. A script feeds the closure
+nothing. It checks the closure's keys byte for byte against the keys the
+honest parties recorded, so "excluded" means the true key is absent, not
+merely that a search gave up.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import crypto_suite as cs
 from ..endpoint import PROTO_V2, PROTO_VDR
-from ..errors import LettersealError, ParseError, UnknownAttack
+from ..errors import LettersealError, UnknownAttack
 from ..linev2 import (
     SessionV2,
     build_ad_v2,
@@ -49,7 +46,7 @@ from ..linevdr import (
     vdr_import_state,
     vdr_open,
 )
-from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
+from ..wire import decode_envelope, encode_envelope
 from .freshness import fresh_v2, fresh_vdr
 from .game import ACCEPT, Game, QueryTrace
 
@@ -82,12 +79,13 @@ def _adv_rng(seed: int, label: bytes) -> cs.SeededRng:
     return cs.SeededRng(seed).fork(b"adversary-" + label)
 
 
-def _game(protocol: str, seed: int) -> Game:
+def _game(protocol: str, seed: int, plan=()) -> Game:
     """A two-party game with session 1 of A activated as initiator and
-    session 1 of B as responder."""
+    session 1 of B as responder, then driven through plan (see _flights)."""
     g = Game(protocol, 2, seed)
     g.oracle_send(A, 1, (B, ROLE_INITIATOR))
     g.oracle_send(B, 1, (A, ROLE_RESPONDER))
+    _flights(g, plan)
     return g
 
 
@@ -117,140 +115,13 @@ def _report(name: str, g: Game, succeeded: bool, tested: tuple,
 
 
 # ---------------------------------------------------------------------------
-# Computable-key closure for the ratchet
-# ---------------------------------------------------------------------------
-
-class KeyClosure:
-    """Key material derivable from leaks plus the public transcript.
-
-    Rules:
-      initial     rk_0, ck_0 from dh(y, g^a0) || dh(y, g^x) given the
-                  responder secret y, or dh(a0, g^y) || dh(x, g^y) given
-                  both initiator secrets a0 and x
-      transition  rk_{e+1}, ck_{e+1} = kdf_root(dh(eph_{e+1}, eph_e), rk_e)
-                  given rk_e and either adjacent ephemeral secret
-      extension   walk a known chain key forward, one message key per
-                  index, bounded by the highest index observed on the wire
-
-    run() applies them in one ordered pass, which reaches their fixpoint.
-    Roots only move forward: the initial rule gives epoch 0 and a
-    transition gives epoch e+1 from epoch e, so one walk up the epochs on
-    the wire meets every root after the root it needs. Chain keys feed no
-    root, so one extension pass after the walk gives every message key.
-    run() may be called again after more leaks; it resumes from what it
-    holds.
-    """
-
-    def __init__(self, initiator_pub: bytes, responder_pub: bytes,
-                 envelopes: list[EnvelopeVDR]):
-        self.initiator_pub = bytes(initiator_pub)
-        self.responder_pub = bytes(responder_pub)
-        self.epoch_eph_pub: dict[int, bytes] = {}
-        self.max_j: dict[int, int] = {}
-        for env in envelopes:
-            self.epoch_eph_pub.setdefault(env.i_index, bytes(env.eph_pub))
-            self.max_j[env.i_index] = max(self.max_j.get(env.i_index, -1),
-                                          env.j_index)
-        # public -> the key object of its secret, built once per scalar
-        self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
-        self.root: dict[int, bytes] = {}                # epoch -> rk
-        self.chain: dict[int, tuple[int, bytes]] = {}   # epoch -> (j, ck)
-        self.mk: dict[tuple[int, int], bytes] = {}
-
-    # -- leak intake ------------------------------------------------------
-
-    def learn_scalar(self, raw: bytes) -> None:
-        key = cs.dh_private_key(cs.clamp_scalar(bytes(raw)))
-        self.scalars[key.public_key().public_bytes_raw()] = key
-
-    def learn_chain(self, epoch: int, j: int, ck: bytes) -> None:
-        have = self.chain.get(epoch)
-        if have is None or j < have[0]:
-            self.chain[epoch] = (j, bytes(ck))
-
-    def learn_snapshot(self, snapshot: bytes) -> None:
-        st = vdr_import_state(snapshot)
-        self.learn_scalar(st.self_ltk)
-        if st.self_eph_secret is not None:
-            self.learn_scalar(st.self_eph_secret)
-        self.root[st.i_s] = bytes(st.rk)  # exported rk belongs to the send epoch
-        if st.ck_send is not None:
-            self.learn_chain(st.i_s, st.j_s, st.ck_send)
-        if st.ck_recv is not None:
-            self.learn_chain(st.i_r, st.j_r, st.ck_recv)
-        for stage, mk in st.skipped.items():
-            self.mk[stage] = bytes(mk)
-
-    # -- closure ----------------------------------------------------------
-
-    def _shared(self, epoch: int) -> bytes | None:
-        """The DH input of epoch's root step, if the known secrets give it."""
-        pub = self.epoch_eph_pub[epoch]
-        if epoch == 0:
-            y = self.scalars.get(self.responder_pub)
-            a0 = self.scalars.get(pub)
-            x = self.scalars.get(self.initiator_pub)
-            if y is not None:
-                return (cs.dh(y, cs.GroupElement(pub))
-                        + cs.dh(y, cs.GroupElement(self.initiator_pub)))
-            if a0 is not None and x is not None:
-                resp_pub = cs.GroupElement(self.responder_pub)
-                return cs.dh(a0, resp_pub) + cs.dh(x, resp_pub)
-            return None
-        prev = self.epoch_eph_pub.get(epoch - 1)
-        if prev is None or epoch - 1 not in self.root:
-            return None
-        sec_next = self.scalars.get(pub)
-        sec_prev = self.scalars.get(prev)
-        if sec_next is not None:
-            return cs.dh(sec_next, cs.GroupElement(prev))
-        if sec_prev is not None:
-            return cs.dh(sec_prev, cs.GroupElement(pub))
-        return None
-
-    def run(self) -> "KeyClosure":
-        for epoch in sorted(self.epoch_eph_pub):
-            if epoch in self.root:
-                continue
-            shared = self._shared(epoch)
-            if shared is None:
-                continue
-            salt = (cs.ZERO_SALT if epoch == 0
-                    else cs.SymmetricKey(self.root[epoch - 1]))
-            rk, ck = cs.kdf_root(shared, salt)
-            self.root[epoch] = bytes(rk)
-            self.learn_chain(epoch, 0, ck)
-        for epoch, (j, ck) in self.chain.items():
-            limit = self.max_j.get(epoch, -1)
-            cur = cs.SymmetricKey(ck)
-            while j <= limit:
-                mk, cur = cs.kdf_chain(cur)
-                self.mk.setdefault((epoch, j), bytes(mk))
-                j += 1
-            self.chain[epoch] = (j, bytes(cur))
-        return self
-
-    # -- queries ----------------------------------------------------------
-
-    def message_key(self, stage: tuple[int, int]) -> bytes | None:
-        return self.mk.get(stage)
-
-    def stages(self) -> list[tuple[int, int]]:
-        return sorted(self.mk)
-
-    def holds_value(self, key: bytes) -> bool:
-        return bytes(key) in set(self.mk.values())
-
-
-# ---------------------------------------------------------------------------
 # Salted-hash protocol attacks
 # ---------------------------------------------------------------------------
 
 def attack_kci_v2(seed: int) -> AttackReport:
     """Reveal the victim's long-term secret, then impersonate the peer to
     the victim and distinguish the forged stage's key with certainty."""
-    g = _game(PROTO_V2, seed)
-    _flights(g, [(A, b"hello from the real sender")])
+    g = _game(PROTO_V2, seed, [(A, b"hello from the real sender")])
     honest = decode_envelope(g.sessions[(B, 1)].transcript[1])
 
     sk_b = g.oracle_rev_ltk(B)
@@ -285,9 +156,8 @@ def attack_replay_v2(seed: int) -> AttackReport:
     """Deliver the same envelope twice; the stateless receiver accepts both.
     A cross-stage key reveal then wins the distinguishing game on a trace
     the freshness predicate still calls fresh (replays are admissible)."""
-    g = _game(PROTO_V2, seed)
     pt = b"pay invoice 7031 now"
-    _flights(g, [(A, pt)])
+    g = _game(PROTO_V2, seed, [(A, pt)])
     rec = g.sessions[(B, 1)]
     g.oracle_send(B, 1, rec.transcript[1])  # byte-identical duplicate
 
@@ -308,9 +178,9 @@ def attack_replay_v2(seed: int) -> AttackReport:
 def attack_fs_v2(seed: int) -> AttackReport:
     """Record fifty ciphertexts, then reveal the receiver's state once.
     The pre-master secret inside decrypts every recorded message."""
-    g = _game(PROTO_V2, seed)
     total = 50
-    _flights(g, [(A, b"minute %03d of the meeting" % n) for n in range(total)])
+    g = _game(PROTO_V2, seed,
+              [(A, b"minute %03d of the meeting" % n) for n in range(total)])
     rec = g.sessions[(B, 1)]
     snap = g.oracle_rev_state(B, 1, total)
     pms = v2_snapshot_pms(snap)
@@ -344,31 +214,13 @@ def attack_fs_v2(seed: int) -> AttackReport:
 # Ratchet protocol attacks
 # ---------------------------------------------------------------------------
 
-def _closure(g: Game) -> KeyClosure:
-    """A closure over the ratchet envelopes on the wire (every one any
-    session sent or received, once each), with no leak yet. Junk and
-    other families are not added."""
-    envelopes = []
-    for raw in dict.fromkeys(raw for rec in g.sessions.values()
-                             for raw in rec.transcript.values()):
-        try:
-            env = decode_envelope(raw)
-        except ParseError:
-            continue
-        if isinstance(env, EnvelopeVDR):
-            envelopes.append(env)
-    return KeyClosure(g.directory.lookup(g.kids[A]),
-                      g.directory.lookup(g.kids[B]), envelopes)
-
-
 def attack_replay_vdr(seed: int) -> AttackReport:
     """Duplicate deliveries are refused as already consumed, both
     immediately and after the conversation has moved on: the stage sits
     behind the live receive chain and no cached key is left for it."""
-    g = _game(PROTO_VDR, seed)
     pt = b"first flight"
+    g = _game(PROTO_VDR, seed, [(A, pt)])
     rec = g.sessions[(B, 1)]
-    _flights(g, [(A, pt)])
     g.oracle_send(B, 1, rec.transcript[(0, 0)])  # immediate duplicate
     _flights(g, [(A, b"second flight")])
     g.oracle_send(B, 1, rec.transcript[(0, 0)])  # late duplicate
@@ -386,15 +238,13 @@ def attack_kci_vdr_postratchet(seed: int) -> AttackReport:
     """Reveal the responder's long-term secret after the ratchet has turned.
     The closure reaches every epoch-0 key (the initial derivation leans on
     that secret) but nothing at epoch 1 or later."""
-    g = _game(PROTO_VDR, seed)
-    _flights(g, [
+    g = _game(PROTO_VDR, seed, [
         (A, b"m 0,0"), (A, b"m 0,1"),
         (B, b"r 1,0"),
         (A, b"m 2,0"),
     ])
-    closure = _closure(g)
-    closure.learn_scalar(g.oracle_rev_ltk(B))  # the revealed ltk, nothing else
-    closure.run()
+    g.oracle_rev_ltk(B)  # the revealed ltk, nothing else
+    closure = g.closure()
 
     truth = g.sessions[(A, 1)].key  # one session records both directions
     epoch0_true = all(closure.message_key(s) == bytes(truth[s])
@@ -424,8 +274,7 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     decrypt the recorded traffic by driving imported copies of the states.
     Consumed indices are refused and the chains have moved past; the
     snapshots also no longer contain any spent message key."""
-    g = _game(PROTO_VDR, seed)
-    _flights(g, [
+    g = _game(PROTO_VDR, seed, [
         (A, b"m 0,0"), (A, b"m 0,1"), (A, b"m 0,2"),
         (B, b"r 1,0"), (B, b"r 1,1"),
         (A, b"m 2,0"),
@@ -469,9 +318,8 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
     passive observation. The closure falls through epoch x+1 (the victim's
     stored rk and ephemeral carry that far) and heals at x+2, where a
     post-compromise ephemeral enters the root."""
-    g = _game(PROTO_VDR, seed)
-    _flights(g, [(A, b"m 0,0"), (A, b"m 0,1")])
-    snap = g.oracle_rev_state(B, 1, (0, 1))  # compromise: B's send epoch is 1
+    g = _game(PROTO_VDR, seed, [(A, b"m 0,0"), (A, b"m 0,1")])
+    g.oracle_rev_state(B, 1, (0, 1))  # compromise: B's send epoch is 1
     _flights(g, [
         (A, b"m 0,2"),   # epoch-0 remainder
         (B, b"r 1,0"),   # epoch-x remainder
@@ -480,10 +328,7 @@ def attack_pcs_vdr(seed: int) -> AttackReport:
         (B, b"r 3,0"),   # x+2: heals
         (A, b"m 4,0"),
     ])
-
-    closure = _closure(g)
-    closure.learn_snapshot(snap)
-    closure.run()
+    closure = g.closure()
 
     rec_a, rec_b = g.sessions[(A, 1)], g.sessions[(B, 1)]
     opened_by = {**rec_a.plaintexts, **rec_b.plaintexts}  # stage -> plaintext

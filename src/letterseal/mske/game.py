@@ -33,6 +33,16 @@ delivery with no header (junk, or another family's envelope) takes stage
 (2**32, n), n counting such deliveries: no u32 header carries that epoch,
 so a forged header never lands on a junk delivery's stage.
 
+Knowledge. The game records every reveal as a flag beside the value it
+returned, and closure() reads the adversary's knowledge off those records:
+each distinct ratchet envelope on the wire (junk and other families
+skipped), the scalar of each revealed long-term key, the ephemeral secret
+of each revealed draw (its first 32 bytes; a draw without an epoch turn is
+a 4-byte nonce and exposes no scalar), each revealed snapshot and each
+revealed stage key, all closed under KeyClosure's rules. Nothing is fed
+or kept while the oracles run; each call builds the closure afresh. Only
+the duplex design has a closure so far.
+
 Determinism. A game seeded with s derives one stream per party
 (fork b"party-<u>" of fork b"protocol") plus a challenger stream
 (fork b"game") for the bit b and the b=1 random key, so every oracle
@@ -59,7 +69,7 @@ from ..errors import (
     StageNotAccepted,
     StageUnknown,
 )
-from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER
+from ..linevdr import ROLE_INITIATOR, ROLE_RESPONDER, vdr_import_state
 from ..wire import EnvelopeVDR, decode_envelope, encode_envelope
 
 ACCEPT = "accept"
@@ -166,6 +176,128 @@ class QueryTrace:
 
     def __contains__(self, needle: str) -> bool:
         return any(needle in line for line in self.lines)
+
+
+class KeyClosure:
+    """Key material derivable from leaks plus the public transcript.
+
+    Rules:
+      initial     rk_0, ck_0 from dh(y, g^a0) || dh(y, g^x) given the
+                  responder secret y, or dh(a0, g^y) || dh(x, g^y) given
+                  both initiator secrets a0 and x
+      transition  rk_{e+1}, ck_{e+1} = kdf_root(dh(eph_{e+1}, eph_e), rk_e)
+                  given rk_e and either adjacent ephemeral secret
+      extension   walk a known chain key forward, one message key per
+                  index, bounded by the highest index observed on the wire
+
+    run() applies them in one ordered pass, which reaches their fixpoint.
+    Roots only move forward: the initial rule gives epoch 0 and a
+    transition gives epoch e+1 from epoch e, so one walk up the epochs on
+    the wire meets every root after the root it needs. Chain keys feed no
+    root, so one extension pass after the walk gives every message key.
+    run() may be called again after more leaks; it resumes from what it
+    holds.
+    """
+
+    def __init__(self, initiator_pub: bytes, responder_pub: bytes,
+                 envelopes: list[EnvelopeVDR]):
+        self.initiator_pub = bytes(initiator_pub)
+        self.responder_pub = bytes(responder_pub)
+        self.epoch_eph_pub: dict[int, bytes] = {}
+        self.max_j: dict[int, int] = {}
+        for env in envelopes:
+            self.epoch_eph_pub.setdefault(env.i_index, bytes(env.eph_pub))
+            self.max_j[env.i_index] = max(self.max_j.get(env.i_index, -1),
+                                          env.j_index)
+        # public -> the key object of its secret, built once per scalar
+        self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
+        self.root: dict[int, bytes] = {}                # epoch -> rk
+        self.chain: dict[int, tuple[int, bytes]] = {}   # epoch -> (j, ck)
+        self.mk: dict[tuple[int, int], bytes] = {}
+
+    # -- leak intake ------------------------------------------------------
+
+    def learn_scalar(self, raw: bytes) -> None:
+        key = cs.dh_private_key(cs.clamp_scalar(bytes(raw)))
+        self.scalars[key.public_key().public_bytes_raw()] = key
+
+    def learn_chain(self, epoch: int, j: int, ck: bytes) -> None:
+        have = self.chain.get(epoch)
+        if have is None or j < have[0]:
+            self.chain[epoch] = (j, bytes(ck))
+
+    def learn_snapshot(self, snapshot: bytes) -> None:
+        st = vdr_import_state(snapshot)
+        self.learn_scalar(st.self_ltk)
+        if st.self_eph_secret is not None:
+            self.learn_scalar(st.self_eph_secret)
+        self.root[st.i_s] = bytes(st.rk)  # exported rk belongs to the send epoch
+        if st.ck_send is not None:
+            self.learn_chain(st.i_s, st.j_s, st.ck_send)
+        if st.ck_recv is not None:
+            self.learn_chain(st.i_r, st.j_r, st.ck_recv)
+        for stage, mk in st.skipped.items():
+            self.mk[stage] = bytes(mk)
+
+    # -- closure ----------------------------------------------------------
+
+    def _shared(self, epoch: int) -> bytes | None:
+        """The DH input of epoch's root step, if the known secrets give it."""
+        pub = self.epoch_eph_pub[epoch]
+        if epoch == 0:
+            y = self.scalars.get(self.responder_pub)
+            a0 = self.scalars.get(pub)
+            x = self.scalars.get(self.initiator_pub)
+            if y is not None:
+                return (cs.dh(y, cs.GroupElement(pub))
+                        + cs.dh(y, cs.GroupElement(self.initiator_pub)))
+            if a0 is not None and x is not None:
+                resp_pub = cs.GroupElement(self.responder_pub)
+                return cs.dh(a0, resp_pub) + cs.dh(x, resp_pub)
+            return None
+        prev = self.epoch_eph_pub.get(epoch - 1)
+        if prev is None or epoch - 1 not in self.root:
+            return None
+        sec_next = self.scalars.get(pub)
+        sec_prev = self.scalars.get(prev)
+        if sec_next is not None:
+            return cs.dh(sec_next, cs.GroupElement(prev))
+        if sec_prev is not None:
+            return cs.dh(sec_prev, cs.GroupElement(pub))
+        return None
+
+    def run(self) -> "KeyClosure":
+        for epoch in sorted(self.epoch_eph_pub):
+            if epoch in self.root:
+                continue
+            shared = self._shared(epoch)
+            if shared is None:
+                continue
+            salt = (cs.ZERO_SALT if epoch == 0
+                    else cs.SymmetricKey(self.root[epoch - 1]))
+            rk, ck = cs.kdf_root(shared, salt)
+            self.root[epoch] = bytes(rk)
+            self.learn_chain(epoch, 0, ck)
+        for epoch, (j, ck) in self.chain.items():
+            limit = self.max_j.get(epoch, -1)
+            cur = cs.SymmetricKey(ck)
+            while j <= limit:
+                mk, cur = cs.kdf_chain(cur)
+                self.mk.setdefault((epoch, j), bytes(mk))
+                j += 1
+            self.chain[epoch] = (j, bytes(cur))
+        return self
+
+    # -- queries ----------------------------------------------------------
+
+    def message_key(self, stage: tuple[int, int]) -> bytes | None:
+        return self.mk.get(stage)
+
+    def stages(self) -> list[tuple[int, int]]:
+        return sorted(self.mk)
+
+    def holds_value(self, key: bytes) -> bool:
+        return bytes(key) in set(self.mk.values())
 
 
 class Game:
@@ -322,6 +454,37 @@ class Game:
         rec.rev_state[s] = True
         self.trace.add(_REV_STATE, u, i, s, rec.state_snap[s])
         return rec.state_snap[s]
+
+    # -- Knowledge ----------------------------------------------------------
+
+    def closure(self) -> KeyClosure:
+        """Every key the reveals so far expose, closed over the wire; party
+        1 is the initiator and party 2 the responder, as in every script."""
+        if not self.design.duplex:
+            raise ValueError(f"no key closure for protocol {self.protocol!r}")
+        envelopes = []
+        for raw in dict.fromkeys(raw for rec in self.sessions.values()
+                                 for raw in rec.transcript.values()):
+            try:
+                env = decode_envelope(raw)
+            except ParseError:
+                continue
+            if isinstance(env, self.design.envelope):
+                envelopes.append(env)
+        closure = KeyClosure(self.parties[1][1], self.parties[2][1],
+                             envelopes)
+        for u, revealed in self.rev_ltk.items():
+            if revealed:
+                closure.learn_scalar(self.parties[u][0])
+        for rec in self.sessions.values():
+            for s in rec.rev_rand:
+                if len(rec.rand_log[s]) >= 32:  # not a nonce alone
+                    closure.learn_scalar(rec.rand_log[s][:32])
+            for s in rec.rev_state:
+                closure.learn_snapshot(rec.state_snap[s])
+            for s in rec.rev_sesskey:
+                closure.mk[s] = bytes(rec.key[s])
+        return closure.run()
 
     # -- Test ---------------------------------------------------------------
 

@@ -14,13 +14,12 @@ from letterseal.endpoint import endpoint_pair
 from letterseal.linev1 import v1_establish
 from letterseal.linev2 import v2_establish
 from letterseal.linevdr import (
-    ROLE_INITIATOR,
-    ROLE_RESPONDER,
     vdr_export_state,
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
 from letterseal.mske import PROTO_VDR, Game, attack_names, run_attack
+from letterseal.mske.attacks import _game
 from letterseal.wire import encode_envelope
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -171,9 +170,7 @@ def scripted_game() -> Game:
     responder's reply stage (1,0) twice: once when only the open that drew
     its ephemeral has run, and again after the reply's seal added the
     nonce draw. The bytearray plaintext is changed after its Send."""
-    g = Game(PROTO_VDR, seed=11)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    g = _game(PROTO_VDR, 11)
     first = g.oracle_send(1, 1, ("encrypt", 0, b"opener"))
     buf = bytearray(b"second")
     second = g.oracle_send(1, 1, ("encrypt", 1, buf))

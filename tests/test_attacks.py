@@ -1,10 +1,13 @@
 """Scripted adversaries: expected verdicts, report details, and the
-computable-key closure they share."""
+computable-key closure the game reads off its records."""
+
+import itertools
 
 import pytest
 
 import letterseal.crypto_suite as cs
 import letterseal.mske.game as game_module
+from letterseal.endpoint import DESIGNS
 from letterseal.errors import UnknownAttack
 from letterseal.linevdr import vdr_import_state
 from letterseal.mske import (
@@ -14,7 +17,10 @@ from letterseal.mske import (
     attack_names,
     run_attack,
 )
-from letterseal.mske.attacks import _closure, _flights, _game
+from letterseal.mske.attacks import _game
+from letterseal.wire import decode_envelope
+
+import truth_tables
 
 SEEDS = (0, 1, 7, 13, 42)
 
@@ -66,39 +72,34 @@ def test_reports_render_their_trace_only_when_read(monkeypatch):
 
 
 def test_kci_v2_details():
-    rep = run_attack("kci_v2", 5)
-    d = rep.details
+    d = run_attack("kci_v2", 5).details
     assert d["forged_stage_accepted"] is True
     assert d["forged_plaintext_decrypted"] is True
     assert d["guess"] == d["challenge_bit"]
 
 
 def test_replay_v2_details():
-    rep = run_attack("replay_v2", 5)
-    d = rep.details
+    d = run_attack("replay_v2", 5).details
     assert d["duplicate_accepted"] is True
     assert d["guess"] == d["challenge_bit"]
     assert d["replay_events"] == 0  # the receiver never even noticed
 
 
 def test_fs_v2_details():
-    rep = run_attack("fs_v2", 5)
-    d = rep.details
+    d = run_attack("fs_v2", 5).details
     assert d["recorded"] == 50
     assert d["decrypted_post_hoc"] == 50
     assert d["guess"] == d["challenge_bit"]
 
 
 def test_replay_vdr_details():
-    rep = run_attack("replay_vdr", 5)
-    d = rep.details
+    d = run_attack("replay_vdr", 5).details
     assert d["duplicate_rejections"] == 2
     assert d["first_delivery_accepted"] is True
 
 
 def test_kci_vdr_postratchet_details():
-    rep = run_attack("kci_vdr_postratchet", 5)
-    d = rep.details
+    d = run_attack("kci_vdr_postratchet", 5).details
     assert d["epoch0_keys_match_truth"] is True
     assert d["epoch0_ciphertext_opens"] is True
     assert d["post_ratchet_stage_reached"] is False
@@ -107,16 +108,14 @@ def test_kci_vdr_postratchet_details():
 
 
 def test_fs_vdr_details():
-    rep = run_attack("fs_vdr", 5)
-    d = rep.details
+    d = run_attack("fs_vdr", 5).details
     assert d["decrypted"] == 0
     assert d["decrypt_attempts"] > 0
     assert d["consumed_keys_absent_from_snapshots"] is True
 
 
 def test_pcs_vdr_details():
-    rep = run_attack("pcs_vdr", 5)
-    d = rep.details
+    d = run_attack("pcs_vdr", 5).details
     assert d["compromise_epoch"] == 1
     assert d["fallen_stages_decrypted"] == {
         "0,2": True, "1,0": True, "1,1": True, "2,0": True}
@@ -126,138 +125,117 @@ def test_pcs_vdr_details():
 
 # -- KeyClosure -------------------------------------------------------------
 
-def _closure_over(seed, plan):
-    """A ratchet game driven through plan by attacks._flights, and the
-    closure over its wire, with no leak yet."""
-    g = _game("vdr", seed)
-    _flights(g, plan)
-    return g, _closure(g)
+def _true_stages(g, c):
+    """The closure's stages, each key checked against the recorded one."""
+    truth = {**g.sessions[(1, 1)].key, **g.sessions[(2, 1)].key}
+    for s in c.stages():
+        assert c.message_key(s) == bytes(truth[s]), s
+    return c.stages()
 
 
 def test_closure_empty_without_leaks():
-    g, c = _closure_over(0, [(1, b"m0"), (1, b"m1")])
-    c.run()
+    g = _game("vdr", 0, [(1, b"m0"), (1, b"m1")])
+    c = g.closure()
     assert c.stages() == []
     assert c.message_key((0, 0)) is None
     assert not c.holds_value(g.sessions[(2, 1)].key[(0, 0)])
+    for name, row in DESIGNS.items():  # only the ratchet has a closure yet
+        if not row.duplex:
+            one_way = _game(name, 0, [(1, b"m0")])
+            one_way.oracle_rev_ltk(2)
+            with pytest.raises(ValueError, match=f"protocol '{name}'"):
+                one_way.closure()
 
 
 def test_closure_initial_from_responder_secret():
-    g, c = _closure_over(1, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
-    c.learn_scalar(g.oracle_rev_ltk(2))
-    c.run()
-    truth = g.sessions[(2, 1)].key
-    assert c.stages() == [(0, 0), (0, 1), (0, 2)]
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
+    g = _game("vdr", 1, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
+    g.oracle_rev_ltk(2)
+    assert _true_stages(g, g.closure()) == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_closure_initial_from_initiator_pair():
-    g, c = _closure_over(2, [(1, b"m0"), (1, b"m1")])
-    c.learn_scalar(g.oracle_rev_ltk(1))
-    c.run()
-    assert c.stages() == []  # long-term key alone is not enough
-    eph_coins = g.oracle_rev_rand(1, 1, (0, 0))
-    c.learn_scalar(eph_coins[:32])
-    c.run()
-    truth = g.sessions[(2, 1)].key
-    assert c.stages() == [(0, 0), (0, 1)]
-    assert c.holds_value(truth[(0, 1)])
+    g = _game("vdr", 2, [(1, b"m0"), (1, b"m1")])
+    g.oracle_rev_ltk(1)
+    assert g.closure().stages() == []  # long-term key alone is not enough
+    g.oracle_rev_rand(1, 1, (0, 0))  # the epoch-0 ephemeral's coins
+    assert _true_stages(g, g.closure()) == [(0, 0), (0, 1)]
 
 
 def test_closure_chain_extension_is_forward_only():
-    g, c = _closure_over(3, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
+    g = _game("vdr", 3, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
+    rec = g.sessions[(2, 1)]
+    c = KeyClosure(bytes(32), bytes(32),
+                   [decode_envelope(raw) for raw in rec.transcript.values()])
     # receiver chain position right after consuming (0,0)
-    st = vdr_import_state(g.sessions[(2, 1)].state_snap[(0, 0)])
+    st = vdr_import_state(rec.state_snap[(0, 0)])
     c.learn_chain(st.i_r, st.j_r, st.ck_recv)
-    c.run()
-    truth = g.sessions[(2, 1)].key
-    assert c.stages() == [(0, 1), (0, 2)]
+    assert _true_stages(g, c.run()) == [(0, 1), (0, 2)]
     assert c.message_key((0, 0)) is None  # consumed before the leak
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
 
 
 def test_closure_snapshot_transitions_skip_spent_chain():
-    g, c = _closure_over(
-        4, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"), (1, b"m 2,0")])
-    snap = g.oracle_rev_state(2, 1, (1, 0))  # taken right after B's send
-    c.learn_snapshot(snap)
-    c.run()
-    truth = g.sessions[(2, 1)].key
+    g = _game("vdr", 4, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"),
+                         (1, b"m 2,0")])
+    g.oracle_rev_state(2, 1, (1, 0))  # taken right after B's send
+    c = g.closure()
     # the long-term secret inside the snapshot rebuilds epoch 0; the live
     # ephemeral carries the root into epoch 2; epoch 1 was already spent
-    assert c.stages() == [(0, 0), (0, 1), (2, 0)]
+    assert _true_stages(g, c) == [(0, 0), (0, 1), (2, 0)]
     assert c.message_key((1, 0)) is None
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
 
 
 def test_closure_snapshot_hands_over_skipped_keys():
     g = _game("vdr", 5)
     raws = [g.oracle_send(1, 1, ("encrypt", 0, b"m%d" % j)) for j in range(3)]
     g.oracle_send(2, 1, raws[2])  # (0,2) first: (0,0) and (0,1) are cached
-    c = _closure(g)  # the wire carried all three
+    c = KeyClosure(g.parties[1][1], g.parties[2][1],
+                   [decode_envelope(raw) for raw in raws])
     c.learn_snapshot(g.oracle_rev_state(2, 1, (0, 2)))
-    truth = g.sessions[(1, 1)].key
     # the cached keys are held before any rule runs
-    assert c.stages() == [(0, 0), (0, 1)]
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
-    c.run()
-    assert c.stages() == [(0, 0), (0, 1), (0, 2)]
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
+    assert _true_stages(g, c) == [(0, 0), (0, 1)]
+    assert _true_stages(g, c.run()) == [(0, 0), (0, 1), (0, 2)]
+    assert g.closure().mk == c.mk  # the wire carried all three
 
 
 def test_closure_spans_the_wire_not_only_what_receivers_hold():
-    g = _game("vdr", 8)
-    _flights(g, [(1, b"m 0,0")])
+    g = _game("vdr", 8, [(1, b"m 0,0")])
     g.oracle_send(1, 1, ("encrypt", 0, b"m 0,1"))  # never delivered
-    c = _closure(g)
-    c.learn_scalar(g.oracle_rev_ltk(2))
-    c.run()
+    g.oracle_rev_ltk(2)
     assert (0, 1) not in g.sessions[(2, 1)].transcript
-    assert c.message_key((0, 1)) == bytes(g.sessions[(1, 1)].key[(0, 1)])
+    assert (g.closure().message_key((0, 1))
+            == bytes(g.sessions[(1, 1)].key[(0, 1)]))
 
 
 def test_closure_transition_through_the_next_epochs_secret():
-    g, c = _closure_over(6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")])
-    c.learn_scalar(g.oracle_rev_ltk(2))
+    g = _game("vdr", 6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")])
+    g.oracle_rev_ltk(2)
     # the responder's epoch-1 ephemeral, drawn when it opened (0,0)
-    c.learn_scalar(g.oracle_rev_rand(2, 1, (1, 0))[:32])
-    c.run()
-    truth = g.sessions[(2, 1)].key
-    assert c.stages() == [(0, 0), (0, 1), (1, 0)]
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
+    g.oracle_rev_rand(2, 1, (1, 0))
+    assert _true_stages(g, g.closure()) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_closure_refuses_a_nonce_only_draw_as_a_scalar():
-    g, c = _closure_over(7, [(1, b"m 0,0"), (1, b"m 0,1")])
+    g = _game("vdr", 7, [(1, b"m 0,0"), (1, b"m 0,1")])
     draw = g.oracle_rev_rand(1, 1, (0, 1))  # no epoch turn: the nonce only
     assert len(draw) == 4
+    assert g.closure().scalars == {}  # the game learns no scalar from it
+    c = KeyClosure(bytes(32), bytes(32), [])
     with pytest.raises(ValueError, match="got 4"):
         c.learn_scalar(draw[:32])
     assert c.scalars == {}
 
 
 def test_closure_builds_one_key_object_per_learned_scalar(monkeypatch):
-    g, c = _closure_over(6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"),
-                             (1, b"m 2,0")])
+    g = _game("vdr", 6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"),
+                         (1, b"m 2,0")])
     learned = [g.oracle_rev_ltk(2), g.oracle_rev_rand(2, 1, (1, 0))[:32]]
     real = cs.dh_private_key
     built = []
     monkeypatch.setattr(cs, "dh_private_key",
                         lambda secret: built.append(secret) or real(secret))
-    for raw in learned:
-        c.learn_scalar(raw)
-    c.run()  # four exchanges: two for epoch 0, one per turn
+    c = g.closure()  # four exchanges: two for epoch 0, one per turn
     assert built == [cs.clamp_scalar(raw) for raw in learned]
-    truth = g.sessions[(2, 1)].key
-    assert c.stages() == [(0, 0), (0, 1), (1, 0), (2, 0)]
-    for s in c.stages():
-        assert c.message_key(s) == bytes(truth[s])
+    assert _true_stages(g, c) == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
 def test_closure_learn_chain_keeps_earliest_position():
@@ -272,18 +250,67 @@ def test_closure_learn_chain_keeps_earliest_position():
 def test_closure_adds_only_ratchet_envelopes():
     """Junk and a v2 envelope on the wire leave the closure as it was."""
     plan = [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")]
-    clean, c_clean = _closure_over(9, plan)
-    g = _game("vdr", 9)
-    _flights(g, plan)
+    clean, g = _game("vdr", 9, plan), _game("vdr", 9, plan)
     g.oracle_send(2, 1, b"\x99junk")
     v2 = _game("v2", 9)
     g.oracle_send(2, 1, v2.oracle_send(1, 1, ("encrypt", 0, b"v2")))
     raws = set(g.sessions[(2, 1)].transcript.values())
     assert b"\x99junk" in raws and len(raws) == len(plan) + 2
-    c = _closure(g)
-    for game, closure in ((clean, c_clean), (g, c)):
-        closure.learn_scalar(game.oracle_rev_ltk(2))
-        closure.learn_scalar(game.oracle_rev_rand(2, 1, (1, 0))[:32])
-        closure.run()
+    for game in (clean, g):
+        game.oracle_rev_ltk(2)
+        game.oracle_rev_rand(2, 1, (1, 0))
+    c, c_clean = g.closure(), clean.closure()
     assert c.stages() == c_clean.stages() == [(0, 0), (0, 1), (1, 0)]
     assert c.mk == c_clean.mk
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closure_holds_the_key_fs_vdr_tests(seed):
+    """fs_vdr's flights and its two RevState answers at (2,0) expose the
+    true key of the stage it tests, (B, (0,1))."""
+    g = _game("vdr", seed, [(1, b"m 0,0"), (1, b"m 0,1"), (1, b"m 0,2"),
+                            (2, b"r 1,0"), (2, b"r 1,1"), (1, b"m 2,0")])
+    g.oracle_rev_state(2, 1, (2, 0))
+    g.oracle_rev_state(1, 1, (2, 0))
+    assert (g.closure().message_key((0, 1))
+            == bytes(g.sessions[(2, 1)].key[(0, 1)]))
+
+
+def _hand_fed(g, reveal):
+    """The closure of one reveal whose answer is fed by hand, as the
+    benchmark's game workload feeds it. That workload reveals only draws
+    that open an epoch, so a nonce-only draw is skipped here."""
+    wire = dict.fromkeys(raw for rec in g.sessions.values()
+                         for raw in rec.transcript.values())
+    c = KeyClosure(g.parties[1][1], g.parties[2][1],
+                   [decode_envelope(raw) for raw in wire])
+    (value,) = truth_tables.apply_reveals(g, [reveal])
+    if reveal[0] == "sesskey":
+        c.mk[reveal[-1]] = bytes(value)
+    elif reveal[0] == "rand":
+        if len(value) >= 32:
+            c.learn_scalar(value[:32])
+    elif reveal[0] == "state":
+        c.learn_snapshot(value)
+    else:
+        c.learn_scalar(value)
+    return c.run()
+
+
+def test_closure_reads_each_reveal_as_fed_by_hand():
+    """Every in-order sender pattern of 1-4 messages (A opens), each with
+    every single reveal the game allows: the record gives the closure,
+    learned scalars included, that the hand-fed answer gives."""
+    patterns = [(1, *tail) for n in range(4)
+                for tail in itertools.product((1, 2), repeat=n)]
+    games = 0
+    for seed, pattern in enumerate(patterns):
+        plan = [(u, b"m%d" % k) for k, u in enumerate(pattern)]
+        for reveal in truth_tables.reveal_menu(_game("vdr", seed, plan)):
+            g = _game("vdr", seed, plan)
+            by_hand, c = _hand_fed(g, reveal), g.closure()
+            assert (c.mk, c.scalars.keys()) == (
+                by_hand.mk, by_hand.scalars.keys()), (pattern, reveal)
+            _true_stages(g, c)
+            games += 1
+    assert (len(patterns), games) == (15, 290)

@@ -112,11 +112,7 @@ def test_random_reveal_patterns_agree(build):
     predicate at every stage must agree."""
     base = build()
     stages = _stages(base) + [(3, 1), (5, 0)]
-    menu = [("ltk", A), ("ltk", B)]
-    for (u, i), rec in base.sessions.items():
-        menu += [("state", u, i, s) for s in rec.state_snap]
-        menu += [("sesskey", u, i, s) for s in rec.key]
-        menu += [("rand", u, i, s) for s in rec.rand_log]
+    menu = truth_tables.reveal_menu(base)
     rnd = random.Random(7)
     for _ in range(120):
         g = build()
@@ -195,9 +191,7 @@ def test_long_game_agrees_with_recursive_form():
 
 
 def test_long_chain_stays_off_the_stack():
-    g = _game(PROTO_VDR, 5)
-    for k in range(3001):
-        g.oracle_send(B, 1, g.oracle_send(A, 1, ("encrypt", 0, b"%d" % k)))
+    g = _game(PROTO_VDR, 5, [(A, b"%d" % k) for k in range(3001)])
     for stage in [(0, 1499), (0, 3000)]:
         assert fresh_vdr(g, (A, 1, stage)) is True
         assert fresh_vdr(g, (B, 1, stage)) is True

@@ -40,6 +40,8 @@ RULES = {
                   [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
     "parties": ({"parties", "_party_keys"}, ANY, [("mske/game.py", "")]),
+    "knowledge": ({"learn_scalar", "learn_snapshot", "learn_chain"}, {"call"},
+                  [("mske/game.py", "")]),
     "unchecked": ({"unchecked"}, ANY,
                   [(f, "") for f in ("crypto_suite.py", "linev1.py",
                                      "linev2.py", "linevdr.py")]),
@@ -170,6 +172,7 @@ test_instrumentation_has_one_unthreaded_scope_list = rule_test(
 test_attack_reports_are_built_only_by_report = rule_test("report")
 test_key_bytes_reach_only_the_game = rule_test("recorders")
 test_attacks_get_secrets_only_from_oracles = rule_test("parties")
+test_only_the_game_turns_answers_into_knowledge = rule_test("knowledge")
 test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
@@ -257,8 +260,14 @@ SAMPLES = {
         "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"
         "ss = cs.dh(g._party_keys[A], pk)\n"),
         {"mske/game.py": [], "mske/attacks.py": [
-            "1: parties", "3: parties", "4: parties", "6: parties",
-            "7: parties"]}),
+            "1: parties", "3: parties", "4: knowledge", "4: parties",
+            "6: parties", "7: parties"]}),
+    "knowledge": (breaks, (
+        "closure.learn_scalar(g.oracle_rev_ltk(B))  # the revealed ltk\n"
+        "closure.learn_snapshot(snap)\nclosure = g.closure()\n"
+        "learn = closure.learn_chain\n"),
+        {"mske/game.py": [], "mske/attacks.py": ["1: knowledge",
+                                                 "2: knowledge"]}),
     "unchecked": (breaks, (
         "key = cs.SymmetricKey.unchecked(raw)\n"
         "rk = cs.SymmetricKey(rk)\nmake = AeadNonce.unchecked\n"

@@ -33,10 +33,9 @@ import truth_tables
 
 
 def _played(protocol, seed, plan):
-    """A game driven through plan by attacks._flights, and the envelopes
+    """A game driven through plan by attacks._game, and the envelopes
     party 1's session sent or received, in order."""
-    g = _game(protocol, seed)
-    _flights(g, plan)
+    g = _game(protocol, seed, plan)
     return (g, *g.sessions[(1, 1)].transcript.values())
 
 
@@ -101,9 +100,7 @@ def test_game_held_ratchet_state_equals_its_snapshot_round_trip():
 
 @pytest.mark.parametrize("protocol", ["v2", "vdr"])
 def test_message_keys_reach_only_a_recorder(protocol):
-    g = Game(protocol, seed=4)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    g = _game(protocol, 4)
     ends = {1: g.sessions[(1, 1)], 2: g.sessions[(2, 1)]}
     for u, v in ((1, 2), (1, 2), (2, 1), (1, 2)):
         with cs.Recorder() as sealed:
@@ -315,12 +312,8 @@ def test_vdr_headerless_deliveries_get_one_stage_each():
 
 
 def test_vdr_headerless_stages_interleave_with_real_stages():
-    g = Game("vdr", seed=2)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    v2 = Game("v2")
-    v2.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    foreign = v2.oracle_send(1, 1, ("encrypt", 0, b"v2 payload"))
+    g = _game("vdr", 2)
+    foreign = _game("v2", 0).oracle_send(1, 1, ("encrypt", 0, b"v2 payload"))
     e00 = g.oracle_send(1, 1, ("encrypt", 0, b"m0"))
     e01 = g.oracle_send(1, 1, ("encrypt", 0, b"m1"))
     for m in (b"\x99junk", e00, b"", e00, foreign, e01, b"\x99junk"):
@@ -362,9 +355,7 @@ def test_vdr_forged_header_at_the_top_epoch_is_not_a_replay_of_junk():
 
 
 def test_vdr_lazy_responder_init_paths():
-    g = Game("vdr")
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    g = _game("vdr", 0)
     e00 = g.oracle_send(1, 1, ("encrypt", 0, b"m0"))
     e01 = g.oracle_send(1, 1, ("encrypt", 0, b"m1"))
     # a fresh responder session can lazily init from any epoch-0 envelope
@@ -385,9 +376,7 @@ def test_vdr_lazy_responder_init_paths():
 
 
 def test_envelope_of_another_family_is_rejected_as_a_parse_error():
-    v2 = Game("v2")
-    v2.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    v2_env = v2.oracle_send(1, 1, ("encrypt", 0, b"v2 payload"))
+    v2_env = _game("v2", 0).oracle_send(1, 1, ("encrypt", 0, b"v2 payload"))
     g = Game("vdr")
     g.oracle_send(2, 1, (1, ROLE_RESPONDER))
     g.oracle_send(2, 1, v2_env)
@@ -477,13 +466,9 @@ def test_trace_digests_nothing_until_read(monkeypatch):
 
     digest = game_module._digest
     monkeypatch.setattr(game_module, "_digest", counted)
-    g = Game("vdr", seed=6)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    for n in range(200):
-        sender = 1 if n // 4 % 2 == 0 else 2  # bursts of 4: epochs turn
-        raw = g.oracle_send(sender, 1, ("encrypt", 0, b"m%d" % n))
-        g.oracle_send(3 - sender, 1, raw)
+    # bursts of 4: epochs turn
+    g = _game("vdr", 6, [(1 if n // 4 % 2 == 0 else 2, b"m%d" % n)
+                         for n in range(200)])
     assert calls == []
     text = g.trace.export()
     # pt and env per encrypt, env per deliver: each entry renders once
@@ -497,9 +482,7 @@ def test_trace_digests_nothing_until_read(monkeypatch):
 
 
 def test_v2_envelopes_match_direct_library_use():
-    g = Game("v2", seed=9)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
+    g = _game("v2", 9)
     raw = g.oracle_send(1, 1, ("encrypt", 1, b"payload"))
 
     proto = cs.SeededRng(9).fork(b"protocol")

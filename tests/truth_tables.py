@@ -32,6 +32,7 @@ from letterseal.mske import (
     match_sessions,
     valid_vdr,
 )
+from letterseal.mske.attacks import _flights, _game
 from letterseal.wire import decode_envelope, encode_envelope
 
 
@@ -64,28 +65,17 @@ def build_v2_game(seed: int = 0) -> Game:
     g = Game(PROTO_V2, n_parties=3, seed=seed)
     g.oracle_send(1, 1, (2, ROLE_INITIATOR))
     g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    e1 = g.oracle_send(1, 1, ("encrypt", 0, b"table v2 one"))
-    g.oracle_send(2, 1, e1)
-    e2 = g.oracle_send(2, 1, ("encrypt", 0, b"table v2 two"))
-    g.oracle_send(1, 1, e2)
-    e3 = g.oracle_send(1, 1, ("encrypt", 0, b"table v2 three"))
-    g.oracle_send(2, 1, e3)
+    _flights(g, [(1, b"table v2 one"), (2, b"table v2 two"),
+                 (1, b"table v2 three")])
     g.oracle_send(1, 2, (3, ROLE_INITIATOR))
     g.oracle_send(3, 1, (1, ROLE_RESPONDER))
-    e4 = g.oracle_send(1, 2, ("encrypt", 0, b"table v2 side"))
-    g.oracle_send(3, 1, e4)
+    g.oracle_send(3, 1, g.oracle_send(1, 2, ("encrypt", 0, b"table v2 side")))
     return g
 
 
 def build_v2_dropped(seed: int = 0) -> Game:
     """Same main pair, but the final message is never delivered."""
-    g = Game(PROTO_V2, n_parties=2, seed=seed)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    e1 = g.oracle_send(1, 1, ("encrypt", 0, b"table v2 one"))
-    g.oracle_send(2, 1, e1)
-    e2 = g.oracle_send(2, 1, ("encrypt", 0, b"table v2 two"))
-    g.oracle_send(1, 1, e2)
+    g = _game(PROTO_V2, seed, [(1, b"table v2 one"), (2, b"table v2 two")])
     g.oracle_send(1, 1, ("encrypt", 0, b"table v2 three"))  # dropped
     return g
 
@@ -94,11 +84,8 @@ def build_v2_tampered(seed: int = 0) -> Game:
     """The first message is re-encoded with a flipped ciphertext byte
     before delivery, so the recipient records a reject with the altered
     bytes in its transcript slot."""
-    g = Game(PROTO_V2, n_parties=2, seed=seed)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    e1 = g.oracle_send(1, 1, ("encrypt", 0, b"table v2 one"))
-    env = decode_envelope(e1)
+    g = _game(PROTO_V2, seed)
+    env = decode_envelope(g.oracle_send(1, 1, ("encrypt", 0, b"table v2 one")))
     ct = bytearray(env.ciphertext)
     ct[0] ^= 0x01
     forged = dataclasses.replace(env, ciphertext=bytes(ct))
@@ -111,8 +98,7 @@ def build_v2_same_role(seed: int = 0) -> Game:
     g = Game(PROTO_V2, n_parties=2, seed=seed)
     g.oracle_send(1, 1, (2, ROLE_INITIATOR))
     g.oracle_send(2, 1, (1, ROLE_INITIATOR))
-    e1 = g.oracle_send(1, 1, ("encrypt", 0, b"table v2 one"))
-    g.oracle_send(2, 1, e1)
+    _flights(g, [(1, b"table v2 one")])
     return g
 
 
@@ -123,37 +109,30 @@ def build_vdr_game(seed: int = 0) -> Game:
     Stages on (1,1): send (0,0) (0,1), recv (1,0) (1,1), send (2,0),
     recv (3,0); mirrored on (2,1). Ephemeral randomness sits at (0,0)
     and (2,0) for party 1, (1,0) and (3,0) for party 2."""
-    g = Game(PROTO_VDR, n_parties=2, seed=seed)
-    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
-    g.oracle_send(2, 1, (1, ROLE_RESPONDER))
-    e00 = g.oracle_send(1, 1, ("encrypt", 0, b"table epoch0 j0"))
-    e01 = g.oracle_send(1, 1, ("encrypt", 0, b"table epoch0 j1"))
-    g.oracle_send(2, 1, e00)
-    g.oracle_send(2, 1, e01)
-    e10 = g.oracle_send(2, 1, ("encrypt", 0, b"table epoch1 j0"))
-    e11 = g.oracle_send(2, 1, ("encrypt", 0, b"table epoch1 j1"))
-    g.oracle_send(1, 1, e10)
-    g.oracle_send(1, 1, e11)
-    e20 = g.oracle_send(1, 1, ("encrypt", 0, b"table epoch2 j0"))
-    g.oracle_send(2, 1, e20)
-    e30 = g.oracle_send(2, 1, ("encrypt", 0, b"table epoch3 j0"))
-    g.oracle_send(1, 1, e30)
-    return g
+    return _game(PROTO_VDR, seed, [
+        (1, b"table epoch0 j0"), (1, b"table epoch0 j1"),
+        (2, b"table epoch1 j0"), (2, b"table epoch1 j1"),
+        (1, b"table epoch2 j0"), (2, b"table epoch3 j0")])
 
 
-def apply_reveals(g: Game, reveals: tuple) -> None:
-    for op in reveals:
-        kind = op[0]
-        if kind == "ltk":
-            g.oracle_rev_ltk(op[1])
-        elif kind == "sesskey":
-            g.oracle_rev_sesskey(op[1], op[2], op[3])
-        elif kind == "rand":
-            g.oracle_rev_rand(op[1], op[2], op[3])
-        elif kind == "state":
-            g.oracle_rev_state(op[1], op[2], op[3])
-        else:
-            raise ValueError(f"unknown reveal {op!r}")
+_REVEALS = {"ltk": Game.oracle_rev_ltk, "sesskey": Game.oracle_rev_sesskey,
+            "rand": Game.oracle_rev_rand, "state": Game.oracle_rev_state}
+
+
+def reveal_menu(g: Game) -> list:
+    """Every single reveal g allows, in apply_reveals' form."""
+    menu = [("ltk", u) for u in g.parties]
+    for (u, i), rec in g.sessions.items():
+        menu += [("state", u, i, s) for s in rec.state_snap]
+        menu += [("sesskey", u, i, s) for s in rec.key]
+        menu += [("rand", u, i, s) for s in rec.rand_log]
+    return menu
+
+
+def apply_reveals(g: Game, reveals) -> list:
+    """Each reveal is (kind, u) for "ltk", else (kind, u, i, s); returns
+    the oracles' answers."""
+    return [_REVEALS[kind](g, *args) for kind, *args in reveals]
 
 
 _PREDICATES = {
