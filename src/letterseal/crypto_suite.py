@@ -205,12 +205,11 @@ class SeededRng:
                 self._state + self._counter.to_bytes(8, "big")).digest()[:n]
             self._counter += 1
         else:
-            out = b""
-            while len(out) < n:
-                out += hashlib.sha256(
-                    self._state + self._counter.to_bytes(8, "big")).digest()
-                self._counter += 1
-            out = out[:n]
+            first = self._counter
+            self._counter += -(-n // 32)  # one counter per 32-byte block
+            out = b"".join(
+                hashlib.sha256(self._state + k.to_bytes(8, "big")).digest()
+                for k in range(first, self._counter))[:n]
         self._draws += 1
         if _scopes:
             for scope in _scopes:

@@ -18,10 +18,10 @@ answers, and takes public keys from the game's key directory.
 
 The ratchet attacks make their reveals through the oracles and then read
 g.closure(), the game's KeyClosure: every key the reveals so far expose,
-closed over the ratchet envelopes on the wire. A script feeds the closure
-nothing. It checks the closure's keys byte for byte against the keys the
-honest parties recorded, so "excluded" means the true key is absent, not
-merely that a search gave up.
+closed over the envelopes of the stages the sessions accepted. A script
+feeds the closure nothing. It checks the closure's keys byte for byte
+against the keys the honest parties recorded, so "excluded" means the
+true key is absent, not merely that a search gave up.
 """
 
 from __future__ import annotations

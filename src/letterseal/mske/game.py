@@ -35,10 +35,11 @@ so a forged header never lands on a junk delivery's stage.
 
 Knowledge. The game records every reveal as a flag beside the value it
 returned, and closure() reads the adversary's knowledge off those records:
-each distinct ratchet envelope on the wire (junk and other families
-skipped), the scalar of each revealed long-term key, the ephemeral secret
-of each revealed draw (its first 32 bytes; a draw without an epoch turn is
-a 4-byte nonce and exposes no scalar), each revealed snapshot and each
+each distinct envelope of a stage some session accepted (so every envelope
+a session sent, delivered or not, and none that every receiver refused),
+the scalar of each revealed long-term key, the ephemeral secret of each
+revealed draw (its first 32 bytes; a draw without an epoch turn is a
+4-byte nonce and exposes no scalar), each revealed snapshot and each
 revealed stage key, all closed under KeyClosure's rules. Nothing is fed
 or kept while the oracles run; each call builds the closure afresh. Only
 the duplex design has a closure so far.
@@ -93,6 +94,7 @@ class SessionRecord:
     rev_sesskey: dict = field(default_factory=dict)  # stage -> bool
     rev_rand: dict = field(default_factory=dict)
     rev_state: dict = field(default_factory=dict)
+    # (stage, why) of each refusal that is not its stage's recorded outcome
     replay_events: list = field(default_factory=list)
     headerless: int = 0  # headerless deliveries so far; see _header_stage
 
@@ -188,15 +190,15 @@ class KeyClosure:
       transition  rk_{e+1}, ck_{e+1} = kdf_root(dh(eph_{e+1}, eph_e), rk_e)
                   given rk_e and either adjacent ephemeral secret
       extension   walk a known chain key forward, one message key per
-                  index, bounded by the highest index observed on the wire
+                  index, bounded by the highest index among the envelopes
+                  given (the game gives those some session accepted)
 
     run() applies them in one ordered pass, which reaches their fixpoint.
     Roots only move forward: the initial rule gives epoch 0 and a
-    transition gives epoch e+1 from epoch e, so one walk up the epochs on
-    the wire meets every root after the root it needs. Chain keys feed no
-    root, so one extension pass after the walk gives every message key.
-    run() may be called again after more leaks; it resumes from what it
-    holds.
+    transition gives epoch e+1 from epoch e, so one walk up the epochs of
+    the envelopes meets every root after the root it needs. Chain keys feed
+    no root, so one extension pass after the walk gives every message key.
+    The game builds a closure, learns its leaks and runs it once.
     """
 
     def __init__(self, initiator_pub: bytes, responder_pub: bytes,
@@ -285,7 +287,6 @@ class KeyClosure:
                 mk, cur = cs.kdf_chain(cur)
                 self.mk.setdefault((epoch, j), bytes(mk))
                 j += 1
-            self.chain[epoch] = (j, bytes(cur))
         return self
 
     # -- queries ----------------------------------------------------------
@@ -396,6 +397,8 @@ class Game:
 
     def _accept(self, rec: SessionRecord, stage, keys: list,
                 raw: bytes) -> None:
+        if rec.status.get(stage) == REJECT:  # no longer the stage's outcome
+            rec.replay_events.append((stage, rec.reject_reason.pop(stage)))
         rec.status[stage] = ACCEPT
         (rec.key[stage],) = keys  # one message key per seal or open
         rec.transcript[stage] = raw
@@ -458,21 +461,16 @@ class Game:
     # -- Knowledge ----------------------------------------------------------
 
     def closure(self) -> KeyClosure:
-        """Every key the reveals so far expose, closed over the wire; party
-        1 is the initiator and party 2 the responder, as in every script."""
+        """Every key the reveals so far expose, closed over the envelopes
+        of the stages the sessions accepted; party 1 is the initiator and
+        party 2 the responder, as in every script."""
         if not self.design.duplex:
             raise ValueError(f"no key closure for protocol {self.protocol!r}")
-        envelopes = []
-        for raw in dict.fromkeys(raw for rec in self.sessions.values()
-                                 for raw in rec.transcript.values()):
-            try:
-                env = decode_envelope(raw)
-            except ParseError:
-                continue
-            if isinstance(env, self.design.envelope):
-                envelopes.append(env)
+        accepted = dict.fromkeys(
+            rec.transcript[s] for rec in self.sessions.values()
+            for s, status in rec.status.items() if status == ACCEPT)
         closure = KeyClosure(self.parties[1][1], self.parties[2][1],
-                             envelopes)
+                             [decode_envelope(raw) for raw in accepted])
         for u, revealed in self.rev_ltk.items():
             if revealed:
                 closure.learn_scalar(self.parties[u][0])

@@ -1,7 +1,9 @@
 """Scripted adversaries: expected verdicts, report details, and the
 computable-key closure the game reads off its records."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -17,8 +19,9 @@ from letterseal.mske import (
     attack_names,
     run_attack,
 )
-from letterseal.mske.attacks import _game
-from letterseal.wire import decode_envelope
+from letterseal.mske.attacks import _flights, _game
+from letterseal.mske.game import REJECT
+from letterseal.wire import decode_envelope, encode_envelope
 
 import truth_tables
 
@@ -247,21 +250,107 @@ def test_closure_learn_chain_keeps_earliest_position():
     assert c.chain[0] == (2, b"\x22" * 32)
 
 
+# a public key whose secret no party holds, for forged epoch turns
+JUNK_EPH = bytes(cs.dh_to_public(cs.clamp_scalar(b"\x07" * 32)))
+
+
+def _turned(env, epoch, j_index):
+    """env moved to (epoch, j_index) under the junk ephemeral."""
+    nonce = epoch.to_bytes(4, "big") + env.nonce_material[4:]
+    return dataclasses.replace(env, nonce_material=nonce, j_index=j_index,
+                               eph_pub=JUNK_EPH)
+
+
 def test_closure_adds_only_ratchet_envelopes():
-    """Junk and a v2 envelope on the wire leave the closure as it was."""
+    """Refused deliveries leave the closure as it was: junk and a v2
+    envelope to B, a copy of (0,0) forged to index 50,000 to B, and a
+    forgery at (1,5) under a junk ephemeral that A refuses before B's
+    honest (1,0) reaches it."""
     plan = [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0")]
-    clean, g = _game("vdr", 9, plan), _game("vdr", 9, plan)
-    g.oracle_send(2, 1, b"\x99junk")
-    v2 = _game("v2", 9)
-    g.oracle_send(2, 1, v2.oracle_send(1, 1, ("encrypt", 0, b"v2")))
-    raws = set(g.sessions[(2, 1)].transcript.values())
-    assert b"\x99junk" in raws and len(raws) == len(plan) + 2
-    for game in (clean, g):
-        game.oracle_rev_ltk(2)
-        game.oracle_rev_rand(2, 1, (1, 0))
-    c, c_clean = g.closure(), clean.closure()
-    assert c.stages() == c_clean.stages() == [(0, 0), (0, 1), (1, 0)]
-    assert c.mk == c_clean.mk
+    # each reveal set and the stages its closure holds; A's snapshot after
+    # (0,0) has spent that key and turns to (1,0) through A's ephemeral
+    reveal_sets = (
+        ([("ltk", 2), ("rand", 2, 1, (1, 0))], [(0, 0), (0, 1), (1, 0)]),
+        ([("state", 1, 1, (0, 0))], [(0, 1), (1, 0)]))
+    for seed, (reveals, held) in itertools.product(range(4), reveal_sets):
+        clean, g = _game("vdr", seed, plan), _game("vdr", seed, plan[:2])
+        e00 = decode_envelope(g.sessions[(1, 1)].transcript[(0, 0)])
+        v2 = _game("v2", seed).oracle_send(1, 1, ("encrypt", 0, b"v2"))
+        for raw in (b"\x99junk", v2,
+                    encode_envelope(dataclasses.replace(e00, j_index=50000))):
+            g.oracle_send(2, 1, raw)
+        back = dataclasses.replace(e00, kid_sender=e00.kid_receiver,
+                                   kid_receiver=e00.kid_sender)
+        g.oracle_send(1, 1, encode_envelope(_turned(back, 1, 5)))
+        _flights(g, plan[2:])
+        refusals = [len(g.sessions[(u, 1)].reject_reason) for u in (1, 2)]
+        assert refusals == [1, 3]
+        assert g.sessions[(1, 1)].reject_reason[(1, 5)] == "AuthFailure"
+        truth_tables.apply_reveals(clean, reveals)
+        truth_tables.apply_reveals(g, reveals)
+        c = g.closure()
+        assert c.mk == clean.closure().mk, (seed, reveals)
+        assert _true_stages(g, c) == held
+
+
+def _refused_copies(env) -> tuple:
+    """The refused copies of env the sweep below delivers: a flipped
+    ciphertext bit, an index 40,000 ahead, a junk ephemeral one epoch
+    ahead, and undecodable bytes."""
+    flipped = bytes([env.ciphertext[0] ^ 1]) + env.ciphertext[1:]
+    return (encode_envelope(dataclasses.replace(env, ciphertext=flipped)),
+            encode_envelope(dataclasses.replace(env,
+                                                j_index=env.j_index + 40000)),
+            encode_envelope(_turned(env, env.i_index + 1, env.j_index)),
+            b"\x99junk")
+
+
+def _play(seed, pattern, refuse):
+    """The game of an in-order sender pattern. With refuse, a refused copy
+    goes before some deliveries, its kind picked by the delivery's
+    position. Returns the game and how many deliveries each party got."""
+    g, got = _game("vdr", seed), {1: 0, 2: 0}
+    for d, sender in enumerate(pattern):
+        raw = g.oracle_send(sender, 1, ("encrypt", 0, b"m%d" % d))
+        peer = 2 if sender == 1 else 1
+        pick = (seed + d) % 5  # the four copies, or none
+        if refuse and pick < 4:
+            g.oracle_send(peer, 1,
+                          _refused_copies(decode_envelope(raw))[pick])
+            got[peer] += 1
+        g.oracle_send(peer, 1, raw)
+        got[peer] += 1
+    return g, got
+
+
+def test_refused_deliveries_change_neither_closure_nor_outcome():
+    """Seeded in-order sender patterns of 1-5 messages (A opens), some
+    deliveries preceded by a refused copy: a flipped ciphertext bit, an
+    index 40,000 ahead, a junk ephemeral one epoch ahead, or junk bytes.
+    Under every single reveal, the closure is the one of the same game
+    without the refused deliveries. Each delivery is recorded once, as a
+    plaintext, a stage's refusal or a refusal beside a stage's outcome,
+    and no accepted stage keeps a refusal as its outcome."""
+    games = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        pattern = (1, *(rng.choice((1, 2)) for _ in range(rng.randrange(5))))
+        g, got = _play(seed, pattern, True)
+        clean, _ = _play(seed, pattern, False)
+        for u, rec in ((1, g.sessions[(1, 1)]), (2, g.sessions[(2, 1)])):
+            assert rec.plaintexts == clean.sessions[(u, 1)].plaintexts
+            assert len(rec.plaintexts) + len(rec.reject_reason) + len(
+                rec.replay_events) == got[u], (pattern, u)
+            assert all(rec.status[s] == REJECT for s in rec.reject_reason)
+        for reveal in truth_tables.reveal_menu(clean):
+            pair = [_play(seed, pattern, refuse)[0]
+                    for refuse in (True, False)]
+            for game in pair:
+                truth_tables.apply_reveals(game, [reveal])
+            assert pair[0].closure().mk == pair[1].closure().mk, (
+                pattern, reveal)
+            games += 1
+    assert games == 745
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -63,11 +63,12 @@ def test_rng_accepts_bytes_seed():
     assert cs.SeededRng(b"label").token(8) != cs.SeededRng(b"other").token(8)
 
 
-@pytest.mark.parametrize("n", [1, 15, 31, 32, 33, 63, 64])
+@pytest.mark.parametrize("n", [1, 15, 31, 32, 33, 63, 64, 4096, 65536])
 def test_rng_token_prefix_consistency(n):
-    # every draw must be a prefix of the widest draw from the same point,
+    # every draw must be a prefix of a wider draw from the same point,
     # so the short-output path and the block loop cannot diverge
-    assert cs.SeededRng(3).token(n) == cs.SeededRng(3).token(64)[:n]
+    wide = cs.SeededRng(3).token(max(64, 2 * n))
+    assert cs.SeededRng(3).token(n) == wide[:n]
 
 
 def test_rng_fork_is_independent():

@@ -42,6 +42,7 @@ RULES = {
     "parties": ({"parties", "_party_keys"}, ANY, [("mske/game.py", "")]),
     "knowledge": ({"learn_scalar", "learn_snapshot", "learn_chain"}, {"call"},
                   [("mske/game.py", "")]),
+    "closure": ({"KeyClosure"}, {"call"}, [("mske/game.py", "Game.closure")]),
     "unchecked": ({"unchecked"}, ANY,
                   [(f, "") for f in ("crypto_suite.py", "linev1.py",
                                      "linev2.py", "linevdr.py")]),
@@ -173,6 +174,7 @@ test_attack_reports_are_built_only_by_report = rule_test("report")
 test_key_bytes_reach_only_the_game = rule_test("recorders")
 test_attacks_get_secrets_only_from_oracles = rule_test("parties")
 test_only_the_game_turns_answers_into_knowledge = rule_test("knowledge")
+test_only_game_closure_builds_a_closure = rule_test("closure")
 test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
@@ -259,9 +261,9 @@ SAMPLES = {
         "closure.learn_scalar(g.parties[B][0])\n"
         "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"
         "ss = cs.dh(g._party_keys[A], pk)\n"),
-        {"mske/game.py": [], "mske/attacks.py": [
-            "1: parties", "3: parties", "4: knowledge", "4: parties",
-            "6: parties", "7: parties"]}),
+        {"mske/game.py": ["3: closure"], "mske/attacks.py": [
+            "1: parties", "3: closure", "3: parties", "4: knowledge",
+            "4: parties", "6: parties", "7: parties"]}),
     "knowledge": (breaks, (
         "closure.learn_scalar(g.oracle_rev_ltk(B))  # the revealed ltk\n"
         "closure.learn_snapshot(snap)\nclosure = g.closure()\n"

@@ -63,6 +63,19 @@ def test_tampered_ciphertext_fails_before_decryption():
         v1_decrypt(sb, dataclasses.replace(env, ciphertext=bytes(ct)))
 
 
+def test_ciphertext_off_the_block_size_fails_after_a_valid_tag():
+    # the envelope constructor refuses these lengths, so they are set on a
+    # sealed envelope; the tag verifies and the length check must refuse
+    sa, sb, a_rng, _ = helpers.v1_pair(116)
+    env = v1_encrypt(sa, 0, b"sixteen byte msg", a_rng)
+    k_e, _ = v1_derive(sa.pms, env.salt)
+    for size in (0, 15, 17):
+        env.ciphertext = bytes(size)
+        env.tag = REF.v1_tag(k_e, env.ciphertext)
+        with pytest.raises(PaddingError, match="positive block multiple"):
+            v1_decrypt(sb, env)
+
+
 def test_tampered_tag_fails():
     sa, sb, a_rng, _ = helpers.v1_pair(104)
     env = v1_encrypt(sa, 0, b"payload", a_rng)
