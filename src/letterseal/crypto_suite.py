@@ -30,11 +30,16 @@ absorbs a key's inner and outer pads into two SHA-256 states once, and
 :func:`_hmac` copies both for each message. A chain step keys once for its
 two messages and the root derivation once per HKDF stage. OpenSSL 3.0's
 one-shot HMAC looks the algorithm up again on every call, which cost about
-a third of a chain step. :func:`cbc_encrypt` and :func:`ecb_encrypt_block`
-are single-call forms for the known-answer vectors; v1 sealing drives one
-cipher context per message itself (see :mod:`letterseal.linev1`), and
-both import the cipher classes by name, so ``cryptography``'s
-deprecated-name hook runs once, at import.
+a third of a chain step.
+
+No other package module imports ``cryptography`` or ``hashlib``. Every
+AES-CBC context comes from :func:`aes_cbc`, one per message: v1 seals and
+opens through it (see :mod:`letterseal.linev1`). :func:`cbc_encrypt` pads
+with :func:`pkcs7_pad` and makes one call of it, and
+:func:`ecb_encrypt_block` encrypts its one block under a zero IV, so the
+known-answer vectors check the cipher path v1 runs. The cipher classes
+are imported by name, so ``cryptography``'s deprecated-name hook runs
+once, at import.
 
 Derived values are built unchecked; outside values go through the checked
 constructor. Each typed-bytes class checks its length when called, and
@@ -52,7 +57,6 @@ from dataclasses import dataclass
 from functools import partial
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import padding as _padding
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -60,12 +64,13 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers import Cipher
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
-from cryptography.hazmat.primitives.ciphers.modes import CBC, ECB
+from cryptography.hazmat.primitives.ciphers.modes import CBC
 
 from .errors import AuthFailure, DhError
 
 ROOT_KDF_INFO = b"LINEvDR-root"
 ZERO_SALT = b"\x00" * 32
+_ZERO_IV = bytes(16)
 
 
 class _FixedBytes(bytes):
@@ -200,6 +205,8 @@ class SeededRng:
         self._draws = 0
 
     def token(self, n: int) -> bytes:
+        if n < 0:
+            raise ValueError(f"token length must be non-negative, got {n}")
         if n <= 32:
             out = hashlib.sha256(
                 self._state + self._counter.to_bytes(8, "big")).digest()[:n]
@@ -300,7 +307,7 @@ def dh(secret: GroupScalar | X25519PrivateKey,
 # ---------------------------------------------------------------------------
 
 def hash(data: bytes) -> Digest:  # noqa: A001 - module-scoped name is the contract
-    return Digest(hashlib.sha256(data).digest())
+    return Digest.unchecked(hashlib.sha256(data).digest())
 
 
 def _digest_kdf_raw(secret: bytes, salt: bytes, label: bytes) -> bytes:
@@ -312,7 +319,7 @@ def _digest_kdf_raw(secret: bytes, salt: bytes, label: bytes) -> bytes:
 
 def digest_kdf(secret: bytes, salt: bytes, label: bytes) -> Digest:
     """Hash-based derivation SHA-256(secret || salt || label); KDF-class."""
-    return Digest(_digest_kdf_raw(secret, salt, label))
+    return Digest.unchecked(_digest_kdf_raw(secret, salt, label))
 
 
 # HMAC-SHA256 per RFC 2104 over SHA-256's 64-byte block; translate()
@@ -386,17 +393,27 @@ def aead_open(key: SymmetricKey, nonce: AeadNonce, ciphertext_and_tag: bytes,
         raise AuthFailure("GCM tag verification failed") from exc
 
 
+def aes_cbc(key: SymmetricKey, iv: bytes) -> Cipher:
+    """AES-256-CBC under key and a 16-byte IV, for one message: the one
+    place a block cipher is built. Callers take its encryptor or decryptor
+    and feed whole blocks."""
+    return Cipher(AES(key), CBC(iv))
+
+
+def pkcs7_pad(data: bytes) -> bytes:
+    """PKCS#7 to the 16-byte block: 1 to 16 bytes, each the pad length."""
+    pad = 16 - len(data) % 16
+    return data + bytes((pad,)) * pad
+
+
 def cbc_encrypt(key: SymmetricKey, iv16: bytes, plaintext: bytes) -> bytes:
     if len(iv16) != 16:
         raise ValueError("CBC IV must be 16 bytes")
-    padder = _padding.PKCS7(128).padder()
-    data = padder.update(plaintext) + padder.finalize()
-    enc = Cipher(AES(key), CBC(iv16)).encryptor()
-    return enc.update(data) + enc.finalize()
+    return aes_cbc(key, iv16).encryptor().update(pkcs7_pad(plaintext))
 
 
 def ecb_encrypt_block(key: SymmetricKey, block16: bytes) -> bytes:
     if len(block16) != 16:
         raise ValueError("ECB block must be exactly 16 bytes")
-    enc = Cipher(AES(key), ECB()).encryptor()
-    return enc.update(block16) + enc.finalize()
+    # one block under a zero IV is the ECB block
+    return aes_cbc(key, _ZERO_IV).encryptor().update(block16)

@@ -6,26 +6,24 @@ no replay defense, and one static DH secret drives every message.
 
 The tag is ``AES_k(h)`` with ``h = fold(SHA-256(C))``, under the same key
 ``k`` that encrypts, where ``fold`` XORs the two digest halves into one
-block. Each message therefore builds one cipher context and drives both
-layers from it. Sealing runs the tag block through the CBC context that
-produced ``C``: CBC XORs each input with the previous ciphertext block, so
-feeding ``h XOR last block of C`` yields exactly ``AES_k(h)``. Opening
-builds one CBC decryptor with IV ``h`` and feeds it the tag first. Its
-output, ``AES_k^-1(tag) XOR h``, is the zero block exactly when the tag is
-``AES_k(h)``, so the tag is checked before any ciphertext block goes in.
-``C`` follows; its first plaintext block came out chained on the tag in
-place of the real IV, so it is XORed with ``tag XOR IV``.
+block. Each message therefore takes one AES-256-CBC context from
+:func:`letterseal.crypto_suite.aes_cbc` and drives both layers from it;
+the PKCS#7 pad and SHA-256 come from the same module, and this one imports
+no crypto library. Sealing pads ``m`` and runs the tag block through the
+context that produced ``C``: CBC XORs each input with the previous
+ciphertext block, so feeding ``h XOR last block of C`` yields exactly
+``AES_k(h)``. Opening builds one CBC decryptor with IV ``h`` and feeds it
+the tag first. Its output, ``AES_k^-1(tag) XOR h``, is the zero block
+exactly when the tag is ``AES_k(h)``, so the tag is checked before any
+ciphertext block goes in. ``C`` follows; its first plaintext block came
+out chained on the tag in place of the real IV, so it is XORed with
+``tag XOR IV``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from hmac import compare_digest
-
-from cryptography.hazmat.primitives.ciphers import Cipher
-from cryptography.hazmat.primitives.ciphers.algorithms import AES
-from cryptography.hazmat.primitives.ciphers.modes import CBC
 
 from . import crypto_suite as cs
 from .errors import MacFailure, PaddingError
@@ -72,11 +70,10 @@ def v1_encrypt(s: SessionV1, ctype: int, m: bytes,
     _check_u8(ctype, "ctype")  # before the salt draw
     salt = rng.token(8)
     k_e, iv = v1_derive(s.pms, salt)
-    pad = 16 - len(m) % 16
-    cbc = Cipher(AES(k_e), CBC(iv)).encryptor()
-    ciphertext = cbc.update(m + bytes((pad,)) * pad)
+    cbc = cs.aes_cbc(k_e, iv).encryptor()
+    ciphertext = cbc.update(cs.pkcs7_pad(m))
     # one more CBC block, chained on C's last block, is the ECB tag
-    h = _fold(hashlib.sha256(ciphertext).digest())
+    h = _fold(cs.hash(ciphertext))
     last = int.from_bytes(ciphertext[-16:], "big")
     tag = cbc.update((h ^ last).to_bytes(16, "big"))
     cs.emit_message_key(k_e)
@@ -90,8 +87,8 @@ def v1_decrypt(s: SessionV1, e: EnvelopeV1) -> bytes:
     matters here."""
     k_e, iv = v1_derive(s.pms, e.salt)
     ct = e.ciphertext
-    h = _fold(hashlib.sha256(ct).digest()).to_bytes(16, "big")
-    cbc = Cipher(AES(k_e), CBC(h)).decryptor()
+    h = _fold(cs.hash(ct)).to_bytes(16, "big")
+    cbc = cs.aes_cbc(k_e, h).decryptor()
     if not compare_digest(cbc.update(e.tag), _ZERO_BLOCK):
         raise MacFailure("v1 tag mismatch")
     if not ct or len(ct) % 16:

@@ -58,7 +58,6 @@ is read. Counting the calls renders nothing.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .. import crypto_suite as cs
@@ -129,7 +128,7 @@ _TEST_REFUSED = "Test u={} i={} s={} -> refused"
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+    return cs.hash(data).hex()[:16]
 
 
 def _fmt_stage(s) -> str:

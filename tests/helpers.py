@@ -44,6 +44,38 @@ def load_reference():
     return module
 
 
+class _Logged:
+    """A cipher context that logs each input it is fed."""
+
+    def __init__(self, ctx, log):
+        self.ctx, self.log = ctx, log
+
+    def update(self, data):
+        self.log.append(bytes(data))
+        return self.ctx.update(data)
+
+
+def count_ciphers(monkeypatch) -> list:
+    """Replace crypto_suite.Cipher, the class every AES-CBC context comes
+    from; each build appends the log of the inputs fed to it."""
+    builds = []
+    real = cs.Cipher
+
+    class Counting:
+        def __init__(self, *args):
+            self.cipher, self.log = real(*args), []
+            builds.append(self.log)
+
+        def encryptor(self):
+            return _Logged(self.cipher.encryptor(), self.log)
+
+        def decryptor(self):
+            return _Logged(self.cipher.decryptor(), self.log)
+
+    monkeypatch.setattr(cs, "Cipher", Counting)
+    return builds
+
+
 def keypairs(seed: int):
     """Two long-term keypairs plus the per-party rngs that continue
     drawing after keygen, so callers replay one deterministic world."""

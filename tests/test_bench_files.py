@@ -3,7 +3,8 @@
 A BENCH file holds measurements from one machine, readable only as
 ratios, so this checks keys, units, metric names against BENCHMARK.json
 and the file's own arithmetic, and asserts no timing. The recorder itself
-is checked to refuse a parent it cannot name a commit for.
+is checked to refuse a parent it cannot name a commit for, and its
+--show table is checked against one committed file.
 """
 
 import importlib.util
@@ -72,11 +73,16 @@ def test_bench_file_schema(path):
                 assert min(values) <= q1 <= q3 <= max(values)
 
 
-def test_recorder_refuses_a_parent_that_is_no_checkout(tmp_path, monkeypatch):
+def _recorder():
     path = ROOT / "tools" / "bench_record.py"
     spec = importlib.util.spec_from_file_location("bench_record", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_recorder_refuses_a_parent_that_is_no_checkout(tmp_path, monkeypatch):
+    tool = _recorder()
     runs = []
     monkeypatch.setattr(tool, "run_once", lambda *args: runs.append(args))
     with pytest.raises(SystemExit, match=re.escape(str(tmp_path))):
@@ -85,3 +91,14 @@ def test_recorder_refuses_a_parent_that_is_no_checkout(tmp_path, monkeypatch):
                    "--seconds", "1", "--out", str(tmp_path / "BENCH.json")])
     assert runs == []
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_show_prints_one_row_per_workload_and_metric(capsys):
+    path = ROOT / "BENCH_23.json"
+    assert _recorder().main(["--show", str(path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    doc = json.loads(path.read_text())
+    assert len(rows) == 2 + sum(len(w["medians"])
+                                for w in doc["workloads"].values())
+    assert ["game", "vdr_first_msg_p50_us", "us", "609.1", "515.8", "0.847",
+            "10.39", "10/10"] in rows

@@ -100,6 +100,18 @@ def test_rng_counts_draws_and_only_a_recorder_keeps_them():
     assert not hasattr(rng, "log") and not hasattr(rng, "draws_since")
 
 
+def test_rng_refuses_a_negative_length_and_draws_nothing():
+    rng, twin = cs.SeededRng(9), cs.SeededRng(9)
+    rng.token(8), twin.token(8)
+    m = rng.mark()
+    with cs.Recorder() as seen:
+        for n in (-1, -40):
+            with pytest.raises(ValueError, match="non-negative"):
+                rng.token(n)
+    assert rng.mark() == m and seen.draws == []
+    assert rng.token(16) == twin.token(16)
+
+
 def test_nested_draw_recorders_both_see_each_draw():
     rng = cs.SeededRng(6)
     with cs.Recorder() as outer:
@@ -165,12 +177,15 @@ def test_dh_rejects_low_order_result():
 def test_digest_kdf_is_plain_hash_of_parts():
     secret, salt = b"s" * 32, b"salt"
     want = hashlib.sha256(secret + salt + b"Key").digest()
-    assert cs.digest_kdf(secret, salt, b"Key") == want
-    assert isinstance(cs.digest_kdf(secret, salt, b"Key"), cs.Digest)
+    out = cs.digest_kdf(secret, salt, b"Key")
+    assert out == want
+    assert type(out) is cs.Digest and len(out) == 32
 
 
 def test_hash_matches_hashlib():
-    assert cs.hash(b"abc") == hashlib.sha256(b"abc").digest()
+    out = cs.hash(b"abc")
+    assert out == hashlib.sha256(b"abc").digest()
+    assert type(out) is cs.Digest and len(out) == 32
 
 
 def test_kdf_root_splits_and_varies():

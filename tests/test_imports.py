@@ -34,6 +34,8 @@ RULES = {
     "unpack": ({"unpack", "unpack_from", "iter_unpack"}, {"import", "load"},
                [("wire.py", "_Run.read")]),
     "struct": ({"struct"}, {"module", "from"}, [("wire.py", "")]),
+    "crypto_library": ({"cryptography", "hashlib"}, {"module", "from"},
+                       [("crypto_suite.py", "")]),
     "threading": ({"threading"}, {"module", "from"}, []),
     "scope_list": ({"_scopes"}, ANY, [("crypto_suite.py", "")]),
     "recorders": ({"Recorder"}, ANY,
@@ -168,6 +170,7 @@ def rule_test(*rules):
 test_sessions_are_set_up_only_by_protocols_and_endpoint = rule_test("setup")
 test_bytes_are_unpacked_only_by_wire_run_read = rule_test("unpack")
 test_only_wire_imports_struct = rule_test("struct")
+test_only_crypto_suite_imports_a_crypto_library = rule_test("crypto_library")
 test_instrumentation_has_one_unthreaded_scope_list = rule_test(
     "threading", "scope_list")
 test_attack_reports_are_built_only_by_report = rule_test("report")
@@ -215,6 +218,19 @@ SAMPLES = {
         "import os, struct as s\nfrom struct import pack, Struct\n"
         "from .wire import _Run\nimport structlog\n"),
         {"linevdr.py": ["1: struct", "3: struct", "4: struct"]}),
+    "crypto_library": (breaks, (
+        "import hashlib\nfrom hmac import compare_digest\n"
+        "from cryptography.hazmat.primitives.ciphers import Cipher\n"
+        "from cryptography.hazmat.primitives.ciphers.algorithms import AES\n"
+        "from cryptography.hazmat.primitives.ciphers.modes import CBC\n"
+        "from . import crypto_suite as cs\n"
+        "def _digest(data): return hashlib.sha256(data).hexdigest()[:16]\n"
+        "import os, cryptography.x509 as x\nfrom hashlib import sha256\n"
+        "import hashlib_extras\nh = cs.hash(data).hex()[:16]\n"),
+        {"crypto_suite.py": [],
+         "linev1.py": [f"{n}: crypto_library" for n in (1, 3, 4, 5, 8, 9)],
+         "mske/game.py": [f"{n}: crypto_library"
+                          for n in (1, 3, 4, 5, 8, 9)]}),
     "hmac": (breaks, (
         "import hmac as _hmac\ndef kdf_chain(ck):\n"
         "    mk = _hmac.digest(ck, b'\\x01', 'sha256')\n"

@@ -12,7 +12,7 @@ from letterseal.kat import (
     parse_vectors,
 )
 
-from helpers import KAT_FILE, load_reference
+from helpers import KAT_FILE, count_ciphers, load_reference
 
 REF = load_reference()
 
@@ -54,6 +54,15 @@ def test_parse_errors_carry_line_numbers():
 def test_unknown_vector_name_rejected():
     with pytest.raises(ValueError, match="no computer registered"):
         compute_output("md5_legacy", (b"",))
+
+
+@pytest.mark.parametrize("name", ["aes_cbc_pkcs7", "aes_ecb_fips197"])
+def test_block_cipher_vectors_build_one_cbc_cipher(name, monkeypatch):
+    """Both block-cipher vectors run the one CBC helper v1 seals with."""
+    [vector] = [v for v in canonical_vectors() if v.name == name]
+    builds = count_ciphers(monkeypatch)
+    assert compute_output(name, vector.inputs) == vector.output
+    assert len(builds) == 1
 
 
 def test_canonical_vectors_match_frozen_file():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import helpers
 from letterseal import crypto_suite as cs
-from letterseal import linev1
 from letterseal.errors import MacFailure, PaddingError
 from letterseal.linev1 import v1_decrypt, v1_derive, v1_encrypt
 from letterseal.wire import decode_envelope, encode_envelope
@@ -107,40 +106,9 @@ def test_tag_of_another_message_fails():
             env, ciphertext=other.ciphertext, tag=other.tag))
 
 
-class _Logged:
-    """A cipher context that logs each input it is fed."""
-
-    def __init__(self, ctx, log):
-        self.ctx, self.log = ctx, log
-
-    def update(self, data):
-        self.log.append(bytes(data))
-        return self.ctx.update(data)
-
-
-def _count_ciphers(monkeypatch) -> list:
-    """Replace linev1.Cipher; each build appends the log of its inputs."""
-    builds = []
-    real = linev1.Cipher
-
-    class Counting:
-        def __init__(self, *args):
-            self.cipher, self.log = real(*args), []
-            builds.append(self.log)
-
-        def encryptor(self):
-            return _Logged(self.cipher.encryptor(), self.log)
-
-        def decryptor(self):
-            return _Logged(self.cipher.decryptor(), self.log)
-
-    monkeypatch.setattr(linev1, "Cipher", Counting)
-    return builds
-
-
 def test_seal_and_open_build_one_cipher_each(monkeypatch):
     sa, sb, a_rng, _ = helpers.v1_pair(116)
-    builds = _count_ciphers(monkeypatch)
+    builds = helpers.count_ciphers(monkeypatch)
     env = v1_encrypt(sa, 0, b"x" * 40, a_rng)
     assert len(builds) == 1
     assert v1_decrypt(sb, env) == b"x" * 40
@@ -152,7 +120,7 @@ def test_seal_and_open_build_one_cipher_each(monkeypatch):
 def test_bad_tag_stops_before_any_ciphertext_goes_in(monkeypatch):
     sa, sb, a_rng, _ = helpers.v1_pair(117)
     env = v1_encrypt(sa, 0, b"x" * 40, a_rng)
-    builds = _count_ciphers(monkeypatch)
+    builds = helpers.count_ciphers(monkeypatch)
     with pytest.raises(MacFailure):
         v1_decrypt(sb, dataclasses.replace(env, tag=bytes(16)))
     assert builds == [[bytes(16)]]

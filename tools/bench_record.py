@@ -4,6 +4,7 @@
     git worktree add ../parent <parent commit>
     python tools/bench_record.py --parent ../parent --change . \\
         --workload stream --seeds 201-210 --seconds 30 --out BENCH_8.json
+    python tools/bench_record.py --show BENCH_8.json
 
 The parent must be the top of its own git checkout, as a worktree is:
 its HEAD is the commit the file records, so a copy without .git, or one
@@ -17,12 +18,17 @@ and how many pairs the change won. A workload recorded again replaces
 its old entry; the others stay, so a file is filled one workload at a
 time. Numbers from one machine are only comparable as ratios, so each
 workload also keeps the environment fingerprint of its first run.
+
+``--show`` prints a recorded file, one line per workload and end-to-end
+metric: both medians, change/parent, the parent's interquartile range
+and how many pairs the change won. It runs nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -85,15 +91,49 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def _num(value: float) -> str:
+    """Four significant digits, never in exponent form."""
+    if not value:
+        return "0"
+    return f"{value:.{max(0, 3 - math.floor(math.log10(abs(value))))}f}"
+
+
+def show(doc: dict) -> str:
+    """The table --show prints for a recorded file."""
+    lines = [f"parent {doc['parent']}",
+             "workload   metric                 unit   parent_median "
+             "change_median  ratio  parent_iqr  wins"]
+    for workload, w in doc["workloads"].items():
+        for metric, row in w["medians"].items():
+            q1, q3 = row["parent_quartiles"]
+            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+            lines.append(
+                f"{workload:<10} {metric:<22} {row['unit']:<6} "
+                f"{_num(row['parent_median']):>13} "
+                f"{_num(row['change_median']):>13} {ratio:>6} "
+                f"{_num(q3 - q1):>11}  {row['change_wins']}/{row['pairs']}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", type=Path, required=True)
-    p.add_argument("--change", type=Path, required=True)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", type=seed_range, required=True)
-    p.add_argument("--seconds", type=float, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--show", type=Path, metavar="BENCH_FILE",
+                   help="print a recorded file's medians and run nothing")
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--change", type=Path)
+    p.add_argument("--workload")
+    p.add_argument("--seeds", type=seed_range)
+    p.add_argument("--seconds", type=float)
+    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
+    if args.show:
+        print(show(json.loads(args.show.read_text())), end="")
+        return 0
+    missing = [f"--{name}" for name in ("parent", "change", "workload",
+                                        "seeds", "seconds", "out")
+               if getattr(args, name) is None]
+    if missing:
+        p.error(f"without --show, {', '.join(missing)} are required")
 
     top = subprocess.run(
         ["git", "-C", str(args.parent), "rev-parse", "--show-toplevel"],
