@@ -281,23 +281,42 @@ def run_bench(iterations: int = MIN_ITERATIONS, seed: int = 0,
             "state_bytes": state_sizes(seed)}
 
 
-def format_report(report: dict) -> str:
-    out = ["scenario     e2e_avg_us  enc_avg_us  dec_avg_us   stddev_us  iters"]
+def report_lines(report: dict):
+    """One walk of a report: (record, text) per line of the text report.
+    A header or blank separator has no record (None)."""
+    yield None, ("scenario     e2e_avg_us  enc_avg_us  dec_avg_us   "
+                 "stddev_us  iters")
     for r in report["rows"]:
-        out.append(f"{r.scenario:<12s}{r.e2e_avg:>11.2f} {r.enc_avg:>11.2f} "
-                   f"{r.dec_avg:>11.2f} {r.stddev:>11.2f} {r.iterations:>6d}")
-    out.append("")
-    out.append("scenario     op    count  unit_cost_us")
+        yield ({"type": "bench_row", "scenario": r.scenario,
+                "e2e_avg_us": round(r.e2e_avg, 3),
+                "enc_avg_us": round(r.enc_avg, 3),
+                "dec_avg_us": round(r.dec_avg, 3),
+                "stddev_us": round(r.stddev, 3),
+                "iterations": r.iterations},
+               f"{r.scenario:<12s}{r.e2e_avg:>11.2f} {r.enc_avg:>11.2f} "
+               f"{r.dec_avg:>11.2f} {r.stddev:>11.2f} {r.iterations:>6d}")
+    yield None, ""
+    yield None, "scenario     op    count  unit_cost_us"
     for scenario, cost_rows in report["op_costs"].items():
         for row in cost_rows:
-            flag = ""
             pinned = PINNED_COUNTS[scenario][row.op]
-            if row.count_per_message != pinned:
-                flag = f"  (expected {pinned})"
-            out.append(f"{scenario:<12s} {row.op:<5s} {row.count_per_message:>4d} "
-                       f"{row.unit_cost:>13.3f}{flag}")
-    out.append("")
-    out.append("vdr state          snapshot_bytes")
+            flag = ("" if row.count_per_message == pinned
+                    else f"  (expected {pinned})")
+            yield ({"type": "op_cost", "scenario": scenario, "op": row.op,
+                    "count_per_message": row.count_per_message,
+                    "unit_cost_us": round(row.unit_cost, 3),
+                    "pinned": pinned},
+                   f"{scenario:<12s} {row.op:<5s} "
+                   f"{row.count_per_message:>4d} {row.unit_cost:>13.3f}"
+                   f"{flag}")
+    yield None, ""
+    yield None, "vdr state          snapshot_bytes"
     for label, size in report["state_bytes"].items():
-        out.append(f"{label:<16s}{size:>17d}")
-    return "\n".join(out) + "\n"
+        yield ({"type": "state_size", "point": label,
+                "snapshot_bytes": size},
+               f"{label:<16s}{size:>17d}")
+
+
+def format_report(report: dict) -> str:
+    """The text report: every line of :func:`report_lines`."""
+    return "".join(text + "\n" for _, text in report_lines(report))

@@ -6,6 +6,11 @@ and exits zero only when the outcome matches the pinned expectation,
 `bench` prints the timing and operation-count report, and `vectors` checks
 a known-answer file against the package's primitives.
 
+Every line goes out through :func:`_emit`, which gets a record and its
+text and prints one of them as ``--format`` says. A header or a blank
+line has no record, so json-lines skips it; a bench report is the one
+walk of :func:`letterseal.bench.report_lines`.
+
 All output under a fixed seed is byte-stable except bench timing numbers.
 """
 
@@ -17,7 +22,7 @@ import os
 import sys
 
 from . import crypto_suite as cs
-from .bench import MIN_ITERATIONS, PINNED_COUNTS, format_report, run_bench
+from .bench import MIN_ITERATIONS, report_lines, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
 from .endpoint import DESIGNS, design, endpoint_pair
 from .errors import LettersealError
@@ -36,11 +41,13 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _emit(record: dict, fmt: str, text: str) -> None:
-    if fmt == "json-lines":
-        print(json.dumps(record, sort_keys=True))
-    else:
+def _emit(record: dict | None, fmt: str, text: str) -> None:
+    """Print the record as one json line, or its text. A record of None
+    (a header, a blank line) prints only as text."""
+    if fmt == "text":
         print(text)
+    elif record is not None:
+        print(json.dumps(record, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +104,7 @@ def cmd_demo(protocol: str, messages: int, seed: int, fmt: str) -> int:
 def cmd_attack(name: str, seed: int, fmt: str) -> int:
     report = run_attack(name, seed=seed)
     expected = EXPECTED[name]
-    got = (report.succeeded, report.violated_freshness)
-    as_expected = got == expected
-    queries = len(report.queries)  # one trace entry per oracle call
-
-    def yn(flag: bool) -> str:
-        return "yes" if flag else "no"
-
-    record = {
+    r = {
         "type": "attack_report",
         "name": report.name,
         "seed": seed,
@@ -112,23 +112,26 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
         "violated_freshness": report.violated_freshness,
         "expected_succeeded": expected[0],
         "expected_violated": expected[1],
-        "as_expected": as_expected,
-        "queries": queries,
+        "as_expected": (report.succeeded,
+                        report.violated_freshness) == expected,
+        "queries": len(report.queries),  # one trace entry per oracle call
         "details": report.details,
     }
-    if fmt == "json-lines":
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(f"attack {report.name} (seed {seed})")
-        print(f"  succeeded:          {yn(report.succeeded)}"
-              f"  (expected {yn(expected[0])})")
-        print(f"  freshness violated: {yn(report.violated_freshness)}"
-              f"  (expected {yn(expected[1])})")
-        print(f"  oracle queries:     {queries}")
-        for key in sorted(report.details):
-            print(f"  {key}: {report.details[key]}")
-        print(f"  verdict: {'as expected' if as_expected else 'UNEXPECTED'}")
-    return 0 if as_expected else 1
+
+    def yn(flag: bool) -> str:
+        return "yes" if flag else "no"
+
+    _emit(r, fmt, "\n".join([
+        f"attack {r['name']} (seed {seed})",
+        f"  succeeded:          {yn(r['succeeded'])}"
+        f"  (expected {yn(r['expected_succeeded'])})",
+        f"  freshness violated: {yn(r['violated_freshness'])}"
+        f"  (expected {yn(r['expected_violated'])})",
+        f"  oracle queries:     {r['queries']}",
+        *(f"  {key}: {r['details'][key]}" for key in sorted(r["details"])),
+        f"  verdict: {'as expected' if r['as_expected'] else 'UNEXPECTED'}",
+    ]))
+    return 0 if r["as_expected"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +140,9 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
 
 def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
     report = run_bench(iterations=iterations, seed=seed)
-    if fmt == "json-lines":
-        for row in report["rows"]:
-            print(json.dumps({
-                "type": "bench_row", "scenario": row.scenario,
-                "e2e_avg_us": round(row.e2e_avg, 3),
-                "enc_avg_us": round(row.enc_avg, 3),
-                "dec_avg_us": round(row.dec_avg, 3),
-                "stddev_us": round(row.stddev, 3),
-                "iterations": row.iterations,
-            }, sort_keys=True))
-        for scenario, rows in report["op_costs"].items():
-            for r in rows:
-                print(json.dumps({
-                    "type": "op_cost", "scenario": scenario, "op": r.op,
-                    "count_per_message": r.count_per_message,
-                    "unit_cost_us": round(r.unit_cost, 3),
-                    "pinned": PINNED_COUNTS[scenario][r.op],
-                }, sort_keys=True))
-        for point, size in report["state_bytes"].items():
-            print(json.dumps({"type": "state_size", "point": point,
-                              "snapshot_bytes": size}, sort_keys=True))
-    else:
-        print(format_report(report))
+    for record, text in report_lines(report):
+        _emit(record, fmt, text)
+    _emit(None, fmt, "")
     return 0
 
 

@@ -5,15 +5,17 @@ is :class:`SeededRng`, an injectable deterministic byte source. It keeps no
 history of its draws: a harness that reveals randomness collects the draws
 it needs through a scope, so a long-lived rng stays a fixed size.
 
-Instrumentation has one path, a process-wide list of open scopes (the
-package starts no thread; the game and the benchmark are single-threaded).
-Every scope is a ``with`` block: it pushes itself on entry and pops itself
-on exit. A :func:`count_ops` scope tallies DH-class, KDF-class and AEAD
-operations; a DH-class operation is one key generation or one exchange,
-however many scalar multiplications it takes. A :class:`Recorder` scope
-collects the message key of each successful v2 or ratchet encrypt and
-decrypt, and every rng draw; only the key-indistinguishability game opens
-one, around each seal and open. Counts never see a key or a draw.
+Instrumentation has one path per kind of scope: a process-wide list of
+the open scopes of that kind (the package starts no thread; the game and
+the benchmark are single-threaded). Every scope is a ``with`` block: it
+pushes itself on its kind's list on entry and pops itself on exit, and
+each emitter walks only its own kind's list. A :func:`count_ops` scope
+tallies DH-class, KDF-class and AEAD operations; a DH-class operation is
+one key generation or one exchange, however many scalar multiplications
+it takes. A :class:`Recorder` scope collects the message key of each
+successful v2 or ratchet encrypt and decrypt, and every rng draw; only
+the key-indistinguishability game opens one, around each seal and open.
+Counts never see a key or a draw: they sit on another list.
 
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
@@ -133,23 +135,27 @@ class AeadNonce(_FixedBytes):
 # Instrumentation scopes: operation counts, message keys and draws
 # ---------------------------------------------------------------------------
 
-# open scopes, innermost last; emitters return at once while it is empty
-_scopes: list = []
+# the open scopes of each kind, innermost last; an emitter walks only its
+# kind's list, so with none open it finds an empty list
+_counting: list = []
+_recording: list = []
 
 
 class _Scope:
-    """A ``with`` block that keeps this scope open for the enclosed calls."""
+    """A ``with`` block that keeps this scope open for the enclosed calls,
+    on the list its class names as ``_open``."""
 
     def __enter__(self):
-        _scopes.append(self)
+        self._open.append(self)
         return self
 
     def __exit__(self, *exc_info):
-        _scopes.pop()
+        self._open.pop()
 
 
 @dataclass
 class OpCounts(_Scope):
+    _open = _counting
     dh: int = 0
     kdf: int = 0
     aead: int = 0
@@ -157,6 +163,8 @@ class OpCounts(_Scope):
 
 class Recorder(_Scope):
     """Scope that collects each message key and rng draw, in order."""
+
+    _open = _recording
 
     def __init__(self):
         self.keys: list[SymmetricKey] = []
@@ -169,20 +177,14 @@ def count_ops() -> OpCounts:
 
 
 def _bump(field: str) -> None:
-    if not _scopes:
-        return
-    for scope in _scopes:
-        if isinstance(scope, OpCounts):
-            setattr(scope, field, getattr(scope, field) + 1)
+    for scope in _counting:
+        setattr(scope, field, getattr(scope, field) + 1)
 
 
 def emit_message_key(mk: SymmetricKey) -> None:
     """Hand the key of a successful encrypt or decrypt to open recorders."""
-    if not _scopes:
-        return
-    for scope in _scopes:
-        if isinstance(scope, Recorder):
-            scope.keys.append(mk)
+    for scope in _recording:
+        scope.keys.append(mk)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,8 @@ class SeededRng:
 
     def __init__(self, seed: int | bytes):
         if isinstance(seed, int):
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
         self._state = hashlib.sha256(b"letterseal-rng" + seed).digest()
         self._counter = 0
@@ -218,10 +222,8 @@ class SeededRng:
                 hashlib.sha256(self._state + k.to_bytes(8, "big")).digest()
                 for k in range(first, self._counter))[:n]
         self._draws += 1
-        if _scopes:
-            for scope in _scopes:
-                if isinstance(scope, Recorder):
-                    scope.draws.append(out)
+        for scope in _recording:
+            scope.draws.append(out)
         return out
 
     def fork(self, label: bytes) -> "SeededRng":

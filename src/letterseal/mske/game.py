@@ -40,9 +40,10 @@ a session sent, delivered or not, and none that every receiver refused),
 the scalar of each revealed long-term key, the ephemeral secret of each
 revealed draw (its first 32 bytes; a draw without an epoch turn is a
 4-byte nonce and exposes no scalar), each revealed snapshot and each
-revealed stage key, all closed under KeyClosure's rules. Nothing is fed
-or kept while the oracles run; each call builds the closure afresh. Only
-the duplex design has a closure so far.
+revealed stage key, all closed under KeyClosure's rules. The initiator
+and responder are read off the sessions' roles, whichever party opened.
+Nothing is fed or kept while the oracles run; each call builds the
+closure afresh. Only the duplex design has a closure so far.
 
 Determinism. A game seeded with s derives one stream per party
 (fork b"party-<u>" of fork b"protocol") plus a challenger stream
@@ -461,14 +462,22 @@ class Game:
 
     def closure(self) -> KeyClosure:
         """Every key the reveals so far expose, closed over the envelopes
-        of the stages the sessions accepted; party 1 is the initiator and
-        party 2 the responder, as in every script."""
+        of the stages the sessions accepted. The (initiator, responder)
+        pair is read off the sessions, whichever party opened; sessions
+        that name two pairs raise ValueError. A game with no session
+        takes party 1 as the initiator."""
         if not self.design.duplex:
             raise ValueError(f"no key closure for protocol {self.protocol!r}")
+        pairs = {(rec.owner, rec.pid) if rec.role == ROLE_INITIATOR
+                 else (rec.pid, rec.owner) for rec in self.sessions.values()}
+        if len(pairs) > 1:
+            raise ValueError(f"sessions name more than one (initiator, "
+                             f"responder) pair: {sorted(pairs)}")
+        ini, resp = pairs.pop() if pairs else (1, 2)
         accepted = dict.fromkeys(
             rec.transcript[s] for rec in self.sessions.values()
             for s, status in rec.status.items() if status == ACCEPT)
-        closure = KeyClosure(self.parties[1][1], self.parties[2][1],
+        closure = KeyClosure(self.parties[ini][1], self.parties[resp][1],
                              [decode_envelope(raw) for raw in accepted])
         for u, revealed in self.rev_ltk.items():
             if revealed:

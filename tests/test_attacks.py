@@ -11,10 +11,15 @@ import letterseal.crypto_suite as cs
 import letterseal.mske.game as game_module
 from letterseal.endpoint import DESIGNS
 from letterseal.errors import UnknownAttack
-from letterseal.linevdr import vdr_import_state
+from letterseal.linevdr import (
+    ROLE_INITIATOR,
+    ROLE_RESPONDER,
+    vdr_import_state,
+)
 from letterseal.mske import (
     EXPECTED,
     AttackReport,
+    Game,
     KeyClosure,
     attack_names,
     run_attack,
@@ -215,6 +220,29 @@ def test_closure_transition_through_the_next_epochs_secret():
     # the responder's epoch-1 ephemeral, drawn when it opened (0,0)
     g.oracle_rev_rand(2, 1, (1, 0))
     assert _true_stages(g, g.closure()) == [(0, 0), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_reads_the_roles_off_the_sessions(seed):
+    """Party 2 opening as initiator is the mirror of party 1 doing so: the
+    responder's long-term key gives both epoch-0 keys either way."""
+    mirrored = _game("vdr", seed, [(1, b"m0"), (1, b"m1")])
+    mirrored.oracle_rev_ltk(2)
+    swapped = Game("vdr", 2, seed)
+    swapped.oracle_send(2, 1, (1, ROLE_INITIATOR))
+    swapped.oracle_send(1, 1, (2, ROLE_RESPONDER))
+    _flights(swapped, [(2, b"m0"), (2, b"m1")])
+    swapped.oracle_rev_ltk(1)
+    assert (_true_stages(swapped, swapped.closure())
+            == _true_stages(mirrored, mirrored.closure()) == [(0, 0), (0, 1)])
+
+
+def test_closure_refuses_sessions_of_two_pairs():
+    g = Game("vdr", 3, 0)
+    g.oracle_send(1, 1, (2, ROLE_INITIATOR))
+    g.oracle_send(3, 1, (2, ROLE_INITIATOR))
+    with pytest.raises(ValueError, match=r"\[\(1, 2\), \(3, 2\)\]"):
+        g.closure()
 
 
 def test_closure_refuses_a_nonce_only_draw_as_a_scalar():

@@ -101,4 +101,24 @@ def test_show_prints_one_row_per_workload_and_metric(capsys):
     assert len(rows) == 2 + sum(len(w["medians"])
                                 for w in doc["workloads"].values())
     assert ["game", "vdr_first_msg_p50_us", "us", "609.1", "515.8", "0.847",
-            "10.39", "10/10"] in rows
+            "10.39", "10/10", "gain"] in rows
+    assert ["handshake", "peak_rss_mb", "MB", "32.85", "33.25", "1.012",
+            "0.1348", "0/3", "within"] in rows
+
+
+@pytest.mark.parametrize("parent,change,wins,expected", [
+    ([100, 101, 99] * 4, [90, 91, 89] * 4, 11, "gain"),
+    ([100, 101, 99], [90, 91, 89], 3, "within"),  # too few pairs to claim
+    ([100, 101, 99], [99, 100, 98], 3, "within"),  # inside the parent's IQR
+    ([100, 101, 99], [130, 131, 129], 0, "worse"),
+    ([60, 100, 140], [90, 130, 110], 1, "unresolved"),
+    ([40, 41, 160], [30, 35, 39], 3, "within"),  # wide, beaten every run
+])
+def test_verdict_reads_each_rule(parent, change, wins, expected):
+    """A lower-is-better metric with a bound of 0.25 of the parent median."""
+    tool = _recorder()
+    row = {"better": "lower", "parent_median": statistics.median(parent),
+           "change_median": statistics.median(change),
+           "parent_quartiles": tool._quartiles(parent),
+           "change_wins": wins, "pairs": len(parent)}
+    assert tool.verdict(row, 0.25, parent, change) == expected

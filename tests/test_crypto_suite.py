@@ -63,6 +63,13 @@ def test_rng_accepts_bytes_seed():
     assert cs.SeededRng(b"label").token(8) != cs.SeededRng(b"other").token(8)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**64])
+def test_rng_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"non-negative, got {seed}$"):
+        cs.SeededRng(seed)
+    assert cs.SeededRng(0).token(8) == cs.SeededRng(b"\x00").token(8)
+
+
 @pytest.mark.parametrize("n", [1, 15, 31, 32, 33, 63, 64, 4096, 65536])
 def test_rng_token_prefix_consistency(n):
     # every draw must be a prefix of a wider draw from the same point,
@@ -170,6 +177,18 @@ def test_dh_rejects_low_order_result():
         cs.dh(a_sk, cs.GroupElement(bytes(32)))
     with pytest.raises(DhError):
         cs.dh(cs.dh_private_key(a_sk), cs.GroupElement(bytes(32)))
+
+
+def test_dh_refuses_an_all_zero_secret_from_the_backend():
+    """OpenSSL refuses a small-order peer inside exchange; a backend that
+    returned the zero secret instead meets the check after it."""
+    class ZeroExchange:
+        def exchange(self, peer):
+            return bytes(32)
+
+    _, pk = cs.dh_keygen(cs.SeededRng(14))
+    with pytest.raises(DhError, match="^all-zero shared secret"):
+        cs.dh(ZeroExchange(), pk)
 
 
 # -- derivations --------------------------------------------------------------
@@ -347,3 +366,14 @@ def test_ops_outside_scope_not_counted():
     with cs.count_ops() as counts:
         pass
     assert (counts.dh, counts.kdf, counts.aead) == (0, 0, 0)
+
+
+def test_each_scope_sits_on_its_own_kinds_list_until_its_block_ends():
+    rng = cs.SeededRng(25)
+    with pytest.raises(DhError):
+        with cs.count_ops() as counts, cs.Recorder() as seen:
+            assert cs._counting == [counts] and cs._recording == [seen]
+            cs.dh_keygen(rng)
+            cs.dh(cs.GroupScalar(bytes(32)), cs.GroupElement(bytes(32)))
+    assert cs._counting == cs._recording == []
+    assert (counts.dh, len(seen.draws)) == (2, 1)

@@ -195,7 +195,7 @@ def test_recorder_sees_each_ratchet_key_only_inside_its_scope():
     # no recorder open: the keys go nowhere and no scope is left behind
     a, b = pair("vdr", 404)
     b.open(a.seal(b"opener"))
-    assert cs._scopes == []
+    assert cs._counting == cs._recording == []
 
     # a recorder around each call sees the one key of that seal or open,
     # on either ratchet state and in both directions
@@ -210,5 +210,6 @@ def test_recorder_sees_each_ratchet_key_only_inside_its_scope():
     with cs.Recorder() as opened:
         assert a.open(env) == b"reply"
     assert opened.keys == replied.keys and len(replied.keys) == 1
-    assert replied.keys != sent.keys and cs._scopes == []
+    assert replied.keys != sent.keys
+    assert cs._counting == cs._recording == []
 

@@ -37,7 +37,8 @@ RULES = {
     "crypto_library": ({"cryptography", "hashlib"}, {"module", "from"},
                        [("crypto_suite.py", "")]),
     "threading": ({"threading"}, {"module", "from"}, []),
-    "scope_list": ({"_scopes"}, ANY, [("crypto_suite.py", "")]),
+    "scope_list": ({"_counting", "_recording"}, ANY,
+                   [("crypto_suite.py", "")]),
     "recorders": ({"Recorder"}, ANY,
                   [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
@@ -247,10 +248,12 @@ SAMPLES = {
         "import threading\n_counter_scopes = threading.local()\n"
         "_gate_lock = threading.Lock()\nfrom threading import local\n"
         "from .crypto_suite import _scopes as s\n"
-        "cs._scopes.append(recorder)\n_scopes = []\n"),
+        "cs._scopes.append(recorder)\n_scopes = []\n"
+        "from .crypto_suite import _counting as c\n"
+        "cs._recording.append(recorder)\n_recording = []\n"),
         {"crypto_suite.py": ["1: threading", "4: threading"],
-         "mske/game.py": ["1: threading", "4: threading", "5: scope_list",
-                          "6: scope_list", "7: scope_list"]}),
+         "mske/game.py": ["1: threading", "4: threading", "8: scope_list",
+                          "9: scope_list", "10: scope_list"]}),
     "report": (breaks, (
         "def attack_replay_vdr(seed: int) -> AttackReport:\n"
         "    return AttackReport(\n        name='replay_vdr',\n"

@@ -59,6 +59,11 @@ def test_unknown_protocol_rejected():
         Game("v9")
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        Game("vdr", seed=-1)
+
+
 def test_v2_status_progression_and_key_agreement():
     g, e1, e2 = v2_game()
     p1 = g.sessions[(1, 1)]

@@ -20,8 +20,9 @@ time. Numbers from one machine are only comparable as ratios, so each
 workload also keeps the environment fingerprint of its first run.
 
 ``--show`` prints a recorded file, one line per workload and end-to-end
-metric: both medians, change/parent, the parent's interquartile range
-and how many pairs the change won. It runs nothing.
+metric: both medians, change/parent, the parent's interquartile range,
+how many pairs the change won and a verdict against the metric's bound
+in BENCHMARK.json (see :func:`verdict`). It runs nothing.
 """
 
 from __future__ import annotations
@@ -98,20 +99,50 @@ def _num(value: float) -> str:
     return f"{value:.{max(0, 3 - math.floor(math.log10(abs(value))))}f}"
 
 
+def verdict(row: dict, bound: float, old: list, new: list) -> str:
+    """How a change reads on one metric: "gain" when it ran at least ten
+    pairs, won at least nine tenths of them and its median is better than
+    the parent's by more than the parent's IQR; "worse" when its median is worse than the
+    parent's by more than bound (a fraction of the parent's median);
+    "unresolved" when the parent's IQR is wider than that bound and not
+    every change run beats every parent run; else "within". old and new
+    are the parent's and the change's runs."""
+    higher = row["better"] == "higher"
+    better_by = (row["change_median"] - row["parent_median"]) * (
+        1 if higher else -1)
+    q1, q3 = row["parent_quartiles"]
+    allowed = bound * abs(row["parent_median"])
+    if (row["pairs"] >= 10 and 10 * row["change_wins"] >= 9 * row["pairs"]
+            and better_by > q3 - q1):
+        return "gain"
+    if -better_by > allowed:
+        return "worse"
+    beats_all = min(new) > max(old) if higher else max(new) < min(old)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "within"
+
+
 def show(doc: dict) -> str:
     """The table --show prints for a recorded file."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {spec["name"]: spec["bound"] for spec in bench["end_to_end"]}
     lines = [f"parent {doc['parent']}",
              "workload   metric                 unit   parent_median "
-             "change_median  ratio  parent_iqr  wins"]
+             "change_median  ratio  parent_iqr  wins  verdict"]
     for workload, w in doc["workloads"].items():
         for metric, row in w["medians"].items():
             q1, q3 = row["parent_quartiles"]
             ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+            old, new = ([r[side]["metrics"][metric]["value"]
+                         for r in w["runs"]] for side in ("parent", "change"))
+            wins = f"{row['change_wins']}/{row['pairs']}"
             lines.append(
                 f"{workload:<10} {metric:<22} {row['unit']:<6} "
                 f"{_num(row['parent_median']):>13} "
                 f"{_num(row['change_median']):>13} {ratio:>6} "
-                f"{_num(q3 - q1):>11}  {row['change_wins']}/{row['pairs']}")
+                f"{_num(q3 - q1):>11}  {wins:<5} "
+                f"{verdict(row, bounds[metric], old, new)}")
     return "\n".join(lines) + "\n"
 
 
