@@ -114,7 +114,7 @@ def cmd_attack(name: str, seed: int, fmt: str) -> int:
         "expected_violated": expected[1],
         "as_expected": (report.succeeded,
                         report.violated_freshness) == expected,
-        "queries": len(report.queries),  # one trace entry per oracle call
+        "queries": len(report.queries),  # one entry per answered oracle call
         "details": report.details,
     }
 

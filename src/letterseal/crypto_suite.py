@@ -194,9 +194,9 @@ def emit_message_key(mk: SymmetricKey) -> None:
 class SeededRng:
     """Deterministic byte source: SHA-256 in counter mode over a seed.
 
-    The rng keeps no draws, only how many it made (:meth:`mark`). Each draw
-    goes to the open :class:`Recorder` scopes, so a harness attributes
-    and reveals per-stage randomness by recording around the calls.
+    The rng keeps no history, only its stream position. Each draw goes to
+    the open :class:`Recorder` scopes, so a harness attributes and reveals per-stage
+    randomness by recording around the calls.
     """
 
     def __init__(self, seed: int | bytes):
@@ -206,7 +206,6 @@ class SeededRng:
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
         self._state = hashlib.sha256(b"letterseal-rng" + seed).digest()
         self._counter = 0
-        self._draws = 0
 
     def token(self, n: int) -> bytes:
         if n < 0:
@@ -221,7 +220,6 @@ class SeededRng:
             out = b"".join(
                 hashlib.sha256(self._state + k.to_bytes(8, "big")).digest()
                 for k in range(first, self._counter))[:n]
-        self._draws += 1
         for scope in _recording:
             scope.draws.append(out)
         return out
@@ -229,10 +227,6 @@ class SeededRng:
     def fork(self, label: bytes) -> "SeededRng":
         """Independent child stream, domain-separated by label."""
         return SeededRng(hashlib.sha256(self._state + b"fork" + label).digest())
-
-    def mark(self) -> int:
-        """How many draws this rng has made."""
-        return self._draws
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import crypto_suite as cs
+from .endpoint import PROTO_VDR, Endpoint, design
 from .linev1 import v1_derive
 from .linev2 import v2_derive_key
+from .wire import EnvelopeVDR
 
 _VECTOR_FILE = Path(__file__).with_name("kat_vectors.txt")
 
@@ -76,12 +78,17 @@ def _v2(pms: bytes, salt: bytes) -> bytes:
 
 
 def _vdr_rk0(a_scalar: bytes, x_scalar: bytes, y_scalar: bytes) -> bytes:
-    # opening-flight root: responder's long-term element keys both halves
-    g_y = cs.dh_to_public(cs.GroupScalar(y_scalar))
-    ikm = (cs.dh(cs.GroupScalar(a_scalar), g_y)
-           + cs.dh(cs.GroupScalar(x_scalar), g_y))
-    rk0, ck00 = cs.kdf_root(ikm, cs.ZERO_SALT)
-    return rk0 + ck00
+    """rk_0 || ck_0 of the ratchet responder y's own set-up from initiator
+    x's opening flight carrying g^a. The set-up reads only the flight's
+    epoch and ephemeral, and draws nothing, so the endpoint has no rng."""
+    g_x, g_a = map(cs.dh_to_public, map(cs.GroupScalar, (x_scalar, a_scalar)))
+    responder = Endpoint(PROTO_VDR, cs.GroupScalar(y_scalar), g_x, None,
+                         0, 0, "responder", "initiator", initiator=False)
+    flight = EnvelopeVDR(ctype=0, ciphertext=bytes(16), eph_pub=g_a,
+                         nonce_material=bytes(8), kid_sender=0,
+                         kid_receiver=0, j_index=0)
+    st = design(PROTO_VDR).setup(responder, flight)
+    return st.rk + st.ck_recv
 
 
 COMPUTERS = {

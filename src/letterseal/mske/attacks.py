@@ -57,8 +57,9 @@ A, B = 1, 2
 class AttackReport:
     """One attack's verdicts and details, and the game's oracle log.
 
-    ``queries`` is the game's QueryTrace, one entry per oracle call; it is
-    neither shown nor compared. ``trace`` renders it as text, digests
+    ``queries`` is the game's QueryTrace, one entry per oracle call that
+    answered (none for one refused with an exception); it is neither shown
+    nor compared. ``trace`` renders it as text, digests
     included, on every read and keeps no copy: a caller that reads only
     the verdicts pays nothing for it.
     """

@@ -50,8 +50,11 @@ Determinism. A game seeded with s derives one stream per party
 (fork b"game") for the bit b and the b=1 random key, so every oracle
 response is a pure function of (seed, query sequence).
 
-Trace. Every oracle call appends one entry to the game's QueryTrace: a line
-template and the values it names, bytes included. Lines and their digests
+Trace. Every oracle call that answers appends one entry to the game's
+QueryTrace: a line template and the values it names, bytes included. A call
+refused with an exception appends nothing: a Send to an unknown session, a
+seal the protocol refuses, a reveal at a stage the session lacks. A refused
+Test answers None and appends its refused entry. Lines and their digests
 are rendered only when the trace is read, since a long game is seldom read,
 and an attack's report holds the trace and renders it only when its text
 is read. Counting the calls renders nothing.
@@ -148,7 +151,7 @@ def _render(entry: tuple) -> str:
 
 
 class QueryTrace:
-    """Replayable line log of every oracle invocation and its response.
+    """Replayable line log of every answered oracle call and its response.
 
     An entry is a tuple: a line template and the values it names, as
     recorded (ints, stages, strings and immutable bytes; never a reference
@@ -173,7 +176,7 @@ class QueryTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def __len__(self) -> int:
-        """The number of entries, one per oracle call; renders nothing."""
+        """The number of entries, one per answered call; renders nothing."""
         return len(self._log)
 
     def __contains__(self, needle: str) -> bool:
@@ -183,22 +186,22 @@ class QueryTrace:
 class KeyClosure:
     """Key material derivable from leaks plus the public transcript.
 
-    Rules:
-      initial     rk_0, ck_0 from dh(y, g^a0) || dh(y, g^x) given the
-                  responder secret y, or dh(a0, g^y) || dh(x, g^y) given
-                  both initiator secrets a0 and x
-      transition  rk_{e+1}, ck_{e+1} = kdf_root(dh(eph_{e+1}, eph_e), rk_e)
-                  given rk_e and either adjacent ephemeral secret
+    Rules, over the long-term publics x (initiator) and y (responder) and
+    each epoch e's ephemeral eph_e, read off the envelopes:
+      root        rk_e, ck_e = kdf_root(dh outputs of e's exchanges, salt):
+                    epoch 0   salt zero; (eph_0, y), then (x, y)
+                    epoch e   salt rk_{e-1}; (eph_e, eph_{e-1})
+                  each exchange answered from whichever secret is held
       extension   walk a known chain key forward, one message key per
                   index, bounded by the highest index among the envelopes
                   given (the game gives those some session accepted)
 
     run() applies them in one ordered pass, which reaches their fixpoint.
-    Roots only move forward: the initial rule gives epoch 0 and a
-    transition gives epoch e+1 from epoch e, so one walk up the epochs of
-    the envelopes meets every root after the root it needs. Chain keys feed
-    no root, so one extension pass after the walk gives every message key.
-    The game builds a closure, learns its leaks and runs it once.
+    Roots only move forward: epoch e needs no root past rk_{e-1}, so one
+    walk up the epochs of the envelopes meets every root after the root it
+    needs. Chain keys feed no root, so one extension pass after the walk
+    gives every message key. The game builds a closure, learns its leaks
+    and runs it once.
     """
 
     def __init__(self, initiator_pub: bytes, responder_pub: bytes,
@@ -208,9 +211,9 @@ class KeyClosure:
         self.epoch_eph_pub: dict[int, bytes] = {}
         self.max_j: dict[int, int] = {}
         for env in envelopes:
-            self.epoch_eph_pub.setdefault(env.i_index, bytes(env.eph_pub))
-            self.max_j[env.i_index] = max(self.max_j.get(env.i_index, -1),
-                                          env.j_index)
+            epoch = env.i_index  # decoded from nonce_material on each read
+            self.epoch_eph_pub.setdefault(epoch, bytes(env.eph_pub))
+            self.max_j[epoch] = max(self.max_j.get(epoch, -1), env.j_index)
         # public -> the key object of its secret, built once per scalar
         self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
         self.root: dict[int, bytes] = {}                # epoch -> rk
@@ -243,41 +246,34 @@ class KeyClosure:
 
     # -- closure ----------------------------------------------------------
 
-    def _shared(self, epoch: int) -> bytes | None:
-        """The DH input of epoch's root step, if the known secrets give it."""
-        pub = self.epoch_eph_pub[epoch]
-        if epoch == 0:
-            y = self.scalars.get(self.responder_pub)
-            a0 = self.scalars.get(pub)
-            x = self.scalars.get(self.initiator_pub)
-            if y is not None:
-                return (cs.dh(y, cs.GroupElement(pub))
-                        + cs.dh(y, cs.GroupElement(self.initiator_pub)))
-            if a0 is not None and x is not None:
-                resp_pub = cs.GroupElement(self.responder_pub)
-                return cs.dh(a0, resp_pub) + cs.dh(x, resp_pub)
-            return None
-        prev = self.epoch_eph_pub.get(epoch - 1)
-        if prev is None or epoch - 1 not in self.root:
-            return None
-        sec_next = self.scalars.get(pub)
-        sec_prev = self.scalars.get(prev)
-        if sec_next is not None:
-            return cs.dh(sec_next, cs.GroupElement(prev))
-        if sec_prev is not None:
-            return cs.dh(sec_prev, cs.GroupElement(pub))
+    def _held(self, pub: bytes, peer: bytes) -> tuple | None:
+        """(secret, public) answering the exchange of pub with peer from
+        whichever side's secret the closure holds; None if neither."""
+        if pub in self.scalars:
+            return self.scalars[pub], peer
+        if peer in self.scalars:
+            return self.scalars[peer], pub
         return None
 
     def run(self) -> "KeyClosure":
-        for epoch in sorted(self.epoch_eph_pub):
+        for epoch, eph in sorted(self.epoch_eph_pub.items()):
             if epoch in self.root:
                 continue
-            shared = self._shared(epoch)
-            if shared is None:
+            prev = self.epoch_eph_pub.get(epoch - 1)
+            if epoch == 0:
+                salt, exchanges = cs.ZERO_SALT, (
+                    (eph, self.responder_pub),
+                    (self.initiator_pub, self.responder_pub))
+            elif prev is not None and epoch - 1 in self.root:
+                salt = cs.SymmetricKey(self.root[epoch - 1])
+                exchanges = ((eph, prev),)
+            else:
                 continue
-            salt = (cs.ZERO_SALT if epoch == 0
-                    else cs.SymmetricKey(self.root[epoch - 1]))
-            rk, ck = cs.kdf_root(shared, salt)
+            held = [self._held(*pair) for pair in exchanges]
+            if None in held:  # every exchange matched before any runs
+                continue
+            rk, ck = cs.kdf_root(b"".join(
+                cs.dh(key, cs.GroupElement(pub)) for key, pub in held), salt)
             self.root[epoch] = bytes(rk)
             self.learn_chain(epoch, 0, ck)
         for epoch, (j, ck) in self.chain.items():
@@ -298,7 +294,7 @@ class KeyClosure:
         return sorted(self.mk)
 
     def holds_value(self, key: bytes) -> bool:
-        return bytes(key) in set(self.mk.values())
+        return bytes(key) in self.mk.values()
 
 
 class Game:

@@ -169,6 +169,15 @@ def test_closure_initial_from_initiator_pair():
     assert _true_stages(g, g.closure()) == [(0, 0), (0, 1)]
 
 
+def test_closure_runs_no_exchange_for_a_root_it_cannot_reach():
+    g = _game("vdr", 2, [(1, b"m0"), (1, b"m1")])
+    g.oracle_rev_rand(1, 1, (0, 0))  # epoch 0's ephemeral, no long-term key
+    with cs.count_ops() as counts:
+        c = g.closure()
+    # epoch 0 answers (a0, y) but not (x, y): neither exchange runs
+    assert (c.stages(), counts.dh, counts.kdf) == ([], 0, 0)
+
+
 def test_closure_chain_extension_is_forward_only():
     g = _game("vdr", 3, [(1, b"m0"), (1, b"m1"), (1, b"m2")])
     rec = g.sessions[(2, 1)]

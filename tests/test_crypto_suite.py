@@ -94,28 +94,26 @@ def test_rng_fork_is_independent():
     assert late.fork(b"a").token(16) == cs.SeededRng(1).fork(b"a").token(16)
 
 
-def test_rng_counts_draws_and_only_a_recorder_keeps_them():
+def test_rng_keeps_no_history_and_only_a_recorder_keeps_draws():
     rng = cs.SeededRng(5)
-    m = rng.mark()
     with cs.Recorder() as seen:
         first = rng.token(4)
         second = rng.token(40)  # two hash blocks, one draw
     assert seen.draws == [first, second] and seen.keys == []
-    assert rng.mark() == m + 2
-    rng.token(1)  # no recorder open: counted, kept nowhere
-    assert seen.draws == [first, second] and rng.mark() == m + 3
-    assert not hasattr(rng, "log") and not hasattr(rng, "draws_since")
+    rng.token(1)  # no recorder open: kept nowhere
+    assert seen.draws == [first, second]
+    assert vars(rng).keys() == {"_state", "_counter"}  # a stream position
+    assert not hasattr(rng, "log") and not hasattr(rng, "mark")
 
 
 def test_rng_refuses_a_negative_length_and_draws_nothing():
     rng, twin = cs.SeededRng(9), cs.SeededRng(9)
     rng.token(8), twin.token(8)
-    m = rng.mark()
     with cs.Recorder() as seen:
         for n in (-1, -40):
             with pytest.raises(ValueError, match="non-negative"):
                 rng.token(n)
-    assert rng.mark() == m and seen.draws == []
+    assert seen.draws == []
     assert rng.token(16) == twin.token(16)
 
 

@@ -1,8 +1,11 @@
 """Known-answer vector file: parsing, recomputation, and the shipped set."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from letterseal import crypto_suite as cs
+from letterseal import endpoint
 from letterseal.kat import (
     KatVector,
     canonical_vectors,
@@ -63,6 +66,21 @@ def test_block_cipher_vectors_build_one_cbc_cipher(name, monkeypatch):
     builds = count_ciphers(monkeypatch)
     assert compute_output(name, vector.inputs) == vector.output
     assert len(builds) == 1
+
+
+def test_vdr_rk0_runs_the_ratchet_responders_own_set_up(monkeypatch):
+    """A responder set-up that swaps its two exchanges fails vdr_rk0, and
+    only that vector."""
+    def swapped(self_ltk, peer_ltk_pub, env, kid_self, kid_peer):
+        ikm = (cs.dh(self_ltk, peer_ltk_pub)
+               + cs.dh(self_ltk, cs.GroupElement(env.eph_pub)))
+        rk, ck_recv = cs.kdf_root(ikm, cs.ZERO_SALT)
+        return SimpleNamespace(rk=rk, ck_recv=ck_recv)
+
+    monkeypatch.setattr(endpoint, "vdr_lazy_init_receiver", swapped)
+    results = dict(check_vectors(canonical_vectors()))
+    assert results["vdr_rk0"] is False
+    assert sum(not ok for ok in results.values()) == 1
 
 
 def test_canonical_vectors_match_frozen_file():

@@ -61,6 +61,17 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
     return line, fingerprint
 
 
+def require_checkout_top(parent: Path) -> None:
+    """Exit unless parent is the top of its own git checkout."""
+    top = subprocess.run(
+        ["git", "-C", str(parent), "rev-parse", "--show-toplevel"],
+        capture_output=True, text=True)
+    if (top.returncode
+            or Path(top.stdout.strip()).resolve() != parent.resolve()):
+        raise SystemExit(f"--parent {parent} is not the top of a git "
+                         "checkout; make it with git worktree add")
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric: medians, quartiles, ratio and wins over the pairs."""
     out = {}
@@ -166,13 +177,7 @@ def main(argv=None) -> int:
     if missing:
         p.error(f"without --show, {', '.join(missing)} are required")
 
-    top = subprocess.run(
-        ["git", "-C", str(args.parent), "rev-parse", "--show-toplevel"],
-        capture_output=True, text=True)
-    if (top.returncode
-            or Path(top.stdout.strip()).resolve() != args.parent.resolve()):
-        raise SystemExit(f"--parent {args.parent} is not the top of a git "
-                         "checkout; make it with git worktree add")
+    require_checkout_top(args.parent)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_id = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=args.parent, capture_output=True,
