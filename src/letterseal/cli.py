@@ -25,20 +25,11 @@ from . import crypto_suite as cs
 from .bench import MIN_ITERATIONS, report_lines, run_bench
 from .directory_server import Honest, KeyDirectory, Relay
 from .endpoint import DESIGNS, design, endpoint_pair
-from .errors import LettersealError
 from .kat import check_file
 from .mske import EXPECTED, attack_names, run_attack
 from .wire import decode_envelope, encode_envelope
 
 _SEED_ENV = "LETTERSEAL_SEED"
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is None:
-        value = int(os.environ.get(_SEED_ENV, "0"), 0)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must fit in u64, got {value}")
-    return value
 
 
 def _emit(record: dict | None, fmt: str, text: str) -> None:
@@ -152,10 +143,10 @@ def cmd_bench(iterations: int, seed: int, fmt: str) -> int:
 
 def cmd_vectors(path: str, fmt: str) -> int:
     """The file is outside input: one that cannot be read, parsed or
-    computed (a wrong input count is a TypeError) is an error line."""
+    computed is an error line."""
     try:
         results = check_file(path)
-    except (OSError, ValueError, TypeError, LettersealError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     bad = 0
@@ -173,65 +164,68 @@ def cmd_vectors(path: str, fmt: str) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _bounded(parse, message: str, low: int, high: float = float("inf")):
+    """An argparse type: the integer parse(text), refused with message
+    (formatted with the value) unless low <= value < high. argparse runs a
+    string default through it too, so $LETTERSEAL_SEED is checked as the
+    flag is."""
+    # argparse names this function when parse raises a ValueError:
+    # "invalid integer value: 'abc'"
+    def integer(text: str) -> int:
+        value = parse(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Every argument is checked here, so a bad one is refused the one
+    argparse way: a usage line, an error line, exit 2. A subcommand's
+    namespace holds its cmd_* function as ``run`` and that function's
+    keyword arguments."""
     parser = argparse.ArgumentParser(
         prog="letterseal",
         description="Sealed-messaging protocols, attack scenarios and "
                     "benchmarks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def seeded(p, iterations_default=None):
-        p.add_argument("--seed", type=lambda v: int(v, 0), default=None,
-                       help=f"u64 seed (default: ${_SEED_ENV} or 0)")
-        if iterations_default is not None:
-            p.add_argument("--iterations", type=int,
-                           default=iterations_default)
+    sub = parser.add_subparsers(required=True)
 
     p_demo = sub.add_parser("demo", help="seeded two-party conversation")
     p_demo.add_argument("--protocol", choices=tuple(DESIGNS),
                         default="vdr")
-    seeded(p_demo, iterations_default=6)
+    p_demo.add_argument("--iterations", dest="messages", default=6,
+                        type=_bounded(int, "demo needs at least one message",
+                                      1))
 
     p_attack = sub.add_parser("attack", help="run one scripted adversary")
     p_attack.add_argument("name", choices=attack_names())
-    seeded(p_attack)
 
     p_bench = sub.add_parser("bench", help="timing and op-count report")
-    seeded(p_bench, iterations_default=MIN_ITERATIONS)
+    p_bench.add_argument("--iterations", default=MIN_ITERATIONS,
+                         type=_bounded(int, "bench needs --iterations >= "
+                                       f"{MIN_ITERATIONS}", MIN_ITERATIONS))
 
     p_vec = sub.add_parser("vectors", help="check KAT vectors")
-    p_vec.add_argument("--check", required=True, metavar="PATH",
-                       help="verify a vector file bit for bit")
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "json-lines"),
-                       default="text")
+    p_vec.add_argument("--check", dest="path", required=True,
+                       metavar="PATH", help="verify a vector file bit for bit")
 
+    seed = _bounded(lambda v: int(v, 0), "seed must fit in u64, got {}",
+                    0, 2**64)
+    for p in (p_demo, p_attack, p_bench):
+        p.add_argument("--seed", type=seed,
+                       default=os.environ.get(_SEED_ENV, "0"),
+                       help=f"u64 seed (default: ${_SEED_ENV} or 0)")
+    for p, run in ((p_demo, cmd_demo), (p_attack, cmd_attack),
+                   (p_bench, cmd_bench), (p_vec, cmd_vectors)):
+        p.set_defaults(run=run)
+        p.add_argument("--format", dest="fmt", choices=("text", "json-lines"),
+                       default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "vectors":
-        return cmd_vectors(args.check, args.format)
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "demo":
-        if args.iterations < 1:
-            print("error: demo needs at least one message", file=sys.stderr)
-            return 2
-        return cmd_demo(args.protocol, args.iterations, seed, args.format)
-    if args.command == "attack":
-        return cmd_attack(args.name, seed, args.format)
-    if args.command == "bench":
-        if args.iterations < MIN_ITERATIONS:
-            print(f"error: bench needs --iterations >= {MIN_ITERATIONS}",
-                  file=sys.stderr)
-            return 2
-        return cmd_bench(args.iterations, seed, args.format)
-    raise AssertionError(f"unhandled command {args.command}")
+    kwargs = vars(_build_parser().parse_args(argv))
+    return kwargs.pop("run")(**kwargs)
 
 
 if __name__ == "__main__":

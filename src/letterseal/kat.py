@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import crypto_suite as cs
 from .endpoint import PROTO_VDR, Endpoint, design
+from .errors import LettersealError
 from .linev1 import v1_derive
 from .linev2 import v2_derive_key
 from .wire import EnvelopeVDR
@@ -141,12 +142,16 @@ def parse_vectors(text: str) -> list[KatVector]:
 def check_vectors(vectors: list[KatVector]) -> list[tuple[str, bool]]:
     """Recompute each vector through the package; True means bit-exact.
 
-    A set that does not hold every vector of COMPUTERS exactly once is a
-    ValueError naming the missing and the repeated ones; it is raised after
-    the recomputation, so a line that cannot be computed reports first."""
+    A vector that cannot be computed is a ValueError naming it. A set that
+    does not hold every vector of COMPUTERS exactly once is a ValueError
+    naming the missing and the repeated ones; it is raised after the
+    recomputation, so a line that cannot be computed reports first."""
     results = []
     for v in vectors:
-        got = compute_output(v.name, v.inputs)
+        try:
+            got = compute_output(v.name, v.inputs)
+        except (TypeError, ValueError, LettersealError) as exc:
+            raise ValueError(f"{v.name}: {exc}") from exc
         results.append((v.name, got == v.output))
     counts = Counter(v.name for v in vectors)
     missing = [name for name in COMPUTERS if counts[name] == 0]

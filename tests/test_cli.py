@@ -77,10 +77,17 @@ def test_demo_json_lines(capsys):
     assert all(r["roundtrip"] == "ok" for r in msgs)
 
 
+def refused(capsys, *argv):
+    """main(argv) exits 2 through the parser; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    return err
+
+
 def test_demo_zero_messages_rejected(capsys):
-    code, _, err = run_cli(capsys, "demo", "--iterations", "0")
-    assert code == 2
-    assert "at least one" in err
+    assert "at least one" in refused(capsys, "demo", "--iterations", "0")
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
@@ -92,11 +99,45 @@ def test_seed_env_fallback(capsys, monkeypatch):
 
 
 def test_bad_seed_exits_2(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "demo", "--seed", "-1")
-    assert code == 2 and "u64" in err
+    assert "u64" in refused(capsys, "demo", "--seed", "-1")
     monkeypatch.setenv("LETTERSEAL_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "demo")
-    assert code == 2
+    refused(capsys, "demo")
+
+
+# label: (argv, $LETTERSEAL_SEED or None, the argument named, its message)
+BAD_ARGUMENTS = {
+    "seed not a number": (["demo", "--seed", "abc"], None, "--seed",
+                          "invalid integer value: 'abc'"),
+    "seed negative": (["demo", "--seed", "-1"], None, "--seed",
+                      "seed must fit in u64, got -1"),
+    "seed over u64": (["attack", "fs_v2", "--seed", str(2**64)], None,
+                      "--seed", f"seed must fit in u64, got {2**64}"),
+    "env seed": (["demo"], "bogus", "--seed",
+                 "invalid integer value: 'bogus'"),
+    "demo no messages": (["demo", "--iterations", "0"], None, "--iterations",
+                         "demo needs at least one message"),
+    "bench under floor": (["bench", "--iterations", "50"], None,
+                          "--iterations", "bench needs --iterations >= 100"),
+}
+
+
+@pytest.mark.parametrize("label", BAD_ARGUMENTS)
+def test_bad_argument_is_refused_by_the_parser(capsys, monkeypatch, label):
+    argv, env, name, message = BAD_ARGUMENTS[label]
+    if env is None:
+        monkeypatch.delenv("LETTERSEAL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LETTERSEAL_SEED", env)
+    err = refused(capsys, *argv)
+    assert err.count("usage:") == 1 and err.startswith("usage: ")
+    assert err.endswith(
+        f"letterseal {argv[0]}: error: argument {name}: {message}\n")
+
+
+def test_flag_seed_overrides_a_bad_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("LETTERSEAL_SEED", "bogus")
+    code, out, _ = run_cli(capsys, "demo", "--seed", "3", "--iterations", "1")
+    assert code == 0 and out.endswith("roundtrip ok\n")
 
 
 def test_attack_text_verdict(capsys):
@@ -142,9 +183,7 @@ def test_attack_output_is_seed_stable(capsys):
 
 
 def test_unknown_attack_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["attack", "noop"])
-    assert exc.value.code == 2
+    assert "invalid choice: 'noop'" in refused(capsys, "attack", "noop")
 
 
 def test_readme_lists_every_subcommand():
@@ -187,9 +226,7 @@ def test_bench_text_report(capsys):
 
 
 def test_bench_iteration_floor(capsys):
-    code, _, err = run_cli(capsys, "bench", "--iterations", "50")
-    assert code == 2
-    assert ">= 100" in err
+    assert ">= 100" in refused(capsys, "bench", "--iterations", "50")
 
 
 def test_vectors_check_passes_the_shipped_file(capsys):
@@ -214,11 +251,14 @@ BAD_VECTOR_FILES = {
     "duplicate": ("".join([*KAT_LINES, KAT_LINES[0]]),
                   "repeated vectors: sha256_empty"),
     "malformed": ("bogus\n", "line 1: need name, inputs and output"),
-    "unknown name": ("md5_legacy 616263 00\n", "no computer registered"),
-    "short scalar": ("x25519_base_point 0102 00\n", "32 bytes"),
-    "extra input": ("sha256_abc 61 62 00\n", "positional argument"),
+    "unknown name": ("md5_legacy 616263 00\n",
+                     "md5_legacy: no computer registered"),
+    "short scalar": ("x25519_base_point 0102 00\n",
+                     "x25519_base_point: GroupScalar must be 32 bytes"),
+    "extra input": ("sha256_abc 61 62 00\n",
+                    "sha256_abc: hash() takes 1 positional argument"),
     "low-order point": (f"x25519_rfc7748 {'09' * 32} {'00' * 32} 00\n",
-                        "shared key"),
+                        "x25519_rfc7748: Error computing shared key"),
 }
 
 

@@ -28,6 +28,8 @@ from letterseal.linevdr import (
 )
 from letterseal.wire import encode_envelope
 
+REF = helpers.load_reference()
+
 
 def fresh_conversation(seed):
     """Initiator plus a responder that already consumed the first message."""
@@ -682,3 +684,38 @@ def test_import_accepts_a_full_skip_cache():
     _, stb, _, _ = fresh_conversation(326)
     snap = vdr_export_state(_with_skipped(stb, MAX_SKIP))
     assert vdr_export_state(vdr_import_state(snap)) == snap
+
+
+def test_reference_oracle_reproduces_golden_ratchet_lines():
+    # Keys, roots, chains and envelopes all from the oracle. A party draws
+    # an epoch's ephemeral before its first seal in that epoch: the
+    # initiator at its first seal, the responder at the open that starts
+    # its reply. Epoch 0's root is kdf_root over (x, B) and (a, B) under
+    # the zero salt; epoch e's is kdf_root over (eph_e, eph_{e-1}) under
+    # the root before it.
+    root = REF.SeededStream(helpers.GOLDEN_SEED)
+    rngs = {"a": root.fork(b"alice"), "b": root.fork(b"bob")}
+    a_sk = rngs["a"].token(32)
+    b_pub = REF.x25519_public(rngs["b"].token(32))
+    kids = {"a": (11, 12), "b": (12, 11)}
+    golden = helpers.parse_golden_file()
+    script = helpers.GOLDEN_SCRIPTS["vdr"]
+    assert script[0][2] == "a"
+    epoch, last = -1, None
+    for name, ctype, sender in script:
+        if sender != last:  # a new epoch, and its sending chain
+            eph = rngs[sender].token(32)
+            if epoch < 0:
+                rk, ck = REF.kdf_root(REF.x25519(eph, b_pub)
+                                      + REF.x25519(a_sk, b_pub),
+                                      REF.ZERO_SALT)
+            else:
+                rk, ck = REF.kdf_root(REF.x25519(eph, eph_pub), rk)
+            epoch, index, last = epoch + 1, 0, sender
+            eph_pub = REF.x25519_public(eph)
+        sealed, ck = REF.vdr_seal(ck, epoch, index, eph_pub,
+                                  rngs[sender].token(4), ctype,
+                                  helpers.golden_payload(name), *kids[sender])
+        index += 1
+        assert sealed == golden[name], name
+    assert len(script) == sum(name.startswith("vdr-") for name in golden)

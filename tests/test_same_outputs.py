@@ -25,7 +25,8 @@ def _tool():
 def test_commands_cover_every_demo_attack_and_the_vectors_in_both_formats():
     cmds = _tool().commands()
     assert len(cmds) == len(set(cmds)) == 2 * (
-        2 * len(DESIGNS) + 6 * len(attack_names()) + 1)
+        2 * len(DESIGNS) + 6 * len(attack_names()) + 1) + 6
+    assert ("demo", "--seed", "-1", "--format", "text") in cmds
     for fmt in ("text", "json-lines"):
         assert ("vectors", "--check", "src/letterseal/kat_vectors.txt",
                 "--format", fmt) in cmds

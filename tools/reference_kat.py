@@ -5,9 +5,10 @@ Every primitive here is implemented from the standard documents in plain
 Python (SHA-256 per FIPS 180-4, HMAC per RFC 2104, HKDF per RFC 5869,
 AES-256 per FIPS-197, GCM per SP 800-38D, CBC per SP 800-38A, X25519 per
 RFC 7748), deliberately sharing no code with the package, which uses an
-OpenSSL-backed library. On top of them sit whole v1 envelopes (v1_seal)
-and the package's seeded byte source (SeededStream), so the tests can
-rebuild the v1 golden envelopes byte for byte. The script first proves
+OpenSSL-backed library. On top of them sit whole envelopes of each
+design (v1_seal, v2_seal, vdr_seal) and the package's seeded byte source
+(SeededStream), so the tests can rebuild every golden envelope byte for
+byte. The script first proves
 the primitives against published standard vectors, then derives the
 protocol vectors and writes them to src/letterseal/kat_vectors.txt, the
 file the package ships and checks itself against, in the line format
@@ -339,6 +340,46 @@ def x25519_public(scalar: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Standards inputs, read by the self-checks and by the vectors
+# ---------------------------------------------------------------------------
+
+# GCM spec test case 16 (AES-256, 96-bit IV, with AAD)
+GCM_KEY = bytes.fromhex(
+    "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308")
+GCM_IV = bytes.fromhex("cafebabefacedbaddecaf888")
+GCM_PT = bytes.fromhex(
+    "d9313225f88406e5a55909c5aff5269a"
+    "86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525"
+    "b16aedf5aa0de657ba637b39")
+GCM_AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+
+# NIST SP 800-38A F.2.5 CBC-AES256.Encrypt
+CBC_KEY = bytes.fromhex(
+    "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
+CBC_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+CBC_PT = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710")
+
+# FIPS-197 appendix C.3 (AES-256)
+AES_KEY = bytes(range(32))
+AES_BLOCK = bytes.fromhex("00112233445566778899aabbccddeeff")
+
+# RFC 7748 section 5.2, first vector
+X25519_SCALAR = bytes.fromhex(
+    "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")
+X25519_U = bytes.fromhex(
+    "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c")
+
+# RFC 5869 test case 1
+HKDF_IKM = b"\x0b" * 22
+HKDF_SALT = bytes.fromhex("000102030405060708090a0b0c")
+
+
+# ---------------------------------------------------------------------------
 # Self-checks against published standard vectors
 # ---------------------------------------------------------------------------
 
@@ -353,50 +394,25 @@ def _self_check():
         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
 
     # RFC 5869 test case 1
-    okm = hkdf_sha256(
-        bytes.fromhex("000102030405060708090a0b0c"),
-        b"\x0b" * 22,
-        bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"),
-        42,
-    )
+    okm = hkdf_sha256(HKDF_SALT, HKDF_IKM,
+                      bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"), 42)
     assert okm.hex() == (
         "3cb25f25faacd57a90434f64d0362f2a"
         "2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
         "34007208d5b887185865")
 
-    # FIPS-197 appendix C.3 (AES-256)
-    assert aes256_encrypt_block(
-        bytes(range(32)),
-        bytes.fromhex("00112233445566778899aabbccddeeff"),
-    ).hex() == "8ea2b7ca516745bfeafc49904b496089"
+    assert aes256_encrypt_block(AES_KEY, AES_BLOCK).hex() == (
+        "8ea2b7ca516745bfeafc49904b496089")
 
-    # NIST SP 800-38A F.2.5 CBC-AES256.Encrypt (block-aligned prefix)
-    cbc_key = bytes.fromhex(
-        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
-    cbc_iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    cbc_pt = bytes.fromhex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51"
-        "30c81c46a35ce411e5fbc1191a0a52ef"
-        "f69f2445df4f9b17ad2b417be66c3710")
-    cbc_ct = aes256_cbc_encrypt(cbc_key, cbc_iv, cbc_pt)
+    # the block-aligned prefix; the vector's last block is the padding's
+    cbc_ct = aes256_cbc_encrypt(CBC_KEY, CBC_IV, CBC_PT)
     assert cbc_ct[:64].hex() == (
         "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
         "9cfc4e967edb808d679f777bc6702c7d"
         "39f23369a9d9bacfa530e26304231461"
         "b2eb05e2c39be9fcda6c19078c6a9d1b")
 
-    # GCM spec test case 16 (AES-256, 96-bit IV, with AAD)
-    gcm_key = bytes.fromhex(
-        "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308")
-    gcm_iv = bytes.fromhex("cafebabefacedbaddecaf888")
-    gcm_pt = bytes.fromhex(
-        "d9313225f88406e5a55909c5aff5269a"
-        "86a7a9531534f7da2e4c303d8a318a72"
-        "1c3c0c95956809532fcf0e2449a6b525"
-        "b16aedf5aa0de657ba637b39")
-    gcm_aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
-    out = aes256_gcm_encrypt(gcm_key, gcm_iv, gcm_pt, gcm_aad)
+    out = aes256_gcm_encrypt(GCM_KEY, GCM_IV, GCM_PT, GCM_AAD)
     assert out[:-16].hex() == (
         "522dc1f099567d07f47f37a32a84427d"
         "643a8cdcbfe5c0c97598a2bd2555d1aa"
@@ -405,12 +421,8 @@ def _self_check():
     assert out[-16:].hex() == "76fc6ece0f4e1768cddf8853bb2d551b"
 
     # RFC 7748 section 5.2 vectors
-    assert x25519(
-        bytes.fromhex(
-            "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4"),
-        bytes.fromhex(
-            "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"),
-    ).hex() == "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"
+    assert x25519(X25519_SCALAR, X25519_U).hex() == (
+        "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552")
     assert x25519(
         bytes.fromhex(
             "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"),
@@ -512,6 +524,50 @@ def v2_derive(pms: bytes, salt: bytes):
     return sha256(pms + salt + b"Key")
 
 
+def _nonce_material(counter: int, rand4: bytes) -> bytes:
+    """A v2 or ratchet envelope's 8 nonce bytes; the AES-GCM nonce is
+    these and four zero bytes."""
+    assert len(rand4) == 4
+    return struct.pack(">I", counter) + rand4
+
+
+def v2_seal(pms: bytes, salt: bytes, ctr: int, rand4: bytes, ctype: int,
+            m: bytes, kid_s: int, kid_r: int, sid: str, rid: str) -> bytes:
+    """Encoded v2 envelope of plaintext ``m``.
+
+    AD: rid and sid, each behind its u16 length, kid_s, kid_r, vers, ctype.
+    Layout: vers, ctype, salt, sid and rid each behind its u16 length,
+    kid_s, kid_r, nonce material, u32 length, C with its GCM tag."""
+    sid_b, rid_b = sid.encode(), rid.encode()
+    material = _nonce_material(ctr, rand4)
+    ad = (struct.pack(">H", len(rid_b)) + rid_b + struct.pack(">H", len(sid_b))
+          + sid_b + struct.pack(">IIBB", kid_s, kid_r, 2, ctype))
+    ct = aes256_gcm_encrypt(v2_derive(pms, salt), material + bytes(4), m, ad)
+    return (bytes([2, ctype]) + salt + struct.pack(">H", len(sid_b)) + sid_b
+            + struct.pack(">H", len(rid_b)) + rid_b
+            + struct.pack(">II", kid_s, kid_r) + material
+            + struct.pack(">I", len(ct)) + ct)
+
+
+def vdr_seal(ck: bytes, epoch: int, index: int, eph_pub: bytes,
+             rand4: bytes, ctype: int, m: bytes, kid_s: int, kid_r: int):
+    """Encoded ratchet envelope of plaintext ``m`` at stage (epoch, index),
+    sealed under the message key of chain key ``ck``; returns it with the
+    next chain key.
+
+    AD: kid_s, kid_r, vers, ctype, eph_pub, index. Layout: vers, ctype,
+    kid_s, kid_r, eph_pub, index, nonce material, u32 length, C with its
+    GCM tag."""
+    mk, next_ck = kdf_chain(ck)
+    material = _nonce_material(epoch, rand4)
+    ad = (struct.pack(">IIBB", kid_s, kid_r, 3, ctype) + eph_pub
+          + struct.pack(">I", index))
+    ct = aes256_gcm_encrypt(mk, material + bytes(4), m, ad)
+    return (struct.pack(">BBII", 3, ctype, kid_s, kid_r) + eph_pub
+            + struct.pack(">I", index) + material + struct.pack(">I", len(ct))
+            + ct), next_ck
+
+
 def build_vectors():
     vectors = []
 
@@ -521,50 +577,24 @@ def build_vectors():
     add("sha256_empty", [b""], sha256(b""))
     add("sha256_abc", [b"abc"], sha256(b"abc"))
 
-    rfc_scalar = bytes.fromhex(
-        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4")
-    rfc_u = bytes.fromhex(
-        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c")
-    add("x25519_rfc7748", [rfc_scalar, rfc_u], x25519(rfc_scalar, rfc_u))
+    add("x25519_rfc7748", [X25519_SCALAR, X25519_U],
+        x25519(X25519_SCALAR, X25519_U))
 
     base_scalar = bytes(range(32))
     add("x25519_base_point", [base_scalar], x25519_public(base_scalar))
 
-    hkdf_ikm = b"\x0b" * 22
-    hkdf_salt = bytes.fromhex("000102030405060708090a0b0c")
-    rk, ck = kdf_root(hkdf_ikm, hkdf_salt)
-    add("hkdf_root_label", [hkdf_ikm, hkdf_salt], rk + ck)
+    rk, ck = kdf_root(HKDF_IKM, HKDF_SALT)
+    add("hkdf_root_label", [HKDF_IKM, HKDF_SALT], rk + ck)
 
     mk, ck2 = kdf_chain(b"\x00" * 32)
     add("hmac_chain_zero", [b"\x00" * 32], mk + ck2)
 
-    gcm_key = bytes.fromhex(
-        "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308")
-    gcm_iv = bytes.fromhex("cafebabefacedbaddecaf888")
-    gcm_pt = bytes.fromhex(
-        "d9313225f88406e5a55909c5aff5269a"
-        "86a7a9531534f7da2e4c303d8a318a72"
-        "1c3c0c95956809532fcf0e2449a6b525"
-        "b16aedf5aa0de657ba637b39")
-    gcm_aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
-    add("aes_gcm_nist", [gcm_key, gcm_iv, gcm_pt, gcm_aad],
-        aes256_gcm_encrypt(gcm_key, gcm_iv, gcm_pt, gcm_aad))
-
-    ecb_key = bytes(range(32))
-    ecb_block = bytes.fromhex("00112233445566778899aabbccddeeff")
-    add("aes_ecb_fips197", [ecb_key, ecb_block],
-        aes256_encrypt_block(ecb_key, ecb_block))
-
-    cbc_key = bytes.fromhex(
-        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
-    cbc_iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    cbc_pt = bytes.fromhex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51"
-        "30c81c46a35ce411e5fbc1191a0a52ef"
-        "f69f2445df4f9b17ad2b417be66c3710")
-    add("aes_cbc_pkcs7", [cbc_key, cbc_iv, cbc_pt],
-        aes256_cbc_encrypt(cbc_key, cbc_iv, cbc_pt))
+    add("aes_gcm_nist", [GCM_KEY, GCM_IV, GCM_PT, GCM_AAD],
+        aes256_gcm_encrypt(GCM_KEY, GCM_IV, GCM_PT, GCM_AAD))
+    add("aes_ecb_fips197", [AES_KEY, AES_BLOCK],
+        aes256_encrypt_block(AES_KEY, AES_BLOCK))
+    add("aes_cbc_pkcs7", [CBC_KEY, CBC_IV, CBC_PT],
+        aes256_cbc_encrypt(CBC_KEY, CBC_IV, CBC_PT))
 
     pms = bytes(range(32))
     salt8 = bytes.fromhex("0001020304050607")

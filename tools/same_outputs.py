@@ -10,7 +10,10 @@ checkout's top with PYTHONPATH set to that checkout's src, in both
 
 - ``letterseal demo`` for each protocol at seeds 0 and 5;
 - ``letterseal attack`` for each attack at seeds 0-5;
-- ``letterseal vectors --check`` on the checkout's shipped vector file.
+- ``letterseal vectors --check`` on the checkout's shipped vector file;
+- in text format only, each refused command of REFUSED: a bad argument,
+  which the parser refuses, and a vector file that does not exist. These
+  print nothing to stdout, so their exit codes are what is compared.
 
 The protocols and attacks are this checkout's. Prints one line per command
 whose exit code or stdout differs, naming its first differing line, then a
@@ -35,6 +38,10 @@ from letterseal.endpoint import DESIGNS  # noqa: E402
 from letterseal.mske import attack_names  # noqa: E402
 
 VECTORS = "src/letterseal/kat_vectors.txt"
+REFUSED = (("demo", "--seed", "abc"), ("demo", "--seed", "-1"),
+           ("demo", "--iterations", "0"), ("bench", "--iterations", "50"),
+           ("attack", "no_such_attack"),
+           ("vectors", "--check", "no-such-file.txt"))
 
 
 def commands() -> list[tuple[str, ...]]:
@@ -46,7 +53,7 @@ def commands() -> list[tuple[str, ...]]:
         out += [("attack", name, "--seed", str(seed), "--format", fmt)
                 for name in attack_names() for seed in range(6)]
         out.append(("vectors", "--check", VECTORS, "--format", fmt))
-    return out
+    return out + [(*cmd, "--format", "text") for cmd in REFUSED]
 
 
 def run_all(checkout: Path, cmds: list[tuple[str, ...]]) -> dict:
