@@ -9,7 +9,8 @@ a known-answer file against the package's primitives.
 Every line goes out through :func:`_emit`, which gets a record and its
 text and prints one of them as ``--format`` says. A header or a blank
 line has no record, so json-lines skips it; a bench report is the one
-walk of :func:`letterseal.bench.report_lines`.
+walk of :func:`letterseal.bench.report_lines`. A reader that closes the
+pipe early ends the command quietly with exit code 1.
 
 All output under a fixed seed is byte-stable except bench timing numbers.
 """
@@ -225,7 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     kwargs = vars(_build_parser().parse_args(argv))
-    return kwargs.pop("run")(**kwargs)
+    try:
+        code = kwargs.pop("run")(**kwargs)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:  # quiet exit 1; devnull takes the exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

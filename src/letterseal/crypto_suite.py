@@ -20,7 +20,7 @@ Counts never see a key or a draw: they sit on another list.
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
 (:func:`dh_private_key`, or the third value of :func:`dh_keygen_with_key`),
-and :func:`dh_secret` turns either form into both. Building the object
+and :func:`dh_key` turns either form into the object. Building the object
 costs a scalar multiplication of its own, so a caller that exchanges with
 one secret more than once holds the object. The owner of a secret holds
 its object: a ratchet state its ephemeral, a game party its long-term
@@ -251,14 +251,12 @@ def dh_private_key(secret: GroupScalar) -> X25519PrivateKey:
     return X25519PrivateKey.from_private_bytes(secret)
 
 
-def dh_secret(secret: GroupScalar | X25519PrivateKey
-              ) -> tuple[GroupScalar, X25519PrivateKey]:
-    """(scalar, key object) from either form of a secret, as :func:`dh`
-    takes it. The object is built only from a scalar; an object's scalar is
-    read back through the checked constructor."""
+def dh_key(secret: GroupScalar | X25519PrivateKey) -> X25519PrivateKey:
+    """The key object of either form of a secret, as :func:`dh` takes it:
+    built only from a scalar, an object is returned as itself."""
     if isinstance(secret, bytes):
-        return secret, dh_private_key(secret)
-    return GroupScalar(secret.private_bytes_raw()), secret
+        return dh_private_key(secret)
+    return secret
 
 
 def dh_keygen_with_key(
@@ -288,9 +286,8 @@ def dh(secret: GroupScalar | X25519PrivateKey,
     turned into its key object first."""
     _bump("dh")
     try:
-        if isinstance(secret, bytes):
-            secret = dh_private_key(secret)
-        shared = secret.exchange(X25519PublicKey.from_public_bytes(peer))
+        shared = dh_key(secret).exchange(
+            X25519PublicKey.from_public_bytes(peer))
     except ValueError as exc:
         raise DhError(str(exc)) from exc
     if shared == b"\x00" * 32:

@@ -35,11 +35,12 @@ cache of ``self_eph_secret`` and nothing more: snapshots never carry it, so
 vdr_import_state returns it as None and the first turn after an import
 builds the object from the scalar bytes.
 
-Long-term key object. A session exchanges with its long-term secret only
-during set-up, so the state keeps the scalar ``self_ltk`` and no object.
-vdr_init_sender and vdr_lazy_init_receiver take the secret as a scalar or
-as the key object built from it; a party that opens many sessions (the
-game's) holds its object and passes that, so set-up builds none.
+Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
+both the party's secret and the peer's public key, and the state stores
+neither: it holds only what vdr_encrypt and vdr_decrypt read, so a
+snapshot reveals no long-term key. Set-up takes the secret as a scalar or
+its key object; a party that opens many sessions (the game's) holds its
+object and passes that, so set-up builds none.
 
 Every 32-byte field that is set, and every cached key, is checked for
 length once, when the state is built (``__post_init__``, which
@@ -79,16 +80,14 @@ ROLE_RESPONDER = "responder"
 
 
 # the 32-byte fields, checked once when a state is built
-_KEY_FIELDS = ("rk", "self_ltk", "peer_ltk_pub", "ck_send", "ck_recv",
-               "self_eph_secret", "self_eph_pub", "peer_eph_pub")
+_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
+               "peer_eph_pub")
 
 
 @dataclass(slots=True)
 class RatchetState:
     role: str
     rk: cs.SymmetricKey
-    self_ltk: cs.GroupScalar
-    peer_ltk_pub: cs.GroupElement
     kid_self: int
     kid_peer: int
     ck_send: cs.SymmetricKey | None = None
@@ -132,14 +131,12 @@ def vdr_init_sender(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
                     rng: cs.SeededRng, kid_self: int, kid_peer: int) -> RatchetState:
     """Initiator setup: root and first sending chain from
     KDF(dh(ephemeral, peer) || dh(static, peer)). self_ltk is a scalar or
-    its key object; the state keeps the scalar."""
-    self_ltk, ltk_key = cs.dh_secret(self_ltk)
+    its key object (module docstring)."""
     eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
-    ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(ltk_key, peer_ltk_pub)
+    ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
     rk, ck_send = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
         role=ROLE_INITIATOR, rk=rk, ck_send=ck_send,
-        self_ltk=self_ltk, peer_ltk_pub=peer_ltk_pub,
         kid_self=kid_self, kid_peer=kid_peer,
         self_eph_secret=eph_secret, self_eph_pub=eph_pub,
         self_eph_key=eph_key,
@@ -154,17 +151,16 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
     initiator derivation through DH symmetry. Does not decrypt: call
     vdr_decrypt next and discard this state if that fails, since a tampered
     ephemeral yields garbage keys that only the AEAD tag can expose.
-    self_ltk is a scalar or its key object; the state keeps the scalar."""
+    self_ltk is a scalar or its key object (module docstring)."""
     if env.i_index != 0:
         raise StaleEpoch(
             f"lazy receiver init needs an epoch-0 envelope, got epoch {env.i_index}")
     peer_eph = cs.GroupElement(env.eph_pub)
-    self_ltk, ltk_key = cs.dh_secret(self_ltk)
+    ltk_key = cs.dh_key(self_ltk)  # two exchanges, one object
     ikm = cs.dh(ltk_key, peer_eph) + cs.dh(ltk_key, peer_ltk_pub)
     rk, ck_recv = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
         role=ROLE_RESPONDER, rk=rk, ck_recv=ck_recv,
-        self_ltk=self_ltk, peer_ltk_pub=peer_ltk_pub,
         kid_self=kid_self, kid_peer=kid_peer,
         peer_eph_pub=peer_eph,
         i_s=1,  # reply epoch; chain material arrives with the first decrypt
@@ -273,7 +269,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # at explicit positions, so it can check the flags before the fields.
 # ---------------------------------------------------------------------------
 
-_SNAPSHOT_MAGIC = b"VDR3"
+_SNAPSHOT_MAGIC = b"VDR4"
 _ROLES = (ROLE_INITIATOR, ROLE_RESPONDER)  # the role byte indexes this
 _SNAPSHOT_HEAD = _Run(("magic", "4s"), ("role", "B"), ("flags", "B"),
                       ("rk", "32s"))
@@ -290,7 +286,6 @@ _SNAPSHOT_FLAGS = (1 << len(_SNAPSHOT_OPTIONAL)) - 1
 _SNAPSHOT_PAIRED = (("ck_send", "self_eph_secret", "self_eph_pub"),
                     ("ck_recv", "peer_eph_pub"))
 _SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
-                      ("self_ltk", "32s"), ("peer_ltk_pub", "32s"),
                       ("kid_self", "I"), ("kid_peer", "I"),
                       ("skipped count", "H"))
 _SNAPSHOT_SKIPPED = _Run(("skipped i", "I"), ("skipped j", "I"),
@@ -312,11 +307,11 @@ _SNAPSHOT_LAYOUTS = tuple(
 
 
 def vdr_export_state(st: RatchetState) -> bytes:
-    """Complete, lossless snapshot. Holds everything the party holds,
-    long-term secret included; consumed message keys are simply not here
-    because the state never retains them. There is no replay record (module
-    docstring), so the size depends on the skipped-key cache alone: 288
-    bytes with every optional field set, plus 40 per cached key, at most
+    """Complete, lossless snapshot of the session state; the long-term keys
+    are not part of it (module docstring), and consumed message keys are
+    not here because the state never retains them. There is no replay
+    record, so the size depends on the skipped-key cache alone: 224 bytes
+    with every optional field set, plus 40 per cached key, at most
     MAX_SKIP of them."""
     flags, optional = 0, []
     for k, value in enumerate(_SNAPSHOT_VALUES(st)):
@@ -325,8 +320,8 @@ def vdr_export_state(st: RatchetState) -> bytes:
             optional.append(value)
     snapshot = _SNAPSHOT_LAYOUTS[flags].pack(
         _SNAPSHOT_MAGIC, _ROLES.index(st.role), flags, st.rk, *optional,
-        st.i_s, st.j_s, st.i_r, st.j_r, st.self_ltk, st.peer_ltk_pub,
-        st.kid_self, st.kid_peer, len(st.skipped))
+        st.i_s, st.j_s, st.i_r, st.j_r, st.kid_self, st.kid_peer,
+        len(st.skipped))
     if not st.skipped:
         return snapshot
     return b"".join((snapshot, *[_SNAPSHOT_SKIPPED.pack(i, j, key)
@@ -353,8 +348,8 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     peer_eph = optional.get("peer_eph_pub")
     if peer_eph and int.from_bytes(peer_eph, "little") % 2**255 in _LOW_ORDER:
         raise ParseError("snapshot peer_eph_pub is a low-order point")
-    (i_s, j_s, i_r, j_r, self_ltk, peer_ltk_pub, kid_self, kid_peer,
-     n_skipped) = _SNAPSHOT_TAIL.read(snapshot, pos)
+    i_s, j_s, i_r, j_r, kid_self, kid_peer, n_skipped = _SNAPSHOT_TAIL.read(
+        snapshot, pos)
     pos += _SNAPSHOT_TAIL.size
     if n_skipped > MAX_SKIP:
         raise ParseError(f"{n_skipped} skipped keys exceed MAX_SKIP={MAX_SKIP}")
@@ -368,7 +363,5 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     return RatchetState(
         role=_ROLES[role], rk=cs.SymmetricKey(rk),
         i_s=i_s, j_s=j_s, i_r=i_r, j_r=j_r,
-        self_ltk=cs.GroupScalar(self_ltk),
-        peer_ltk_pub=cs.GroupElement(peer_ltk_pub),
         kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **optional,
     )

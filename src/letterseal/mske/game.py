@@ -20,9 +20,10 @@ the protocol used and the bytes the party's rng drew.
 Key objects. A party keeps the key object its keygen built for its
 long-term scalar, and every session it opens sets up from that object, so
 no session builds it again; ``parties`` still names the (scalar, public)
-pair, and RevLongTermKey reveals the scalar. A session's ratchet state
-holds its own ephemeral's object, and the key closure each scalar it
-learns. Nothing caches an object by value.
+pair, and RevLongTermKey alone reveals the scalar: no session state holds
+a long-term key, so RevState does not. A session's ratchet state holds
+its own ephemeral's object, and the key closure each scalar it learns.
+Nothing caches an object by value.
 
 Stage mapping. A one-way design (v1, v2) treats every encrypted message
 as one stage with session key k_e; stages are 1-indexed integers (the
@@ -233,7 +234,6 @@ class KeyClosure:
 
     def learn_snapshot(self, snapshot: bytes) -> None:
         st = vdr_import_state(snapshot)
-        self.learn_scalar(st.self_ltk)
         if st.self_eph_secret is not None:
             self.learn_scalar(st.self_eph_secret)
         self.root[st.i_s] = bytes(st.rk)  # exported rk belongs to the send epoch

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import letterseal.crypto_suite as cs
+import letterseal.mske.attacks as attacks_module
 import letterseal.mske.game as game_module
 from letterseal.endpoint import DESIGNS
 from letterseal.errors import UnknownAttack
@@ -25,6 +26,7 @@ from letterseal.mske import (
     run_attack,
 )
 from letterseal.mske.attacks import _flights, _game
+from letterseal.mske.freshness import fresh_vdr
 from letterseal.mske.game import REJECT
 from letterseal.wire import decode_envelope, encode_envelope
 
@@ -195,9 +197,9 @@ def test_closure_snapshot_transitions_skip_spent_chain():
                          (1, b"m 2,0")])
     g.oracle_rev_state(2, 1, (1, 0))  # taken right after B's send
     c = g.closure()
-    # the long-term secret inside the snapshot rebuilds epoch 0; the live
-    # ephemeral carries the root into epoch 2; epoch 1 was already spent
-    assert _true_stages(g, c) == [(0, 0), (0, 1), (2, 0)]
+    # the live ephemeral carries the root into epoch 2; epoch 1 was already
+    # spent, and epoch 0 needs a long-term secret, which no snapshot holds
+    assert _true_stages(g, c) == [(2, 0)]
     assert c.message_key((1, 0)) is None
 
 
@@ -208,9 +210,10 @@ def test_closure_snapshot_hands_over_skipped_keys():
     c = KeyClosure(g.parties[1][1], g.parties[2][1],
                    [decode_envelope(raw) for raw in raws])
     c.learn_snapshot(g.oracle_rev_state(2, 1, (0, 2)))
-    # the cached keys are held before any rule runs
+    # the cached keys are held before any rule runs, and no rule adds the
+    # consumed (0,2): epoch 0's root needs a long-term secret
     assert _true_stages(g, c) == [(0, 0), (0, 1)]
-    assert _true_stages(g, c.run()) == [(0, 0), (0, 1), (0, 2)]
+    assert _true_stages(g, c.run()) == [(0, 0), (0, 1)]
     assert g.closure().mk == c.mk  # the wire carried all three
 
 
@@ -391,15 +394,24 @@ def test_refused_deliveries_change_neither_closure_nor_outcome():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_closure_holds_the_key_fs_vdr_tests(seed):
-    """fs_vdr's flights and its two RevState answers at (2,0) expose the
-    true key of the stage it tests, (B, (0,1))."""
-    g = _game("vdr", seed, [(1, b"m 0,0"), (1, b"m 0,1"), (1, b"m 0,2"),
-                            (2, b"r 1,0"), (2, b"r 1,1"), (1, b"m 2,0")])
-    g.oracle_rev_state(2, 1, (2, 0))
-    g.oracle_rev_state(1, 1, (2, 0))
-    assert (g.closure().message_key((0, 1))
-            == bytes(g.sessions[(2, 1)].key[(0, 1)]))
+@pytest.mark.parametrize("name", ["replay_vdr", "kci_vdr_postratchet",
+                                  "fs_vdr", "pcs_vdr"])
+def test_no_fresh_tested_stage_is_held(monkeypatch, name, seed):
+    """A ratchet script's tested stage that fresh_vdr rates fresh is one
+    whose true key the closure of the script's game does not hold."""
+    seen = []
+    real = attacks_module._report
+
+    def keep(name, g, succeeded, tested, details):
+        seen.append((g, tested))
+        return real(name, g, succeeded, tested, details)
+
+    monkeypatch.setattr(attacks_module, "_report", keep)
+    run_attack(name, seed)
+    ((g, (u, s)),) = seen
+    if fresh_vdr(g, (u, 1, s)):
+        assert (g.closure().message_key(s)
+                != bytes(g.sessions[(u, 1)].key[s])), (name, seed)
 
 
 def _hand_fed(g, reveal):

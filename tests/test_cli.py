@@ -339,6 +339,21 @@ def test_console_script_installed(tmp_path):
                             env=env, cwd=tmp_path)
 
 
+def test_a_closed_pipe_ends_the_command_quietly(tmp_path):
+    # the demo writes more than a pipe holds, so the child is still writing
+    # when the read end closes after the first line
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(letterseal.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "letterseal.cli", "demo", "--iterations",
+         "4000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        cwd=tmp_path)
+    assert proc.stdout.readline() == b"registered alice under kid 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.skipif(shutil.which("letterseal") is None,
                     reason="letterseal console script not installed; "
                            "pip install -e .")

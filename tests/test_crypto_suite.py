@@ -329,14 +329,13 @@ def test_key_object_counts_like_its_scalar():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_dh_secret_gives_one_pair_for_a_scalar_and_its_object(seed):
-    sk, _ = cs.dh_keygen(cs.SeededRng(seed))
+def test_dh_key_passes_an_object_through_and_builds_one_for_a_scalar(seed):
+    sk, pk = cs.dh_keygen(cs.SeededRng(seed))
     key = cs.dh_private_key(sk)
-    pairs = [cs.dh_secret(sk), cs.dh_secret(key)]
-    assert pairs[0][0] is sk and pairs[1][1] is key
-    for scalar, obj in pairs:
-        assert type(scalar) is cs.GroupScalar and scalar == sk
-        assert obj.private_bytes_raw() == sk
+    assert cs.dh_key(key) is key
+    built = cs.dh_key(sk)
+    assert built is not key
+    assert built.public_key().public_bytes_raw() == pk
 
 
 def test_count_ops_nested_scopes():

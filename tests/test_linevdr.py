@@ -177,10 +177,13 @@ def test_send_index_stops_before_the_u32_limit():
 
 
 def test_lazy_receiver_requires_epoch_zero():
-    sta, stb, a_rng, b_rng = fresh_conversation(312)
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(312)
+    opener = vdr_encrypt(sta, 0, b"opening flight", a_rng)
+    stb = helpers.vdr_receiver(mats, opener)
+    vdr_decrypt(stb, opener, b_rng)
     e10 = vdr_encrypt(stb, 0, b"later epoch", b_rng)
     with pytest.raises(StaleEpoch):
-        helpers.vdr_receiver((stb.self_ltk, stb.peer_ltk_pub), e10)
+        helpers.vdr_receiver(mats, e10)
 
 
 def test_tampered_opening_flight_fails_cleanly():
@@ -369,7 +372,7 @@ def test_ratchet_steps_build_each_key_object_once(monkeypatch):
     opener = vdr_encrypt(sta, 0, b"hello", a_rng)
     built.clear()
     stb = helpers.vdr_receiver(mats, opener)
-    assert built == [bytes(stb.self_ltk)]
+    assert built == [bytes(mats[0])]  # the long-term key, for two exchanges
     built.clear()
     assert vdr_decrypt(stb, opener, b_rng) == b"hello"
     assert built == [bytes(stb.self_eph_secret)]  # the reply keygen only
@@ -396,8 +399,6 @@ def test_set_up_from_the_key_object_equals_set_up_from_the_scalar(seed):
         opener = vdr_encrypt(sta, 0, b"opening flight", a_rng)
         stb = vdr_lazy_init_receiver(b_sk, a_pk, opener, kid_self=12,
                                      kid_peer=11)
-        assert type(sta.self_ltk) is cs.GroupScalar
-        assert type(stb.self_ltk) is cs.GroupScalar
         world = [vdr_export_state(sta), encode_envelope(opener),
                  vdr_export_state(stb)]
         assert vdr_decrypt(stb, opener, b_rng) == b"opening flight"
@@ -442,9 +443,10 @@ def test_snapshot_size_does_not_grow_with_epoch_turns():
 
 def test_snapshot_with_a_full_cache_has_the_closed_form_size():
     # magic, role and flags, rk and five optional chain and ephemeral
-    # fields, four indices, two long-term keys, two kids, cache count, then
-    # per cached key its (i, j) and the key itself
-    full = 4 + 2 + 6 * 32 + 16 + 2 * 32 + 8 + 2 + MAX_SKIP * (8 + 32)
+    # fields, four indices, two kids, cache count, then per cached key its
+    # (i, j) and the key itself
+    full = 4 + 2 + 6 * 32 + 16 + 8 + 2 + MAX_SKIP * (8 + 32)
+    assert full == 224 + 40 * MAX_SKIP == 10_464
     sta, stb, a_rng, b_rng = fresh_conversation(327)
     # a reply first, so the jump that fills the cache also turns the epoch
     vdr_decrypt(sta, vdr_encrypt(stb, 0, b"reply", b_rng), a_rng)
@@ -535,8 +537,7 @@ def test_failed_reply_exchange_leaves_snapshot_identical():
         self_eph_key=None, ck_recv=ck, peer_eph_pub=cs.GroupElement(bytes(32)),
         i_s=1, j_s=0, i_r=0, j_r=0, skipped={})
     sender = RatchetState(
-        role=ROLE_INITIATOR, rk=st.rk, self_ltk=st.self_ltk,
-        peer_ltk_pub=st.peer_ltk_pub, kid_self=st.kid_peer,
+        role=ROLE_INITIATOR, rk=st.rk, kid_self=st.kid_peer,
         kid_peer=st.kid_self, ck_send=ck, self_eph_pub=bytes(32))
     rng = cs.SeededRng(328)
     env = vdr_encrypt(sender, 0, b"tag verifies", rng)
@@ -548,8 +549,8 @@ def test_failed_reply_exchange_leaves_snapshot_identical():
     assert len(seen.draws) == 1  # the exchange needs the drawn ephemeral
 
 
-_KEY_FIELDS = ("rk", "self_ltk", "peer_ltk_pub", "ck_send", "ck_recv",
-               "self_eph_secret", "self_eph_pub", "peer_eph_pub")
+_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
+               "peer_eph_pub")
 
 
 @pytest.mark.parametrize("name", _KEY_FIELDS)
@@ -570,9 +571,9 @@ def test_state_refuses_a_wrong_length_cached_key():
 def test_import_rejects_previous_snapshot_format():
     sta, stb, _, _ = fresh_conversation(324)
     snap = vdr_export_state(stb)
-    assert snap[:4] == b"VDR3"
-    for magic in (b"VDR1", b"VDR2"):
-        with pytest.raises(ParseError):
+    assert snap[:4] == b"VDR4"
+    for magic in (b"VDR1", b"VDR2", b"VDR3"):
+        with pytest.raises(ParseError, match="bad magic"):
             vdr_import_state(magic + snap[4:])
 
 
@@ -632,7 +633,7 @@ def test_import_refuses_a_low_order_peer_ephemeral(point, bit_255):
     u = _LOW_ORDER[point][:31] + bytes([_LOW_ORDER[point][31] | bit_255 << 7])
     st = dataclasses.replace(stb, peer_eph_pub=cs.GroupElement(u))
     with pytest.raises(DhError):  # no exchange with it succeeds
-        cs.dh(stb.self_ltk, st.peer_eph_pub)
+        cs.dh(stb.self_eph_secret, st.peer_eph_pub)
     with pytest.raises(ParseError, match="peer_eph_pub"):
         vdr_import_state(vdr_export_state(st))
 
@@ -648,11 +649,11 @@ def _concatenated(st):
     values = [getattr(st, name) for name in _OPTIONAL]
     flags = sum(1 << k for k, v in enumerate(values) if v is not None)
     return b"".join([
-        b"VDR3", bytes([(ROLE_INITIATOR, ROLE_RESPONDER).index(st.role),
+        b"VDR4", bytes([(ROLE_INITIATOR, ROLE_RESPONDER).index(st.role),
                         flags]), st.rk,
         *[v for v in values if v is not None],
         u32(st.i_s), u32(st.j_s), u32(st.i_r), u32(st.j_r),
-        st.self_ltk, st.peer_ltk_pub, u32(st.kid_self), u32(st.kid_peer),
+        u32(st.kid_self), u32(st.kid_peer),
         len(st.skipped).to_bytes(2, "big"),
         *[u32(i) + u32(j) + key for (i, j), key in st.skipped.items()]])
 
@@ -719,3 +720,63 @@ def test_reference_oracle_reproduces_golden_ratchet_lines():
         index += 1
         assert sealed == golden[name], name
     assert len(script) == sum(name.startswith("vdr-") for name in golden)
+
+
+def test_reference_oracle_reproduces_golden_snapshot_lines():
+    # The golden snapshot flow from the oracle: A seals three messages of
+    # epoch 0, B opens the third, caching the first two keys, then B, A and
+    # B each seal once and the other opens. A seal draws 4 nonce bytes; the
+    # open that starts an epoch draws the opener's reply ephemeral, clamped
+    # as stored, and derives the next root from it and the epoch's.
+    root = REF.SeededStream(helpers.GOLDEN_SEED)
+    rngs = {"a": root.fork(b"alice"), "b": root.fork(b"bob")}
+    a_sk, b_sk = REF.clamp(rngs["a"].token(32)), REF.clamp(rngs["b"].token(32))
+    b_pub = REF.x25519_public(b_sk)
+    ephs, pubs = [], []  # epoch -> its ephemeral and public key
+
+    def draw_ephemeral(party):
+        ephs.append(REF.clamp(rngs[party].token(32)))
+        pubs.append(REF.x25519_public(ephs[-1]))
+
+    draw_ephemeral("a")
+    roots = [REF.kdf_root(REF.x25519(ephs[0], b_pub)
+                          + REF.x25519(a_sk, b_pub), REF.ZERO_SALT)]
+    for epoch, (sender, opener, seals) in enumerate(
+            (("a", "b", 3), ("b", "a", 1), ("a", "b", 1), ("b", "a", 1))):
+        for _ in range(seals):
+            rngs[sender].token(4)
+        draw_ephemeral(opener)
+        roots.append(REF.kdf_root(REF.x25519(ephs[epoch + 1], pubs[epoch]),
+                                  roots[epoch][0]))
+    mks, ck_0 = [], roots[0][1]
+    for _ in range(3):
+        mk, ck_0 = REF.kdf_chain(ck_0)
+        mks.append(mk)
+    _, ck_3 = REF.kdf_chain(roots[3][1])
+    assert helpers.parse_golden_file(helpers.SNAPSHOT_FILE) == {
+        "initiator-unanswered": REF.vdr_snapshot(
+            0, roots[0][0], (ck_0, None, ephs[0], pubs[0], None), (0, 3, 0, 0),
+            (11, 12), []),
+        "responder-skipped": REF.vdr_snapshot(
+            1, roots[1][0], (roots[1][1], ck_0, ephs[1], pubs[1], pubs[0]),
+            (1, 0, 0, 3), (12, 11), [((0, 0), mks[0]), ((0, 1), mks[1])]),
+        "initiator-two-turns": REF.vdr_snapshot(
+            0, roots[4][0], (roots[4][1], ck_3, ephs[4], pubs[4], pubs[3]),
+            (4, 0, 3, 1), (11, 12), []),
+    }
+
+
+def test_no_snapshot_carries_a_long_term_key():
+    a_sk, a_pk, b_sk, b_pk, _, _ = helpers.keypairs(331)
+    sta, stb, a_rng, b_rng = fresh_conversation(331)
+    snapshots = []
+    # a turn each round; the skips fill the cache, then evict from it
+    for jump in (0, MAX_SKIP, 5, MAX_SKIP):
+        vdr_decrypt(sta, vdr_encrypt(stb, 0, b"turn", b_rng), a_rng)
+        for _ in range(jump):
+            vdr_encrypt(sta, 0, b"skipped", a_rng)
+        assert vdr_decrypt(stb, vdr_encrypt(sta, 0, b"j", a_rng), b_rng) == b"j"
+        snapshots += [vdr_export_state(st) for st in (sta, stb)]
+    assert len(stb.skipped) == MAX_SKIP and sta.i_r == 7
+    for key in (a_sk, a_pk, b_sk, b_pk):
+        assert not any(bytes(key) in snap for snap in snapshots)

@@ -6,12 +6,13 @@ Python (SHA-256 per FIPS 180-4, HMAC per RFC 2104, HKDF per RFC 5869,
 AES-256 per FIPS-197, GCM per SP 800-38D, CBC per SP 800-38A, X25519 per
 RFC 7748), deliberately sharing no code with the package, which uses an
 OpenSSL-backed library. On top of them sit whole envelopes of each
-design (v1_seal, v2_seal, vdr_seal) and the package's seeded byte source
-(SeededStream), so the tests can rebuild every golden envelope byte for
-byte. The script first proves
-the primitives against published standard vectors, then derives the
-protocol vectors and writes them to src/letterseal/kat_vectors.txt, the
-file the package ships and checks itself against, in the line format
+design (v1_seal, v2_seal, vdr_seal), the ratchet's state snapshot
+(vdr_snapshot) and the package's seeded byte source (SeededStream), so the
+tests can rebuild every golden envelope and snapshot byte for byte. The
+script first proves the primitives against published standard vectors,
+then derives the protocol vectors and writes them to
+src/letterseal/kat_vectors.txt, the file the package ships and checks
+itself against, in the line format
 
     name hex(input) [hex(input) ...] hex(output)
 
@@ -282,12 +283,17 @@ _P25519 = 2 ** 255 - 19
 _A24 = 121665
 
 
-def _decode_scalar(k: bytes) -> int:
+def clamp(k: bytes) -> bytes:
+    """decodeScalar25519's bit clearing and setting, kept as bytes."""
     b = bytearray(k)
     b[0] &= 248
     b[31] &= 127
     b[31] |= 64
-    return int.from_bytes(b, "little")
+    return bytes(b)
+
+
+def _decode_scalar(k: bytes) -> int:
+    return int.from_bytes(clamp(k), "little")
 
 
 def _decode_u(u: bytes) -> int:
@@ -566,6 +572,23 @@ def vdr_seal(ck: bytes, epoch: int, index: int, eph_pub: bytes,
     return (struct.pack(">BBII", 3, ctype, kid_s, kid_r) + eph_pub
             + struct.pack(">I", index) + material + struct.pack(">I", len(ct))
             + ct), next_ck
+
+
+def vdr_snapshot(role: int, rk: bytes, optional, indices, kids,
+                 skipped) -> bytes:
+    """A ratchet state's VDR4 snapshot. optional is (ck_send, ck_recv,
+    self_eph_secret, self_eph_pub, peer_eph_pub), None where unset, and
+    flag bit k marks the k-th; indices is (i_s, j_s, i_r, j_r), kids is
+    (kid_self, kid_peer), skipped is [((i, j), key)] in cache order.
+
+    Layout: magic, role, flags, rk, the set optional fields, the indices,
+    the kids, u16 cache count, then (i, j) and the key per cached key."""
+    flags = sum(1 << k for k, field in enumerate(optional) if field is not None)
+    return (b"VDR4" + bytes([role, flags]) + rk
+            + b"".join(field for field in optional if field is not None)
+            + struct.pack(">IIIIIIH", *indices, *kids, len(skipped))
+            + b"".join(struct.pack(">II", i, j) + key
+                       for (i, j), key in skipped))
 
 
 def build_vectors():
