@@ -32,8 +32,15 @@ from typing import Callable, NamedTuple
 
 from . import crypto_suite as cs
 from .errors import NotInitialized, ParseError
-from .linev1 import v1_decrypt, v1_encrypt, v1_establish
-from .linev2 import v2_decrypt, v2_encrypt, v2_establish, v2_export_state
+from .linev1 import v1_decrypt, v1_derive, v1_encrypt, v1_establish
+from .linev2 import (
+    v2_decrypt,
+    v2_derive_key,
+    v2_encrypt,
+    v2_establish,
+    v2_export_state,
+    v2_snapshot_pms,
+)
 from .linevdr import (
     vdr_decrypt,
     vdr_encrypt,
@@ -48,6 +55,13 @@ PROTO_V2 = "v2"
 PROTO_VDR = "vdr"
 
 
+class StaticKeys(NamedTuple):
+    """The key schedule of a static design: one pms per pair of parties,
+    and each stage's key derived from it and its envelope's salt."""
+    pms: Callable        # the bytes RevState reveals -> the pms
+    stage_key: Callable  # (pms, envelope) -> the envelope's stage key
+
+
 class Design(NamedTuple):
     envelope: type       # the envelope family its sessions open
     setup: Callable      # (endpoint, envelope or None) -> session
@@ -57,6 +71,7 @@ class Design(NamedTuple):
     duplex: bool         # one session carries both directions
     label: Callable      # (envelope, ordinal) -> the demo's (stage, text)
     kdf: str             # the primitive_costs key its stage keys use
+    static_keys: StaticKeys | None  # the key closure's rule; None: ratchet
 
 
 def _static(establish):
@@ -83,17 +98,21 @@ DESIGNS = {
     PROTO_V1: Design(EnvelopeV1, _static(v1_establish), v1_encrypt,
                      lambda st, env, rng: v1_decrypt(st, env),
                      lambda st: bytes(st.pms), False,
-                     lambda env, k: (k, f"msg={k}"), "KDF-digest"),
+                     lambda env, k: (k, f"msg={k}"), "KDF-digest",
+                     StaticKeys(cs.SharedSecret,
+                                lambda pms, env: v1_derive(pms, env.salt)[0])),
     PROTO_V2: Design(EnvelopeV2, _static(v2_establish), v2_encrypt,
                      lambda st, env, rng: v2_decrypt(st, env),
                      v2_export_state, False,
                      lambda env, k: (env.counter, f"ctr={env.counter}"),
-                     "KDF-digest"),
+                     "KDF-digest",
+                     StaticKeys(v2_snapshot_pms,
+                                lambda pms, env: v2_derive_key(pms, env.salt))),
     PROTO_VDR: Design(EnvelopeVDR, _vdr_setup, vdr_encrypt, vdr_decrypt,
                       vdr_export_state, True,
                       lambda env, k: ((env.i_index, env.j_index),
                                       f"epoch={env.i_index} j={env.j_index}"),
-                      "KDF-chain"),
+                      "KDF-chain", None),
 }
 
 

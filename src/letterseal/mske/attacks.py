@@ -13,15 +13,14 @@ digests are rendered when report.trace is read, so a reader of the
 verdicts alone, such as the benchmark, never renders them.
 
 A script keeps no record of its own: it reads envelope bytes, plaintexts
-and true keys from the game's records, learns secrets only from oracle
-answers, and takes public keys from the game's key directory.
-
-The ratchet attacks make their reveals through the oracles and then read
-g.closure(), the game's KeyClosure: every key the reveals so far expose,
-closed over the envelopes of the stages the sessions accepted. A script
-feeds the closure nothing. It checks the closure's keys byte for byte
-against the keys the honest parties recorded, so "excluded" means the
-true key is absent, not merely that a search gave up.
+and true keys from the game's records, and learns secrets only from
+oracle answers. Every shared secret it uses, and every honest stage's
+key, comes from g.closure(), the game's KeyClosure: every key the reveals
+so far expose, closed over the envelopes of the stages the sessions
+accepted, under the design's rule. A script feeds the closure nothing.
+The ratchet scripts check the closure's keys byte for byte against the
+keys the honest parties recorded, so "excluded" means the true key is
+absent, not merely that a search gave up.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from ..linev2 import (
     v2_build_nonce,
     v2_decrypt,
     v2_derive_key,
-    v2_snapshot_pms,
 )
 from ..linevdr import (
     ROLE_INITIATOR,
@@ -125,9 +123,8 @@ def attack_kci_v2(seed: int) -> AttackReport:
     g = _game(PROTO_V2, seed, [(A, b"hello from the real sender")])
     honest = decode_envelope(g.sessions[(B, 1)].transcript[1])
 
-    sk_b = g.oracle_rev_ltk(B)
-    pk_a = g.directory.lookup(honest.kid_sender)
-    pms = cs.dh(sk_b, pk_a)  # the victim's own secret recreates the pair pms
+    g.oracle_rev_ltk(B)
+    pms = g.closure().pms  # the victim's own secret recreates the pair pms
 
     adv = _adv_rng(seed, b"kci")
     salt = adv.token(16)
@@ -183,11 +180,11 @@ def attack_fs_v2(seed: int) -> AttackReport:
     g = _game(PROTO_V2, seed,
               [(A, b"minute %03d of the meeting" % n) for n in range(total)])
     rec = g.sessions[(B, 1)]
-    snap = g.oracle_rev_state(B, 1, total)
-    pms = v2_snapshot_pms(snap)
-    # the receiver's session rebuilt from the leak and a recorded header
+    g.oracle_rev_state(B, 1, total)
+    closure = g.closure()
+    # the receiver's session rebuilt from the leaked pms and a recorded header
     honest = decode_envelope(rec.transcript[1])
-    stolen = SessionV2(pms=pms, kid_self=honest.kid_receiver,
+    stolen = SessionV2(pms=closure.pms, kid_self=honest.kid_receiver,
                        kid_peer=honest.kid_sender, sid=honest.rid,
                        rid=honest.sid)
 
@@ -202,7 +199,7 @@ def attack_fs_v2(seed: int) -> AttackReport:
 
     tested = total // 2
     env_t = decode_envelope(rec.transcript[tested])
-    test = _test(g, B, tested, v2_derive_key(pms, env_t.salt))
+    test = _test(g, B, tested, closure.key_for(env_t))
     succeeded = opened == total and test["guess"] == g.b
     return _report("fs_v2", g, succeeded, (B, tested), {
         "recorded": total,

@@ -12,8 +12,9 @@ exactly as they do: a ratchet initiator draws its epoch-0 ephemeral at its
 first send, not at activation, and a ratchet responder sets up from the
 first envelope it opens, and an envelope of another protocol's family is
 refused with ParseError like any malformed delivery. The game reads its
-design's row: ``snapshot`` for RevState, ``duplex`` for the stage mapping.
-The game derives no stage key and reads no rng history: each seal and open
+design's row: ``snapshot`` for RevState, ``duplex`` for the stage mapping,
+``static_keys`` for the key closure.
+The game derives no recorded key and reads no rng history: each seal and open
 runs in a ``with crypto_suite.Recorder()`` block, which receives the key
 the protocol used and the bytes the party's rng drew.
 
@@ -41,10 +42,13 @@ a session sent, delivered or not, and none that every receiver refused),
 the scalar of each revealed long-term key, the ephemeral secret of each
 revealed draw (its first 32 bytes; a draw without an epoch turn is a
 4-byte nonce and exposes no scalar), each revealed snapshot and each
-revealed stage key, all closed under KeyClosure's rules. The initiator
-and responder are read off the sessions' roles, whichever party opened.
-Nothing is fed or kept while the oracles run; each call builds the
-closure afresh. Only the duplex design has a closure so far.
+revealed stage key, all closed under KeyClosure's rules. The rules are
+the design's: a static design's row names how a revealed state gives the
+pair's pms and how the pms and an envelope give its stage key; the
+ratchet's are the closure's own. The initiator and responder are read
+off the sessions' roles, whichever party opened. Nothing is fed or kept
+while the oracles run; each call builds the closure afresh, and held()
+asks one for a stage's true key, whatever the design.
 
 Determinism. A game seeded with s derives one stream per party
 (fork b"party-<u>" of fork b"protocol") plus a challenger stream
@@ -67,7 +71,7 @@ from dataclasses import dataclass, field
 
 from .. import crypto_suite as cs
 from ..directory_server import KeyDirectory
-from ..endpoint import Endpoint, design
+from ..endpoint import Endpoint, StaticKeys, design
 from ..errors import (
     LettersealError,
     ParseError,
@@ -188,38 +192,45 @@ class KeyClosure:
     """Key material derivable from leaks plus the public transcript.
 
     Rules, over the long-term publics x (initiator) and y (responder) and
-    each epoch e's ephemeral eph_e, read off the envelopes:
+    the envelopes given (the game gives those some session accepted). A
+    static design (v1, v2) passes its row's StaticKeys as ``static_keys``:
+      pms         the (x, y) exchange, answered from whichever secret is
+                  held, unless a revealed state gave it
+      stage key   static_keys.stage_key(pms, env) for each envelope, held
+                  under the envelope's salt
+    The ratchet (``static_keys`` None), over each epoch e's ephemeral
+    eph_e, read off the envelopes:
       root        rk_e, ck_e = kdf_root(dh outputs of e's exchanges, salt):
                     epoch 0   salt zero; (eph_0, y), then (x, y)
                     epoch e   salt rk_{e-1}; (eph_e, eph_{e-1})
                   each exchange answered from whichever secret is held
       extension   walk a known chain key forward, one message key per
                   index, bounded by the highest index among the envelopes
-                  given (the game gives those some session accepted)
+    A revealed stage key is held as its value, under its envelope's
+    label(): a static stage's salt, a ratchet stage's (epoch, index). So
+    every stage that holds the same envelope holds that key.
 
-    run() applies them in one ordered pass, which reaches their fixpoint.
-    Roots only move forward: epoch e needs no root past rk_{e-1}, so one
-    walk up the epochs of the envelopes meets every root after the root it
-    needs. Chain keys feed no root, so one extension pass after the walk
-    gives every message key. The game builds a closure, learns its leaks
-    and runs it once.
+    run() applies the rules in one ordered pass, which reaches their
+    fixpoint. A static pms feeds every stage key and nothing feeds it.
+    Ratchet roots only move forward: epoch e needs no root past rk_{e-1},
+    so one walk up the epochs of the envelopes meets every root after the
+    root it needs. Chain keys feed no root, so one extension pass after
+    the walk gives every message key. The game builds a closure, learns
+    its leaks and runs it once.
     """
 
     def __init__(self, initiator_pub: bytes, responder_pub: bytes,
-                 envelopes: list[EnvelopeVDR]):
+                 envelopes: list, static_keys: StaticKeys | None = None):
         self.initiator_pub = bytes(initiator_pub)
         self.responder_pub = bytes(responder_pub)
-        self.epoch_eph_pub: dict[int, bytes] = {}
-        self.max_j: dict[int, int] = {}
-        for env in envelopes:
-            epoch = env.i_index  # decoded from nonce_material on each read
-            self.epoch_eph_pub.setdefault(epoch, bytes(env.eph_pub))
-            self.max_j[epoch] = max(self.max_j.get(epoch, -1), env.j_index)
+        self.envelopes = envelopes
+        self.static_keys = static_keys
+        self.pms: cs.SharedSecret | None = None  # a static design's, once held
         # public -> the key object of its secret, built once per scalar
         self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
         self.root: dict[int, bytes] = {}                # epoch -> rk
         self.chain: dict[int, tuple[int, bytes]] = {}   # epoch -> (j, ck)
-        self.mk: dict[tuple[int, int], bytes] = {}
+        self.mk: dict = {}                              # label -> key
 
     # -- leak intake ------------------------------------------------------
 
@@ -233,6 +244,9 @@ class KeyClosure:
             self.chain[epoch] = (j, bytes(ck))
 
     def learn_snapshot(self, snapshot: bytes) -> None:
+        if self.static_keys is not None:
+            self.pms = self.static_keys.pms(snapshot)
+            return
         st = vdr_import_state(snapshot)
         if st.self_eph_secret is not None:
             self.learn_scalar(st.self_eph_secret)
@@ -255,11 +269,31 @@ class KeyClosure:
             return self.scalars[peer], pub
         return None
 
+    def _static(self) -> "KeyClosure":
+        if self.pms is None:
+            held = self._held(self.initiator_pub, self.responder_pub)
+            if held is None:
+                return self
+            key, pub = held
+            self.pms = cs.dh(key, cs.GroupElement(pub))
+        for env in self.envelopes:
+            self.mk.setdefault(self.label(env), bytes(
+                self.static_keys.stage_key(self.pms, env)))
+        return self
+
     def run(self) -> "KeyClosure":
-        for epoch, eph in sorted(self.epoch_eph_pub.items()):
+        if self.static_keys is not None:
+            return self._static()
+        epoch_eph_pub: dict[int, bytes] = {}
+        max_j: dict[int, int] = {}
+        for env in self.envelopes:
+            epoch = env.i_index  # decoded from nonce_material on each read
+            epoch_eph_pub.setdefault(epoch, bytes(env.eph_pub))
+            max_j[epoch] = max(max_j.get(epoch, -1), env.j_index)
+        for epoch, eph in sorted(epoch_eph_pub.items()):
             if epoch in self.root:
                 continue
-            prev = self.epoch_eph_pub.get(epoch - 1)
+            prev = epoch_eph_pub.get(epoch - 1)
             if epoch == 0:
                 salt, exchanges = cs.ZERO_SALT, (
                     (eph, self.responder_pub),
@@ -277,7 +311,7 @@ class KeyClosure:
             self.root[epoch] = bytes(rk)
             self.learn_chain(epoch, 0, ck)
         for epoch, (j, ck) in self.chain.items():
-            limit = self.max_j.get(epoch, -1)
+            limit = max_j.get(epoch, -1)
             cur = cs.SymmetricKey(ck)
             while j <= limit:
                 mk, cur = cs.kdf_chain(cur)
@@ -287,10 +321,21 @@ class KeyClosure:
 
     # -- queries ----------------------------------------------------------
 
-    def message_key(self, stage: tuple[int, int]) -> bytes | None:
+    def label(self, env) -> bytes | tuple[int, int]:
+        """What the closure holds env's stage key under."""
+        if self.static_keys is not None:
+            return env.salt
+        return (env.i_index, env.j_index)
+
+    def message_key(self, stage) -> bytes | None:
+        """The key held under stage, as label() names it, or None."""
         return self.mk.get(stage)
 
-    def stages(self) -> list[tuple[int, int]]:
+    def key_for(self, env) -> bytes | None:
+        """The key held for env's stage, or None."""
+        return self.mk.get(self.label(env))
+
+    def stages(self) -> list:
         return sorted(self.mk)
 
     def holds_value(self, key: bytes) -> bool:
@@ -458,12 +503,11 @@ class Game:
 
     def closure(self) -> KeyClosure:
         """Every key the reveals so far expose, closed over the envelopes
-        of the stages the sessions accepted. The (initiator, responder)
+        of the stages the sessions accepted under the design's rule
+        (its row's static_keys, or the ratchet's). The (initiator, responder)
         pair is read off the sessions, whichever party opened; sessions
         that name two pairs raise ValueError. A game with no session
         takes party 1 as the initiator."""
-        if not self.design.duplex:
-            raise ValueError(f"no key closure for protocol {self.protocol!r}")
         pairs = {(rec.owner, rec.pid) if rec.role == ROLE_INITIATOR
                  else (rec.pid, rec.owner) for rec in self.sessions.values()}
         if len(pairs) > 1:
@@ -474,7 +518,8 @@ class Game:
             rec.transcript[s] for rec in self.sessions.values()
             for s, status in rec.status.items() if status == ACCEPT)
         closure = KeyClosure(self.parties[ini][1], self.parties[resp][1],
-                             [decode_envelope(raw) for raw in accepted])
+                             [decode_envelope(raw) for raw in accepted],
+                             self.design.static_keys)
         for u, revealed in self.rev_ltk.items():
             if revealed:
                 closure.learn_scalar(self.parties[u][0])
@@ -485,8 +530,19 @@ class Game:
             for s in rec.rev_state:
                 closure.learn_snapshot(rec.state_snap[s])
             for s in rec.rev_sesskey:
-                closure.mk[s] = bytes(rec.key[s])
+                env = decode_envelope(rec.transcript[s])
+                closure.mk[closure.label(env)] = bytes(rec.key[s])
         return closure.run()
+
+    def held(self, u: int, i: int, s) -> bool:
+        """Whether closure() holds the true key of accepted stage s of
+        session (u, i): the key under the label of the stage's envelope."""
+        rec = self._session(u, i)
+        if rec.status.get(s) != ACCEPT:
+            raise StageNotAccepted(f"stage {_fmt_stage(s)} of ({u},{i}) "
+                                   "not accepted")
+        env = decode_envelope(rec.transcript[s])
+        return self.closure().key_for(env) == bytes(rec.key[s])
 
     # -- Test ---------------------------------------------------------------
 

@@ -10,8 +10,7 @@ import pytest
 import letterseal.crypto_suite as cs
 import letterseal.mske.attacks as attacks_module
 import letterseal.mske.game as game_module
-from letterseal.endpoint import DESIGNS
-from letterseal.errors import UnknownAttack
+from letterseal.errors import StageNotAccepted, StageUnknown, UnknownAttack
 from letterseal.linevdr import (
     ROLE_INITIATOR,
     ROLE_RESPONDER,
@@ -26,7 +25,7 @@ from letterseal.mske import (
     run_attack,
 )
 from letterseal.mske.attacks import _flights, _game
-from letterseal.mske.freshness import fresh_vdr
+from letterseal.mske.freshness import fresh_v2
 from letterseal.mske.game import REJECT
 from letterseal.wire import decode_envelope, encode_envelope
 
@@ -149,12 +148,6 @@ def test_closure_empty_without_leaks():
     assert c.stages() == []
     assert c.message_key((0, 0)) is None
     assert not c.holds_value(g.sessions[(2, 1)].key[(0, 0)])
-    for name, row in DESIGNS.items():  # only the ratchet has a closure yet
-        if not row.duplex:
-            one_way = _game(name, 0, [(1, b"m0")])
-            one_way.oracle_rev_ltk(2)
-            with pytest.raises(ValueError, match=f"protocol '{name}'"):
-                one_way.closure()
 
 
 def test_closure_initial_from_responder_secret():
@@ -393,12 +386,22 @@ def test_refused_deliveries_change_neither_closure_nor_outcome():
     assert games == 745
 
 
+# a stage that shares its envelope, and so its key, with a revealed stage
+# of another session or stage is rated fresh; ROADMAP item 15 closes it
+PARTNER_GAP = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: fresh_v2 does not look for a revealed key at a "
+    "stage that holds the same envelope"))
+
+
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("name", ["replay_vdr", "kci_vdr_postratchet",
-                                  "fs_vdr", "pcs_vdr"])
+@pytest.mark.parametrize("name", [
+    "kci_v2", pytest.param("replay_v2", marks=PARTNER_GAP), "fs_v2",
+    "replay_vdr", "kci_vdr_postratchet", "fs_vdr", "pcs_vdr"])
 def test_no_fresh_tested_stage_is_held(monkeypatch, name, seed):
-    """A ratchet script's tested stage that fresh_vdr rates fresh is one
-    whose true key the closure of the script's game does not hold."""
+    """A script's tested stage that its report rates fresh (by its
+    protocol's predicate) is one whose true key the closure of the script's
+    game does not hold. replay_v2 tests stage 2, which re-opens stage 1's
+    envelope after stage 1's key was revealed: fresh, and held."""
     seen = []
     real = attacks_module._report
 
@@ -407,11 +410,49 @@ def test_no_fresh_tested_stage_is_held(monkeypatch, name, seed):
         return real(name, g, succeeded, tested, details)
 
     monkeypatch.setattr(attacks_module, "_report", keep)
-    run_attack(name, seed)
+    rep = run_attack(name, seed)
     ((g, (u, s)),) = seen
-    if fresh_vdr(g, (u, 1, s)):
-        assert (g.closure().message_key(s)
-                != bytes(g.sessions[(u, 1)].key[s])), (name, seed)
+    if not rep.violated_freshness:
+        assert not g.held(u, 1, s), (name, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("protocol", ["v1", "v2"])
+def test_static_closure_holds_every_stage_under_each_reveal(protocol, seed):
+    """A sends three messages. With no reveal the closure holds none of
+    the 6 stages; either long-term key, or either party's state at stage
+    1, gives the pair's one pms and so all 6, and fresh_v2 rates none of
+    them fresh."""
+    stages = [(u, s) for u in (1, 2) for s in (1, 2, 3)]
+    plan = [(1, b"m%d" % k) for k in range(3)]
+    g = _game(protocol, seed, plan)
+    assert [g.held(u, 1, s) for u, s in stages] == [False] * 6
+    for reveal in (("ltk", 1), ("ltk", 2), ("state", 1, 1, 1),
+                   ("state", 2, 1, 1)):
+        g = _game(protocol, seed, plan)
+        truth_tables.apply_reveals(g, [reveal])
+        assert [(g.held(u, 1, s), fresh_v2(g, (u, 1, s)))
+                for u, s in stages] == [(True, False)] * 6, reveal
+
+
+@PARTNER_GAP
+@pytest.mark.parametrize("seed", range(4))
+def test_partner_key_reveal_leaves_no_fresh_stage_held(seed):
+    """A sends one message and B accepts it at stage 1; A's stage-1 key
+    is revealed, and B's stage 1 holds the same envelope and key."""
+    g = _game("v2", seed, [(1, b"m0")])
+    g.oracle_rev_sesskey(1, 1, 1)
+    if fresh_v2(g, (2, 1, 1)):
+        assert not g.held(2, 1, 1)
+
+
+def test_held_refuses_a_stage_with_no_key():
+    g = _game("v2", 0, [(1, b"m0")])
+    g.oracle_send(2, 1, b"\x99junk")
+    with pytest.raises(StageNotAccepted, match="stage 2 of"):
+        g.held(2, 1, 2)
+    with pytest.raises(StageUnknown):
+        g.held(2, 2, 1)
 
 
 def _hand_fed(g, reveal):

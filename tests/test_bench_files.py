@@ -50,7 +50,9 @@ def test_bench_file_schema(path):
         assert [r["first"] for r in runs] == [
             ("parent", "change")[i % 2] for i in range(len(runs))]
         for run in runs:
-            assert set(run) == {"seed", "first", "parent", "change"}
+            # as_timed is kept by files recorded since it was added
+            assert set(run) - {"as_timed"} == {"seed", "first", "parent",
+                                               "change"}
             for side in ("parent", "change"):
                 line = run[side]
                 assert set(line) == {"correct", "attempted", "failed",
@@ -59,6 +61,11 @@ def test_bench_file_schema(path):
                 assert set(END_TO_END) <= set(line["metrics"])
                 for metric, m in line["metrics"].items():
                     assert m["unit"] == UNITS[metric], metric
+                if "as_timed" in run:
+                    timed = run["as_timed"][side]
+                    assert set(timed) == {"scale", "metrics"}
+                    assert timed["scale"] > 0
+                    assert set(timed["metrics"]) == set(END_TO_END)
         assert set(w["medians"]) == set(END_TO_END)
         for metric, row in w["medians"].items():
             spec = END_TO_END[metric]
@@ -100,10 +107,28 @@ def test_show_prints_one_row_per_workload_and_metric(capsys):
     doc = json.loads(path.read_text())
     assert len(rows) == 2 + sum(len(w["medians"])
                                 for w in doc["workloads"].values())
+    # the file predates as_timed, so its as-timed column reads "-"
     assert ["game", "vdr_first_msg_p50_us", "us", "609.1", "515.8", "0.847",
-            "10.39", "10/10", "gain"] in rows
+            "-", "10.39", "10/10", "gain"] in rows
     assert ["handshake", "peak_rss_mb", "MB", "32.85", "33.25", "1.012",
-            "0.1348", "0/3", "within"] in rows
+            "-", "0.1348", "0/3", "within"] in rows
+
+
+def test_show_prints_the_as_timed_ratio_of_medians():
+    tool = _recorder()
+
+    def side(scaled, timed):
+        return ({"metrics": {"round_s": {"value": scaled}}},
+                {"scale": scaled / timed, "metrics": {"round_s": timed}})
+
+    runs = []
+    for old, new in ((1.0, 1.1), (2.0, 2.2), (3.0, 3.3)):
+        (p, pt), (c, ct) = side(old, old * 2), side(new, new * 2.5)
+        runs.append({"parent": p, "change": c,
+                     "as_timed": {"parent": pt, "change": ct}})
+    assert tool.timed_ratio(runs, "round_s") == "1.375"  # scaled: 1.100
+    del runs[1]["as_timed"]
+    assert tool.timed_ratio(runs, "round_s") == "-"
 
 
 @pytest.mark.parametrize("parent,change,wins,expected", [

@@ -46,6 +46,12 @@ RULES = {
     "knowledge": ({"learn_scalar", "learn_snapshot", "learn_chain"}, {"call"},
                   [("mske/game.py", "")]),
     "closure": ({"KeyClosure"}, {"call"}, [("mske/game.py", "Game.closure")]),
+    "exchange": ({"dh"}, {"call"},
+                 [(f, "") for f in ("crypto_suite.py", "linev1.py",
+                                    "linev2.py", "linevdr.py", "kat.py",
+                                    "bench.py")]
+                 + [("mske/game.py", f"KeyClosure.{f}")
+                    for f in ("_static", "run")]),
     "unchecked": ({"unchecked"}, ANY,
                   [(f, "") for f in ("crypto_suite.py", "linev1.py",
                                      "linev2.py", "linevdr.py")]),
@@ -179,6 +185,7 @@ test_key_bytes_reach_only_the_game = rule_test("recorders")
 test_attacks_get_secrets_only_from_oracles = rule_test("parties")
 test_only_the_game_turns_answers_into_knowledge = rule_test("knowledge")
 test_only_game_closure_builds_a_closure = rule_test("closure")
+test_attacks_run_no_exchange_of_their_own = rule_test("exchange")
 test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
 test_no_imports_inside_functions = rule_test("nested_import")
@@ -280,15 +287,20 @@ SAMPLES = {
         "closure.learn_scalar(g.parties[B][0])\n"
         "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"
         "ss = cs.dh(g._party_keys[A], pk)\n"),
-        {"mske/game.py": ["3: closure"], "mske/attacks.py": [
+        {"mske/game.py": ["3: closure", "7: exchange"], "mske/attacks.py": [
             "1: parties", "3: closure", "3: parties", "4: knowledge",
-            "4: parties", "6: parties", "7: parties"]}),
+            "4: parties", "6: parties", "7: exchange", "7: parties"]}),
     "knowledge": (breaks, (
         "closure.learn_scalar(g.oracle_rev_ltk(B))  # the revealed ltk\n"
         "closure.learn_snapshot(snap)\nclosure = g.closure()\n"
         "learn = closure.learn_chain\n"),
         {"mske/game.py": [], "mske/attacks.py": ["1: knowledge",
                                                  "2: knowledge"]}),
+    "exchange": (breaks, (
+        "pms = cs.dh(sk_b, pk_a)  # the victim's secret recreates the pms\n"
+        "pms = g.closure().pms\nrun = cs.dh\nshared = dh(key, peer)\n"),
+        {"linev2.py": [], "mske/game.py": ["1: exchange", "4: exchange"],
+         "mske/attacks.py": ["1: exchange", "4: exchange"]}),
     "unchecked": (breaks, (
         "key = cs.SymmetricKey.unchecked(raw)\n"
         "rk = cs.SymmetricKey(rk)\nmake = AeadNonce.unchecked\n"

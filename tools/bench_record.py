@@ -12,7 +12,11 @@ inside another checkout, is refused before any run.
 
 For each seed, runs the command BENCHMARK.json declares once in each
 checkout (trace off), alternating which side goes first, and keeps the
-JSON result line each run prints. Per end-to-end metric it then writes
+JSON result line each run prints. The result line's times are scaled to a
+reference speed by perfbench's calibration probe, so beside it each run
+keeps, under ``as_timed``, the probe's scale and the metrics as timed,
+both read from the run's full result in ``.perfbench/``. Per end-to-end
+metric it then writes
 both sides' medians and quartiles, change/parent as a ratio of medians,
 and how many pairs the change won. A workload recorded again replaces
 its old entry; the others stay, so a file is filled one workload at a
@@ -20,7 +24,8 @@ time. Numbers from one machine are only comparable as ratios, so each
 workload also keeps the environment fingerprint of its first run.
 
 ``--show`` prints a recorded file, one line per workload and end-to-end
-metric: both medians, change/parent, the parent's interquartile range,
+metric: both medians, change/parent, the same ratio as timed (``-`` for a
+file recorded before runs kept it), the parent's interquartile range,
 how many pairs the change won and a verdict against the metric's bound
 in BENCHMARK.json (see :func:`verdict`). It runs nothing.
 """
@@ -46,8 +51,9 @@ def seed_range(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict]:
-    """The result line of one untraced run, and its fingerprint."""
+             seconds: float) -> tuple[dict, dict, dict]:
+    """The result line of one untraced run, its probe scale and metrics
+    as timed, and its fingerprint."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
@@ -55,10 +61,12 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
         raise RuntimeError(f"{checkout}: {' '.join(args)} exited "
                            f"{proc.returncode}\n{proc.stderr[-2000:]}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
-    full = checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
-    fingerprint = json.loads(full.read_text())["fingerprint"]
+    full = json.loads((checkout / ".perfbench"
+                       / f"{workload}-seed{seed}-trace0.json").read_text())
+    timed = {"scale": full["scale_median"], "metrics": full["raw_metrics"]}
+    fingerprint = full["fingerprint"]
     fingerprint.pop("seed", None)
-    return line, fingerprint
+    return line, timed, fingerprint
 
 
 def require_checkout_top(parent: Path) -> None:
@@ -134,13 +142,24 @@ def verdict(row: dict, bound: float, old: list, new: list) -> str:
     return "within"
 
 
+def timed_ratio(runs: list[dict], metric: str) -> str:
+    """change/parent of the medians as timed, or "-" when a run kept
+    none."""
+    if not all("as_timed" in r for r in runs):
+        return "-"
+    old, new = (statistics.median(r["as_timed"][side]["metrics"][metric]
+                                  for r in runs)
+                for side in ("parent", "change"))
+    return f"{new / old:.3f}" if old else "-"
+
+
 def show(doc: dict) -> str:
     """The table --show prints for a recorded file."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {spec["name"]: spec["bound"] for spec in bench["end_to_end"]}
     lines = [f"parent {doc['parent']}",
              "workload   metric                 unit   parent_median "
-             "change_median  ratio  parent_iqr  wins  verdict"]
+             "change_median  ratio  timed  parent_iqr  wins  verdict"]
     for workload, w in doc["workloads"].items():
         for metric, row in w["medians"].items():
             q1, q3 = row["parent_quartiles"]
@@ -152,6 +171,7 @@ def show(doc: dict) -> str:
                 f"{workload:<10} {metric:<22} {row['unit']:<6} "
                 f"{_num(row['parent_median']):>13} "
                 f"{_num(row['change_median']):>13} {ratio:>6} "
+                f"{timed_ratio(w['runs'], metric):>6} "
                 f"{_num(q3 - q1):>11}  {wins:<5} "
                 f"{verdict(row, bounds[metric], old, new)}")
     return "\n".join(lines) + "\n"
@@ -185,11 +205,11 @@ def main(argv=None) -> int:
     runs, fingerprint = [], None
     for i, seed in enumerate(args.seeds):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": sides[0]}
+        pair = {"seed": seed, "first": sides[0], "as_timed": {}}
         for side in sides:
             checkout = args.parent if side == "parent" else args.change
-            pair[side], fp = run_once(checkout, bench["command"],
-                                      args.workload, seed, args.seconds)
+            pair[side], pair["as_timed"][side], fp = run_once(
+                checkout, bench["command"], args.workload, seed, args.seconds)
             fingerprint = fingerprint or fp
         runs.append(pair)
         m = bench["end_to_end"][0]["name"]
