@@ -23,9 +23,10 @@ such a scalar or the OpenSSL key object built from it
 and :func:`dh_key` turns either form into the object. Building the object
 costs a scalar multiplication of its own, so a caller that exchanges with
 one secret more than once holds the object. The owner of a secret holds
-its object: a ratchet state its ephemeral, a game party its long-term
-key, the game's key closure each scalar it learns. Nothing caches an
-object by value, in this module or elsewhere.
+its object: a ratchet state its ephemeral, from the moment the scalar
+enters it (an imported state included), a game party its long-term key,
+the game's key closure each scalar it learns. Nothing caches an object by
+value, in this module or elsewhere.
 
 Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
 absorbs a key's inner and outer pads into two SHA-256 states once, and

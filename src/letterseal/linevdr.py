@@ -26,14 +26,18 @@ record of what it received; besides the chain positions it holds the
 cache alone, so its size is bounded by MAX_SKIP.
 
 Ephemeral key object. Besides the scalar ``self_eph_secret``, the state
-holds ``self_eph_key``, the OpenSSL key object built from it, so the next
-epoch turn exchanges without deriving the public key again. The state owns
-it, and it is set wherever the ephemeral is generated: in vdr_init_sender
-and in the reply set-up of vdr_decrypt. The turn that replaces the scalar
-replaces the object with it; a failed decrypt leaves both in place. It is a
-cache of ``self_eph_secret`` and nothing more: snapshots never carry it, so
-vdr_import_state returns it as None and the first turn after an import
-builds the object from the scalar bytes.
+holds ``self_eph_key``, the OpenSSL key object built from it, and the next
+epoch turn exchanges with that object alone. The state owns it. Where the
+ephemeral is generated (vdr_init_sender, the reply set-up of vdr_decrypt)
+the keygen's own object is stored; wherever else a scalar enters a state
+without its object (vdr_import_state, a state built directly),
+``__post_init__`` builds it. So a resumed state turns as a live one does:
+the scalar multiplication that builds the object is paid at import, not
+inside the first message after it. The turn that replaces the scalar
+replaces the object with it; a failed decrypt leaves both in place. An
+object passed in is taken as the scalar's, so ``dataclasses.replace``
+with a new scalar passes ``self_eph_key=None`` with it. Snapshots never
+carry the object.
 
 Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
 both the party's secret and the peer's public key, and the state stores
@@ -100,7 +104,8 @@ class RatchetState:
     self_eph_pub: cs.GroupElement | None = None
     peer_eph_pub: cs.GroupElement | None = None
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
-    # key object of self_eph_secret (module docstring); never serialized
+    # key object of self_eph_secret, set whenever the scalar is (module
+    # docstring); never serialized
     self_eph_key: cs.X25519PrivateKey | None = field(
         default=None, repr=False, compare=False)
 
@@ -114,6 +119,8 @@ class RatchetState:
             if len(key) != 32:
                 raise ValueError(f"skipped key {stage} must be 32 bytes, "
                                  f"got {len(key)}")
+        if self.self_eph_key is None and self.self_eph_secret is not None:
+            self.self_eph_key = cs.dh_private_key(self.self_eph_secret)
 
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
@@ -217,7 +224,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         if st.self_eph_secret is None:
             raise StaleEpoch("no local ephemeral to ratchet against")
         peer_eph = cs.GroupElement(env.eph_pub)
-        shared = cs.dh(st.self_eph_key or st.self_eph_secret, peer_eph)
+        shared = cs.dh(st.self_eph_key, peer_eph)
         rk, ck = cs.kdf_root(shared, st.rk)
         i_r, j = i_index, 0
     elif i_index == st.i_r and st.ck_recv is not None:

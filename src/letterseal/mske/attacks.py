@@ -271,7 +271,10 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     """Snapshot both parties after everything is consumed, then try to
     decrypt the recorded traffic by driving imported copies of the states.
     Consumed indices are refused and the chains have moved past; the
-    snapshots also no longer contain any spent message key."""
+    snapshots also no longer contain any spent message key. Each snapshot
+    is imported once, and again only after an open moves the copy: a
+    refused decrypt leaves the state as it was, so every attempt starts
+    from the snapshot as revealed."""
     g = _game(PROTO_VDR, seed, [
         (A, b"m 0,0"), (A, b"m 0,1"), (A, b"m 0,2"),
         (B, b"r 1,0"), (B, b"r 1,1"),
@@ -286,14 +289,15 @@ def attack_fs_vdr(seed: int) -> AttackReport:
     attempts = 0
     opened = 0
     for snap in (snap_b, snap_a):
+        st = vdr_import_state(snap)
         for stage, raw in rec_a.transcript.items():
             env = decode_envelope(raw)
-            st = vdr_import_state(snap)  # fresh copy per attempt
             attempts += 1
             try:
                 out = vdr_decrypt(st, env, adv.fork(b"%d-%d" % stage))
             except LettersealError:
-                continue
+                continue  # refused: st is still the snapshot's state
+            st = vdr_import_state(snap)  # opened: the next try starts over
             if out == opened_by[stage]:
                 opened += 1
 

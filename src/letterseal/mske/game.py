@@ -24,7 +24,9 @@ no session builds it again; ``parties`` still names the (scalar, public)
 pair, and RevLongTermKey alone reveals the scalar: no session state holds
 a long-term key, so RevState does not. A session's ratchet state holds
 its own ephemeral's object, and the key closure each scalar it learns.
-Nothing caches an object by value.
+A revealed snapshot's ephemeral is built once, when the closure imports
+the snapshot, and the closure keeps the imported state's object rather
+than building another from its scalar. Nothing caches an object by value.
 
 Stage mapping. A one-way design (v1, v2) treats every encrypted message
 as one stage with session key k_e; stages are 1-indexed integers (the
@@ -235,7 +237,9 @@ class KeyClosure:
     # -- leak intake ------------------------------------------------------
 
     def learn_scalar(self, raw: bytes) -> None:
-        key = cs.dh_private_key(cs.clamp_scalar(bytes(raw)))
+        self._learn_key(cs.dh_private_key(cs.clamp_scalar(bytes(raw))))
+
+    def _learn_key(self, key: cs.X25519PrivateKey) -> None:
         self.scalars[key.public_key().public_bytes_raw()] = key
 
     def learn_chain(self, epoch: int, j: int, ck: bytes) -> None:
@@ -247,9 +251,9 @@ class KeyClosure:
         if self.static_keys is not None:
             self.pms = self.static_keys.pms(snapshot)
             return
-        st = vdr_import_state(snapshot)
-        if st.self_eph_secret is not None:
-            self.learn_scalar(st.self_eph_secret)
+        st = vdr_import_state(snapshot)  # builds the ephemeral's object
+        if st.self_eph_key is not None:
+            self._learn_key(st.self_eph_key)
         self.root[st.i_s] = bytes(st.rk)  # exported rk belongs to the send epoch
         if st.ck_send is not None:
             self.learn_chain(st.i_s, st.j_s, st.ck_send)

@@ -29,6 +29,7 @@ from letterseal.mske.freshness import fresh_v2
 from letterseal.mske.game import REJECT
 from letterseal.wire import decode_envelope, encode_envelope
 
+import helpers
 import truth_tables
 
 SEEDS = (0, 1, 7, 13, 42)
@@ -121,6 +122,25 @@ def test_fs_vdr_details():
     assert d["decrypted"] == 0
     assert d["decrypt_attempts"] > 0
     assert d["consumed_keys_absent_from_snapshots"] is True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fs_vdr_imports_each_snapshot_once(monkeypatch, seed):
+    """One import per revealed snapshot: no attempt is opened, and a
+    refused one leaves the imported state as it was."""
+    revealed, imported = [], []
+    reveal = Game.oracle_rev_state
+    monkeypatch.setattr(Game, "oracle_rev_state", lambda *args: revealed.append(
+        reveal(*args)) or revealed[-1])
+    real = attacks_module.vdr_import_state
+    monkeypatch.setattr(attacks_module, "vdr_import_state",
+                        lambda snap: imported.append(snap) or real(snap))
+    rep = run_attack("fs_vdr", seed)
+    assert len(revealed) == 2 and imported == revealed
+    assert (rep.details["decrypt_attempts"], rep.details["decrypted"]) == (12, 0)
+    if seed in helpers.ATTACK_TRACE_SEEDS:
+        line = helpers._trace_line(f"fs_vdr@{seed}", "0,0", rep.trace)
+        assert line in helpers.ATTACK_TRACE_FILE.read_text().splitlines()
 
 
 def test_pcs_vdr_details():
@@ -272,6 +292,15 @@ def test_closure_builds_one_key_object_per_learned_scalar(monkeypatch):
     c = g.closure()  # four exchanges: two for epoch 0, one per turn
     assert built == [cs.clamp_scalar(raw) for raw in learned]
     assert _true_stages(g, c) == [(0, 0), (0, 1), (1, 0), (2, 0)]
+    # a revealed snapshot's ephemeral: built by the import, kept as is
+    snapshot = g.oracle_rev_state(1, 1, (2, 0))
+    built.clear()
+    c = g.closure()
+    eph = g.sessions[(1, 1)].ep.session.self_eph_secret  # A sent (2,0) last
+    assert eph in snapshot
+    assert sorted(built) == sorted(
+        [cs.clamp_scalar(raw) for raw in learned] + [eph])  # eph once
+    assert sum(key.private_bytes_raw() == eph for key in c.scalars.values()) == 1
 
 
 def test_closure_learn_chain_keeps_earliest_position():

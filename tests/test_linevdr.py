@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import helpers
 from letterseal import crypto_suite as cs
@@ -296,8 +298,11 @@ def test_ad_binds_ratchet_header():
 # -- held ephemeral key object --------------------------------------------------
 
 def _key_matches_secret(st):
-    key = st.self_eph_key
-    return key is None or key.private_bytes_raw() == st.self_eph_secret
+    """The state holds its scalar's object, and holds one whenever it
+    holds the scalar."""
+    if st.self_eph_secret is None:
+        return st.self_eph_key is None
+    return st.self_eph_key.private_bytes_raw() == st.self_eph_secret
 
 
 @pytest.mark.parametrize("tamper,error", [
@@ -339,7 +344,8 @@ def test_held_key_tracks_secret_across_export_import():
         if turn == 4:
             for k in (0, 1):
                 twin[k] = vdr_import_state(vdr_export_state(twin[k]))
-                assert twin[k].self_eph_key is None
+                assert twin[k].self_eph_key is not None
+                assert _key_matches_secret(twin[k])
         s, r = (1, 0) if turn % 2 == 0 else (0, 1)
         text = b"turn %d" % turn
         for world in worlds:
@@ -380,12 +386,65 @@ def test_ratchet_steps_build_each_key_object_once(monkeypatch):
     built.clear()
     assert vdr_decrypt(sta, reply, a_rng) == b"reply"
     assert built == [bytes(sta.self_eph_secret)]  # turn reuses the held key
-    clone = vdr_import_state(vdr_export_state(stb))
+    snapshot = vdr_export_state(stb)
+    built.clear()
+    clone = vdr_import_state(snapshot)
+    assert built == [bytes(stb.self_eph_secret)]  # the stored ephemeral's
     env = vdr_encrypt(sta, 0, b"after import", a_rng)
-    old_secret = bytes(clone.self_eph_secret)
     built.clear()
     assert vdr_decrypt(clone, env, b_rng) == b"after import"
-    assert built == [old_secret, bytes(clone.self_eph_secret)]
+    assert built == [bytes(clone.self_eph_secret)]  # as a live turn: the reply
+
+
+# (sender, party resumed before the flight or None); A sends first
+_FLIGHTS = hs.lists(hs.tuples(hs.sampled_from((0, 1)),
+                              hs.sampled_from((None, 0, 1))),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flights=_FLIGHTS, seed=hs.integers(0, 2**16))
+def test_resumed_party_turns_as_one_never_exported(flights, seed):
+    """Two worlds from one seed play the same sender pattern; in the
+    second, a party may be exported and imported again before any
+    flight. Every envelope and snapshot stays byte-identical, an import
+    builds its stored ephemeral's object, and every epoch turn, in either
+    world, builds one key object: the reply ephemeral's."""
+    built = []
+    real = cs.dh_private_key
+    worlds = []
+    for _ in range(2):
+        sta, mats, a_rng, b_rng = helpers.vdr_pair(seed)
+        worlds.append(([sta, None], (a_rng, b_rng), mats))
+    resumed = worlds[1][0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cs, "dh_private_key",
+                      lambda secret: built.append(bytes(secret)) or real(secret))
+        for n, (sender, resume) in enumerate(flights):
+            if n == 0:
+                sender = 0
+            if resume is not None and resumed[resume] is not None:
+                built.clear()
+                resumed[resume] = vdr_import_state(
+                    vdr_export_state(resumed[resume]))
+                assert built == [bytes(resumed[resume].self_eph_secret)]
+            sent = []
+            for states, rngs, mats in worlds:
+                text = b"flight %d" % n
+                env = vdr_encrypt(states[sender], 0, text, rngs[sender])
+                sent.append(encode_envelope(env))
+                if states[1] is None:
+                    states[1] = helpers.vdr_receiver(mats, env)
+                receiver = states[1 - sender]
+                turns = (receiver.ck_send is None
+                         or env.i_index > receiver.i_r)
+                built.clear()
+                assert vdr_decrypt(receiver, env, rngs[1 - sender]) == text
+                assert built == ([bytes(receiver.self_eph_secret)]
+                                 if turns else [])
+            assert sent[0] == sent[1]
+            assert ([vdr_export_state(st) for st in worlds[0][0]]
+                    == [vdr_export_state(st) for st in resumed])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -519,10 +578,11 @@ def _failed_decrypts():
     "turn to the top epoch"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
-    before = vdr_export_state(st)
+    before, key = vdr_export_state(st), st.self_eph_key
     with cs.Recorder() as seen, pytest.raises(error):
         vdr_decrypt(st, env, rng)
     assert vdr_export_state(st) == before
+    assert st.self_eph_key is key  # no object built, none dropped
     assert seen.draws == []
 
 
