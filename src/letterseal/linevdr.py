@@ -31,13 +31,13 @@ epoch turn exchanges with that object alone. The state owns it. Where the
 ephemeral is generated (vdr_init_sender, the reply set-up of vdr_decrypt)
 the keygen's own object is stored; wherever else a scalar enters a state
 without its object (vdr_import_state, a state built directly),
-``__post_init__`` builds it. So a resumed state turns as a live one does:
-the scalar multiplication that builds the object is paid at import, not
-inside the first message after it. The turn that replaces the scalar
-replaces the object with it; a failed decrypt leaves both in place. An
-object passed in is taken as the scalar's, so ``dataclasses.replace``
-with a new scalar passes ``self_eph_key=None`` with it. Snapshots never
-carry the object.
+``__post_init__`` builds it and reads ``self_eph_pub`` off it. So a resumed
+state turns as a live one does: the scalar multiplication that builds the
+object is paid at import, not inside the first message after it. The turn
+that replaces the scalar replaces the object and public with it; a failed
+decrypt leaves them in place. An object or public passed in is taken as the
+scalar's, so ``dataclasses.replace`` with a new scalar passes
+``self_eph_key=None`` and ``self_eph_pub=None``. Snapshots carry neither.
 
 Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
 both the party's secret and the peer's public key, and the state stores
@@ -48,13 +48,13 @@ object and passes that, so set-up builds none.
 
 Every 32-byte field that is set, and every cached key, is checked for
 length once, when the state is built (``__post_init__``, which
-``dataclasses.replace`` runs too), so a snapshot never pads or cuts one.
+``dataclasses.replace`` runs too), so a snapshot never pads or cuts one;
+so is each chain, whose key is set with its ephemeral or neither is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import crypto_suite as cs
 from .errors import (
@@ -71,7 +71,6 @@ from .wire import (
     EnvelopeVDR,
     _check_u8,
     _Run,
-    _take,
 )
 
 MAX_SKIP = 256
@@ -90,7 +89,6 @@ _KEY_FIELDS = ("rk", "ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
 
 @dataclass(slots=True)
 class RatchetState:
-    role: str
     rk: cs.SymmetricKey
     kid_self: int
     kid_peer: int
@@ -101,7 +99,7 @@ class RatchetState:
     i_r: int = 0
     j_r: int = 0
     self_eph_secret: cs.GroupScalar | None = None
-    self_eph_pub: cs.GroupElement | None = None
+    self_eph_pub: cs.GroupElement | None = None  # the secret's; not serialized
     peer_eph_pub: cs.GroupElement | None = None
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
     # key object of self_eph_secret, set whenever the scalar is (module
@@ -119,8 +117,16 @@ class RatchetState:
             if len(key) != 32:
                 raise ValueError(f"skipped key {stage} must be 32 bytes, "
                                  f"got {len(key)}")
-        if self.self_eph_key is None and self.self_eph_secret is not None:
-            self.self_eph_key = cs.dh_private_key(self.self_eph_secret)
+        if ((self.ck_send is None) != (self.self_eph_secret is None)
+                or (self.ck_recv is None) != (self.peer_eph_pub is None)):
+            raise ValueError("RatchetState sets a chain key without its "
+                             "ephemeral, or an ephemeral without its chain")
+        if self.self_eph_secret is not None:
+            if self.self_eph_key is None:
+                self.self_eph_key = cs.dh_private_key(self.self_eph_secret)
+            if self.self_eph_pub is None:
+                self.self_eph_pub = cs.GroupElement(
+                    self.self_eph_key.public_key().public_bytes_raw())
 
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
@@ -143,7 +149,7 @@ def vdr_init_sender(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
     ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
     rk, ck_send = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
-        role=ROLE_INITIATOR, rk=rk, ck_send=ck_send,
+        rk=rk, ck_send=ck_send,
         kid_self=kid_self, kid_peer=kid_peer,
         self_eph_secret=eph_secret, self_eph_pub=eph_pub,
         self_eph_key=eph_key,
@@ -167,7 +173,7 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
     ikm = cs.dh(ltk_key, peer_eph) + cs.dh(ltk_key, peer_ltk_pub)
     rk, ck_recv = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
-        role=ROLE_RESPONDER, rk=rk, ck_recv=ck_recv,
+        rk=rk, ck_recv=ck_recv,
         kid_self=kid_self, kid_peer=kid_peer,
         peer_eph_pub=peer_eph,
         i_s=1,  # reply epoch; chain material arrives with the first decrypt
@@ -267,66 +273,54 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # ---------------------------------------------------------------------------
 # Snapshot codec (the RevState compromise surface)
 #
-# A snapshot is the head run, then each optional field its flag bit marks,
-# then the tail run and one skipped run per cached key. Export and import
-# both follow these declarations, so they cannot disagree on the order;
-# tests/data/golden_snapshots.txt pins the bytes themselves. Export packs
-# the head, the set optional fields and the tail with one run per flag
-# value, built here from the three declarations; import reads them apart,
-# at explicit positions, so it can check the flags before the fields.
+# A snapshot is the head run, then each chain its flag bit marks (bit 0
+# sending: ck_send, self_eph_secret; bit 1 receiving: ck_recv,
+# peer_eph_pub), then the tail run and one skipped run per cached key.
+# Export and import both follow these declarations, so they cannot
+# disagree on the order; tests/data/golden_snapshots.txt pins the bytes
+# themselves. Export packs the head, the chains and the tail with one run
+# per flag value; import reads them apart, so it checks the flags first.
 # ---------------------------------------------------------------------------
 
-_SNAPSHOT_MAGIC = b"VDR4"
-_ROLES = (ROLE_INITIATOR, ROLE_RESPONDER)  # the role byte indexes this
-_SNAPSHOT_HEAD = _Run(("magic", "4s"), ("role", "B"), ("flags", "B"),
-                      ("rk", "32s"))
-# flag bit k marks _SNAPSHOT_OPTIONAL[k]; each field is 32 bytes when set
-_SNAPSHOT_OPTIONAL = (
-    ("ck_send", cs.SymmetricKey),
-    ("ck_recv", cs.SymmetricKey),
-    ("self_eph_secret", cs.GroupScalar),
-    ("self_eph_pub", cs.GroupElement),
-    ("peer_eph_pub", cs.GroupElement),
-)
-_SNAPSHOT_FLAGS = (1 << len(_SNAPSHOT_OPTIONAL)) - 1
-# each chain's fields are set together or not at all
-_SNAPSHOT_PAIRED = (("ck_send", "self_eph_secret", "self_eph_pub"),
-                    ("ck_recv", "peer_eph_pub"))
+_SNAPSHOT_MAGIC = b"VDR5"
+_SNAPSHOT_HEAD = _Run(("magic", "4s"), ("flags", "B"), ("rk", "32s"))
+_SENDING, _RECEIVING = 1, 2  # the flag bits
+_SNAPSHOT_SENDING = _Run(("ck_send", "32s"), ("self_eph_secret", "32s"))
+_SNAPSHOT_RECEIVING = _Run(("ck_recv", "32s"), ("peer_eph_pub", "32s"))
 _SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
                       ("kid_self", "I"), ("kid_peer", "I"),
                       ("skipped count", "H"))
 _SNAPSHOT_SKIPPED = _Run(("skipped i", "I"), ("skipped j", "I"),
                          ("skipped key", "32s"))
+# flags -> one run of the head, the chains they mark and the tail
+_SNAPSHOT_LAYOUTS = (
+    _SNAPSHOT_HEAD + _SNAPSHOT_TAIL,
+    _SNAPSHOT_HEAD + _SNAPSHOT_SENDING + _SNAPSHOT_TAIL,
+    _SNAPSHOT_HEAD + _SNAPSHOT_RECEIVING + _SNAPSHOT_TAIL,
+    _SNAPSHOT_HEAD + _SNAPSHOT_SENDING + _SNAPSHOT_RECEIVING + _SNAPSHOT_TAIL)
 # libsodium's small-order X25519 encodings, little-endian, bit 255 dropped
 # as X25519 drops it: 0, 1, two of order 8, and p - 1, p, p + 1
 _LOW_ORDER = frozenset((
     0, 1, 2**255 - 20, 2**255 - 19, 2**255 - 18,
     0xb8495f16056286fdb1329ceb8d09da6ac49ff1fae35616aeb8413b7c7aebe0,
     0x57119fd0dd4e22d8868e1c58c45c44045bef839c55b1d0b1248c50a3bc959c5f))
-_SNAPSHOT_VALUES = attrgetter(*[name for name, _ in _SNAPSHOT_OPTIONAL])
-# flags -> one run of the head, the optional fields they mark and the tail
-_SNAPSHOT_LAYOUTS = tuple(
-    _SNAPSHOT_HEAD
-    + _Run(*[(name, "32s") for k, (name, _) in enumerate(_SNAPSHOT_OPTIONAL)
-             if flags >> k & 1])
-    + _SNAPSHOT_TAIL
-    for flags in range(_SNAPSHOT_FLAGS + 1))
 
 
 def vdr_export_state(st: RatchetState) -> bytes:
     """Complete, lossless snapshot of the session state; the long-term keys
     are not part of it (module docstring), and consumed message keys are
     not here because the state never retains them. There is no replay
-    record, so the size depends on the skipped-key cache alone: 224 bytes
-    with every optional field set, plus 40 per cached key, at most
-    MAX_SKIP of them."""
-    flags, optional = 0, []
-    for k, value in enumerate(_SNAPSHOT_VALUES(st)):
-        if value is not None:
-            flags |= 1 << k
-            optional.append(value)
+    record, so the size depends on the skipped-key cache alone: 191 bytes
+    with both chains set, plus 40 per cached key, at most MAX_SKIP of
+    them."""
+    flags, chains = 0, []
+    if st.ck_send is not None:
+        flags, chains = _SENDING, [st.ck_send, st.self_eph_secret]
+    if st.ck_recv is not None:
+        flags |= _RECEIVING
+        chains += (st.ck_recv, st.peer_eph_pub)
     snapshot = _SNAPSHOT_LAYOUTS[flags].pack(
-        _SNAPSHOT_MAGIC, _ROLES.index(st.role), flags, st.rk, *optional,
+        _SNAPSHOT_MAGIC, flags, st.rk, *chains,
         st.i_s, st.j_s, st.i_r, st.j_r, st.kid_self, st.kid_peer,
         len(st.skipped))
     if not st.skipped:
@@ -336,25 +330,25 @@ def vdr_export_state(st: RatchetState) -> bytes:
 
 
 def vdr_import_state(snapshot: bytes) -> RatchetState:
-    magic, role, flags, rk = _SNAPSHOT_HEAD.read(snapshot, 0)
+    magic, flags, rk = _SNAPSHOT_HEAD.read(snapshot, 0)
     pos = _SNAPSHOT_HEAD.size
     if magic != _SNAPSHOT_MAGIC:
         raise ParseError("not a ratchet snapshot (bad magic)")
-    if role > 1:
-        raise ParseError(f"snapshot role byte {role} is neither 0 nor 1")
-    if flags & ~_SNAPSHOT_FLAGS:
+    if flags & ~(_SENDING | _RECEIVING):
         raise ParseError(f"snapshot flags 0x{flags:02x} set an unknown bit")
-    optional = {}  # an unset field keeps its None default
-    for k, (name, ctor) in enumerate(_SNAPSHOT_OPTIONAL):
-        if flags >> k & 1:
-            optional[name] = ctor(_take(snapshot, pos, 32, name))
-            pos += 32
-    for group in _SNAPSHOT_PAIRED:
-        if len({name in optional for name in group}) > 1:
-            raise ParseError(f"snapshot sets only part of {', '.join(group)}")
-    peer_eph = optional.get("peer_eph_pub")
-    if peer_eph and int.from_bytes(peer_eph, "little") % 2**255 in _LOW_ORDER:
-        raise ParseError("snapshot peer_eph_pub is a low-order point")
+    chains = {}  # an unset chain keeps its None defaults
+    if flags & _SENDING:
+        ck, secret = _SNAPSHOT_SENDING.read(snapshot, pos)
+        pos += _SNAPSHOT_SENDING.size
+        chains.update(ck_send=cs.SymmetricKey(ck),
+                      self_eph_secret=cs.GroupScalar(secret))
+    if flags & _RECEIVING:
+        ck, peer_eph = _SNAPSHOT_RECEIVING.read(snapshot, pos)
+        pos += _SNAPSHOT_RECEIVING.size
+        if int.from_bytes(peer_eph, "little") % 2**255 in _LOW_ORDER:
+            raise ParseError("snapshot peer_eph_pub is a low-order point")
+        chains.update(ck_recv=cs.SymmetricKey(ck),
+                      peer_eph_pub=cs.GroupElement(peer_eph))
     i_s, j_s, i_r, j_r, kid_self, kid_peer, n_skipped = _SNAPSHOT_TAIL.read(
         snapshot, pos)
     pos += _SNAPSHOT_TAIL.size
@@ -368,7 +362,6 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     if pos != len(snapshot):
         raise ParseError(f"{len(snapshot) - pos} trailing bytes after snapshot")
     return RatchetState(
-        role=_ROLES[role], rk=cs.SymmetricKey(rk),
-        i_s=i_s, j_s=j_s, i_r=i_r, j_r=j_r,
-        kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **optional,
+        rk=cs.SymmetricKey(rk), i_s=i_s, j_s=j_s, i_r=i_r, j_r=j_r,
+        kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **chains,
     )

@@ -12,13 +12,13 @@ same runs. That holds for both byte formats: envelopes and the ratchet
 snapshot (``linevdr``), and for the bytes the protocols and the game pack
 besides them: associated data, nonce material and v2's RevState. Runs
 added with ``+`` make one run of their fields in order; the snapshot's
-exporter packs its head, set optional fields and tail with one such run
-per flag value. Only this module imports ``struct``. ``_Run.read`` is
-the only place that unpacks bytes, and ``_take`` the only place that
-slices a variable field, so every truncation is reported the same way,
-by the field it cuts. Both decoders, ``decode_envelope`` and the
-snapshot's ``vdr_import_state``, keep explicit positions and call the two
-directly.
+exporter packs its head, the chains its flags mark and its tail with one
+such run per flag value. Only this module imports ``struct``.
+``_Run.read`` is the only place that unpacks bytes, and ``_take`` the
+only place that slices a variable field, so every truncation is reported
+the same way, by the field it cuts. Both decoders, ``decode_envelope`` and
+the snapshot's ``vdr_import_state``, keep explicit positions and call
+these directly.
 """
 
 from __future__ import annotations

@@ -18,8 +18,6 @@ from letterseal.errors import (
 )
 from letterseal.linevdr import (
     MAX_SKIP,
-    ROLE_INITIATOR,
-    ROLE_RESPONDER,
     RatchetState,
     vdr_decrypt,
     vdr_encrypt,
@@ -207,7 +205,6 @@ def test_export_import_roundtrip_continues_identically():
     snap = vdr_export_state(stb)
     clone = vdr_import_state(snap)
     assert vdr_export_state(clone) == snap
-    assert clone.role == ROLE_RESPONDER
     # both copies accept the skipped message, then agree on the next epoch
     assert vdr_decrypt(clone, e1, cs.SeededRng(0)) == b"skipme"
     assert vdr_decrypt(stb, e1, cs.SeededRng(0)) == b"skipme"
@@ -238,6 +235,15 @@ def test_golden_snapshot_import_export_round_trips(name):
     assert vdr_export_state(vdr_import_state(raw)) == raw
 
 
+def test_golden_snapshots_import_the_public_of_their_secret():
+    # the snapshot stores the scalar alone, so no public can disagree with it
+    for raw in helpers.parse_golden_file(helpers.SNAPSHOT_FILE).values():
+        st = vdr_import_state(raw)
+        assert st.self_eph_secret is not None
+        assert st.self_eph_pub == cs.dh_to_public(st.self_eph_secret)
+        assert st.self_eph_pub == REF.x25519_public(st.self_eph_secret)
+
+
 def test_snapshot_truncation_at_every_prefix():
     raw = helpers.parse_golden_file(helpers.SNAPSHOT_FILE)["responder-skipped"]
     for n in range(len(raw)):
@@ -252,7 +258,7 @@ def test_import_rejects_garbage():
     snap = vdr_export_state(sta)
     with pytest.raises(ParseError):
         vdr_import_state(snap[:-4])
-    assert vdr_import_state(snap).role == ROLE_INITIATOR
+    assert vdr_import_state(snap) == sta
 
 
 def test_ratchet_state_has_no_room_for_a_hook():
@@ -298,11 +304,12 @@ def test_ad_binds_ratchet_header():
 # -- held ephemeral key object --------------------------------------------------
 
 def _key_matches_secret(st):
-    """The state holds its scalar's object, and holds one whenever it
-    holds the scalar."""
+    """The state holds its scalar's object and public, and holds both
+    whenever it holds the scalar."""
     if st.self_eph_secret is None:
-        return st.self_eph_key is None
-    return st.self_eph_key.private_bytes_raw() == st.self_eph_secret
+        return st.self_eph_key is None and st.self_eph_pub is None
+    return (st.self_eph_key.private_bytes_raw() == st.self_eph_secret
+            and st.self_eph_pub == cs.dh_to_public(st.self_eph_secret))
 
 
 @pytest.mark.parametrize("tamper,error", [
@@ -428,6 +435,7 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
                 resumed[resume] = vdr_import_state(
                     vdr_export_state(resumed[resume]))
                 assert built == [bytes(resumed[resume].self_eph_secret)]
+                assert _key_matches_secret(resumed[resume])
             sent = []
             for states, rngs, mats in worlds:
                 text = b"flight %d" % n
@@ -501,11 +509,11 @@ def test_snapshot_size_does_not_grow_with_epoch_turns():
 
 
 def test_snapshot_with_a_full_cache_has_the_closed_form_size():
-    # magic, role and flags, rk and five optional chain and ephemeral
-    # fields, four indices, two kids, cache count, then per cached key its
-    # (i, j) and the key itself
-    full = 4 + 2 + 6 * 32 + 16 + 8 + 2 + MAX_SKIP * (8 + 32)
-    assert full == 224 + 40 * MAX_SKIP == 10_464
+    # magic, flags, rk, two chains of a chain key and an ephemeral each,
+    # four indices, two kids, cache count, then per cached key its (i, j)
+    # and the key itself
+    full = 4 + 1 + 5 * 32 + 16 + 8 + 2 + MAX_SKIP * (8 + 32)
+    assert full == 191 + 40 * MAX_SKIP == 10_431
     sta, stb, a_rng, b_rng = fresh_conversation(327)
     # a reply first, so the jump that fills the cache also turns the epoch
     vdr_decrypt(sta, vdr_encrypt(stb, 0, b"reply", b_rng), a_rng)
@@ -597,8 +605,8 @@ def test_failed_reply_exchange_leaves_snapshot_identical():
         self_eph_key=None, ck_recv=ck, peer_eph_pub=cs.GroupElement(bytes(32)),
         i_s=1, j_s=0, i_r=0, j_r=0, skipped={})
     sender = RatchetState(
-        role=ROLE_INITIATOR, rk=st.rk, kid_self=st.kid_peer,
-        kid_peer=st.kid_self, ck_send=ck, self_eph_pub=bytes(32))
+        rk=st.rk, kid_self=st.kid_peer, kid_peer=st.kid_self, ck_send=ck,
+        self_eph_secret=stb.self_eph_secret)
     rng = cs.SeededRng(328)
     env = vdr_encrypt(sender, 0, b"tag verifies", rng)
     before = vdr_export_state(st)
@@ -628,11 +636,21 @@ def test_state_refuses_a_wrong_length_cached_key():
         dataclasses.replace(stb, skipped={(0, 5): b"short"})
 
 
+@pytest.mark.parametrize("unset", [
+    ("ck_send",), ("self_eph_secret", "self_eph_pub", "self_eph_key"),
+    ("ck_recv",), ("peer_eph_pub",)], ids=lambda unset: unset[0])
+def test_state_refuses_half_a_chain(unset):
+    # a snapshot has no way to write one
+    _, stb, _, _ = fresh_conversation(329)
+    with pytest.raises(ValueError, match="without its"):
+        dataclasses.replace(stb, **dict.fromkeys(unset))
+
+
 def test_import_rejects_previous_snapshot_format():
     sta, stb, _, _ = fresh_conversation(324)
     snap = vdr_export_state(stb)
-    assert snap[:4] == b"VDR4"
-    for magic in (b"VDR1", b"VDR2", b"VDR3"):
+    assert snap[:4] == b"VDR5"
+    for magic in (b"VDR1", b"VDR2", b"VDR3", b"VDR4"):
         with pytest.raises(ParseError, match="bad magic"):
             vdr_import_state(magic + snap[4:])
 
@@ -645,37 +663,30 @@ def _with_skipped(st, n):
 
 def _malformed_snapshots():
     """label: (snapshot, what its ParseError says)"""
-    sta, stb, _, _ = fresh_conversation(325)
+    _, stb, _, _ = fresh_conversation(325)
     snap = vdr_export_state(stb)
     return {
-        "role byte 7": (snap[:4] + b"\x07" + snap[5:], "role byte 7"),
-        "unknown flag 0x80": (
-            snap[:5] + bytes([snap[5] | 0x80]) + snap[6:], "unknown bit"),
         "skipped count over MAX_SKIP": (
             vdr_export_state(_with_skipped(stb, MAX_SKIP + 1)), "MAX_SKIP"),
-        # an unanswered initiator's flags 0b01101 cut to 0b00101
-        "send chain without its public ephemeral": (
-            vdr_export_state(dataclasses.replace(sta, self_eph_pub=None)),
-            "part of ck_send"),
-        "receive chain without the peer's ephemeral": (
-            vdr_export_state(dataclasses.replace(stb, peer_eph_pub=None)),
-            "part of ck_recv"),
-        "peer's ephemeral without a receive chain": (
-            vdr_export_state(dataclasses.replace(stb, ck_recv=None)),
-            "part of ck_recv"),
         "trailing byte": (snap + b"\x00", "1 trailing bytes"),
     }
 
 
 @pytest.mark.parametrize("label", [
-    "role byte 7", "unknown flag 0x80", "skipped count over MAX_SKIP",
-    "send chain without its public ephemeral",
-    "receive chain without the peer's ephemeral",
-    "peer's ephemeral without a receive chain", "trailing byte"])
+    "skipped count over MAX_SKIP", "trailing byte"])
 def test_import_rejects_malformed_snapshot(label):
     snapshot, reason = _malformed_snapshots()[label]
     with pytest.raises(ParseError, match=reason):
         vdr_import_state(snapshot)
+
+
+@pytest.mark.parametrize("flags", range(4, 256), ids="0x{:02x}".format)
+def test_import_refuses_an_unknown_flag_bit(flags):
+    # bits 0 and 1 mark the two chains; the flags byte follows the magic
+    snap = helpers.parse_golden_file(helpers.SNAPSHOT_FILE)["responder-skipped"]
+    assert snap[4] == 0b11
+    with pytest.raises(ParseError, match=f"^snapshot flags 0x{flags:02x} "):
+        vdr_import_state(snap[:4] + bytes([flags]) + snap[5:])
 
 
 # libsodium's blocklist of small-order X25519 encodings, bit 255 clear
@@ -698,20 +709,19 @@ def test_import_refuses_a_low_order_peer_ephemeral(point, bit_255):
         vdr_import_state(vdr_export_state(st))
 
 
-_OPTIONAL = ("ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
-             "peer_eph_pub")  # flag bit k marks _OPTIONAL[k]
+_CHAINS = (("ck_send", "self_eph_secret"),
+           ("ck_recv", "peer_eph_pub"))  # flag bit k marks _CHAINS[k]
 
 
 def _concatenated(st):
     """A snapshot written out field by field, in the codec's order."""
     def u32(n):
         return n.to_bytes(4, "big")
-    values = [getattr(st, name) for name in _OPTIONAL]
-    flags = sum(1 << k for k, v in enumerate(values) if v is not None)
+    set_chains = [k for k, (ck, _) in enumerate(_CHAINS)
+                  if getattr(st, ck) is not None]
     return b"".join([
-        b"VDR4", bytes([(ROLE_INITIATOR, ROLE_RESPONDER).index(st.role),
-                        flags]), st.rk,
-        *[v for v in values if v is not None],
+        b"VDR5", bytes([sum(1 << k for k in set_chains)]), st.rk,
+        *[getattr(st, name) for k in set_chains for name in _CHAINS[k]],
         u32(st.i_s), u32(st.j_s), u32(st.i_r), u32(st.j_r),
         u32(st.kid_self), u32(st.kid_peer),
         len(st.skipped).to_bytes(2, "big"),
@@ -722,23 +732,18 @@ def _concatenated(st):
 def test_export_of_every_flag_value_is_the_field_concatenation(cached):
     _, stb, _, _ = fresh_conversation(327)
     full = _with_skipped(stb, cached)
-    assert all(getattr(full, name) is not None for name in _OPTIONAL)
-    accepted = []
-    for flags in range(1 << len(_OPTIONAL)):
-        st = dataclasses.replace(full, **{
-            name: None for k, name in enumerate(_OPTIONAL)
-            if not flags >> k & 1})
+    for flags in range(4):
+        unset = [name for k, chain in enumerate(_CHAINS)
+                 if not flags >> k & 1 for name in chain]
+        if "self_eph_secret" in unset:  # and what the secret fixes
+            unset += ["self_eph_pub", "self_eph_key"]
+        st = dataclasses.replace(full, **dict.fromkeys(unset))
         snap = vdr_export_state(st)
         assert snap == _concatenated(st)
-        assert snap[5] == flags
-        try:
-            clone = vdr_import_state(snap)
-        except ParseError:  # a chain set without all of its fields
-            continue
-        accepted.append(flags)
+        assert snap[4] == flags
+        clone = vdr_import_state(snap)
         assert vdr_export_state(clone) == snap
         assert clone == st
-    assert accepted == [0b00000, 0b01101, 0b10010, 0b11111]
 
 
 def test_import_accepts_a_full_skip_cache():
@@ -815,13 +820,12 @@ def test_reference_oracle_reproduces_golden_snapshot_lines():
     _, ck_3 = REF.kdf_chain(roots[3][1])
     assert helpers.parse_golden_file(helpers.SNAPSHOT_FILE) == {
         "initiator-unanswered": REF.vdr_snapshot(
-            0, roots[0][0], (ck_0, None, ephs[0], pubs[0], None), (0, 3, 0, 0),
-            (11, 12), []),
+            roots[0][0], (ck_0, ephs[0]), None, (0, 3, 0, 0), (11, 12), []),
         "responder-skipped": REF.vdr_snapshot(
-            1, roots[1][0], (roots[1][1], ck_0, ephs[1], pubs[1], pubs[0]),
+            roots[1][0], (roots[1][1], ephs[1]), (ck_0, pubs[0]),
             (1, 0, 0, 3), (12, 11), [((0, 0), mks[0]), ((0, 1), mks[1])]),
         "initiator-two-turns": REF.vdr_snapshot(
-            0, roots[4][0], (roots[4][1], ck_3, ephs[4], pubs[4], pubs[3]),
+            roots[4][0], (roots[4][1], ephs[4]), (ck_3, pubs[3]),
             (4, 0, 3, 1), (11, 12), []),
     }
 

@@ -2,6 +2,7 @@
 a difference, on canned outputs instead of runs."""
 
 import importlib.util
+import json
 import re
 import subprocess
 from pathlib import Path
@@ -25,8 +26,9 @@ def _tool():
 def test_commands_cover_every_demo_attack_and_the_vectors_in_both_formats():
     cmds = _tool().commands()
     assert len(cmds) == len(set(cmds)) == 2 * (
-        2 * len(DESIGNS) + 6 * len(attack_names()) + 1) + 6
+        2 * len(DESIGNS) + 6 * len(attack_names()) + 1) + 1 + 6
     assert ("demo", "--seed", "-1", "--format", "text") in cmds
+    assert ("bench", "--iterations", "100", "--format", "json-lines") in cmds
     for fmt in ("text", "json-lines"):
         assert ("vectors", "--check", "src/letterseal/kat_vectors.txt",
                 "--format", fmt) in cmds
@@ -75,6 +77,31 @@ def test_a_missing_or_extra_line_is_named():
     cmd = ("demo",)
     assert tool.differences({cmd: (0, "a\nb\n")}, {cmd: (0, "a\n")}) == [
         "letterseal demo: line 2: 'b' -> None"]
+
+
+def test_bench_is_compared_by_its_counts_and_sizes_alone():
+    tool = _tool()
+
+    def bench(unit_us, dh, size):
+        records = [
+            {"type": "bench_row", "scenario": "vdr-sym", "e2e_avg_us": unit_us},
+            {"type": "op_cost", "scenario": "vdr-sym", "op": "DH",
+             "count_per_message": dh, "unit_cost_us": unit_us, "pinned": 0},
+            {"type": "state_size", "point": "1k same-epoch",
+             "snapshot_bytes": size}]
+        return tool.untimed("".join(json.dumps(r) + "\n" for r in records))
+
+    assert bench(24.1, 0, 191) == bench(31.7, 0, 191) == (
+        '{"type": "op_cost", "scenario": "vdr-sym", "op": "DH", '
+        '"count_per_message": 0, "pinned": 0}\n'
+        '{"type": "state_size", "point": "1k same-epoch", '
+        '"snapshot_bytes": 191}\n')
+    # a drifted op count or snapshot size is named by its line
+    cmd, old = tool.BENCH, bench(24.1, 0, 224)
+    for k, new in ((1, bench(31.7, 1, 224)), (2, bench(31.7, 0, 191))):
+        assert tool.differences({cmd: (0, old)}, {cmd: (0, new)}) == [
+            f"letterseal {' '.join(cmd)}: line {k}: "
+            f"{old.splitlines()[k - 1]!r} -> {new.splitlines()[k - 1]!r}"]
 
 
 def test_refuses_a_parent_that_is_no_checkout(tmp_path, monkeypatch):

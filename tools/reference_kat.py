@@ -574,18 +574,20 @@ def vdr_seal(ck: bytes, epoch: int, index: int, eph_pub: bytes,
             + ct), next_ck
 
 
-def vdr_snapshot(role: int, rk: bytes, optional, indices, kids,
+def vdr_snapshot(rk: bytes, sending, receiving, indices, kids,
                  skipped) -> bytes:
-    """A ratchet state's VDR4 snapshot. optional is (ck_send, ck_recv,
-    self_eph_secret, self_eph_pub, peer_eph_pub), None where unset, and
-    flag bit k marks the k-th; indices is (i_s, j_s, i_r, j_r), kids is
-    (kid_self, kid_peer), skipped is [((i, j), key)] in cache order.
+    """A ratchet state's VDR5 snapshot. sending is (ck_send,
+    self_eph_secret) and receiving is (ck_recv, peer_eph_pub), each None
+    where the chain is unset; flag bit 0 marks sending, bit 1 receiving.
+    indices is (i_s, j_s, i_r, j_r), kids is (kid_self, kid_peer), skipped
+    is [((i, j), key)] in cache order.
 
-    Layout: magic, role, flags, rk, the set optional fields, the indices,
-    the kids, u16 cache count, then (i, j) and the key per cached key."""
-    flags = sum(1 << k for k, field in enumerate(optional) if field is not None)
-    return (b"VDR4" + bytes([role, flags]) + rk
-            + b"".join(field for field in optional if field is not None)
+    Layout: magic, flags, rk, the set chains, the indices, the kids, u16
+    cache count, then (i, j) and the key per cached key."""
+    chains = [chain for chain in (sending, receiving) if chain is not None]
+    flags = (sending is not None) | (receiving is not None) << 1
+    return (b"VDR5" + bytes([flags]) + rk
+            + b"".join(field for chain in chains for field in chain)
             + struct.pack(">IIIIIIH", *indices, *kids, len(skipped))
             + b"".join(struct.pack(">II", i, j) + key
                        for (i, j), key in skipped))

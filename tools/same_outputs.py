@@ -11,6 +11,9 @@ checkout's top with PYTHONPATH set to that checkout's src, in both
 - ``letterseal demo`` for each protocol at seeds 0 and 5;
 - ``letterseal attack`` for each attack at seeds 0-5;
 - ``letterseal vectors --check`` on the checkout's shipped vector file;
+- ``letterseal bench --iterations 100 --format json-lines``, compared
+  without its timings (``untimed``): the ``state_size`` records, and the
+  ``count_per_message`` and ``pinned`` fields of the ``op_cost`` records;
 - in text format only, each refused command of REFUSED: a bad argument,
   which the parser refuses, and a vector file that does not exist. These
   print nothing to stdout, so their exit codes are what is compared.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +42,10 @@ from letterseal.endpoint import DESIGNS  # noqa: E402
 from letterseal.mske import attack_names  # noqa: E402
 
 VECTORS = "src/letterseal/kat_vectors.txt"
+BENCH = ("bench", "--iterations", "100", "--format", "json-lines")
+# per bench record type, the fields that time nothing; other records drop
+UNTIMED = {"state_size": ("point", "snapshot_bytes"),
+           "op_cost": ("scenario", "op", "count_per_message", "pinned")}
 REFUSED = (("demo", "--seed", "abc"), ("demo", "--seed", "-1"),
            ("demo", "--iterations", "0"), ("bench", "--iterations", "50"),
            ("attack", "no_such_attack"),
@@ -53,7 +61,16 @@ def commands() -> list[tuple[str, ...]]:
         out += [("attack", name, "--seed", str(seed), "--format", fmt)
                 for name in attack_names() for seed in range(6)]
         out.append(("vectors", "--check", VECTORS, "--format", fmt))
-    return out + [(*cmd, "--format", "text") for cmd in REFUSED]
+    return out + [BENCH] + [(*cmd, "--format", "text") for cmd in REFUSED]
+
+
+def untimed(stdout: str) -> str:
+    """BENCH's output with only the UNTIMED fields of each record, one
+    record a line."""
+    records = [json.loads(line) for line in stdout.splitlines()]
+    return "".join(
+        json.dumps({name: r[name] for name in ("type", *UNTIMED[r["type"]])})
+        + "\n" for r in records if r["type"] in UNTIMED)
 
 
 def run_all(checkout: Path, cmds: list[tuple[str, ...]]) -> dict:
@@ -64,7 +81,8 @@ def run_all(checkout: Path, cmds: list[tuple[str, ...]]) -> dict:
         proc = subprocess.run([sys.executable, "-m", "letterseal.cli", *cmd],
                               cwd=checkout, env=env, capture_output=True,
                               text=True)
-        out[cmd] = (proc.returncode, proc.stdout)
+        out[cmd] = (proc.returncode,
+                    untimed(proc.stdout) if cmd == BENCH else proc.stdout)
     return out
 
 
