@@ -13,7 +13,7 @@ each emitter walks only its own kind's list. A :func:`count_ops` scope
 tallies DH-class, KDF-class and AEAD operations; a DH-class operation is
 one key generation or one exchange, however many scalar multiplications
 it takes. A :class:`Recorder` scope collects the message key of each
-successful v2 or ratchet encrypt and decrypt, and every rng draw; only
+successful v1, v2 or ratchet encrypt and decrypt, and every rng draw; only
 the key-indistinguishability game opens one, around each seal and open.
 Counts never see a key or a draw: they sit on another list.
 
@@ -350,7 +350,7 @@ def kdf_root(ikm: bytes, salt: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     if not ikm:
         raise ValueError("kdf_root requires non-empty input key material")
     _bump("kdf")
-    prk = _hmac(_hmac_key(salt if salt else ZERO_SALT), ikm)
+    prk = _hmac(_hmac_key(salt), ikm)
     keyed = _hmac_key(prk)
     t1 = _hmac(keyed, ROOT_KDF_INFO + b"\x01")
     t2 = _hmac(keyed, t1 + ROOT_KDF_INFO + b"\x02")

@@ -280,6 +280,8 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # disagree on the order; tests/data/golden_snapshots.txt pins the bytes
 # themselves. Export packs the head, the chains and the tail with one run
 # per flag value; import reads them apart, so it checks the flags first.
+# Import refuses a cached stage that repeats or is not below (i_r, j_r):
+# the ratchet writes neither, and either could let a stage open twice.
 # ---------------------------------------------------------------------------
 
 _SNAPSHOT_MAGIC = b"VDR5"
@@ -358,6 +360,11 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     for _ in range(n_skipped):
         i, j, key = _SNAPSHOT_SKIPPED.read(snapshot, pos)
         pos += _SNAPSHOT_SKIPPED.size
+        if (i, j) in skipped:
+            raise ParseError(f"snapshot caches stage ({i}, {j}) twice")
+        if (i, j) >= (i_r, j_r):
+            raise ParseError(f"snapshot caches stage ({i}, {j}), not behind "
+                             f"the receive chain at ({i_r}, {j_r})")
         skipped[(i, j)] = cs.SymmetricKey(key)
     if pos != len(snapshot):
         raise ParseError(f"{len(snapshot) - pos} trailing bytes after snapshot")

@@ -14,10 +14,11 @@ verdicts alone, such as the benchmark, never renders them.
 
 A script keeps no record of its own: it reads envelope bytes, plaintexts
 and true keys from the game's records, and learns secrets only from
-oracle answers. Every shared secret it uses, and every honest stage's
-key, comes from g.closure(), the game's KeyClosure: every key the reveals
+oracle answers. Every key it seals or tests with comes from an oracle
+answer or from g.closure(), the game's KeyClosure: every key the reveals
 so far expose, closed over the envelopes of the stages the sessions
-accepted, under the design's rule. A script feeds the closure nothing.
+accepted, under the design's rule. It seals through the protocols and
+derives nothing by hand. A script feeds the closure nothing.
 The ratchet scripts check the closure's keys byte for byte against the
 keys the honest parties recorded, so "excluded" means the true key is
 absent, not merely that a search gave up.
@@ -25,18 +26,12 @@ absent, not merely that a search gave up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .. import crypto_suite as cs
 from ..endpoint import PROTO_V2, PROTO_VDR
 from ..errors import LettersealError, UnknownAttack
-from ..linev2 import (
-    SessionV2,
-    build_ad_v2,
-    v2_build_nonce,
-    v2_decrypt,
-    v2_derive_key,
-)
+from ..linev2 import SessionV2, v2_decrypt, v2_encrypt
 from ..linevdr import (
     ROLE_INITIATOR,
     ROLE_RESPONDER,
@@ -124,24 +119,21 @@ def attack_kci_v2(seed: int) -> AttackReport:
     honest = decode_envelope(g.sessions[(B, 1)].transcript[1])
 
     g.oracle_rev_ltk(B)
-    pms = g.closure().pms  # the victim's own secret recreates the pair pms
-
-    adv = _adv_rng(seed, b"kci")
-    salt = adv.token(16)
+    # the peer's session: the pms the victim's own secret recreates
+    as_peer = SessionV2(pms=g.closure().pms, kid_self=honest.kid_sender,
+                        kid_peer=honest.kid_receiver, sid=honest.sid,
+                        rid=honest.rid)
     forged_pt = b"wire the funds to account 42"
-    k_e = v2_derive_key(pms, salt)
-    nonce, material = v2_build_nonce(0, adv.token(4))
-    ad = build_ad_v2(honest.rid, honest.sid, honest.kid_sender,
-                     honest.kid_receiver, honest.vers, honest.ctype)
-    forged = replace(honest, salt=salt, nonce_material=material,
-                     ciphertext=cs.aead_seal(k_e, nonce, forged_pt, ad))
+    forged = v2_encrypt(as_peer, honest.ctype, forged_pt,
+                        _adv_rng(seed, b"kci"))
     g.oracle_send(B, 1, encode_envelope(forged))
 
     rec = g.sessions[(B, 1)]
     stage = 2
     accepted = rec.status.get(stage) == ACCEPT
     impersonated = rec.plaintexts.get(stage) == forged_pt
-    test = _test(g, B, stage, k_e)
+    # B accepted the forgery, so the closure holds its key
+    test = _test(g, B, stage, g.closure().key_for(forged))
     succeeded = accepted and impersonated and test["guess"] == g.b
     return _report("kci_v2", g, succeeded, (B, stage), {
         "forged_stage_accepted": accepted,

@@ -244,7 +244,8 @@ def attack_trace_lines() -> list[str]:
 
 def attack_trace_text() -> str:
     header = ("# oracle traces of the scripted attacks and one scripted game; "
-              "regenerate only on a trace format change\n")
+              "regenerate only when an oracle trace changes on purpose, and "
+              "name each changed line in CHANGES.md\n")
     return header + "\n".join(attack_trace_lines()) + "\n"
 
 

@@ -46,10 +46,16 @@ RULES = {
     "knowledge": ({"learn_scalar", "learn_snapshot", "learn_chain"}, {"call"},
                   [("mske/game.py", "")]),
     "closure": ({"KeyClosure"}, {"call"}, [("mske/game.py", "Game.closure")]),
-    "exchange": ({"dh"}, {"call"},
+    # every call of the key schedule: exchange, derivation, nonce, AD and
+    # each cipher, v1's CBC included
+    "exchange": ({"dh", "kdf_root", "kdf_chain", "digest_kdf",
+                  "_digest_kdf_raw", "aead_seal", "aead_open", "aes_cbc",
+                  "cbc_encrypt", "ecb_encrypt_block", "v1_derive",
+                  "v2_derive_key", "v2_build_nonce", "build_ad_v2",
+                  "build_ad_vdr"}, {"call"},
                  [(f, "") for f in ("crypto_suite.py", "linev1.py",
                                     "linev2.py", "linevdr.py", "kat.py",
-                                    "bench.py")]
+                                    "bench.py", "endpoint.py")]
                  + [("mske/game.py", f"KeyClosure.{f}")
                     for f in ("_static", "run")]),
     "unchecked": ({"unchecked"}, ANY,
@@ -298,9 +304,19 @@ SAMPLES = {
                                                  "2: knowledge"]}),
     "exchange": (breaks, (
         "pms = cs.dh(sk_b, pk_a)  # the victim's secret recreates the pms\n"
-        "pms = g.closure().pms\nrun = cs.dh\nshared = dh(key, peer)\n"),
-        {"linev2.py": [], "mske/game.py": ["1: exchange", "4: exchange"],
-         "mske/attacks.py": ["1: exchange", "4: exchange"]}),
+        "pms = g.closure().pms\nrun = cs.dh\nshared = dh(key, peer)\n"
+        "k_e = v2_derive_key(pms, salt)\n"
+        "nonce, material = v2_build_nonce(0, adv.token(4))\n"
+        "ad = build_ad_v2(honest.rid, honest.sid, honest.kid_sender,\n"
+        "                 honest.kid_receiver, honest.vers, honest.ctype)\n"
+        "forged = replace(honest, salt=salt, nonce_material=material,\n"
+        "                 ciphertext=cs.aead_seal(k_e, nonce, forged_pt, ad))\n"
+        "forged = v2_encrypt(as_peer, honest.ctype, forged_pt, rng)\n"
+        "cbc = cs.aes_cbc(cs._digest_kdf_raw(pms, salt, b'Key'), iv)\n"),
+        {"linev2.py": [], "endpoint.py": [],
+         "mske/game.py": [f"{n}: exchange" for n in (1, 4, 5, 6, 7, 10, 12)],
+         "mske/attacks.py": [f"{n}: exchange"
+                             for n in (1, 4, 5, 6, 7, 10, 12)]}),
     "unchecked": (breaks, (
         "key = cs.SymmetricKey.unchecked(raw)\n"
         "rk = cs.SymmetricKey(rk)\nmake = AeadNonce.unchecked\n"

@@ -656,28 +656,61 @@ def test_import_rejects_previous_snapshot_format():
 
 
 def _with_skipped(st, n):
-    """A copy of st holding n made-up skipped keys."""
-    return dataclasses.replace(st, skipped={
+    """A copy of st holding n made-up skipped keys at (0, j < n), its
+    receive chain moved past them as the walk that cached them would."""
+    return dataclasses.replace(st, j_r=max(st.j_r, n), skipped={
         (0, j): cs.SymmetricKey(bytes([j % 256]) * 32) for j in range(n)})
+
+
+def _caching(st, entries):
+    """st's snapshot with its cache replaced by entries [(i, j, key)], in
+    order, repeats included: bytes export never writes."""
+    snap = vdr_export_state(dataclasses.replace(st, skipped={}))
+    return snap[:-2] + len(entries).to_bytes(2, "big") + b"".join(
+        i.to_bytes(4, "big") + j.to_bytes(4, "big") + key
+        for i, j, key in entries)
 
 
 def _malformed_snapshots():
     """label: (snapshot, what its ParseError says)"""
     _, stb, _, _ = fresh_conversation(325)
     snap = vdr_export_state(stb)
+    key = bytes(32)
     return {
         "skipped count over MAX_SKIP": (
             vdr_export_state(_with_skipped(stb, MAX_SKIP + 1)), "MAX_SKIP"),
         "trailing byte": (snap + b"\x00", "1 trailing bytes"),
+        "cached stage repeated": (
+            _caching(stb, [(0, 0, key), (0, 0, key)]),
+            r"stage \(0, 0\) twice"),
+        "cached stage at the receive chain": (
+            _caching(stb, [(stb.i_r, stb.j_r, key)]),
+            r"stage \(0, 1\), not behind the receive chain at \(0, 1\)"),
     }
 
 
 @pytest.mark.parametrize("label", [
-    "skipped count over MAX_SKIP", "trailing byte"])
+    "skipped count over MAX_SKIP", "trailing byte", "cached stage repeated",
+    "cached stage at the receive chain"])
 def test_import_rejects_malformed_snapshot(label):
     snapshot, reason = _malformed_snapshots()[label]
     with pytest.raises(ParseError, match=reason):
         vdr_import_state(snapshot)
+
+
+def test_import_refuses_a_cached_stage_that_would_open_twice():
+    # B has opened m0; a cache entry for (0, 3) under its true key would
+    # open m3 from the cache, and the walk to m5 would cache it again
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(3)
+    envs = [vdr_encrypt(sta, 0, b"m%d" % n, a_rng) for n in range(8)]
+    stb = helpers.vdr_receiver(mats, envs[0])
+    assert vdr_decrypt(stb, envs[0], b_rng) == b"m0"
+    assert (stb.i_r, stb.j_r, stb.skipped) == (0, 1, {})
+    ck = stb.ck_recv
+    for _ in range(3):  # the keys of (0, 1) and (0, 2), then of (0, 3)
+        mk, ck = cs.kdf_chain(ck)
+    with pytest.raises(ParseError, match=r"stage \(0, 3\), not behind"):
+        vdr_import_state(_caching(stb, [(0, 3, mk)]))
 
 
 @pytest.mark.parametrize("flags", range(4, 256), ids="0x{:02x}".format)
