@@ -390,7 +390,8 @@ def aead_open(key: SymmetricKey, nonce: AeadNonce, ciphertext_and_tag: bytes,
 def aes_cbc(key: SymmetricKey, iv: bytes) -> Cipher:
     """AES-256-CBC under key and a 16-byte IV, for one message: the one
     place a block cipher is built. Callers take its encryptor or decryptor
-    and feed whole blocks."""
+    and feed whole blocks. Each context counts as one aead operation."""
+    _bump("aead")
     return Cipher(AES(key), CBC(iv))
 
 

@@ -8,7 +8,11 @@ An Endpoint runs its row's set-up when it first needs a session. v1 and
 v2 establish on first use, as does the ratchet initiator. The ratchet
 responder sets up from the first envelope it opens, and keeps that state
 only once vdr_decrypt accepts the envelope; until then it cannot send. An
-envelope of another protocol's family raises ParseError before any set-up.
+envelope of another protocol's family raises ParseError before any set-up,
+and one whose kids do not name this session's peer as sender and its own
+party as receiver raises KidMismatch before any set-up: the directory
+takes any public key under a new kid, so a session that opened an envelope
+its peer never sent would take another party's message as its peer's.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import crypto_suite as cs
-from .errors import NotInitialized, ParseError
+from .errors import KidMismatch, NotInitialized, ParseError
 from .linev1 import v1_decrypt, v1_derive, v1_encrypt, v1_establish
 from .linev2 import (
     v2_decrypt,
@@ -151,6 +155,10 @@ class Endpoint:
         if not isinstance(env, self._envelope):
             raise ParseError(f"expected {self._envelope.__name__}, "
                              f"got {type(env).__name__}")
+        if (env.kid_sender, env.kid_receiver) != (self.peer_kid, self.kid):
+            raise KidMismatch(f"envelope from kid {env.kid_sender} to kid "
+                              f"{env.kid_receiver}, this session is from kid "
+                              f"{self.peer_kid} to kid {self.kid}")
         st = self.session or self._setup(self, env)
         pt = self._open(st, env, self.rng)
         self.session = st  # kept only once the first open succeeds

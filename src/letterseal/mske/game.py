@@ -216,9 +216,11 @@ class KeyClosure:
     fixpoint. A static pms feeds every stage key and nothing feeds it.
     Ratchet roots only move forward: epoch e needs no root past rk_{e-1},
     so one walk up the epochs of the envelopes meets every root after the
-    root it needs. Chain keys feed no root, so one extension pass after
-    the walk gives every message key. The game builds a closure, learns
-    its leaks and runs it once.
+    root it needs. A root that a revealed snapshot gave does not stop its
+    epoch's exchanges: kdf_root outputs rk_e and ck_e as siblings, so a
+    known rk_e says nothing of ck_e. Chain keys feed no root, so one
+    extension pass after the walk gives every message key. The game
+    builds a closure, learns its leaks and runs it once.
     """
 
     def __init__(self, initiator_pub: bytes, responder_pub: bytes,
@@ -295,8 +297,6 @@ class KeyClosure:
             epoch_eph_pub.setdefault(epoch, bytes(env.eph_pub))
             max_j[epoch] = max(max_j.get(epoch, -1), env.j_index)
         for epoch, eph in sorted(epoch_eph_pub.items()):
-            if epoch in self.root:
-                continue
             prev = epoch_eph_pub.get(epoch - 1)
             if epoch == 0:
                 salt, exchanges = cs.ZERO_SALT, (
@@ -312,7 +312,7 @@ class KeyClosure:
                 continue
             rk, ck = cs.kdf_root(b"".join(
                 cs.dh(key, cs.GroupElement(pub)) for key, pub in held), salt)
-            self.root[epoch] = bytes(rk)
+            self.root.setdefault(epoch, bytes(rk))
             self.learn_chain(epoch, 0, ck)
         for epoch, (j, ck) in self.chain.items():
             limit = max_j.get(epoch, -1)

@@ -25,12 +25,13 @@ from letterseal.mske import (
     run_attack,
 )
 from letterseal.mske.attacks import _flights, _game
-from letterseal.mske.freshness import fresh_v2
+from letterseal.mske.freshness import fresh_v2, fresh_vdr
 from letterseal.mske.game import REJECT
 from letterseal.wire import decode_envelope, encode_envelope
 
 import helpers
 import truth_tables
+from closure_saturating import SaturatingClosure
 
 SEEDS = (0, 1, 7, 13, 42)
 
@@ -522,3 +523,51 @@ def test_closure_reads_each_reveal_as_fed_by_hand():
             _true_stages(g, c)
             games += 1
     assert (len(patterns), games) == (15, 290)
+
+
+def test_closure_matches_a_saturating_reference():
+    """Every in-order sender pattern of 1-3 messages (A opens), each with
+    every single reveal and every pair of reveals the game allows: the
+    closure holds exactly the keys that the saturating reference, which
+    skips no rule, computes."""
+    patterns = [(1, *tail) for n in range(3)
+                for tail in itertools.product((1, 2), repeat=n)]
+    sets = 0
+    for seed, pattern in enumerate(patterns):
+        plan = [(u, b"m%d" % k) for k, u in enumerate(pattern)]
+        menu = truth_tables.reveal_menu(_game("vdr", seed, plan))
+        for reveals in itertools.chain(
+                ([r] for r in menu), itertools.combinations(menu, 2)):
+            g = _game("vdr", seed, plan)
+            truth_tables.apply_reveals(g, reveals)
+            assert g.closure().mk == SaturatingClosure(g).run(), (
+                pattern, reveals)
+            sets += 1
+    assert (len(patterns), sets) == (7, 902)
+
+
+def _snapshot_root_witness(seed):
+    """A sends one message; A's state after it and A's long-term key are
+    revealed. The snapshot gives rk_0 and the ephemeral eph_0, and with
+    x the exchanges give ck_0 too, so B's (0,0) key is computable."""
+    g = _game("vdr", seed, [(1, b"m0")])
+    g.oracle_rev_state(1, 1, (0, 0))
+    g.oracle_rev_ltk(1)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_derives_the_chain_of_a_revealed_root(seed):
+    """The closure holds B's true (0,0) key, though the snapshot gave
+    epoch 0's root."""
+    assert _snapshot_root_witness(seed).held(2, 1, (0, 0))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8: fresh_vdr does not count the ephemeral that a "
+    "revealed snapshot holds"))
+@pytest.mark.parametrize("seed", range(4))
+def test_snapshot_root_witness_is_not_fresh_and_held(seed):
+    g = _snapshot_root_witness(seed)
+    if fresh_vdr(g, (2, 1, (0, 0))):
+        assert not g.held(2, 1, (0, 0))

@@ -11,7 +11,13 @@ import helpers
 from letterseal import cli
 from letterseal import crypto_suite as cs
 from letterseal.endpoint import DESIGNS, Endpoint, endpoint_pair
-from letterseal.errors import AuthFailure, NotInitialized, ParseError
+from letterseal.directory_server import KeyDirectory
+from letterseal.errors import (
+    AuthFailure,
+    KidMismatch,
+    NotInitialized,
+    ParseError,
+)
 from letterseal.linev1 import v1_establish
 from letterseal.linev2 import v2_establish
 from letterseal.linevdr import vdr_export_state
@@ -104,7 +110,10 @@ def test_ratchet_responder_keeps_no_state_after_a_forged_opener():
 
 def test_ratchet_sides_refuse_to_start_out_of_turn():
     a, b = pair("vdr", 404)
-    twin, _ = pair("vdr", 404)
+    # an initiator's opener addressed from b's kid to a's, so it reaches set-up
+    _, a_pk, b_sk, _, _, b_rng = helpers.keypairs(404)
+    twin = Endpoint("vdr", b_sk, a_pk, b_rng, 12, 11, "bob", "alice",
+                    initiator=True)
     with pytest.raises(NotInitialized):
         b.seal(b"responder first")
     with pytest.raises(NotInitialized):
@@ -125,6 +134,34 @@ def test_open_refuses_another_protocols_envelope(sender, receiver):
     assert dst.session is None
     assert counts.dh == 0
     assert seen.draws == []
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_session_refuses_an_envelope_its_peer_never_sent(protocol):
+    """Mallory registers Alice's public key under a new kid, and knows no
+    secret. Alice's envelope to Bob, delivered to Bob's session with
+    Mallory, names Alice as its sender: refused before set-up. With the
+    sender kid rewritten to Mallory's it fails v2's and the ratchet's AD,
+    and v1, whose tag covers only the ciphertext, opens it as Mallory's."""
+    a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(1)
+    directory = KeyDirectory()
+    alice = directory.register(a_pk, "alice")
+    bob = directory.register(b_pk, "bob")
+    mallory = directory.register(a_pk, "mallory")
+    a = Endpoint(protocol, a_sk, directory.lookup(bob), a_rng, alice, bob,
+                 "alice", "bob", initiator=True)
+    b = Endpoint(protocol, b_sk, directory.lookup(mallory), b_rng, bob,
+                 mallory, "bob", "mallory", initiator=False)
+    env = a.seal(b"alice to bob")
+    with cs.count_ops() as counts, pytest.raises(KidMismatch, match="kid 1 "):
+        b.open(env)
+    assert b.session is None and counts.dh == 0
+    rewritten = dataclasses.replace(env, kid_sender=mallory)
+    if protocol == "v1":
+        assert b.open(rewritten) == b"alice to bob"
+    else:
+        with pytest.raises(AuthFailure):
+            b.open(rewritten)
 
 
 def test_static_protocols_start_from_either_side():

@@ -134,7 +134,7 @@ def test_message_keys_reach_only_a_recorder(protocol):
         assert b.open(a.seal(b"counted")) == b"counted"
     assert {name: type(value) for name, value in vars(counts).items()} == {
         "dh": int, "kdf": int, "aead": int}
-    assert counts.aead == (0 if protocol == "v1" else 2)  # v1: CBC, no AEAD
+    assert counts.aead == 2
 
 
 @pytest.mark.parametrize("protocol", ["v1", "v2", "vdr"])
