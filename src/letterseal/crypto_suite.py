@@ -19,14 +19,16 @@ Counts never see a key or a draw: they sit on another list.
 
 X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
 such a scalar or the OpenSSL key object built from it
-(:func:`dh_private_key`, or the third value of :func:`dh_keygen_with_key`),
-and :func:`dh_key` turns either form into the object. Building the object
-costs a scalar multiplication of its own, so a caller that exchanges with
-one secret more than once holds the object. The owner of a secret holds
-its object: a ratchet state its ephemeral, from the moment the scalar
-enters it (an imported state included), a game party its long-term key,
-the game's key closure each scalar it learns. Nothing caches an object by
-value, in this module or elsewhere.
+(:func:`dh_private_key`), and :func:`dh_key` turns either form into the
+object. Building the object costs a scalar multiplication of its own, so
+a secret that exchanges more than once is held as a :class:`KeyPair`:
+scalar, public and object, built together by :func:`key_pair` or
+:func:`dh_keygen_with_key`. Only this module builds a pair, so its three
+forms cannot disagree. Key objects have one rule: the owner of a secret
+builds its pair once, when the scalar enters it, and holds it (a ratchet
+state its ephemeral, an imported state included; a game party its
+long-term key; the game's key closure each scalar it learns). Nothing
+caches an object by value.
 
 Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
 absorbs a key's inner and outer pads into two SHA-256 states once, and
@@ -56,7 +58,7 @@ directory, a known-answer file or a caller take the checked constructor.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from cryptography.exceptions import InvalidTag
@@ -260,23 +262,38 @@ def dh_key(secret: GroupScalar | X25519PrivateKey) -> X25519PrivateKey:
     return secret
 
 
-def dh_keygen_with_key(
-        rng: SeededRng) -> tuple[GroupScalar, GroupElement, X25519PrivateKey]:
-    """:func:`dh_keygen` plus the key object it built for the public key."""
+@dataclass(frozen=True, slots=True)
+class KeyPair:
+    """A scalar, its public and its key object, built by :func:`key_pair`.
+
+    The object compares by identity, so equality reads the scalar and the
+    public alone."""
+    secret: GroupScalar
+    public: GroupElement
+    key: X25519PrivateKey = field(repr=False, compare=False)
+
+
+def key_pair(secret: GroupScalar) -> KeyPair:
+    """The pair of a scalar: one key object, its public read off it."""
+    key = dh_private_key(secret)
+    return KeyPair(secret, GroupElement(key.public_key().public_bytes_raw()),
+                   key)
+
+
+def dh_keygen_with_key(rng: SeededRng) -> KeyPair:
+    """Fresh X25519 key pair from the injected randomness source."""
     _bump("dh")
-    scalar = clamp_scalar(rng.token(32))
-    key = dh_private_key(scalar)
-    return scalar, GroupElement(key.public_key().public_bytes_raw()), key
+    return key_pair(clamp_scalar(rng.token(32)))
 
 
 def dh_keygen(rng: SeededRng) -> tuple[GroupScalar, GroupElement]:
-    """Fresh X25519 key pair from the injected randomness source."""
-    scalar, pub, _ = dh_keygen_with_key(rng)
-    return scalar, pub
+    """:func:`dh_keygen_with_key`'s (scalar, public)."""
+    pair = dh_keygen_with_key(rng)
+    return pair.secret, pair.public
 
 
 def dh_to_public(secret: GroupScalar) -> GroupElement:
-    return GroupElement(dh_private_key(secret).public_key().public_bytes_raw())
+    return key_pair(secret).public
 
 
 def dh(secret: GroupScalar | X25519PrivateKey,

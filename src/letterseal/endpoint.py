@@ -16,18 +16,16 @@ its peer never sent would take another party's message as its peer's.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
-An Endpoint's ``secret`` is its party's long-term scalar or the key object
-built from it; every protocol's set-up takes either. A party that opens
-many sessions, as a game party does, holds its object and hands that to
-each Endpoint, so no set-up builds it again. The Endpoint keeps no other
-key object: its ratchet state holds its own ephemeral's, and nothing
-caches an object by value.
+An Endpoint's ``secret`` is its party's long-term scalar or the key
+object built from it, which every protocol's set-up takes; it holds no
+other key object (crypto_suite states the ownership rule).
 
 An Endpoint holds no instrumentation: a caller that needs message keys or
 rng draws, the key-indistinguishability game only, wraps seal or open in a
-``with crypto_suite.Recorder()`` block. A ctype outside u8 is
-refused before set-up, and the protocols' encrypt refuses it before any
-draw or state change, so a refused seal leaves nothing behind.
+``with crypto_suite.Recorder()`` block. A kid outside u32 is refused
+when the Endpoint is built. A ctype outside u8 is refused before set-up,
+and the protocols' encrypt refuses it before any draw or state change,
+so a refused seal leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from .linevdr import (
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
-from .wire import EnvelopeV1, EnvelopeV2, EnvelopeVDR, _check_u8
+from .wire import EnvelopeV1, EnvelopeV2, EnvelopeVDR, _check_u32, _check_u8
 
 PROTO_V1 = "v1"
 PROTO_V2 = "v2"
@@ -136,6 +134,8 @@ class Endpoint:
                  kid: int, peer_kid: int, name: str, peer_name: str,
                  initiator: bool):
         row = design(protocol)
+        _check_u32(kid, "kid")
+        _check_u32(peer_kid, "peer_kid")
         self._envelope, self._setup = row.envelope, row.setup
         self._seal, self._open = row.seal, row.open
         self.secret, self.peer_pub, self.rng = secret, peer_pub, rng

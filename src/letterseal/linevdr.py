@@ -25,19 +25,10 @@ cannot tell a stage it opened from one it abandoned. The state keeps no
 record of what it received; besides the chain positions it holds the
 cache alone, so its size is bounded by MAX_SKIP.
 
-Ephemeral key object. Besides the scalar ``self_eph_secret``, the state
-holds ``self_eph_key``, the OpenSSL key object built from it, and the next
-epoch turn exchanges with that object alone. The state owns it. Where the
-ephemeral is generated (vdr_init_sender, the reply set-up of vdr_decrypt)
-the keygen's own object is stored; wherever else a scalar enters a state
-without its object (vdr_import_state, a state built directly),
-``__post_init__`` builds it and reads ``self_eph_pub`` off it. So a resumed
-state turns as a live one does: the scalar multiplication that builds the
-object is paid at import, not inside the first message after it. The turn
-that replaces the scalar replaces the object and public with it; a failed
-decrypt leaves them in place. An object or public passed in is taken as the
-scalar's, so ``dataclasses.replace`` with a new scalar passes
-``self_eph_key=None`` and ``self_eph_pub=None``. Snapshots carry neither.
+Ephemeral key pair. The state holds its ephemeral as one ``self_eph``, a
+crypto_suite.KeyPair: a seal reads its public, the next epoch turn
+exchanges with its key object, and a snapshot stores its scalar alone.
+Import builds the pair, so a resumed state turns as a live one does.
 
 Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
 both the party's secret and the peer's public key, and the state stores
@@ -83,8 +74,7 @@ ROLE_RESPONDER = "responder"
 
 
 # the 32-byte fields, checked once when a state is built
-_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
-               "peer_eph_pub")
+_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub")
 
 
 @dataclass(slots=True)
@@ -98,14 +88,9 @@ class RatchetState:
     j_s: int = 0
     i_r: int = 0
     j_r: int = 0
-    self_eph_secret: cs.GroupScalar | None = None
-    self_eph_pub: cs.GroupElement | None = None  # the secret's; not serialized
+    self_eph: cs.KeyPair | None = None
     peer_eph_pub: cs.GroupElement | None = None
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
-    # key object of self_eph_secret, set whenever the scalar is (module
-    # docstring); never serialized
-    self_eph_key: cs.X25519PrivateKey | None = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _KEY_FIELDS:
@@ -117,16 +102,10 @@ class RatchetState:
             if len(key) != 32:
                 raise ValueError(f"skipped key {stage} must be 32 bytes, "
                                  f"got {len(key)}")
-        if ((self.ck_send is None) != (self.self_eph_secret is None)
+        if ((self.ck_send is None) != (self.self_eph is None)
                 or (self.ck_recv is None) != (self.peer_eph_pub is None)):
             raise ValueError("RatchetState sets a chain key without its "
                              "ephemeral, or an ephemeral without its chain")
-        if self.self_eph_secret is not None:
-            if self.self_eph_key is None:
-                self.self_eph_key = cs.dh_private_key(self.self_eph_secret)
-            if self.self_eph_pub is None:
-                self.self_eph_pub = cs.GroupElement(
-                    self.self_eph_key.public_key().public_bytes_raw())
 
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
@@ -145,15 +124,11 @@ def vdr_init_sender(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
     """Initiator setup: root and first sending chain from
     KDF(dh(ephemeral, peer) || dh(static, peer)). self_ltk is a scalar or
     its key object (module docstring)."""
-    eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
-    ikm = cs.dh(eph_key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
+    eph = cs.dh_keygen_with_key(rng)
+    ikm = cs.dh(eph.key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
     rk, ck_send = cs.kdf_root(ikm, cs.ZERO_SALT)
-    return RatchetState(
-        rk=rk, ck_send=ck_send,
-        kid_self=kid_self, kid_peer=kid_peer,
-        self_eph_secret=eph_secret, self_eph_pub=eph_pub,
-        self_eph_key=eph_key,
-    )
+    return RatchetState(rk=rk, ck_send=ck_send, kid_self=kid_self,
+                        kid_peer=kid_peer, self_eph=eph)
 
 
 def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
@@ -190,12 +165,13 @@ def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
     mk, ck_send = cs.kdf_chain(st.ck_send)
     nonce_material = _NONCE_MATERIAL.pack(st.i_s, rng.token(4))
     nonce = cs.AeadNonce.unchecked(nonce_material + b"\x00" * 4)
+    eph_pub = st.self_eph.public
     ad = build_ad_vdr(st.kid_self, st.kid_peer, VERS_VDR, ctype,
-                      st.self_eph_pub, st.j_s)
+                      eph_pub, st.j_s)
     env = EnvelopeVDR(ctype=ctype, ciphertext=cs.aead_seal(mk, nonce, m, ad),
                       nonce_material=nonce_material,
                       kid_sender=st.kid_self, kid_receiver=st.kid_peer,
-                      eph_pub=st.self_eph_pub, j_index=st.j_s)
+                      eph_pub=eph_pub, j_index=st.j_s)
     st.ck_send, st.j_s = ck_send, st.j_s + 1
     cs.emit_message_key(mk)
     return env
@@ -227,10 +203,10 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         return plaintext
 
     if i_index > st.i_r:
-        if st.self_eph_secret is None:
+        if st.self_eph is None:
             raise StaleEpoch("no local ephemeral to ratchet against")
         peer_eph = cs.GroupElement(env.eph_pub)
-        shared = cs.dh(st.self_eph_key, peer_eph)
+        shared = cs.dh(st.self_eph.key, peer_eph)
         rk, ck = cs.kdf_root(shared, st.rk)
         i_r, j = i_index, 0
     elif i_index == st.i_r and st.ck_recv is not None:
@@ -255,12 +231,10 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     if i_r != st.i_r or st.ck_send is None:  # a turn, or the first open
         if i_r == 0xFFFFFFFF:
             raise StaleEpoch(f"epoch {i_r} leaves no u32 reply epoch")
-        eph_secret, eph_pub, eph_key = cs.dh_keygen_with_key(rng)
-        rk, ck_send = cs.kdf_root(cs.dh(eph_key, peer_eph), rk)
+        eph = cs.dh_keygen_with_key(rng)
+        rk, ck_send = cs.kdf_root(cs.dh(eph.key, peer_eph), rk)
         # the one commit: nothing above changed the state
-        st.self_eph_secret, st.self_eph_pub, st.self_eph_key = \
-            eph_secret, eph_pub, eph_key
-        st.ck_send, st.i_s, st.j_s = ck_send, i_r + 1, 0
+        st.self_eph, st.ck_send, st.i_s, st.j_s = eph, ck_send, i_r + 1, 0
     st.rk, st.ck_recv, st.i_r, st.j_r = rk, ck, i_r, env.j_index + 1
     st.peer_eph_pub = peer_eph
     st.skipped.update(skipped)
@@ -274,7 +248,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # Snapshot codec (the RevState compromise surface)
 #
 # A snapshot is the head run, then each chain its flag bit marks (bit 0
-# sending: ck_send, self_eph_secret; bit 1 receiving: ck_recv,
+# sending: ck_send, self_eph's secret; bit 1 receiving: ck_recv,
 # peer_eph_pub), then the tail run and one skipped run per cached key.
 # Export and import both follow these declarations, so they cannot
 # disagree on the order; tests/data/golden_snapshots.txt pins the bytes
@@ -287,7 +261,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 _SNAPSHOT_MAGIC = b"VDR5"
 _SNAPSHOT_HEAD = _Run(("magic", "4s"), ("flags", "B"), ("rk", "32s"))
 _SENDING, _RECEIVING = 1, 2  # the flag bits
-_SNAPSHOT_SENDING = _Run(("ck_send", "32s"), ("self_eph_secret", "32s"))
+_SNAPSHOT_SENDING = _Run(("ck_send", "32s"), ("self_eph secret", "32s"))
 _SNAPSHOT_RECEIVING = _Run(("ck_recv", "32s"), ("peer_eph_pub", "32s"))
 _SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
                       ("kid_self", "I"), ("kid_peer", "I"),
@@ -317,7 +291,7 @@ def vdr_export_state(st: RatchetState) -> bytes:
     them."""
     flags, chains = 0, []
     if st.ck_send is not None:
-        flags, chains = _SENDING, [st.ck_send, st.self_eph_secret]
+        flags, chains = _SENDING, [st.ck_send, st.self_eph.secret]
     if st.ck_recv is not None:
         flags |= _RECEIVING
         chains += (st.ck_recv, st.peer_eph_pub)
@@ -343,7 +317,7 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
         ck, secret = _SNAPSHOT_SENDING.read(snapshot, pos)
         pos += _SNAPSHOT_SENDING.size
         chains.update(ck_send=cs.SymmetricKey(ck),
-                      self_eph_secret=cs.GroupScalar(secret))
+                      self_eph=cs.key_pair(cs.GroupScalar(secret)))
     if flags & _RECEIVING:
         ck, peer_eph = _SNAPSHOT_RECEIVING.read(snapshot, pos)
         pos += _SNAPSHOT_RECEIVING.size

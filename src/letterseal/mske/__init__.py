@@ -1,7 +1,6 @@
 """Adversarial key-exchange harness: game, predicates, scripted attacks."""
 
 from ..endpoint import PROTO_V2, PROTO_VDR
-from ..linev2 import v2_snapshot_pms
 from .attacks import EXPECTED, AttackReport, attack_names, run_attack
 from .freshness import (
     fresh_asym,
@@ -43,6 +42,5 @@ __all__ = [
     "match_sessions",
     "matching_sessions",
     "run_attack",
-    "v2_snapshot_pms",
     "valid_vdr",
 ]

@@ -18,15 +18,12 @@ The game derives no recorded key and reads no rng history: each seal and open
 runs in a ``with crypto_suite.Recorder()`` block, which receives the key
 the protocol used and the bytes the party's rng drew.
 
-Key objects. A party keeps the key object its keygen built for its
-long-term scalar, and every session it opens sets up from that object, so
-no session builds it again; ``parties`` still names the (scalar, public)
-pair, and RevLongTermKey alone reveals the scalar: no session state holds
-a long-term key, so RevState does not. A session's ratchet state holds
-its own ephemeral's object, and the key closure each scalar it learns.
-A revealed snapshot's ephemeral is built once, when the closure imports
-the snapshot, and the closure keeps the imported state's object rather
-than building another from its scalar. Nothing caches an object by value.
+Key objects. The game holds each party's long-term key object, which
+every session of the party sets up from, and the key closure the pair of
+each scalar it learns (a revealed snapshot's as its import built it), by
+crypto_suite's ownership rule. ``parties`` names the (scalar, public)
+pair, and RevLongTermKey alone reveals the scalar: no session state
+holds a long-term key, so RevState does not.
 
 Stage mapping. A one-way design (v1, v2) treats every encrypted message
 as one stage with session key k_e; stages are 1-indexed integers (the
@@ -230,7 +227,7 @@ class KeyClosure:
         self.envelopes = envelopes
         self.static_keys = static_keys
         self.pms: cs.SharedSecret | None = None  # a static design's, once held
-        # public -> the key object of its secret, built once per scalar
+        # public -> the key object of its secret, one pair per scalar
         self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
         self.root: dict[int, bytes] = {}                # epoch -> rk
         self.chain: dict[int, tuple[int, bytes]] = {}   # epoch -> (j, ck)
@@ -239,10 +236,10 @@ class KeyClosure:
     # -- leak intake ------------------------------------------------------
 
     def learn_scalar(self, raw: bytes) -> None:
-        self._learn_key(cs.dh_private_key(cs.clamp_scalar(bytes(raw))))
+        self._learn(cs.key_pair(cs.clamp_scalar(bytes(raw))))
 
-    def _learn_key(self, key: cs.X25519PrivateKey) -> None:
-        self.scalars[key.public_key().public_bytes_raw()] = key
+    def _learn(self, pair: cs.KeyPair) -> None:
+        self.scalars[pair.public] = pair.key
 
     def learn_chain(self, epoch: int, j: int, ck: bytes) -> None:
         have = self.chain.get(epoch)
@@ -253,9 +250,9 @@ class KeyClosure:
         if self.static_keys is not None:
             self.pms = self.static_keys.pms(snapshot)
             return
-        st = vdr_import_state(snapshot)  # builds the ephemeral's object
-        if st.self_eph_key is not None:
-            self._learn_key(st.self_eph_key)
+        st = vdr_import_state(snapshot)  # builds the ephemeral's pair
+        if st.self_eph is not None:
+            self._learn(st.self_eph)
         self.root[st.i_s] = bytes(st.rk)  # exported rk belongs to the send epoch
         if st.ck_send is not None:
             self.learn_chain(st.i_s, st.j_s, st.ck_send)
@@ -369,11 +366,11 @@ class Game:
         self.sessions: dict[tuple[int, int], SessionRecord] = {}
         for u in range(1, n_parties + 1):
             rng_u = proto_rng.fork(b"party-%d" % u)
-            sk, pk, key = cs.dh_keygen_with_key(rng_u)
+            pair = cs.dh_keygen_with_key(rng_u)
             self.party_rng[u] = rng_u
-            self.parties[u] = (sk, pk)
-            self._party_keys[u] = key
-            self.kids[u] = self.directory.register(pk, f"party-{u}")
+            self.parties[u] = (pair.secret, pair.public)
+            self._party_keys[u] = pair.key
+            self.kids[u] = self.directory.register(pair.public, f"party-{u}")
             self.rev_ltk[u] = False
 
     # -- Send ---------------------------------------------------------------

@@ -64,8 +64,8 @@ class SaturatingClosure:
                     self._learn(rec.rand_log[s][:32])
             for s in rec.rev_state:
                 st = vdr_import_state(rec.state_snap[s])
-                if st.self_eph_secret is not None:
-                    self._learn(st.self_eph_secret)
+                if st.self_eph is not None:
+                    self._learn(st.self_eph.secret)
                 self.roots.add((st.i_s, bytes(st.rk)))
                 for i, j, ck in ((st.i_s, st.j_s, st.ck_send),
                                  (st.i_r, st.j_r, st.ck_recv)):

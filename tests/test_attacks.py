@@ -297,7 +297,8 @@ def test_closure_builds_one_key_object_per_learned_scalar(monkeypatch):
     snapshot = g.oracle_rev_state(1, 1, (2, 0))
     built.clear()
     c = g.closure()
-    eph = g.sessions[(1, 1)].ep.session.self_eph_secret  # A sent (2,0) last
+    # A sent (2,0) last
+    eph = g.sessions[(1, 1)].ep.session.self_eph.secret
     assert eph in snapshot
     assert sorted(built) == sorted(
         [cs.clamp_scalar(raw) for raw in learned] + [eph])  # eph once

@@ -145,7 +145,8 @@ def test_dh_to_public_matches_keygen():
 def test_dh_agrees_with_independent_x25519(seed):
     rng = cs.SeededRng(1000 + seed)
     a_sk, a_pk = cs.dh_keygen(rng)
-    b_sk, b_pk, b_key = cs.dh_keygen_with_key(rng)
+    b = cs.dh_keygen_with_key(rng)
+    b_sk, b_pk, b_key = b.secret, b.public, b.key
     assert b_key.private_bytes_raw() == b_sk
     assert REF.x25519_public(a_sk) == a_pk
     assert REF.x25519_public(b_sk) == b_pk
@@ -153,6 +154,29 @@ def test_dh_agrees_with_independent_x25519(seed):
     assert cs.dh(b_sk, a_pk) == expected
     assert cs.dh(b_key, a_pk) == expected
     assert cs.dh(a_sk, b_pk) == expected
+
+
+def test_key_pair_reads_its_public_off_one_object(monkeypatch):
+    secret, public = cs.dh_keygen(cs.SeededRng(26))
+    real, built = cs.dh_private_key, []
+    monkeypatch.setattr(cs, "dh_private_key",
+                        lambda s: built.append(s) or real(s))
+    pair = cs.key_pair(secret)
+    assert built == [secret]
+    assert (pair.secret, pair.public) == (secret, public)
+    assert pair.key.private_bytes_raw() == secret
+    assert pair.public == REF.x25519_public(secret)
+    again = cs.key_pair(secret)
+    assert again == pair and again.key is not pair.key  # key not compared
+    assert repr(pair.key) not in repr(pair)
+    with pytest.raises(AttributeError):
+        pair.secret = cs.GroupScalar(bytes(32))
+
+
+def test_key_pair_refuses_a_wrong_length_secret():
+    for secret in (b"short", bytes(33)):
+        with pytest.raises(ValueError, match="32 bytes"):
+            cs.key_pair(secret)
 
 
 def test_clamp_scalar_bits():
@@ -319,13 +343,13 @@ def test_count_ops_counts_each_kind():
 def test_key_object_counts_like_its_scalar():
     rng = cs.SeededRng(23)
     with cs.count_ops() as counts:
-        a_sk, _, a_key = cs.dh_keygen_with_key(rng)
+        a = cs.dh_keygen_with_key(rng)
     assert counts.dh == 1
     _, b_pk = cs.dh_keygen(rng)
     with cs.count_ops() as counts:
-        key = cs.dh_private_key(a_sk)  # building the object is no dh op
+        key = cs.dh_private_key(a.secret)  # building the object is no dh op
         cs.dh(key, b_pk)
-        cs.dh(a_key, b_pk)
+        cs.dh(a.key, b_pk)
     assert counts.dh == 2
 
 

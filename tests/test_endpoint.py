@@ -198,6 +198,20 @@ def test_out_of_range_ctype_is_refused_before_anything_moves(protocol, ctype):
         assert b.open(a.seal(b"next", ctype=255)) == b"next"
 
 
+@pytest.mark.parametrize("bad", [2**32, -1])
+@pytest.mark.parametrize("which", ["kid", "peer_kid"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_out_of_range_kid_is_refused_when_the_endpoint_is_built(
+        protocol, which, bad):
+    a_sk, _, _, b_pk, a_rng, _ = helpers.keypairs(409)
+    kids = {"kid": 11, "peer_kid": 12, which: bad}
+    before = _next_draw(a_rng)
+    with pytest.raises(ValueError, match=f"^{which} out of u32 range"):
+        Endpoint(protocol, a_sk, b_pk, a_rng, kids["kid"], kids["peer_kid"],
+                 "alice", "bob", initiator=True)
+    assert _next_draw(a_rng) == before
+
+
 def test_unknown_protocol_rejected():
     a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(406)
     for make in (

@@ -46,6 +46,7 @@ RULES = {
     "knowledge": ({"learn_scalar", "learn_snapshot", "learn_chain"}, {"call"},
                   [("mske/game.py", "")]),
     "closure": ({"KeyClosure"}, {"call"}, [("mske/game.py", "Game.closure")]),
+    "key_pair": ({"KeyPair"}, {"call"}, [("crypto_suite.py", "")]),
     # every call of the key schedule: exchange, derivation, nonce, AD and
     # each cipher, v1's CBC included
     "exchange": ({"dh", "kdf_root", "kdf_chain", "digest_kdf",
@@ -191,6 +192,7 @@ test_key_bytes_reach_only_the_game = rule_test("recorders")
 test_attacks_get_secrets_only_from_oracles = rule_test("parties")
 test_only_the_game_turns_answers_into_knowledge = rule_test("knowledge")
 test_only_game_closure_builds_a_closure = rule_test("closure")
+test_only_crypto_suite_assembles_a_key_pair = rule_test("key_pair")
 test_attacks_run_no_exchange_of_their_own = rule_test("exchange")
 test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
@@ -302,6 +304,12 @@ SAMPLES = {
         "learn = closure.learn_chain\n"),
         {"mske/game.py": [], "mske/attacks.py": ["1: knowledge",
                                                  "2: knowledge"]}),
+    "key_pair": (breaks, (
+        "eph = cs.KeyPair(sk, cs.dh_to_public(sk), cs.dh_private_key(sk))\n"
+        "eph = cs.key_pair(sk)\nst.self_eph: cs.KeyPair | None = None\n"
+        "from .crypto_suite import KeyPair\nst.self_eph = KeyPair(*parts)\n"),
+        {"crypto_suite.py": [], "linevdr.py": ["1: key_pair", "5: key_pair"],
+         "mske/game.py": ["1: key_pair", "5: key_pair"]}),
     "exchange": (breaks, (
         "pms = cs.dh(sk_b, pk_a)  # the victim's secret recreates the pms\n"
         "pms = g.closure().pms\nrun = cs.dh\nshared = dh(key, peer)\n"

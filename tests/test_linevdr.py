@@ -222,7 +222,7 @@ def test_golden_snapshots_cover_optional_fields_cache_and_turns():
              in helpers.parse_golden_file(helpers.SNAPSHOT_FILE).items()}
     fresh = snaps["initiator-unanswered"]
     assert fresh.ck_recv is None and fresh.peer_eph_pub is None
-    assert fresh.ck_send is not None and fresh.self_eph_pub is not None
+    assert fresh.ck_send is not None and fresh.self_eph is not None
     assert sorted(snaps["responder-skipped"].skipped) == [(0, 0), (0, 1)]
     assert (snaps["initiator-two-turns"].i_r,
             snaps["initiator-two-turns"].i_s) == (3, 4)
@@ -238,10 +238,9 @@ def test_golden_snapshot_import_export_round_trips(name):
 def test_golden_snapshots_import_the_public_of_their_secret():
     # the snapshot stores the scalar alone, so no public can disagree with it
     for raw in helpers.parse_golden_file(helpers.SNAPSHOT_FILE).values():
-        st = vdr_import_state(raw)
-        assert st.self_eph_secret is not None
-        assert st.self_eph_pub == cs.dh_to_public(st.self_eph_secret)
-        assert st.self_eph_pub == REF.x25519_public(st.self_eph_secret)
+        eph = vdr_import_state(raw).self_eph
+        assert eph is not None
+        assert eph.public == REF.x25519_public(eph.secret)
 
 
 def test_snapshot_truncation_at_every_prefix():
@@ -301,15 +300,7 @@ def test_ad_binds_ratchet_header():
     assert vdr_decrypt(stb, env, b_rng) == b"header bound"
 
 
-# -- held ephemeral key object --------------------------------------------------
-
-def _key_matches_secret(st):
-    """The state holds its scalar's object and public, and holds both
-    whenever it holds the scalar."""
-    if st.self_eph_secret is None:
-        return st.self_eph_key is None and st.self_eph_pub is None
-    return (st.self_eph_key.private_bytes_raw() == st.self_eph_secret
-            and st.self_eph_pub == cs.dh_to_public(st.self_eph_secret))
+# -- held ephemeral key pair ----------------------------------------------------
 
 
 @pytest.mark.parametrize("tamper,error", [
@@ -323,16 +314,15 @@ def test_failed_turn_decrypt_leaves_state_untouched(tamper, error):
     sta, stb, a_rng, b_rng = fresh_conversation(318)
     turn = vdr_encrypt(stb, 0, b"turns the epoch", b_rng)
     assert turn.i_index > sta.i_r
-    key = sta.self_eph_key
-    assert key is not None
+    eph = sta.self_eph
+    assert eph is not None
     before = vdr_export_state(sta)
     with pytest.raises(error):
         vdr_decrypt(sta, tamper(turn), a_rng)
     assert vdr_export_state(sta) == before
-    assert sta.self_eph_key is key
+    assert sta.self_eph is eph
     assert vdr_decrypt(sta, turn, a_rng) == b"turns the epoch"
-    assert sta.self_eph_key is not key
-    assert _key_matches_secret(sta)
+    assert sta.self_eph is not eph
 
 
 def _turn_counts(receiver, env, rng):
@@ -345,30 +335,22 @@ def test_held_key_tracks_secret_across_export_import():
     live = list(fresh_conversation(319))      # never exported
     twin = list(fresh_conversation(319))      # exported and imported midway
     worlds = (live, twin)
-    for world in worlds:
-        assert all(_key_matches_secret(st) for st in world[:2])
     for turn in range(8):
         if turn == 4:
             for k in (0, 1):
                 twin[k] = vdr_import_state(vdr_export_state(twin[k]))
-                assert twin[k].self_eph_key is not None
-                assert _key_matches_secret(twin[k])
+                assert twin[k] == live[k]  # the key object is not compared
         s, r = (1, 0) if turn % 2 == 0 else (0, 1)
         text = b"turn %d" % turn
         for world in worlds:
             env = vdr_encrypt(world[s], 0, text, world[2 + s])
-            assert all(_key_matches_secret(st) for st in world[:2])
+            assert env.eph_pub == world[s].self_eph.public
             assert env.i_index > world[r].i_r
             assert _turn_counts(world[r], env, world[2 + r]) == 3
-            assert world[r].self_eph_key is not None
-            assert all(_key_matches_secret(st) for st in world[:2])
         for k in (0, 1):
             assert vdr_export_state(twin[k]) == vdr_export_state(live[k])
     for st in live[:2]:
-        assert "self_eph_key" not in repr(st)
-        assert repr(st.self_eph_key) not in repr(st)
-        assert vdr_export_state(st) == vdr_export_state(
-            dataclasses.replace(st, self_eph_key=None))
+        assert repr(st.self_eph.key) not in repr(st)
 
 
 def test_ratchet_steps_build_each_key_object_once(monkeypatch):
@@ -388,19 +370,19 @@ def test_ratchet_steps_build_each_key_object_once(monkeypatch):
     assert built == [bytes(mats[0])]  # the long-term key, for two exchanges
     built.clear()
     assert vdr_decrypt(stb, opener, b_rng) == b"hello"
-    assert built == [bytes(stb.self_eph_secret)]  # the reply keygen only
+    assert built == [bytes(stb.self_eph.secret)]  # the reply keygen only
     reply = vdr_encrypt(stb, 0, b"reply", b_rng)
     built.clear()
     assert vdr_decrypt(sta, reply, a_rng) == b"reply"
-    assert built == [bytes(sta.self_eph_secret)]  # turn reuses the held key
+    assert built == [bytes(sta.self_eph.secret)]  # turn reuses the held key
     snapshot = vdr_export_state(stb)
     built.clear()
     clone = vdr_import_state(snapshot)
-    assert built == [bytes(stb.self_eph_secret)]  # the stored ephemeral's
+    assert built == [bytes(stb.self_eph.secret)]  # the stored ephemeral's
     env = vdr_encrypt(sta, 0, b"after import", a_rng)
     built.clear()
     assert vdr_decrypt(clone, env, b_rng) == b"after import"
-    assert built == [bytes(clone.self_eph_secret)]  # as a live turn: the reply
+    assert built == [bytes(clone.self_eph.secret)]  # as a live turn: the reply
 
 
 # (sender, party resumed before the flight or None); A sends first
@@ -434,8 +416,7 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
                 built.clear()
                 resumed[resume] = vdr_import_state(
                     vdr_export_state(resumed[resume]))
-                assert built == [bytes(resumed[resume].self_eph_secret)]
-                assert _key_matches_secret(resumed[resume])
+                assert built == [bytes(resumed[resume].self_eph.secret)]
             sent = []
             for states, rngs, mats in worlds:
                 text = b"flight %d" % n
@@ -448,7 +429,7 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
                          or env.i_index > receiver.i_r)
                 built.clear()
                 assert vdr_decrypt(receiver, env, rngs[1 - sender]) == text
-                assert built == ([bytes(receiver.self_eph_secret)]
+                assert built == ([bytes(receiver.self_eph.secret)]
                                  if turns else [])
             assert sent[0] == sent[1]
             assert ([vdr_export_state(st) for st in worlds[0][0]]
@@ -586,11 +567,11 @@ def _failed_decrypts():
     "turn to the top epoch"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
-    before, key = vdr_export_state(st), st.self_eph_key
+    before, eph = vdr_export_state(st), st.self_eph
     with cs.Recorder() as seen, pytest.raises(error):
         vdr_decrypt(st, env, rng)
     assert vdr_export_state(st) == before
-    assert st.self_eph_key is key  # no object built, none dropped
+    assert st.self_eph is eph  # no pair built, none dropped
     assert seen.draws == []
 
 
@@ -601,24 +582,23 @@ def test_failed_reply_exchange_leaves_snapshot_identical():
     _, stb, _, _ = fresh_conversation(328)
     ck = cs.SymmetricKey(bytes(range(32)))
     st = dataclasses.replace(
-        stb, ck_send=None, self_eph_secret=None, self_eph_pub=None,
-        self_eph_key=None, ck_recv=ck, peer_eph_pub=cs.GroupElement(bytes(32)),
+        stb, ck_send=None, self_eph=None, ck_recv=ck,
+        peer_eph_pub=cs.GroupElement(bytes(32)),
         i_s=1, j_s=0, i_r=0, j_r=0, skipped={})
     sender = RatchetState(
         rk=st.rk, kid_self=st.kid_peer, kid_peer=st.kid_self, ck_send=ck,
-        self_eph_secret=stb.self_eph_secret)
+        self_eph=stb.self_eph)
     rng = cs.SeededRng(328)
     env = vdr_encrypt(sender, 0, b"tag verifies", rng)
     before = vdr_export_state(st)
     with cs.Recorder() as seen, pytest.raises(DhError):
         vdr_decrypt(st, env, rng)
     assert vdr_export_state(st) == before
-    assert (st.self_eph_secret, st.self_eph_key) == (None, None)
+    assert st.self_eph is None
     assert len(seen.draws) == 1  # the exchange needs the drawn ephemeral
 
 
-_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "self_eph_secret", "self_eph_pub",
-               "peer_eph_pub")
+_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub")
 
 
 @pytest.mark.parametrize("name", _KEY_FIELDS)
@@ -637,7 +617,7 @@ def test_state_refuses_a_wrong_length_cached_key():
 
 
 @pytest.mark.parametrize("unset", [
-    ("ck_send",), ("self_eph_secret", "self_eph_pub", "self_eph_key"),
+    ("ck_send",), ("self_eph",),
     ("ck_recv",), ("peer_eph_pub",)], ids=lambda unset: unset[0])
 def test_state_refuses_half_a_chain(unset):
     # a snapshot has no way to write one
@@ -737,12 +717,12 @@ def test_import_refuses_a_low_order_peer_ephemeral(point, bit_255):
     u = _LOW_ORDER[point][:31] + bytes([_LOW_ORDER[point][31] | bit_255 << 7])
     st = dataclasses.replace(stb, peer_eph_pub=cs.GroupElement(u))
     with pytest.raises(DhError):  # no exchange with it succeeds
-        cs.dh(stb.self_eph_secret, st.peer_eph_pub)
+        cs.dh(stb.self_eph.key, st.peer_eph_pub)
     with pytest.raises(ParseError, match="peer_eph_pub"):
         vdr_import_state(vdr_export_state(st))
 
 
-_CHAINS = (("ck_send", "self_eph_secret"),
+_CHAINS = (("ck_send", "self_eph"),
            ("ck_recv", "peer_eph_pub"))  # flag bit k marks _CHAINS[k]
 
 
@@ -750,11 +730,15 @@ def _concatenated(st):
     """A snapshot written out field by field, in the codec's order."""
     def u32(n):
         return n.to_bytes(4, "big")
+
+    def written(name):  # the ephemeral's pair is written as its scalar
+        value = getattr(st, name)
+        return value.secret if name == "self_eph" else value
     set_chains = [k for k, (ck, _) in enumerate(_CHAINS)
                   if getattr(st, ck) is not None]
     return b"".join([
         b"VDR5", bytes([sum(1 << k for k in set_chains)]), st.rk,
-        *[getattr(st, name) for k in set_chains for name in _CHAINS[k]],
+        *[written(name) for k in set_chains for name in _CHAINS[k]],
         u32(st.i_s), u32(st.j_s), u32(st.i_r), u32(st.j_r),
         u32(st.kid_self), u32(st.kid_peer),
         len(st.skipped).to_bytes(2, "big"),
@@ -768,8 +752,6 @@ def test_export_of_every_flag_value_is_the_field_concatenation(cached):
     for flags in range(4):
         unset = [name for k, chain in enumerate(_CHAINS)
                  if not flags >> k & 1 for name in chain]
-        if "self_eph_secret" in unset:  # and what the secret fixes
-            unset += ["self_eph_pub", "self_eph_key"]
         st = dataclasses.replace(full, **dict.fromkeys(unset))
         snap = vdr_export_state(st)
         assert snap == _concatenated(st)

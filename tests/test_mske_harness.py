@@ -16,7 +16,7 @@ import letterseal.mske.game as game_module
 from letterseal.endpoint import PROTO_V1
 from letterseal.errors import NotInitialized, StageNotAccepted, StageUnknown
 from letterseal.linev1 import v1_derive
-from letterseal.linev2 import v2_encrypt, v2_establish
+from letterseal.linev2 import v2_encrypt, v2_establish, v2_snapshot_pms
 from letterseal.linevdr import (
     ROLE_INITIATOR,
     ROLE_RESPONDER,
@@ -25,7 +25,7 @@ from letterseal.linevdr import (
     vdr_import_state,
     vdr_init_sender,
 )
-from letterseal.mske import ACCEPT, REJECT, Game, fresh_v2, v2_snapshot_pms
+from letterseal.mske import ACCEPT, REJECT, Game, fresh_v2
 from letterseal.mske.attacks import _flights, _game
 from letterseal.wire import decode_envelope, encode_envelope
 
@@ -149,7 +149,7 @@ def test_game_builds_each_long_term_key_object_once(monkeypatch, protocol):
     built.clear()
     _flights(g, [(1, b"m0")])
     if protocol == "vdr":  # the two ephemerals, each built once
-        assert built == [bytes(g.sessions[(u, 1)].ep.session.self_eph_secret)
+        assert built == [bytes(g.sessions[(u, 1)].ep.session.self_eph.secret)
                          for u in (1, 2)]
     else:
         assert built == []

@@ -576,8 +576,8 @@ def vdr_seal(ck: bytes, epoch: int, index: int, eph_pub: bytes,
 
 def vdr_snapshot(rk: bytes, sending, receiving, indices, kids,
                  skipped) -> bytes:
-    """A ratchet state's VDR5 snapshot. sending is (ck_send,
-    self_eph_secret) and receiving is (ck_recv, peer_eph_pub), each None
+    """A ratchet state's VDR5 snapshot. sending is (ck_send, the own
+    ephemeral's scalar) and receiving is (ck_recv, peer_eph_pub), each None
     where the chain is unset; flag bit 0 marks sending, bit 1 receiving.
     indices is (i_s, j_s, i_r, j_r), kids is (kid_self, kid_peer), skipped
     is [((i, j), key)] in cache order.
