@@ -22,13 +22,15 @@ such a scalar or the OpenSSL key object built from it
 (:func:`dh_private_key`), and :func:`dh_key` turns either form into the
 object. Building the object costs a scalar multiplication of its own, so
 a secret that exchanges more than once is held as a :class:`KeyPair`:
-scalar, public and object, built together by :func:`key_pair` or
-:func:`dh_keygen_with_key`. Only this module builds a pair, so its three
-forms cannot disagree. Key objects have one rule: the owner of a secret
-builds its pair once, when the scalar enters it, and holds it (a ratchet
-state its ephemeral, an imported state included; a game party its
-long-term key; the game's key closure each scalar it learns). Nothing
-caches an object by value.
+scalar, public and object, built together by :func:`key_pair`,
+:func:`dh_keygen_with_key` or :func:`dh_keygen_from`. Only this module
+builds a pair, so its three forms cannot disagree. Key objects have one
+rule: the owner of a secret builds its pair once, when it first needs the
+object, and holds it (a ratchet state its ephemeral: at set-up, at
+import, or, for a reply scalar an open drew with :func:`dh_draw_secret`,
+at the first seal or export of that epoch; a game party its long-term
+key; the game's key closure each scalar it learns). Nothing caches an
+object by value.
 
 Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
 absorbs a key's inner and outer pads into two SHA-256 states once, and
@@ -280,10 +282,21 @@ def key_pair(secret: GroupScalar) -> KeyPair:
                    key)
 
 
+def dh_draw_secret(rng: SeededRng) -> GroupScalar:
+    """A fresh clamped scalar from the injected randomness source: the
+    draw of a key generation whose pair :func:`dh_keygen_from` builds."""
+    return clamp_scalar(rng.token(32))
+
+
+def dh_keygen_from(secret: GroupScalar) -> KeyPair:
+    """The pair of a drawn scalar, counted as its key generation."""
+    _bump("dh")
+    return key_pair(secret)
+
+
 def dh_keygen_with_key(rng: SeededRng) -> KeyPair:
     """Fresh X25519 key pair from the injected randomness source."""
-    _bump("dh")
-    return key_pair(clamp_scalar(rng.token(32)))
+    return dh_keygen_from(dh_draw_secret(rng))
 
 
 def dh_keygen(rng: SeededRng) -> tuple[GroupScalar, GroupElement]:

@@ -23,9 +23,11 @@ other key object (crypto_suite states the ownership rule).
 An Endpoint holds no instrumentation: a caller that needs message keys or
 rng draws, the key-indistinguishability game only, wraps seal or open in a
 ``with crypto_suite.Recorder()`` block. A kid outside u32 is refused
-when the Endpoint is built. A ctype outside u8 is refused before set-up,
-and the protocols' encrypt refuses it before any draw or state change,
-so a refused seal leaves nothing behind.
+when the Endpoint is built. A v2 identity string that does not fit its
+length prefix is refused by set-up, before the exchange. A ctype outside
+u8 is refused before set-up, and the protocols' encrypt refuses it
+before any draw or state change, so a refused seal leaves nothing
+behind.
 """
 
 from __future__ import annotations

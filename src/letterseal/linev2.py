@@ -15,7 +15,14 @@ from typing import ClassVar
 
 from . import crypto_suite as cs
 from .errors import CounterExhausted, KidMismatch
-from .wire import _NONCE_MATERIAL, VERS_V2, EnvelopeV2, _check_u8, _Run
+from .wire import (
+    _NONCE_MATERIAL,
+    VERS_V2,
+    EnvelopeV2,
+    _check_length,
+    _check_u8,
+    _Run,
+)
 
 _CTR_MAX = 2**32 - 1
 # the associated data: rid and sid, each behind its length, then the rest
@@ -42,6 +49,10 @@ class SessionV2:
 
 def v2_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
                  kid_self: int, kid_peer: int, sid: str, rid: str) -> SessionV2:
+    """The session of one party; each identity string must fit its u16
+    length prefix in the AD, checked before the exchange."""
+    _check_length(sid, "identity string sid")
+    _check_length(rid, "identity string rid")
     return SessionV2(pms=cs.dh(self_secret, peer_public),
                      kid_self=kid_self, kid_peer=kid_peer, sid=sid, rid=rid)
 

@@ -4,15 +4,26 @@ catch-up cache, and a replay defense read off the chain position.
 
 Index conventions. i counts asymmetric epochs, j messages within a chain.
 The initiator owns even epochs, the responder odd ones. The receiver
-ratchets its receiving chain when an envelope opens a new epoch, and builds
-the reply chain (fresh ephemeral, i_s = i_r + 1) right after the first
-successful decrypt of that epoch. A turn to epoch 0xFFFFFFFF is refused
-there with StaleEpoch, before the ephemeral is drawn: its reply epoch
-would not fit a u32. Decryption is transactional: state mutates only
-after the AEAD tag verifies and the reply chain is built, in one commit,
-so forged envelopes cannot desynchronize a session or poison the
-skipped-key cache. So is encryption: a refused seal neither steps the
-chain nor draws a nonce.
+ratchets its receiving chain when an envelope opens a new epoch.
+
+Reply epochs. The first successful decrypt of a new epoch (or a
+responder's first open) starts the reply epoch, i_s = i_r + 1: it draws
+the reply ephemeral's scalar and holds it as a pending reply,
+``reply_secret``. The first vdr_encrypt or vdr_export_state after it
+builds the reply chain in one commit: the ephemeral's key pair, its
+exchange with the peer's ephemeral, and the root step that gives the
+sending chain. A session that ends on a receive never pays for a chain it
+does not use. The scalar is drawn at the open, so every rng stream,
+envelope and snapshot is byte for byte what building at the open gives.
+A turn to epoch 0xFFFFFFFF is refused with StaleEpoch before the scalar
+is drawn: its reply epoch would not fit a u32.
+
+Decryption is transactional: state mutates only after the AEAD tag
+verifies, in one commit, so forged envelopes cannot desynchronize a
+session or poison the skipped-key cache. A turn that arrives while a
+reply is pending builds that reply in locals, and the root it gives
+enters the state only with the turn's commit. So is encryption: a refused seal neither builds a pending reply,
+steps the chain nor draws a nonce.
 
 Replay defense. A stage opens only from the skipped-key cache or by
 moving the live receive chain forward, and both delete the key they use,
@@ -25,10 +36,11 @@ cannot tell a stage it opened from one it abandoned. The state keeps no
 record of what it received; besides the chain positions it holds the
 cache alone, so its size is bounded by MAX_SKIP.
 
-Ephemeral key pair. The state holds its ephemeral as one ``self_eph``, a
-crypto_suite.KeyPair: a seal reads its public, the next epoch turn
-exchanges with its key object, and a snapshot stores its scalar alone.
-Import builds the pair, so a resumed state turns as a live one does.
+Ephemeral key pair. The state holds its built ephemeral as one
+``self_eph``, a crypto_suite.KeyPair: a seal reads its public, the next
+epoch turn exchanges with its key object, and a snapshot stores its
+scalar alone. Import builds the pair, so a resumed state turns as a live
+one does.
 
 Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
 both the party's secret and the peer's public key, and the state stores
@@ -40,7 +52,8 @@ object and passes that, so set-up builds none.
 Every 32-byte field that is set, and every cached key, is checked for
 length once, when the state is built (``__post_init__``, which
 ``dataclasses.replace`` runs too), so a snapshot never pads or cuts one;
-so is each chain, whose key is set with its ephemeral or neither is.
+so is each chain, whose key is set with its ephemeral or neither is, and
+a pending reply, which needs a receive chain and no sending chain.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ from dataclasses import dataclass, field
 from . import crypto_suite as cs
 from .errors import (
     CounterExhausted,
+    DhError,
     NotInitialized,
     ParseError,
     ReplayRejected,
@@ -74,7 +88,18 @@ ROLE_RESPONDER = "responder"
 
 
 # the 32-byte fields, checked once when a state is built
-_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub")
+_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub", "reply_secret")
+# libsodium's small-order X25519 encodings, little-endian, bit 255 dropped
+# as X25519 drops it: 0, 1, two of order 8, and p - 1, p, p + 1
+_LOW_ORDER = frozenset((
+    0, 1, 2**255 - 20, 2**255 - 19, 2**255 - 18,
+    0xb8495f16056286fdb1329ceb8d09da6ac49ff1fae35616aeb8413b7c7aebe0,
+    0x57119fd0dd4e22d8868e1c58c45c44045bef839c55b1d0b1248c50a3bc959c5f))
+
+
+def _low_order(point: bytes) -> bool:
+    """Whether every X25519 exchange with point gives the all-zero output."""
+    return int.from_bytes(point, "little") % 2**255 in _LOW_ORDER
 
 
 @dataclass(slots=True)
@@ -90,6 +115,7 @@ class RatchetState:
     j_r: int = 0
     self_eph: cs.KeyPair | None = None
     peer_eph_pub: cs.GroupElement | None = None
+    reply_secret: cs.GroupScalar | None = None  # drawn, chain not yet built
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -106,6 +132,10 @@ class RatchetState:
                 or (self.ck_recv is None) != (self.peer_eph_pub is None)):
             raise ValueError("RatchetState sets a chain key without its "
                              "ephemeral, or an ephemeral without its chain")
+        if self.reply_secret is not None and (
+                self.ck_send is not None or self.ck_recv is None):
+            raise ValueError("RatchetState sets a pending reply beside a "
+                             "sending chain, or without a receive chain")
 
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
@@ -151,17 +181,37 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
         rk=rk, ck_recv=ck_recv,
         kid_self=kid_self, kid_peer=kid_peer,
         peer_eph_pub=peer_eph,
-        i_s=1,  # reply epoch; chain material arrives with the first decrypt
+        i_s=1,  # reply epoch; the first decrypt draws its scalar
     )
+
+
+def _reply_chain(st: RatchetState) -> tuple[cs.KeyPair, cs.SymmetricKey,
+                                            cs.SymmetricKey]:
+    """A pending reply's ephemeral pair, root and sending chain: its key
+    generation, its exchange with the peer's ephemeral and the root step.
+    The open that drew it checked that the exchange cannot fail."""
+    eph = cs.dh_keygen_from(st.reply_secret)
+    rk, ck_send = cs.kdf_root(cs.dh(eph.key, st.peer_eph_pub), st.rk)
+    return eph, rk, ck_send
+
+
+def _build_reply(st: RatchetState) -> None:
+    """Build a pending reply's chain and commit it; no pending reply, no
+    change."""
+    if st.reply_secret is not None:
+        eph, rk, ck_send = _reply_chain(st)
+        st.self_eph, st.rk, st.ck_send, st.reply_secret = eph, rk, ck_send, None
 
 
 def vdr_encrypt(st: RatchetState, ctype: int, m: bytes,
                 rng: cs.SeededRng) -> EnvelopeVDR:
-    _check_u8(ctype, "ctype")  # before the chain step and the nonce draw
-    if st.ck_send is None:
+    """Seal one message; a pending reply's chain is built first."""
+    _check_u8(ctype, "ctype")  # before the reply build, chain step and draw
+    if st.ck_send is None and st.reply_secret is None:
         raise NotInitialized("no sending chain; decrypt the peer's flight first")
     if st.j_s >= _J_MAX:
         raise CounterExhausted(f"send index at {st.j_s}")
+    _build_reply(st)
     mk, ck_send = cs.kdf_chain(st.ck_send)
     nonce_material = _NONCE_MATERIAL.pack(st.i_s, rng.token(4))
     nonce = cs.AeadNonce.unchecked(nonce_material + b"\x00" * 4)
@@ -188,11 +238,13 @@ def vdr_open(mk: cs.SymmetricKey, env: EnvelopeVDR) -> bytes:
 def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
                 rng: cs.SeededRng) -> bytes:
     """Catch-up decryption with replay defense; see module docstring for the
-    step order. rng feeds the reply-chain ephemeral generated after the
-    first successful decrypt of a new epoch. Every failure leaves the state
-    as it was. Only a DhError in the reply exchange (a low-order peer
-    ephemeral, held only by a state built directly) follows the rng draw,
-    as that exchange needs the drawn ephemeral; it alone spends a draw."""
+    step order. rng feeds the reply ephemeral's scalar, drawn at the first
+    successful decrypt of a new epoch and held as a pending reply until a
+    seal or an export builds its chain. Every failure leaves the state as
+    it was. Only a DhError for a low-order peer ephemeral (held only by a
+    state built directly) follows the draw: the open refuses a peer
+    ephemeral that its pending reply's exchange would fail on, so it alone
+    spends a draw."""
     i_index = env.i_index  # a property that decodes nonce_material
     stage = (i_index, env.j_index)
     mk = st.skipped.get(stage)
@@ -203,11 +255,14 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         return plaintext
 
     if i_index > st.i_r:
-        if st.self_eph is None:
+        if st.reply_secret is not None:  # built in locals: the turn's
+            eph, rk, _ = _reply_chain(st)  # commit keeps only its root
+        elif st.self_eph is None:
             raise StaleEpoch("no local ephemeral to ratchet against")
+        else:
+            eph, rk = st.self_eph, st.rk
         peer_eph = cs.GroupElement(env.eph_pub)
-        shared = cs.dh(st.self_eph.key, peer_eph)
-        rk, ck = cs.kdf_root(shared, st.rk)
+        rk, ck = cs.kdf_root(cs.dh(eph.key, peer_eph), rk)
         i_r, j = i_index, 0
     elif i_index == st.i_r and st.ck_recv is not None:
         if env.j_index < st.j_r:
@@ -228,13 +283,16 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 
     plaintext = vdr_open(mk, env)  # AuthFailure leaves all state untouched
 
-    if i_r != st.i_r or st.ck_send is None:  # a turn, or the first open
+    # a turn, or the first open
+    if i_r != st.i_r or (st.ck_send is None and st.reply_secret is None):
         if i_r == 0xFFFFFFFF:
             raise StaleEpoch(f"epoch {i_r} leaves no u32 reply epoch")
-        eph = cs.dh_keygen_with_key(rng)
-        rk, ck_send = cs.kdf_root(cs.dh(eph.key, peer_eph), rk)
+        reply = cs.dh_draw_secret(rng)
+        if _low_order(peer_eph):  # the reply's exchange could not succeed
+            raise DhError("peer ephemeral is a low-order point")
         # the one commit: nothing above changed the state
-        st.self_eph, st.ck_send, st.i_s, st.j_s = eph, ck_send, i_r + 1, 0
+        st.reply_secret, st.self_eph, st.ck_send = reply, None, None
+        st.i_s, st.j_s = i_r + 1, 0
     st.rk, st.ck_recv, st.i_r, st.j_r = rk, ck, i_r, env.j_index + 1
     st.peer_eph_pub = peer_eph
     st.skipped.update(skipped)
@@ -274,21 +332,16 @@ _SNAPSHOT_LAYOUTS = (
     _SNAPSHOT_HEAD + _SNAPSHOT_SENDING + _SNAPSHOT_TAIL,
     _SNAPSHOT_HEAD + _SNAPSHOT_RECEIVING + _SNAPSHOT_TAIL,
     _SNAPSHOT_HEAD + _SNAPSHOT_SENDING + _SNAPSHOT_RECEIVING + _SNAPSHOT_TAIL)
-# libsodium's small-order X25519 encodings, little-endian, bit 255 dropped
-# as X25519 drops it: 0, 1, two of order 8, and p - 1, p, p + 1
-_LOW_ORDER = frozenset((
-    0, 1, 2**255 - 20, 2**255 - 19, 2**255 - 18,
-    0xb8495f16056286fdb1329ceb8d09da6ac49ff1fae35616aeb8413b7c7aebe0,
-    0x57119fd0dd4e22d8868e1c58c45c44045bef839c55b1d0b1248c50a3bc959c5f))
-
-
 def vdr_export_state(st: RatchetState) -> bytes:
     """Complete, lossless snapshot of the session state; the long-term keys
     are not part of it (module docstring), and consumed message keys are
-    not here because the state never retains them. There is no replay
+    not here because the state never retains them. A pending reply's chain
+    is built and committed first, so a snapshot reads the same whenever it
+    is taken, and the format has no pending field. There is no replay
     record, so the size depends on the skipped-key cache alone: 191 bytes
     with both chains set, plus 40 per cached key, at most MAX_SKIP of
     them."""
+    _build_reply(st)
     flags, chains = 0, []
     if st.ck_send is not None:
         flags, chains = _SENDING, [st.ck_send, st.self_eph.secret]
@@ -321,7 +374,7 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     if flags & _RECEIVING:
         ck, peer_eph = _SNAPSHOT_RECEIVING.read(snapshot, pos)
         pos += _SNAPSHOT_RECEIVING.size
-        if int.from_bytes(peer_eph, "little") % 2**255 in _LOW_ORDER:
+        if _low_order(peer_eph):
             raise ParseError("snapshot peer_eph_pub is a low-order point")
         chains.update(ck_recv=cs.SymmetricKey(ck),
                       peer_eph_pub=cs.GroupElement(peer_eph))

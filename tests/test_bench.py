@@ -40,7 +40,7 @@ def test_headline_counts_stable_across_seeds(scenario):
 STEP_TOTALS = {
     "v2-first": (2, 2, 2),
     "v2-ith": (0, 2, 2),
-    "vdr-init": (7, 5, 2),
+    "vdr-init": (5, 4, 2),
     "vdr-asym": (3, 4, 2),
     "vdr-sym": (0, 2, 2),
 }
@@ -72,6 +72,16 @@ def test_phase_counts_vdr_steady_state():
     enc, dec = scenario_op_counts("vdr-sym")
     assert (enc.dh, enc.kdf, enc.aead) == (0, 1, 1)
     assert (dec.dh, dec.kdf, dec.aead) == (0, 1, 1)
+
+
+def test_phase_counts_vdr_reply_built_at_its_seal():
+    # an open that starts an epoch draws the reply and builds nothing: its
+    # keygen, exchange and root step run at the reply's first seal
+    enc, dec = scenario_op_counts("vdr-asym")
+    assert (enc.dh, enc.kdf, enc.aead) == (2, 2, 1)
+    assert (dec.dh, dec.kdf, dec.aead) == (1, 2, 1)
+    _, dec = scenario_op_counts("vdr-init")
+    assert (dec.dh, dec.kdf, dec.aead) == (2, 2, 1)  # set-up, chain, open
 
 
 def test_vdr_init_headline_is_enc_phase_only():

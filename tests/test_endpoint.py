@@ -212,6 +212,28 @@ def test_out_of_range_kid_is_refused_when_the_endpoint_is_built(
     assert _next_draw(a_rng) == before
 
 
+@pytest.mark.parametrize("bad,reason", [("a" * 70000, "is 70000 bytes, over"),
+                                        ("\ud800", "does not encode")],
+                         ids=["too long", "lone surrogate"])
+@pytest.mark.parametrize("which", ["name", "peer_name"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_identity_string_that_does_not_fit_the_wire_is_refused_at_set_up(
+        protocol, which, bad, reason):
+    a_sk, _, _, b_pk, a_rng, _ = helpers.keypairs(410)
+    names = {"name": "alice", "peer_name": "bob", which: bad}
+    e = Endpoint(protocol, a_sk, b_pk, a_rng, 11, 12, names["name"],
+                 names["peer_name"], initiator=True)
+    if protocol != "v2":  # v1 and the ratchet put no name on the wire
+        e.seal(b"x")
+        assert e.session is not None
+        return
+    field = {"name": "sid", "peer_name": "rid"}[which]
+    with cs.count_ops() as counts, pytest.raises(
+            ValueError, match=f"^identity string {field} {reason}"):
+        e.seal(b"x")
+    assert counts.dh == 0 and e.session is None  # before the exchange
+
+
 def test_unknown_protocol_rejected():
     a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(406)
     for make in (

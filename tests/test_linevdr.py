@@ -31,12 +31,22 @@ from letterseal.wire import encode_envelope
 REF = helpers.load_reference()
 
 
-def fresh_conversation(seed):
-    """Initiator plus a responder that already consumed the first message."""
+def pending_conversation(seed):
+    """Initiator plus a responder that already consumed the first message
+    and holds its reply pending: drawn, its chain not yet built."""
     sta, mats, a_rng, b_rng = helpers.vdr_pair(seed)
     opener = vdr_encrypt(sta, 0, b"opening flight", a_rng)
     stb = helpers.vdr_receiver(mats, opener)
     assert vdr_decrypt(stb, opener, b_rng) == b"opening flight"
+    assert stb.reply_secret is not None and stb.ck_send is None
+    return sta, stb, a_rng, b_rng
+
+
+def fresh_conversation(seed):
+    """pending_conversation with the responder's reply chain built, by an
+    export: both parties hold every chain they can."""
+    sta, stb, a_rng, b_rng = pending_conversation(seed)
+    vdr_export_state(stb)
     return sta, stb, a_rng, b_rng
 
 
@@ -325,14 +335,18 @@ def test_failed_turn_decrypt_leaves_state_untouched(tamper, error):
     assert sta.self_eph is not eph
 
 
-def _turn_counts(receiver, env, rng):
-    with cs.count_ops() as counts:
-        vdr_decrypt(receiver, env, rng)
-    return counts.dh
+def _counting_key_objects(patch) -> list:
+    """The scalars of the key objects built from here on, in order."""
+    built = []
+    real = cs.dh_private_key
+    patch.setattr(cs, "dh_private_key",
+                  lambda secret: built.append(bytes(secret)) or real(secret))
+    return built
 
 
-def test_held_key_tracks_secret_across_export_import():
-    live = list(fresh_conversation(319))      # never exported
+def test_held_key_tracks_secret_across_export_import(monkeypatch):
+    built = _counting_key_objects(monkeypatch)
+    live = list(fresh_conversation(319))      # never imported
     twin = list(fresh_conversation(319))      # exported and imported midway
     worlds = (live, twin)
     for turn in range(8):
@@ -346,22 +360,24 @@ def test_held_key_tracks_secret_across_export_import():
             env = vdr_encrypt(world[s], 0, text, world[2 + s])
             assert env.eph_pub == world[s].self_eph.public
             assert env.i_index > world[r].i_r
-            assert _turn_counts(world[r], env, world[2 + r]) == 3
+            built.clear()
+            with cs.count_ops() as counts:
+                vdr_decrypt(world[r], env, world[2 + r])
+            # the turn's exchange on the held key; the reply waits
+            assert (counts.dh, built) == (1, [])
+            assert world[r].self_eph is None
         for k in (0, 1):
+            built.clear()
             assert vdr_export_state(twin[k]) == vdr_export_state(live[k])
+            # the first export of the reply epoch builds its pair
+            assert built == ([bytes(live[r].self_eph.secret)] * 2
+                             if k == r else [])
     for st in live[:2]:
         assert repr(st.self_eph.key) not in repr(st)
 
 
 def test_ratchet_steps_build_each_key_object_once(monkeypatch):
-    built = []
-    real = cs.dh_private_key
-
-    def counting(secret):
-        built.append(bytes(secret))
-        return real(secret)
-
-    monkeypatch.setattr(cs, "dh_private_key", counting)
+    built = _counting_key_objects(monkeypatch)
     sta, mats, a_rng, b_rng = helpers.vdr_pair(320)
     assert len(built) == 4  # two long-term keygens, ephemeral, static
     opener = vdr_encrypt(sta, 0, b"hello", a_rng)
@@ -370,19 +386,24 @@ def test_ratchet_steps_build_each_key_object_once(monkeypatch):
     assert built == [bytes(mats[0])]  # the long-term key, for two exchanges
     built.clear()
     assert vdr_decrypt(stb, opener, b_rng) == b"hello"
-    assert built == [bytes(stb.self_eph.secret)]  # the reply keygen only
+    assert built == []  # the reply waits for its first seal
     reply = vdr_encrypt(stb, 0, b"reply", b_rng)
+    assert built == [bytes(stb.self_eph.secret)]  # the reply keygen only
     built.clear()
     assert vdr_decrypt(sta, reply, a_rng) == b"reply"
-    assert built == [bytes(sta.self_eph.secret)]  # turn reuses the held key
+    assert built == []  # the turn reuses the held key
     snapshot = vdr_export_state(stb)
     built.clear()
     clone = vdr_import_state(snapshot)
     assert built == [bytes(stb.self_eph.secret)]  # the stored ephemeral's
+    built.clear()
     env = vdr_encrypt(sta, 0, b"after import", a_rng)
+    assert built == [bytes(sta.self_eph.secret)]  # its reply, at its seal
     built.clear()
     assert vdr_decrypt(clone, env, b_rng) == b"after import"
-    assert built == [bytes(clone.self_eph.secret)]  # as a live turn: the reply
+    assert built == []  # as a live turn
+    vdr_export_state(clone)
+    assert built == [bytes(clone.self_eph.secret)]  # the reply, at export
 
 
 # (sender, party resumed before the flight or None); A sends first
@@ -397,18 +418,16 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
     """Two worlds from one seed play the same sender pattern; in the
     second, a party may be exported and imported again before any
     flight. Every envelope and snapshot stays byte-identical, an import
-    builds its stored ephemeral's object, and every epoch turn, in either
-    world, builds one key object: the reply ephemeral's."""
-    built = []
-    real = cs.dh_private_key
+    builds its stored ephemeral's object, an open builds none, and the
+    export after an open that starts a reply epoch, in either world,
+    builds one: the reply ephemeral's."""
     worlds = []
     for _ in range(2):
         sta, mats, a_rng, b_rng = helpers.vdr_pair(seed)
         worlds.append(([sta, None], (a_rng, b_rng), mats))
     resumed = worlds[1][0]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cs, "dh_private_key",
-                      lambda secret: built.append(bytes(secret)) or real(secret))
+        built = _counting_key_objects(patch)
         for n, (sender, resume) in enumerate(flights):
             if n == 0:
                 sender = 0
@@ -429,11 +448,111 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
                          or env.i_index > receiver.i_r)
                 built.clear()
                 assert vdr_decrypt(receiver, env, rngs[1 - sender]) == text
-                assert built == ([bytes(receiver.self_eph.secret)]
-                                 if turns else [])
+                assert built == []
+                assert (receiver.reply_secret is not None) == turns
             assert sent[0] == sent[1]
             assert ([vdr_export_state(st) for st in worlds[0][0]]
                     == [vdr_export_state(st) for st in resumed])
+            assert built == ([bytes(resumed[1 - sender].self_eph.secret)] * 2
+                             if turns else [])
+
+
+@pytest.mark.parametrize("first", ["seal", "export"])
+def test_responder_that_only_receives_builds_no_reply(monkeypatch, first):
+    built = _counting_key_objects(monkeypatch)
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(332)
+    opener = vdr_encrypt(sta, 0, b"hello", a_rng)
+    built.clear()
+    with cs.count_ops() as counts:
+        stb = helpers.vdr_receiver(mats, opener)
+        assert vdr_decrypt(stb, opener, b_rng) == b"hello"
+    # set-up's two exchanges alone: no keygen, no reply exchange or root
+    assert (counts.dh, counts.kdf, built) == (2, 2, [bytes(mats[0])])
+    assert stb.self_eph is None and stb.ck_send is None
+    built.clear()
+    with cs.count_ops() as counts:
+        if first == "seal":
+            vdr_encrypt(stb, 0, b"reply", b_rng)
+        else:
+            vdr_export_state(stb)
+    # one pair, counted as the keygen, and one exchange
+    assert (counts.dh, built) == (2, [bytes(stb.self_eph.secret)])
+    assert stb.reply_secret is None
+
+
+_SENDERS = hs.lists(hs.sampled_from((0, 1)), min_size=1, max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(senders=_SENDERS, seed=hs.integers(0, 2**16))
+def test_reply_built_at_the_open_or_at_the_seal_seals_alike(senders, seed):
+    """Two worlds from one seed play the same flights; the first exports
+    each receiver after every open, so its replies are built at the open,
+    and the second never exports, so each is built at its seal. Every
+    envelope and every final snapshot is byte-identical."""
+    worlds = []
+    for export_each_open in (True, False):
+        states, mats, a_rng, b_rng = helpers.vdr_pair(seed)
+        states, rngs, sent = [states, None], (a_rng, b_rng), []
+        for n, sender in enumerate(senders):
+            sender = sender if n else 0  # A opens the conversation
+            env = vdr_encrypt(states[sender], 0, b"flight %d" % n,
+                              rngs[sender])
+            sent.append(encode_envelope(env))
+            if states[1] is None:
+                states[1] = helpers.vdr_receiver(mats, env)
+            receiver = states[1 - sender]
+            assert vdr_decrypt(receiver, env, rngs[1 - sender]) \
+                == b"flight %d" % n
+            if export_each_open:
+                vdr_export_state(receiver)
+        worlds.append((sent, [vdr_export_state(st) for st in states]))
+    assert worlds[0] == worlds[1]
+
+
+def _fields(st):
+    """Every field of a state, its cache copied."""
+    return {**{f.name: getattr(st, f.name)
+               for f in dataclasses.fields(st)}, "skipped": dict(st.skipped)}
+
+
+def test_turn_to_a_pending_reply_opens_as_on_the_built_twin():
+    # B opens the opener and keeps its reply pending; its twin, a copy,
+    # builds the same reply at its seal, A turns on it, and A's turn
+    # reaches both
+    sta, stb, a_rng, b_rng = pending_conversation(334)
+    twin = dataclasses.replace(stb, skipped=dict(stb.skipped))
+    twin_rng = cs.SeededRng(334)
+    assert vdr_decrypt(sta, vdr_encrypt(twin, 0, b"reply", twin_rng),
+                       a_rng) == b"reply"
+    turn = vdr_encrypt(sta, 0, b"epoch 2", a_rng)
+    assert (turn.i_index, stb.i_r, stb.i_s) == (2, 0, 1)
+    flipped = dataclasses.replace(
+        turn, ciphertext=bytes([turn.ciphertext[0] ^ 1]) + turn.ciphertext[1:])
+    before = _fields(stb)
+    with cs.Recorder() as seen:
+        with pytest.raises(AuthFailure):
+            vdr_decrypt(stb, flipped, b_rng)
+        with pytest.raises(ValueError, match="ctype"):
+            vdr_encrypt(stb, 256, b"refused", b_rng)
+    assert _fields(stb) == before and seen.draws == []
+    assert stb.self_eph is None  # no pair committed
+    assert vdr_decrypt(stb, turn, cs.SeededRng(335)) == b"epoch 2"
+    assert vdr_decrypt(twin, turn, cs.SeededRng(335)) == b"epoch 2"
+    assert stb == twin and stb.reply_secret is not None
+    assert vdr_export_state(stb) == vdr_export_state(twin)
+
+
+def test_state_refuses_a_misplaced_pending_reply():
+    _, pending, _, _ = pending_conversation(333)
+    _, built, _, _ = fresh_conversation(333)
+    for value in (b"short", bytes(33)):
+        with pytest.raises(ValueError, match="reply_secret"):
+            dataclasses.replace(pending, reply_secret=value)
+    with pytest.raises(ValueError, match="pending reply beside"):
+        dataclasses.replace(built, reply_secret=pending.reply_secret)
+    with pytest.raises(ValueError, match="pending reply beside"):
+        dataclasses.replace(pending, ck_recv=None, peer_eph_pub=None)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -103,6 +103,18 @@ def test_game_held_ratchet_state_equals_its_snapshot_round_trip():
         assert clone == st and repr(clone) == repr(st)
 
 
+def test_no_game_state_holds_a_pending_reply_after_an_oracle_call():
+    # each accepted stage is snapshotted, and the snapshot builds a
+    # pending reply, so a RevState reads what the session will send with
+    g = _game("vdr", 5)
+    for u, v in ((1, 2), (1, 2), (2, 1), (1, 2), (2, 1)):
+        raw = g.oracle_send(u, 1, ("encrypt", 0, b"m"))
+        for delivered in (raw[:-1] + bytes([raw[-1] ^ 1]), raw):
+            g.oracle_send(v, 1, delivered)  # rejected, then accepted
+            assert [rec.ep.session.reply_secret for rec in g.sessions.values()
+                    if rec.ep.session is not None] in ([None], [None, None])
+
+
 @pytest.mark.parametrize("protocol", ["v1", "v2", "vdr"])
 def test_message_keys_reach_only_a_recorder(protocol):
     g = _game(protocol, 4)
