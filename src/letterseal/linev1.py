@@ -39,8 +39,6 @@ class SessionV1:
     pms: cs.SharedSecret
     kid_self: int
     kid_peer: int
-    sid: str = ""
-    rid: str = ""
 
 
 def _fold(digest: bytes) -> int:
@@ -61,8 +59,11 @@ def v1_derive(pms: cs.SharedSecret, salt: bytes) -> tuple[cs.SymmetricKey, bytes
 def v1_establish(self_secret: cs.GroupScalar, peer_public: cs.GroupElement,
                  kid_self: int, kid_peer: int,
                  sid: str = "", rid: str = "") -> SessionV1:
+    """The static session. sid and rid are taken as every static design's
+    set-up takes them, and dropped: v1 binds neither, on the wire or in
+    its tag."""
     return SessionV1(pms=cs.dh(self_secret, peer_public),
-                     kid_self=kid_self, kid_peer=kid_peer, sid=sid, rid=rid)
+                     kid_self=kid_self, kid_peer=kid_peer)
 
 
 def v1_encrypt(s: SessionV1, ctype: int, m: bytes,

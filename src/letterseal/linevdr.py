@@ -6,24 +6,32 @@ Index conventions. i counts asymmetric epochs, j messages within a chain.
 The initiator owns even epochs, the responder odd ones. The receiver
 ratchets its receiving chain when an envelope opens a new epoch.
 
-Reply epochs. The first successful decrypt of a new epoch (or a
-responder's first open) starts the reply epoch, i_s = i_r + 1: it draws
-the reply ephemeral's scalar and holds it as a pending reply,
-``reply_secret``. The first vdr_encrypt or vdr_export_state after it
-builds the reply chain in one commit: the ephemeral's key pair, its
-exchange with the peer's ephemeral, and the root step that gives the
-sending chain. A session that ends on a receive never pays for a chain it
-does not use. The scalar is drawn at the open, so every rng stream,
-envelope and snapshot is byte for byte what building at the open gives.
-A turn to epoch 0xFFFFFFFF is refused with StaleEpoch before the scalar
-is drawn: its reply epoch would not fit a u32.
+Reply epochs. The send epoch i_s is read off the receive position and
+never stored: i_r + 1 once a receive chain is set, 0 (the initiator's
+opening epoch) before it. The first successful decrypt of a new epoch (or
+a responder's first open) starts that reply epoch: it draws the reply
+ephemeral's scalar and holds it as a pending reply, ``reply_secret``. The
+first vdr_encrypt or vdr_export_state after it builds the reply chain in
+one commit: the ephemeral's key pair, its exchange with the peer's
+ephemeral, and the root step that gives the sending chain. A session that
+ends on a receive never pays for a chain it does not use. The scalar is
+drawn at the open, so every rng stream, envelope and snapshot is byte for
+byte what building at the open gives. A turn to epoch 0xFFFFFFFF is
+refused with StaleEpoch before the scalar is drawn, and import refuses a
+receiving snapshot at i_r = 0xFFFFFFFF: its reply epoch would not fit a
+u32. Likewise an envelope at index 0xFFFFFFFF, which no seal writes, is
+refused with CounterExhausted: the receive position past it would not
+fit.
 
 Decryption is transactional: state mutates only after the AEAD tag
 verifies, in one commit, so forged envelopes cannot desynchronize a
 session or poison the skipped-key cache. A turn that arrives while a
 reply is pending builds that reply in locals, and the root it gives
-enters the state only with the turn's commit. So is encryption: a refused seal neither builds a pending reply,
-steps the chain nor draws a nonce.
+enters the state only with the turn's commit. No refused open draws: the
+open that arms a reply refuses a low-order peer ephemeral, which its
+reply's exchange would fail on, before the draw. Encryption is
+transactional too: a refused seal neither builds a pending reply, steps
+the chain nor draws a nonce.
 
 Replay defense. A stage opens only from the skipped-key cache or by
 moving the live receive chain forward, and both delete the key they use,
@@ -79,7 +87,7 @@ from .wire import (
 )
 
 MAX_SKIP = 256
-_J_MAX = 2**32 - 1  # sending stops here, as v2's counter does at _CTR_MAX
+_J_MAX = 2**32 - 1  # no index reaches it, as v2's counter stops at _CTR_MAX
 _AD = _Run(("kid_sender", "I"), ("kid_receiver", "I"), ("vers", "B"),
            ("ctype", "B"), ("eph_pub", "32s"), ("j_index", "I"))
 
@@ -109,7 +117,6 @@ class RatchetState:
     kid_peer: int
     ck_send: cs.SymmetricKey | None = None
     ck_recv: cs.SymmetricKey | None = None
-    i_s: int = 0
     j_s: int = 0
     i_r: int = 0
     j_r: int = 0
@@ -136,6 +143,11 @@ class RatchetState:
                 self.ck_send is not None or self.ck_recv is None):
             raise ValueError("RatchetState sets a pending reply beside a "
                              "sending chain, or without a receive chain")
+
+    @property
+    def i_s(self) -> int:
+        """The send epoch, never stored (module docstring)."""
+        return 0 if self.ck_recv is None else self.i_r + 1
 
 
 def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
@@ -180,8 +192,7 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
     return RatchetState(
         rk=rk, ck_recv=ck_recv,
         kid_self=kid_self, kid_peer=kid_peer,
-        peer_eph_pub=peer_eph,
-        i_s=1,  # reply epoch; the first decrypt draws its scalar
+        peer_eph_pub=peer_eph,  # reply epoch 1; its open draws the scalar
     )
 
 
@@ -241,10 +252,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     step order. rng feeds the reply ephemeral's scalar, drawn at the first
     successful decrypt of a new epoch and held as a pending reply until a
     seal or an export builds its chain. Every failure leaves the state as
-    it was. Only a DhError for a low-order peer ephemeral (held only by a
-    state built directly) follows the draw: the open refuses a peer
-    ephemeral that its pending reply's exchange would fail on, so it alone
-    spends a draw."""
+    it was and draws nothing."""
     i_index = env.i_index  # a property that decodes nonce_material
     stage = (i_index, env.j_index)
     mk = st.skipped.get(stage)
@@ -254,6 +262,8 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         cs.emit_message_key(mk)
         return plaintext
 
+    if env.j_index >= _J_MAX:  # j_r could not move past it
+        raise CounterExhausted(f"receive index at {env.j_index}")
     if i_index > st.i_r:
         if st.reply_secret is not None:  # built in locals: the turn's
             eph, rk, _ = _reply_chain(st)  # commit keeps only its root
@@ -287,12 +297,12 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     if i_r != st.i_r or (st.ck_send is None and st.reply_secret is None):
         if i_r == 0xFFFFFFFF:
             raise StaleEpoch(f"epoch {i_r} leaves no u32 reply epoch")
-        reply = cs.dh_draw_secret(rng)
         if _low_order(peer_eph):  # the reply's exchange could not succeed
             raise DhError("peer ephemeral is a low-order point")
+        reply = cs.dh_draw_secret(rng)
         # the one commit: nothing above changed the state
         st.reply_secret, st.self_eph, st.ck_send = reply, None, None
-        st.i_s, st.j_s = i_r + 1, 0
+        st.j_s = 0
     st.rk, st.ck_recv, st.i_r, st.j_r = rk, ck, i_r, env.j_index + 1
     st.peer_eph_pub = peer_eph
     st.skipped.update(skipped)
@@ -312,16 +322,18 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # disagree on the order; tests/data/golden_snapshots.txt pins the bytes
 # themselves. Export packs the head, the chains and the tail with one run
 # per flag value; import reads them apart, so it checks the flags first.
+# The tail holds no send epoch: i_s is read off (flags, i_r), so import
+# refuses a receive chain at i_r = 0xFFFFFFFF, whose i_s would not fit.
 # Import refuses a cached stage that repeats or is not below (i_r, j_r):
 # the ratchet writes neither, and either could let a stage open twice.
 # ---------------------------------------------------------------------------
 
-_SNAPSHOT_MAGIC = b"VDR5"
+_SNAPSHOT_MAGIC = b"VDR6"
 _SNAPSHOT_HEAD = _Run(("magic", "4s"), ("flags", "B"), ("rk", "32s"))
 _SENDING, _RECEIVING = 1, 2  # the flag bits
 _SNAPSHOT_SENDING = _Run(("ck_send", "32s"), ("self_eph secret", "32s"))
 _SNAPSHOT_RECEIVING = _Run(("ck_recv", "32s"), ("peer_eph_pub", "32s"))
-_SNAPSHOT_TAIL = _Run(("i_s", "I"), ("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
+_SNAPSHOT_TAIL = _Run(("j_s", "I"), ("i_r", "I"), ("j_r", "I"),
                       ("kid_self", "I"), ("kid_peer", "I"),
                       ("skipped count", "H"))
 _SNAPSHOT_SKIPPED = _Run(("skipped i", "I"), ("skipped j", "I"),
@@ -338,7 +350,7 @@ def vdr_export_state(st: RatchetState) -> bytes:
     not here because the state never retains them. A pending reply's chain
     is built and committed first, so a snapshot reads the same whenever it
     is taken, and the format has no pending field. There is no replay
-    record, so the size depends on the skipped-key cache alone: 191 bytes
+    record, so the size depends on the skipped-key cache alone: 187 bytes
     with both chains set, plus 40 per cached key, at most MAX_SKIP of
     them."""
     _build_reply(st)
@@ -350,7 +362,7 @@ def vdr_export_state(st: RatchetState) -> bytes:
         chains += (st.ck_recv, st.peer_eph_pub)
     snapshot = _SNAPSHOT_LAYOUTS[flags].pack(
         _SNAPSHOT_MAGIC, flags, st.rk, *chains,
-        st.i_s, st.j_s, st.i_r, st.j_r, st.kid_self, st.kid_peer,
+        st.j_s, st.i_r, st.j_r, st.kid_self, st.kid_peer,
         len(st.skipped))
     if not st.skipped:
         return snapshot
@@ -378,9 +390,11 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
             raise ParseError("snapshot peer_eph_pub is a low-order point")
         chains.update(ck_recv=cs.SymmetricKey(ck),
                       peer_eph_pub=cs.GroupElement(peer_eph))
-    i_s, j_s, i_r, j_r, kid_self, kid_peer, n_skipped = _SNAPSHOT_TAIL.read(
+    j_s, i_r, j_r, kid_self, kid_peer, n_skipped = _SNAPSHOT_TAIL.read(
         snapshot, pos)
     pos += _SNAPSHOT_TAIL.size
+    if flags & _RECEIVING and i_r == 0xFFFFFFFF:
+        raise ParseError(f"receive epoch {i_r} leaves no u32 reply epoch")
     if n_skipped > MAX_SKIP:
         raise ParseError(f"{n_skipped} skipped keys exceed MAX_SKIP={MAX_SKIP}")
     skipped: dict[tuple[int, int], cs.SymmetricKey] = {}
@@ -396,6 +410,6 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     if pos != len(snapshot):
         raise ParseError(f"{len(snapshot) - pos} trailing bytes after snapshot")
     return RatchetState(
-        rk=cs.SymmetricKey(rk), i_s=i_s, j_s=j_s, i_r=i_r, j_r=j_r,
+        rk=cs.SymmetricKey(rk), j_s=j_s, i_r=i_r, j_r=j_r,
         kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **chains,
     )

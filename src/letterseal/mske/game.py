@@ -347,6 +347,9 @@ class Game:
     """One seeded experiment instance; single-threaded by contract."""
 
     def __init__(self, protocol: str, n_parties: int = 2, seed: int = 0):
+        if n_parties < 2:  # before any draw; a session needs a peer
+            raise ValueError(
+                f"a game needs at least 2 parties, got {n_parties}")
         self.protocol, self.design = protocol, design(protocol)
         self._stage = _header_stage if self.design.duplex else _count_stage
         self.n_parties = n_parties

@@ -26,7 +26,7 @@ from letterseal.linevdr import (
     vdr_init_sender,
     vdr_lazy_init_receiver,
 )
-from letterseal.wire import encode_envelope
+from letterseal.wire import decode_envelope, encode_envelope
 
 REF = helpers.load_reference()
 
@@ -275,6 +275,18 @@ def test_ratchet_state_has_no_room_for_a_hook():
     sta, _, _, _ = helpers.vdr_pair(316)
     with pytest.raises(AttributeError):
         sta.observer = object()
+
+
+def test_ratchet_state_stores_no_send_epoch():
+    # i_s is read off the receive position, so nothing can set it apart
+    assert "i_s" not in {f.name for f in dataclasses.fields(RatchetState)}
+    sta, stb, a_rng, b_rng = pending_conversation(317)
+    assert (sta.ck_recv, sta.i_r, sta.i_s) == (None, 0, 0)
+    assert (stb.i_r, stb.i_s) == (0, 1)
+    vdr_decrypt(sta, vdr_encrypt(stb, 0, b"reply", b_rng), a_rng)
+    assert (sta.i_r, sta.i_s) == (1, 2)
+    with pytest.raises(AttributeError):
+        sta.i_s = 7
 
 
 def test_message_key_differs_from_chain_key():
@@ -610,10 +622,10 @@ def test_snapshot_size_does_not_grow_with_epoch_turns():
 
 def test_snapshot_with_a_full_cache_has_the_closed_form_size():
     # magic, flags, rk, two chains of a chain key and an ephemeral each,
-    # four indices, two kids, cache count, then per cached key its (i, j)
-    # and the key itself
-    full = 4 + 1 + 5 * 32 + 16 + 8 + 2 + MAX_SKIP * (8 + 32)
-    assert full == 191 + 40 * MAX_SKIP == 10_431
+    # three indices (no send epoch), two kids, cache count, then per cached
+    # key its (i, j) and the key itself
+    full = 4 + 1 + 5 * 32 + 12 + 8 + 2 + MAX_SKIP * (8 + 32)
+    assert full == 187 + 40 * MAX_SKIP == 10_427
     sta, stb, a_rng, b_rng = fresh_conversation(327)
     # a reply first, so the jump that fills the cache also turns the epoch
     vdr_decrypt(sta, vdr_encrypt(stb, 0, b"reply", b_rng), a_rng)
@@ -663,8 +675,31 @@ def _failed_decrypts():
     stf = helpers.vdr_receiver(mats, opener)
     vdr_decrypt(stf, opener, f_rng)
     vdr_decrypt(ste, vdr_encrypt(stf, 0, b"turn", f_rng), e_rng)
-    ste.i_s = 0xFFFFFFFF
+    ste.i_r = 0xFFFFFFFE  # so its send epoch is 0xFFFFFFFF
     top_epoch = vdr_encrypt(ste, 0, b"top epoch", e_rng)
+    assert top_epoch.i_index == 0xFFFFFFFF
+    # an authentic envelope at the top u32 index, sealed by the reference
+    # under the receive chain's key, as a revealed state lets anyone do:
+    # the receive position past it cannot fit
+    top = dataclasses.replace(stb, j_r=0xFFFFFFFF, skipped={})
+    raw, _ = REF.vdr_seal(top.ck_recv, top.i_r, 0xFFFFFFFF, top.peer_eph_pub,
+                          bytes(4), 0, b"top index", top.kid_peer,
+                          top.kid_self)
+    top_index = decode_envelope(raw)
+    # a responder state with a receive chain, no send chain and an
+    # all-zero peer ephemeral, which its reply's exchange would fail on:
+    # the open that arms the reply refuses it before the draw. Only a
+    # directly built state holds one; import refuses it (below)
+    _, stg, _, g_rng = fresh_conversation(328)
+    ck = cs.SymmetricKey(bytes(range(32)))
+    zero_peer = dataclasses.replace(
+        stg, ck_send=None, self_eph=None, ck_recv=ck,
+        peer_eph_pub=cs.GroupElement(bytes(32)), j_s=0, i_r=0, j_r=0,
+        skipped={})
+    sender = RatchetState(
+        rk=stg.rk, kid_self=stg.kid_peer, kid_peer=stg.kid_self, ck_send=ck,
+        self_eph=stg.self_eph)
+    tag_verifies = vdr_encrypt(sender, 0, b"tag verifies", g_rng)
     return {
         "bad tag": (stb, b_rng, bad_tag, AuthFailure),
         "bad tag at a cached stage": (stb, b_rng, cached_bad_tag, AuthFailure),
@@ -676,6 +711,9 @@ def _failed_decrypts():
         "stale abandoned": (stb, b_rng, envs[MAX_SKIP + 3], StaleEpoch),
         "no local ephemeral": (lazy, d_rng, epoch_2, StaleEpoch),
         "turn to the top epoch": (stf, f_rng, top_epoch, StaleEpoch),
+        "top receive index": (top, b_rng, top_index, CounterExhausted),
+        "low-order peer ephemeral at the arming open": (
+            zero_peer, g_rng, tag_verifies, DhError),
     }
 
 
@@ -683,7 +721,8 @@ def _failed_decrypts():
     "bad tag", "low-order eph_pub", "replay", "replay of a cached stage",
     "stale evicted", "stale abandoned", "no local ephemeral",
     "bad tag at a cached stage", "gap over MAX_SKIP",
-    "turn to the top epoch"])
+    "turn to the top epoch", "top receive index",
+    "low-order peer ephemeral at the arming open"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
     before, eph = vdr_export_state(st), st.self_eph
@@ -692,29 +731,6 @@ def test_failed_decrypt_leaves_snapshot_identical(label):
     assert vdr_export_state(st) == before
     assert st.self_eph is eph  # no pair built, none dropped
     assert seen.draws == []
-
-
-def test_failed_reply_exchange_leaves_snapshot_identical():
-    # a responder state with a receive chain, no send chain and an
-    # all-zero peer ephemeral: the first open's reply exchange fails. Only
-    # a directly built state holds one; import refuses it (below)
-    _, stb, _, _ = fresh_conversation(328)
-    ck = cs.SymmetricKey(bytes(range(32)))
-    st = dataclasses.replace(
-        stb, ck_send=None, self_eph=None, ck_recv=ck,
-        peer_eph_pub=cs.GroupElement(bytes(32)),
-        i_s=1, j_s=0, i_r=0, j_r=0, skipped={})
-    sender = RatchetState(
-        rk=st.rk, kid_self=st.kid_peer, kid_peer=st.kid_self, ck_send=ck,
-        self_eph=stb.self_eph)
-    rng = cs.SeededRng(328)
-    env = vdr_encrypt(sender, 0, b"tag verifies", rng)
-    before = vdr_export_state(st)
-    with cs.Recorder() as seen, pytest.raises(DhError):
-        vdr_decrypt(st, env, rng)
-    assert vdr_export_state(st) == before
-    assert st.self_eph is None
-    assert len(seen.draws) == 1  # the exchange needs the drawn ephemeral
 
 
 _KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub")
@@ -748,10 +764,20 @@ def test_state_refuses_half_a_chain(unset):
 def test_import_rejects_previous_snapshot_format():
     sta, stb, _, _ = fresh_conversation(324)
     snap = vdr_export_state(stb)
-    assert snap[:4] == b"VDR5"
-    for magic in (b"VDR1", b"VDR2", b"VDR3", b"VDR4"):
+    assert snap[:4] == b"VDR6"
+    for magic in (b"VDR1", b"VDR2", b"VDR3", b"VDR4", b"VDR5"):
         with pytest.raises(ParseError, match="bad magic"):
             vdr_import_state(magic + snap[4:])
+
+
+def test_import_refuses_a_receive_chain_at_the_top_epoch():
+    # the send epoch is read off i_r, and i_r + 1 would not fit a u32
+    _, stb, _, _ = fresh_conversation(324)
+    last = dataclasses.replace(stb, i_r=0xFFFFFFFE)
+    assert vdr_import_state(vdr_export_state(last)) == last
+    snap = vdr_export_state(dataclasses.replace(stb, i_r=0xFFFFFFFF))
+    with pytest.raises(ParseError, match="receive epoch 4294967295 leaves"):
+        vdr_import_state(snap)
 
 
 def _with_skipped(st, n):
@@ -856,9 +882,9 @@ def _concatenated(st):
     set_chains = [k for k, (ck, _) in enumerate(_CHAINS)
                   if getattr(st, ck) is not None]
     return b"".join([
-        b"VDR5", bytes([sum(1 << k for k in set_chains)]), st.rk,
+        b"VDR6", bytes([sum(1 << k for k in set_chains)]), st.rk,
         *[written(name) for k in set_chains for name in _CHAINS[k]],
-        u32(st.i_s), u32(st.j_s), u32(st.i_r), u32(st.j_r),
+        u32(st.j_s), u32(st.i_r), u32(st.j_r),
         u32(st.kid_self), u32(st.kid_peer),
         len(st.skipped).to_bytes(2, "big"),
         *[u32(i) + u32(j) + key for (i, j), key in st.skipped.items()]])
@@ -954,13 +980,13 @@ def test_reference_oracle_reproduces_golden_snapshot_lines():
     _, ck_3 = REF.kdf_chain(roots[3][1])
     assert helpers.parse_golden_file(helpers.SNAPSHOT_FILE) == {
         "initiator-unanswered": REF.vdr_snapshot(
-            roots[0][0], (ck_0, ephs[0]), None, (0, 3, 0, 0), (11, 12), []),
+            roots[0][0], (ck_0, ephs[0]), None, (3, 0, 0), (11, 12), []),
         "responder-skipped": REF.vdr_snapshot(
             roots[1][0], (roots[1][1], ephs[1]), (ck_0, pubs[0]),
-            (1, 0, 0, 3), (12, 11), [((0, 0), mks[0]), ((0, 1), mks[1])]),
+            (0, 0, 3), (12, 11), [((0, 0), mks[0]), ((0, 1), mks[1])]),
         "initiator-two-turns": REF.vdr_snapshot(
             roots[4][0], (roots[4][1], ephs[4]), (ck_3, pubs[3]),
-            (4, 0, 3, 1), (11, 12), []),
+            (0, 3, 1), (11, 12), []),
     }
 
 

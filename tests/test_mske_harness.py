@@ -64,6 +64,18 @@ def test_negative_seed_rejected():
         Game("vdr", seed=-1)
 
 
+@pytest.mark.parametrize("n_parties", [0, 1, -1])
+def test_game_with_fewer_than_two_parties_is_refused_before_any_draw(
+        n_parties):
+    # a session needs a peer, and closure() names an (initiator,
+    # responder) pair
+    for protocol in ("v1", "v2", "vdr"):
+        with cs.Recorder() as seen, pytest.raises(
+                ValueError, match=f"at least 2 parties, got {n_parties}$"):
+            Game(protocol, n_parties)
+        assert seen.draws == []
+
+
 def test_v2_status_progression_and_key_agreement():
     g, e1, e2 = v2_game()
     p1 = g.sessions[(1, 1)]

@@ -576,19 +576,20 @@ def vdr_seal(ck: bytes, epoch: int, index: int, eph_pub: bytes,
 
 def vdr_snapshot(rk: bytes, sending, receiving, indices, kids,
                  skipped) -> bytes:
-    """A ratchet state's VDR5 snapshot. sending is (ck_send, the own
+    """A ratchet state's VDR6 snapshot. sending is (ck_send, the own
     ephemeral's scalar) and receiving is (ck_recv, peer_eph_pub), each None
     where the chain is unset; flag bit 0 marks sending, bit 1 receiving.
-    indices is (i_s, j_s, i_r, j_r), kids is (kid_self, kid_peer), skipped
-    is [((i, j), key)] in cache order.
+    indices is (j_s, i_r, j_r): no send epoch, which is i_r + 1 with a
+    receive chain and 0 without. kids is (kid_self, kid_peer), skipped is
+    [((i, j), key)] in cache order.
 
     Layout: magic, flags, rk, the set chains, the indices, the kids, u16
     cache count, then (i, j) and the key per cached key."""
     chains = [chain for chain in (sending, receiving) if chain is not None]
     flags = (sending is not None) | (receiving is not None) << 1
-    return (b"VDR5" + bytes([flags]) + rk
+    return (b"VDR6" + bytes([flags]) + rk
             + b"".join(field for chain in chains for field in chain)
-            + struct.pack(">IIIIIIH", *indices, *kids, len(skipped))
+            + struct.pack(">IIIIIH", *indices, *kids, len(skipped))
             + b"".join(struct.pack(">II", i, j) + key
                        for (i, j), key in skipped))
 
