@@ -17,19 +17,17 @@ ephemeral, and the root step that gives the sending chain. A session that
 ends on a receive never pays for a chain it does not use. The scalar is
 drawn at the open, so every rng stream, envelope and snapshot is byte for
 byte what building at the open gives. A turn to epoch 0xFFFFFFFF is
-refused with StaleEpoch before the scalar is drawn, and import refuses a
-receiving snapshot at i_r = 0xFFFFFFFF: its reply epoch would not fit a
-u32. Likewise an envelope at index 0xFFFFFFFF, which no seal writes, is
-refused with CounterExhausted: the receive position past it would not
-fit.
+refused with StaleEpoch before the scalar is drawn, and no state holds a
+receive chain at i_r = 0xFFFFFFFF (the state's rules, below): its reply
+epoch would not fit a u32. Likewise an envelope at index 0xFFFFFFFF,
+which no seal writes, is refused with CounterExhausted: the receive
+position past it would not fit.
 
 Decryption is transactional: state mutates only after the AEAD tag
 verifies, in one commit, so forged envelopes cannot desynchronize a
 session or poison the skipped-key cache. A turn that arrives while a
 reply is pending builds that reply in locals, and the root it gives
-enters the state only with the turn's commit. No refused open draws: the
-open that arms a reply refuses a low-order peer ephemeral, which its
-reply's exchange would fail on, before the draw. Encryption is
+enters the state only with the turn's commit. Encryption is
 transactional too: a refused seal neither builds a pending reply, steps
 the chain nor draws a nonce.
 
@@ -57,11 +55,22 @@ snapshot reveals no long-term key. Set-up takes the secret as a scalar or
 its key object; a party that opens many sessions (the game's) holds its
 object and passes that, so set-up builds none.
 
-Every 32-byte field that is set, and every cached key, is checked for
-length once, when the state is built (``__post_init__``, which
-``dataclasses.replace`` runs too), so a snapshot never pads or cuts one;
-so is each chain, whose key is set with its ephemeral or neither is, and
-a pending reply, which needs a receive chain and no sending chain.
+The state's rules. Every rule about what a state may hold is checked in
+one place, when the state is built (``__post_init__``), so set-up,
+import, ``dataclasses.replace`` and direct construction obey the same
+rules. Every 32-byte field that is set, and every cached key, has 32
+bytes, so a snapshot never pads or cuts one. The kids, j_s, i_r and j_r
+fit a u32, and the cache holds at most MAX_SKIP keys, each at a u32 stage
+below the receive position (i_r, j_r): a snapshot writes every field,
+and no cached stage can open twice. A chain's key is set with its
+ephemeral or neither is, and a pending reply needs a receive chain and no
+sending chain. An unset chain sits at position 0: with no receive chain
+i_r = j_r = 0 and the cache is empty, with no sending chain j_s = 0. A
+receive chain lies below epoch 0xFFFFFFFF, and its peer ephemeral is not
+a low-order point, so a pending reply's exchange cannot fail. Every state
+the ratchet writes meets these rules. Import only parses: it checks the
+byte format and passes a rule's refusal on as a ParseError with the same
+message.
 """
 
 from __future__ import annotations
@@ -71,7 +80,6 @@ from dataclasses import dataclass, field
 from . import crypto_suite as cs
 from .errors import (
     CounterExhausted,
-    DhError,
     NotInitialized,
     ParseError,
     ReplayRejected,
@@ -83,6 +91,7 @@ from .wire import (
     VERS_VDR,
     EnvelopeVDR,
     _check_u8,
+    _check_u32,
     _Run,
 )
 
@@ -97,6 +106,8 @@ ROLE_RESPONDER = "responder"
 
 # the 32-byte fields, checked once when a state is built
 _KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub", "reply_secret")
+# the fields a snapshot writes as a u32
+_U32_FIELDS = ("kid_self", "kid_peer", "j_s", "i_r", "j_r")
 # libsodium's small-order X25519 encodings, little-endian, bit 255 dropped
 # as X25519 drops it: 0, 1, two of order 8, and p - 1, p, p + 1
 _LOW_ORDER = frozenset((
@@ -126,15 +137,15 @@ class RatchetState:
     skipped: dict[tuple[int, int], cs.SymmetricKey] = field(default_factory=dict)
 
     def __post_init__(self):
+        """The state's rules (module docstring), each refused with a
+        ValueError."""
         for name in _KEY_FIELDS:
             value = getattr(self, name)
             if value is not None and len(value) != 32:
                 raise ValueError(
                     f"RatchetState.{name} must be 32 bytes, got {len(value)}")
-        for stage, key in self.skipped.items():
-            if len(key) != 32:
-                raise ValueError(f"skipped key {stage} must be 32 bytes, "
-                                 f"got {len(key)}")
+        for name in _U32_FIELDS:
+            _check_u32(getattr(self, name), name)
         if ((self.ck_send is None) != (self.self_eph is None)
                 or (self.ck_recv is None) != (self.peer_eph_pub is None)):
             raise ValueError("RatchetState sets a chain key without its "
@@ -143,6 +154,34 @@ class RatchetState:
                 self.ck_send is not None or self.ck_recv is None):
             raise ValueError("RatchetState sets a pending reply beside a "
                              "sending chain, or without a receive chain")
+        if self.ck_send is None and self.j_s:
+            raise ValueError("RatchetState has no sending chain, yet its "
+                             f"send index is {self.j_s}")
+        if self.ck_recv is None:
+            if self.i_r or self.j_r or self.skipped:
+                raise ValueError(
+                    "RatchetState has no receive chain, yet sits at "
+                    f"({self.i_r}, {self.j_r}) with {len(self.skipped)} "
+                    "cached keys")
+        elif self.i_r == 0xFFFFFFFF:
+            raise ValueError(
+                f"receive epoch {self.i_r} leaves no u32 reply epoch")
+        elif _low_order(self.peer_eph_pub):
+            raise ValueError("RatchetState.peer_eph_pub is a low-order point")
+        if len(self.skipped) > MAX_SKIP:
+            raise ValueError(f"{len(self.skipped)} skipped keys exceed "
+                             f"MAX_SKIP={MAX_SKIP}")
+        position = (self.i_r, self.j_r)
+        for (i, j), key in self.skipped.items():
+            if len(key) != 32:
+                raise ValueError(f"skipped key ({i}, {j}) must be 32 bytes, "
+                                 f"got {len(key)}")
+            if (i, j) >= position:
+                raise ValueError(f"RatchetState caches stage ({i}, {j}), not "
+                                 f"behind the receive chain at {position}")
+            if i < 0 or not 0 <= j <= 0xFFFFFFFF:  # i <= i_r, a u32
+                raise ValueError(
+                    f"RatchetState caches stage ({i}, {j}), out of u32 range")
 
     @property
     def i_s(self) -> int:
@@ -200,7 +239,8 @@ def _reply_chain(st: RatchetState) -> tuple[cs.KeyPair, cs.SymmetricKey,
                                             cs.SymmetricKey]:
     """A pending reply's ephemeral pair, root and sending chain: its key
     generation, its exchange with the peer's ephemeral and the root step.
-    The open that drew it checked that the exchange cannot fail."""
+    The state's rules refuse a low-order peer ephemeral, so the exchange
+    cannot fail (module docstring)."""
     eph = cs.dh_keygen_from(st.reply_secret)
     rk, ck_send = cs.kdf_root(cs.dh(eph.key, st.peer_eph_pub), st.rk)
     return eph, rk, ck_send
@@ -297,8 +337,6 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
     if i_r != st.i_r or (st.ck_send is None and st.reply_secret is None):
         if i_r == 0xFFFFFFFF:
             raise StaleEpoch(f"epoch {i_r} leaves no u32 reply epoch")
-        if _low_order(peer_eph):  # the reply's exchange could not succeed
-            raise DhError("peer ephemeral is a low-order point")
         reply = cs.dh_draw_secret(rng)
         # the one commit: nothing above changed the state
         st.reply_secret, st.self_eph, st.ck_send = reply, None, None
@@ -322,10 +360,11 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
 # disagree on the order; tests/data/golden_snapshots.txt pins the bytes
 # themselves. Export packs the head, the chains and the tail with one run
 # per flag value; import reads them apart, so it checks the flags first.
-# The tail holds no send epoch: i_s is read off (flags, i_r), so import
-# refuses a receive chain at i_r = 0xFFFFFFFF, whose i_s would not fit.
-# Import refuses a cached stage that repeats or is not below (i_r, j_r):
-# the ratchet writes neither, and either could let a stage open twice.
+# The tail holds no send epoch: i_s is read off (flags, i_r). Import only
+# parses: it checks the magic, the flag bits, the cache count against
+# MAX_SKIP (before it reads the entries), a repeated stage, truncation and
+# trailing bytes. Every rule on what the fields may hold is the state's
+# (module docstring), and import passes its refusal on as a ParseError.
 # ---------------------------------------------------------------------------
 
 _SNAPSHOT_MAGIC = b"VDR6"
@@ -386,16 +425,12 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
     if flags & _RECEIVING:
         ck, peer_eph = _SNAPSHOT_RECEIVING.read(snapshot, pos)
         pos += _SNAPSHOT_RECEIVING.size
-        if _low_order(peer_eph):
-            raise ParseError("snapshot peer_eph_pub is a low-order point")
         chains.update(ck_recv=cs.SymmetricKey(ck),
                       peer_eph_pub=cs.GroupElement(peer_eph))
     j_s, i_r, j_r, kid_self, kid_peer, n_skipped = _SNAPSHOT_TAIL.read(
         snapshot, pos)
     pos += _SNAPSHOT_TAIL.size
-    if flags & _RECEIVING and i_r == 0xFFFFFFFF:
-        raise ParseError(f"receive epoch {i_r} leaves no u32 reply epoch")
-    if n_skipped > MAX_SKIP:
+    if n_skipped > MAX_SKIP:  # the state's rule, before reading them
         raise ParseError(f"{n_skipped} skipped keys exceed MAX_SKIP={MAX_SKIP}")
     skipped: dict[tuple[int, int], cs.SymmetricKey] = {}
     for _ in range(n_skipped):
@@ -403,13 +438,13 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
         pos += _SNAPSHOT_SKIPPED.size
         if (i, j) in skipped:
             raise ParseError(f"snapshot caches stage ({i}, {j}) twice")
-        if (i, j) >= (i_r, j_r):
-            raise ParseError(f"snapshot caches stage ({i}, {j}), not behind "
-                             f"the receive chain at ({i_r}, {j_r})")
         skipped[(i, j)] = cs.SymmetricKey(key)
     if pos != len(snapshot):
         raise ParseError(f"{len(snapshot) - pos} trailing bytes after snapshot")
-    return RatchetState(
-        rk=cs.SymmetricKey(rk), j_s=j_s, i_r=i_r, j_r=j_r,
-        kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **chains,
-    )
+    try:
+        return RatchetState(
+            rk=cs.SymmetricKey(rk), j_s=j_s, i_r=i_r, j_r=j_r,
+            kid_self=kid_self, kid_peer=kid_peer, skipped=skipped, **chains,
+        )
+    except ValueError as exc:  # a state rule
+        raise ParseError(str(exc)) from exc

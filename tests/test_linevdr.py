@@ -686,20 +686,6 @@ def _failed_decrypts():
                           bytes(4), 0, b"top index", top.kid_peer,
                           top.kid_self)
     top_index = decode_envelope(raw)
-    # a responder state with a receive chain, no send chain and an
-    # all-zero peer ephemeral, which its reply's exchange would fail on:
-    # the open that arms the reply refuses it before the draw. Only a
-    # directly built state holds one; import refuses it (below)
-    _, stg, _, g_rng = fresh_conversation(328)
-    ck = cs.SymmetricKey(bytes(range(32)))
-    zero_peer = dataclasses.replace(
-        stg, ck_send=None, self_eph=None, ck_recv=ck,
-        peer_eph_pub=cs.GroupElement(bytes(32)), j_s=0, i_r=0, j_r=0,
-        skipped={})
-    sender = RatchetState(
-        rk=stg.rk, kid_self=stg.kid_peer, kid_peer=stg.kid_self, ck_send=ck,
-        self_eph=stg.self_eph)
-    tag_verifies = vdr_encrypt(sender, 0, b"tag verifies", g_rng)
     return {
         "bad tag": (stb, b_rng, bad_tag, AuthFailure),
         "bad tag at a cached stage": (stb, b_rng, cached_bad_tag, AuthFailure),
@@ -712,8 +698,6 @@ def _failed_decrypts():
         "no local ephemeral": (lazy, d_rng, epoch_2, StaleEpoch),
         "turn to the top epoch": (stf, f_rng, top_epoch, StaleEpoch),
         "top receive index": (top, b_rng, top_index, CounterExhausted),
-        "low-order peer ephemeral at the arming open": (
-            zero_peer, g_rng, tag_verifies, DhError),
     }
 
 
@@ -721,8 +705,7 @@ def _failed_decrypts():
     "bad tag", "low-order eph_pub", "replay", "replay of a cached stage",
     "stale evicted", "stale abandoned", "no local ephemeral",
     "bad tag at a cached stage", "gap over MAX_SKIP",
-    "turn to the top epoch", "top receive index",
-    "low-order peer ephemeral at the arming open"])
+    "turn to the top epoch", "top receive index"])
 def test_failed_decrypt_leaves_snapshot_identical(label):
     st, rng, env, error = _failed_decrypts()[label]
     before, eph = vdr_export_state(st), st.self_eph
@@ -733,34 +716,6 @@ def test_failed_decrypt_leaves_snapshot_identical(label):
     assert seen.draws == []
 
 
-_KEY_FIELDS = ("rk", "ck_send", "ck_recv", "peer_eph_pub")
-
-
-@pytest.mark.parametrize("name", _KEY_FIELDS)
-def test_state_refuses_a_wrong_length_key(name):
-    _, stb, _, _ = fresh_conversation(329)
-    assert getattr(stb, name) is not None
-    for value in (b"short", bytes(33)):
-        with pytest.raises(ValueError, match=name):
-            dataclasses.replace(stb, **{name: value})
-
-
-def test_state_refuses_a_wrong_length_cached_key():
-    _, stb, _, _ = fresh_conversation(329)
-    with pytest.raises(ValueError, match="skipped key"):
-        dataclasses.replace(stb, skipped={(0, 5): b"short"})
-
-
-@pytest.mark.parametrize("unset", [
-    ("ck_send",), ("self_eph",),
-    ("ck_recv",), ("peer_eph_pub",)], ids=lambda unset: unset[0])
-def test_state_refuses_half_a_chain(unset):
-    # a snapshot has no way to write one
-    _, stb, _, _ = fresh_conversation(329)
-    with pytest.raises(ValueError, match="without its"):
-        dataclasses.replace(stb, **dict.fromkeys(unset))
-
-
 def test_import_rejects_previous_snapshot_format():
     sta, stb, _, _ = fresh_conversation(324)
     snap = vdr_export_state(stb)
@@ -768,16 +723,6 @@ def test_import_rejects_previous_snapshot_format():
     for magic in (b"VDR1", b"VDR2", b"VDR3", b"VDR4", b"VDR5"):
         with pytest.raises(ParseError, match="bad magic"):
             vdr_import_state(magic + snap[4:])
-
-
-def test_import_refuses_a_receive_chain_at_the_top_epoch():
-    # the send epoch is read off i_r, and i_r + 1 would not fit a u32
-    _, stb, _, _ = fresh_conversation(324)
-    last = dataclasses.replace(stb, i_r=0xFFFFFFFE)
-    assert vdr_import_state(vdr_export_state(last)) == last
-    snap = vdr_export_state(dataclasses.replace(stb, i_r=0xFFFFFFFF))
-    with pytest.raises(ParseError, match="receive epoch 4294967295 leaves"):
-        vdr_import_state(snap)
 
 
 def _with_skipped(st, n):
@@ -802,21 +747,14 @@ def _malformed_snapshots():
     snap = vdr_export_state(stb)
     key = bytes(32)
     return {
-        "skipped count over MAX_SKIP": (
-            vdr_export_state(_with_skipped(stb, MAX_SKIP + 1)), "MAX_SKIP"),
         "trailing byte": (snap + b"\x00", "1 trailing bytes"),
         "cached stage repeated": (
             _caching(stb, [(0, 0, key), (0, 0, key)]),
             r"stage \(0, 0\) twice"),
-        "cached stage at the receive chain": (
-            _caching(stb, [(stb.i_r, stb.j_r, key)]),
-            r"stage \(0, 1\), not behind the receive chain at \(0, 1\)"),
     }
 
 
-@pytest.mark.parametrize("label", [
-    "skipped count over MAX_SKIP", "trailing byte", "cached stage repeated",
-    "cached stage at the receive chain"])
+@pytest.mark.parametrize("label", ["trailing byte", "cached stage repeated"])
 def test_import_rejects_malformed_snapshot(label):
     snapshot, reason = _malformed_snapshots()[label]
     with pytest.raises(ParseError, match=reason):
@@ -847,6 +785,8 @@ def test_import_refuses_an_unknown_flag_bit(flags):
         vdr_import_state(snap[:4] + bytes([flags]) + snap[5:])
 
 
+# -- the state's rules ----------------------------------------------------------
+
 # libsodium's blocklist of small-order X25519 encodings, bit 255 clear
 _LOW_ORDER = [bytes.fromhex(h) for h in (
     "00" * 32, "01" + "00" * 31,
@@ -855,39 +795,245 @@ _LOW_ORDER = [bytes.fromhex(h) for h in (
     "ec" + "ff" * 30 + "7f", "ed" + "ff" * 30 + "7f", "ee" + "ff" * 30 + "7f")]
 
 
-@pytest.mark.parametrize("bit_255", [0, 1])
-@pytest.mark.parametrize("point", range(len(_LOW_ORDER)))
-def test_import_refuses_a_low_order_peer_ephemeral(point, bit_255):
-    _, stb, _, _ = fresh_conversation(330)
-    u = _LOW_ORDER[point][:31] + bytes([_LOW_ORDER[point][31] | bit_255 << 7])
-    st = dataclasses.replace(stb, peer_eph_pub=cs.GroupElement(u))
-    with pytest.raises(DhError):  # no exchange with it succeeds
-        cs.dh(stb.self_eph.key, st.peer_eph_pub)
-    with pytest.raises(ParseError, match="peer_eph_pub"):
-        vdr_import_state(vdr_export_state(st))
-
-
 _CHAINS = (("ck_send", "self_eph"),
            ("ck_recv", "peer_eph_pub"))  # flag bit k marks _CHAINS[k]
 
 
-def _concatenated(st):
-    """A snapshot written out field by field, in the codec's order."""
+def _concatenated(fields):
+    """A snapshot written out field by field, in the codec's order, from a
+    state's fields (as _fields gives them), which need not make a state."""
     def u32(n):
         return n.to_bytes(4, "big")
 
     def written(name):  # the ephemeral's pair is written as its scalar
-        value = getattr(st, name)
+        value = fields[name]
         return value.secret if name == "self_eph" else value
     set_chains = [k for k, (ck, _) in enumerate(_CHAINS)
-                  if getattr(st, ck) is not None]
+                  if fields[ck] is not None]
     return b"".join([
-        b"VDR6", bytes([sum(1 << k for k in set_chains)]), st.rk,
+        b"VDR6", bytes([sum(1 << k for k in set_chains)]), fields["rk"],
         *[written(name) for k in set_chains for name in _CHAINS[k]],
-        u32(st.j_s), u32(st.i_r), u32(st.j_r),
-        u32(st.kid_self), u32(st.kid_peer),
-        len(st.skipped).to_bytes(2, "big"),
-        *[u32(i) + u32(j) + key for (i, j), key in st.skipped.items()]])
+        u32(fields["j_s"]), u32(fields["i_r"]), u32(fields["j_r"]),
+        u32(fields["kid_self"]), u32(fields["kid_peer"]),
+        len(fields["skipped"]).to_bytes(2, "big"),
+        *[u32(i) + u32(j) + key for (i, j), key in fields["skipped"].items()]])
+
+
+def _low_order_point(point, bit_255):
+    """_LOW_ORDER[point] with bit 255, which X25519 drops, set to bit_255."""
+    u = _LOW_ORDER[point]
+    return cs.GroupElement(u[:31] + bytes([u[31] | bit_255 << 7]))
+
+
+_NO_SEND = {"ck_send": None, "self_eph": None}
+_NO_RECV = {"ck_recv": None, "peer_eph_pub": None}
+_KEY = bytes(32)
+_U32_FIELDS = ("kid_self", "kid_peer", "j_s", "i_r", "j_r")
+
+# label -> (changes to a built responder's fields, what the refusal says,
+# whether a snapshot can carry the changes). The responder holds both
+# chains at j_s = 0 and (i_r, j_r) = (0, 1), with no cache; each case
+# breaks one rule.
+_STATE_RULES = {
+    **{f"{name} of {n} bytes": (
+        {name: bytes(n)}, f"RatchetState.{name} must be 32 bytes, got {n}",
+        False)
+       for name in ("rk", "ck_send", "ck_recv", "peer_eph_pub")
+       for n in (5, 33)},
+    **{f"reply_secret of {n} bytes": (
+        {**_NO_SEND, "reply_secret": bytes(n)},
+        f"RatchetState.reply_secret must be 32 bytes, got {n}", False)
+       for n in (5, 33)},
+    **{f"cached key of {n} bytes": (
+        {"skipped": {(0, 0): bytes(n)}},
+        rf"skipped key \(0, 0\) must be 32 bytes, got {n}", False)
+       for n in (5, 33)},
+    **{f"{name} = {value}": (
+        {name: value}, f"^{name} out of u32 range: {value}$", False)
+       for name in _U32_FIELDS for value in (-1, 2**32)},
+    **{f"{name} unset": (  # at j_r = 0, as a state with no receive chain
+        {name: None, "j_r": 0}, "sets a chain key without its ephemeral",
+        False)
+       for chain in _CHAINS for name in chain},
+    "pending reply beside a sending chain": (
+        {"reply_secret": _KEY}, "pending reply beside a sending chain", False),
+    "pending reply without a receive chain": (
+        {**_NO_SEND, **_NO_RECV, "j_r": 0, "reply_secret": _KEY},
+        "pending reply .* without a receive chain", False),
+    "send index without a sending chain": (
+        {**_NO_SEND, "j_s": 3}, "no sending chain, yet its send index is 3",
+        True),
+    "receive position without a receive chain": (
+        _NO_RECV, r"no receive chain, yet sits at \(0, 1\) with 0 cached",
+        True),
+    "sender that never received, at (5, 7) caching (3, 1)": (
+        {**_NO_RECV, "i_r": 5, "j_r": 7, "skipped": {(3, 1): _KEY}},
+        r"no receive chain, yet sits at \(5, 7\) with 1 cached keys", True),
+    "receive chain at the top epoch": (
+        {"i_r": 0xFFFFFFFF},
+        "^receive epoch 4294967295 leaves no u32 reply epoch$", True),
+    **{f"low-order peer ephemeral {point}-{bit_255}": (
+        {"peer_eph_pub": _low_order_point(point, bit_255)},
+        "^RatchetState.peer_eph_pub is a low-order point$", True)
+       for point in range(len(_LOW_ORDER)) for bit_255 in (0, 1)},
+    "skipped count over MAX_SKIP": (
+        {"j_r": MAX_SKIP + 1,
+         "skipped": dict.fromkeys([(0, j) for j in range(MAX_SKIP + 1)], _KEY)},
+        f"^{MAX_SKIP + 1} skipped keys exceed MAX_SKIP={MAX_SKIP}$", True),
+    "cached stage at the receive chain": (
+        {"skipped": {(0, 1): _KEY}},
+        r"stage \(0, 1\), not behind the receive chain at \(0, 1\)", True),
+    "cached stage of a later epoch": (
+        {"skipped": {(1, 0): _KEY}},
+        r"stage \(1, 0\), not behind the receive chain at \(0, 1\)", True),
+    "cached stage at epoch -1": (
+        {"skipped": {(-1, 0): _KEY}}, r"stage \(-1, 0\), out of u32 range",
+        False),
+    "cached stage at index -1": (
+        {"skipped": {(0, -1): _KEY}}, r"stage \(0, -1\), out of u32 range",
+        False),
+    "cached stage past the top index": (
+        {"i_r": 1, "skipped": {(0, 2**32): _KEY}},
+        r"stage \(0, 4294967296\), out of u32 range", False),
+}
+
+
+def _refused(label):
+    """Building the label's fields raises a ValueError; where a snapshot
+    can carry them, importing the snapshot written field by field raises a
+    ParseError with the same message."""
+    changes, message, carried = _STATE_RULES[label]
+    _, stb, _, _ = fresh_conversation(329)
+    assert (stb.j_s, stb.i_r, stb.j_r, stb.skipped) == (0, 0, 1, {})
+    fields = {**_fields(stb), **changes}
+    with pytest.raises(ValueError, match=message) as built:
+        RatchetState(**fields)
+    if carried:
+        with pytest.raises(ParseError) as imported:
+            vdr_import_state(_concatenated(fields))
+        assert str(imported.value) == str(built.value)
+
+
+@pytest.mark.parametrize("label", [
+    *[f"{name} = {value}" for name in _U32_FIELDS for value in (-1, 2**32)],
+    "send index without a sending chain",
+    "receive position without a receive chain",
+    "sender that never received, at (5, 7) caching (3, 1)",
+    "skipped count over MAX_SKIP", "cached stage at the receive chain",
+    "cached stage of a later epoch", "cached stage at epoch -1",
+    "cached stage at index -1", "cached stage past the top index"])
+def test_state_rule_refused_at_build_and_import(label):
+    _refused(label)
+
+
+# Each rule below has a test of its own; its cases are _STATE_RULES rows,
+# refused the same two ways.
+
+@pytest.mark.parametrize("name", ["rk", "ck_send", "ck_recv", "peer_eph_pub"])
+def test_state_refuses_a_wrong_length_key(name):
+    for n in (5, 33):
+        _refused(f"{name} of {n} bytes")
+
+
+def test_state_refuses_a_wrong_length_cached_key():
+    for n in (5, 33):
+        _refused(f"cached key of {n} bytes")
+
+
+@pytest.mark.parametrize("name", [name for chain in _CHAINS for name in chain])
+def test_state_refuses_half_a_chain(name):
+    _refused(f"{name} unset")
+
+
+def test_state_refuses_a_misplaced_pending_reply():
+    for label in ("reply_secret of 5 bytes", "reply_secret of 33 bytes",
+                  "pending reply beside a sending chain",
+                  "pending reply without a receive chain"):
+        _refused(label)
+
+
+def test_import_refuses_a_receive_chain_at_the_top_epoch():
+    # the send epoch is read off i_r, and i_r + 1 would not fit a u32
+    _, stb, _, _ = fresh_conversation(324)
+    last = dataclasses.replace(stb, i_r=0xFFFFFFFE)
+    assert vdr_import_state(vdr_export_state(last)) == last
+    _refused("receive chain at the top epoch")
+
+
+@pytest.mark.parametrize("bit_255", [0, 1])
+@pytest.mark.parametrize("point", range(len(_LOW_ORDER)))
+def test_import_refuses_a_low_order_peer_ephemeral(point, bit_255):
+    _, stb, _, _ = fresh_conversation(330)
+    with pytest.raises(DhError):  # no exchange with it succeeds
+        cs.dh(stb.self_eph.key, _low_order_point(point, bit_255))
+    _refused(f"low-order peer ephemeral {point}-{bit_255}")
+
+
+def test_an_armed_responder_cannot_sit_at_the_top_epoch():
+    # its seal would commit the pending reply, then find no u32 send epoch
+    _, stb, _, _ = pending_conversation(331)
+    assert dataclasses.replace(stb, i_r=0xFFFFFFFE).i_s == 0xFFFFFFFF
+    with pytest.raises(ValueError, match="receive epoch 4294967295 leaves"):
+        dataclasses.replace(stb, i_r=0xFFFFFFFF)
+
+
+def test_set_up_refuses_a_kid_the_snapshot_cannot_write():
+    # a state holding one would draw a nonce at its first seal before the
+    # kid failed to pack, and could not be exported
+    a_sk, a_pk, b_sk, b_pk, a_rng, _ = helpers.keypairs(332)
+    with pytest.raises(ValueError, match="^kid_self out of u32 range"):
+        vdr_init_sender(a_sk, b_pk, a_rng, kid_self=2**32, kid_peer=12)
+    sta = vdr_init_sender(a_sk, b_pk, a_rng, kid_self=11, kid_peer=12)
+    opener = vdr_encrypt(sta, 0, b"opening flight", a_rng)
+    with pytest.raises(ValueError, match="^kid_peer out of u32 range"):
+        vdr_lazy_init_receiver(b_sk, a_pk, opener, kid_self=12, kid_peer=-1)
+
+
+_KEYS = hs.binary(min_size=32, max_size=32)
+_U32 = hs.integers(-1, 2**32)  # now and then a value either side of a u32
+_POSITION_0 = hs.sampled_from((0, 0, 0, 1))  # an unset chain's, mostly
+
+
+@hs.composite
+def _drawn_fields(draw):
+    """A state's fields, near one the ratchet writes, now and then
+    breaking a rule."""
+    sending, receiving = draw(hs.booleans()), draw(hs.booleans())
+    i_r = draw(_U32 if receiving else _POSITION_0)
+    low_order = draw(hs.integers(0, 3)) == 0
+    return {
+        "rk": draw(_KEYS), "kid_self": draw(_U32), "kid_peer": draw(_U32),
+        "ck_send": draw(_KEYS) if sending else None,
+        "self_eph": (cs.key_pair(cs.GroupScalar(draw(_KEYS)))
+                     if sending else None),
+        "j_s": draw(_U32 if sending else _POSITION_0),
+        "ck_recv": draw(_KEYS) if receiving else None,
+        "peer_eph_pub": (draw(hs.sampled_from(_LOW_ORDER) if low_order
+                              else _KEYS) if receiving else None),
+        "i_r": i_r, "j_r": draw(_U32 if receiving else _POSITION_0),
+        "reply_secret": (draw(hs.none() | _KEYS)
+                         if receiving and not sending else None),
+        "skipped": draw(hs.dictionaries(
+            hs.tuples(hs.integers(-1, i_r), _U32), _KEYS,
+            max_size=3 if receiving else 1)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=_drawn_fields())
+def test_a_state_is_refused_at_build_or_round_trips(fields):
+    try:
+        st = RatchetState(**fields)
+    except ValueError:
+        return
+    snap = vdr_export_state(st)  # builds a pending reply first
+    assert vdr_import_state(snap) == st
+    assert vdr_export_state(vdr_import_state(snap)) == snap
+
+
+# flag bit k unset: chain k, and its position at 0
+_UNSET = ({**_NO_SEND, "j_s": 0},
+          {**_NO_RECV, "i_r": 0, "j_r": 0, "skipped": {}})
 
 
 @pytest.mark.parametrize("cached", [0, 3])
@@ -895,11 +1041,11 @@ def test_export_of_every_flag_value_is_the_field_concatenation(cached):
     _, stb, _, _ = fresh_conversation(327)
     full = _with_skipped(stb, cached)
     for flags in range(4):
-        unset = [name for k, chain in enumerate(_CHAINS)
-                 if not flags >> k & 1 for name in chain]
-        st = dataclasses.replace(full, **dict.fromkeys(unset))
+        st = dataclasses.replace(full, **{
+            name: value for k, unset in enumerate(_UNSET)
+            if not flags >> k & 1 for name, value in unset.items()})
         snap = vdr_export_state(st)
-        assert snap == _concatenated(st)
+        assert snap == _concatenated(_fields(st))
         assert snap[4] == flags
         clone = vdr_import_state(snap)
         assert vdr_export_state(clone) == snap
