@@ -315,8 +315,3 @@ def report_lines(report: dict):
         yield ({"type": "state_size", "point": label,
                 "snapshot_bytes": size},
                f"{label:<16s}{size:>17d}")
-
-
-def format_report(report: dict) -> str:
-    """The text report: every line of :func:`report_lines`."""
-    return "".join(text + "\n" for _, text in report_lines(report))

@@ -70,7 +70,9 @@ receive chain lies below epoch 0xFFFFFFFF, and its peer ephemeral is not
 a low-order point, so a pending reply's exchange cannot fail. Every state
 the ratchet writes meets these rules. Import only parses: it checks the
 byte format and passes a rule's refusal on as a ParseError with the same
-message.
+message. Once a state is built, only this module writes its fields (the
+state_writes row of tests/test_imports.py), and every write keeps the
+rules.
 """
 
 from __future__ import annotations

@@ -177,7 +177,7 @@ def test_responder_cannot_send_before_first_decrypt():
 
 def test_send_index_stops_before_the_u32_limit():
     sta, stb, a_rng, b_rng = fresh_conversation(327)
-    sta.j_s = 0xFFFFFFFE  # the last index that can be sent
+    sta = dataclasses.replace(sta, j_s=0xFFFFFFFE)  # the last index to send
     last = vdr_encrypt(sta, 0, b"last", a_rng)
     assert last.j_index == 0xFFFFFFFE and sta.j_s == 0xFFFFFFFF
     before = vdr_export_state(sta)
@@ -314,12 +314,55 @@ def test_seal_builds_a_12_byte_nonce_from_the_header(monkeypatch):
 
 
 def test_ad_binds_ratchet_header():
+    # a live-epoch open reads neither kid nor the ephemeral, so only the AD
+    # refuses their rewrite; j_index also picks the message key
     sta, stb, a_rng, b_rng = fresh_conversation(317)
     env = vdr_encrypt(sta, 5, b"header bound", a_rng)
-    for change in (dict(ctype=6), dict(kid_sender=99)):
-        with pytest.raises(AuthFailure):
+    assert env.i_index == stb.i_r
+    before = vdr_export_state(stb)
+    for change in (dict(kid_sender=99), dict(kid_receiver=98), dict(ctype=6),
+                   dict(eph_pub=bytes([env.eph_pub[0] ^ 1]) + env.eph_pub[1:]),
+                   dict(j_index=env.j_index + 1)):
+        with cs.Recorder() as seen, pytest.raises(AuthFailure):
             vdr_decrypt(stb, dataclasses.replace(env, **change), b_rng)
+        assert (seen.draws, vdr_export_state(stb)) == ([], before), change
     assert vdr_decrypt(stb, env, b_rng) == b"header bound"
+
+
+def _conversation(switch_at=None):
+    """Eight alternating two-message flights over one vdr_pair, A first;
+    from the open of flight switch_at on, B's calls take another rng
+    stream. Per flight: its envelopes, their ephemeral, and the sender's
+    root and sending chain key after it."""
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(340)
+    states, rngs = [sta, None], [a_rng, b_rng]
+    flights = []
+    for f in range(8):
+        sender = states[f % 2]
+        envs = [vdr_encrypt(sender, 0, b"flight %d" % f, rngs[f % 2])
+                for _ in range(2)]
+        if states[1] is None:
+            states[1] = helpers.vdr_receiver(mats, envs[0])
+        if f == switch_at:
+            rngs[1] = cs.SeededRng(341)
+        for env in envs:
+            assert vdr_decrypt(states[1 - f % 2], env,
+                               rngs[1 - f % 2]) == b"flight %d" % f
+        flights.append({"envelopes": [encode_envelope(e) for e in envs],
+                        "eph_pub": envs[0].eph_pub, "rk": sender.rk,
+                        "ck_send": sender.ck_send})
+    return flights
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_fresh_randomness_enters_every_reply_epoch(k):
+    # B draws its k-th flight's ephemeral at the open before it, so from
+    # that flight on neither party's keys follow from the states before it
+    same, forked = _conversation(), _conversation(switch_at=2 * k)
+    assert same[:2 * k + 1] == forked[:2 * k + 1]
+    for f in range(2 * k + 1, 8):
+        for name in ("rk", "ck_send") + (("eph_pub",) if f % 2 else ()):
+            assert same[f][name] != forked[f][name], (f, name)
 
 
 # -- held ephemeral key pair ----------------------------------------------------
@@ -555,18 +598,6 @@ def test_turn_to_a_pending_reply_opens_as_on_the_built_twin():
     assert vdr_export_state(stb) == vdr_export_state(twin)
 
 
-def test_state_refuses_a_misplaced_pending_reply():
-    _, pending, _, _ = pending_conversation(333)
-    _, built, _, _ = fresh_conversation(333)
-    for value in (b"short", bytes(33)):
-        with pytest.raises(ValueError, match="reply_secret"):
-            dataclasses.replace(pending, reply_secret=value)
-    with pytest.raises(ValueError, match="pending reply beside"):
-        dataclasses.replace(built, reply_secret=pending.reply_secret)
-    with pytest.raises(ValueError, match="pending reply beside"):
-        dataclasses.replace(pending, ck_recv=None, peer_eph_pub=None)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_set_up_from_the_key_object_equals_set_up_from_the_scalar(seed):
     worlds = []
@@ -675,7 +706,7 @@ def _failed_decrypts():
     stf = helpers.vdr_receiver(mats, opener)
     vdr_decrypt(stf, opener, f_rng)
     vdr_decrypt(ste, vdr_encrypt(stf, 0, b"turn", f_rng), e_rng)
-    ste.i_r = 0xFFFFFFFE  # so its send epoch is 0xFFFFFFFF
+    ste = dataclasses.replace(ste, i_r=0xFFFFFFFE)  # send epoch 0xFFFFFFFF
     top_epoch = vdr_encrypt(ste, 0, b"top epoch", e_rng)
     assert top_epoch.i_index == 0xFFFFFFFF
     # an authentic envelope at the top u32 index, sealed by the reference
