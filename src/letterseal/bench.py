@@ -112,12 +112,13 @@ class _Driver:
     def __init__(self, scenario: str, seed: int, payload_len: int):
         self.protocol, warmed, self.alternate = _SHAPES[scenario]
         self.rng = cs.SeededRng(seed).fork(b"bench-" + scenario.encode())
-        # registration, untimed. The endpoints get scalar bytes, not the
-        # key objects a game party holds: the first-message rows price
-        # set-up from stored key bytes, key build included. Without that
-        # build v2-first/v2-ith fell under criterion 8's 10x (8.6-8.9x
-        # with a long-term memo)
-        self.keys = (cs.dh_keygen(self.rng), cs.dh_keygen(self.rng))
+        # registration, untimed. The endpoints get each scalar's bytes,
+        # not the keygen's scalar, which holds its key object: the
+        # first-message rows price set-up from stored key bytes, key
+        # build included. Without that build v2-first/v2-ith fell under
+        # criterion 8's 10x (8.6-8.9x with a long-term memo)
+        keys = cs.dh_keygen(self.rng), cs.dh_keygen(self.rng)
+        self.keys = tuple((cs.GroupScalar(bytes(sk)), pk) for sk, pk in keys)
         self.payload = b"\xa5" * payload_len
         self.pair = None
         if warmed:
@@ -224,6 +225,7 @@ def primitive_costs(iterations: int = 2000, seed: int = 0) -> dict[str, float]:
     """Average microseconds per primitive call, measured in isolation."""
     rng = cs.SeededRng(seed).fork(b"bench-primitives")
     sk, _ = cs.dh_keygen(rng)
+    sk = cs.GroupScalar(bytes(sk))  # stored bytes: DH prices the key build
     _, pk = cs.dh_keygen(rng)
     key = cs.SymmetricKey(rng.token(32))
     nonce = cs.AeadNonce(rng.token(12))

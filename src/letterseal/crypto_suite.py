@@ -24,13 +24,18 @@ object. Building the object costs a scalar multiplication of its own, so
 a secret that exchanges more than once is held as a :class:`KeyPair`:
 scalar, public and object, built together by :func:`key_pair`,
 :func:`dh_keygen_with_key` or :func:`dh_keygen_from`. Only this module
-builds a pair, so its three forms cannot disagree. Key objects have one
-rule: the owner of a secret builds its pair once, when it first needs the
-object, and holds it (a ratchet state its ephemeral: at set-up, at
-import, or, for a reply scalar an open drew with :func:`dh_draw_secret`,
-at the first seal or export of that epoch; a game party its long-term
-key; the game's key closure each scalar it learns). Nothing caches an
-object by value.
+builds a pair, so its three forms cannot disagree. A pair's scalar holds
+the pair's object as well, so the scalar :func:`dh_keygen` returns
+exchanges with no build wherever it is handed. A scalar rebuilt from
+stored bytes (``GroupScalar(b)``, :func:`clamp_scalar`, a snapshot import,
+a scalar the game's key closure learns) holds nothing, and :func:`dh_key`
+builds its object. Key objects have one rule: the owner of a secret
+builds its pair once, when it first needs the object, and holds it (a
+ratchet state its ephemeral: at set-up, at import, or, for a reply scalar
+an open drew with :func:`dh_draw_secret`, at the first seal or export of
+that epoch; a party its long-term key, as the keygen's scalar; the game's
+key closure each scalar it learns). Nothing caches an object by value:
+the object travels only with the scalar its pair returned.
 
 Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
 absorbs a key's inner and outer pads into two SHA-256 states once, and
@@ -82,7 +87,8 @@ _ZERO_IV = bytes(16)
 
 class _FixedBytes(bytes):
     """Bytes of one fixed length. ``__slots__`` is empty here and in every
-    subclass, so a value carries no instance ``__dict__``."""
+    subclass, so a value carries no instance ``__dict__``; only a pair's
+    scalar (:class:`_HeldScalar`) carries one, for its key object."""
 
     __slots__ = ()
     SIZE = 0
@@ -104,6 +110,13 @@ class GroupScalar(_FixedBytes):
     """32-byte X25519 secret scalar, stored in clamped form by dh_keygen."""
     __slots__ = ()
     SIZE = 32
+
+
+class _HeldScalar(GroupScalar):
+    """The scalar of a pair :func:`key_pair` built, holding that pair's key
+    object as ``key``. No ``__slots__``: a bytes subclass cannot slot an
+    attribute, so the object sits in the instance ``__dict__``. Its bytes,
+    copied into a :class:`GroupScalar`, hold nothing."""
 
 
 class GroupElement(_FixedBytes):
@@ -258,7 +271,10 @@ def dh_private_key(secret: GroupScalar) -> X25519PrivateKey:
 
 def dh_key(secret: GroupScalar | X25519PrivateKey) -> X25519PrivateKey:
     """The key object of either form of a secret, as :func:`dh` takes it:
-    built only from a scalar, an object is returned as itself."""
+    a pair's scalar gives the object it holds, any other scalar builds
+    one, and an object is returned as itself."""
+    if isinstance(secret, _HeldScalar):
+        return secret.key
     if isinstance(secret, bytes):
         return dh_private_key(secret)
     return secret
@@ -276,9 +292,12 @@ class KeyPair:
 
 
 def key_pair(secret: GroupScalar) -> KeyPair:
-    """The pair of a scalar: one key object, its public read off it."""
+    """The pair of a scalar: one key object, its public read off it, and
+    a copy of the scalar that holds the object."""
     key = dh_private_key(secret)
-    return KeyPair(secret, GroupElement(key.public_key().public_bytes_raw()),
+    held = _HeldScalar(secret)
+    held.key = key
+    return KeyPair(held, GroupElement(key.public_key().public_bytes_raw()),
                    key)
 
 
@@ -300,7 +319,8 @@ def dh_keygen_with_key(rng: SeededRng) -> KeyPair:
 
 
 def dh_keygen(rng: SeededRng) -> tuple[GroupScalar, GroupElement]:
-    """:func:`dh_keygen_with_key`'s (scalar, public)."""
+    """:func:`dh_keygen_with_key`'s (scalar, public); the scalar holds the
+    pair's key object."""
     pair = dh_keygen_with_key(rng)
     return pair.secret, pair.public
 

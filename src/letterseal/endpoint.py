@@ -17,8 +17,11 @@ Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
 An Endpoint's ``secret`` is its party's long-term scalar or the key
-object built from it, which every protocol's set-up takes; it holds no
-other key object (crypto_suite states the ownership rule).
+object built from it, which every protocol's set-up takes. The scalar
+a keygen returned holds its key object, so set-up from it builds none;
+a scalar rebuilt from stored bytes builds one at each set-up. The
+Endpoint holds no other key object (crypto_suite states the ownership
+rule).
 
 An Endpoint holds no instrumentation: a caller that needs message keys or
 rng draws, the key-indistinguishability game only, wraps seal or open in a

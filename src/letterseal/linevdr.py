@@ -52,8 +52,9 @@ Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
 both the party's secret and the peer's public key, and the state stores
 neither: it holds only what vdr_encrypt and vdr_decrypt read, so a
 snapshot reveals no long-term key. Set-up takes the secret as a scalar or
-its key object; a party that opens many sessions (the game's) holds its
-object and passes that, so set-up builds none.
+its key object. A party that opens many sessions (the game's) passes the
+scalar its keygen returned, which holds its object, so set-up builds
+none; a scalar rebuilt from stored bytes builds the object at set-up.
 
 The state's rules. Every rule about what a state may hold is checked in
 one place, when the state is built (``__post_init__``), so set-up,
@@ -140,7 +141,9 @@ class RatchetState:
 
     def __post_init__(self):
         """The state's rules (module docstring), each refused with a
-        ValueError."""
+        ValueError. The state takes a cache of its own: a copy built by
+        ``dataclasses.replace`` would otherwise share the original's."""
+        self.skipped = dict(self.skipped)
         for name in _KEY_FIELDS:
             value = getattr(self, name)
             if value is not None and len(value) != 32:

@@ -18,12 +18,13 @@ The game derives no recorded key and reads no rng history: each seal and open
 runs in a ``with crypto_suite.Recorder()`` block, which receives the key
 the protocol used and the bytes the party's rng drew.
 
-Key objects. The game holds each party's long-term key object, which
-every session of the party sets up from, and the key closure the pair of
-each scalar it learns (a revealed snapshot's as its import built it), by
-crypto_suite's ownership rule. ``parties`` names the (scalar, public)
-pair, and RevLongTermKey alone reveals the scalar: no session state
-holds a long-term key, so RevState does not.
+Key objects. ``parties`` holds each party's (scalar, public) as its
+keygen returned them, so the scalar holds the party's long-term key
+object and every session of the party sets up from it; the key closure
+holds the pair of each scalar it learns (a revealed snapshot's as its
+import built it), by crypto_suite's ownership rule. RevLongTermKey alone
+reveals the scalar: no session state holds a long-term key, so RevState
+does not.
 
 Stage mapping. A one-way design (v1, v2) treats every encrypted message
 as one stage with session key k_e; stages are 1-indexed integers (the
@@ -361,19 +362,17 @@ class Game:
         self.trace = QueryTrace()
         self.directory = KeyDirectory()
         self.party_rng: dict[int, cs.SeededRng] = {}
+        # the keygen's scalar holds the key object the party's Endpoints use
         self.parties: dict[int, tuple[cs.GroupScalar, cs.GroupElement]] = {}
-        # each party's long-term key object, handed to its Endpoints
-        self._party_keys: dict[int, cs.X25519PrivateKey] = {}
         self.kids: dict[int, int] = {}
         self.rev_ltk: dict[int, bool] = {}
         self.sessions: dict[tuple[int, int], SessionRecord] = {}
         for u in range(1, n_parties + 1):
             rng_u = proto_rng.fork(b"party-%d" % u)
-            pair = cs.dh_keygen_with_key(rng_u)
+            sk, pk = cs.dh_keygen(rng_u)
             self.party_rng[u] = rng_u
-            self.parties[u] = (pair.secret, pair.public)
-            self._party_keys[u] = pair.key
-            self.kids[u] = self.directory.register(pair.public, f"party-{u}")
+            self.parties[u] = (sk, pk)
+            self.kids[u] = self.directory.register(pk, f"party-{u}")
             self.rev_ltk[u] = False
 
     # -- Send ---------------------------------------------------------------
@@ -403,7 +402,7 @@ class Game:
     def _activate(self, u: int, i: int, pid: int, role: str) -> None:
         self._party(u)
         self._party(pid)
-        ep = Endpoint(self.protocol, self._party_keys[u],
+        ep = Endpoint(self.protocol, self.parties[u][0],
                       self.directory.lookup(self.kids[pid]), self.party_rng[u],
                       self.kids[u], self.kids[pid], f"party-{u}", f"party-{pid}",
                       initiator=role == ROLE_INITIATOR)

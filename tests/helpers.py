@@ -76,6 +76,17 @@ def count_ciphers(monkeypatch) -> list:
     return builds
 
 
+def count_key_objects(patch) -> list:
+    """Replace crypto_suite.dh_private_key, the one place a key object is
+    built; returns the scalars of the objects built from here on, in
+    order."""
+    built = []
+    real = cs.dh_private_key
+    patch.setattr(cs, "dh_private_key",
+                  lambda secret: built.append(bytes(secret)) or real(secret))
+    return built
+
+
 def keypairs(seed: int):
     """Two long-term keypairs plus the per-party rngs that continue
     drawing after keygen, so callers replay one deterministic world."""

@@ -286,10 +286,7 @@ def test_closure_builds_one_key_object_per_learned_scalar(monkeypatch):
     g = _game("vdr", 6, [(1, b"m 0,0"), (1, b"m 0,1"), (2, b"r 1,0"),
                          (1, b"m 2,0")])
     learned = [g.oracle_rev_ltk(2), g.oracle_rev_rand(2, 1, (1, 0))[:32]]
-    real = cs.dh_private_key
-    built = []
-    monkeypatch.setattr(cs, "dh_private_key",
-                        lambda secret: built.append(secret) or real(secret))
+    built = helpers.count_key_objects(monkeypatch)
     c = g.closure()  # four exchanges: two for epoch 0, one per turn
     assert built == [cs.clamp_scalar(raw) for raw in learned]
     assert _true_stages(g, c) == [(0, 0), (0, 1), (1, 0), (2, 0)]

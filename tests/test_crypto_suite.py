@@ -158,13 +158,12 @@ def test_dh_agrees_with_independent_x25519(seed):
 
 def test_key_pair_reads_its_public_off_one_object(monkeypatch):
     secret, public = cs.dh_keygen(cs.SeededRng(26))
-    real, built = cs.dh_private_key, []
-    monkeypatch.setattr(cs, "dh_private_key",
-                        lambda s: built.append(s) or real(s))
+    built = helpers.count_key_objects(monkeypatch)
     pair = cs.key_pair(secret)
     assert built == [secret]
     assert (pair.secret, pair.public) == (secret, public)
     assert pair.key.private_bytes_raw() == secret
+    assert pair.secret.key is pair.key  # the pair's scalar holds its object
     assert pair.public == REF.x25519_public(secret)
     again = cs.key_pair(secret)
     assert again == pair and again.key is not pair.key  # key not compared
@@ -358,9 +357,28 @@ def test_dh_key_passes_an_object_through_and_builds_one_for_a_scalar(seed):
     sk, pk = cs.dh_keygen(cs.SeededRng(seed))
     key = cs.dh_private_key(sk)
     assert cs.dh_key(key) is key
-    built = cs.dh_key(sk)
-    assert built is not key
+    built = cs.dh_key(cs.GroupScalar(bytes(sk)))  # stored bytes
+    assert built is not key and built is not cs.dh_key(sk)
     assert built.public_key().public_bytes_raw() == pk
+
+
+def test_a_keygen_scalar_holds_its_object_and_its_bytes_hold_none(
+        monkeypatch):
+    sk, pk = cs.dh_keygen(cs.SeededRng(27))
+    _, peer = cs.dh_keygen(cs.SeededRng(28))
+    built = helpers.count_key_objects(monkeypatch)
+    key = cs.dh_key(sk)
+    assert cs.dh_key(sk) is key and key.private_bytes_raw() == sk
+    with cs.count_ops() as counts:
+        shared = cs.dh(sk, peer)
+    assert (counts.dh, built) == (1, [])  # the exchange builds nothing
+    copies = (cs.GroupScalar(sk), cs.GroupScalar(bytes(sk)),
+              cs.GroupScalar.unchecked(sk), cs.clamp_scalar(sk))
+    for other in copies:
+        assert other == sk and type(other) is cs.GroupScalar
+        assert not hasattr(other, "__dict__")
+        assert cs.dh(other, peer) == shared
+    assert built == [bytes(sk)] * len(copies)  # one build per exchange
 
 
 def test_count_ops_nested_scopes():

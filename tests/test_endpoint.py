@@ -84,6 +84,37 @@ def _next_draw(rng):
     return copy.copy(rng).token(32)
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_set_up_from_the_keygen_scalar_equals_set_up_from_stored_bytes(
+        monkeypatch, protocol):
+    """The keygen's scalar holds its key object, so set-up builds none; a
+    copy of its bytes holds nothing, so each set-up builds one. Both
+    worlds seal, store and draw the same bytes."""
+    built = helpers.count_key_objects(monkeypatch)
+    worlds = []
+    for stored in (False, True):
+        a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(408)
+        long_term = [bytes(a_sk), bytes(b_sk)]
+        if stored:
+            a_sk, b_sk = cs.GroupScalar(bytes(a_sk)), cs.GroupScalar(bytes(b_sk))
+        a, b = endpoint_pair(protocol, (a_sk, a_pk), (b_sk, b_pk), a_rng,
+                             b_rng, kids=(11, 12), names=("alice", "bob"))
+        built.clear()
+        envs = []
+        for turn in range(4):
+            src, dst = (a, b) if turn % 2 == 0 else (b, a)
+            env = src.seal(b"turn %d" % turn)
+            assert dst.open(env) == b"turn %d" % turn
+            envs.append(encode_envelope(env))
+        # A sets up at its first seal, B at its first open
+        assert [s for s in built if s in long_term] == (
+            long_term if stored else [])
+        snapshot = DESIGNS[protocol].snapshot
+        worlds.append((envs, [snapshot(ep.session) for ep in (a, b)],
+                       [_next_draw(rng) for rng in (a_rng, b_rng)]))
+    assert worlds[0] == worlds[1]
+
+
 def test_each_party_draws_only_from_its_own_rng():
     a, b = pair("vdr", 402)
     for turn in range(4):

@@ -48,7 +48,7 @@ RULES = {
     "recorders": ({"Recorder"}, ANY,
                   [("crypto_suite.py", ""), ("mske/game.py", "")]),
     "report": ({"AttackReport"}, {"call"}, [("mske/attacks.py", "_report")]),
-    "parties": ({"parties", "_party_keys"}, ANY, [("mske/game.py", "")]),
+    "parties": ({"parties"}, ANY, [("mske/game.py", "")]),
     "knowledge": ({"learn_scalar", "learn_snapshot", "learn_chain"}, {"call"},
                   [("mske/game.py", "")]),
     "closure": ({"KeyClosure"}, {"call"}, [("mske/game.py", "Game.closure")]),
@@ -323,7 +323,7 @@ SAMPLES = {
         "return KeyClosure(g.parties[A][1], g.parties[B][1], envs)\n"
         "closure.learn_scalar(g.parties[B][0])\n"
         "pk = g.directory.lookup(g.kids[A])\nfor parties in pairs: pass\n"
-        "ss = cs.dh(g._party_keys[A], pk)\n"),
+        "ss = cs.dh(g.parties[A][0], pk)\n"),
         {"mske/game.py": ["3: closure", "7: exchange"], "mske/attacks.py": [
             "1: parties", "3: closure", "3: parties", "4: knowledge",
             "4: parties", "6: parties", "7: exchange", "7: parties"]}),

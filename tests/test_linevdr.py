@@ -390,17 +390,8 @@ def test_failed_turn_decrypt_leaves_state_untouched(tamper, error):
     assert sta.self_eph is not eph
 
 
-def _counting_key_objects(patch) -> list:
-    """The scalars of the key objects built from here on, in order."""
-    built = []
-    real = cs.dh_private_key
-    patch.setattr(cs, "dh_private_key",
-                  lambda secret: built.append(bytes(secret)) or real(secret))
-    return built
-
-
 def test_held_key_tracks_secret_across_export_import(monkeypatch):
-    built = _counting_key_objects(monkeypatch)
+    built = helpers.count_key_objects(monkeypatch)
     live = list(fresh_conversation(319))      # never imported
     twin = list(fresh_conversation(319))      # exported and imported midway
     worlds = (live, twin)
@@ -432,13 +423,15 @@ def test_held_key_tracks_secret_across_export_import(monkeypatch):
 
 
 def test_ratchet_steps_build_each_key_object_once(monkeypatch):
-    built = _counting_key_objects(monkeypatch)
+    built = helpers.count_key_objects(monkeypatch)
     sta, mats, a_rng, b_rng = helpers.vdr_pair(320)
-    assert len(built) == 4  # two long-term keygens, ephemeral, static
+    # two long-term keygens and the ephemeral; the static exchange uses
+    # the object A's keygen scalar holds
+    assert len(built) == 3
     opener = vdr_encrypt(sta, 0, b"hello", a_rng)
     built.clear()
     stb = helpers.vdr_receiver(mats, opener)
-    assert built == [bytes(mats[0])]  # the long-term key, for two exchanges
+    assert built == []  # B's keygen scalar holds its object, for two exchanges
     built.clear()
     assert vdr_decrypt(stb, opener, b_rng) == b"hello"
     assert built == []  # the reply waits for its first seal
@@ -482,7 +475,7 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
         worlds.append(([sta, None], (a_rng, b_rng), mats))
     resumed = worlds[1][0]
     with pytest.MonkeyPatch.context() as patch:
-        built = _counting_key_objects(patch)
+        built = helpers.count_key_objects(patch)
         for n, (sender, resume) in enumerate(flights):
             if n == 0:
                 sender = 0
@@ -514,15 +507,16 @@ def test_resumed_party_turns_as_one_never_exported(flights, seed):
 
 @pytest.mark.parametrize("first", ["seal", "export"])
 def test_responder_that_only_receives_builds_no_reply(monkeypatch, first):
-    built = _counting_key_objects(monkeypatch)
+    built = helpers.count_key_objects(monkeypatch)
     sta, mats, a_rng, b_rng = helpers.vdr_pair(332)
     opener = vdr_encrypt(sta, 0, b"hello", a_rng)
     built.clear()
     with cs.count_ops() as counts:
         stb = helpers.vdr_receiver(mats, opener)
         assert vdr_decrypt(stb, opener, b_rng) == b"hello"
-    # set-up's two exchanges alone: no keygen, no reply exchange or root
-    assert (counts.dh, counts.kdf, built) == (2, 2, [bytes(mats[0])])
+    # set-up's two exchanges alone: no keygen, no reply exchange or root,
+    # and no key object, since B's keygen scalar holds its own
+    assert (counts.dh, counts.kdf, built) == (2, 2, [])
     assert stb.self_eph is None and stb.ck_send is None
     built.clear()
     with cs.count_ops() as counts:
@@ -565,6 +559,23 @@ def test_reply_built_at_the_open_or_at_the_seal_seals_alike(senders, seed):
     assert worlds[0] == worlds[1]
 
 
+def test_a_replaced_state_keeps_its_own_cache():
+    # a responder at (0, 1) copied with dataclasses.replace; the copy
+    # opens (0, 5) and caches (0, 1)-(0, 4) in a dict of its own, so the
+    # original still exports the same snapshot, which still imports
+    sta, mats, a_rng, b_rng = helpers.vdr_pair(7)
+    envs = [vdr_encrypt(sta, 0, b"m%d" % j, a_rng) for j in range(6)]
+    stb = helpers.vdr_receiver(mats, envs[0])
+    assert vdr_decrypt(stb, envs[0], b_rng) == b"m0"
+    assert (stb.i_r, stb.j_r) == (0, 1)
+    before = vdr_export_state(stb)
+    other = dataclasses.replace(stb)
+    assert vdr_decrypt(other, envs[5], b_rng) == b"m5"
+    assert sorted(other.skipped) == [(0, j) for j in range(1, 5)]
+    assert vdr_import_state(vdr_export_state(stb)) == stb
+    assert vdr_export_state(stb) == before and stb.skipped == {}
+
+
 def _fields(st):
     """Every field of a state, its cache copied."""
     return {**{f.name: getattr(st, f.name)
@@ -576,7 +587,7 @@ def test_turn_to_a_pending_reply_opens_as_on_the_built_twin():
     # builds the same reply at its seal, A turns on it, and A's turn
     # reaches both
     sta, stb, a_rng, b_rng = pending_conversation(334)
-    twin = dataclasses.replace(stb, skipped=dict(stb.skipped))
+    twin = dataclasses.replace(stb)
     twin_rng = cs.SeededRng(334)
     assert vdr_decrypt(sta, vdr_encrypt(twin, 0, b"reply", twin_rng),
                        a_rng) == b"reply"

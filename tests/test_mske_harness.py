@@ -163,10 +163,7 @@ def test_message_keys_reach_only_a_recorder(protocol):
 
 @pytest.mark.parametrize("protocol", ["v1", "v2", "vdr"])
 def test_game_builds_each_long_term_key_object_once(monkeypatch, protocol):
-    real = cs.dh_private_key
-    built = []
-    monkeypatch.setattr(cs, "dh_private_key",
-                        lambda secret: built.append(bytes(secret)) or real(secret))
+    built = helpers.count_key_objects(monkeypatch)
     g = _game(protocol, 3)
     long_term = {bytes(sk) for sk, _ in g.parties.values()}
     assert sorted(built) == sorted(long_term)  # the two keygens
