@@ -17,25 +17,27 @@ successful v1, v2 or ratchet encrypt and decrypt, and every rng draw; only
 the key-indistinguishability game opens one, around each seal and open.
 Counts never see a key or a draw: they sit on another list.
 
-X25519 secrets travel as :class:`GroupScalar` bytes. :func:`dh` takes either
-such a scalar or the OpenSSL key object built from it
-(:func:`dh_private_key`), and :func:`dh_key` turns either form into the
-object. Building the object costs a scalar multiplication of its own, so
-a secret that exchanges more than once is held as a :class:`KeyPair`:
-scalar, public and object, built together by :func:`key_pair`,
-:func:`dh_keygen_with_key` or :func:`dh_keygen_from`. Only this module
-builds a pair, so its three forms cannot disagree. A pair's scalar holds
-the pair's object as well, so the scalar :func:`dh_keygen` returns
-exchanges with no build wherever it is handed. A scalar rebuilt from
-stored bytes (``GroupScalar(b)``, :func:`clamp_scalar`, a snapshot import,
-a scalar the game's key closure learns) holds nothing, and :func:`dh_key`
-builds its object. Key objects have one rule: the owner of a secret
-builds its pair once, when it first needs the object, and holds it (a
-ratchet state its ephemeral: at set-up, at import, or, for a reply scalar
+X25519 secrets have one form, the :class:`GroupScalar`; :func:`dh` and
+every set-up take a scalar alone. An exchange runs on the scalar's
+OpenSSL key object, and building that object costs a scalar
+multiplication of its own, so a scalar can hold its object:
+:func:`dh_key` is the one place a plain scalar becomes a copy that holds
+a new object, and a scalar that holds one comes back as itself. A
+:class:`KeyPair` is such a scalar and the public read off its object,
+built by :func:`key_pair` or :func:`dh_keygen_from`; only this module
+builds a pair, so its scalar and public cannot disagree. The scalar
+:func:`dh_keygen` returns is a pair's, so it exchanges with no build
+wherever it is handed. A scalar rebuilt from stored bytes
+(``GroupScalar(b)``, :func:`clamp_scalar`, a snapshot import, a scalar
+the game's key closure learns) holds nothing, and each exchange with it
+builds its object, unless its owner takes :func:`dh_key` once and
+exchanges with that. Key objects have one rule: the owner of a secret
+builds its object once, when it first needs it, and holds it (a ratchet
+state its ephemeral's pair: at set-up, at import, or, for a reply scalar
 an open drew with :func:`dh_draw_secret`, at the first seal or export of
-that epoch; a party its long-term key, as the keygen's scalar; the game's
-key closure each scalar it learns). Nothing caches an object by value:
-the object travels only with the scalar its pair returned.
+that epoch; a party its long-term key, as the keygen's scalar; the
+game's key closure each scalar it learns). Nothing caches an object by
+value: the object travels only with the scalar that holds it.
 
 Every HMAC is RFC 2104 written out over ``hashlib``: :func:`_hmac_key`
 absorbs a key's inner and outer pads into two SHA-256 states once, and
@@ -65,8 +67,9 @@ directory, a known-answer file or a caller take the checked constructor.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -87,8 +90,8 @@ _ZERO_IV = bytes(16)
 
 class _FixedBytes(bytes):
     """Bytes of one fixed length. ``__slots__`` is empty here and in every
-    subclass, so a value carries no instance ``__dict__``; only a pair's
-    scalar (:class:`_HeldScalar`) carries one, for its key object."""
+    subclass, so a value carries no instance ``__dict__``; only a scalar
+    that holds its key object (:class:`_HeldScalar`) carries one."""
 
     __slots__ = ()
     SIZE = 0
@@ -113,8 +116,8 @@ class GroupScalar(_FixedBytes):
 
 
 class _HeldScalar(GroupScalar):
-    """The scalar of a pair :func:`key_pair` built, holding that pair's key
-    object as ``key``. No ``__slots__``: a bytes subclass cannot slot an
+    """A scalar that holds its key object as ``key``, made only by
+    :func:`dh_key`. No ``__slots__``: a bytes subclass cannot slot an
     attribute, so the object sits in the instance ``__dict__``. Its bytes,
     copied into a :class:`GroupScalar`, hold nothing."""
 
@@ -263,42 +266,38 @@ def clamp_scalar(raw: bytes) -> GroupScalar:
 
 
 def dh_private_key(secret: GroupScalar) -> X25519PrivateKey:
-    """OpenSSL key object for a scalar. Building it derives the public key,
-    one scalar multiplication; callers that exchange with the same secret
-    more than once build it once and pass it to :func:`dh`."""
+    """OpenSSL key object for a scalar, built only by :func:`dh_key`.
+    Building it derives the public key, one scalar multiplication."""
     return X25519PrivateKey.from_private_bytes(secret)
 
 
-def dh_key(secret: GroupScalar | X25519PrivateKey) -> X25519PrivateKey:
-    """The key object of either form of a secret, as :func:`dh` takes it:
-    a pair's scalar gives the object it holds, any other scalar builds
-    one, and an object is returned as itself."""
+def dh_key(secret: GroupScalar) -> GroupScalar:
+    """The scalar as :func:`dh` exchanges with it, holding its key object
+    as ``key``: a scalar that holds one comes back as itself, and any
+    other scalar as a copy that holds a new one. A secret that exchanges
+    more than once takes this once and exchanges with the copy."""
     if isinstance(secret, _HeldScalar):
-        return secret.key
-    if isinstance(secret, bytes):
-        return dh_private_key(secret)
-    return secret
-
-
-@dataclass(frozen=True, slots=True)
-class KeyPair:
-    """A scalar, its public and its key object, built by :func:`key_pair`.
-
-    The object compares by identity, so equality reads the scalar and the
-    public alone."""
-    secret: GroupScalar
-    public: GroupElement
-    key: X25519PrivateKey = field(repr=False, compare=False)
-
-
-def key_pair(secret: GroupScalar) -> KeyPair:
-    """The pair of a scalar: one key object, its public read off it, and
-    a copy of the scalar that holds the object."""
+        return secret
     key = dh_private_key(secret)
     held = _HeldScalar(secret)
     held.key = key
-    return KeyPair(held, GroupElement(key.public_key().public_bytes_raw()),
-                   key)
+    return held
+
+
+class KeyPair(NamedTuple):
+    """A scalar that holds its key object, and the public read off that
+    object; built by :func:`key_pair`."""
+    secret: GroupScalar
+    public: GroupElement
+
+
+def key_pair(secret: GroupScalar) -> KeyPair:
+    """The pair of a scalar: a copy of its bytes that holds a new key
+    object, and the public read off that object. Every call builds, a
+    pair's scalar included."""
+    held = dh_key(GroupScalar(secret))
+    return KeyPair(held,
+                   GroupElement(held.key.public_key().public_bytes_raw()))
 
 
 def dh_draw_secret(rng: SeededRng) -> GroupScalar:
@@ -313,31 +312,23 @@ def dh_keygen_from(secret: GroupScalar) -> KeyPair:
     return key_pair(secret)
 
 
-def dh_keygen_with_key(rng: SeededRng) -> KeyPair:
-    """Fresh X25519 key pair from the injected randomness source."""
+def dh_keygen(rng: SeededRng) -> KeyPair:
+    """Fresh X25519 key pair from the injected randomness source; its
+    scalar holds the pair's key object."""
     return dh_keygen_from(dh_draw_secret(rng))
-
-
-def dh_keygen(rng: SeededRng) -> tuple[GroupScalar, GroupElement]:
-    """:func:`dh_keygen_with_key`'s (scalar, public); the scalar holds the
-    pair's key object."""
-    pair = dh_keygen_with_key(rng)
-    return pair.secret, pair.public
 
 
 def dh_to_public(secret: GroupScalar) -> GroupElement:
     return key_pair(secret).public
 
 
-def dh(secret: GroupScalar | X25519PrivateKey,
-       peer: GroupElement) -> SharedSecret:
+def dh(secret: GroupScalar, peer: GroupElement) -> SharedSecret:
     """X25519 exchange; rejects the all-zero output of low-order points.
-
-    ``secret`` is a scalar or the key object built from one; a scalar is
-    turned into its key object first."""
+    It runs on the key object the scalar holds, or on one built for it
+    (:func:`dh_key`)."""
     _bump("dh")
     try:
-        shared = dh_key(secret).exchange(
+        shared = dh_key(secret).key.exchange(
             X25519PublicKey.from_public_bytes(peer))
     except ValueError as exc:
         raise DhError(str(exc)) from exc

@@ -16,12 +16,11 @@ its peer never sent would take another party's message as its peer's.
 Each party's rng feeds only that party's operations, so a scripted
 conversation draws the same bytes whatever order the flights interleave in.
 
-An Endpoint's ``secret`` is its party's long-term scalar or the key
-object built from it, which every protocol's set-up takes. The scalar
-a keygen returned holds its key object, so set-up from it builds none;
-a scalar rebuilt from stored bytes builds one at each set-up. The
-Endpoint holds no other key object (crypto_suite states the ownership
-rule).
+An Endpoint's ``secret`` is its party's long-term scalar, the one form
+of a secret every protocol's set-up takes. The scalar a keygen returned
+holds its key object, so set-up from it builds none; a scalar rebuilt
+from stored bytes builds one at each set-up. The Endpoint holds no
+other key object (crypto_suite states the ownership rule).
 
 An Endpoint holds no instrumentation: a caller that needs message keys or
 rng draws, the key-indistinguishability game only, wraps seal or open in a
@@ -131,10 +130,11 @@ def design(name: str) -> Design:
 
 
 class Endpoint:
-    """One party; ``session`` is None until its first successful use."""
+    """One party; ``session`` is None until its first successful use.
+    ``secret`` is the party's long-term scalar: the one its keygen
+    returned holds its key object, so no set-up builds one."""
 
-    def __init__(self, protocol: str,
-                 secret: cs.GroupScalar | cs.X25519PrivateKey,
+    def __init__(self, protocol: str, secret: cs.GroupScalar,
                  peer_pub: cs.GroupElement, rng: cs.SeededRng,
                  kid: int, peer_kid: int, name: str, peer_name: str,
                  initiator: bool):

@@ -44,17 +44,20 @@ cache alone, so its size is bounded by MAX_SKIP.
 
 Ephemeral key pair. The state holds its built ephemeral as one
 ``self_eph``, a crypto_suite.KeyPair: a seal reads its public, the next
-epoch turn exchanges with its key object, and a snapshot stores its
-scalar alone. Import builds the pair, so a resumed state turns as a live
-one does.
+epoch turn exchanges with its scalar, which holds its key object, and a
+snapshot stores the scalar alone. Import builds the pair, so a resumed
+state turns as a live one does.
 
 Long-term keys. Set-up (vdr_init_sender, vdr_lazy_init_receiver) uses
-both the party's secret and the peer's public key, and the state stores
-neither: it holds only what vdr_encrypt and vdr_decrypt read, so a
-snapshot reveals no long-term key. Set-up takes the secret as a scalar or
-its key object. A party that opens many sessions (the game's) passes the
-scalar its keygen returned, which holds its object, so set-up builds
-none; a scalar rebuilt from stored bytes builds the object at set-up.
+both the party's secret scalar and the peer's public key, and the state
+stores neither: it holds only what vdr_encrypt and vdr_decrypt read, so a
+snapshot reveals no long-term key. A party that opens many sessions (the
+game's) passes the scalar its keygen returned, which holds its key
+object, so set-up builds none; a scalar rebuilt from stored bytes builds
+the object at set-up, once for the responder's two exchanges. The
+initiator runs its static exchange before its keygen, so a peer public
+or a secret that the exchange refuses is refused before the ephemeral is
+drawn, and the rng stays where it was.
 
 The state's rules. Every rule about what a state may hold is checked in
 one place, when the state is built (``__post_init__``), so set-up,
@@ -204,20 +207,21 @@ def build_ad_vdr(kid_sender: int, kid_receiver: int, vers: int, ctype: int,
     return _AD.pack(kid_sender, kid_receiver, vers, ctype, eph_pub, j_index)
 
 
-def vdr_init_sender(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
+def vdr_init_sender(self_ltk: cs.GroupScalar,
                     peer_ltk_pub: cs.GroupElement,
                     rng: cs.SeededRng, kid_self: int, kid_peer: int) -> RatchetState:
     """Initiator setup: root and first sending chain from
-    KDF(dh(ephemeral, peer) || dh(static, peer)). self_ltk is a scalar or
-    its key object (module docstring)."""
-    eph = cs.dh_keygen_with_key(rng)
-    ikm = cs.dh(eph.key, peer_ltk_pub) + cs.dh(self_ltk, peer_ltk_pub)
-    rk, ck_send = cs.kdf_root(ikm, cs.ZERO_SALT)
+    KDF(dh(ephemeral, peer) || dh(static, peer)). The static exchange runs
+    first, so a refused one draws nothing (module docstring)."""
+    static = cs.dh(self_ltk, peer_ltk_pub)
+    eph = cs.dh_keygen(rng)
+    rk, ck_send = cs.kdf_root(cs.dh(eph.secret, peer_ltk_pub) + static,
+                              cs.ZERO_SALT)
     return RatchetState(rk=rk, ck_send=ck_send, kid_self=kid_self,
                         kid_peer=kid_peer, self_eph=eph)
 
 
-def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
+def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar,
                            peer_ltk_pub: cs.GroupElement,
                            env: EnvelopeVDR,
                            kid_self: int, kid_peer: int) -> RatchetState:
@@ -225,13 +229,13 @@ def vdr_lazy_init_receiver(self_ltk: cs.GroupScalar | cs.X25519PrivateKey,
     initiator derivation through DH symmetry. Does not decrypt: call
     vdr_decrypt next and discard this state if that fails, since a tampered
     ephemeral yields garbage keys that only the AEAD tag can expose.
-    self_ltk is a scalar or its key object (module docstring)."""
+    Its two exchanges share one key object (module docstring)."""
     if env.i_index != 0:
         raise StaleEpoch(
             f"lazy receiver init needs an epoch-0 envelope, got epoch {env.i_index}")
     peer_eph = cs.GroupElement(env.eph_pub)
-    ltk_key = cs.dh_key(self_ltk)  # two exchanges, one object
-    ikm = cs.dh(ltk_key, peer_eph) + cs.dh(ltk_key, peer_ltk_pub)
+    ltk = cs.dh_key(self_ltk)  # two exchanges, one object
+    ikm = cs.dh(ltk, peer_eph) + cs.dh(ltk, peer_ltk_pub)
     rk, ck_recv = cs.kdf_root(ikm, cs.ZERO_SALT)
     return RatchetState(
         rk=rk, ck_recv=ck_recv,
@@ -247,7 +251,7 @@ def _reply_chain(st: RatchetState) -> tuple[cs.KeyPair, cs.SymmetricKey,
     The state's rules refuse a low-order peer ephemeral, so the exchange
     cannot fail (module docstring)."""
     eph = cs.dh_keygen_from(st.reply_secret)
-    rk, ck_send = cs.kdf_root(cs.dh(eph.key, st.peer_eph_pub), st.rk)
+    rk, ck_send = cs.kdf_root(cs.dh(eph.secret, st.peer_eph_pub), st.rk)
     return eph, rk, ck_send
 
 
@@ -317,7 +321,7 @@ def vdr_decrypt(st: RatchetState, env: EnvelopeVDR,
         else:
             eph, rk = st.self_eph, st.rk
         peer_eph = cs.GroupElement(env.eph_pub)
-        rk, ck = cs.kdf_root(cs.dh(eph.key, peer_eph), rk)
+        rk, ck = cs.kdf_root(cs.dh(eph.secret, peer_eph), rk)
         i_r, j = i_index, 0
     elif i_index == st.i_r and st.ck_recv is not None:
         if env.j_index < st.j_r:
@@ -426,7 +430,7 @@ def vdr_import_state(snapshot: bytes) -> RatchetState:
         ck, secret = _SNAPSHOT_SENDING.read(snapshot, pos)
         pos += _SNAPSHOT_SENDING.size
         chains.update(ck_send=cs.SymmetricKey(ck),
-                      self_eph=cs.key_pair(cs.GroupScalar(secret)))
+                      self_eph=cs.key_pair(secret))
     if flags & _RECEIVING:
         ck, peer_eph = _SNAPSHOT_RECEIVING.read(snapshot, pos)
         pos += _SNAPSHOT_RECEIVING.size

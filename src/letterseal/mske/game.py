@@ -18,13 +18,14 @@ The game derives no recorded key and reads no rng history: each seal and open
 runs in a ``with crypto_suite.Recorder()`` block, which receives the key
 the protocol used and the bytes the party's rng drew.
 
-Key objects. ``parties`` holds each party's (scalar, public) as its
+Key objects. A secret is a scalar, and the scalar exchanges on the key
+object it holds. ``parties`` holds each party's (scalar, public) as its
 keygen returned them, so the scalar holds the party's long-term key
 object and every session of the party sets up from it; the key closure
-holds the pair of each scalar it learns (a revealed snapshot's as its
-import built it), by crypto_suite's ownership rule. RevLongTermKey alone
-reveals the scalar: no session state holds a long-term key, so RevState
-does not.
+keeps, by public, the scalar of each pair it builds for a scalar it
+learns (a revealed snapshot's as its import built it), by crypto_suite's
+ownership rule. RevLongTermKey alone reveals the scalar: no session state
+holds a long-term key, so RevState does not.
 
 Stage mapping. A one-way design (v1, v2) treats every encrypted message
 as one stage with session key k_e; stages are 1-indexed integers (the
@@ -228,8 +229,8 @@ class KeyClosure:
         self.envelopes = envelopes
         self.static_keys = static_keys
         self.pms: cs.SharedSecret | None = None  # a static design's, once held
-        # public -> the key object of its secret, one pair per scalar
-        self.scalars: dict[bytes, cs.X25519PrivateKey] = {}
+        # public -> its scalar, which holds its key object
+        self.scalars: dict[bytes, cs.GroupScalar] = {}
         self.root: dict[int, bytes] = {}                # epoch -> rk
         self.chain: dict[int, tuple[int, bytes]] = {}   # epoch -> (j, ck)
         self.mk: dict = {}                              # label -> key
@@ -240,7 +241,7 @@ class KeyClosure:
         self._learn(cs.key_pair(cs.clamp_scalar(bytes(raw))))
 
     def _learn(self, pair: cs.KeyPair) -> None:
-        self.scalars[pair.public] = pair.key
+        self.scalars[pair.public] = pair.secret
 
     def learn_chain(self, epoch: int, j: int, ck: bytes) -> None:
         have = self.chain.get(epoch)
@@ -278,8 +279,8 @@ class KeyClosure:
             held = self._held(self.initiator_pub, self.responder_pub)
             if held is None:
                 return self
-            key, pub = held
-            self.pms = cs.dh(key, cs.GroupElement(pub))
+            secret, pub = held
+            self.pms = cs.dh(secret, cs.GroupElement(pub))
         for env in self.envelopes:
             self.mk.setdefault(self.label(env), bytes(
                 self.static_keys.stage_key(self.pms, env)))
@@ -309,7 +310,8 @@ class KeyClosure:
             if None in held:  # every exchange matched before any runs
                 continue
             rk, ck = cs.kdf_root(b"".join(
-                cs.dh(key, cs.GroupElement(pub)) for key, pub in held), salt)
+                cs.dh(secret, cs.GroupElement(pub)) for secret, pub in held),
+                salt)
             self.root.setdefault(epoch, bytes(rk))
             self.learn_chain(epoch, 0, ck)
         for epoch, (j, ck) in self.chain.items():

@@ -30,7 +30,7 @@ from letterseal.wire import decode_envelope
 
 class SaturatingClosure:
     def __init__(self, game):
-        self.secrets = {}  # public -> key object
+        self.secrets = {}  # public -> scalar
         self.roots = set()   # (epoch, rk)
         self.chains = set()  # (epoch, j, ck)
         self.mk = {}         # (epoch, j) -> key
@@ -51,8 +51,8 @@ class SaturatingClosure:
                           for u in (ini.owner, ini.pid))
 
     def _learn(self, secret: bytes) -> None:
-        key = cs.dh_private_key(cs.clamp_scalar(bytes(secret)))
-        self.secrets[key.public_key().public_bytes_raw()] = key
+        scalar = cs.clamp_scalar(bytes(secret))
+        self.secrets[cs.dh_to_public(scalar)] = scalar
 
     def _read_reveals(self, game) -> None:
         for u, revealed in game.rev_ltk.items():

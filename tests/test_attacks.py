@@ -299,7 +299,7 @@ def test_closure_builds_one_key_object_per_learned_scalar(monkeypatch):
     assert eph in snapshot
     assert sorted(built) == sorted(
         [cs.clamp_scalar(raw) for raw in learned] + [eph])  # eph once
-    assert sum(key.private_bytes_raw() == eph for key in c.scalars.values()) == 1
+    assert sum(secret == eph for secret in c.scalars.values()) == 1
 
 
 def test_closure_learn_chain_keeps_earliest_position():

@@ -145,29 +145,29 @@ def test_dh_to_public_matches_keygen():
 def test_dh_agrees_with_independent_x25519(seed):
     rng = cs.SeededRng(1000 + seed)
     a_sk, a_pk = cs.dh_keygen(rng)
-    b = cs.dh_keygen_with_key(rng)
-    b_sk, b_pk, b_key = b.secret, b.public, b.key
-    assert b_key.private_bytes_raw() == b_sk
+    b_sk, b_pk = cs.dh_keygen(rng)
+    assert b_sk.key.private_bytes_raw() == b_sk
     assert REF.x25519_public(a_sk) == a_pk
     assert REF.x25519_public(b_sk) == b_pk
     expected = REF.x25519(b_sk, a_pk)
-    assert cs.dh(b_sk, a_pk) == expected
-    assert cs.dh(b_key, a_pk) == expected
+    assert cs.dh(b_sk, a_pk) == expected  # the keygen scalar's object
+    assert cs.dh(cs.GroupScalar(bytes(b_sk)), a_pk) == expected  # stored
     assert cs.dh(a_sk, b_pk) == expected
+    assert cs.dh(cs.GroupScalar(bytes(a_sk)), b_pk) == expected
 
 
 def test_key_pair_reads_its_public_off_one_object(monkeypatch):
     secret, public = cs.dh_keygen(cs.SeededRng(26))
     built = helpers.count_key_objects(monkeypatch)
     pair = cs.key_pair(secret)
-    assert built == [secret]
-    assert (pair.secret, pair.public) == (secret, public)
-    assert pair.key.private_bytes_raw() == secret
-    assert pair.secret.key is pair.key  # the pair's scalar holds its object
+    assert built == [secret]  # a pair's scalar too builds a fresh object
+    assert pair.secret.key is not secret.key
+    assert pair == (secret, public)
+    assert pair.secret.key.private_bytes_raw() == secret
     assert pair.public == REF.x25519_public(secret)
     again = cs.key_pair(secret)
-    assert again == pair and again.key is not pair.key  # key not compared
-    assert repr(pair.key) not in repr(pair)
+    assert again == pair and again.secret.key is not pair.secret.key
+    assert repr(pair.secret.key) not in repr(pair)
     with pytest.raises(AttributeError):
         pair.secret = cs.GroupScalar(bytes(32))
 
@@ -194,22 +194,24 @@ def test_clamp_scalar_refuses_other_lengths(n):
 
 def test_dh_rejects_low_order_result():
     a_sk, _ = cs.dh_keygen(cs.SeededRng(13))
-    with pytest.raises(DhError):
-        cs.dh(a_sk, cs.GroupElement(bytes(32)))
-    with pytest.raises(DhError):
-        cs.dh(cs.dh_private_key(a_sk), cs.GroupElement(bytes(32)))
+    for secret in (a_sk, cs.GroupScalar(bytes(a_sk))):
+        with pytest.raises(DhError):
+            cs.dh(secret, cs.GroupElement(bytes(32)))
 
 
-def test_dh_refuses_an_all_zero_secret_from_the_backend():
+def test_dh_refuses_an_all_zero_secret_from_the_backend(monkeypatch):
     """OpenSSL refuses a small-order peer inside exchange; a backend that
-    returned the zero secret instead meets the check after it."""
+    returned the zero secret instead meets the check after it. The fake
+    backend stands in for dh_private_key, the one place an object is
+    built."""
     class ZeroExchange:
         def exchange(self, peer):
             return bytes(32)
 
-    _, pk = cs.dh_keygen(cs.SeededRng(14))
+    sk, pk = cs.dh_keygen(cs.SeededRng(14))
+    monkeypatch.setattr(cs, "dh_private_key", lambda secret: ZeroExchange())
     with pytest.raises(DhError, match="^all-zero shared secret"):
-        cs.dh(ZeroExchange(), pk)
+        cs.dh(cs.GroupScalar(bytes(sk)), pk)
 
 
 # -- derivations --------------------------------------------------------------
@@ -342,24 +344,28 @@ def test_count_ops_counts_each_kind():
 def test_key_object_counts_like_its_scalar():
     rng = cs.SeededRng(23)
     with cs.count_ops() as counts:
-        a = cs.dh_keygen_with_key(rng)
+        a_sk, _ = cs.dh_keygen(rng)
     assert counts.dh == 1
     _, b_pk = cs.dh_keygen(rng)
     with cs.count_ops() as counts:
-        key = cs.dh_private_key(a.secret)  # building the object is no dh op
-        cs.dh(key, b_pk)
-        cs.dh(a.key, b_pk)
+        held = cs.dh_key(cs.GroupScalar(bytes(a_sk)))  # a build is no dh op
+        cs.dh(held, b_pk)
+        cs.dh(a_sk, b_pk)
     assert counts.dh == 2
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dh_key_passes_an_object_through_and_builds_one_for_a_scalar(seed):
+    """A pair's scalar comes back as itself, its object with it; stored
+    bytes come back as a copy that holds a new object."""
     sk, pk = cs.dh_keygen(cs.SeededRng(seed))
-    key = cs.dh_private_key(sk)
-    assert cs.dh_key(key) is key
-    built = cs.dh_key(cs.GroupScalar(bytes(sk)))  # stored bytes
-    assert built is not key and built is not cs.dh_key(sk)
-    assert built.public_key().public_bytes_raw() == pk
+    assert cs.dh_key(sk) is sk
+    stored = cs.GroupScalar(bytes(sk))
+    copy = cs.dh_key(stored)
+    assert copy == sk and copy is not stored and copy.key is not sk.key
+    assert not hasattr(stored, "__dict__")  # the input stays as it was
+    assert cs.dh_key(copy) is copy and cs.dh_key(stored) is not copy
+    assert copy.key.public_key().public_bytes_raw() == pk
 
 
 def test_a_keygen_scalar_holds_its_object_and_its_bytes_hold_none(
@@ -367,8 +373,7 @@ def test_a_keygen_scalar_holds_its_object_and_its_bytes_hold_none(
     sk, pk = cs.dh_keygen(cs.SeededRng(27))
     _, peer = cs.dh_keygen(cs.SeededRng(28))
     built = helpers.count_key_objects(monkeypatch)
-    key = cs.dh_key(sk)
-    assert cs.dh_key(sk) is key and key.private_bytes_raw() == sk
+    assert cs.dh_key(sk) is sk and sk.key.private_bytes_raw() == sk
     with cs.count_ops() as counts:
         shared = cs.dh(sk, peer)
     assert (counts.dh, built) == (1, [])  # the exchange builds nothing

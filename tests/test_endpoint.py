@@ -14,12 +14,11 @@ from letterseal.endpoint import DESIGNS, Endpoint, endpoint_pair
 from letterseal.directory_server import KeyDirectory
 from letterseal.errors import (
     AuthFailure,
+    DhError,
     KidMismatch,
     NotInitialized,
     ParseError,
 )
-from letterseal.linev1 import v1_establish
-from letterseal.linev2 import v2_establish
 from letterseal.linevdr import vdr_export_state
 from letterseal.mske import Game
 from letterseal.wire import encode_envelope
@@ -48,35 +47,6 @@ def test_round_trips_both_directions(protocol):
             epochs.append(getattr(env, "i_index", None))
     if protocol == "vdr":
         assert epochs == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_static_establish_from_the_key_object_equals_from_the_scalar(seed):
-    a_sk, _, _, b_pk, _, _ = helpers.keypairs(seed)
-    for establish in (v1_establish, v2_establish):
-        scalar, obj = (establish(secret, b_pk, kid_self=11, kid_peer=12,
-                                 sid="alice", rid="bob")
-                       for secret in (a_sk, cs.dh_private_key(a_sk)))
-        assert scalar.pms == obj.pms
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_endpoints_holding_key_objects_seal_the_same_bytes(protocol):
-    sent = []
-    for as_object in (False, True):
-        a_sk, a_pk, b_sk, b_pk, a_rng, b_rng = helpers.keypairs(402)
-        if as_object:
-            a_sk, b_sk = cs.dh_private_key(a_sk), cs.dh_private_key(b_sk)
-        a, b = endpoint_pair(protocol, (a_sk, a_pk), (b_sk, b_pk), a_rng,
-                             b_rng, kids=(11, 12), names=("alice", "bob"))
-        envs = []
-        for turn in range(4):
-            src, dst = (a, b) if turn % 2 == 0 else (b, a)
-            env = src.seal(b"turn %d" % turn)
-            assert dst.open(env) == b"turn %d" % turn
-            envs.append(encode_envelope(env))
-        sent.append(envs)
-    assert sent[0] == sent[1]
 
 
 def _next_draw(rng):
@@ -113,6 +83,22 @@ def test_set_up_from_the_keygen_scalar_equals_set_up_from_stored_bytes(
         worlds.append((envs, [snapshot(ep.session) for ep in (a, b)],
                        [_next_draw(rng) for rng in (a_rng, b_rng)]))
     assert worlds[0] == worlds[1]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_refused_first_seal_draws_nothing(protocol):
+    """A low-order peer public (the directory takes any 32 bytes) and a
+    31-byte secret are refused at the initiator's set-up, before the
+    ratchet draws its ephemeral, and no session is kept."""
+    a_sk, _, _, b_pk, a_rng, _ = helpers.keypairs(409)
+    for secret, peer in ((a_sk, cs.GroupElement(bytes(32))),
+                         (bytes(a_sk)[:31], b_pk)):
+        a = Endpoint(protocol, secret, peer, a_rng, 11, 12, "alice", "bob",
+                     initiator=True)
+        with cs.Recorder() as seen:
+            with pytest.raises(DhError):
+                a.seal(b"hi")
+        assert seen.draws == [] and a.session is None
 
 
 def test_each_party_draws_only_from_its_own_rng():

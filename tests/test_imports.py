@@ -53,6 +53,9 @@ RULES = {
                   [("mske/game.py", "")]),
     "closure": ({"KeyClosure"}, {"call"}, [("mske/game.py", "Game.closure")]),
     "key_pair": ({"KeyPair"}, {"call"}, [("crypto_suite.py", "")]),
+    # a secret's key object, its builder or the scalar that holds one
+    "key_object": ({"X25519PrivateKey", "dh_private_key", "_HeldScalar"}, ANY,
+                   [("crypto_suite.py", "")]),
     # every call of the key schedule: exchange, derivation, nonce, AD and
     # each cipher, v1's CBC included
     "exchange": ({"dh", "kdf_root", "kdf_chain", "digest_kdf",
@@ -220,6 +223,7 @@ test_attacks_get_secrets_only_from_oracles = rule_test("parties")
 test_only_the_game_turns_answers_into_knowledge = rule_test("knowledge")
 test_only_game_closure_builds_a_closure = rule_test("closure")
 test_only_crypto_suite_assembles_a_key_pair = rule_test("key_pair")
+test_a_secret_outside_crypto_suite_is_a_scalar = rule_test("key_object")
 test_attacks_run_no_exchange_of_their_own = rule_test("exchange")
 test_only_protocols_build_values_unchecked = rule_test("unchecked")
 test_package_computes_no_hmac_through_the_stdlib = rule_test("hmac")
@@ -338,9 +342,21 @@ SAMPLES = {
         "eph = cs.key_pair(sk)\nst.self_eph: cs.KeyPair | None = None\n"
         "from .crypto_suite import KeyPair\nst.self_eph = KeyPair(*parts)\n"),
         {"crypto_suite.py": ["3: state_writes", "5: state_writes"],
-         "linevdr.py": ["1: key_pair", "5: key_pair"],
-         "mske/game.py": ["1: key_pair", "3: state_writes", "5: key_pair",
-                          "5: state_writes"]}),
+         "linevdr.py": ["1: key_pair", "1: key_object", "5: key_pair"],
+         "mske/game.py": ["1: key_pair", "1: key_object", "3: state_writes",
+                          "5: key_pair", "5: state_writes"]}),
+    "key_object": (breaks, (
+        "def __init__(self, secret: cs.GroupScalar | cs.X25519PrivateKey):\n"
+        "    self.secret = secret\nltk_key = cs.dh_key(self_ltk)\n"
+        "self.scalars: dict[bytes, cs.X25519PrivateKey] = {}\n"
+        "key = cs.dh_private_key(cs.clamp_scalar(bytes(secret)))\n"
+        "from .crypto_suite import X25519PrivateKey, _HeldScalar\n"
+        "held = cs._HeldScalar(secret)\nsk = cs.GroupScalar(raw)\n"),
+        {"crypto_suite.py": [],
+         "endpoint.py": ["1: key_object", "4: key_object", "5: key_object",
+                         "6: key_object", "7: key_object"],
+         "linevdr.py": ["1: key_object", "4: key_object", "5: key_object",
+                        "6: key_object", "7: key_object"]}),
     "exchange": (breaks, (
         "pms = cs.dh(sk_b, pk_a)  # the victim's secret recreates the pms\n"
         "pms = g.closure().pms\nrun = cs.dh\nshared = dh(key, peer)\n"
